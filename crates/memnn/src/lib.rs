@@ -42,5 +42,5 @@ pub mod timing;
 pub mod train;
 
 pub use inference::{BaselineCounters, ForwardRecord};
-pub use model::{MemNet, ModelConfig};
+pub use model::{MemNet, ModelConfig, OutputStage};
 pub use timing::{OpKind, OpTimes};

@@ -2,7 +2,7 @@
 
 use mnn_dataset::babi::{BabiGenerator, Story};
 use mnn_dataset::WordId;
-use mnn_tensor::Matrix;
+use mnn_tensor::{reduce, softmax, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -355,6 +355,81 @@ impl MemNet {
             .expect("output projection shapes are fixed by construction");
         logits
     }
+
+    /// The whole output stage for `nq >= 1` response vectors in one pass
+    /// over `W`: for every `(o, u)` pair, the arg-max word of
+    /// `W · (o + u)` and its softmax probability, left in
+    /// [`OutputStage::answers`] in input order.
+    ///
+    /// `W` is the layer's memory traffic (`V × ed` floats, megabytes at a
+    /// real vocabulary), so its rows are walked in blocks of
+    /// [`OUTPUT_BLOCK_BYTES`] and every question scores a block while it
+    /// is cache-resident: a batch streams `W` once instead of once per
+    /// question. Each logit is the same per-row `dot` over the same
+    /// operands [`MemNet::output_logits`] computes
+    /// ([`mnn_tensor::kernels::gemv_chunk`] is one `dot` per row on either
+    /// backend, dispatched once per block instead of once per row), and the
+    /// word/probability are [`reduce::argmax`] /
+    /// [`softmax::softmax_prob_at`] over those logits, so an answer is
+    /// bitwise what `output_logits` + `argmax` + `softmax_in_place` give,
+    /// whatever else shares its batch. One question is the same loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `o` or `u` is not `ed` long (or `W` has no columns).
+    pub fn output_answers<'a>(
+        &self,
+        responses: impl IntoIterator<Item = (&'a [f32], &'a [f32])>,
+        stage: &mut OutputStage,
+    ) {
+        let (vocab, ed) = self.w.shape();
+        assert!(ed > 0, "output_answers: W has no columns");
+        stage.sums.clear();
+        for (o, u) in responses {
+            assert_eq!((o.len(), u.len()), (ed, ed), "output_answers: bad width");
+            stage.sums.extend(o.iter().zip(u).map(|(a, b)| a + b));
+        }
+        let nq = stage.sums.len() / ed;
+        // Every logit below is overwritten, so only growth is zero-filled.
+        stage.logits.resize(nq * vocab, 0.0);
+        let block = (OUTPUT_BLOCK_BYTES / (4 * ed)).max(1);
+        for (start, n_rows, rows) in self.w.chunk_rows(block) {
+            for q in 0..nq {
+                let sum = &stage.sums[q * ed..(q + 1) * ed];
+                let logits = &mut stage.logits[q * vocab + start..][..n_rows];
+                mnn_tensor::kernels::gemv_chunk(rows, n_rows, sum, logits);
+            }
+        }
+        stage.answers.clear();
+        stage.answers.extend((0..nq).map(|q| {
+            let logits = &stage.logits[q * vocab..(q + 1) * vocab];
+            reduce::argmax(logits).map(|w| (w as WordId, softmax::softmax_prob_at(logits, w)))
+        }));
+    }
+}
+
+/// Bytes of `W` one block of [`MemNet::output_answers`] holds: small
+/// enough to stay in a private cache while every question of a batch
+/// scores it, large enough that the per-block loop overhead vanishes.
+pub const OUTPUT_BLOCK_BYTES: usize = 32 * 1024;
+
+/// Reusable buffers of [`MemNet::output_answers`] (the `o + u` sums and
+/// `nq × V` logits) plus its result. A serving session keeps one, so the
+/// output stage allocates nothing once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct OutputStage {
+    sums: Vec<f32>,
+    logits: Vec<f32>,
+    answers: Vec<Option<(WordId, f32)>>,
+}
+
+impl OutputStage {
+    /// `(word, probability)` per response vector of the last
+    /// [`MemNet::output_answers`] call, in input order; `None` only for a
+    /// model whose `W` has no rows.
+    pub fn answers(&self) -> &[Option<(WordId, f32)>] {
+        &self.answers
+    }
 }
 
 #[cfg(test)]
@@ -464,6 +539,37 @@ mod tests {
         for ((a, b), c) in l1.iter().zip(&l2).zip(&logits) {
             assert!((a + b - c).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn output_answers_is_the_per_question_output_stage() {
+        let (_, model) = small_model();
+        let ed = model.embedding_dim();
+        let pairs: Vec<(Vec<f32>, Vec<f32>)> = (0..3)
+            .map(|q| {
+                let o = (0..ed)
+                    .map(|k| ((q * ed + k) as f32 * 0.37).sin())
+                    .collect();
+                let u = (0..ed).map(|k| ((q + k) as f32 * 0.11).cos()).collect();
+                (o, u)
+            })
+            .collect();
+        let mut stage = OutputStage::default();
+        model.output_answers(
+            pairs.iter().map(|(o, u)| (o.as_slice(), u.as_slice())),
+            &mut stage,
+        );
+        assert_eq!(stage.answers().len(), 3);
+        for (got, (o, u)) in stage.answers().iter().zip(&pairs) {
+            let mut logits = model.output_logits(o, u);
+            let word = reduce::argmax(&logits).unwrap();
+            softmax::softmax_in_place(&mut logits);
+            let (w, p) = got.expect("non-empty vocabulary");
+            assert_eq!((w as usize, p.to_bits()), (word, logits[word].to_bits()));
+        }
+        // The stage is reusable, and an empty batch answers nothing.
+        model.output_answers(std::iter::empty(), &mut stage);
+        assert!(stage.answers().is_empty());
     }
 
     #[test]

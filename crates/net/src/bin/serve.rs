@@ -20,8 +20,8 @@
 //! | `--listen ADDR` | bind address (`:0` picks a free port) | `127.0.0.1:7464` |
 //! | `--net-threads N` | connection-handling threads | `2` |
 //! | `--tenants T=N,...` | token=tenant pairs | `default=default` |
-//! | `--max-batch N` | coalescing flush occupancy | `8` |
-//! | `--batch-wait-us N` | coalescing max-wait (µs) | `1000` |
+//! | `--max-batch N` | coalescing flush occupancy (0 = no coalescing) | `8` |
+//! | `--batch-wait-us N` | longest a queued ask may sit behind other requests while the scheduler is busy (µs); an idle scheduler flushes at once whatever this says, `0` = never behind another request | `1000` |
 //! | `--deadline-ms N` | per-question deadline (0 = none) | `0` |
 //! | `--precision P` | `f32` or `int8` | `f32` |
 //! | `--window N` | tenant memory window (0 = unbounded) | `0` |
@@ -167,6 +167,8 @@ fn run(args: &[String]) -> Result<(), String> {
             .unwrap_or(2),
         n => n,
     };
+    // One source for both defaults: the library's.
+    let batch_default = BatchConfig::default();
     let max_wait = match options.flags.get("batch-wait-us") {
         Some(raw) => Duration::from_micros(
             raw.parse()
@@ -174,10 +176,10 @@ fn run(args: &[String]) -> Result<(), String> {
         ),
         None => mnn_net::env::batch_wait_from_env()
             .map_err(|e| e.to_string())?
-            .unwrap_or(Duration::from_micros(1000)),
+            .unwrap_or(batch_default.max_wait),
     };
     let tenants = parse_tenants(options.get_str("tenants").unwrap_or("default=default"))?;
-    let max_batch = options.get("max-batch", 8usize)?;
+    let max_batch = options.get("max-batch", batch_default.max_batch)?;
     let deadline_ms = options.get("deadline-ms", 0u64)?;
     let window = options.get("window", 0usize)?;
     let precision = match options.get_str("precision").unwrap_or("f32") {

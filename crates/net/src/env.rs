@@ -4,7 +4,7 @@
 //! |----------|---------|
 //! | `MNNFAST_LISTEN` | socket address the server binds (`host:port`) |
 //! | `MNNFAST_NET_THREADS` | connection-handling threads |
-//! | `MNNFAST_BATCH_WAIT_US` | coalescing max-wait in microseconds (0 = flush immediately) |
+//! | `MNNFAST_BATCH_WAIT_US` | longest a queued ask may sit behind other requests while the scheduler is busy, in microseconds — a cap under backlog, not a hold (an idle scheduler flushes at once); 0 = never let an ask sit behind other work |
 //!
 //! Like the rest of the repo's env surface, readers are strict — a typo'd
 //! value is a typed [`EnvVarError`], not a silent default — and unset or
@@ -59,8 +59,11 @@ pub fn net_threads_from_env() -> Result<Option<usize>, EnvVarError> {
 }
 
 /// Parses `MNNFAST_BATCH_WAIT_US`: the coalescing queue's max-wait in
-/// microseconds. `0` is legal and means "flush on the next scheduler
-/// pass" (occupancy-only batching).
+/// microseconds — the cap on how long a queued ask may sit while the
+/// scheduler works through a backlog of other requests (see
+/// [`mnn_serve::BatchConfig::max_wait`]). `0` is legal and means "never
+/// let an ask sit behind other work": every ask is dispatched before the
+/// next request is looked at.
 ///
 /// # Errors
 ///

@@ -123,8 +123,9 @@ pub enum NetFrame {
         sentences: u64,
     },
     /// Client → server: ask a question (plain text). The request joins
-    /// the tenant's coalescing batch queue; the answer may arrive after
-    /// other traffic has filled the batch or its max-wait expired.
+    /// the tenant's coalescing batch queue, which is dispatched as soon
+    /// as it fills or the scheduler has nothing else to do; the answer
+    /// carries `id`, so it may arrive out of order with other traffic.
     Ask {
         /// Client-chosen request id, echoed by the response.
         id: u64,

@@ -15,9 +15,13 @@
 //! - one **scheduler thread** owns the [`SessionPool`] and is the only
 //!   thread that touches model state. Network asks feed the pool's
 //!   coalescing queues via `enqueue_tracked` — batching **across tenants
-//!   and connections** — and the thread sleeps precisely until the pool's
-//!   `next_flush_due` instant, so partially filled batches still flush
-//!   within [`BatchConfig::max_wait`] while full batches flush instantly.
+//!   and connections** — and the loop is work-conserving: it blocks only
+//!   while nothing is queued, drains whatever requests have arrived, and
+//!   flushes every queue the moment the channel is empty. A lone question
+//!   is served at once; under load a batch is whatever arrived while the
+//!   previous pass was computing, full batches flush inline, and
+//!   [`BatchConfig::max_wait`] only caps how long a question may sit
+//!   behind a backlog of *other* requests. No timer, no poll.
 //!
 //! Overload never drops a connection: admission-control sheds and
 //! in-flight-cap rejections both answer a typed [`NetFrame::Overloaded`]
@@ -37,7 +41,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -98,8 +102,6 @@ impl Default for ServerConfig {
 const PARK_BUSY: Duration = Duration::from_micros(200);
 /// Park bound when a net thread owns no connections at all.
 const PARK_IDLE: Duration = Duration::from_millis(2);
-/// Upper bound on the scheduler's sleep between flush checks.
-const SCHED_IDLE: Duration = Duration::from_millis(5);
 /// Grace period for draining outboxes at shutdown.
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
 /// Retry hint when the per-connection in-flight cap rejects an ask.
@@ -201,15 +203,15 @@ pub struct NetServer {
 
 impl NetServer {
     /// Boots the front-end: binds the listener, builds the pool (one
-    /// session per configured tenant), and spawns the accept, net, and
-    /// scheduler threads.
+    /// session per configured tenant, all sharing the one `model`), and
+    /// spawns the accept, net, and scheduler threads.
     ///
     /// # Errors
     ///
     /// [`NetError::Spawn`] when the bind or pool bootstrap fails;
     /// [`NetError::Env`] when an `MNNFAST_*` knob is malformed.
     pub fn spawn(
-        model: MemNet,
+        model: impl Into<Arc<MemNet>>,
         vocab: Vocabulary,
         session: SessionConfig,
         config: ServerConfig,
@@ -789,42 +791,55 @@ struct Scheduler {
 }
 
 impl Scheduler {
+    /// The drain-then-flush loop. Invariant: the thread never blocks with
+    /// a question queued — so there is nothing to time out and nothing to
+    /// poll, and shutdown is just the channel disconnecting once every
+    /// net thread has exited.
     fn run(mut self) {
-        let mut drained = false;
         loop {
-            let timeout = match self.pool.next_flush_due() {
-                Some(due) => due
-                    .saturating_duration_since(Instant::now())
-                    .min(SCHED_IDLE),
-                None => SCHED_IDLE,
-            };
-            match self.rx.recv_timeout(timeout) {
-                Ok(request) => self.handle(request, &mut drained),
-                Err(RecvTimeoutError::Timeout) => {}
-                // Every net thread has exited; nothing can submit again.
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            if !drained {
-                if self.shutdown.load(Ordering::Acquire) {
-                    // Drain: flush every queue so no accepted question
-                    // goes unanswered.
-                    if let Ok(answers) = self.pool.flush_all() {
-                        for ba in answers {
-                            self.route(ba);
+            let request = if self.pool.pending_questions() == 0 {
+                match self.rx.recv() {
+                    Ok(request) => request,
+                    Err(_) => return,
+                }
+            } else {
+                match self.rx.try_recv() {
+                    Ok(request) => request,
+                    // Nothing else has arrived that a batch could wait
+                    // for: the scheduler is idle, so every queue goes.
+                    Err(why) => {
+                        self.route_all(SessionPool::flush_all);
+                        if why == TryRecvError::Disconnected {
+                            return;
                         }
-                    }
-                    drained = true;
-                } else if let Ok(answers) = self.pool.flush_due() {
-                    for ba in answers {
-                        self.route(ba);
+                        continue;
                     }
                 }
+            };
+            self.handle(request);
+            // Backlog cap: more requests may be waiting behind this one,
+            // but no queued question sits through more than `max_wait` of
+            // them.
+            if self.pool.pending_questions() > 0 {
+                self.route_all(SessionPool::flush_due);
             }
         }
     }
 
-    fn handle(&mut self, request: Request, drained: &mut bool) {
-        let shutting_down = self.shutdown.load(Ordering::Acquire) || *drained;
+    /// Runs one of the pool's flushes and routes every answer it yields.
+    fn route_all(
+        &mut self,
+        flush: impl FnOnce(&mut SessionPool) -> Result<Vec<BatchedAnswer>, PoolError>,
+    ) {
+        if let Ok(answers) = flush(&mut self.pool) {
+            for ba in answers {
+                self.route(ba);
+            }
+        }
+    }
+
+    fn handle(&mut self, request: Request) {
+        let shutting_down = self.shutdown.load(Ordering::Acquire);
         match request {
             Request::Observe {
                 conn,
@@ -840,6 +855,9 @@ impl Scheduler {
                     });
                     return;
                 }
+                // Questions this tenant asked before the sentence arrived
+                // are answered against the memory as it stood then.
+                self.route_all(|pool| pool.flush_tenant(&tenant));
                 let frame = match self.pool.observe(&tenant, &tokens) {
                     Ok(_) => NetFrame::ObserveAck {
                         id,
@@ -891,14 +909,9 @@ impl Scheduler {
                 conn.push(&NetFrame::StatsResp(self.stats()));
             }
             Request::Shutdown { conn } => {
-                if !*drained {
-                    if let Ok(answers) = self.pool.flush_all() {
-                        for ba in answers {
-                            self.route(ba);
-                        }
-                    }
-                    *drained = true;
-                }
+                // Questions accepted earlier in this drain are answered
+                // before the acknowledgement goes out.
+                self.route_all(SessionPool::flush_all);
                 conn.push(&NetFrame::ShutdownAck);
                 self.shutdown.store(true, Ordering::Release);
                 for waker in &self.wakers {

@@ -7,10 +7,15 @@ use mnn_dataset::babi::{BabiGenerator, Story, TaskKind};
 use mnn_dataset::Vocabulary;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
-use mnn_net::{NetClient, NetErrorCode, NetServer, Response, ServerConfig, TenantAuth};
+use mnn_net::{
+    read_frame, write_frame, NetClient, NetErrorCode, NetFrame, NetServer, Response, ServerConfig,
+    TenantAuth,
+};
 use mnn_serve::{AdmissionConfig, BatchConfig, Session, SessionConfig};
 use mnnfast::Precision;
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 const NS: usize = 8;
@@ -61,6 +66,55 @@ fn server_config(tenants: &[(&str, &str)]) -> ServerConfig {
         }),
         ..ServerConfig::default()
     }
+}
+
+/// A server whose coalescing queue would, on a timer-driven flush policy,
+/// hold a partial batch far beyond any test's patience: occupancy 64 is
+/// never reached and `max_wait` is 30 s. Only the work-conserving policy
+/// (idle flush, flush-before-observe, shutdown drain) answers anything.
+fn patient_config() -> ServerConfig {
+    ServerConfig {
+        batching: Some(BatchConfig {
+            max_batch: 64,
+            max_wait: Duration::from_secs(30),
+        }),
+        ..server_config(&[("alpha", "alice")])
+    }
+}
+
+/// An authenticated raw socket, for tests that must put several frames
+/// into one `write` so they reach the scheduler back to back.
+fn raw_connect(addr: SocketAddr, token: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let hello = NetFrame::Hello {
+        token: token.into(),
+    };
+    write_frame(&mut stream, &hello).expect("hello");
+    match read_frame(&mut stream).expect("hello ack") {
+        NetFrame::HelloAck { .. } => stream,
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+}
+
+/// `n` asks cycling through the story's questions, ids `0..n`.
+fn ask_burst(story: &Story, n: u64) -> Vec<NetFrame> {
+    (0..n)
+        .map(|id| NetFrame::AskTokens {
+            id,
+            tokens: story.questions[id as usize % story.questions.len()]
+                .tokens
+                .clone(),
+        })
+        .collect()
+}
+
+/// `frames`, encoded back to back for a single `write_all`.
+fn pipelined(frames: &[NetFrame]) -> Vec<u8> {
+    frames.iter().flat_map(NetFrame::encode).collect()
 }
 
 /// Replays the stories through a loopback connection and through an
@@ -274,18 +328,11 @@ fn killed_client_mid_request_reclaims_the_slot() {
         model,
         vocab,
         session_config(Precision::F32),
-        ServerConfig {
-            // A long max-wait parks the ask in the coalescing queue so the
-            // client is guaranteed to die before the answer exists.
-            batching: Some(BatchConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(50),
-            }),
-            ..server_config(&[("alpha", "alice")])
-        },
+        patient_config(),
     )
     .expect("server spawns");
     let story = &stories[0];
+    const BURST: u64 = 32;
 
     {
         let (mut doomed, _) = NetClient::connect(server.addr(), "alpha").expect("connect");
@@ -295,15 +342,19 @@ fn killed_client_mid_request_reclaims_the_slot() {
         for sentence in &story.sentences {
             doomed.observe_tokens(sentence).expect("observe");
         }
-        doomed
-            .send_ask_tokens(&story.questions[0].tokens)
-            .expect("send");
-        // Drop without reading the answer: the socket closes with the
-        // request still queued server-side.
+    }
+    {
+        // A burst of asks in one write keeps the scheduler busy well past
+        // the hang-up: the client is gone before most of its answers
+        // exist, with requests still queued server-side.
+        let mut doomed = raw_connect(server.addr(), "alpha");
+        let asks = ask_burst(story, BURST);
+        doomed.write_all(&pipelined(&asks)).expect("burst");
+        // Drop without reading a single answer.
     }
 
-    // The server must flush the orphaned question, drop the unroutable
-    // answer, and keep serving new connections at full health.
+    // The server must flush the orphaned questions, drop the unroutable
+    // answers, and keep serving new connections at full health.
     let (mut client, _) = NetClient::connect(server.addr(), "alpha").expect("reconnect");
     client
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -312,8 +363,8 @@ fn killed_client_mid_request_reclaims_the_slot() {
         Response::Answer(_) => {}
         other => panic!("expected answer, got {other:?}"),
     }
-    // Poll stats until the orphaned question has been flushed: the pool
-    // must hold zero pending questions (the dead client's slot is
+    // Poll stats until the orphaned questions have been flushed: the pool
+    // must hold zero pending questions (the dead client's slots are
     // reclaimed, not leaked).
     let mut drained = false;
     for _ in 0..100 {
@@ -324,7 +375,7 @@ fn killed_client_mid_request_reclaims_the_slot() {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(drained, "orphaned ask must be flushed, not leaked");
+    assert!(drained, "orphaned asks must be flushed, not leaked");
     server.shutdown();
 }
 
@@ -413,15 +464,7 @@ fn shutdown_drains_queued_questions_before_acking() {
         model,
         vocab,
         session_config(Precision::F32),
-        ServerConfig {
-            // Max-wait far beyond the test duration: only the drain can
-            // flush these questions.
-            batching: Some(BatchConfig {
-                max_batch: 64,
-                max_wait: Duration::from_secs(30),
-            }),
-            ..server_config(&[("alpha", "alice")])
-        },
+        patient_config(),
     )
     .expect("server spawns");
     let story = &stories[0];
@@ -433,28 +476,123 @@ fn shutdown_drains_queued_questions_before_acking() {
     for sentence in &story.sentences {
         asker.observe_tokens(sentence).expect("observe");
     }
-    let mut ids = Vec::new();
-    for q in &story.questions {
-        ids.push(asker.send_ask_tokens(&q.tokens).expect("send"));
-    }
 
-    // Give the scheduler a beat to accept the asks into the queue, then
-    // shut down from a second connection.
-    std::thread::sleep(Duration::from_millis(50));
-    let (mut admin, _) = NetClient::connect(server.addr(), "alpha").expect("connect admin");
-    admin
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .expect("timeout");
-    admin.shutdown_server().expect("shutdown acked");
+    // A burst of asks with the shutdown right behind it, in one write: the
+    // scheduler is mid-backlog when the shutdown reaches it, with accepted
+    // questions still in the coalescing queue.
+    let mut admin = raw_connect(server.addr(), "alpha");
+    let mut frames = ask_burst(story, 24);
+    let asked = frames.len();
+    frames.push(NetFrame::Shutdown);
+    admin.write_all(&pipelined(&frames)).expect("burst");
 
-    // Every queued ask was answered during the drain.
+    // Every accepted ask is answered, and answered before the ack.
     let mut got = 0;
-    for _ in &ids {
-        match asker.recv().expect("drained answer") {
-            Response::Answer(_) => got += 1,
+    loop {
+        match read_frame(&mut admin).expect("drained answer or ack") {
+            NetFrame::Answer { .. } => got += 1,
+            NetFrame::ShutdownAck => break,
             other => panic!("expected drained answer, got {other:?}"),
         }
     }
-    assert_eq!(got, ids.len(), "no accepted question goes unanswered");
+    assert_eq!(got, asked, "no accepted question goes unanswered");
     server.wait();
+}
+
+#[test]
+fn lone_ask_is_served_at_once_whatever_max_wait_says() {
+    let (model, vocab, stories) = trained_model();
+    let server = NetServer::spawn(
+        model,
+        vocab,
+        session_config(Precision::F32),
+        patient_config(),
+    )
+    .expect("server spawns");
+    let (mut client, _) = NetClient::connect(server.addr(), "alpha").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    let story = &stories[0];
+    for sentence in &story.sentences {
+        client.observe_tokens(sentence).expect("observe");
+    }
+    // Nothing else is in flight, so nothing is worth waiting for: the
+    // answer must beat the 2 s read timeout, not the 30 s max_wait.
+    match client.ask_tokens(&story.questions[0].tokens) {
+        Ok(Response::Answer(_)) => {}
+        other => panic!("a lone ask must not be held for max_wait: {other:?}"),
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.batch_occupancy[0], 1, "one batch of one");
+    server.shutdown();
+}
+
+#[test]
+fn observe_does_not_overtake_a_queued_ask() {
+    let (model, vocab, stories) = trained_model();
+    let cfg = session_config(Precision::F32);
+    let story = &stories[0];
+    let question = &story.questions[0].tokens;
+    let replay = |extra: Option<&Vec<u32>>| {
+        let mut session = Session::new(model.clone(), cfg).expect("session");
+        for sentence in story.sentences.iter().chain(extra) {
+            session.observe(sentence).expect("observe");
+        }
+        session.ask(question).expect("ask")
+    };
+    // A sentence whose arrival changes the answer to the question.
+    let before = replay(None);
+    let sentence = stories
+        .iter()
+        .flat_map(|s| &s.sentences)
+        .find(|&s| replay(Some(s)).word != before.word)
+        .expect("some sentence moves the answer");
+
+    let server =
+        NetServer::spawn(model.clone(), vocab, cfg, patient_config()).expect("server spawns");
+    let (mut client, _) = NetClient::connect(server.addr(), "alpha").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    for s in &story.sentences {
+        client.observe_tokens(s).expect("observe");
+    }
+    // Ask, then observe, in one write on one connection: the ask is still
+    // in the coalescing queue when the observe reaches the scheduler.
+    let mut raw = raw_connect(server.addr(), "alpha");
+    let frames = [
+        NetFrame::AskTokens {
+            id: 1,
+            tokens: question.clone(),
+        },
+        NetFrame::ObserveTokens {
+            id: 2,
+            tokens: sentence.clone(),
+        },
+    ];
+    raw.write_all(&pipelined(&frames)).expect("write");
+    match read_frame(&mut raw).expect("the ask is answered first") {
+        NetFrame::Answer {
+            id,
+            word,
+            probability,
+            ..
+        } => {
+            assert_eq!(id, 1);
+            assert_eq!(word, before.word, "answered against the pre-observe memory");
+            assert_eq!(probability.to_bits(), before.probability.to_bits());
+        }
+        other => panic!("expected the answer first, got {other:?}"),
+    }
+    match read_frame(&mut raw).expect("then the observe is acknowledged") {
+        NetFrame::ObserveAck { id, .. } => assert_eq!(id, 2),
+        other => panic!("expected ObserveAck, got {other:?}"),
+    }
+    // The sentence did land: the same question now sees it.
+    match client.ask_tokens(question).expect("ask") {
+        Response::Answer(a) => assert_eq!(a.word, replay(Some(sentence)).word),
+        other => panic!("expected answer, got {other:?}"),
+    }
+    server.shutdown();
 }

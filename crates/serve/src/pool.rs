@@ -8,7 +8,7 @@
 //! the MnnFast embedding cache addresses.
 
 use crate::embed_cache::SentenceCache;
-use crate::session::{Answer, ServeError, Session, SessionConfig};
+use crate::session::{serving_model, Answer, ServeError, Session, SessionConfig};
 use mnn_dataset::WordId;
 use mnn_memnn::MemNet;
 use mnnfast::{Budget, InferenceStats, Phase, PhaseHistograms, Trace};
@@ -82,19 +82,25 @@ impl From<ServeError> for PoolError {
 /// Coalescing-batch parameters for [`SessionPool::enqueue`].
 ///
 /// Concurrent questions over the same tenant's story are grouped into one
-/// batched streaming pass (the cross-request GEMM fast path): a tenant's
-/// queue flushes as soon as it holds `max_batch` questions, and
-/// [`SessionPool::flush_due`] flushes queues whose oldest question has
-/// waited `max_wait`. Queue wait is charged against each question's
-/// deadline: a question that waited `w` runs under
+/// batched streaming pass (the cross-request GEMM fast path). The policy
+/// is work-conserving — batching exists to amortise memory traffic, never
+/// to make a lone question wait — and [`BatchConfig::should_flush`] is the
+/// whole of it: a tenant's queue is dispatched when it holds `max_batch`
+/// questions, when the serving loop has nothing else to do, or when its
+/// oldest question has sat for `max_wait` while the loop was busy with
+/// other requests. Batches therefore form from whatever arrived while the
+/// previous pass was computing. Queue wait is charged against each
+/// question's deadline: a question that waited `w` runs under
 /// `deadline.saturating_sub(w)`, so coalescing never silently extends
 /// [`SessionConfig::deadline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Flush a tenant's queue when it reaches this many questions.
     pub max_batch: usize,
-    /// Maximum time a queued question may wait before
-    /// [`SessionPool::flush_due`] considers its batch due.
+    /// The longest a queued question may sit behind *other* work: a cap
+    /// that only binds while the serving loop is draining a backlog (a
+    /// pipelined bulk load, say) — an idle loop flushes at once, whatever
+    /// this says. `0` never lets a question sit behind another request.
     pub max_wait: Duration,
 }
 
@@ -102,8 +108,17 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
+            max_wait: Duration::from_millis(1),
         }
+    }
+}
+
+impl BatchConfig {
+    /// The flush policy for one tenant queue, as a pure function: `queued`
+    /// questions are waiting, the oldest for `oldest_wait`, and `idle`
+    /// says whether the serving loop has run out of other requests.
+    pub fn should_flush(&self, queued: usize, idle: bool, oldest_wait: Duration) -> bool {
+        queued > 0 && (idle || queued >= self.max_batch || oldest_wait >= self.max_wait)
     }
 }
 
@@ -281,7 +296,11 @@ impl Bucket {
 /// A pool of per-tenant [`Session`]s sharing one trained model.
 #[derive(Debug)]
 pub struct SessionPool {
-    model: MemNet,
+    /// The one copy of the weights every tenant session shares.
+    model: Arc<MemNet>,
+    /// `model`'s embedding fingerprint, hashed once for all tenants
+    /// (`None` without a sentence cache: nothing keys on it).
+    model_fingerprint: Option<u64>,
     config: SessionConfig,
     sessions: BTreeMap<String, Session>,
     /// Pool-wide sentence cache, shared by every tenant session (present
@@ -293,6 +312,9 @@ pub struct SessionPool {
     admission_trace: Trace,
     batching: Option<BatchConfig>,
     queues: BTreeMap<String, Vec<QueuedQuestion>>,
+    /// Questions across all of `queues` (a serving loop reads this between
+    /// every two requests, so it is kept, not counted).
+    queued: usize,
     next_request: u64,
     batches_dispatched: u64,
     batched_questions: u64,
@@ -307,20 +329,15 @@ impl SessionPool {
     /// # Errors
     ///
     /// As [`Session::new`] (incompatible model configurations).
-    pub fn new(model: MemNet, config: SessionConfig) -> Result<Self, ServeError> {
-        // Validate eagerly by constructing (and discarding) one session —
-        // without a cache, so the probe skips the weight fingerprint.
-        let _probe = Session::new(
-            model.clone(),
-            SessionConfig {
-                embed_cache: None,
-                ..config
-            },
-        )?;
+    pub fn new(model: impl Into<Arc<MemNet>>, config: SessionConfig) -> Result<Self, ServeError> {
+        let model = serving_model(model.into())?;
+        // Validate eagerly by constructing (and discarding) one session.
+        let _probe = Session::with_cache(model.clone(), config, None, None)?;
         let embed_cache = config
             .embed_cache
             .map(|cap| Arc::new(SentenceCache::new(cap)));
         Ok(Self {
+            model_fingerprint: embed_cache.as_ref().map(|_| model.weights_fingerprint()),
             model,
             config,
             sessions: BTreeMap::new(),
@@ -335,6 +352,7 @@ impl SessionPool {
             },
             batching: None,
             queues: BTreeMap::new(),
+            queued: 0,
             next_request: 0,
             batches_dispatched: 0,
             batched_questions: 0,
@@ -377,14 +395,14 @@ impl SessionPool {
         if self.sessions.contains_key(name) {
             return Err(PoolError::DuplicateTenant(name.to_owned()));
         }
-        // All tenants share the pool's one sentence cache: a sentence
-        // embedded for any tenant is a hit for every other.
-        let session = match &self.embed_cache {
-            Some(cache) => {
-                Session::with_shared_cache(self.model.clone(), self.config, cache.clone())
-            }
-            None => Session::new(self.model.clone(), self.config),
-        }
+        // All tenants share the pool's weights and its one sentence cache:
+        // a sentence embedded for any tenant is a hit for every other.
+        let session = Session::with_cache(
+            self.model.clone(),
+            self.config,
+            self.embed_cache.clone(),
+            self.model_fingerprint,
+        )
         .map_err(PoolError::Session)?;
         self.sessions.insert(name.to_owned(), session);
         Ok(())
@@ -549,9 +567,9 @@ impl SessionPool {
             tokens: question.to_vec(),
             enqueued: Instant::now(),
         });
-        let max_batch = self.batching.map_or(1, |b| b.max_batch).max(1);
-        let flushed = if queue.len() >= max_batch {
-            self.flush_tenant_queue(tenant)?
+        self.queued += 1;
+        let flushed = if queue.len() >= self.policy().max_batch.max(1) {
+            self.flush_tenant(tenant)?
         } else {
             Vec::new()
         };
@@ -559,67 +577,62 @@ impl SessionPool {
     }
 
     /// Flushes every tenant queue whose oldest question has waited at least
-    /// [`BatchConfig::max_wait`]. Call this from the serving loop's idle
-    /// path so partially filled batches still meet their latency bound.
+    /// [`BatchConfig::max_wait`] — the backlog cap: call it between
+    /// requests while the serving loop is busy, so a queued question never
+    /// sits behind more than `max_wait` of other work.
     ///
     /// # Errors
     ///
     /// As [`SessionPool::enqueue`]'s flush path.
     pub fn flush_due(&mut self) -> Result<Vec<BatchedAnswer>, PoolError> {
-        let max_wait = self.batching.map_or(Duration::ZERO, |b| b.max_wait);
-        let now = Instant::now();
-        let due: Vec<String> = self
-            .queues
-            .iter()
-            .filter(|(_, q)| {
-                q.first()
-                    .is_some_and(|r| now.duration_since(r.enqueued) >= max_wait)
-            })
-            .map(|(t, _)| t.clone())
-            .collect();
-        let mut answers = Vec::new();
-        for tenant in due {
-            answers.extend(self.flush_tenant_queue(&tenant)?);
-        }
-        Ok(answers)
+        self.flush_queues(false)
     }
 
-    /// Flushes every non-empty tenant queue regardless of age (e.g. at
-    /// shutdown, so no queued question is dropped).
+    /// Flushes every non-empty tenant queue regardless of age: what an
+    /// idle serving loop does (nothing else is coming that a batch could
+    /// wait for), and what shutdown does so no queued question is dropped.
     ///
     /// # Errors
     ///
     /// As [`SessionPool::enqueue`]'s flush path.
     pub fn flush_all(&mut self) -> Result<Vec<BatchedAnswer>, PoolError> {
-        let tenants: Vec<String> = self
+        self.flush_queues(true)
+    }
+
+    /// Dispatches every queue [`BatchConfig::should_flush`] selects.
+    fn flush_queues(&mut self, idle: bool) -> Result<Vec<BatchedAnswer>, PoolError> {
+        let policy = self.policy();
+        let now = Instant::now();
+        let selected: Vec<String> = self
             .queues
             .iter()
-            .filter(|(_, q)| !q.is_empty())
+            .filter(|(_, q)| {
+                let oldest_wait = q
+                    .first()
+                    .map_or(Duration::ZERO, |r| now.duration_since(r.enqueued));
+                policy.should_flush(q.len(), idle, oldest_wait)
+            })
             .map(|(t, _)| t.clone())
             .collect();
         let mut answers = Vec::new();
-        for tenant in tenants {
-            answers.extend(self.flush_tenant_queue(&tenant)?);
+        for tenant in selected {
+            answers.extend(self.flush_tenant(&tenant)?);
         }
         Ok(answers)
     }
 
-    /// Questions currently waiting in coalescing queues.
-    pub fn pending_questions(&self) -> usize {
-        self.queues.values().map(Vec::len).sum()
+    /// The configured batching policy, or batches of one without
+    /// [`SessionPool::with_batching`].
+    fn policy(&self) -> BatchConfig {
+        self.batching.unwrap_or(BatchConfig {
+            max_batch: 1,
+            max_wait: Duration::ZERO,
+        })
     }
 
-    /// The instant at which the oldest queued question's batch becomes due
-    /// under [`BatchConfig::max_wait`], or `None` when no question is
-    /// queued. A serving loop can sleep precisely until this instant
-    /// instead of polling [`SessionPool::flush_due`] on a fixed tick.
-    pub fn next_flush_due(&self) -> Option<Instant> {
-        let max_wait = self.batching.map_or(Duration::ZERO, |b| b.max_wait);
-        self.queues
-            .values()
-            .filter_map(|q| q.first())
-            .map(|r| r.enqueued + max_wait)
-            .min()
+    /// Questions currently waiting in coalescing queues.
+    pub fn pending_questions(&self) -> usize {
+        self.queued
     }
 
     /// Questions shed by the admission controller, broken down by tenant.
@@ -639,14 +652,22 @@ impl SessionPool {
             .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))
     }
 
-    /// Dispatches one tenant's queued questions as a single batched pass.
-    /// Queue wait is charged against each question's deadline, so a
-    /// question that waited `w` runs under `deadline - w`.
-    fn flush_tenant_queue(&mut self, tenant: &str) -> Result<Vec<BatchedAnswer>, PoolError> {
+    /// Dispatches one tenant's queued questions as a single batched pass,
+    /// now, whatever their age or number. Queue wait is charged against
+    /// each question's deadline, so a question that waited `w` runs under
+    /// `deadline - w`. A serving loop calls this before applying a write to
+    /// the tenant's memory, so questions queued *before* the write are
+    /// answered against the memory they were asked of.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionPool::enqueue`]'s flush path.
+    pub fn flush_tenant(&mut self, tenant: &str) -> Result<Vec<BatchedAnswer>, PoolError> {
         let queued = match self.queues.get_mut(tenant) {
             Some(q) if !q.is_empty() => std::mem::take(q),
             _ => return Ok(Vec::new()),
         };
+        self.queued -= queued.len();
         let session = self
             .sessions
             .get_mut(tenant)
@@ -1091,29 +1112,23 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_tracked_returns_ids_and_flush_deadline() {
+    fn enqueue_tracked_returns_request_ids() {
         let (mut generator, pool) = pool();
-        let max_wait = std::time::Duration::from_secs(3600);
         let mut pool = pool.with_batching(BatchConfig {
             max_batch: 2,
-            max_wait,
+            max_wait: std::time::Duration::from_secs(3600),
         });
         pool.create_tenant("t").unwrap();
         let story = generator.story(5, 2);
         for s in &story.sentences {
             pool.observe("t", s).unwrap();
         }
-        assert_eq!(pool.next_flush_due(), None);
-        let before = Instant::now();
         let (id0, flushed) = pool
             .enqueue_tracked("t", &story.questions[0].tokens)
             .unwrap();
         assert_eq!(id0, 0);
         assert!(flushed.is_empty());
-        // The due instant is the enqueue time plus max_wait.
-        let due = pool.next_flush_due().expect("one question is queued");
-        assert!(due >= before + max_wait);
-        assert!(due <= Instant::now() + max_wait);
+        assert_eq!(pool.pending_questions(), 1);
         let (id1, flushed) = pool
             .enqueue_tracked("t", &story.questions[1].tokens)
             .unwrap();
@@ -1121,7 +1136,7 @@ mod tests {
         assert_eq!(flushed.len(), 2);
         assert_eq!(flushed[0].request, id0);
         assert_eq!(flushed[1].request, id1);
-        assert_eq!(pool.next_flush_due(), None);
+        assert_eq!(pool.pending_questions(), 0);
         // The two-question flush landed in the occupancy histogram.
         let stats = pool.stats();
         assert_eq!(stats.batch_occupancy[occupancy_bucket(2)], 1);
@@ -1181,6 +1196,81 @@ mod tests {
         assert_eq!(pool.sheds_by_tenant().get("b"), Some(&2));
         assert_eq!(pool.sheds_by_tenant().get("a"), None);
         assert_eq!(pool.stats().shed_questions, 2);
+    }
+
+    #[test]
+    fn flush_policy_table() {
+        let ms = Duration::from_millis;
+        let policy = BatchConfig {
+            max_batch: 4,
+            max_wait: ms(2),
+        };
+        // (queued, idle, oldest wait) -> flush?
+        for (queued, idle, waited, flush, why) in [
+            (0, true, ms(0), false, "an empty queue never flushes"),
+            (0, false, ms(9), false, "nor does its age matter"),
+            (1, true, ms(0), true, "idle: a lone question goes at once"),
+            (3, true, ms(0), true, "idle flushes a partial batch"),
+            (1, false, ms(0), false, "busy and fresh: let a batch form"),
+            (3, false, ms(1), false, "busy, under both limits: hold"),
+            (4, false, ms(0), true, "a full batch goes, busy or not"),
+            (9, false, ms(0), true, "so does an over-full one"),
+            (1, false, ms(2), true, "backlog cap: waited max_wait"),
+            (1, false, ms(50), true, "backlog cap, past the boundary"),
+        ] {
+            assert_eq!(policy.should_flush(queued, idle, waited), flush, "{why}");
+        }
+        // max_wait = 0: a question never sits behind another request.
+        let eager = BatchConfig {
+            max_batch: 64,
+            max_wait: Duration::ZERO,
+        };
+        assert!(eager.should_flush(1, false, Duration::ZERO));
+        assert!(!eager.should_flush(0, false, Duration::ZERO));
+        // A huge cap never fires on its own: only occupancy or idleness do.
+        let patient = BatchConfig {
+            max_batch: 64,
+            max_wait: Duration::from_secs(3600),
+        };
+        assert!(!patient.should_flush(63, false, Duration::from_secs(3599)));
+        assert!(patient.should_flush(63, true, Duration::ZERO));
+    }
+
+    #[test]
+    fn flush_tenant_answers_only_that_tenant() {
+        let (mut generator, pool) = pool();
+        let mut pool = pool.with_batching(BatchConfig {
+            max_batch: 64,
+            max_wait: Duration::from_secs(3600),
+        });
+        pool.create_tenant("a").unwrap();
+        pool.create_tenant("b").unwrap();
+        let story = generator.story(5, 2);
+        for s in &story.sentences {
+            pool.observe("a", s).unwrap();
+            pool.observe("b", s).unwrap();
+        }
+        pool.enqueue("a", &story.questions[0].tokens).unwrap();
+        pool.enqueue("b", &story.questions[1].tokens).unwrap();
+        let flushed = pool.flush_tenant("a").unwrap();
+        assert_eq!(flushed.len(), 1);
+        assert_eq!((flushed[0].request, flushed[0].tenant.as_str()), (0, "a"));
+        assert!(flushed[0].answer.is_ok());
+        assert_eq!(pool.pending_questions(), 1, "b's question still waits");
+        assert_eq!(pool.flush_tenant("a").unwrap(), Vec::new());
+        assert_eq!(pool.flush_tenant("ghost").unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn tenants_share_one_copy_of_the_model() {
+        let (_, pool) = pool();
+        let mut pool = pool;
+        pool.create_tenant("a").unwrap();
+        pool.create_tenant("b").unwrap();
+        let a: *const MemNet = pool.sessions["a"].model();
+        let b: *const MemNet = pool.sessions["b"].model();
+        assert!(std::ptr::eq(a, b), "no per-tenant clone of the weights");
+        assert!(std::ptr::eq(a, &*pool.model));
     }
 
     #[test]

@@ -6,8 +6,8 @@ use mnn_dataset::{Vocabulary, WordId};
 use mnn_dist::{
     Coordinator, DistConfig, DistError, ForwardOpts, WorkerConfig, WorkerServer, WorkerState,
 };
-use mnn_memnn::{MemNet, ModelConfig};
-use mnn_tensor::{reduce, softmax, EnvVarError};
+use mnn_memnn::{MemNet, ModelConfig, OutputStage};
+use mnn_tensor::EnvVarError;
 use mnnfast::engine::EngineError;
 use mnnfast::store::MemoryStore;
 use mnnfast::{
@@ -287,7 +287,9 @@ pub struct Answer {
 /// store's capacity.
 #[derive(Debug)]
 pub struct Session {
-    model: MemNet,
+    /// The trained weights, shared with every other session created from
+    /// the same `Arc` (one copy per [`crate::SessionPool`]).
+    model: Arc<MemNet>,
     store: MemoryStore,
     config: SessionConfig,
     executor: PlanExecutor,
@@ -310,6 +312,8 @@ pub struct Session {
     pair_buf: Vec<f32>,
     /// Reusable `ed` buffer for the question state in [`Session::ask`].
     question_buf: Vec<f32>,
+    /// Reusable buffers of the output stage ([`MemNet::output_answers`]).
+    output_stage: OutputStage,
     /// Effective segment count ([`SessionConfig::segments`], or the
     /// `MNNFAST_SEGMENTS` override captured at creation).
     segments: usize,
@@ -348,11 +352,11 @@ impl Session {
     /// memory on every append, which contradicts the online-serving premise.
     /// Train serving models with `temporal: false` (use position encoding
     /// for order information instead).
-    pub fn new(model: MemNet, config: SessionConfig) -> Result<Self, ServeError> {
+    pub fn new(model: impl Into<Arc<MemNet>>, config: SessionConfig) -> Result<Self, ServeError> {
         let cache = config
             .embed_cache
             .map(|cap| Arc::new(SentenceCache::new(cap)));
-        Self::with_cache(model, config, cache)
+        Self::with_cache(model.into(), config, cache, None)
     }
 
     /// As [`Session::new`], but memoizing embeddings in `cache` — typically
@@ -365,17 +369,21 @@ impl Session {
     ///
     /// As [`Session::new`].
     pub fn with_shared_cache(
-        model: MemNet,
+        model: impl Into<Arc<MemNet>>,
         config: SessionConfig,
         cache: Arc<SentenceCache>,
     ) -> Result<Self, ServeError> {
-        Self::with_cache(model, config, Some(cache))
+        Self::with_cache(model.into(), config, Some(cache), None)
     }
 
-    fn with_cache(
-        model: MemNet,
+    /// The one constructor. `fingerprint` is `model`'s
+    /// [`MemNet::weights_fingerprint`] when the caller already has it (a
+    /// pool hashes its shared weights once, not once per tenant).
+    pub(crate) fn with_cache(
+        model: Arc<MemNet>,
         config: SessionConfig,
         cache: Option<Arc<SentenceCache>>,
+        fingerprint: Option<u64>,
     ) -> Result<Self, ServeError> {
         // Fail fast on malformed environment knobs: a session created with
         // a typo'd MNNFAST_SIMD / MNNFAST_WIRE_MERGE / MNNFAST_FAULT /
@@ -408,20 +416,7 @@ impl Session {
                 }
             }
         }
-        let mut model = model;
-        let mc = model.config();
-        if mc.temporal {
-            // Serving models disable the age-indexed encoding; rebuild the
-            // config rather than silently mis-embedding.
-            let fixed = ModelConfig {
-                temporal: false,
-                ..mc
-            };
-            if fixed.validate().is_err() {
-                return Err(ServeError::Model("invalid model configuration".into()));
-            }
-            model.set_config(fixed);
-        }
+        let model = serving_model(model)?;
         let ed = model.embedding_dim();
         let safe_plan = ExecPlan {
             config: config
@@ -433,10 +428,10 @@ impl Session {
         };
         // The fingerprint hashes every embedding weight; skip it entirely
         // when no cache will ever key on it.
-        let model_fingerprint = if cache.is_some() {
-            model.weights_fingerprint()
-        } else {
-            0
+        let model_fingerprint = match (&cache, fingerprint) {
+            (None, _) => 0,
+            (Some(_), Some(known)) => known,
+            (Some(_), None) => model.weights_fingerprint(),
         };
         let mut store = MemoryStore::new(ed, config.max_sentences);
         if config.precision == Precision::Int8 {
@@ -469,6 +464,7 @@ impl Session {
             model_fingerprint,
             pair_buf: Vec::new(),
             question_buf: Vec::new(),
+            output_stage: OutputStage::default(),
             segments,
             topk,
             nprobe,
@@ -656,19 +652,8 @@ impl Session {
     ///
     /// Returns [`ServeError::Model`] when the new model's embedding width
     /// differs from the session's store, or its configuration is invalid.
-    pub fn reload_model(&mut self, model: MemNet) -> Result<(), ServeError> {
-        let mut model = model;
-        let mc = model.config();
-        if mc.temporal {
-            let fixed = ModelConfig {
-                temporal: false,
-                ..mc
-            };
-            if fixed.validate().is_err() {
-                return Err(ServeError::Model("invalid model configuration".into()));
-            }
-            model.set_config(fixed);
-        }
+    pub fn reload_model(&mut self, model: impl Into<Arc<MemNet>>) -> Result<(), ServeError> {
+        let model = serving_model(model.into())?;
         if model.embedding_dim() != self.model.embedding_dim() {
             return Err(ServeError::Model(format!(
                 "reloaded embedding dim {} != session dim {}",
@@ -804,37 +789,13 @@ impl Session {
         // `HopsOutput` owns its buffers, so the question state can go back
         // to the session for reuse before the result is even inspected.
         self.question_buf = u;
-        let (out, degraded) = match forwarded {
-            Ok(pair) => pair,
-            Err(e) => {
-                if matches!(e, EngineError::DeadlineExceeded { .. }) {
-                    self.degradation.deadline_misses += 1;
-                }
-                return Err(e.into());
-            }
-        };
-        if degraded {
-            self.degradation.degraded_answers += 1;
-        }
-
-        let mut logits = self.model.output_logits(&out.o, &out.u_last);
-        let word = reduce::argmax(&logits)
-            .ok_or_else(|| ServeError::Model("model produced empty logits".into()))?
-            as WordId;
-        softmax::softmax_in_place(&mut logits);
-        self.cumulative.merge(&out.stats);
+        let answer = self
+            .answer_outputs(vec![forwarded], trace)
+            .pop()
+            .expect("one answer slot per engine result")?;
         self.cumulative_trace.absorb(&trace);
         self.histograms.observe(&trace);
-        self.questions_answered += 1;
-        // Hand the response buffer back so the next question reuses it.
-        self.scratch.recycle(out.o);
-        Ok(Answer {
-            word,
-            probability: logits[word as usize],
-            stats: out.stats,
-            trace,
-            degraded,
-        })
+        Ok(answer)
     }
 
     /// Answers a batch of questions in one streaming pass over the memory.
@@ -932,38 +893,8 @@ impl Session {
 
         let mut answers: Vec<Option<Result<Answer, ServeError>>> =
             token_errors.iter_mut().map(|e| e.take().map(Err)).collect();
-        for (&q, result) in idx.iter().zip(engine_results) {
-            answers[q] = Some(match result {
-                Ok((out, degraded)) => {
-                    if degraded {
-                        self.degradation.degraded_answers += 1;
-                    }
-                    let mut logits = self.model.output_logits(&out.o, &out.u_last);
-                    match reduce::argmax(&logits) {
-                        None => Err(ServeError::Model("model produced empty logits".into())),
-                        Some(word) => {
-                            softmax::softmax_in_place(&mut logits);
-                            self.cumulative.merge(&out.stats);
-                            self.questions_answered += 1;
-                            let answer = Answer {
-                                word: word as WordId,
-                                probability: logits[word],
-                                stats: out.stats,
-                                trace,
-                                degraded,
-                            };
-                            self.scratch.recycle(out.o);
-                            Ok(answer)
-                        }
-                    }
-                }
-                Err(e) => {
-                    if matches!(e, EngineError::DeadlineExceeded { .. }) {
-                        self.degradation.deadline_misses += 1;
-                    }
-                    Err(e.into())
-                }
-            });
+        for (&q, answer) in idx.iter().zip(self.answer_outputs(engine_results, trace)) {
+            answers[q] = Some(answer);
         }
         // The batch pass is one trace observation: phases are shared across
         // the batch, so absorbing it per answer would multiply the time.
@@ -973,6 +904,58 @@ impl Session {
             .into_iter()
             .map(|a| a.expect("every question slot is filled"))
             .collect())
+    }
+
+    /// The output stage behind both [`Session::ask`] (one result) and
+    /// [`Session::ask_many`]: every successful engine pass goes through
+    /// one [`MemNet::output_answers`] call — `W` streamed once for the
+    /// whole batch — and the session's counters are settled slot by slot.
+    /// Slots come back in `results` order; answers carry `trace`.
+    fn answer_outputs(
+        &mut self,
+        results: Vec<Result<(HopsOutput, bool), EngineError>>,
+        trace: Trace,
+    ) -> Vec<Result<Answer, ServeError>> {
+        let mut stage = std::mem::take(&mut self.output_stage);
+        self.model.output_answers(
+            results
+                .iter()
+                .flatten()
+                .map(|(out, _)| (out.o.as_slice(), out.u_last.as_slice())),
+            &mut stage,
+        );
+        let mut predicted = stage.answers().iter();
+        let answers = results
+            .into_iter()
+            .map(|result| {
+                let (out, degraded) = result.map_err(|e| {
+                    if matches!(e, EngineError::DeadlineExceeded { .. }) {
+                        self.degradation.deadline_misses += 1;
+                    }
+                    ServeError::from(e)
+                })?;
+                if degraded {
+                    self.degradation.degraded_answers += 1;
+                }
+                let (word, probability) = predicted
+                    .next()
+                    .expect("one prediction per engine output")
+                    .ok_or_else(|| ServeError::Model("model produced empty logits".into()))?;
+                self.cumulative.merge(&out.stats);
+                self.questions_answered += 1;
+                // Hand the response buffer back so the next question reuses it.
+                self.scratch.recycle(out.o);
+                Ok(Answer {
+                    word,
+                    probability,
+                    stats: out.stats,
+                    trace,
+                    degraded,
+                })
+            })
+            .collect();
+        self.output_stage = stage;
+        answers
     }
 
     /// Embeds a question through `B` into `u`, consulting the sentence
@@ -1455,6 +1438,27 @@ impl Session {
         }
         Ok(())
     }
+}
+
+/// The model as a session serves it: the age-indexed temporal encoding
+/// off (it would need the whole memory re-embedded on every append). A
+/// model already in that shape is shared as-is; only a temporal one is
+/// copied to be fixed.
+pub(crate) fn serving_model(model: Arc<MemNet>) -> Result<Arc<MemNet>, ServeError> {
+    let mc = model.config();
+    if !mc.temporal {
+        return Ok(model);
+    }
+    let fixed = ModelConfig {
+        temporal: false,
+        ..mc
+    };
+    if fixed.validate().is_err() {
+        return Err(ServeError::Model("invalid model configuration".into()));
+    }
+    let mut model = Arc::unwrap_or_clone(model);
+    model.set_config(fixed);
+    Ok(Arc::new(model))
 }
 
 /// Builds the distributed plane when the effective worker count asks for

@@ -41,6 +41,33 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
+/// `softmax(x)[i]` without writing the other `x.len() - 1` probabilities:
+/// the same max, the same exponentials summed in the same order and the
+/// same reciprocal as [`softmax_in_place`], so the result is bitwise what
+/// `softmax_in_place(x); x[i]` gives — for any input, NaNs included. The
+/// output layer reads one probability out of a vocabulary-sized vector;
+/// this skips the normalizing pass and leaves `x` intact.
+///
+/// # Panics
+///
+/// Panics if `i` is out of range.
+///
+/// ```
+/// let x = [1.0f32, 3.0, 2.0];
+/// let mut p = x;
+/// mnn_tensor::softmax::softmax_in_place(&mut p);
+/// let one = mnn_tensor::softmax::softmax_prob_at(&x, 1);
+/// assert_eq!(one.to_bits(), p[1].to_bits());
+/// ```
+pub fn softmax_prob_at(x: &[f32], i: usize) -> f32 {
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in x {
+        sum += (*v - max).exp();
+    }
+    (x[i] - max).exp() * (1.0 / sum)
+}
+
 /// Replaces each element with `e^{x_i}` (no normalization), the per-chunk
 /// step of the lazy softmax. Returns the sum of the exponentials, which the
 /// caller accumulates into the lazy denominator. Dispatches to the active
@@ -1031,6 +1058,28 @@ mod tests {
             kernels::axpy(*w, row, &mut out);
         }
         out
+    }
+
+    #[test]
+    fn prob_at_is_bitwise_softmax_in_place() {
+        let cases: [&[f32]; 5] = [
+            &[0.0],
+            &[1.0, 2.0, 3.0],
+            &[-5.0, 5.0, 5.0, 0.25, -0.125],
+            &[1000.0, -1000.0, 999.5],
+            &[2.0, f32::NAN, 1.0],
+        ];
+        for x in cases {
+            let mut p = x.to_vec();
+            softmax_in_place(&mut p);
+            for (i, want) in p.iter().enumerate() {
+                let got = softmax_prob_at(x, i);
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{x:?}[{i}]: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]
