@@ -1,7 +1,11 @@
-//! Cross-request batched throughput on the tiled GEMM fast path. Emits
-//! the machine-readable `BENCH_batch.json`; with `--check` the process
-//! exits nonzero when the run fails the conservative sanity gate (finite
-//! measurements, batched not slower than sequential at the largest batch).
+//! Cross-request batched throughput on the tile kernels. Emits the
+//! machine-readable `BENCH_batch.json`; with `--check` the process exits
+//! nonzero when the run fails its gate. At smoke scale that is the
+//! conservative sanity gate (finite measurements, batched not slower than
+//! sequential at the largest batch — smoke shapes cannot amortize per-pass
+//! overheads); at full scale it is the recorded bounds: at least 2x from
+//! `nq = 8` up, at least 4x at `nq = 32`, and non-decreasing in `nq`
+//! within the run's own noise.
 use mnn_bench::Scale;
 
 fn main() {
@@ -12,8 +16,14 @@ fn main() {
         Ok(()) => println!("wrote BENCH_batch.json"),
         Err(e) => eprintln!("{e}"),
     }
-    if std::env::args().any(|a| a == "--check") && !report.sane() {
-        eprintln!("batched throughput run failed its sanity gate");
-        std::process::exit(1);
+    if std::env::args().any(|a| a == "--check") {
+        let passed = match scale {
+            Scale::Smoke => report.sane(),
+            Scale::Full => report.sane() && report.meets_target() && report.scales(),
+        };
+        if !passed {
+            eprintln!("batched throughput run failed its gate");
+            std::process::exit(1);
+        }
     }
 }

@@ -4,26 +4,49 @@
 //! re-streaming the memories per question. The batched engine exploits the
 //! chunk residency the column-based algorithm creates: each chunk of
 //! `M_IN`/`M_OUT` is loaded once and applied to *all* `nq` questions while
-//! resident. The inner products run as the register-tiled GEMM `U × chunkᵀ`
-//! ([`mnn_tensor::kernels::gemm_chunk`], the paper's GPU formulation —
-//! Section 4.1.2: "Inner product is matrix multiplication between M_IN and
-//! U") and, when [`MnnFastConfig::fused`] is set, exponentiation, zero-skip
-//! and the weighted accumulate run in the same pass over the resident tile
-//! (`accumulate_chunk_batch` in `mnn_tensor::softmax`).
+//! resident (the paper's GPU formulation — Section 4.1.2: "Inner product is
+//! matrix multiplication between M_IN and U").
 //!
-//! Instrumentation counts the shared work once: the chunk GEMM is charged to
-//! the batch as one [`mnn_tensor::kernels::gemm_flops`] count (not `nq`
-//! separate GEMV estimates) and each memory chunk's `memory_bytes` once per
-//! batch, while per-question outputs carry their own share.
+//! # The contract: batched == sequential, by construction
 //!
-//! Two entry points:
-//! * [`BatchEngine::forward`] — one-shot convenience over the whole store,
-//!   optionally splitting chunk ranges across threads.
-//! * [`BatchEngine::forward_budgeted`] — the serving path: reuses a
-//!   [`Scratch`] arena (the warm path performs no per-chunk or per-question
-//!   buffer allocations), records the [`Phase::BatchGemm`] trace phase, and
-//!   gives every question its own [`Budget`] so one expired deadline or
-//!   cancelled request fails *that* slot while its batchmates finish.
+//! Every answer a batch returns is bitwise the answer a single-question
+//! [`crate::Executor::forward_segmented_budgeted`] run with the same config
+//! returns — whatever the batch's composition, the tile shapes the kernels
+//! pick, or the number of worker threads. Two things make that a property
+//! of the code rather than of its tuning:
+//!
+//! * **One reduction order.** Every f32 logit, denominator and weighted-sum
+//!   element has one canonical order per backend (see [`mnn_tensor::simd`]);
+//!   the register tiles (1 question × 8 rows, 2 questions × 4 rows) share
+//!   loads between questions, never arithmetic. The batched chunk kernel
+//!   ([`LazyAccumulator::accumulate_chunk_batch`] /
+//!   [`OnlineSoftmax::accumulate_chunk_batch`]) therefore hands each
+//!   question exactly what the single-question kernel would — the
+//!   single-question kernel *is* its `nq = 1` call.
+//! * **One chunk-partial discipline.** Per chunk, each live question's
+//!   chunk partial is reset, one batched kernel call fills them all, and
+//!   each is merged into its question's running accumulator through the
+//!   [`mnn_tensor::partial`] plane — the fold every engine variant
+//!   performs, in the same chunk order.
+//!
+//! A question's arithmetic never depends on its batchmates, so the batch
+//! is split over `config.threads` workers by **contiguous question
+//! ranges**: each worker walks all chunks for its own questions in its own
+//! `BatchLanes` arena, and per-question [`Budget`] isolation is untouched.
+//! The split is taken when the pass clears the floor
+//! [`crate::ExecPlan::resolve`] uses for the parallel engine (every thread
+//! would get two chunks of rows); it is derived from the inputs, not a
+//! knob.
+//!
+//! The quantized plane runs the same driver with the single-question int8
+//! chunk kernel per question (an int8 tile is future work).
+//!
+//! Entry points: [`BatchEngine::forward_segmented_budgeted`] (and its
+//! unsegmented / quantized siblings) is the serving path — it reuses a
+//! [`Scratch`] arena (a warm single-worker pass allocates only its result
+//! vector), records the [`Phase::BatchGemm`] trace phase, and gives every
+//! question its own [`Budget`]. [`BatchEngine::forward`] is a one-shot
+//! convenience over it that adds batch-level counters.
 
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
@@ -39,9 +62,9 @@ use mnn_tensor::{kernels, Matrix, QuantMatrix};
 
 /// Batched column-based engine.
 ///
-/// Produces results identical to running [`ColumnEngine`] per question,
-/// while streaming the memories once per *batch* instead of once per
-/// question.
+/// Produces results bitwise identical to running [`ColumnEngine`] per
+/// question, while streaming the memories once per *batch* instead of once
+/// per question.
 ///
 /// ```
 /// use mnn_tensor::Matrix;
@@ -54,9 +77,7 @@ use mnn_tensor::{kernels, Matrix, QuantMatrix};
 ///
 /// let batched = BatchEngine::new(config).forward(&m_in, &m_out, &questions).unwrap();
 /// let single = ColumnEngine::new(config).forward(&m_in, &m_out, &questions[0]).unwrap();
-/// for (a, b) in batched.outputs[0].o.iter().zip(&single.o) {
-///     assert!((a - b).abs() < 1e-5);
-/// }
+/// assert_eq!(batched.outputs[0].o, single.o);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchEngine {
@@ -72,11 +93,240 @@ pub struct BatchOutput {
     pub stats: InferenceStats,
 }
 
-/// Per-question softmax accumulator.
-#[derive(Debug, Clone)]
-enum BatchAccum {
-    Lazy(Vec<LazyAccumulator>),
-    Online(Vec<OnlineSoftmax>),
+/// The memory plane a batched pass reads: `(M_IN, M_OUT)`.
+#[derive(Clone, Copy)]
+enum Plane<'a> {
+    F32(&'a Matrix, &'a Matrix),
+    Int8(&'a QuantMatrix, &'a QuantMatrix),
+}
+
+/// The running accumulators and chunk partials of one worker's questions,
+/// both softmax formulations side by side (a pass uses the pair its mode
+/// names; keeping both lets a scratch alternate modes without
+/// reallocating).
+#[derive(Debug, Clone, Default)]
+struct LaneAccums {
+    mode: SoftmaxMode,
+    lazy: Vec<LazyAccumulator>,
+    chunk_lazy: Vec<LazyAccumulator>,
+    online: Vec<OnlineSoftmax>,
+    chunk_online: Vec<OnlineSoftmax>,
+}
+
+impl LaneAccums {
+    /// Readies `nq` reset accumulator pairs of width `ed` for `mode`.
+    fn reset(&mut self, mode: SoftmaxMode, nq: usize, ed: usize) {
+        fn ready<A: Default>(accs: &mut Vec<A>, nq: usize, reset: impl Fn(&mut A)) {
+            if accs.len() < nq {
+                accs.resize_with(nq, A::default);
+            }
+            accs[..nq].iter_mut().for_each(reset);
+        }
+        self.mode = mode;
+        match mode {
+            SoftmaxMode::Lazy => {
+                ready(&mut self.lazy, nq, |a| a.reset(ed));
+                ready(&mut self.chunk_lazy, nq, |a| a.reset(ed));
+            }
+            SoftmaxMode::Online => {
+                ready(&mut self.online, nq, |a| a.reset(ed));
+                ready(&mut self.chunk_online, nq, |a| a.reset(ed));
+            }
+        }
+    }
+
+    /// Question `q`'s running accumulator and chunk partial.
+    fn pair(&mut self, q: usize) -> (AccumMut<'_>, AccumMut<'_>) {
+        match self.mode {
+            SoftmaxMode::Lazy => (
+                AccumMut::Lazy(&mut self.lazy[q]),
+                AccumMut::Lazy(&mut self.chunk_lazy[q]),
+            ),
+            SoftmaxMode::Online => (
+                AccumMut::Online(&mut self.online[q]),
+                AccumMut::Online(&mut self.chunk_online[q]),
+            ),
+        }
+    }
+
+    /// Question `q`'s running softmax max (`None` in lazy mode, which has
+    /// none until the division and therefore never prunes).
+    fn running_max(&self, q: usize) -> Option<f32> {
+        match self.mode {
+            SoftmaxMode::Lazy => None,
+            SoftmaxMode::Online => Some(self.online[q].max_logit()),
+        }
+    }
+
+    fn denom(&self, q: usize) -> f32 {
+        match self.mode {
+            SoftmaxMode::Lazy => self.lazy[q].denom(),
+            SoftmaxMode::Online => self.online[q].denom(),
+        }
+    }
+
+    fn finish_into(&self, q: usize, out: &mut Vec<f32>) {
+        match self.mode {
+            SoftmaxMode::Lazy => self.lazy[q].finish_into(out),
+            SoftmaxMode::Online => self.online[q].finish_into(out),
+        }
+    }
+}
+
+/// One worker's share of a batched pass: everything the questions of one
+/// contiguous range need, struct-of-arrays so the tile kernels get flat
+/// slices. Lives in a [`Scratch`] and is reused across passes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BatchLanes {
+    ed: usize,
+    /// The flattened question block (`nq × ed`), and on the quantized plane
+    /// its int8 codes and per-question scales.
+    us: Vec<f32>,
+    uq: Vec<i8>,
+    uscales: Vec<f32>,
+    query_norms: Vec<f64>,
+    logits: Vec<f32>,
+    acc: LaneAccums,
+    thresholds: Vec<Option<f32>>,
+    /// Budget still good.
+    live: Vec<bool>,
+    /// Live and not pruned out of the current segment.
+    visit: Vec<bool>,
+    /// Rows each question zero-skipped in the current f32 chunk.
+    skipped: Vec<u64>,
+    stats: Vec<InferenceStats>,
+    prepass: Vec<f64>,
+}
+
+impl BatchLanes {
+    fn nq(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Stages `questions` for a pass: flattens them (and quantizes them for
+    /// the int8 plane — its kernels only ever see i8 operands), resets the
+    /// accumulators and bookkeeping, grows the logits workspace to
+    /// `logit_rows` rows per question.
+    fn stage(&mut self, mode: SoftmaxMode, questions: &[Vec<f32>], quant: bool, logit_rows: usize) {
+        let nq = questions.len();
+        let ed = questions.first().map_or(0, Vec::len);
+        self.ed = ed;
+        self.us.clear();
+        for q in questions {
+            self.us.extend_from_slice(q);
+        }
+        self.query_norms.clear();
+        if quant {
+            self.uq.clear();
+            self.uq.resize(nq * ed, 0);
+            self.uscales.clear();
+            for (q, codes) in questions.iter().zip(self.uq.chunks_exact_mut(ed.max(1))) {
+                let scale = mnn_tensor::quant::quantize_row(q, codes);
+                self.uscales.push(scale);
+                // Zone maps are built from exactly-dequantized row norms,
+                // so Cauchy–Schwarz must use the quantized query's norm.
+                self.query_norms
+                    .push(segment::query_norm_upper_i8(codes, scale));
+            }
+        } else {
+            self.query_norms
+                .extend(questions.iter().map(|q| segment::query_norm_upper(q)));
+        }
+        self.acc.reset(mode, nq, ed);
+        for flags in [&mut self.live, &mut self.visit] {
+            flags.clear();
+            flags.resize(nq, true);
+        }
+        self.skipped.clear();
+        self.skipped.resize(nq, 0);
+        self.stats.clear();
+        self.stats.resize(nq, InferenceStats::default());
+        if self.logits.len() < nq * logit_rows {
+            self.logits.resize(nq * logit_rows, 0.0);
+        }
+    }
+
+    /// One f32 chunk for every visiting question: reset their chunk
+    /// partials, fill them with one batched kernel call, merge each into
+    /// its running accumulator. Leaves in `self.skipped[q]` the rows
+    /// question `q` zero-skipped in this chunk.
+    fn fold_chunk(&mut self, in_flat: &[f32], out_flat: &[f32], n: usize, fused: bool) {
+        let (nq, ed) = (self.nq(), self.ed);
+        self.skipped.fill(0);
+        match self.acc.mode {
+            SoftmaxMode::Lazy => {
+                let parts = &mut self.acc.chunk_lazy[..nq];
+                parts.iter_mut().for_each(|p| p.reset(ed));
+                LazyAccumulator::accumulate_chunk_batch(
+                    parts,
+                    in_flat,
+                    out_flat,
+                    n,
+                    &self.us,
+                    &self.thresholds,
+                    &self.visit,
+                    fused,
+                    &mut self.skipped,
+                );
+            }
+            SoftmaxMode::Online => {
+                let parts = &mut self.acc.chunk_online[..nq];
+                parts.iter_mut().for_each(|p| p.reset(ed));
+                OnlineSoftmax::accumulate_chunk_batch(
+                    parts,
+                    in_flat,
+                    out_flat,
+                    n,
+                    &self.us,
+                    &self.thresholds,
+                    &self.visit,
+                    fused,
+                    &mut self.logits,
+                    &mut self.skipped,
+                );
+            }
+        }
+        for q in (0..nq).filter(|&q| self.visit[q]) {
+            let (mut run, part) = self.acc.pair(q);
+            run.merge_from(&part);
+        }
+    }
+
+    /// One int8 chunk for every visiting question, each through the
+    /// single-question chunk kernel (which also does the stats and trace
+    /// accounting) and the same partial → merge fold.
+    fn fold_chunk_quant(
+        &mut self,
+        engine: &ColumnEngine,
+        m_in: &QuantMatrix,
+        m_out: &QuantMatrix,
+        row: usize,
+        n: usize,
+        trace: &mut Trace,
+    ) {
+        let ed = self.ed;
+        for q in (0..self.nq()).filter(|&q| self.visit[q]) {
+            let (mut run, mut part) = self.acc.pair(q);
+            part.reset(ed);
+            engine.process_chunk_quant(
+                m_in.rows_slice(row, n),
+                m_in.scales_slice(row, n),
+                m_out.rows_slice(row, n),
+                m_out.scales_slice(row, n),
+                n,
+                &self.uq[q * ed..(q + 1) * ed],
+                self.uscales[q],
+                self.thresholds[q],
+                &mut part,
+                &mut self.stats[q],
+                &mut self.logits[q * n..(q + 1) * n],
+                trace,
+            );
+            let t0 = trace.begin();
+            run.merge_from(&part);
+            trace.record(Phase::Merge, t0, 1);
+        }
+    }
 }
 
 impl BatchEngine {
@@ -90,162 +340,67 @@ impl BatchEngine {
         self.config
     }
 
-    /// Answers all `questions` with one streaming pass over the memories.
+    /// Answers all `questions` with one streaming pass over the memories:
+    /// the serving path ([`BatchEngine::forward_budgeted`]) with unlimited
+    /// budgets and a throwaway [`Scratch`], plus batch-level counters.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] on invalid configuration or mismatched
-    /// shapes. [`SkipPolicy::Probability`] is resolved per question with
-    /// the same two-pass semantics as the single-question engine.
+    /// shapes, and the first per-question error (a numeric fault) if any
+    /// question failed. [`SkipPolicy::Probability`] is resolved per
+    /// question with the same two-pass semantics as the single-question
+    /// engine.
     pub fn forward(
         &self,
         m_in: &Matrix,
         m_out: &Matrix,
         questions: &[Vec<f32>],
     ) -> Result<BatchOutput, EngineError> {
-        let probe = ColumnEngine::new(self.config);
-        let Some(first) = questions.first() else {
-            return Ok(BatchOutput {
-                outputs: Vec::new(),
-                stats: InferenceStats::default(),
-            });
+        let budgets = vec![Budget::unlimited(); questions.len()];
+        let rows = m_in.rows();
+        let outputs = self
+            .forward_budgeted(
+                m_in,
+                m_out,
+                rows,
+                questions,
+                &mut Scratch::new(),
+                &mut Trace::disabled(),
+                &budgets,
+            )?
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        // Shared work counts once: each pass over a memory streams it once
+        // for the whole batch (the Probability pre-pass reads `M_IN` again),
+        // and the arena holds one logits tile and one partial per question.
+        let (nq, ed) = (questions.len(), m_in.cols());
+        let passes = 2 + u64::from(matches!(self.config.skip, SkipPolicy::Probability(_)));
+        let logit_rows = self.config.chunk_size.min(rows.max(1));
+        let mut stats = InferenceStats {
+            memory_bytes: passes * (rows * ed * 4) as u64,
+            intermediate_bytes: (nq * (logit_rows + ed) * 4) as u64,
+            ..InferenceStats::default()
         };
-        probe.check(m_in, m_out, first)?;
-        check_ragged(questions, first.len())?;
-
-        let ed = first.len();
-        let nq = questions.len();
-        let ns = m_in.rows();
-        let chunk = self.config.chunk_size;
-        let us_flat: Vec<f32> = questions.iter().flatten().copied().collect();
-
-        // Per-question raw thresholds (the Probability pre-pass itself runs
-        // on the batched GEMM and charges its traffic/flops once per batch).
-        let mut batch_stats = InferenceStats::default();
-        let thresholds = self.resolve_thresholds(m_in, &us_flat, nq, &mut batch_stats)?;
-
-        let threads = self.config.threads.min(ns.max(1));
-        let (acc, per_q, range_mem, gemm_flops) = if threads <= 1 {
-            self.process_rows(m_in, m_out, &us_flat, nq, &thresholds, 0, ns)
-        } else {
-            // Scale-out: contiguous chunk-aligned row ranges per worker,
-            // per-question partials merged in worker order (deterministic).
-            let chunks_total = ns.div_ceil(chunk);
-            let chunks_per_thread = chunks_total.div_ceil(threads);
-            let rows_per_thread = chunks_per_thread * chunk;
-            let partials = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let start = (t * rows_per_thread).min(ns);
-                    let end = ((t + 1) * rows_per_thread).min(ns);
-                    let thresholds = &thresholds;
-                    let us_flat = &us_flat;
-                    handles.push(scope.spawn(move || {
-                        self.process_rows(m_in, m_out, us_flat, nq, thresholds, start, end)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batched worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-
-            let mut merged: Option<BatchAccum> = None;
-            let mut stats_acc = vec![InferenceStats::default(); nq];
-            let mut mem = 0u64;
-            let mut gflops = 0u64;
-            for (acc, per_q, m, g) in partials {
-                mem += m;
-                gflops += g;
-                for (dst, src) in stats_acc.iter_mut().zip(per_q.iter()) {
-                    dst.merge(src);
-                }
-                match &mut merged {
-                    None => merged = Some(acc),
-                    Some(BatchAccum::Lazy(dst)) => {
-                        let BatchAccum::Lazy(src) = acc else {
-                            unreachable!("softmax mode is fixed per engine")
-                        };
-                        for (d, s) in dst.iter_mut().zip(&src) {
-                            mnn_tensor::partial::merge_lazy_into(d, s);
-                        }
-                    }
-                    Some(BatchAccum::Online(dst)) => {
-                        let BatchAccum::Online(src) = acc else {
-                            unreachable!("softmax mode is fixed per engine")
-                        };
-                        for (d, s) in dst.iter_mut().zip(&src) {
-                            mnn_tensor::partial::merge_online_into(d, s);
-                        }
-                    }
-                }
-            }
-            (
-                merged.unwrap_or_else(|| match self.config.softmax {
-                    SoftmaxMode::Lazy => BatchAccum::Lazy(vec![LazyAccumulator::new(ed); nq]),
-                    SoftmaxMode::Online => BatchAccum::Online(vec![OnlineSoftmax::new(ed); nq]),
-                }),
-                stats_acc,
-                mem,
-                gflops,
-            )
-        };
-        batch_stats.memory_bytes += range_mem;
-        // The chunk GEMM is shared work: charged once at batch level.
-        batch_stats.flops += gemm_flops;
-        batch_stats.intermediate_bytes = (nq * chunk.min(ns.max(1)) * 4 + nq * ed * 4) as u64;
-
-        for s in &per_q {
-            batch_stats.rows_total += s.rows_total;
-            batch_stats.rows_skipped += s.rows_skipped;
-            batch_stats.flops += s.flops;
-            batch_stats.ws_flops += s.ws_flops;
-            batch_stats.flops_skipped += s.flops_skipped;
-            batch_stats.divisions += ed as u64;
+        for ColumnOutput { stats: s, .. } in &outputs {
+            stats.rows_total += s.rows_total;
+            stats.rows_skipped += s.rows_skipped;
+            stats.flops += s.flops;
+            stats.ws_flops += s.ws_flops;
+            stats.flops_skipped += s.flops_skipped;
+            stats.divisions += s.divisions;
         }
-        let outputs: Vec<ColumnOutput> = match acc {
-            BatchAccum::Lazy(accs) => accs
-                .into_iter()
-                .zip(per_q.iter())
-                .map(|(a, s)| finish_output(a.denom(), a.finish(), *s, ed))
-                .collect(),
-            BatchAccum::Online(accs) => accs
-                .into_iter()
-                .zip(per_q.iter())
-                .map(|(a, s)| finish_output(a.denom(), a.finish(), *s, ed))
-                .collect(),
-        };
-        Ok(BatchOutput {
-            outputs,
-            stats: batch_stats,
-        })
+        Ok(BatchOutput { outputs, stats })
     }
 
     /// Answers a batch of questions over the first `rows` memory entries,
     /// each question under its own [`Budget`] (`budgets[q]` governs
-    /// `questions[q]`).
-    ///
-    /// This is the serving fast path: it reuses the `scratch` arena (the
-    /// warm path performs no per-chunk or per-question buffer allocations),
-    /// records the chunk work under [`Phase::BatchGemm`], and checks every
-    /// live question's budget once per chunk. A question whose budget fails
-    /// mid-pass goes *dead* — it stops accumulating and its slot carries the
-    /// typed budget error — while the remaining questions complete the pass
-    /// unaffected. Numeric faults are likewise isolated per question by the
-    /// usual denominator/output guards.
-    ///
-    /// Per-question [`InferenceStats`] carry the question's compute share
-    /// (its slice of the chunk GEMM as a GEMV count, exp, weighted-sum and
-    /// divide flops); memory traffic is a batch-level quantity and is not
-    /// attributed per question here.
+    /// `questions[q]`): [`BatchEngine::forward_segmented_budgeted`] over an
+    /// unsegmented plan.
     ///
     /// # Errors
     ///
-    /// Batch-level: [`EngineError::Config`] on invalid configuration, a
-    /// ragged question batch, or `budgets.len() != questions.len()`;
-    /// [`EngineError::Shape`] / [`EngineError::MemoryMismatch`] on bad
-    /// operands. Per-question deadline/cancellation/numeric errors are
-    /// carried in the inner `Result` slots.
+    /// As [`BatchEngine::forward_segmented_budgeted`].
     #[allow(clippy::too_many_arguments)]
     pub fn forward_budgeted(
         &self,
@@ -268,26 +423,42 @@ impl BatchEngine {
         )
     }
 
-    /// Segmented batched serving path: like [`BatchEngine::forward_budgeted`]
-    /// but driven by a [`SegmentPlan`]. Pruning is decided *per question*:
-    /// a question in Online mode whose running max provably dominates a
-    /// segment's zone-map logit upper bound skips that segment (its rows
-    /// contribute exactly-zero terms, so the answer is bitwise unchanged),
-    /// while its batchmates still process it. Lazy-mode questions never
-    /// prune (no running max exists until the division).
+    /// The batched serving path, driven by a [`SegmentPlan`].
     ///
-    /// Each chunk of memories is streamed once per batch and applied to
-    /// every live question while cache-resident, but per question the
-    /// arithmetic is the exact single-question kernel sequence accumulated
-    /// straight into the running accumulator — so every answer (f32 and
-    /// int8 alike) is bitwise identical to a per-question
+    /// Each chunk of memories is streamed once per batch and folded into
+    /// every live question while cache-resident; every answer is bitwise
+    /// identical to a per-question
     /// [`crate::Executor::forward_segmented_budgeted`] run with the same
-    /// config. Network serving relies on this: a coalesced batch returns
-    /// the same bits as a sequence of single-question asks.
+    /// config, at any thread count (see the module docs for why). Network
+    /// serving relies on this: a coalesced batch returns the same bits as a
+    /// sequence of single-question asks.
+    ///
+    /// Every live question's budget is checked once per chunk. A question
+    /// whose budget fails mid-pass goes *dead* — it stops accumulating and
+    /// its slot carries the typed budget error — while the remaining
+    /// questions complete the pass unaffected. Numeric faults are likewise
+    /// isolated per question by the usual denominator/output guards.
+    ///
+    /// Pruning is decided *per question*: a question in Online mode whose
+    /// running max provably dominates a segment's zone-map logit upper
+    /// bound skips that segment (its rows contribute exactly-zero terms, so
+    /// the answer is bitwise unchanged), while its batchmates still process
+    /// it. Lazy-mode questions never prune (no running max exists until the
+    /// division).
+    ///
+    /// Per-question [`InferenceStats`] carry the question's compute share
+    /// (its inner products as a GEMV count, exp, weighted-sum and divide
+    /// flops); memory traffic is a batch-level quantity and is not
+    /// attributed per question here. Worker phase times are CPU time summed
+    /// across workers.
     ///
     /// # Errors
     ///
-    /// As [`BatchEngine::forward_budgeted`].
+    /// Batch-level: [`EngineError::Config`] on invalid configuration, a
+    /// ragged question batch, or `budgets.len() != questions.len()`;
+    /// [`EngineError::Shape`] / [`EngineError::MemoryMismatch`] on bad
+    /// operands. Per-question deadline/cancellation/numeric errors are
+    /// carried in the inner `Result` slots.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_segmented_budgeted(
         &self,
@@ -299,313 +470,34 @@ impl BatchEngine {
         trace: &mut Trace,
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        let rows = plan.rows();
-        if budgets.len() != questions.len() {
-            return Err(EngineError::Config(format!(
-                "budget count {} != question count {}",
-                budgets.len(),
-                questions.len()
-            )));
+        check_batch(questions, budgets)?;
+        if let Some(first) = questions.first() {
+            ColumnEngine::new(self.config).check(m_in, m_out, first)?;
+            check_rows(m_in, plan.rows(), "BatchEngine::forward_budgeted")?;
         }
-        let Some(first) = questions.first() else {
-            return Ok(Vec::new());
-        };
-        let probe = ColumnEngine::new(self.config);
-        probe.check(m_in, m_out, first)?;
-        check_rows(m_in, rows, "BatchEngine::forward_budgeted")?;
-        check_ragged(questions, first.len())?;
-
-        let ed = first.len();
-        let nq = questions.len();
-        let chunk = self.config.chunk_size;
-        let mode = self.config.softmax;
-        let fused = self.config.fused;
-
-        // Stage the arena: flatten the questions, reset the per-question
-        // accumulators and bookkeeping, grow the logits tile.
-        scratch.batch_us.clear();
-        for q in questions {
-            scratch.batch_us.extend_from_slice(q);
-        }
-        scratch.batch_live.clear();
-        scratch.batch_live.resize(nq, true);
-        scratch.batch_skipped.clear();
-        scratch.batch_skipped.resize(nq, 0);
-        scratch.batch_seg_live.clear();
-        scratch.batch_seg_live.resize(nq, true);
-        scratch.batch_query_norms.clear();
-        scratch
-            .batch_query_norms
-            .extend(questions.iter().map(|q| segment::query_norm_upper(q)));
-        if scratch.batch_stats.len() < nq {
-            scratch.batch_stats.resize_with(nq, InferenceStats::default);
-        }
-        for s in &mut scratch.batch_stats[..nq] {
-            *s = InferenceStats::default();
-        }
-        let logit_len = nq * chunk.min(rows.max(1));
-        if scratch.batch_logits.len() < logit_len {
-            scratch.batch_logits.resize(logit_len, 0.0);
-        }
-        match mode {
-            SoftmaxMode::Lazy => {
-                if scratch.batch_lazy.len() < nq {
-                    scratch.batch_lazy.resize_with(nq, LazyAccumulator::default);
-                }
-                if scratch.batch_chunk_lazy.len() < nq {
-                    scratch
-                        .batch_chunk_lazy
-                        .resize_with(nq, LazyAccumulator::default);
-                }
-                for a in &mut scratch.batch_lazy[..nq] {
-                    a.reset(ed);
-                }
-            }
-            SoftmaxMode::Online => {
-                if scratch.batch_online.len() < nq {
-                    scratch.batch_online.resize_with(nq, OnlineSoftmax::default);
-                }
-                if scratch.batch_chunk_online.len() < nq {
-                    scratch
-                        .batch_chunk_online
-                        .resize_with(nq, OnlineSoftmax::default);
-                }
-                for a in &mut scratch.batch_online[..nq] {
-                    a.reset(ed);
-                }
-            }
-        }
-
-        // Threshold resolution (the Probability pre-pass streams the prefix
-        // once for the whole batch; timed under Skip like the single path).
-        let t0 = trace.begin();
-        self.resolve_thresholds_into(m_in, rows, nq, ed, scratch, budgets);
-        trace.record(Phase::Skip, t0, 0);
-
-        // Main segmented chunk loop.
-        {
-            let Scratch {
-                batch_logits,
-                batch_us,
-                batch_lazy,
-                batch_online,
-                batch_chunk_lazy,
-                batch_chunk_online,
-                batch_thresholds,
-                batch_live,
-                batch_skipped,
-                batch_stats,
-                batch_seg_live,
-                batch_query_norms,
-                ..
-            } = scratch;
-            for seg in plan.segments() {
-                // Per-question prune decision for this segment. A freshly
-                // reset accumulator's running max is -inf, so the first
-                // segment can never prune; Lazy mode never prunes (it has
-                // no running max until the final division).
-                let mut any_visit = false;
-                for q in 0..nq {
-                    let mut visit = batch_live[q];
-                    if visit {
-                        batch_stats[q].segments_total += 1;
-                        if plan.prune() && matches!(mode, SoftmaxMode::Online) {
-                            let running_max = batch_online[q].max_logit();
-                            let ub = seg.logit_upper_bound(batch_query_norms[q]);
-                            if segment::can_prune(running_max, ub) {
-                                batch_stats[q].segments_pruned += 1;
-                                batch_stats[q].rows_pruned += seg.rows as u64;
-                                visit = false;
-                            }
-                        }
-                    }
-                    batch_seg_live[q] = visit;
-                    any_visit |= visit;
-                }
-                if any_visit {
-                    let seg_end = seg.start + seg.rows;
-                    let mut row = seg.start;
-                    while row < seg_end {
-                        let mut n_live = 0u64;
-                        for q in 0..nq {
-                            if batch_live[q] && budgets[q].check().is_err() {
-                                batch_live[q] = false;
-                            }
-                            batch_seg_live[q] &= batch_live[q];
-                            if batch_seg_live[q] {
-                                n_live += 1;
-                            }
-                        }
-                        if n_live == 0 {
-                            break;
-                        }
-                        let n = chunk.min(seg_end - row);
-                        let in_flat = m_in.rows_slice(row, n);
-                        let out_flat = m_out.rows_slice(row, n);
-                        for s in batch_skipped[..nq].iter_mut() {
-                            *s = 0;
-                        }
-                        // The chunk is streamed from memory once and applied
-                        // to every live question while resident — that is the
-                        // batching win. Per question the discipline is the
-                        // *exact* single-question sequence from
-                        // `ColumnEngine::forward_segmented_budgeted`: reset a
-                        // chunk partial, fill it with the same kernels
-                        // `process_chunk_flat` uses (fused chunk kernel, or
-                        // gemv + per-row add), then merge it into the running
-                        // accumulator. Identical kernels + identical merge
-                        // order make every f32 answer bitwise identical to a
-                        // per-question run with the same config.
-                        let t0 = trace.begin();
-                        for q in 0..nq {
-                            if !batch_seg_live[q] {
-                                continue;
-                            }
-                            let uq = &batch_us[q * ed..(q + 1) * ed];
-                            let (mut acc, mut partial) = match mode {
-                                SoftmaxMode::Lazy => (
-                                    AccumMut::Lazy(&mut batch_lazy[q]),
-                                    AccumMut::Lazy(&mut batch_chunk_lazy[q]),
-                                ),
-                                SoftmaxMode::Online => (
-                                    AccumMut::Online(&mut batch_online[q]),
-                                    AccumMut::Online(&mut batch_chunk_online[q]),
-                                ),
-                            };
-                            partial.reset(ed);
-                            batch_skipped[q] = if fused {
-                                partial.accumulate_chunk(
-                                    in_flat,
-                                    out_flat,
-                                    n,
-                                    uq,
-                                    batch_thresholds[q],
-                                )
-                            } else {
-                                let lq = &mut batch_logits[..n];
-                                kernels::gemv_chunk(in_flat, n, uq, lq);
-                                let mut sk = 0u64;
-                                for (i, &x) in lq.iter().enumerate() {
-                                    if partial.add(
-                                        x,
-                                        &out_flat[i * ed..(i + 1) * ed],
-                                        batch_thresholds[q],
-                                    ) {
-                                        sk += 1;
-                                    }
-                                }
-                                sk
-                            };
-                            acc.merge_from(&partial);
-                        }
-                        trace.record(Phase::BatchGemm, t0, n as u64 * n_live);
-                        let mut chunk_skipped = 0u64;
-                        for q in 0..nq {
-                            if !batch_seg_live[q] {
-                                continue;
-                            }
-                            let d = batch_skipped[q];
-                            chunk_skipped += d;
-                            let kept = n as u64 - d;
-                            let s = &mut batch_stats[q];
-                            s.chunks += 1;
-                            s.rows_total += n as u64;
-                            s.rows_skipped += d;
-                            s.flops += n as u64 + kept * 2 * ed as u64;
-                            s.ws_flops += kept * 2 * ed as u64;
-                            s.flops_skipped += d * 2 * ed as u64;
-                        }
-                        trace.bump(Phase::Skip, chunk_skipped);
-                        row += n;
-                    }
-                }
-                // Segment boundary: the opt-in wire roundtrip of every live
-                // running accumulator proves the byte encoding carries the
-                // full merge state across the segment handoff.
-                let t0 = trace.begin();
-                if mnn_tensor::partial::wire_merge_enabled() {
-                    match mode {
-                        SoftmaxMode::Lazy => {
-                            for q in 0..nq {
-                                if batch_live[q] {
-                                    batch_lazy[q] =
-                                        mnn_tensor::partial::roundtrip_lazy(&batch_lazy[q]);
-                                }
-                            }
-                        }
-                        SoftmaxMode::Online => {
-                            for q in 0..nq {
-                                if batch_live[q] {
-                                    batch_online[q] =
-                                        mnn_tensor::partial::roundtrip_online(&batch_online[q]);
-                                }
-                            }
-                        }
-                    }
-                }
-                trace.record(Phase::SegmentMerge, t0, 1);
-            }
-        }
-
-        // Finish: per-question numeric guards + lazy division. Dead
-        // questions carry their budget's typed error.
-        let t0 = trace.begin();
-        let mut results = Vec::with_capacity(nq);
-        let mut divisions = 0u64;
-        for (q, budget) in budgets.iter().enumerate().take(nq) {
-            if !scratch.batch_live[q] {
-                // A deadline cannot un-expire and a token cannot un-cancel,
-                // so re-checking reproduces the error that killed the slot.
-                let err = budget.check().err().unwrap_or(EngineError::Cancelled);
-                results.push(Err(err));
-                continue;
-            }
-            let denominator = match mode {
-                SoftmaxMode::Lazy => scratch.batch_lazy[q].denom(),
-                SoftmaxMode::Online => scratch.batch_online[q].denom(),
-            };
-            if let Err(e) = check_denom(denominator, "batch merge") {
-                results.push(Err(e));
-                continue;
-            }
-            let mut o = scratch.take_out(ed);
-            match mode {
-                SoftmaxMode::Lazy => scratch.batch_lazy[q].finish_into(&mut o),
-                SoftmaxMode::Online => scratch.batch_online[q].finish_into(&mut o),
-            }
-            if let Err(e) = check_output(&o) {
-                scratch.recycle(o);
-                results.push(Err(e));
-                continue;
-            }
-            let mut stats = scratch.batch_stats[q];
-            stats.divisions = ed as u64;
-            stats.flops += ed as u64 + kernels::gemv_flops(stats.rows_total as usize, ed);
-            stats.intermediate_bytes = (chunk.min(rows.max(1)) * 4 + ed * 4) as u64;
-            divisions += ed as u64;
-            results.push(Ok(ColumnOutput {
-                o,
-                denominator,
-                stats,
-            }));
-        }
-        trace.record(Phase::Divide, t0, divisions);
-        Ok(results)
+        Ok(self.run(
+            Plane::F32(m_in, m_out),
+            plan,
+            questions,
+            scratch,
+            trace,
+            budgets,
+        ))
     }
 
-    /// Segmented batched serving over the *quantized* memory plane: each
-    /// int8 chunk is streamed once per batch and applied to every live
-    /// question while resident. Per question the processing is the exact
-    /// single-question discipline — chunk partial → int8 chunk kernel →
-    /// merge through the [`mnn_tensor::partial`] plane — so every answer is
-    /// bitwise identical to a per-question
+    /// [`BatchEngine::forward_segmented_budgeted`] over the *quantized*
+    /// memory plane: each int8 chunk is streamed once per batch and applied
+    /// to every live question while resident. Per question the processing
+    /// is the single-question discipline — chunk partial → int8 chunk
+    /// kernel → merge through the [`mnn_tensor::partial`] plane — so every
+    /// answer is bitwise identical to a per-question
     /// [`crate::Executor::forward_quant_segmented_budgeted`] run. Pruning is
     /// per question (Online mode only), against zone maps built from
     /// dequantized row norms and each quantized query's own norm.
     ///
     /// # Errors
     ///
-    /// As [`BatchEngine::forward_budgeted`].
+    /// As [`BatchEngine::forward_segmented_budgeted`].
     #[allow(clippy::too_many_arguments)]
     pub fn forward_quant_segmented_budgeted(
         &self,
@@ -617,628 +509,352 @@ impl BatchEngine {
         trace: &mut Trace,
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        let rows = plan.rows();
-        if budgets.len() != questions.len() {
-            return Err(EngineError::Config(format!(
-                "budget count {} != question count {}",
-                budgets.len(),
-                questions.len()
-            )));
+        check_batch(questions, budgets)?;
+        if let Some(first) = questions.first() {
+            ColumnEngine::new(self.config).check_quant(m_in, m_out, first)?;
+            check_rows_quant(m_in, plan.rows(), "BatchEngine::forward_quant")?;
         }
-        let Some(first) = questions.first() else {
-            return Ok(Vec::new());
-        };
-        let probe = ColumnEngine::new(self.config);
-        probe.check_quant(m_in, m_out, first)?;
-        check_rows_quant(m_in, rows, "BatchEngine::forward_quant")?;
-        check_ragged(questions, first.len())?;
+        Ok(self.run(
+            Plane::Int8(m_in, m_out),
+            plan,
+            questions,
+            scratch,
+            trace,
+            budgets,
+        ))
+    }
 
-        let ed = first.len();
+    /// The validated pass: stage one [`BatchLanes`] per worker, walk the
+    /// plan (workers beyond the first on scoped threads), finish every
+    /// question in order.
+    fn run(
+        &self,
+        plane: Plane<'_>,
+        plan: &SegmentPlan<'_>,
+        questions: &[Vec<f32>],
+        scratch: &mut Scratch,
+        trace: &mut Trace,
+        budgets: &[Budget],
+    ) -> Vec<Result<ColumnOutput, EngineError>> {
         let nq = questions.len();
-        let chunk = self.config.chunk_size;
-        let mode = self.config.softmax;
-
-        // Stage the arena: quantize every question (the kernels only ever
-        // see i8 operands), reset accumulators and bookkeeping.
-        scratch.batch_uq.clear();
-        scratch.batch_uq.resize(nq * ed, 0);
-        scratch.batch_uscales.clear();
-        scratch.batch_uscales.resize(nq, 0.0);
-        for (q, u) in questions.iter().enumerate() {
-            scratch.batch_uscales[q] =
-                mnn_tensor::quant::quantize_row(u, &mut scratch.batch_uq[q * ed..(q + 1) * ed]);
+        if nq == 0 {
+            return Vec::new();
         }
-        scratch.batch_live.clear();
-        scratch.batch_live.resize(nq, true);
-        scratch.batch_seg_live.clear();
-        scratch.batch_seg_live.resize(nq, true);
-        scratch.batch_query_norms.clear();
-        for q in 0..nq {
-            scratch.batch_query_norms.push(segment::query_norm_upper_i8(
-                &scratch.batch_uq[q * ed..(q + 1) * ed],
-                scratch.batch_uscales[q],
-            ));
+        let rows = plan.rows();
+        let logit_rows = self.config.chunk_size.min(rows.max(1));
+        let workers = if crate::exec::clears_parallel_floor(&self.config, rows) {
+            self.config.threads.min(nq)
+        } else {
+            1
+        };
+        let per = nq.div_ceil(workers);
+        // The arena leaves the scratch for the pass so the finish loop can
+        // draw output buffers from it.
+        let mut arena = std::mem::take(&mut scratch.batch);
+        if arena.len() < workers {
+            arena.resize_with(workers, BatchLanes::default);
         }
-        if scratch.batch_stats.len() < nq {
-            scratch.batch_stats.resize_with(nq, InferenceStats::default);
-        }
-        for s in &mut scratch.batch_stats[..nq] {
-            *s = InferenceStats::default();
-        }
-        let logit_len = nq * chunk.min(rows.max(1));
-        if scratch.batch_logits.len() < logit_len {
-            scratch.batch_logits.resize(logit_len, 0.0);
-        }
-        match mode {
-            SoftmaxMode::Lazy => {
-                if scratch.batch_lazy.len() < nq {
-                    scratch.batch_lazy.resize_with(nq, LazyAccumulator::default);
-                }
-                if scratch.batch_chunk_lazy.len() < nq {
-                    scratch
-                        .batch_chunk_lazy
-                        .resize_with(nq, LazyAccumulator::default);
-                }
-                for a in &mut scratch.batch_lazy[..nq] {
-                    a.reset(ed);
-                }
-            }
-            SoftmaxMode::Online => {
-                if scratch.batch_online.len() < nq {
-                    scratch.batch_online.resize_with(nq, OnlineSoftmax::default);
-                }
-                if scratch.batch_chunk_online.len() < nq {
-                    scratch
-                        .batch_chunk_online
-                        .resize_with(nq, OnlineSoftmax::default);
-                }
-                for a in &mut scratch.batch_online[..nq] {
-                    a.reset(ed);
-                }
-            }
+        let lanes = &mut arena[..workers];
+        let quant = matches!(plane, Plane::Int8(..));
+        for (lane, qs) in lanes.iter_mut().zip(questions.chunks(per)) {
+            lane.stage(self.config.softmax, qs, quant, logit_rows);
         }
 
+        let (first, rest) = lanes.split_first_mut().expect("workers >= 1");
+        let own_budgets = &budgets[..per.min(nq)];
+        if rest.is_empty() {
+            // No scope for a lone worker: a warm pass stays allocation-free.
+            self.walk(plane, plan, first, own_budgets, trace);
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = rest
+                    .iter_mut()
+                    .zip(budgets.chunks(per).skip(1))
+                    .map(|(lane, budgets)| {
+                        let mut local = if trace.is_enabled() {
+                            Trace::enabled()
+                        } else {
+                            Trace::disabled()
+                        };
+                        scope.spawn(move || {
+                            self.walk(plane, plan, lane, budgets, &mut local);
+                            local
+                        })
+                    })
+                    .collect();
+                self.walk(plane, plan, first, own_budgets, trace);
+                for handle in handles {
+                    match handle.join() {
+                        Ok(local) => trace.absorb(&local),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                }
+            });
+        }
+
+        // Finish: per-question numeric guards + lazy division. Dead
+        // questions carry their budget's typed error.
         let t0 = trace.begin();
-        self.resolve_thresholds_quant_into(m_in, rows, nq, ed, scratch, budgets);
-        trace.record(Phase::Skip, t0, 0);
-
-        // Main segmented chunk loop: per live question, the single-question
-        // chunk kernel + merge (bitwise identity is inherited, not proven
-        // per-path).
-        {
-            let Scratch {
-                batch_logits,
-                batch_uq,
-                batch_uscales,
-                batch_lazy,
-                batch_online,
-                batch_chunk_lazy,
-                batch_chunk_online,
-                batch_thresholds,
-                batch_live,
-                batch_stats,
-                batch_seg_live,
-                batch_query_norms,
-                ..
-            } = scratch;
-            for seg in plan.segments() {
-                let mut any_visit = false;
-                for q in 0..nq {
-                    let mut visit = batch_live[q];
-                    if visit {
-                        batch_stats[q].segments_total += 1;
-                        if plan.prune() && matches!(mode, SoftmaxMode::Online) {
-                            let running_max = batch_online[q].max_logit();
-                            let ub = seg.logit_upper_bound(batch_query_norms[q]);
-                            if segment::can_prune(running_max, ub) {
-                                batch_stats[q].segments_pruned += 1;
-                                batch_stats[q].rows_pruned += seg.rows as u64;
-                                visit = false;
-                            }
-                        }
-                    }
-                    batch_seg_live[q] = visit;
-                    any_visit |= visit;
-                }
-                if any_visit {
-                    let seg_end = seg.start + seg.rows;
-                    let mut row = seg.start;
-                    while row < seg_end {
-                        let mut n_live = 0u64;
-                        for q in 0..nq {
-                            if batch_live[q] && budgets[q].check().is_err() {
-                                batch_live[q] = false;
-                            }
-                            batch_seg_live[q] &= batch_live[q];
-                            if batch_seg_live[q] {
-                                n_live += 1;
-                            }
-                        }
-                        if n_live == 0 {
-                            break;
-                        }
-                        let n = chunk.min(seg_end - row);
-                        let in_q = m_in.rows_slice(row, n);
-                        let in_scales = m_in.scales_slice(row, n);
-                        let out_q = m_out.rows_slice(row, n);
-                        let out_scales = m_out.scales_slice(row, n);
-                        for q in 0..nq {
-                            if !batch_seg_live[q] {
-                                continue;
-                            }
-                            let mut partial = match mode {
-                                SoftmaxMode::Lazy => AccumMut::Lazy(&mut batch_chunk_lazy[q]),
-                                SoftmaxMode::Online => AccumMut::Online(&mut batch_chunk_online[q]),
-                            };
-                            partial.reset(ed);
-                            probe.process_chunk_quant(
-                                in_q,
-                                in_scales,
-                                out_q,
-                                out_scales,
-                                n,
-                                &batch_uq[q * ed..(q + 1) * ed],
-                                batch_uscales[q],
-                                batch_thresholds[q],
-                                &mut partial,
-                                &mut batch_stats[q],
-                                &mut batch_logits[q * n..(q + 1) * n],
-                                trace,
-                            );
-                            let t0 = trace.begin();
-                            match mode {
-                                SoftmaxMode::Lazy => mnn_tensor::partial::merge_lazy_into(
-                                    &mut batch_lazy[q],
-                                    &batch_chunk_lazy[q],
-                                ),
-                                SoftmaxMode::Online => mnn_tensor::partial::merge_online_into(
-                                    &mut batch_online[q],
-                                    &batch_chunk_online[q],
-                                ),
-                            }
-                            trace.record(Phase::Merge, t0, 1);
-                        }
-                        row += n;
-                    }
-                }
-                let t0 = trace.begin();
-                if mnn_tensor::partial::wire_merge_enabled() {
-                    match mode {
-                        SoftmaxMode::Lazy => {
-                            for q in 0..nq {
-                                if batch_live[q] {
-                                    batch_lazy[q] =
-                                        mnn_tensor::partial::roundtrip_lazy(&batch_lazy[q]);
-                                }
-                            }
-                        }
-                        SoftmaxMode::Online => {
-                            for q in 0..nq {
-                                if batch_live[q] {
-                                    batch_online[q] =
-                                        mnn_tensor::partial::roundtrip_online(&batch_online[q]);
-                                }
-                            }
-                        }
-                    }
-                }
-                trace.record(Phase::SegmentMerge, t0, 1);
-            }
-        }
-
-        // Finish: per-question numeric guards + lazy division. Unlike the
-        // f32 batch path, flops/traffic were already charged per question by
-        // the single-question chunk kernel, so no shared-GEMM share is added
-        // here.
-        let t0 = trace.begin();
+        let ed = questions[0].len();
         let mut results = Vec::with_capacity(nq);
         let mut divisions = 0u64;
-        for (q, budget) in budgets.iter().enumerate().take(nq) {
-            if !scratch.batch_live[q] {
-                let err = budget.check().err().unwrap_or(EngineError::Cancelled);
-                results.push(Err(err));
-                continue;
+        for (lane, budgets) in lanes.iter().zip(budgets.chunks(per)) {
+            for (q, budget) in budgets.iter().enumerate() {
+                if !lane.live[q] {
+                    // A deadline cannot un-expire and a token cannot
+                    // un-cancel, so re-checking reproduces the error that
+                    // killed the slot.
+                    results.push(Err(budget.check().err().unwrap_or(EngineError::Cancelled)));
+                    continue;
+                }
+                let denominator = lane.acc.denom(q);
+                if let Err(e) = check_denom(denominator, "batch merge") {
+                    results.push(Err(e));
+                    continue;
+                }
+                let mut o = scratch.take_out(ed);
+                lane.acc.finish_into(q, &mut o);
+                if let Err(e) = check_output(&o) {
+                    scratch.recycle(o);
+                    results.push(Err(e));
+                    continue;
+                }
+                let mut stats = lane.stats[q];
+                stats.divisions = ed as u64;
+                stats.flops += ed as u64;
+                if !quant {
+                    // The int8 chunk kernel charges its inner products per
+                    // chunk; the f32 tile's are charged here, as one GEMV.
+                    stats.flops += kernels::gemv_flops(stats.rows_total as usize, ed);
+                }
+                stats.intermediate_bytes = (logit_rows * 4 + ed * 4) as u64;
+                divisions += ed as u64;
+                results.push(Ok(ColumnOutput {
+                    o,
+                    denominator,
+                    stats,
+                }));
             }
-            let denominator = match mode {
-                SoftmaxMode::Lazy => scratch.batch_lazy[q].denom(),
-                SoftmaxMode::Online => scratch.batch_online[q].denom(),
-            };
-            if let Err(e) = check_denom(denominator, "batch merge") {
-                results.push(Err(e));
-                continue;
-            }
-            let mut o = scratch.take_out(ed);
-            match mode {
-                SoftmaxMode::Lazy => scratch.batch_lazy[q].finish_into(&mut o),
-                SoftmaxMode::Online => scratch.batch_online[q].finish_into(&mut o),
-            }
-            if let Err(e) = check_output(&o) {
-                scratch.recycle(o);
-                results.push(Err(e));
-                continue;
-            }
-            let mut stats = scratch.batch_stats[q];
-            stats.divisions = ed as u64;
-            stats.flops += ed as u64;
-            stats.intermediate_bytes = (chunk.min(rows.max(1)) * 4 + ed * 4) as u64;
-            divisions += ed as u64;
-            results.push(Ok(ColumnOutput {
-                o,
-                denominator,
-                stats,
-            }));
         }
         trace.record(Phase::Divide, t0, divisions);
-        Ok(results)
+        scratch.batch = arena;
+        results
     }
 
-    /// [`BatchEngine::resolve_thresholds_into`] over the quantized plane:
-    /// the Probability pre-pass runs each question's int8 GEMV over every
-    /// chunk with the exact accumulation discipline of
-    /// [`ColumnEngine::resolve_threshold_prefix_quant`], so resolved
-    /// thresholds match the single-question quantized engine bitwise.
-    fn resolve_thresholds_quant_into(
+    /// One worker's pass: resolves its questions' skip thresholds, then
+    /// walks every segment and chunk of the plan for them.
+    fn walk(
         &self,
-        m_in: &QuantMatrix,
+        plane: Plane<'_>,
+        plan: &SegmentPlan<'_>,
+        lanes: &mut BatchLanes,
+        budgets: &[Budget],
+        trace: &mut Trace,
+    ) {
+        let (nq, ed) = (lanes.nq(), lanes.ed);
+        let chunk = self.config.chunk_size;
+        let engine = ColumnEngine::new(self.config);
+
+        // The Probability pre-pass streams the plan prefix once for the
+        // worker's questions; timed under Skip like the single path.
+        let t0 = trace.begin();
+        self.resolve_thresholds(plane, plan.rows(), lanes, budgets);
+        trace.record(Phase::Skip, t0, 0);
+
+        for seg in plan.segments() {
+            // Per-question prune decision for this segment. A freshly reset
+            // accumulator's running max is -inf, so the first segment can
+            // never prune.
+            let mut any_visit = false;
+            for q in 0..nq {
+                let mut visit = lanes.live[q];
+                if visit {
+                    lanes.stats[q].segments_total += 1;
+                    let dominated = plan.prune()
+                        && lanes.acc.running_max(q).is_some_and(|running_max| {
+                            let ub = seg.logit_upper_bound(lanes.query_norms[q]);
+                            segment::can_prune(running_max, ub)
+                        });
+                    if dominated {
+                        lanes.stats[q].segments_pruned += 1;
+                        lanes.stats[q].rows_pruned += seg.rows as u64;
+                        visit = false;
+                    }
+                }
+                lanes.visit[q] = visit;
+                any_visit |= visit;
+            }
+            let seg_end = seg.start + seg.rows;
+            let mut row = seg.start;
+            while any_visit && row < seg_end {
+                let mut n_live = 0u64;
+                for (q, budget) in budgets.iter().enumerate() {
+                    if lanes.live[q] && budget.check().is_err() {
+                        lanes.live[q] = false;
+                    }
+                    lanes.visit[q] &= lanes.live[q];
+                    n_live += u64::from(lanes.visit[q]);
+                }
+                if n_live == 0 {
+                    break;
+                }
+                let n = chunk.min(seg_end - row);
+                match plane {
+                    Plane::F32(m_in, m_out) => {
+                        let t0 = trace.begin();
+                        lanes.fold_chunk(
+                            m_in.rows_slice(row, n),
+                            m_out.rows_slice(row, n),
+                            n,
+                            self.config.fused,
+                        );
+                        trace.record(Phase::BatchGemm, t0, n as u64 * n_live);
+                        let mut chunk_skipped = 0u64;
+                        for q in (0..nq).filter(|&q| lanes.visit[q]) {
+                            let d = lanes.skipped[q];
+                            chunk_skipped += d;
+                            let kept = n as u64 - d;
+                            let s = &mut lanes.stats[q];
+                            s.chunks += 1;
+                            s.rows_total += n as u64;
+                            s.rows_skipped += d;
+                            s.flops += n as u64 + kept * 2 * ed as u64;
+                            s.ws_flops += kept * 2 * ed as u64;
+                            s.flops_skipped += d * 2 * ed as u64;
+                        }
+                        trace.bump(Phase::Skip, chunk_skipped);
+                    }
+                    Plane::Int8(m_in, m_out) => {
+                        lanes.fold_chunk_quant(&engine, m_in, m_out, row, n, trace)
+                    }
+                }
+                row += n;
+            }
+            // Segment boundary: the opt-in wire roundtrip of every live
+            // running accumulator proves the byte encoding carries the
+            // full merge state across the segment handoff.
+            let t0 = trace.begin();
+            for q in (0..nq).filter(|&q| lanes.live[q]) {
+                lanes.acc.pair(q).0.wire_roundtrip();
+            }
+            trace.record(Phase::SegmentMerge, t0, 1);
+        }
+    }
+
+    /// Resolves [`SkipPolicy`] into per-question raw thresholds in
+    /// `lanes.thresholds`. The Probability pre-pass streams the prefix once
+    /// for all of the worker's questions and accumulates each question's
+    /// denominators exactly as the single-question engine does (same
+    /// logits, same f32 max/subtract, same f64 sums), so resolved
+    /// thresholds match it bitwise. Questions whose budget fails during the
+    /// pre-pass go dead in `lanes.live` and keep a `None` threshold; their
+    /// error is reconstructed at finish time.
+    fn resolve_thresholds(
+        &self,
+        plane: Plane<'_>,
         rows: usize,
-        nq: usize,
-        ed: usize,
-        scratch: &mut Scratch,
+        lanes: &mut BatchLanes,
         budgets: &[Budget],
     ) {
-        scratch.batch_thresholds.clear();
-        match self.config.skip {
-            SkipPolicy::None => scratch.batch_thresholds.resize(nq, None),
-            SkipPolicy::RawWeight(th) => scratch.batch_thresholds.resize(nq, Some(th)),
-            SkipPolicy::Probability(th) => {
-                scratch.batch_thresholds.resize(nq, None);
-                let chunk = self.config.chunk_size;
-                let Scratch {
-                    batch_logits,
-                    batch_uq,
-                    batch_uscales,
-                    batch_thresholds,
-                    batch_live,
-                    batch_stats,
-                    batch_prepass,
-                    ..
-                } = scratch;
-                if batch_prepass.len() < 3 * nq {
-                    batch_prepass.resize(3 * nq, 0.0);
-                }
-                let (max_logit, rest) = batch_prepass.split_at_mut(nq);
-                let (denom_rel, raw_denom) = rest.split_at_mut(nq);
-                max_logit.fill(f64::NEG_INFINITY);
-                denom_rel[..nq].fill(0.0);
-                raw_denom[..nq].fill(0.0);
-
-                let mut row = 0usize;
-                while row < rows {
-                    let mut any_live = false;
-                    for q in 0..nq {
-                        if batch_live[q] && budgets[q].check().is_err() {
-                            batch_live[q] = false;
-                        }
-                        any_live |= batch_live[q];
-                    }
-                    if !any_live {
-                        break;
-                    }
-                    let n = chunk.min(rows - row);
-                    let in_q = m_in.rows_slice(row, n);
-                    let in_scales = m_in.scales_slice(row, n);
-                    for q in 0..nq {
-                        if !batch_live[q] {
-                            continue;
-                        }
-                        let buf = &mut batch_logits[q * n..(q + 1) * n];
-                        kernels::gemv_chunk_i8(
-                            in_q,
-                            in_scales,
-                            n,
-                            &batch_uq[q * ed..(q + 1) * ed],
-                            batch_uscales[q],
-                            buf,
-                        );
-                        for &x in buf.iter() {
-                            if x > max_logit[q] as f32 {
-                                denom_rel[q] *= ((max_logit[q] as f32 - x) as f64).exp();
-                                max_logit[q] = x as f64;
-                            }
-                            denom_rel[q] += ((x - max_logit[q] as f32) as f64).exp();
-                            raw_denom[q] += (x as f64).exp();
-                        }
-                        batch_stats[q].flops += kernels::gemv_flops(n, ed) + n as u64;
-                        batch_stats[q].memory_bytes += (n * (ed + 4)) as u64;
-                    }
-                    row += n;
-                }
-                for q in 0..nq {
-                    if !batch_live[q] {
-                        continue;
-                    }
-                    batch_thresholds[q] = Some(match self.config.softmax {
-                        SoftmaxMode::Lazy => (th as f64 * raw_denom[q]) as f32,
-                        SoftmaxMode::Online => (th as f64 * denom_rel[q]) as f32,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Processes rows `[start, end)` for every question; returns the
-    /// per-question accumulators, per-question stats (inner-product flops
-    /// excluded — the chunk GEMM is shared work), memory bytes, and the
-    /// batch-level GEMM flops.
-    #[allow(clippy::too_many_arguments)]
-    fn process_rows(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        us_flat: &[f32],
-        nq: usize,
-        thresholds: &[Option<f32>],
-        start: usize,
-        end: usize,
-    ) -> (BatchAccum, Vec<InferenceStats>, u64, u64) {
-        let ed = us_flat.len() / nq.max(1);
+        let (nq, ed) = (lanes.nq(), lanes.ed);
+        lanes.thresholds.clear();
+        let th = match self.config.skip {
+            SkipPolicy::None => return lanes.thresholds.resize(nq, None),
+            SkipPolicy::RawWeight(th) => return lanes.thresholds.resize(nq, Some(th)),
+            SkipPolicy::Probability(th) => th,
+        };
+        lanes.thresholds.resize(nq, None);
         let chunk = self.config.chunk_size;
-        let mut acc = match self.config.softmax {
-            SoftmaxMode::Lazy => BatchAccum::Lazy(vec![LazyAccumulator::new(ed); nq]),
-            SoftmaxMode::Online => BatchAccum::Online(vec![OnlineSoftmax::new(ed); nq]),
-        };
-        let mut per_q = vec![InferenceStats::default(); nq];
-        let mut mem_bytes = 0u64;
-        let mut gemm_flops = 0u64;
-        if start >= end || nq == 0 {
-            return (acc, per_q, mem_bytes, gemm_flops);
-        }
-        let mut logits = vec![0.0f32; nq * chunk.min(end - start)];
-        let live = vec![true; nq];
-        let mut skipped = vec![0u64; nq];
-        let mut partial = match self.config.softmax {
-            SoftmaxMode::Lazy => BatchAccum::Lazy(vec![LazyAccumulator::new(ed); nq]),
-            SoftmaxMode::Online => BatchAccum::Online(vec![OnlineSoftmax::new(ed); nq]),
-        };
+        let BatchLanes {
+            us,
+            uq,
+            uscales,
+            logits,
+            thresholds,
+            live,
+            stats,
+            prepass,
+            ..
+        } = lanes;
+        prepass.clear();
+        prepass.resize(3 * nq, 0.0);
+        let (max_logit, rest) = prepass.split_at_mut(nq);
+        let (denom_rel, raw_denom) = rest.split_at_mut(nq);
+        max_logit.fill(f64::NEG_INFINITY);
 
-        let mut row = start;
-        while row < end {
-            let n = chunk.min(end - row);
-            let in_flat = m_in.rows_slice(row, n);
-            let out_flat = m_out.rows_slice(row, n);
-            for s in skipped.iter_mut() {
-                *s = 0;
+        let mut row = 0usize;
+        while row < rows {
+            let mut any_live = false;
+            for (alive, budget) in live.iter_mut().zip(budgets) {
+                *alive = *alive && budget.check().is_ok();
+                any_live |= *alive;
             }
-            // Chunk partial → merge, the same discipline as the
-            // single-question engines: Online relative weights are
-            // chunk-local, so skip decisions match per-question runs.
-            match (&mut acc, &mut partial) {
-                (BatchAccum::Lazy(run), BatchAccum::Lazy(part)) => {
-                    for p in part.iter_mut() {
-                        p.reset(ed);
-                    }
-                    LazyAccumulator::accumulate_chunk_batch(
-                        part,
-                        in_flat,
-                        out_flat,
-                        n,
-                        us_flat,
-                        thresholds,
-                        &live,
-                        self.config.fused,
-                        &mut logits,
-                        &mut skipped,
-                    );
-                    for (r, p) in run.iter_mut().zip(part.iter()) {
-                        mnn_tensor::partial::merge_lazy_into(r, p);
+            if !any_live {
+                break;
+            }
+            let n = chunk.min(rows - row);
+            let logits = &mut logits[..nq * n];
+            match plane {
+                Plane::F32(m_in, _) => {
+                    kernels::gemm_chunk(m_in.rows_slice(row, n), n, us, nq, logits)
+                }
+                Plane::Int8(m_in, _) => {
+                    for q in (0..nq).filter(|&q| live[q]) {
+                        kernels::gemv_chunk_i8(
+                            m_in.rows_slice(row, n),
+                            m_in.scales_slice(row, n),
+                            n,
+                            &uq[q * ed..(q + 1) * ed],
+                            uscales[q],
+                            &mut logits[q * n..(q + 1) * n],
+                        );
+                        stats[q].memory_bytes += (n * (ed + 4)) as u64;
                     }
                 }
-                (BatchAccum::Online(run), BatchAccum::Online(part)) => {
-                    for p in part.iter_mut() {
-                        p.reset(ed);
-                    }
-                    OnlineSoftmax::accumulate_chunk_batch(
-                        part,
-                        in_flat,
-                        out_flat,
-                        n,
-                        us_flat,
-                        thresholds,
-                        &live,
-                        &mut logits,
-                        &mut skipped,
-                    );
-                    for (r, p) in run.iter_mut().zip(part.iter()) {
-                        mnn_tensor::partial::merge_online_into(r, p);
-                    }
-                }
-                _ => unreachable!("softmax mode is fixed per engine"),
             }
-            gemm_flops += kernels::gemm_flops(n, ed, nq);
-            mem_bytes += 2 * (n * ed * 4) as u64; // M_IN + M_OUT, once for all nq
-            for q in 0..nq {
-                let d = skipped[q];
-                let kept = n as u64 - d;
-                per_q[q].chunks += 1;
-                per_q[q].rows_total += n as u64;
-                per_q[q].rows_skipped += d;
-                per_q[q].flops += n as u64 + kept * 2 * ed as u64;
-                per_q[q].ws_flops += kept * 2 * ed as u64;
-                per_q[q].flops_skipped += d * 2 * ed as u64;
+            for q in (0..nq).filter(|&q| live[q]) {
+                // The `max_logit` slots hold f32 values.
+                for &x in &logits[q * n..(q + 1) * n] {
+                    if x > max_logit[q] as f32 {
+                        denom_rel[q] *= ((max_logit[q] as f32 - x) as f64).exp();
+                        max_logit[q] = x as f64;
+                    }
+                    denom_rel[q] += ((x - max_logit[q] as f32) as f64).exp();
+                    raw_denom[q] += (x as f64).exp();
+                }
+                // This question's share of the pre-pass: its inner
+                // products plus the exp sweep.
+                stats[q].flops += kernels::gemv_flops(n, ed) + n as u64;
             }
             row += n;
         }
-        (acc, per_q, mem_bytes, gemm_flops)
-    }
-
-    /// Per-question raw thresholds; the Probability pre-pass streams the
-    /// memories once for the whole batch on the tiled GEMM, charging its
-    /// flops and `memory_bytes` once per batch.
-    fn resolve_thresholds(
-        &self,
-        m_in: &Matrix,
-        us_flat: &[f32],
-        nq: usize,
-        stats: &mut InferenceStats,
-    ) -> Result<Vec<Option<f32>>, EngineError> {
-        match self.config.skip {
-            SkipPolicy::None => Ok(vec![None; nq]),
-            SkipPolicy::RawWeight(th) => Ok(vec![Some(th); nq]),
-            SkipPolicy::Probability(th) => {
-                let ed = us_flat.len() / nq;
-                let chunk = self.config.chunk_size;
-                let ns = m_in.rows();
-                let mut max_logit = vec![f32::NEG_INFINITY; nq];
-                let mut denom_rel = vec![0.0f64; nq];
-                let mut raw_denom = vec![0.0f64; nq];
-                let mut logits = vec![0.0f32; nq * chunk.min(ns.max(1))];
-
-                let mut row = 0usize;
-                while row < ns {
-                    let n = chunk.min(ns - row);
-                    let flat = m_in.rows_slice(row, n);
-                    kernels::gemm_chunk(flat, n, us_flat, nq, &mut logits[..nq * n]);
-                    stats.flops += kernels::gemm_flops(n, ed, nq); // once, not per question
-                    for q in 0..nq {
-                        for &x in &logits[q * n..(q + 1) * n] {
-                            if x > max_logit[q] {
-                                denom_rel[q] *= ((max_logit[q] - x) as f64).exp();
-                                max_logit[q] = x;
-                            }
-                            denom_rel[q] += ((x - max_logit[q]) as f64).exp();
-                            raw_denom[q] += (x as f64).exp();
-                            stats.flops += 1;
-                        }
-                    }
-                    stats.memory_bytes += (n * ed * 4) as u64; // chunk loaded once for all nq
-                    row += n;
-                }
-                Ok((0..nq)
-                    .map(|q| match self.config.softmax {
-                        SoftmaxMode::Lazy => Some((th as f64 * raw_denom[q]) as f32),
-                        SoftmaxMode::Online => Some((th as f64 * denom_rel[q]) as f32),
-                    })
-                    .collect())
-            }
-        }
-    }
-
-    /// Budget-aware threshold resolution into `scratch.batch_thresholds`
-    /// (allocation-free once the arena has grown). Questions whose budget
-    /// fails during the pre-pass go dead in `scratch.batch_live` and keep a
-    /// `None` threshold; their error is reconstructed at finish time.
-    fn resolve_thresholds_into(
-        &self,
-        m_in: &Matrix,
-        rows: usize,
-        nq: usize,
-        ed: usize,
-        scratch: &mut Scratch,
-        budgets: &[Budget],
-    ) {
-        scratch.batch_thresholds.clear();
-        match self.config.skip {
-            SkipPolicy::None => scratch.batch_thresholds.resize(nq, None),
-            SkipPolicy::RawWeight(th) => scratch.batch_thresholds.resize(nq, Some(th)),
-            SkipPolicy::Probability(th) => {
-                scratch.batch_thresholds.resize(nq, None);
-                let chunk = self.config.chunk_size;
-                let Scratch {
-                    batch_logits,
-                    batch_us,
-                    batch_thresholds,
-                    batch_live,
-                    batch_stats,
-                    batch_prepass,
-                    ..
-                } = scratch;
-                if batch_prepass.len() < 3 * nq {
-                    batch_prepass.resize(3 * nq, 0.0);
-                }
-                let (max_logit, rest) = batch_prepass.split_at_mut(nq);
-                let (denom_rel, raw_denom) = rest.split_at_mut(nq);
-                max_logit.fill(f64::NEG_INFINITY);
-                denom_rel[..nq].fill(0.0);
-                raw_denom[..nq].fill(0.0);
-
-                let mut row = 0usize;
-                while row < rows {
-                    let mut any_live = false;
-                    for q in 0..nq {
-                        if batch_live[q] && budgets[q].check().is_err() {
-                            batch_live[q] = false;
-                        }
-                        any_live |= batch_live[q];
-                    }
-                    if !any_live {
-                        break;
-                    }
-                    let n = chunk.min(rows - row);
-                    let flat = m_in.rows_slice(row, n);
-                    kernels::gemm_chunk(flat, n, batch_us, nq, &mut batch_logits[..nq * n]);
-                    for q in 0..nq {
-                        if !batch_live[q] {
-                            continue;
-                        }
-                        // The max/subtract runs in f32 exactly as in the
-                        // single-question engine (`max_logit` slots hold f32
-                        // values), so resolved thresholds match bitwise.
-                        for &x in &batch_logits[q * n..(q + 1) * n] {
-                            if x > max_logit[q] as f32 {
-                                denom_rel[q] *= ((max_logit[q] as f32 - x) as f64).exp();
-                                max_logit[q] = x as f64;
-                            }
-                            denom_rel[q] += ((x - max_logit[q] as f32) as f64).exp();
-                            raw_denom[q] += (x as f64).exp();
-                        }
-                        // This question's share of the pre-pass: its GEMV
-                        // slice of the chunk GEMM plus the exp sweep.
-                        batch_stats[q].flops += kernels::gemv_flops(n, ed) + n as u64;
-                    }
-                    row += n;
-                }
-                for q in 0..nq {
-                    if !batch_live[q] {
-                        continue;
-                    }
-                    batch_thresholds[q] = Some(match self.config.softmax {
-                        SoftmaxMode::Lazy => (th as f64 * raw_denom[q]) as f32,
-                        SoftmaxMode::Online => (th as f64 * denom_rel[q]) as f32,
-                    });
-                }
-            }
+        for q in (0..nq).filter(|&q| live[q]) {
+            thresholds[q] = Some(match self.config.softmax {
+                SoftmaxMode::Lazy => (th as f64 * raw_denom[q]) as f32,
+                SoftmaxMode::Online => (th as f64 * denom_rel[q]) as f32,
+            });
         }
     }
 }
 
-/// Rejects ragged question batches.
-fn check_ragged(questions: &[Vec<f32>], ed: usize) -> Result<(), EngineError> {
-    for q in questions {
-        if q.len() != ed {
-            return Err(EngineError::Config(format!(
-                "ragged question batch: {} vs {}",
-                q.len(),
-                ed
-            )));
-        }
+/// Rejects a budget slice that does not pair up with the questions, and
+/// ragged question batches.
+fn check_batch(questions: &[Vec<f32>], budgets: &[Budget]) -> Result<(), EngineError> {
+    if budgets.len() != questions.len() {
+        return Err(EngineError::Config(format!(
+            "budget count {} != question count {}",
+            budgets.len(),
+            questions.len()
+        )));
     }
-    Ok(())
-}
-
-/// Builds a per-question [`ColumnOutput`], adding the question's share of
-/// the chunk GEMM (as a GEMV count) and the final division to its stats.
-fn finish_output(
-    denominator: f32,
-    o: Vec<f32>,
-    mut stats: InferenceStats,
-    ed: usize,
-) -> ColumnOutput {
-    stats.divisions = ed as u64;
-    stats.flops += ed as u64 + kernels::gemv_flops(stats.rows_total as usize, ed);
-    ColumnOutput {
-        o,
-        denominator,
-        stats,
+    let ed = questions.first().map_or(0, Vec::len);
+    match questions.iter().find(|q| q.len() != ed) {
+        Some(q) => Err(EngineError::Config(format!(
+            "ragged question batch: {} vs {}",
+            q.len(),
+            ed
+        ))),
+        None => Ok(()),
     }
 }
 

@@ -499,32 +499,13 @@ pub struct Scratch {
     pub(crate) chunk_online: OnlineSoftmax,
     pub(crate) out_pool: Vec<Vec<f32>>,
     pub(crate) workers: Vec<WorkerScratch>,
-    // Batched-path arena (`BatchEngine::forward_budgeted`): the nq×chunk
-    // logits tile, the flattened question block, per-question accumulators
-    // and bookkeeping. Grown on first batched call, reused afterwards.
-    pub(crate) batch_logits: Vec<f32>,
-    pub(crate) batch_us: Vec<f32>,
-    pub(crate) batch_lazy: Vec<LazyAccumulator>,
-    pub(crate) batch_online: Vec<OnlineSoftmax>,
-    pub(crate) batch_chunk_lazy: Vec<LazyAccumulator>,
-    pub(crate) batch_chunk_online: Vec<OnlineSoftmax>,
-    pub(crate) batch_thresholds: Vec<Option<f32>>,
-    pub(crate) batch_live: Vec<bool>,
-    pub(crate) batch_skipped: Vec<u64>,
-    pub(crate) batch_stats: Vec<crate::stats::InferenceStats>,
-    pub(crate) batch_prepass: Vec<f64>,
-    // Segmented batched path: per-question effective-live mask for the
-    // current segment (live AND not pruned) and cached per-question query
-    // norm upper bounds.
-    pub(crate) batch_seg_live: Vec<bool>,
-    pub(crate) batch_query_norms: Vec<f64>,
-    // Quantized (int8) path: the quantized query for single-question passes
-    // and the flattened quantized question block + per-question scales for
-    // the batched path. Queries are quantized once per pass, here, so the
-    // kernels only ever see i8 operands.
+    // Batched-path arena (`BatchEngine`): one lane set per worker, each
+    // holding its questions' block, accumulators and bookkeeping. Grown on
+    // first batched call, reused afterwards.
+    pub(crate) batch: Vec<crate::batch::BatchLanes>,
+    // Quantized (int8) path: the query is quantized once per pass, here,
+    // so the kernels only ever see i8 operands.
     pub(crate) uq: Vec<i8>,
-    pub(crate) batch_uq: Vec<i8>,
-    pub(crate) batch_uscales: Vec<f32>,
 }
 
 impl Scratch {
@@ -758,6 +739,14 @@ impl fmt::Display for EngineKind {
 /// (roughly an LLC slice; both memories no longer fit in-cache).
 const STREAMING_BYTES_THRESHOLD: u64 = 4 << 20;
 
+/// Whether a pass over `rows` entries is big enough to split across the
+/// configured threads: more than one thread, and two chunks of rows for
+/// each. The one floor both [`ExecPlan::resolve`] (row ranges for the
+/// parallel engine) and [`crate::BatchEngine`] (question ranges) apply.
+pub(crate) fn clears_parallel_floor(config: &MnnFastConfig, rows: usize) -> bool {
+    config.threads > 1 && rows >= config.threads * config.chunk_size * 2
+}
+
 /// Declarative engine selection: a [`MnnFastConfig`] plus an
 /// [`EngineKind`].
 ///
@@ -769,6 +758,9 @@ const STREAMING_BYTES_THRESHOLD: u64 = 4 << 20;
 /// // Tiny stores run sequentially; big ones use the configured threads.
 /// assert_eq!(plan.resolve(10, 16), EngineKind::Column);
 /// assert_eq!(plan.resolve(1_000_000, 16), EngineKind::Parallel);
+/// // One configured thread is a budget: nothing is spawned, however big.
+/// let single = ExecPlan::new(MnnFastConfig::new(64));
+/// assert_eq!(single.resolve(1_000_000, 16), EngineKind::Column);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecPlan {
@@ -796,9 +788,13 @@ impl ExecPlan {
     /// Resolves the concrete variant for a pass over `rows` memory entries
     /// of embedding dimension `ed`.
     ///
-    /// [`EngineKind::Auto`] picks:
-    /// * [`EngineKind::Parallel`] when more than one thread is configured
-    ///   and every worker gets at least two chunks of work;
+    /// [`EngineKind::Auto`] never uses more threads than
+    /// [`MnnFastConfig::threads`] grants. It picks:
+    /// * [`EngineKind::Column`] when one thread is configured — the
+    ///   streaming engine's producer would be a second thread the caller
+    ///   did not grant (pin [`EngineKind::Streaming`] to ask for it);
+    /// * [`EngineKind::Parallel`] when every configured thread gets at
+    ///   least two chunks of work;
     /// * otherwise [`EngineKind::Streaming`] when the working set
     ///   (`2 × rows × ed × 4` bytes) exceeds ~4 MiB, so overlapping the
     ///   chunk loads pays;
@@ -806,8 +802,10 @@ impl ExecPlan {
     pub fn resolve(&self, rows: usize, ed: usize) -> EngineKind {
         match self.kind {
             EngineKind::Auto => {
-                let threads = self.config.threads;
-                if threads > 1 && rows >= threads * self.config.chunk_size * 2 {
+                if self.config.threads <= 1 {
+                    return EngineKind::Column;
+                }
+                if clears_parallel_floor(&self.config, rows) {
                     return EngineKind::Parallel;
                 }
                 let working_set = 2 * (rows as u64) * (ed as u64) * 4;
@@ -1580,10 +1578,15 @@ mod tests {
         assert_eq!(plan.resolve(10, 8), EngineKind::Column);
         assert_eq!(plan.resolve(2_000, 8), EngineKind::Parallel);
 
+        // One thread is a budget: a 25.6 MB working set still runs on it,
+        // not on a streaming producer nobody granted.
         let single = ExecPlan::new(MnnFastConfig::new(100));
         assert_eq!(single.resolve(2_000, 8), EngineKind::Column);
-        // 2 * 200k * 16 * 4 = 25.6 MB working set: stream it.
-        assert_eq!(single.resolve(200_000, 16), EngineKind::Streaming);
+        assert_eq!(single.resolve(200_000, 16), EngineKind::Column);
+        // With two threads but too few rows to split, streaming may use
+        // the second one.
+        let wide = ExecPlan::new(MnnFastConfig::new(100_000).with_threads(2));
+        assert_eq!(wide.resolve(200_000, 16), EngineKind::Streaming);
 
         let pinned = ExecPlan::new(MnnFastConfig::new(100)).with_kind(EngineKind::Streaming);
         assert_eq!(pinned.resolve(1, 1), EngineKind::Streaming);

@@ -226,3 +226,121 @@ fn batched_parity_with_probability_skipping() {
         });
     }
 }
+
+/// A question's arithmetic never depends on its batchmates, so splitting
+/// the batch over worker threads by question ranges must not move a bit:
+/// outputs, denominators and per-question stats at `threads` ∈ {2, 3, 5}
+/// equal the one-thread pass — with `nq` not a multiple of the thread
+/// count (7) and smaller than it (3) — on both memory planes.
+#[test]
+fn thread_count_never_changes_a_bit() {
+    use mnn_tensor::QuantMatrix;
+    use mnnfast::SegmentPlan;
+
+    // 5 threads × chunk 8 × 2 = 80 rows is the floor for the widest split.
+    let (ns, ed, chunk) = (163, 9, 8);
+    for backend in backends() {
+        with_backend(backend, || {
+            for nq in [3usize, 7] {
+                let (m_in, m_out, questions) = memories(ns, ed, nq);
+                let (q_in, q_out) = (
+                    QuantMatrix::from_matrix_prefix(&m_in, ns),
+                    QuantMatrix::from_matrix_prefix(&m_out, ns),
+                );
+                let budgets = vec![Budget::unlimited(); nq];
+                for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
+                    for skip in [SkipPolicy::None, SkipPolicy::Probability(0.02)] {
+                        for quant in [false, true] {
+                            let run = |threads: usize| {
+                                let config = MnnFastConfig::new(chunk)
+                                    .with_softmax(mode)
+                                    .with_skip(skip)
+                                    .with_threads(threads);
+                                let engine = BatchEngine::new(config);
+                                let (mut scratch, mut trace) = (Scratch::new(), Trace::disabled());
+                                let results = if quant {
+                                    engine.forward_quant_segmented_budgeted(
+                                        &q_in,
+                                        &q_out,
+                                        &SegmentPlan::unsegmented(ns),
+                                        &questions,
+                                        &mut scratch,
+                                        &mut trace,
+                                        &budgets,
+                                    )
+                                } else {
+                                    engine.forward_budgeted(
+                                        &m_in,
+                                        &m_out,
+                                        ns,
+                                        &questions,
+                                        &mut scratch,
+                                        &mut trace,
+                                        &budgets,
+                                    )
+                                };
+                                results
+                                    .unwrap()
+                                    .into_iter()
+                                    .map(|r| {
+                                        let out = r.unwrap();
+                                        let o: Vec<u32> =
+                                            out.o.iter().map(|v| v.to_bits()).collect();
+                                        (o, out.denominator.to_bits(), out.stats)
+                                    })
+                                    .collect::<Vec<_>>()
+                            };
+                            let one = run(1);
+                            for threads in [2usize, 3, 5] {
+                                assert_eq!(
+                                    run(threads),
+                                    one,
+                                    "{backend:?} nq{nq} {mode:?} {skip:?} quant={quant} threads={threads}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// `budgeted_batch_isolates_cancellation` across workers: with two threads
+/// the batch splits into question ranges `[0, 1]` and `[2, 3]`; a slot
+/// cancelled in the first range fails alone, its range-mate and the other
+/// worker's answers are bitwise the single-question engine's.
+#[test]
+fn cancellation_in_one_workers_range_leaves_the_rest_untouched() {
+    use mnnfast::{CancelToken, EngineError};
+
+    let (m_in, m_out, questions) = memories(64, 8, 4);
+    let config = MnnFastConfig::new(8).with_threads(2);
+    let token = CancelToken::new();
+    token.cancel();
+    let mut budgets = vec![Budget::unlimited(); 4];
+    budgets[1] = Budget::unlimited().with_cancel(token);
+    for backend in backends() {
+        with_backend(backend, || {
+            let results = BatchEngine::new(config)
+                .forward_budgeted(
+                    &m_in,
+                    &m_out,
+                    m_in.rows(),
+                    &questions,
+                    &mut Scratch::new(),
+                    &mut Trace::disabled(),
+                    &budgets,
+                )
+                .unwrap();
+            assert!(matches!(results[1], Err(EngineError::Cancelled)));
+            let single = ColumnEngine::new(config);
+            for q in [0usize, 2, 3] {
+                let out = results[q].as_ref().unwrap();
+                let expect = single.forward(&m_in, &m_out, &questions[q]).unwrap();
+                assert_eq!(out.o, expect.o, "{backend:?} q{q}");
+                assert_eq!(out.stats.rows_total, expect.stats.rows_total, "q{q}");
+            }
+        });
+    }
+}

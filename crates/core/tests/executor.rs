@@ -163,3 +163,30 @@ fn trace_phase_times_sum_close_to_total_latency() {
         last.0, last.1
     );
 }
+
+/// One configured thread is a budget, not a hint: over a working set far
+/// past the streaming threshold an `Auto` plan still resolves to the
+/// column engine (the streaming engine's producer would be a second thread
+/// nobody granted), and answers with the column engine's bits. Streaming
+/// stays available to a caller who pins it.
+#[test]
+fn auto_on_one_thread_stays_on_that_thread() {
+    // 2 x 40_000 x 32 x 4 B = 10 MiB, past the 4 MiB streaming threshold.
+    let (m_in, m_out, u) = memories(40_000, 32, 29);
+    let config = MnnFastConfig::new(256);
+    assert_eq!(config.threads, 1);
+    let auto = ExecPlan::new(config);
+    assert_eq!(auto.resolve(m_in.rows(), u.len()), EngineKind::Column);
+    assert_eq!(
+        auto.with_kind(EngineKind::Streaming)
+            .resolve(m_in.rows(), u.len()),
+        EngineKind::Streaming
+    );
+
+    let column = ExecPlan::new(config).with_kind(EngineKind::Column);
+    let mut scratch = Scratch::new();
+    assert_eq!(
+        run(&auto.executor(), &m_in, &m_out, &u, &mut scratch),
+        run(&column.executor(), &m_in, &m_out, &u, &mut scratch)
+    );
+}

@@ -8,6 +8,10 @@
 //! usable afterwards — the scratch buffers a panicking pass abandoned are
 //! reset by the next pass, bitwise-identically to a never-faulted run.
 //!
+//! The batched engine's question-range workers are covered too: a fault
+//! fires per chunk per question, so whichever worker draws it, exactly one
+//! question's slot carries the damage.
+//!
 //! Each test arms a process-global fault, so the whole file serializes on
 //! one mutex and disarms before releasing it.
 
@@ -16,8 +20,8 @@
 use mnn_tensor::fault::{self, FaultKind};
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    Budget, EngineError, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, SegmentPlan,
-    SoftmaxMode, Trace,
+    BatchEngine, Budget, ColumnEngine, EngineError, EngineKind, ExecPlan, Executor, MnnFastConfig,
+    Scratch, SegmentPlan, SoftmaxMode, Trace,
 };
 use std::sync::Mutex;
 
@@ -189,4 +193,47 @@ fn panicking_worker_on_the_quant_plane_restores_the_scratch() {
         .zip(&reference.o)
         .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(same, "post-panic quant pass must match the reference");
+}
+
+#[test]
+fn nan_chunk_in_a_two_worker_batch_poisons_exactly_one_question() {
+    let _guard = lock();
+    let (m_in, m_out, _) = memories(96, 8, 57);
+    let questions: Vec<Vec<f32>> = (0..5).map(|q| memories(1, 8, 100 + q).2).collect();
+    for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
+        // 96 rows clear the two-thread floor (2 x chunk 8 x 2), so the
+        // batch splits into question ranges [0, 1, 2] and [3, 4].
+        let config = MnnFastConfig::new(8).with_threads(2).with_softmax(mode);
+        let budgets = vec![Budget::unlimited(); questions.len()];
+        fault::arm(FaultKind::NanLogit, 7, 1);
+        let results = BatchEngine::new(config)
+            .forward_budgeted(
+                &m_in,
+                &m_out,
+                96,
+                &questions,
+                &mut Scratch::new(),
+                &mut Trace::disabled(),
+                &budgets,
+            )
+            .unwrap();
+        let fires = fault::fired();
+        fault::disarm();
+        assert_eq!(fires, 1, "{mode:?}");
+
+        let poisoned: Vec<usize> = (0..questions.len())
+            .filter(|&q| results[q].is_err())
+            .collect();
+        assert_eq!(poisoned.len(), 1, "{mode:?}: {results:?}");
+        assert!(matches!(
+            results[poisoned[0]],
+            Err(EngineError::NumericFault { .. })
+        ));
+        // Everyone else got the bits a lone, unfaulted ask gets.
+        let single = ColumnEngine::new(config);
+        for q in (0..questions.len()).filter(|q| !poisoned.contains(q)) {
+            let expect = single.forward(&m_in, &m_out, &questions[q]).unwrap();
+            assert_eq!(results[q].as_ref().unwrap().o, expect.o, "{mode:?} q{q}");
+        }
+    }
 }

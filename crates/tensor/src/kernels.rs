@@ -11,21 +11,24 @@
 //! # Caller-validates contract
 //!
 //! `dot` and `gemv_chunk` sit in the innermost loops of the column-based
-//! algorithm; their length checks are `debug_assert!`s, and callers
+//! algorithm; their exact-shape checks are `debug_assert!`s, and callers
 //! validate shapes once at a higher level (the public [`gemv`] / [`gevm`] /
-//! [`gemm`] entry points return [`ShapeError`]). With mismatched lengths in
-//! release builds these kernels compute over the common prefix — garbage
-//! output, but never out-of-bounds access.
+//! [`gemm`] entry points return [`ShapeError`]). In release builds `dot`
+//! computes over the common prefix of mismatched slices and the chunk
+//! kernels panic on an operand too short for `n_rows` (their tiles read
+//! rows through raw pointers, so [`crate::simd`] asserts the bounds once
+//! per call) — never out-of-bounds access.
 
 use crate::simd;
 use crate::{Matrix, ShapeError};
 
 /// Dot product of two equal-length slices.
 ///
-/// Dispatches to the active SIMD backend; the scalar fallback splits the
-/// accumulation over four independent partial sums to expose
-/// instruction-level parallelism (the same trick BLAS level-1 kernels use),
-/// the AVX2 path uses four 8-lane FMA accumulators.
+/// Dispatches to the active SIMD backend and returns the value in that
+/// backend's canonical row-dot order (see [`crate::simd`]) — the same bits
+/// [`gemv_chunk`], [`gemm_chunk`] and the fused kernels produce for the
+/// same row. A lone AVX2 dot is one latency-bound FMA chain; anything with
+/// several rows is faster through [`gemv_chunk`].
 ///
 /// Length equality is a `debug_assert!` — see the module-level
 /// caller-validates contract.
@@ -83,9 +86,7 @@ pub fn gemv(m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<(), ShapeError> {
             format!("out of length {}", out.len()),
         ));
     }
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot(m.row(r), x);
-    }
+    gemv_chunk(m.as_slice(), m.rows(), x, out);
     Ok(())
 }
 
@@ -130,8 +131,9 @@ pub fn centroid_scores(centroids: &[f32], k: usize, u: &[f32], out: &mut [f32]) 
 /// `us_flat`. This is the batched inner product of the column-based
 /// algorithm (Section 4.1.2's `U × chunkᵀ` GEMM): one cache-resident chunk
 /// of `M_IN` is applied to every question before the next chunk streams in.
-/// Dispatches to the register-tiled AVX2 micro-kernel or the scalar
-/// per-question reference ([`crate::simd::gemm_chunk_with`]).
+/// Dispatches to the register-tiled AVX2 kernel or the scalar
+/// per-question reference ([`crate::simd::gemm_chunk_with`]); either way
+/// row `q` of the result is bitwise [`gemv_chunk`] over `question_q`.
 ///
 /// Shape checks (`us_flat.len() == nq * ed`, `chunk.len() == n_rows * ed`,
 /// `out.len() == nq * n_rows`) are `debug_assert!`s — see the module-level
@@ -367,11 +369,7 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix, c: &mut Matrix) -> Result<(), ShapeError>
         ));
     }
     for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (j, out) in c_row.iter_mut().enumerate() {
-            *out = dot(a_row, b.row(j));
-        }
+        gemv_chunk(b.as_slice(), b.rows(), a.row(i), c.row_mut(i));
     }
     Ok(())
 }

@@ -26,11 +26,39 @@
 //! # Determinism contract
 //!
 //! For a fixed backend every kernel is a pure, deterministic function of
-//! its inputs: the engine variants (column / streaming / parallel, any
-//! thread count) therefore stay bitwise identical to each other. Results
-//! *across* backends agree only approximately (different accumulation
-//! widths, and the fused kernel's fast exp), within the tolerances asserted
-//! by the property tests.
+//! its inputs: the engine variants (column / streaming / parallel / batch,
+//! any thread count) therefore stay bitwise identical to each other.
+//! Results *across* backends agree only approximately (different
+//! accumulation widths, and the fused kernel's fast exp), within the
+//! tolerances asserted by the property tests.
+//!
+//! # The canonical row-dot order
+//!
+//! Every f32 logit `row · u` in the system — [`dot_with`],
+//! [`gemv_chunk_with`], [`gemm_chunk_with`] and the fused kernels — is
+//! *one* value per backend, whatever tile computed it:
+//!
+//! * **Avx2** — one 8-lane FMA accumulator walked over `k` ascending in
+//!   steps of 8; its lanes `l0..l7` reduced by the fixed `hadd` tree
+//!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`; then the scalar tail
+//!   (`k ≥ 8·⌊ed/8⌋`) added last, ascending `k`, with separate multiply
+//!   and add.
+//! * **Scalar** — [`dot_scalar`]'s four interleaved partial sums.
+//!
+//! The register tiles (1 question × 8 rows, 2 questions × 4 rows) only
+//! decide how many such accumulators are in flight at once: a tile shares
+//! loads between them, never arithmetic. Remainder rows run through the
+//! same tile with the last valid row repeated, an odd trailing question
+//! through the 1 × 8 tile — degenerate tiles, not a second kernel. So a
+//! logit does not depend on its batchmates, the chunk it sits in or the
+//! thread that computes it.
+//!
+//! The fused kernels keep the same discipline downstream of the logits: a
+//! question's denominator is summed in ascending row order, and each
+//! element of its weighted sum takes its kept rows in ascending row order
+//! (one FMA per row on full 8-lane blocks, multiply then add on the tail —
+//! exactly what one `axpy` per row does). Batched == sequential is
+//! therefore a property of the kernels, not something an engine arranges.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -205,9 +233,33 @@ pub fn gemv_chunk_scalar(chunk: &[f32], n_rows: usize, x: &[f32], out: &mut [f32
     }
 }
 
-/// Reference chunk GEMM: one [`gemv_chunk_scalar`] per question, so on the
-/// scalar backend the batched inner product is bitwise identical to the
-/// per-question path. `out[q * n_rows + r] = chunk_row_r · question_q`.
+/// Reference fused lazy-softmax chunk kernel: per row [`dot_scalar`], libm
+/// `exp`, the weight added to `denom`, the zero-skip test, and
+/// [`axpy_scalar`] for kept rows. Returns the number of skipped rows.
+pub fn fused_chunk_lazy_scalar(
+    in_flat: &[f32],
+    out_flat: &[f32],
+    n_rows: usize,
+    u: &[f32],
+    raw_threshold: Option<f32>,
+    weighted_sum: &mut [f32],
+    denom: &mut f32,
+) -> u64 {
+    let ed = u.len();
+    let mut skipped = 0u64;
+    for r in 0..n_rows {
+        let w = dot_scalar(&in_flat[r * ed..(r + 1) * ed], u).exp();
+        *denom += w;
+        match raw_threshold {
+            Some(th) if w < th => skipped += 1,
+            _ => axpy_scalar(w, &out_flat[r * ed..(r + 1) * ed], weighted_sum),
+        }
+    }
+    skipped
+}
+
+/// Reference chunk GEMM: one [`gemv_chunk_scalar`] per question.
+/// `out[q * n_rows + r] = chunk_row_r · question_q`.
 pub fn gemm_chunk_scalar(
     chunk: &[f32],
     n_rows: usize,
@@ -498,42 +550,22 @@ mod avx2 {
         _mm_cvtss_f32(s)
     }
 
-    /// AVX2 dot product: four 8-lane FMA accumulators (32 elements per
-    /// iteration) plus an 8-lane and a scalar tail.
+    /// AVX2 dot product in the canonical row-dot order (module docs): one
+    /// 8-lane FMA accumulator over `k` ascending, the [`hsum4`] tree, the
+    /// scalar tail last. A lone dot is a latency-bound FMA chain; anything
+    /// with more than one row should go through [`gemm_chunk`], whose tiles
+    /// return this same value per row.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
+        let mut acc = _mm256_setzero_ps();
         let mut i = 0usize;
-        while i + 32 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 8)),
-                _mm256_loadu_ps(pb.add(i + 8)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 16)),
-                _mm256_loadu_ps(pb.add(i + 16)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 24)),
-                _mm256_loadu_ps(pb.add(i + 24)),
-                acc3,
-            );
-            i += 32;
-        }
         while i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
+            acc = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc);
             i += 8;
         }
-        let folded = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        let mut sum = hsum(folded);
+        let mut sum = _mm_cvtss_f32(hsum4([acc; 4]));
         while i < n {
             sum += a[i] * b[i];
             i += 1;
@@ -587,20 +619,10 @@ mod avx2 {
         }
     }
 
-    /// AVX2 row-chunk GEMV: one [`dot`] per row (rows are contiguous, so
-    /// the inner product streams the chunk once).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemv_chunk(chunk: &[f32], n_rows: usize, x: &[f32], out: &mut [f32]) {
-        let cols = x.len();
-        for r in 0..n_rows {
-            out[r] = dot(&chunk[r * cols..(r + 1) * cols], x);
-        }
-    }
-
-    /// Reduces four 8-lane accumulators to their four lane sums at once:
-    /// two `hadd` levels interleave the partial sums, one cross-half add
-    /// finishes them, so lane `i` of the result is the full sum of `acc[i]`.
-    /// Six instructions for four dot products versus four `hsum` trees.
+    /// The canonical lane reduction, four accumulators at once: two `hadd`
+    /// levels interleave the partial sums, one cross-half add finishes
+    /// them, so lane `i` of the result is
+    /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` over the lanes of `acc[i]`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn hsum4(acc: [__m256; 4]) -> __m128 {
@@ -610,16 +632,144 @@ mod avx2 {
         _mm_add_ps(_mm256_castps256_ps128(t), _mm256_extractf128_ps(t, 1))
     }
 
-    /// Register-tiled chunk GEMM: `out[q * n_rows + r] = chunk_row_r · u_q`.
+    /// [`hsum4`] over eight accumulators: the eight sums land in one
+    /// register, ready for [`exp8`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum8(acc: [__m256; 8]) -> __m256 {
+        let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
+        _mm256_set_m128(hsum4([a4, a5, a6, a7]), hsum4([a0, a1, a2, a3]))
+    }
+
+    /// Pointers to the rows of one block of up to 8 rows starting at
+    /// `base`. Slots past `block` repeat the last valid row, so the tiles
+    /// always run full width over readable memory and the surplus lanes
+    /// are simply not used.
+    #[inline]
+    unsafe fn row_ptrs(base: *const f32, ed: usize, block: usize) -> [*const f32; 8] {
+        std::array::from_fn(|i| base.add(i.min(block - 1) * ed))
+    }
+
+    /// Adds each row's scalar tail `Σ_{k ≥ k0} row[k]·u[k]` onto its lane
+    /// sum: ascending `k`, separate multiply and add.
+    #[inline]
+    unsafe fn add_tails(
+        sums: &mut [f32],
+        rows: &[*const f32],
+        u: *const f32,
+        k0: usize,
+        ed: usize,
+    ) {
+        for (s, &row) in sums.iter_mut().zip(rows) {
+            for k in k0..ed {
+                *s += *row.add(k) * *u.add(k);
+            }
+        }
+    }
+
+    /// The 1-question × 8-row logit tile: lane `i` is `rows[i] · u` in the
+    /// canonical order. Each `k`-step is one load of `u` and eight row
+    /// loads feeding eight independent FMA chains.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile_1x8(rows: &[*const f32; 8], u: *const f32, ed: usize) -> __m256 {
+        let mut acc = [_mm256_setzero_ps(); 8];
+        let mut k = 0usize;
+        while k + 8 <= ed {
+            let v = _mm256_loadu_ps(u.add(k));
+            for (a, row) in acc.iter_mut().zip(rows) {
+                *a = _mm256_fmadd_ps(_mm256_loadu_ps(row.add(k)), v, *a);
+            }
+            k += 8;
+        }
+        let sums = hsum8(acc);
+        if k == ed {
+            return sums;
+        }
+        let mut s = [0.0f32; 8];
+        _mm256_storeu_ps(s.as_mut_ptr(), sums);
+        add_tails(&mut s, rows, u, k, ed);
+        _mm256_loadu_ps(s.as_ptr())
+    }
+
+    /// The 2-question × 4-row logit tile: eight accumulators, six loads
+    /// (two question vectors, four rows) per eight FMAs — each loaded row
+    /// is shared by both questions, which is where batching beats one
+    /// [`tile_1x8`] per question. Lane `i` of result `q` is
+    /// `rows[i] · u_q` in the canonical order.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile_2x4(
+        rows: &[*const f32],
+        u0: *const f32,
+        u1: *const f32,
+        ed: usize,
+    ) -> (__m128, __m128) {
+        let mut a0 = [_mm256_setzero_ps(); 4];
+        let mut a1 = [_mm256_setzero_ps(); 4];
+        let mut k = 0usize;
+        while k + 8 <= ed {
+            let v0 = _mm256_loadu_ps(u0.add(k));
+            let v1 = _mm256_loadu_ps(u1.add(k));
+            for (i, (x0, x1)) in a0.iter_mut().zip(a1.iter_mut()).enumerate() {
+                let row = _mm256_loadu_ps(rows[i].add(k));
+                *x0 = _mm256_fmadd_ps(row, v0, *x0);
+                *x1 = _mm256_fmadd_ps(row, v1, *x1);
+            }
+            k += 8;
+        }
+        let (sums0, sums1) = (hsum4(a0), hsum4(a1));
+        if k == ed {
+            return (sums0, sums1);
+        }
+        let (mut s0, mut s1) = ([0.0f32; 4], [0.0f32; 4]);
+        _mm_storeu_ps(s0.as_mut_ptr(), sums0);
+        _mm_storeu_ps(s1.as_mut_ptr(), sums1);
+        add_tails(&mut s0, rows, u0, k, ed);
+        add_tails(&mut s1, rows, u1, k, ed);
+        (_mm_loadu_ps(s0.as_ptr()), _mm_loadu_ps(s1.as_ptr()))
+    }
+
+    /// Two questions over one 8-row block: two [`tile_2x4`]s, each
+    /// question's eight logits joined into one register.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile_2x8(
+        rows: &[*const f32; 8],
+        u0: *const f32,
+        u1: *const f32,
+        ed: usize,
+    ) -> (__m256, __m256) {
+        let (lo0, lo1) = tile_2x4(&rows[..4], u0, u1, ed);
+        let (hi0, hi1) = tile_2x4(&rows[4..], u0, u1, ed);
+        (_mm256_set_m128(hi0, lo0), _mm256_set_m128(hi1, lo1))
+    }
+
+    /// Writes the first `block` lanes of `x` to `out[at..at + block]`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store_block(out: &mut [f32], at: usize, block: usize, x: __m256) {
+        if block == 8 {
+            _mm256_storeu_ps(out[at..at + 8].as_mut_ptr(), x);
+        } else {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), x);
+            out[at..at + block].copy_from_slice(&lanes[..block]);
+        }
+    }
+
+    /// Register-tiled chunk GEMM: `out[q * n_rows + r] = chunk_row_r · u_q`,
+    /// every entry in the canonical row-dot order.
     ///
-    /// The micro-kernel computes a 2-question × 4-row tile: eight 8-lane FMA
-    /// accumulators live in registers, and each `k`-step issues six loads
-    /// (two question vectors, four memory rows) feeding eight FMAs — the
-    /// loaded chunk rows are reused across both questions, which is where
-    /// batching beats per-question [`gemv_chunk`]. Each question's four
-    /// accumulators reduce through one [`hsum4`] tree, keeping the tile
-    /// epilogue off the critical path at small `ed`. Remainder rows and the
-    /// odd trailing question fall back to one [`dot`] per pair.
+    /// Walks the chunk in 8-row blocks; while a block is L1-resident every
+    /// question pair takes it through [`tile_2x8`] and an odd trailing
+    /// question through [`tile_1x8`].
+    ///
+    /// # Safety
+    ///
+    /// Needs AVX2 + FMA, `chunk.len() >= n_rows * ed` and
+    /// `us_flat.len() == nq * ed` (rows and questions are read through raw
+    /// pointers). `out` is written through checked slices.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_chunk(
         chunk: &[f32],
@@ -632,57 +782,26 @@ mod avx2 {
             return;
         }
         let ed = us_flat.len() / nq;
-        let pc = chunk.as_ptr();
-        let mut q = 0usize;
-        while q + 2 <= nq {
-            let u0 = &us_flat[q * ed..(q + 1) * ed];
-            let u1 = &us_flat[(q + 1) * ed..(q + 2) * ed];
-            let mut r = 0usize;
-            while r + 4 <= n_rows {
-                let mut acc0 = [_mm256_setzero_ps(); 4];
-                let mut acc1 = [_mm256_setzero_ps(); 4];
-                let mut k = 0usize;
-                while k + 8 <= ed {
-                    let v0 = _mm256_loadu_ps(u0.as_ptr().add(k));
-                    let v1 = _mm256_loadu_ps(u1.as_ptr().add(k));
-                    for (i, (a0, a1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
-                        let row = _mm256_loadu_ps(pc.add((r + i) * ed + k));
-                        *a0 = _mm256_fmadd_ps(row, v0, *a0);
-                        *a1 = _mm256_fmadd_ps(row, v1, *a1);
-                    }
-                    k += 8;
-                }
-                let mut sums0 = [0.0f32; 4];
-                let mut sums1 = [0.0f32; 4];
-                _mm_storeu_ps(sums0.as_mut_ptr(), hsum4(acc0));
-                _mm_storeu_ps(sums1.as_mut_ptr(), hsum4(acc1));
-                for (i, (s0, s1)) in sums0.iter().zip(&sums1).enumerate() {
-                    let (mut s0, mut s1) = (*s0, *s1);
-                    for kk in k..ed {
-                        let c = *chunk.get_unchecked((r + i) * ed + kk);
-                        s0 += c * u0[kk];
-                        s1 += c * u1[kk];
-                    }
-                    out[q * n_rows + r + i] = s0;
-                    out[(q + 1) * n_rows + r + i] = s1;
-                }
-                r += 4;
+        debug_assert_eq!(us_flat.len(), nq * ed, "gemm_chunk: ragged questions");
+        debug_assert!(chunk.len() >= n_rows * ed, "gemm_chunk: short chunk");
+        debug_assert!(out.len() >= nq * n_rows, "gemm_chunk: short out");
+        let pu = us_flat.as_ptr();
+        let mut r = 0usize;
+        while r < n_rows {
+            let block = (n_rows - r).min(8);
+            let rows = row_ptrs(chunk.as_ptr().add(r * ed), ed, block);
+            let mut q = 0usize;
+            while q + 2 <= nq {
+                let (x0, x1) = tile_2x8(&rows, pu.add(q * ed), pu.add((q + 1) * ed), ed);
+                store_block(out, q * n_rows + r, block, x0);
+                store_block(out, (q + 1) * n_rows + r, block, x1);
+                q += 2;
             }
-            while r < n_rows {
-                let row = &chunk[r * ed..(r + 1) * ed];
-                out[q * n_rows + r] = dot(row, u0);
-                out[(q + 1) * n_rows + r] = dot(row, u1);
-                r += 1;
+            if q < nq {
+                let x = tile_1x8(&rows, pu.add(q * ed), ed);
+                store_block(out, q * n_rows + r, block, x);
             }
-            q += 2;
-        }
-        if q < nq {
-            gemv_chunk(
-                chunk,
-                n_rows,
-                &us_flat[q * ed..(q + 1) * ed],
-                &mut out[q * n_rows..(q + 1) * n_rows],
-            );
+            r += block;
         }
     }
 
@@ -877,43 +996,171 @@ mod avx2 {
         sum
     }
 
-    /// Fused lazy-softmax chunk kernel: one pass over the chunk's rows in
-    /// blocks of 8 — inner products, 8-lane fast exp, threshold test, and
-    /// the `ed`-wide weighted accumulate for kept rows. Returns the
-    /// denominator contribution and the number of skipped rows.
+    /// `ws[k..k + 8N] += Σ_{j ∈ keep} w[j] · out_row_j[k..k + 8N]` with the
+    /// `8N` sums held in `N` registers across the rows: one load and one
+    /// store of the accumulator per block instead of one per row.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fused_chunk_lazy(
+    unsafe fn axpy_cols<const N: usize>(
+        pw: *mut f32,
+        po: *const f32,
+        ed: usize,
+        w: &[f32; 8],
+        keep: &[usize],
+    ) {
+        let mut acc: [__m256; N] = std::array::from_fn(|i| _mm256_loadu_ps(pw.add(8 * i)));
+        for &j in keep {
+            let wj = _mm256_set1_ps(w[j]);
+            let row = po.add(j * ed);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_ps(wj, _mm256_loadu_ps(row.add(8 * i)), *a);
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(pw.add(8 * i), *a);
+        }
+    }
+
+    /// `ws += Σ_{j ∈ keep} w[j] · out_row_j` over one block of rows. Each
+    /// element of `ws` takes the kept rows in ascending order — an FMA per
+    /// row on full 8-lane blocks, multiply then add on the scalar tail —
+    /// which is bit for bit what one [`axpy`] per kept row computes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn axpy_rows(ws: &mut [f32], out_block: &[f32], w: &[f32; 8], keep: &[usize]) {
+        let ed = ws.len();
+        let (pw, po) = (ws.as_mut_ptr(), out_block.as_ptr());
+        let mut k = 0usize;
+        while k + 64 <= ed {
+            axpy_cols::<8>(pw.add(k), po.add(k), ed, w, keep);
+            k += 64;
+        }
+        if k + 32 <= ed {
+            axpy_cols::<4>(pw.add(k), po.add(k), ed, w, keep);
+            k += 32;
+        }
+        while k + 8 <= ed {
+            axpy_cols::<1>(pw.add(k), po.add(k), ed, w, keep);
+            k += 8;
+        }
+        while k < ed {
+            let mut a = *pw.add(k);
+            for &j in keep {
+                a += w[j] * *po.add(j * ed + k);
+            }
+            *pw.add(k) = a;
+            k += 1;
+        }
+    }
+
+    /// Folds one block's logits into one question's lane: exponentiate
+    /// (the 8-lane fast exp, or libm per row when `fast_exp` is off), add
+    /// the weights to the denominator in row order, zero-skip test per row,
+    /// [`axpy_rows`] over the kept rows. Returns the rows skipped.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn fold_block<L: FusedLane>(
+        lane: &mut L,
+        logits: __m256,
+        block: usize,
+        out_block: &[f32],
+        raw_threshold: Option<f32>,
+        fast_exp: bool,
+    ) -> u64 {
+        let ed = out_block.len() / block;
+        let mut w = [0.0f32; 8];
+        if fast_exp {
+            _mm256_storeu_ps(w.as_mut_ptr(), exp8(logits));
+        } else {
+            _mm256_storeu_ps(w.as_mut_ptr(), logits);
+            for wj in &mut w[..block] {
+                *wj = wj.exp();
+            }
+        }
+        let (ws, denom) = lane.parts();
+        let mut keep = [0usize; 8];
+        let mut kept = 0usize;
+        for (j, &wj) in w[..block].iter().enumerate() {
+            *denom += wj;
+            match raw_threshold {
+                Some(th) if wj < th => {}
+                _ => {
+                    keep[kept] = j;
+                    kept += 1;
+                }
+            }
+        }
+        axpy_rows(&mut ws[..ed], out_block, &w, &keep[..kept]);
+        (block - kept) as u64
+    }
+
+    /// The fused lazy-softmax chunk kernel over `lanes.len() ≥ 1`
+    /// questions: one pass over the chunk in 8-row blocks, and while a
+    /// block of `M_IN`/`M_OUT` rows is L1-resident every live question
+    /// takes it through a logit tile ([`tile_2x8`] for a live adjacent
+    /// pair, [`tile_1x8`] otherwise) and [`fold_block`]. A question's
+    /// arithmetic never depends on which tile or which neighbours it got.
+    ///
+    /// # Safety
+    ///
+    /// Needs AVX2 + FMA, `in_flat.len() == out_flat.len() == n_rows * ed`
+    /// with `ed = us_flat.len() / lanes.len()`, `us_flat.len()` a multiple
+    /// of `lanes.len()`, and `raw_thresholds`, `live`, `skipped` at least
+    /// `lanes.len()` long. Lane sums are bounds-checked against `ed`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn fused_chunk_lazy_batch<L: FusedLane>(
         in_flat: &[f32],
         out_flat: &[f32],
         n_rows: usize,
-        u: &[f32],
-        raw_threshold: Option<f32>,
-        weighted_sum: &mut [f32],
-    ) -> (f32, u64) {
-        let ed = u.len();
-        let mut denom = 0.0f32;
-        let mut skipped = 0u64;
+        us_flat: &[f32],
+        lanes: &mut [L],
+        raw_thresholds: &[Option<f32>],
+        live: &[bool],
+        fast_exp: bool,
+        skipped: &mut [u64],
+    ) {
+        let nq = lanes.len();
+        let ed = us_flat.len() / nq;
+        debug_assert_eq!(us_flat.len(), nq * ed, "fused batch: ragged questions");
+        debug_assert_eq!(in_flat.len(), n_rows * ed, "fused batch: bad in chunk");
+        debug_assert_eq!(out_flat.len(), n_rows * ed, "fused batch: bad out chunk");
+        debug_assert!(
+            raw_thresholds.len() >= nq && live.len() >= nq && skipped.len() >= nq,
+            "fused batch: short per-question slices"
+        );
+        let pu = us_flat.as_ptr();
         let mut r = 0usize;
-        let mut w = [0.0f32; 8];
         while r < n_rows {
             let block = (n_rows - r).min(8);
-            for (j, wj) in w.iter_mut().enumerate().take(block) {
-                *wj = dot(&in_flat[(r + j) * ed..(r + j + 1) * ed], u);
-            }
-            // Exponentiate the whole block at once; lanes past `block`
-            // hold stale-but-finite values and are never read back.
-            let e = exp8(_mm256_loadu_ps(w.as_ptr()));
-            _mm256_storeu_ps(w.as_mut_ptr(), e);
-            for (j, &wj) in w.iter().enumerate().take(block) {
-                denom += wj;
-                match raw_threshold {
-                    Some(th) if wj < th => skipped += 1,
-                    _ => axpy(wj, &out_flat[(r + j) * ed..(r + j + 1) * ed], weighted_sum),
+            let rows = row_ptrs(in_flat.as_ptr().add(r * ed), ed, block);
+            let out_block = &out_flat[r * ed..(r + block) * ed];
+            let mut fold = |q: usize, logits: __m256| {
+                skipped[q] += fold_block(
+                    &mut lanes[q],
+                    logits,
+                    block,
+                    out_block,
+                    raw_thresholds[q],
+                    fast_exp,
+                );
+            };
+            let mut q = 0usize;
+            while q < nq {
+                if q + 1 < nq && live[q] && live[q + 1] {
+                    let (x0, x1) = tile_2x8(&rows, pu.add(q * ed), pu.add((q + 1) * ed), ed);
+                    fold(q, x0);
+                    fold(q + 1, x1);
+                    q += 2;
+                } else {
+                    if live[q] {
+                        fold(q, tile_1x8(&rows, pu.add(q * ed), ed));
+                    }
+                    q += 1;
                 }
             }
             r += block;
         }
-        (denom, skipped)
     }
 
     /// AVX2 i8 dot product: 32 codes per iteration, each 16-code half
@@ -1092,27 +1339,27 @@ pub fn scale_with(b: Backend, alpha: f32, x: &mut [f32]) {
     }
 }
 
-/// [`crate::kernels::gemv_chunk`] with an explicit backend.
+/// [`crate::kernels::gemv_chunk`] with an explicit backend:
+/// [`gemm_chunk_with`] for one question.
+///
+/// # Panics
+///
+/// As [`gemm_chunk_with`].
 #[inline]
 pub fn gemv_chunk_with(b: Backend, chunk: &[f32], n_rows: usize, x: &[f32], out: &mut [f32]) {
-    match b {
-        Backend::Scalar => gemv_chunk_scalar(chunk, n_rows, x, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot_with`.
-        Backend::Avx2 => unsafe { avx2::gemv_chunk(chunk, n_rows, x, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => gemv_chunk_scalar(chunk, n_rows, x, out),
-    }
+    gemm_chunk_with(b, chunk, n_rows, x, 1, out)
 }
 
 /// [`crate::kernels::gemm_chunk`] with an explicit backend: the batched
-/// chunk inner product `out[q * n_rows + r] = chunk_row_r · question_q`.
+/// chunk inner product `out[q * n_rows + r] = chunk_row_r · question_q`,
+/// every entry in the backend's canonical row-dot order (module docs) — so
+/// row `q` of the result is bitwise [`gemv_chunk_with`] over `question_q`,
+/// and each entry bitwise [`dot_with`].
 ///
-/// The scalar reference runs one [`gemv_chunk_scalar`] per question and is
-/// therefore bitwise identical to the per-question path; AVX2 uses a
-/// register-tiled 2-question × 4-row micro-kernel that reuses each loaded
-/// chunk row across questions, so its results differ from per-question
-/// [`gemv_chunk_with`] by accumulation order only (ulp-level).
+/// # Panics
+///
+/// Panics if `us_flat.len()` is not a multiple of `nq`, `chunk` is shorter
+/// than `n_rows` rows or `out` shorter than `nq * n_rows`.
 #[inline]
 pub fn gemm_chunk_with(
     b: Backend,
@@ -1122,13 +1369,19 @@ pub fn gemm_chunk_with(
     nq: usize,
     out: &mut [f32],
 ) {
+    if nq == 0 {
+        return;
+    }
+    let ed = us_flat.len() / nq;
+    assert_eq!(us_flat.len(), nq * ed, "gemm_chunk: ragged questions");
+    assert!(chunk.len() >= n_rows * ed, "gemm_chunk: short chunk");
+    assert!(out.len() >= nq * n_rows, "gemm_chunk: short out");
     match b {
-        Backend::Scalar => gemm_chunk_scalar(chunk, n_rows, us_flat, nq, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot_with`.
+        // SAFETY: AVX2 + FMA as in `dot_with`; the asserts above are the
+        // kernel's length contract.
         Backend::Avx2 => unsafe { avx2::gemm_chunk(chunk, n_rows, us_flat, nq, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => gemm_chunk_scalar(chunk, n_rows, us_flat, nq, out),
+        _ => gemm_chunk_scalar(chunk, n_rows, us_flat, nq, out),
     }
 }
 
@@ -1160,21 +1413,113 @@ pub fn exp_slice_with(b: Backend, x: &mut [f32]) -> f32 {
     }
 }
 
-/// The fused lazy-softmax chunk kernel with an explicit backend: one pass
-/// over `n_rows` rows computing `x_i = row_i · u`, `w_i = e^{x_i}`, the
-/// denominator `Σ w_i`, and `weighted_sum += w_i · out_row_i` for rows at
-/// or above `raw_threshold` (skipped rows still count into the
-/// denominator, the paper's zero-skip semantics). Returns
-/// `(denominator contribution, skipped rows)`.
+/// One question's accumulator in a batched fused lazy pass.
+pub trait FusedLane {
+    /// The `ed`-wide weighted sum and the denominator the kernel adds into.
+    fn parts(&mut self) -> (&mut [f32], &mut f32);
+}
+
+/// A bare `(weighted sum, denominator)` lane: how
+/// [`fused_chunk_lazy_with`] calls the batched kernel for one question.
+struct SliceLane<'a>(&'a mut [f32], f32);
+
+impl FusedLane for SliceLane<'_> {
+    fn parts(&mut self) -> (&mut [f32], &mut f32) {
+        (self.0, &mut self.1)
+    }
+}
+
+/// The fused lazy-softmax chunk kernel over `lanes.len()` questions with
+/// an explicit backend. One pass over `n_rows` rows; for every question
+/// `q` with `live[q]` set: `x_i = row_i · u_q` (canonical order),
+/// `w_i = e^{x_i}`, the lane's denominator `+= w_i` in ascending row order,
+/// and its weighted sum `+= w_i · out_row_i` for rows at or above
+/// `raw_thresholds[q]` (skipped rows still count into the denominator, the
+/// paper's zero-skip semantics; `skipped[q]` is incremented per skipped
+/// row). Dead questions are passed over untouched.
+///
+/// What question `q` receives is bitwise what a call with `lanes = [q]`
+/// alone computes: batch composition and tile shape never reach a bit.
+///
+/// `fast_exp` picks the exponential on AVX2: the 8-lane [`exp_approx`]
+/// kernel (the fused path), or libm per row (the two-pass path's numerics
+/// on the batched dataflow). The scalar backend uses libm either way.
+///
+/// # Panics
+///
+/// Panics if `us_flat.len()` is not a multiple of `lanes.len()`, either
+/// chunk is not `n_rows * ed` long, a per-question slice is shorter than
+/// `lanes.len()`, or a live lane's weighted sum is shorter than `ed`.
+#[allow(clippy::too_many_arguments)]
+pub fn fused_chunk_lazy_batch_with<L: FusedLane>(
+    b: Backend,
+    in_flat: &[f32],
+    out_flat: &[f32],
+    n_rows: usize,
+    us_flat: &[f32],
+    lanes: &mut [L],
+    raw_thresholds: &[Option<f32>],
+    live: &[bool],
+    fast_exp: bool,
+    skipped: &mut [u64],
+) {
+    let nq = lanes.len();
+    if nq == 0 {
+        return;
+    }
+    let ed = us_flat.len() / nq;
+    assert_eq!(us_flat.len(), nq * ed, "fused: ragged questions");
+    assert_eq!(in_flat.len(), n_rows * ed, "fused: bad in chunk");
+    assert_eq!(out_flat.len(), n_rows * ed, "fused: bad out chunk");
+    assert!(
+        raw_thresholds.len() >= nq && live.len() >= nq && skipped.len() >= nq,
+        "fused: short per-question slices"
+    );
+    match b {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 + FMA as in `dot_with`; the asserts above are the
+        // kernel's length contract.
+        Backend::Avx2 => unsafe {
+            avx2::fused_chunk_lazy_batch(
+                in_flat,
+                out_flat,
+                n_rows,
+                us_flat,
+                lanes,
+                raw_thresholds,
+                live,
+                fast_exp,
+                skipped,
+            )
+        },
+        _ => {
+            for (q, lane) in lanes.iter_mut().enumerate().filter(|(q, _)| live[*q]) {
+                let (ws, denom) = lane.parts();
+                skipped[q] += fused_chunk_lazy_scalar(
+                    in_flat,
+                    out_flat,
+                    n_rows,
+                    &us_flat[q * ed..(q + 1) * ed],
+                    raw_thresholds[q],
+                    ws,
+                    denom,
+                );
+            }
+        }
+    }
+}
+
+/// [`fused_chunk_lazy_batch_with`] for one question: folds the chunk into
+/// `weighted_sum` and returns `(denominator contribution, skipped rows)`.
 ///
 /// The scalar backend uses libm `exp` — bitwise identical to the two-pass
 /// reference path; AVX2 uses the fast exp, so fused-vs-two-pass agreement
 /// on that backend is approximate (within [`EXP_MAX_REL_ERROR`] per
 /// weight).
 ///
-/// The caller guarantees `in_flat.len() == out_flat.len() == n_rows *
-/// u.len()` and `weighted_sum.len() == u.len()`; slice indexing panics
-/// otherwise.
+/// # Panics
+///
+/// As [`fused_chunk_lazy_batch_with`], with `ed = u.len()`.
 pub fn fused_chunk_lazy_with(
     b: Backend,
     in_flat: &[f32],
@@ -1184,30 +1529,21 @@ pub fn fused_chunk_lazy_with(
     raw_threshold: Option<f32>,
     weighted_sum: &mut [f32],
 ) -> (f32, u64) {
-    debug_assert_eq!(in_flat.len(), n_rows * u.len(), "fused: bad in chunk");
-    debug_assert_eq!(out_flat.len(), n_rows * u.len(), "fused: bad out chunk");
-    match b {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot_with`.
-        Backend::Avx2 => unsafe {
-            avx2::fused_chunk_lazy(in_flat, out_flat, n_rows, u, raw_threshold, weighted_sum)
-        },
-        _ => {
-            let ed = u.len();
-            let mut denom = 0.0f32;
-            let mut skipped = 0u64;
-            for r in 0..n_rows {
-                let x = dot_scalar(&in_flat[r * ed..(r + 1) * ed], u);
-                let w = x.exp();
-                denom += w;
-                match raw_threshold {
-                    Some(th) if w < th => skipped += 1,
-                    _ => axpy_scalar(w, &out_flat[r * ed..(r + 1) * ed], weighted_sum),
-                }
-            }
-            (denom, skipped)
-        }
-    }
+    let mut lane = [SliceLane(weighted_sum, 0.0)];
+    let mut skipped = [0u64];
+    fused_chunk_lazy_batch_with(
+        b,
+        in_flat,
+        out_flat,
+        n_rows,
+        u,
+        &mut lane,
+        &[raw_threshold],
+        &[true],
+        true,
+        &mut skipped,
+    );
+    (lane[0].1, skipped[0])
 }
 
 /// [`crate::kernels::dot_i8`] with an explicit backend. Exact integer

@@ -137,6 +137,12 @@ impl Default for LazyAccumulator {
     }
 }
 
+impl simd::FusedLane for LazyAccumulator {
+    fn parts(&mut self) -> (&mut [f32], &mut f32) {
+        (&mut self.weighted_sum, &mut self.denom)
+    }
+}
+
 impl LazyAccumulator {
     /// Creates an accumulator producing an output vector of dimension `ed`.
     pub fn new(ed: usize) -> Self {
@@ -184,18 +190,16 @@ impl LazyAccumulator {
     /// semantics) — accumulates `w_i · row_i^OUT`. Returns the number of
     /// skipped rows.
     ///
-    /// Equivalent to a `gemv_chunk` + per-row
-    /// [`LazyAccumulator::add_weighted`] loop, but traverses the chunk once
-    /// ([`crate::simd::fused_chunk_lazy_with`]); on the scalar backend the
-    /// result is bitwise identical to the two-pass formulation, on AVX2 it
-    /// uses the fast exp so agreement is approximate (within
-    /// [`crate::simd::EXP_MAX_REL_ERROR`] per weight).
+    /// This is [`LazyAccumulator::accumulate_chunk_batch`] for one
+    /// question. Equivalent to a `gemv_chunk` + per-row
+    /// [`LazyAccumulator::add_weighted`] loop, but traverses the chunk
+    /// once; on the scalar backend the result is bitwise identical to the
+    /// two-pass formulation, on AVX2 it uses the fast exp so agreement is
+    /// approximate (within [`crate::simd::EXP_MAX_REL_ERROR`] per weight).
     ///
     /// # Panics
     ///
-    /// Panics (via slice indexing) if `in_flat.len()`/`out_flat.len()`
-    /// differ from `n_rows * u.len()`, or if the accumulator dimension
-    /// differs from `u.len()`.
+    /// As [`LazyAccumulator::accumulate_chunk_batch`].
     pub fn accumulate_chunk(
         &mut self,
         in_flat: &[f32],
@@ -204,46 +208,108 @@ impl LazyAccumulator {
         u: &[f32],
         raw_threshold: Option<f32>,
     ) -> u64 {
-        #[cfg(feature = "fault-inject")]
-        if let Some(kind) = crate::fault::on_chunk() {
-            return self.accumulate_chunk_faulted(
-                in_flat,
-                out_flat,
-                n_rows,
-                u,
-                raw_threshold,
-                kind,
-            );
-        }
-        self.accumulate_chunk_fused(in_flat, out_flat, n_rows, u, raw_threshold)
-    }
-
-    /// The real fused kernel behind [`LazyAccumulator::accumulate_chunk`].
-    fn accumulate_chunk_fused(
-        &mut self,
-        in_flat: &[f32],
-        out_flat: &[f32],
-        n_rows: usize,
-        u: &[f32],
-        raw_threshold: Option<f32>,
-    ) -> u64 {
-        let (denom, skipped) = simd::fused_chunk_lazy_with(
-            simd::backend(),
+        let mut skipped = [0u64];
+        Self::accumulate_chunk_batch(
+            std::slice::from_mut(self),
             in_flat,
             out_flat,
             n_rows,
             u,
-            raw_threshold,
-            &mut self.weighted_sum,
+            &[raw_threshold],
+            &[true],
+            true,
+            &mut skipped,
         );
-        self.denom += denom;
-        skipped
+        skipped[0]
     }
 
-    /// Test-only fault application (see [`crate::fault`]): corrupts or
-    /// delays this chunk according to the armed [`crate::fault::FaultKind`].
+    /// Batched fused chunk accumulate — one call of the tile kernel
+    /// ([`crate::simd::fused_chunk_lazy_batch_with`]) folds the chunk into
+    /// every live question's accumulator while its rows are
+    /// cache-resident.
+    ///
+    /// * `accs` — one accumulator per question (`accs[q]` for question `q`).
+    /// * `us_flat` — the `nq` question vectors concatenated (`nq × ed`).
+    /// * `raw_thresholds` — per-question zero-skip thresholds on `e^{x}`.
+    /// * `live` — questions whose accumulation is still wanted; dead
+    ///   questions (expired budgets) are passed over without touching their
+    ///   accumulator, while the rest of the batch proceeds.
+    /// * `fused` — `true` is the fused path (fast exp on AVX2, the
+    ///   fault-injection hook polled once per live question); `false`
+    ///   keeps the two-pass path's numerics (libm `exp` on every backend,
+    ///   no hook) on the same single traversal.
+    /// * `skipped` — per-question skipped-row counters, incremented.
+    ///
+    /// What `accs[q]` receives is bitwise what
+    /// [`LazyAccumulator::accumulate_chunk`] on it alone computes (and, with
+    /// `fused` off, what `gemv_chunk` + per-row
+    /// [`LazyAccumulator::add_weighted`] computes): the canonical order in
+    /// [`crate::simd`] makes batched == sequential a kernel property.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched lengths: `live`, `raw_thresholds` and `skipped`
+    /// at least `nq = accs.len()` long, `us_flat.len() == nq * ed`, both
+    /// chunks `n_rows * ed`, every live accumulator of dimension `ed`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn accumulate_chunk_batch(
+        accs: &mut [LazyAccumulator],
+        in_flat: &[f32],
+        out_flat: &[f32],
+        n_rows: usize,
+        us_flat: &[f32],
+        raw_thresholds: &[Option<f32>],
+        live: &[bool],
+        fused: bool,
+        skipped: &mut [u64],
+    ) {
+        // A question that draws a corrupting fault takes the poisoned path
+        // here and sits out the kernel call below.
+        #[cfg(feature = "fault-inject")]
+        let mut masked = Vec::new();
+        #[cfg(feature = "fault-inject")]
+        if fused {
+            let ed = us_flat.len() / accs.len().max(1);
+            for (q, acc) in accs.iter_mut().enumerate().filter(|(q, _)| live[*q]) {
+                if let Some(kind) = poll_chunk_fault() {
+                    let u = &us_flat[q * ed..(q + 1) * ed];
+                    skipped[q] += acc.accumulate_chunk_poisoned(
+                        in_flat,
+                        out_flat,
+                        n_rows,
+                        u,
+                        raw_thresholds[q],
+                        kind,
+                    );
+                    if masked.is_empty() {
+                        masked = live.to_vec();
+                    }
+                    masked[q] = false;
+                }
+            }
+        }
+        #[cfg(feature = "fault-inject")]
+        let live = if masked.is_empty() { live } else { &masked };
+        simd::fused_chunk_lazy_batch_with(
+            simd::backend(),
+            in_flat,
+            out_flat,
+            n_rows,
+            us_flat,
+            accs,
+            raw_thresholds,
+            live,
+            fused,
+            skipped,
+        );
+    }
+
+    /// Test-only (see [`crate::fault`]): this question's chunk with its
+    /// logits corrupted — a NaN first logit, or every logit far above
+    /// [`crate::simd::EXP_CLAMP`] — run through libm `exp` so the damage
+    /// propagates instead of being clamped by the fast exp.
     #[cfg(feature = "fault-inject")]
-    fn accumulate_chunk_faulted(
+    fn accumulate_chunk_poisoned(
         &mut self,
         in_flat: &[f32],
         out_flat: &[f32],
@@ -252,43 +318,22 @@ impl LazyAccumulator {
         raw_threshold: Option<f32>,
         kind: crate::fault::FaultKind,
     ) -> u64 {
-        use crate::fault::FaultKind;
-        match kind {
-            // Slow, not wrong: sleep, then run the chunk normally.
-            FaultKind::SlowChunk(d) => {
-                std::thread::sleep(d);
-                self.accumulate_chunk_fused(in_flat, out_flat, n_rows, u, raw_threshold)
-            }
-            FaultKind::PanicChunk => panic!("injected fault: chunk kernel panic"),
-            FaultKind::NanLogit | FaultKind::OversizedLogit => {
-                let ed = u.len();
-                let mut logits = vec![0.0f32; n_rows];
-                kernels::gemv_chunk(in_flat, n_rows, u, &mut logits);
-                match kind {
-                    FaultKind::NanLogit => {
-                        if let Some(first) = logits.first_mut() {
-                            *first = f32::NAN;
-                        }
-                    }
-                    _ => {
-                        // Far above EXP_CLAMP: every e^x overflows f32.
-                        logits.fill(1000.0);
-                    }
+        let ed = u.len();
+        let mut logits = vec![0.0f32; n_rows];
+        kernels::gemv_chunk(in_flat, n_rows, u, &mut logits);
+        poison_logits(&mut logits, kind);
+        let mut skipped = 0u64;
+        for (r, &x) in logits.iter().enumerate() {
+            let w = x.exp();
+            match raw_threshold {
+                Some(th) if w < th => {
+                    self.add_skipped(w);
+                    skipped += 1;
                 }
-                let mut skipped = 0u64;
-                for (r, &x) in logits.iter().enumerate() {
-                    let w = x.exp();
-                    match raw_threshold {
-                        Some(th) if w < th => {
-                            self.add_skipped(w);
-                            skipped += 1;
-                        }
-                        _ => self.add_weighted(w, &out_flat[r * ed..(r + 1) * ed]),
-                    }
-                }
-                skipped
+                _ => self.add_weighted(w, &out_flat[r * ed..(r + 1) * ed]),
             }
         }
+        skipped
     }
 
     /// Fused chunk accumulate over *quantized* memory — the int8
@@ -320,8 +365,8 @@ impl LazyAccumulator {
         raw_threshold: Option<f32>,
     ) -> u64 {
         #[cfg(feature = "fault-inject")]
-        if let Some(kind) = crate::fault::on_chunk() {
-            return self.accumulate_chunk_i8_faulted(
+        if let Some(kind) = poll_chunk_fault() {
+            return self.accumulate_chunk_i8_poisoned(
                 in_q,
                 in_scales,
                 out_q,
@@ -349,13 +394,13 @@ impl LazyAccumulator {
         skipped
     }
 
-    /// Test-only fault application for the int8 path — the quantized
-    /// mirror of [`LazyAccumulator::accumulate_chunk_faulted`]: corrupted
-    /// logits run through libm `exp` (so NaN/overflow propagate instead of
-    /// being clamped by the fast exp) and the dequantizing accumulate.
+    /// Test-only, the quantized mirror of
+    /// [`LazyAccumulator::accumulate_chunk_poisoned`]: corrupted logits run
+    /// through libm `exp` (so NaN/overflow propagate instead of being
+    /// clamped by the fast exp) and the dequantizing accumulate.
     #[cfg(feature = "fault-inject")]
     #[allow(clippy::too_many_arguments)]
-    fn accumulate_chunk_i8_faulted(
+    fn accumulate_chunk_i8_poisoned(
         &mut self,
         in_q: &[i8],
         in_scales: &[f32],
@@ -367,155 +412,30 @@ impl LazyAccumulator {
         raw_threshold: Option<f32>,
         kind: crate::fault::FaultKind,
     ) -> u64 {
-        use crate::fault::FaultKind;
-        match kind {
-            // Slow, not wrong: sleep, then run the chunk normally.
-            FaultKind::SlowChunk(d) => {
-                std::thread::sleep(d);
-                let (denom, skipped) = simd::fused_chunk_lazy_i8_with(
-                    simd::backend(),
-                    in_q,
-                    in_scales,
-                    out_q,
-                    out_scales,
-                    n_rows,
-                    uq,
-                    u_scale,
-                    raw_threshold,
-                    &mut self.weighted_sum,
-                );
-                self.denom += denom;
-                skipped
-            }
-            FaultKind::PanicChunk => panic!("injected fault: chunk kernel panic"),
-            FaultKind::NanLogit | FaultKind::OversizedLogit => {
-                let ed = uq.len();
-                let b = simd::backend();
-                let mut logits = vec![0.0f32; n_rows];
-                simd::gemv_chunk_i8_with(b, in_q, in_scales, n_rows, uq, u_scale, &mut logits);
-                match kind {
-                    FaultKind::NanLogit => {
-                        if let Some(first) = logits.first_mut() {
-                            *first = f32::NAN;
-                        }
-                    }
-                    _ => {
-                        // Far above EXP_CLAMP: every e^x overflows f32.
-                        logits.fill(1000.0);
-                    }
+        let ed = uq.len();
+        let mut logits = vec![0.0f32; n_rows];
+        simd::gemv_chunk_i8_with(
+            simd::backend(),
+            in_q,
+            in_scales,
+            n_rows,
+            uq,
+            u_scale,
+            &mut logits,
+        );
+        poison_logits(&mut logits, kind);
+        let mut skipped = 0u64;
+        for (r, &x) in logits.iter().enumerate() {
+            let w = x.exp();
+            match raw_threshold {
+                Some(th) if w < th => {
+                    self.add_skipped(w);
+                    skipped += 1;
                 }
-                let mut skipped = 0u64;
-                for (r, &x) in logits.iter().enumerate() {
-                    let w = x.exp();
-                    match raw_threshold {
-                        Some(th) if w < th => {
-                            self.add_skipped(w);
-                            skipped += 1;
-                        }
-                        _ => {
-                            simd::dequant_axpy_scalar(
-                                w * out_scales[r],
-                                &out_q[r * ed..(r + 1) * ed],
-                                &mut self.weighted_sum,
-                            );
-                            self.denom += w;
-                        }
-                    }
-                }
-                skipped
+                _ => self.add_weighted_i8(w, &out_q[r * ed..(r + 1) * ed], out_scales[r]),
             }
         }
-    }
-
-    /// Batched fused chunk accumulate: one [`crate::kernels::gemm_chunk`]
-    /// computes every question's logits for the chunk while it is
-    /// cache-resident, then each live question's weights are exponentiated,
-    /// zero-skip-tested and folded into its own accumulator — the batched
-    /// counterpart of [`LazyAccumulator::accumulate_chunk`].
-    ///
-    /// * `accs` — one accumulator per question (`accs[q]` for question `q`).
-    /// * `us_flat` — the `nq` question vectors concatenated (`nq × ed`).
-    /// * `raw_thresholds` — per-question zero-skip thresholds on `e^{x}`.
-    /// * `live` — questions whose accumulation is still wanted; dead
-    ///   questions (expired budgets) are passed over without touching their
-    ///   accumulator, while the rest of the batch proceeds.
-    /// * `fast_exp` — `true` uses the dispatched exp kernel
-    ///   ([`crate::simd::exp_slice_with`]: fast exp on AVX2, libm on
-    ///   scalar), matching the fused single-question path; `false` uses
-    ///   libm on every backend, matching the two-pass path.
-    /// * `logits` — caller-provided workspace of at least `nq × n_rows`
-    ///   (overwritten), so warm batched passes allocate nothing.
-    /// * `skipped` — per-question skipped-row counters, incremented.
-    ///
-    /// On the scalar backend the whole pass is bitwise identical to running
-    /// [`LazyAccumulator::accumulate_chunk`] per question (`fast_exp` or
-    /// not — scalar exp is libm either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics (via slice indexing) on mismatched lengths: `accs`, `live`,
-    /// `raw_thresholds` and `skipped` must all have length `nq`, with
-    /// `us_flat.len() == nq * ed` and `logits.len() >= nq * n_rows`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_chunk_batch(
-        accs: &mut [LazyAccumulator],
-        in_flat: &[f32],
-        out_flat: &[f32],
-        n_rows: usize,
-        us_flat: &[f32],
-        raw_thresholds: &[Option<f32>],
-        live: &[bool],
-        fast_exp: bool,
-        logits: &mut [f32],
-        skipped: &mut [u64],
-    ) {
-        let nq = accs.len();
-        if nq == 0 || n_rows == 0 {
-            return;
-        }
-        let ed = us_flat.len() / nq;
-        let poison = batch_fault_poison();
-        let b = simd::backend();
-        let logits = &mut logits[..nq * n_rows];
-        simd::gemm_chunk_with(b, in_flat, n_rows, us_flat, nq, logits);
-        if let Some(p) = poison {
-            logits[0] = p;
-        }
-        // A poisoned chunk falls back to libm exp so NaN/overflow propagate
-        // exactly as on the single-question faulted path (the fast exp
-        // clamps, which would mask an oversized logit).
-        let use_fast = fast_exp && poison.is_none();
-        for (q, acc) in accs.iter_mut().enumerate() {
-            if !live[q] {
-                continue;
-            }
-            let lq = &mut logits[q * n_rows..(q + 1) * n_rows];
-            if use_fast {
-                acc.denom += simd::exp_slice_with(b, lq);
-                for (r, &w) in lq.iter().enumerate() {
-                    match raw_thresholds[q] {
-                        Some(th) if w < th => skipped[q] += 1,
-                        _ => simd::axpy_with(
-                            b,
-                            w,
-                            &out_flat[r * ed..(r + 1) * ed],
-                            &mut acc.weighted_sum,
-                        ),
-                    }
-                }
-            } else {
-                for (r, &x) in lq.iter().enumerate() {
-                    let w = x.exp();
-                    match raw_thresholds[q] {
-                        Some(th) if w < th => {
-                            acc.add_skipped(w);
-                            skipped[q] += 1;
-                        }
-                        _ => acc.add_weighted(w, &out_flat[r * ed..(r + 1) * ed]),
-                    }
-                }
-            }
-        }
+        skipped
     }
 
     /// Merges another accumulator (the scale-out reduction).
@@ -657,21 +577,20 @@ impl OnlineSoftmax {
     }
 
     /// Fused single-pass chunk accumulate, the online counterpart of
-    /// [`LazyAccumulator::accumulate_chunk`]: computes each row's logit with
-    /// the dispatched dot kernel and feeds it straight into
-    /// [`OnlineSoftmax::add`] / [`OnlineSoftmax::add_skipped`], skipping the
-    /// weighted accumulate when [`OnlineSoftmax::relative_weight`] falls
-    /// below `prob_threshold`. Returns the number of skipped rows.
+    /// [`LazyAccumulator::accumulate_chunk`]: each row's logit (canonical
+    /// order, off the same register tiles) feeds [`OnlineSoftmax::add`] /
+    /// [`OnlineSoftmax::add_skipped`], skipping the weighted accumulate
+    /// when [`OnlineSoftmax::relative_weight`] falls below
+    /// `prob_threshold`. Returns the number of skipped rows.
     ///
+    /// This is [`OnlineSoftmax::accumulate_chunk_batch`] for one question.
     /// The rescaling chain stays on libm `exp` on every backend, so the
     /// fused and two-pass online formulations are bitwise identical; the
-    /// win here is the SIMD dot/axpy, not a fast exp.
+    /// win here is the SIMD inner products and axpy, not a fast exp.
     ///
     /// # Panics
     ///
-    /// Panics (via slice indexing) if `in_flat.len()`/`out_flat.len()`
-    /// differ from `n_rows * u.len()`, or if the accumulator dimension
-    /// differs from `u.len()`.
+    /// As [`OnlineSoftmax::accumulate_chunk_batch`].
     pub fn accumulate_chunk(
         &mut self,
         in_flat: &[f32],
@@ -680,75 +599,126 @@ impl OnlineSoftmax {
         u: &[f32],
         prob_threshold: Option<f32>,
     ) -> u64 {
-        #[cfg(feature = "fault-inject")]
-        if let Some(kind) = crate::fault::on_chunk() {
-            return self.accumulate_chunk_faulted(
-                in_flat,
-                out_flat,
-                n_rows,
-                u,
-                prob_threshold,
-                kind,
-            );
-        }
-        self.accumulate_chunk_rows(in_flat, out_flat, n_rows, u, prob_threshold, None)
+        let mut skipped = [0u64];
+        Self::accumulate_chunk_batch(
+            std::slice::from_mut(self),
+            in_flat,
+            out_flat,
+            n_rows,
+            u,
+            &[prob_threshold],
+            &[true],
+            true,
+            &mut [0.0; 64],
+            &mut skipped,
+        );
+        skipped[0]
     }
 
-    /// The per-row loop behind [`OnlineSoftmax::accumulate_chunk`], with an
-    /// optional additive logit corruption (fault injection only).
-    fn accumulate_chunk_rows(
+    /// Feeds one run of precomputed logits and their `M_OUT` rows through
+    /// the [`OnlineSoftmax::add`] / [`OnlineSoftmax::add_skipped`] chain;
+    /// returns the rows skipped.
+    fn fold_logits(
         &mut self,
-        in_flat: &[f32],
-        out_flat: &[f32],
-        n_rows: usize,
-        u: &[f32],
+        logits: &[f32],
+        out_rows: &[f32],
         prob_threshold: Option<f32>,
-        poison_first: Option<f32>,
     ) -> u64 {
-        let ed = u.len();
+        let ed = self.weighted_sum.len();
         let mut skipped = 0u64;
-        for r in 0..n_rows {
-            let mut logit = kernels::dot(&in_flat[r * ed..(r + 1) * ed], u);
-            if let Some(p) = poison_first.filter(|_| r == 0) {
-                logit = p;
-            }
+        for (r, &logit) in logits.iter().enumerate() {
             match prob_threshold {
                 Some(th) if self.relative_weight(logit) < th => {
                     self.add_skipped(logit);
                     skipped += 1;
                 }
-                _ => self.add(logit, &out_flat[r * ed..(r + 1) * ed]),
+                _ => self.add(logit, &out_rows[r * ed..(r + 1) * ed]),
             }
         }
         skipped
     }
 
-    /// Test-only fault application (see [`crate::fault`]). Note the online
-    /// formulation is robust to oversized logits by construction — the
-    /// running max absorbs them — so [`crate::fault::FaultKind::OversizedLogit`]
-    /// perturbs values but stays finite here; only NaN poisons the
-    /// accumulator.
-    #[cfg(feature = "fault-inject")]
-    fn accumulate_chunk_faulted(
-        &mut self,
+    /// Batched chunk accumulate, the online counterpart of
+    /// [`LazyAccumulator::accumulate_chunk_batch`]: the tile kernel
+    /// ([`crate::simd::gemm_chunk_with`]) computes every question's logits
+    /// for as many rows as fit the `logits` workspace, then each live
+    /// question's rows feed its own rescaling chain — bitwise what
+    /// [`OnlineSoftmax::accumulate_chunk`] computes for it alone.
+    ///
+    /// Arguments are as in [`LazyAccumulator::accumulate_chunk_batch`],
+    /// with `prob_thresholds` compared against
+    /// [`OnlineSoftmax::relative_weight`], `fused` only gating the
+    /// fault-injection hook (the online numerics are the same either way),
+    /// and `logits` any workspace of at least `nq` floats (overwritten;
+    /// `nq × n_rows` covers the chunk in one tile pass).
+    ///
+    /// Note the online formulation is robust to oversized logits by
+    /// construction — the running max absorbs them — so an injected
+    /// `FaultKind::OversizedLogit` (feature `fault-inject`) perturbs values but stays
+    /// finite here; only NaN poisons the accumulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched lengths — same contract as
+    /// [`LazyAccumulator::accumulate_chunk_batch`], plus
+    /// `logits.len() >= nq`.
+    #[allow(clippy::too_many_arguments)]
+    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
+    pub fn accumulate_chunk_batch(
+        accs: &mut [OnlineSoftmax],
         in_flat: &[f32],
         out_flat: &[f32],
         n_rows: usize,
-        u: &[f32],
-        prob_threshold: Option<f32>,
-        kind: crate::fault::FaultKind,
-    ) -> u64 {
-        use crate::fault::FaultKind;
-        let poison = match kind {
-            FaultKind::SlowChunk(d) => {
-                std::thread::sleep(d);
-                None
+        us_flat: &[f32],
+        prob_thresholds: &[Option<f32>],
+        live: &[bool],
+        fused: bool,
+        logits: &mut [f32],
+        skipped: &mut [u64],
+    ) {
+        let nq = accs.len();
+        if nq == 0 || n_rows == 0 {
+            return;
+        }
+        let ed = us_flat.len() / nq;
+        assert!(
+            logits.len() >= nq,
+            "online batch: logits workspace too small"
+        );
+        // Questions that drew a corrupting fault, and the value that
+        // replaces their first logit of the chunk.
+        #[cfg(not(feature = "fault-inject"))]
+        let poison: [(usize, f32); 0] = [];
+        #[cfg(feature = "fault-inject")]
+        let mut poison = Vec::new();
+        #[cfg(feature = "fault-inject")]
+        if fused {
+            for q in (0..nq).filter(|&q| live[q]) {
+                if let Some(kind) = poll_chunk_fault() {
+                    poison.push((q, first_logit_poison(kind)));
+                }
             }
-            FaultKind::PanicChunk => panic!("injected fault: chunk kernel panic"),
-            FaultKind::NanLogit => Some(f32::NAN),
-            FaultKind::OversizedLogit => Some(1000.0),
-        };
-        self.accumulate_chunk_rows(in_flat, out_flat, n_rows, u, prob_threshold, poison)
+        }
+        let b = simd::backend();
+        let step = (logits.len() / nq).min(n_rows);
+        let mut start = 0usize;
+        while start < n_rows {
+            let n = step.min(n_rows - start);
+            let tile = &mut logits[..nq * n];
+            let in_rows = &in_flat[start * ed..(start + n) * ed];
+            let out_rows = &out_flat[start * ed..(start + n) * ed];
+            simd::gemm_chunk_with(b, in_rows, n, us_flat, nq, tile);
+            if start == 0 {
+                for &(q, p) in &poison {
+                    tile[q * n] = p;
+                }
+            }
+            for (q, acc) in accs.iter_mut().enumerate().filter(|(q, _)| live[*q]) {
+                skipped[q] +=
+                    acc.fold_logits(&tile[q * n..(q + 1) * n], out_rows, prob_thresholds[q]);
+            }
+            start += n;
+        }
     }
 
     /// Fused single-pass chunk accumulate over *quantized* memory — the
@@ -778,29 +748,9 @@ impl OnlineSoftmax {
         prob_threshold: Option<f32>,
     ) -> u64 {
         #[cfg(feature = "fault-inject")]
-        if let Some(kind) = crate::fault::on_chunk() {
-            use crate::fault::FaultKind;
-            let poison = match kind {
-                FaultKind::SlowChunk(d) => {
-                    std::thread::sleep(d);
-                    None
-                }
-                FaultKind::PanicChunk => panic!("injected fault: chunk kernel panic"),
-                FaultKind::NanLogit => Some(f32::NAN),
-                FaultKind::OversizedLogit => Some(1000.0),
-            };
-            return self.accumulate_chunk_i8_rows(
-                in_q,
-                in_scales,
-                out_q,
-                out_scales,
-                n_rows,
-                uq,
-                u_scale,
-                prob_threshold,
-                poison,
-            );
-        }
+        let poison = poll_chunk_fault().map(first_logit_poison);
+        #[cfg(not(feature = "fault-inject"))]
+        let poison = None;
         self.accumulate_chunk_i8_rows(
             in_q,
             in_scales,
@@ -810,7 +760,7 @@ impl OnlineSoftmax {
             uq,
             u_scale,
             prob_threshold,
-            None,
+            poison,
         )
     }
 
@@ -847,63 +797,6 @@ impl OnlineSoftmax {
             }
         }
         skipped
-    }
-
-    /// Batched chunk accumulate, the online counterpart of
-    /// [`LazyAccumulator::accumulate_chunk_batch`]: one
-    /// [`crate::kernels::gemm_chunk`] computes every question's logits for
-    /// the cache-resident chunk, then each live question's rows feed its
-    /// own [`OnlineSoftmax::add`] / [`OnlineSoftmax::add_skipped`] chain.
-    /// The rescaling chain stays on libm `exp` on every backend, exactly as
-    /// in [`OnlineSoftmax::accumulate_chunk`].
-    ///
-    /// Arguments are as in [`LazyAccumulator::accumulate_chunk_batch`]
-    /// (minus `fast_exp`), with `prob_thresholds` compared against
-    /// [`OnlineSoftmax::relative_weight`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (via slice indexing) on mismatched lengths — same contract as
-    /// [`LazyAccumulator::accumulate_chunk_batch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_chunk_batch(
-        accs: &mut [OnlineSoftmax],
-        in_flat: &[f32],
-        out_flat: &[f32],
-        n_rows: usize,
-        us_flat: &[f32],
-        prob_thresholds: &[Option<f32>],
-        live: &[bool],
-        logits: &mut [f32],
-        skipped: &mut [u64],
-    ) {
-        let nq = accs.len();
-        if nq == 0 || n_rows == 0 {
-            return;
-        }
-        let ed = us_flat.len() / nq;
-        let poison = batch_fault_poison();
-        let b = simd::backend();
-        let logits = &mut logits[..nq * n_rows];
-        simd::gemm_chunk_with(b, in_flat, n_rows, us_flat, nq, logits);
-        if let Some(p) = poison {
-            logits[0] = p;
-        }
-        for (q, acc) in accs.iter_mut().enumerate() {
-            if !live[q] {
-                continue;
-            }
-            let lq = &logits[q * n_rows..(q + 1) * n_rows];
-            for (r, &x) in lq.iter().enumerate() {
-                match prob_thresholds[q] {
-                    Some(th) if acc.relative_weight(x) < th => {
-                        acc.add_skipped(x);
-                        skipped[q] += 1;
-                    }
-                    _ => acc.add(x, &out_flat[r * ed..(r + 1) * ed]),
-                }
-            }
-        }
     }
 
     /// Merges another accumulator, rescaling both to the larger maximum.
@@ -1009,30 +902,46 @@ impl OnlineSoftmax {
     }
 }
 
-/// Polls the fault-injection hook for a batched chunk (see [`crate::fault`]).
-///
-/// A slow fault sleeps here and returns `None` (slow, not wrong); a
-/// corruption fault returns the poison value the caller writes over the
-/// batch's first logit. Compiled to a constant `None` without the
-/// `fault-inject` feature.
-fn batch_fault_poison() -> Option<f32> {
-    #[cfg(feature = "fault-inject")]
-    {
-        use crate::fault::FaultKind;
-        match crate::fault::on_chunk() {
-            Some(FaultKind::SlowChunk(d)) => {
-                std::thread::sleep(d);
-                None
-            }
-            Some(FaultKind::PanicChunk) => panic!("injected fault: chunk kernel panic"),
-            Some(FaultKind::NanLogit) => Some(f32::NAN),
-            // Far above EXP_CLAMP: libm e^x overflows to inf.
-            Some(FaultKind::OversizedLogit) => Some(1000.0),
-            None => None,
+/// Polls the fault-injection hook for one question's chunk (see
+/// [`crate::fault`]): a slow fault sleeps here and returns `None` (slow,
+/// not wrong), a panic fault panics, a corrupting fault is handed back for
+/// the caller to apply.
+#[cfg(feature = "fault-inject")]
+fn poll_chunk_fault() -> Option<crate::fault::FaultKind> {
+    use crate::fault::FaultKind;
+    match crate::fault::on_chunk()? {
+        FaultKind::SlowChunk(d) => {
+            std::thread::sleep(d);
+            None
         }
+        FaultKind::PanicChunk => panic!("injected fault: chunk kernel panic"),
+        kind => Some(kind),
     }
-    #[cfg(not(feature = "fault-inject"))]
-    None
+}
+
+/// What a corrupting fault does to a lazy chunk's logits: a NaN first
+/// logit, or every logit far above [`simd::EXP_CLAMP`] (every `e^x`
+/// overflows f32).
+#[cfg(feature = "fault-inject")]
+fn poison_logits(logits: &mut [f32], kind: crate::fault::FaultKind) {
+    match kind {
+        crate::fault::FaultKind::NanLogit => {
+            if let Some(first) = logits.first_mut() {
+                *first = f32::NAN;
+            }
+        }
+        _ => logits.fill(1000.0),
+    }
+}
+
+/// What a corrupting fault writes over an online chunk's first logit (the
+/// running max absorbs an oversized one, so only NaN poisons).
+#[cfg(feature = "fault-inject")]
+fn first_logit_poison(kind: crate::fault::FaultKind) -> f32 {
+    match kind {
+        crate::fault::FaultKind::NanLogit => f32::NAN,
+        _ => 1000.0,
+    }
 }
 
 /// `e^x`, with `e^{-inf - -inf} = e^{NaN}` edge cases mapped to 0.
@@ -1309,73 +1218,45 @@ mod tests {
         (in_flat, out_flat, us_flat)
     }
 
+    // Batched == per-question, bit for bit and across tile shapes, is the
+    // subject of `tests/properties.rs`; here only what is particular to
+    // this layer.
+
     #[test]
-    fn lazy_batched_chunk_matches_per_question() {
+    fn unfused_batched_chunk_is_bitwise_the_two_pass_path() {
         let (n, ed, nq) = (11usize, 6usize, 3usize);
         let (in_flat, out_flat, us_flat) = batch_fixture(n, ed, nq);
         let thresholds = [None, Some(0.9f32), Some(0.5f32)];
-        for fast_exp in [false, true] {
-            let mut accs = vec![LazyAccumulator::new(ed); nq];
-            let mut logits = vec![0.0f32; nq * n];
-            let mut skipped = vec![0u64; nq];
-            LazyAccumulator::accumulate_chunk_batch(
-                &mut accs,
-                &in_flat,
-                &out_flat,
-                n,
-                &us_flat,
-                &thresholds,
-                &[true; 3],
-                fast_exp,
-                &mut logits,
-                &mut skipped,
-            );
-            for q in 0..nq {
-                let mut single = LazyAccumulator::new(ed);
-                let s = single.accumulate_chunk(
-                    &in_flat,
-                    &out_flat,
-                    n,
-                    &us_flat[q * ed..(q + 1) * ed],
-                    thresholds[q],
-                );
-                assert_eq!(skipped[q], s, "q{q} fast_exp={fast_exp}");
-                assert!((accs[q].denom() - single.denom()).abs() < 1e-4);
-                assert_slice_approx_eq(&accs[q].clone().finish(), &single.finish(), 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn online_batched_chunk_matches_per_question() {
-        let (n, ed, nq) = (9usize, 5usize, 4usize);
-        let (in_flat, out_flat, us_flat) = batch_fixture(n, ed, nq);
-        let thresholds = [None, Some(0.4f32), None, Some(0.2f32)];
-        let mut accs = vec![OnlineSoftmax::new(ed); nq];
-        let mut logits = vec![0.0f32; nq * n];
+        let mut accs = vec![LazyAccumulator::new(ed); nq];
         let mut skipped = vec![0u64; nq];
-        OnlineSoftmax::accumulate_chunk_batch(
+        LazyAccumulator::accumulate_chunk_batch(
             &mut accs,
             &in_flat,
             &out_flat,
             n,
             &us_flat,
             &thresholds,
-            &[true; 4],
-            &mut logits,
+            &[true; 3],
+            false,
             &mut skipped,
         );
         for q in 0..nq {
-            let mut single = OnlineSoftmax::new(ed);
-            let s = single.accumulate_chunk(
-                &in_flat,
-                &out_flat,
-                n,
-                &us_flat[q * ed..(q + 1) * ed],
-                thresholds[q],
-            );
-            assert_eq!(skipped[q], s, "q{q}");
-            assert_slice_approx_eq(&accs[q].clone().finish(), &single.finish(), 1e-5);
+            let mut logits = vec![0.0f32; n];
+            kernels::gemv_chunk(&in_flat, n, &us_flat[q * ed..(q + 1) * ed], &mut logits);
+            let mut two_pass = LazyAccumulator::new(ed);
+            let mut skipped_ref = 0u64;
+            for (r, &x) in logits.iter().enumerate() {
+                let w = x.exp();
+                match thresholds[q] {
+                    Some(th) if w < th => {
+                        two_pass.add_skipped(w);
+                        skipped_ref += 1;
+                    }
+                    _ => two_pass.add_weighted(w, &out_flat[r * ed..(r + 1) * ed]),
+                }
+            }
+            assert_eq!(skipped[q], skipped_ref, "q{q}");
+            assert_eq!(accs[q], two_pass, "q{q}");
         }
     }
 
@@ -1384,7 +1265,6 @@ mod tests {
         let (n, ed, nq) = (8usize, 4usize, 2usize);
         let (in_flat, out_flat, us_flat) = batch_fixture(n, ed, nq);
         let mut accs = vec![LazyAccumulator::new(ed); nq];
-        let mut logits = vec![0.0f32; nq * n];
         let mut skipped = vec![0u64; nq];
         LazyAccumulator::accumulate_chunk_batch(
             &mut accs,
@@ -1395,7 +1275,6 @@ mod tests {
             &[None, None],
             &[false, true],
             true,
-            &mut logits,
             &mut skipped,
         );
         // The dead question's accumulator is untouched; the live one is not.

@@ -452,3 +452,255 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Tile-shape parity: the canonical order makes every kernel of the f32
+// family return the same bits whatever tile computed them.
+// ---------------------------------------------------------------------------
+//
+// An exhaustive grid rather than random shapes: the shapes *are* the
+// property. `nq` covers a lone question, one pair, an odd trailing
+// question and many pairs; `n_rows` a partial block, exactly one block, a
+// block plus one row and many blocks with and without a remainder; `ed`
+// no full lane, exactly one, many, and many plus a scalar tail. Every
+// operand is offset by one float from its allocation, so nothing relies
+// on alignment.
+
+const TILE_NQ: [usize; 6] = [1, 2, 3, 7, 8, 32];
+const TILE_ROWS: [usize; 6] = [1, 5, 8, 9, 63, 64];
+const TILE_ED: [usize; 6] = [1, 3, 8, 63, 64, 65];
+
+/// `n + 1` deterministic values in `[-0.5, 0.5)`; callers use `[1..]`.
+fn misaligned(n: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..n + 1)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+        })
+        .collect()
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The detected backend and the scalar reference (once, if they coincide).
+fn both_backends() -> Vec<Backend> {
+    let mut bs = vec![Backend::detect(), Backend::Scalar];
+    bs.dedup();
+    bs
+}
+
+/// A bare lane for driving the simd-level batched kernel directly.
+#[derive(Clone)]
+struct Lane {
+    ws: Vec<f32>,
+    denom: f32,
+}
+
+impl simd::FusedLane for Lane {
+    fn parts(&mut self) -> (&mut [f32], &mut f32) {
+        (&mut self.ws[1..], &mut self.denom)
+    }
+}
+
+#[test]
+fn gemm_row_is_gemv_is_dot_bit_for_bit() {
+    for b in both_backends() {
+        for (nq, n_rows, ed) in tile_grid() {
+            let chunk = misaligned(n_rows * ed, 1);
+            let us = misaligned(nq * ed, 2);
+            let (chunk, us) = (&chunk[1..], &us[1..]);
+            let mut gemm = vec![0.0f32; nq * n_rows + 1];
+            simd::gemm_chunk_with(b, chunk, n_rows, us, nq, &mut gemm[1..]);
+            for q in 0..nq {
+                let u = &us[q * ed..(q + 1) * ed];
+                let mut gemv = vec![0.0f32; n_rows + 1];
+                simd::gemv_chunk_with(b, chunk, n_rows, u, &mut gemv[1..]);
+                let dots: Vec<f32> = (0..n_rows)
+                    .map(|r| simd::dot_with(b, &chunk[r * ed..(r + 1) * ed], u))
+                    .collect();
+                let row = &gemm[1 + q * n_rows..1 + (q + 1) * n_rows];
+                assert_eq!(
+                    bits(row),
+                    bits(&gemv[1..]),
+                    "{b:?} nq{nq} rows{n_rows} ed{ed} q{q}"
+                );
+                assert_eq!(
+                    bits(row),
+                    bits(&dots),
+                    "{b:?} nq{nq} rows{n_rows} ed{ed} q{q}"
+                );
+            }
+        }
+    }
+}
+
+fn tile_grid() -> impl Iterator<Item = (usize, usize, usize)> {
+    TILE_NQ.into_iter().flat_map(|nq| {
+        TILE_ROWS
+            .into_iter()
+            .flat_map(move |n_rows| TILE_ED.into_iter().map(move |ed| (nq, n_rows, ed)))
+    })
+}
+
+/// Thresholds: none, and one that skips roughly half the rows.
+fn thresholds_for(nq: usize, with_skip: bool) -> Vec<Option<f32>> {
+    (0..nq)
+        .map(|q| with_skip.then_some(0.9 + 0.02 * (q % 5) as f32))
+        .collect()
+}
+
+#[test]
+fn fused_lazy_batch_is_bitwise_nq_single_calls() {
+    // (rows skipped, rows kept) under a threshold, over the whole grid.
+    let mut seen = (0u64, 0u64);
+    for b in both_backends() {
+        for (nq, n_rows, ed) in tile_grid() {
+            let m_in = misaligned(n_rows * ed, 3);
+            let m_out = misaligned(n_rows * ed, 4);
+            let us = misaligned(nq * ed, 5);
+            let (m_in, m_out, us) = (&m_in[1..], &m_out[1..], &us[1..]);
+            // Lanes start from a used state: the kernel adds into them.
+            let fresh: Vec<Lane> = (0..nq)
+                .map(|q| Lane {
+                    ws: misaligned(ed, 6 + q as u64),
+                    denom: 0.25 * q as f32,
+                })
+                .collect();
+            // One dead question in the middle splits a pair.
+            let live: Vec<bool> = (0..nq).map(|q| nq < 3 || q != 1).collect();
+            for with_skip in [false, true] {
+                let ths = thresholds_for(nq, with_skip);
+                for fast_exp in [true, false] {
+                    let mut batch = fresh.clone();
+                    let mut skipped = vec![0u64; nq];
+                    simd::fused_chunk_lazy_batch_with(
+                        b,
+                        m_in,
+                        m_out,
+                        n_rows,
+                        us,
+                        &mut batch,
+                        &ths,
+                        &live,
+                        fast_exp,
+                        &mut skipped,
+                    );
+                    for q in 0..nq {
+                        let ctx = format!(
+                            "{b:?} nq{nq} rows{n_rows} ed{ed} q{q} skip={with_skip} fast={fast_exp}"
+                        );
+                        let mut alone = [fresh[q].clone()];
+                        let mut alone_skipped = [0u64];
+                        if live[q] {
+                            simd::fused_chunk_lazy_batch_with(
+                                b,
+                                m_in,
+                                m_out,
+                                n_rows,
+                                &us[q * ed..(q + 1) * ed],
+                                &mut alone,
+                                &ths[q..q + 1],
+                                &[true],
+                                fast_exp,
+                                &mut alone_skipped,
+                            );
+                        }
+                        assert_eq!(bits(&batch[q].ws), bits(&alone[0].ws), "{ctx}");
+                        assert_eq!(batch[q].denom.to_bits(), alone[0].denom.to_bits(), "{ctx}");
+                        assert_eq!(skipped[q], alone_skipped[0], "{ctx}");
+                        if with_skip && live[q] {
+                            seen.0 += skipped[q];
+                            seen.1 += n_rows as u64 - skipped[q];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        seen.0 > 1000 && seen.1 > 1000,
+        "the thresholds should split the rows: {seen:?}"
+    );
+}
+
+/// The accumulator-level entry points on the active backend (the forced
+/// scalar CI leg runs this file under `MNNFAST_SIMD=scalar`): a batch gives
+/// every question the accumulator state — compared through the wire
+/// encoding, i.e. bit for bit — and skip count its own `accumulate_chunk`
+/// gives it, lazy and online.
+#[test]
+fn accumulator_batches_are_bitwise_nq_single_calls() {
+    use mnn_tensor::partial::PartialState;
+    for (nq, n_rows, ed) in tile_grid() {
+        let m_in = misaligned(n_rows * ed, 7);
+        let m_out = misaligned(n_rows * ed, 8);
+        let us = misaligned(nq * ed, 9);
+        let (m_in, m_out, us) = (&m_in[1..], &m_out[1..], &us[1..]);
+        let live = vec![true; nq];
+        for with_skip in [false, true] {
+            let ctx = format!("nq{nq} rows{n_rows} ed{ed} skip={with_skip}");
+
+            let ths = thresholds_for(nq, with_skip);
+            let mut lazy = vec![LazyAccumulator::new(ed); nq];
+            let mut skipped = vec![0u64; nq];
+            LazyAccumulator::accumulate_chunk_batch(
+                &mut lazy,
+                m_in,
+                m_out,
+                n_rows,
+                us,
+                &ths,
+                &live,
+                true,
+                &mut skipped,
+            );
+            for q in 0..nq {
+                let mut alone = LazyAccumulator::new(ed);
+                let s =
+                    alone.accumulate_chunk(m_in, m_out, n_rows, &us[q * ed..(q + 1) * ed], ths[q]);
+                assert_eq!(skipped[q], s, "lazy {ctx} q{q}");
+                assert_eq!(
+                    PartialState::Lazy(lazy[q].clone()).to_bytes(),
+                    PartialState::Lazy(alone).to_bytes(),
+                    "lazy {ctx} q{q}"
+                );
+            }
+
+            // Online thresholds compare against e^{x - max} ∈ (0, 1].
+            let ths: Vec<Option<f32>> = ths.iter().map(|t| t.map(|t| t - 0.4)).collect();
+            let mut online = vec![OnlineSoftmax::new(ed); nq];
+            let mut skipped = vec![0u64; nq];
+            // A workspace smaller than the chunk makes the kernel take the
+            // chunk in several tile passes.
+            let mut logits = vec![0.0f32; nq * n_rows.min(24)];
+            OnlineSoftmax::accumulate_chunk_batch(
+                &mut online,
+                m_in,
+                m_out,
+                n_rows,
+                us,
+                &ths,
+                &live,
+                true,
+                &mut logits,
+                &mut skipped,
+            );
+            for q in 0..nq {
+                let mut alone = OnlineSoftmax::new(ed);
+                let s =
+                    alone.accumulate_chunk(m_in, m_out, n_rows, &us[q * ed..(q + 1) * ed], ths[q]);
+                assert_eq!(skipped[q], s, "online {ctx} q{q}");
+                assert_eq!(
+                    PartialState::Online(online[q].clone()).to_bytes(),
+                    PartialState::Online(alone).to_bytes(),
+                    "online {ctx} q{q}"
+                );
+            }
+        }
+    }
+}
