@@ -17,8 +17,8 @@
 //!   another thread to abandon an in-flight question.
 //!
 //! An exceeded deadline surfaces as
-//! [`EngineError::DeadlineExceeded`](crate::EngineError::DeadlineExceeded),
-//! a tripped token as [`EngineError::Cancelled`](crate::EngineError::Cancelled).
+//! [`EngineError::DeadlineExceeded`],
+//! a tripped token as [`EngineError::Cancelled`].
 //! Both are *clean* exits: no partial output escapes, scratch buffers are
 //! reset on the next pass, and the session's cumulative statistics are
 //! untouched.

@@ -83,5 +83,5 @@ pub use partials::{
 };
 pub use segment::{Segment, SegmentMap, SegmentPlan};
 pub use stats::InferenceStats;
-pub use store::{MemoryStore, SegmentedStore};
+pub use store::SegmentedStore;
 pub use streaming::StreamingEngine;

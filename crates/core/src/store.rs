@@ -9,6 +9,37 @@
 //! possible logit against any query) without rescanning the matrix. A
 //! monotone version counter lets sessions cache the map and rebuild it only
 //! when the store has actually changed.
+//!
+//! # Sliding window: O(ed) writes
+//!
+//! The paper's serving scenario keeps receiving sentences while questions
+//! are answered, so a write must not cost O(memory). The store is a
+//! *window over contiguous planes*: logical row `i` lives at physical row
+//! `head + i` of `M_IN`, `M_OUT` and the norm vector, and eviction only
+//! advances `head` ([`Matrix::drop_front_rows`]) — nothing moves. Because
+//! the live rows stay one flat slice starting at logical row 0, a logical
+//! chunk is still one `rows_slice` and the **chunk phase never moves**:
+//! every engine, segment map and index sees exactly the rows, ids and
+//! chunk boundaries a freshly built store holding the same rows would, so
+//! answers are bit for bit the same.
+//!
+//! The planes compact (one memmove of the live rows back to physical row
+//! 0, [`Matrix::reclaim_front`]) only in [`SegmentedStore::push`], when
+//! the tail reaches the allocation:
+//!
+//! * A **bounded** store allocates `max_rows + slack` rows with `slack =
+//!   max(max_rows / 32, 1)` — derived, not a setting. A full window
+//!   therefore compacts once per `slack + 1` pushes: `2 * ed * 4 * 32`
+//!   bytes of memmove per push amortised (~16 KiB at `ed = 64`) and none on
+//!   the median push. The price is the slack's resident memory, ~3 % of
+//!   the f32 planes.
+//! * An **unbounded** store evicted by hand compacts instead of growing
+//!   when the dead prefix is at least 1/16 of the allocation (amortised
+//!   O(16 · ed) per push), and otherwise doubles as before — which also
+//!   lands the live rows at physical row 0.
+//!
+//! The int8 mirror compacts itself on the same amortised terms (see
+//! [`QuantMatrix`]); the [`ClusterIndex`] was already O(1) per evicted row.
 
 use crate::index::ClusterIndex;
 use crate::segment::row_norm_upper;
@@ -30,18 +61,23 @@ struct QuantMirror {
 /// Capacity-doubled row store for `M_IN`/`M_OUT` with per-row zone-map
 /// norms.
 ///
-/// Rows append in O(ed) amortized; the engines attend over the populated
-/// prefix via `ColumnEngine::forward_prefix` (or a routed segment plan), so
-/// no per-question copy is ever made. A bounded store evicts its oldest
-/// rows (sliding-window memory) when full.
+/// Rows append *and evict* in O(ed) amortized (see the module docs for
+/// the window contract); the engines attend over the populated prefix via
+/// `ColumnEngine::forward_prefix` (or a routed segment plan), so no
+/// per-question copy is ever made. A bounded store evicts its oldest rows
+/// (sliding-window memory) when full.
 #[derive(Debug, Clone)]
 pub struct SegmentedStore {
+    /// Windows whose row 0 is the oldest live row; rows `len..` are
+    /// unwritten tail.
     m_in: Matrix,
     m_out: Matrix,
     len: usize,
     max_rows: Option<usize>,
-    /// Per-row upper bound on the `M_IN` row norm (parallel to rows
-    /// `0..len`), maintained on push/evict/clear.
+    /// Per-row upper bound on the `M_IN` row norm, maintained on
+    /// push/evict/clear, one entry per *physical* row up to the tail: the
+    /// last `len` entries are parallel to rows `0..len`, the ones before
+    /// them belong to the evicted prefix (see [`Self::head`]).
     norms: Vec<f32>,
     /// Bumped on every mutation; cached [`SegmentMap`]s key on it.
     version: u64,
@@ -57,10 +93,6 @@ pub struct SegmentedStore {
     index: Option<ClusterIndex>,
 }
 
-/// The pre-segmentation name of [`SegmentedStore`], kept as an alias so
-/// existing call sites and docs keep reading naturally.
-pub type MemoryStore = SegmentedStore;
-
 impl SegmentedStore {
     /// Creates an empty store for `ed`-dimensional rows. `max_rows` bounds
     /// the memory (oldest rows are evicted past the bound); `None` grows
@@ -72,7 +104,7 @@ impl SegmentedStore {
     pub fn new(ed: usize, max_rows: Option<usize>) -> Self {
         assert!(ed > 0, "embedding dimension must be positive");
         assert!(max_rows != Some(0), "max_rows must be positive");
-        let initial = 16usize.min(max_rows.unwrap_or(16));
+        let initial = grown_capacity(0, max_rows);
         Self {
             m_in: Matrix::zeros(initial, ed),
             m_out: Matrix::zeros(initial, ed),
@@ -100,9 +132,17 @@ impl SegmentedStore {
         self.m_in.cols()
     }
 
-    /// Current allocated capacity in rows.
+    /// Allocated rows, evicted-but-not-yet-compacted prefix and (for a
+    /// bounded store) slack included: at most `max_rows + max(max_rows /
+    /// 32, 1)`.
     pub fn capacity(&self) -> usize {
-        self.m_in.rows()
+        self.head() + self.m_in.rows()
+    }
+
+    /// Rows evicted since the planes last compacted: the physical row of
+    /// logical row 0, in the matrices' allocations and in `norms`.
+    fn head(&self) -> usize {
+        self.norms.len() - self.len
     }
 
     /// The input memory (attend over rows `0..len()` only).
@@ -117,7 +157,7 @@ impl SegmentedStore {
 
     /// Per-row `M_IN` norm upper bounds, parallel to rows `0..len()`.
     pub fn norms(&self) -> &[f32] {
-        &self.norms
+        &self.norms[self.head()..]
     }
 
     /// Monotone mutation counter: two equal versions guarantee the store
@@ -232,7 +272,7 @@ impl SegmentedStore {
     /// boundaries land on chunk boundaries and the sequential fold order —
     /// and therefore the bitwise answer — is preserved.
     pub fn segment_map(&self, n_segments: usize, chunk_size: usize) -> SegmentMap {
-        SegmentMap::from_norms(&self.norms, n_segments, chunk_size)
+        SegmentMap::from_norms(self.norms(), n_segments, chunk_size)
     }
 
     /// Appends one embedded sentence (its `A`-side and `C`-side vectors),
@@ -255,8 +295,8 @@ impl SegmentedStore {
                 evicted = 1;
             }
         }
-        if self.len == self.capacity() {
-            self.grow();
+        if self.len == self.m_in.rows() {
+            self.make_room();
         }
         self.m_in.row_mut(self.len).copy_from_slice(in_row);
         self.m_out.row_mut(self.len).copy_from_slice(out_row);
@@ -278,23 +318,19 @@ impl SegmentedStore {
         evicted
     }
 
-    /// Drops the `n` oldest rows (sliding-window forgetting), shifting the
-    /// remainder forward.
+    /// Drops the `n` oldest rows (sliding-window forgetting) by advancing
+    /// the window: O(1) on the f32 planes and norms, whatever the memory
+    /// size. Row `n` becomes row 0.
     pub fn evict_front(&mut self, n: usize) {
         let n = n.min(self.len);
         if n == 0 {
             return;
         }
-        let ed = self.embedding_dim();
-        let remaining = self.len - n;
         let synced = self.quant_is_synced();
         let index_synced = self.index_is_synced();
-        for matrix in [&mut self.m_in, &mut self.m_out] {
-            let flat = matrix.as_mut_slice();
-            flat.copy_within(n * ed..(n + remaining) * ed, 0);
-        }
-        self.norms.drain(..n);
-        self.len = remaining;
+        self.m_in.drop_front_rows(n);
+        self.m_out.drop_front_rows(n);
+        self.len -= n;
         self.version += 1;
         if synced {
             let q = self.quant.as_mut().expect("synced implies present");
@@ -308,13 +344,16 @@ impl SegmentedStore {
         }
     }
 
-    /// Removes all rows (capacity is kept). Drops the top-K candidate
+    /// Removes all rows (capacity is kept) and rewinds the window, so the
+    /// next pushes reuse the whole allocation. Drops the top-K candidate
     /// index: with nothing left to cluster, retraining on demand beats
     /// maintaining empty posting lists.
     pub fn clear(&mut self) {
         let synced = self.quant_is_synced();
-        self.len = 0;
+        self.m_in.reclaim_front(0);
+        self.m_out.reclaim_front(0);
         self.norms.clear();
+        self.len = 0;
         self.version += 1;
         if synced {
             let q = self.quant.as_mut().expect("synced implies present");
@@ -325,18 +364,40 @@ impl SegmentedStore {
         self.index = None;
     }
 
-    fn grow(&mut self) {
+    /// Makes room past a tail that has reached the allocation: compacts
+    /// (one memmove of the live rows back to physical row 0) when the
+    /// allocation is already a bounded store's ceiling or the dead prefix
+    /// is at least 1/16 of it, reallocates on the growth schedule
+    /// otherwise. Either way the window ends up rewound.
+    fn make_room(&mut self) {
         let ed = self.embedding_dim();
-        let mut new_cap = (self.capacity() * 2).max(16);
-        if let Some(max) = self.max_rows {
-            new_cap = new_cap.min(max);
-        }
+        let (head, capacity) = (self.head(), self.capacity());
+        let grown = grown_capacity(capacity, self.max_rows);
+        let compact = grown == capacity || head * 16 >= capacity;
         for matrix in [&mut self.m_in, &mut self.m_out] {
-            let mut bigger = Matrix::zeros(new_cap, ed);
-            bigger.as_mut_slice()[..self.len * ed]
-                .copy_from_slice(&matrix.as_slice()[..self.len * ed]);
-            *matrix = bigger;
+            if compact {
+                matrix.reclaim_front(self.len);
+            } else {
+                let mut bigger = Matrix::zeros(grown, ed);
+                bigger.as_mut_slice()[..self.len * ed]
+                    .copy_from_slice(matrix.rows_slice(0, self.len));
+                *matrix = bigger;
+            }
         }
+        self.norms.drain(..head);
+    }
+}
+
+/// The growth schedule: double (from at least 16 rows), except that a
+/// bounded store jumps straight to its ceiling `max_rows + slack`, `slack =
+/// max(max_rows / 32, 1)`, as soon as doubling would reach `max_rows` — one
+/// final reallocation, never a transient larger than the ceiling. Returns
+/// `capacity` itself at the ceiling.
+fn grown_capacity(capacity: usize, max_rows: Option<usize>) -> usize {
+    let doubled = (capacity * 2).max(16);
+    match max_rows {
+        Some(max) if doubled >= max => max + (max / 32).max(1),
+        _ => doubled,
     }
 }
 
@@ -350,7 +411,7 @@ mod tests {
 
     #[test]
     fn append_grows_capacity_geometrically() {
-        let mut store = MemoryStore::new(4, None);
+        let mut store = SegmentedStore::new(4, None);
         let c0 = store.capacity();
         for i in 0..100 {
             store.push(&row(4, i as f32), &row(4, -(i as f32)));
@@ -365,13 +426,13 @@ mod tests {
 
     #[test]
     fn bounded_store_evicts_oldest() {
-        let mut store = MemoryStore::new(2, Some(3));
+        let mut store = SegmentedStore::new(2, Some(3));
         for i in 0..5 {
             let evicted = store.push(&row(2, i as f32), &row(2, i as f32));
             assert_eq!(evicted, usize::from(i >= 3));
         }
         assert_eq!(store.len(), 3);
-        assert!(store.capacity() <= 3);
+        assert!(store.capacity() <= 3 + 1, "max_rows + slack");
         // Rows 2, 3, 4 survive in order.
         assert_eq!(store.m_in().row(0), &[2.0; 2]);
         assert_eq!(store.m_in().row(2), &[4.0; 2]);
@@ -379,7 +440,7 @@ mod tests {
 
     #[test]
     fn evict_front_shifts_rows() {
-        let mut store = MemoryStore::new(2, None);
+        let mut store = SegmentedStore::new(2, None);
         for i in 0..4 {
             store.push(&row(2, i as f32), &row(2, 10.0 + i as f32));
         }
@@ -394,7 +455,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity() {
-        let mut store = MemoryStore::new(2, None);
+        let mut store = SegmentedStore::new(2, None);
         for i in 0..20 {
             store.push(&row(2, i as f32), &row(2, 0.0));
         }
@@ -406,7 +467,7 @@ mod tests {
 
     #[test]
     fn evict_to_empty_then_reuse() {
-        let mut store = MemoryStore::new(3, None);
+        let mut store = SegmentedStore::new(3, None);
         for i in 0..5 {
             store.push(&row(3, i as f32), &row(3, -(i as f32)));
         }
@@ -424,7 +485,7 @@ mod tests {
 
     #[test]
     fn capacity_redoubles_after_eviction() {
-        let mut store = MemoryStore::new(2, None);
+        let mut store = SegmentedStore::new(2, None);
         for i in 0..40 {
             store.push(&row(2, i as f32), &row(2, i as f32));
         }
@@ -450,16 +511,125 @@ mod tests {
     fn bounded_store_interleaves_eviction_and_growth() {
         // Bound larger than the initial capacity: growth and eviction
         // interact (grow to the bound, then slide).
-        let mut store = MemoryStore::new(2, Some(20));
+        let mut store = SegmentedStore::new(2, Some(20));
         for i in 0..50 {
             store.push(&row(2, i as f32), &row(2, i as f32));
         }
         assert_eq!(store.len(), 20);
-        assert!(store.capacity() <= 20);
+        assert!(store.capacity() <= 20 + 1, "max_rows + slack");
         // The window holds exactly the last 20 rows, in order.
         for r in 0..20 {
             assert_eq!(store.m_in().row(r), &[(30 + r) as f32; 2]);
         }
+    }
+
+    /// A bounded store of `w` rows of width `ed`, slid `extra` rows past
+    /// full, with mirror and index on; row `i` ever pushed is `[i; ed]`.
+    fn slid_window(ed: usize, w: usize, extra: usize) -> SegmentedStore {
+        let mut store = SegmentedStore::new(ed, Some(w));
+        store.enable_quant();
+        for i in 0..w + extra {
+            store.push(&row(ed, i as f32), &row(ed, -(i as f32)));
+        }
+        store
+    }
+
+    #[test]
+    fn a_full_window_slides_by_pointer_and_compacts_once_per_slack() {
+        // No clock: a regression to per-push shifting pins row 0's address
+        // and fails here deterministically.
+        let (ed, w) = (3, 256);
+        let slack = w / 32;
+        let mut store = slid_window(ed, w, 0);
+        let capacity = store.capacity();
+        assert_eq!(capacity, w + slack);
+        let base = store.m_in().row(0).as_ptr();
+        let mut compactions = 0;
+        for i in 0..4 * slack + 3 {
+            let before = store.m_in().row(0).as_ptr();
+            store.push(&row(ed, (w + i) as f32), &row(ed, 0.0));
+            let after = store.m_in().row(0).as_ptr();
+            if after != before.wrapping_add(ed) {
+                assert_eq!(after, base, "anything but one row forward is a compaction");
+                compactions += 1;
+            }
+            assert_eq!(store.capacity(), capacity);
+            assert_eq!(store.len(), w);
+            assert_eq!(store.m_in().row(0), &[(i + 1) as f32; 3]);
+            assert_eq!(store.m_in().row(w - 1), &[(w + i) as f32; 3]);
+            assert_eq!(store.norms().len(), w);
+        }
+        assert!((1..=5).contains(&compactions), "{compactions} compactions");
+    }
+
+    #[test]
+    fn accounting_and_equality_see_live_rows_only() {
+        let (ed, w) = (8, 100);
+        let a = slid_window(ed, w, 1); // head 1
+        let mut b = slid_window(ed, w + 1, 0);
+        b.evict_front(1); // same rows, different allocation and head
+        for s in [&a, &b] {
+            assert_eq!(s.len(), w);
+            assert_eq!(s.quant_resident_bytes(), (2 * w * (ed + 4)) as u64);
+        }
+        assert_eq!(a.quant().unwrap(), b.quant().unwrap());
+        assert_eq!(a.m_in().rows_slice(0, w), b.m_in().rows_slice(0, w));
+        assert_eq!(a.m_out().rows_slice(0, w), b.m_out().rows_slice(0, w));
+        assert_eq!(a.norms(), b.norms());
+        assert_eq!(a.segment_map(3, 16), b.segment_map(3, 16));
+    }
+
+    #[test]
+    fn a_clone_taken_mid_window_continues_identically() {
+        let (ed, w) = (4, 64);
+        let mut store = slid_window(ed, w, 1);
+        store.enable_index();
+        let mut twin = store.clone();
+        for i in 0..3 * w {
+            for s in [&mut store, &mut twin] {
+                s.push(&row(ed, 1000.0 + i as f32), &row(ed, 0.5));
+            }
+            assert_eq!(store.m_in().rows_slice(0, w), twin.m_in().rows_slice(0, w));
+            assert_eq!(store.norms(), twin.norms());
+            assert_eq!(store.quant().unwrap(), twin.quant().unwrap());
+            twin.index().unwrap().check_coherence().unwrap();
+        }
+    }
+
+    #[test]
+    fn clear_rewinds_the_window_onto_the_whole_allocation() {
+        let (ed, w) = (2, 40);
+        let mut store = slid_window(ed, w, 0);
+        let base = store.m_in().row(0).as_ptr();
+        store.push(&row(ed, 1.0), &row(ed, 1.0));
+        assert_ne!(store.m_in().row(0).as_ptr(), base, "mid-window");
+        let capacity = store.capacity();
+        store.clear();
+        assert_eq!(store.capacity(), capacity);
+        // A window's worth of pushes fits without moving or reallocating.
+        for i in 0..w {
+            store.push(&row(ed, i as f32), &row(ed, 0.0));
+            assert_eq!(store.m_in().row(0).as_ptr(), base);
+        }
+        assert_eq!((store.len(), store.capacity()), (w, capacity));
+        assert_eq!(store.m_in().row(w - 1), &[(w - 1) as f32; 2]);
+    }
+
+    #[test]
+    fn hand_evicted_unbounded_store_compacts_rather_than_leaking() {
+        // One push, one evict, forever: the tail keeps reaching the
+        // allocation with a dead prefix far above 1/16 of it.
+        let mut store = SegmentedStore::new(2, None);
+        let capacity = store.capacity();
+        for i in 0..50 * capacity {
+            store.push(&row(2, i as f32), &row(2, 0.0));
+            if store.len() > 3 {
+                store.evict_front(1);
+            }
+        }
+        assert_eq!(store.capacity(), capacity);
+        assert_eq!(store.m_in().row(2), &[(50 * capacity - 1) as f32; 2]);
+        assert_eq!(store.norms().len(), 3);
     }
 
     #[test]
@@ -667,13 +837,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad in_row length")]
     fn wrong_row_length_panics() {
-        let mut store = MemoryStore::new(4, None);
+        let mut store = SegmentedStore::new(4, None);
         store.push(&[1.0, 2.0], &[0.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "max_rows must be positive")]
     fn zero_bound_panics() {
-        let _ = MemoryStore::new(4, Some(0));
+        let _ = SegmentedStore::new(4, Some(0));
     }
 }

@@ -143,14 +143,19 @@ proptest! {
     }
 }
 
-/// Coherence of the clustered top-K candidate index under arbitrary
-/// push/evict/clear interleavings: posting lists and assignments must stay
-/// mirror-exact (every live row in exactly the list its assignment names,
-/// ids ascending), the synced index must always match the store length,
-/// and probes must only ever name live rows inside covered chunk runs.
+/// The store against a `VecDeque` of rows, through arbitrary
+/// push/evict/clear/enable/clone interleavings long enough to cross many
+/// window compactions: after every op the f32 planes, norms, int8 mirror
+/// and segment map must be exactly what a fresh store holding the model's
+/// rows has, and the clustered top-K index must stay mirror-exact (every
+/// live row in exactly the list its assignment names, ids ascending) and
+/// as long as the store. Probes must only ever name live rows inside
+/// covered chunk runs.
 mod index_coherence {
     use super::*;
+    use mnn_tensor::QuantMatrix;
     use mnnfast::SegmentedStore;
+    use std::collections::VecDeque;
 
     fn lcg_row(state: &mut u64, ed: usize) -> Vec<f32> {
         (0..ed)
@@ -163,50 +168,160 @@ mod index_coherence {
             .collect()
     }
 
+    /// A store and the deque of `(in_row, out_row)` it must behave like.
+    struct Modelled {
+        store: SegmentedStore,
+        model: VecDeque<(Vec<f32>, Vec<f32>)>,
+        ed: usize,
+        bound: Option<usize>,
+        state: u64,
+    }
+
+    impl Modelled {
+        fn new(ed: usize, bound: Option<usize>, seed: u64) -> Self {
+            let mut store = SegmentedStore::new(ed, bound);
+            store.enable_index();
+            Modelled {
+                store,
+                model: VecDeque::new(),
+                ed,
+                bound,
+                state: seed | 1,
+            }
+        }
+
+        /// Applies the op `0..100` encodes to store and model, then checks.
+        fn step(&mut self, op: u8) {
+            match op {
+                // Mostly pushes: grow the memory, slide a bounded one.
+                0..=64 => {
+                    let r_in = lcg_row(&mut self.state, self.ed);
+                    let r_out = lcg_row(&mut self.state, self.ed);
+                    let evicted = self.store.push(&r_in, &r_out);
+                    let full = self.bound == Some(self.model.len());
+                    assert_eq!(evicted, usize::from(full));
+                    if full {
+                        self.model.pop_front();
+                    }
+                    self.model.push_back((r_in, r_out));
+                }
+                // Evictions, occasionally more rows than live.
+                65..=79 => {
+                    let n = if op == 79 {
+                        self.model.len() + 3
+                    } else {
+                        (op as usize - 64) % 7
+                    };
+                    self.store.evict_front(n);
+                    self.model.drain(..n.min(self.model.len()));
+                }
+                // Rebuild-on-demand (no-ops unless missing/stale/drifted).
+                80..=86 => self.store.enable_index(),
+                87..=90 => self.store.enable_quant(),
+                // Carry on from a clone taken wherever the window is.
+                91..=96 => self.store = self.store.clone(),
+                // Clears rewind the window and drop the index entirely.
+                _ => {
+                    self.store.clear();
+                    self.model.clear();
+                }
+            }
+            self.check();
+        }
+
+        fn check(&self) {
+            let (store, len, ed) = (&self.store, self.model.len(), self.ed);
+            assert_eq!(store.len(), len);
+            if let Some(max) = self.bound {
+                assert!(len <= max);
+                assert!(store.capacity() <= max + (max / 32).max(1));
+            }
+            let mut fresh = SegmentedStore::new(ed, None);
+            for (r, (r_in, r_out)) in self.model.iter().enumerate() {
+                assert_eq!(store.m_in().row(r), &r_in[..], "m_in row {r}");
+                assert_eq!(store.m_out().row(r), &r_out[..], "m_out row {r}");
+                fresh.push(r_in, r_out);
+            }
+            let chunk = 7;
+            for start in (0..len).step_by(chunk) {
+                let n = chunk.min(len - start);
+                assert_eq!(
+                    store.m_in().rows_slice(start, n),
+                    fresh.m_in().rows_slice(start, n)
+                );
+                assert_eq!(
+                    store.m_out().rows_slice(start, n),
+                    fresh.m_out().rows_slice(start, n)
+                );
+            }
+            assert_eq!(store.norms(), fresh.norms());
+            assert_eq!(store.segment_map(3, chunk), fresh.segment_map(3, chunk));
+            if let Some((q_in, q_out)) = store.quant() {
+                for (q, m) in [(q_in, fresh.m_in()), (q_out, fresh.m_out())] {
+                    let want = QuantMatrix::from_matrix_prefix(m, len);
+                    assert_eq!(q.rows(), len);
+                    assert_eq!(q.rows_slice(0, len), want.rows_slice(0, len));
+                    let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(q.scales()), bits(want.scales()));
+                    assert_eq!(q.resident_bytes(), want.resident_bytes());
+                }
+                assert_eq!(store.quant_resident_bytes(), (2 * len * (ed + 4)) as u64);
+            }
+            if let Some(ix) = store.index() {
+                assert_eq!(ix.len(), len, "index/store length");
+                assert!(
+                    ix.check_coherence().is_ok(),
+                    "coherence: {:?}",
+                    ix.check_coherence()
+                );
+            } else {
+                // The only way to lose the index: a clear dropped it
+                // (maintenance never desyncs it otherwise).
+                assert!(!store.index_is_synced());
+            }
+        }
+    }
+
+    /// A 257-row window (slack 8) slid through > 20 x slack pushes with
+    /// evictions, clones and rebuilds mixed in, at a width that puts the
+    /// window off the cache line.
+    #[test]
+    fn a_long_window_matches_the_model_across_many_compactions() {
+        let mut m = Modelled::new(3, Some(257), 0x5eed);
+        m.store.enable_quant();
+        for _ in 0..257 {
+            m.step(0);
+        }
+        let mut ops = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..400 {
+            ops = ops
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Everything but clears, which would only rewind the window.
+            m.step(((ops >> 33) % 97) as u8);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn index_mirrors_the_store_through_any_mutation_sequence(
-            ed in 1usize..12,
+            ed in prop_oneof![1usize..12, Just(63usize), Just(65usize)],
             bound_raw in 0usize..40,
-            ops in proptest::collection::vec(0u8..100, 1..60),
+            ops in proptest::collection::vec(0u8..100, 1..400),
             seed in any::<u64>(),
         ) {
             // 0 means unbounded; anything else is a sliding-window bound.
             let bound = (bound_raw > 0).then_some(bound_raw);
-            let mut state = seed | 1;
-            let mut store = SegmentedStore::new(ed, bound);
-            store.enable_index();
+            let mut m = Modelled::new(ed, bound, seed);
             for &op in &ops {
-                match op {
-                    // Mostly pushes: grow the memory.
-                    0..=69 => {
-                        let r_in = lcg_row(&mut state, ed);
-                        let r_out = lcg_row(&mut state, ed);
-                        store.push(&r_in, &r_out);
-                    }
-                    // Evictions, occasionally more rows than live.
-                    70..=84 => store.evict_front((op as usize - 69) % 7),
-                    // Rebuild-on-demand (no-op unless stale/drifted).
-                    85..=94 => store.enable_index(),
-                    // Clears drop the index entirely.
-                    _ => store.clear(),
-                }
-                if let Some(ix) = store.index() {
-                    prop_assert_eq!(ix.len(), store.len(), "index/store length");
-                    prop_assert!(ix.check_coherence().is_ok(),
-                        "coherence: {:?}", ix.check_coherence());
-                } else {
-                    // The only ways to lose the index: a clear dropped it
-                    // (maintenance never desyncs it otherwise).
-                    prop_assert!(!store.index_is_synced());
-                }
+                m.step(op);
             }
             // Whatever happened, one enable_index restores sparse serving.
-            store.enable_index();
-            prop_assert!(store.index_is_synced());
-            prop_assert_eq!(store.index().unwrap().len(), store.len());
+            m.store.enable_index();
+            prop_assert!(m.store.index_is_synced());
+            prop_assert_eq!(m.store.index().unwrap().len(), m.store.len());
         }
 
         #[test]

@@ -17,8 +17,8 @@
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
     multi_hop_topk_segmented_budgeted, Budget, ClusterIndex, ColumnEngine, EngineError, EngineKind,
-    ExecPlan, Executor, MnnFastConfig, ParallelEngine, Phase, Scratch, SegmentPlan, SkipPolicy,
-    SoftmaxMode, StreamingEngine, Trace,
+    ExecPlan, Executor, MnnFastConfig, ParallelEngine, Phase, Scratch, SegmentPlan, SegmentedStore,
+    SkipPolicy, SoftmaxMode, StreamingEngine, Trace,
 };
 
 const CHUNK: usize = 16;
@@ -179,6 +179,82 @@ fn sparse_quant_is_bitwise_exact_on_rescored_rows() {
             );
         }
     }
+}
+
+/// Evict-then-ask at the store level: after its window has slid and
+/// compacted, a store probes and answers top-K bit for bit like a fresh
+/// store holding the same rows. Both indexes are rebuilt first, so this
+/// pins the store (rows, ids, chunk phase), not centroid history.
+#[test]
+fn a_slid_window_probes_and_rescores_like_a_fresh_store() {
+    let (ed, w) = (8, 200); // slack 6; 200 is not a multiple of CHUNK
+    let rows: Vec<(Vec<f32>, Vec<f32>)> = (0..3 * w + 7)
+        .map(|i| {
+            let lobe = (i / 50 % 4) as f32;
+            let r_in = (0..ed).map(|c| lobe * 1.5 + ((i * 13 + c * 7) as f32 * 0.17).sin() * 0.2);
+            let r_out = (0..ed).map(|c| ((i + 2 * c) as f32 * 0.07).cos() * 0.5);
+            (r_in.collect(), r_out.collect())
+        })
+        .collect();
+    let mut slid = SegmentedStore::new(ed, Some(w));
+    let mut fresh = SegmentedStore::new(ed, None);
+    slid.enable_quant();
+    slid.enable_index();
+    for (r_in, r_out) in &rows {
+        slid.push(r_in, r_out);
+    }
+    for (r_in, r_out) in &rows[rows.len() - w..] {
+        fresh.push(r_in, r_out);
+    }
+    fresh.enable_quant();
+    for store in [&mut slid, &mut fresh] {
+        store.disable_index();
+        store.enable_index();
+    }
+    let (slid_ix, fresh_ix) = (slid.index().unwrap(), fresh.index().unwrap());
+    let (slid_q, fresh_q) = (slid.quant().unwrap(), fresh.quant().unwrap());
+
+    let mut answered = 0;
+    for seed in 0..6 {
+        let u = query(ed, seed);
+        let probe = slid_ix.probe(&u, 24, 2, CHUNK);
+        assert_eq!(probe, fresh_ix.probe(&u, 24, 2, CHUNK));
+        for exec in engines(MnnFastConfig::new(CHUNK)) {
+            let mut scratch = Scratch::new();
+            let mut trace = Trace::disabled();
+            let mut f32_pass = |s: &SegmentedStore, ix| {
+                exec.forward_topk_segmented_budgeted(
+                    s.m_in(),
+                    s.m_out(),
+                    ix,
+                    &u,
+                    24,
+                    2,
+                    &mut scratch,
+                    &mut trace,
+                    &Budget::unlimited(),
+                )
+            };
+            let out = f32_pass(&slid, slid_ix);
+            assert_eq!(out, f32_pass(&fresh, fresh_ix));
+            answered += usize::from(out.is_ok());
+            let mut int8_pass = |(q_in, q_out): (&QuantMatrix, &QuantMatrix), ix| {
+                exec.forward_quant_topk_segmented_budgeted(
+                    q_in,
+                    q_out,
+                    ix,
+                    &u,
+                    24,
+                    2,
+                    &mut scratch,
+                    &mut trace,
+                    &Budget::unlimited(),
+                )
+            };
+            assert_eq!(int8_pass(slid_q, slid_ix), int8_pass(fresh_q, fresh_ix));
+        }
+    }
+    assert!(answered > 0, "some probes must reach the rescoring pass");
 }
 
 #[test]

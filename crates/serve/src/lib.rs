@@ -7,9 +7,9 @@
 //! that layer:
 //!
 //! - [`SegmentedStore`] — capacity-doubled storage for the embedded
-//!   memories with append, sliding-window eviction, and incrementally
-//!   maintained zone-map norms from which routed segment maps are stamped
-//!   out ([`MemoryStore`] is its historical alias),
+//!   memories with O(ed) append *and* sliding-window eviction (a window
+//!   over contiguous planes), and incrementally maintained zone-map norms
+//!   from which routed segment maps are stamped out,
 //! - [`Session`] — a model + store + engine bundle: `observe()` new
 //!   sentences, `ask()` questions, collect cumulative statistics. With
 //!   [`SessionConfig::segments`] `> 1` questions route over the store's
@@ -44,7 +44,7 @@ mod session;
 
 pub use embed_cache::{EmbedCacheStats, SentenceCache};
 pub use mnn_dist::WorkerState;
-pub use mnnfast::store::{MemoryStore, SegmentedStore};
+pub use mnnfast::store::SegmentedStore;
 pub use pool::{
     occupancy_bucket, AdmissionConfig, BatchConfig, BatchedAnswer, PoolError, PoolStats,
     SessionPool, OCCUPANCY_BOUNDS, OCCUPANCY_BUCKETS,

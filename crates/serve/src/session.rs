@@ -9,7 +9,7 @@ use mnn_dist::{
 use mnn_memnn::{MemNet, ModelConfig, OutputStage};
 use mnn_tensor::EnvVarError;
 use mnnfast::engine::EngineError;
-use mnnfast::store::MemoryStore;
+use mnnfast::store::SegmentedStore;
 use mnnfast::{
     multi_hop_batch_segmented_budgeted, multi_hop_quant_batch_segmented_budgeted,
     multi_hop_quant_segmented_budgeted, multi_hop_quant_topk_segmented_budgeted,
@@ -278,7 +278,7 @@ pub struct Answer {
 
 /// A long-lived question-answering session.
 ///
-/// Holds a trained [`MemNet`], a growable [`MemoryStore`], and a
+/// Holds a trained [`MemNet`], a growable [`SegmentedStore`], and a
 /// [`PlanExecutor`]. Incoming story sentences are embedded immediately
 /// (`A` and `C` sides) and appended; questions are embedded through `B`
 /// and answered via the [`Executor`] seam over however many hops the model
@@ -290,7 +290,7 @@ pub struct Session {
     /// The trained weights, shared with every other session created from
     /// the same `Arc` (one copy per [`crate::SessionPool`]).
     model: Arc<MemNet>,
-    store: MemoryStore,
+    store: SegmentedStore,
     config: SessionConfig,
     executor: PlanExecutor,
     /// Safe-path executor: same engine kind, but the two-pass (non-fused)
@@ -433,7 +433,7 @@ impl Session {
             (Some(_), Some(known)) => known,
             (Some(_), None) => model.weights_fingerprint(),
         };
-        let mut store = MemoryStore::new(ed, config.max_sentences);
+        let mut store = SegmentedStore::new(ed, config.max_sentences);
         if config.precision == Precision::Int8 {
             // Enable the int8 mirror up front (the store is empty, so this
             // is free); every subsequent push re-quantizes incrementally.

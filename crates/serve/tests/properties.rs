@@ -2,7 +2,8 @@
 //! bounded deque of rows, its int8 mirror stays coherent under arbitrary
 //! mutation sequences, and quantized serving tracks f32 serving.
 
-use mnn_serve::MemoryStore;
+use mnn_serve::SegmentedStore;
+use mnn_tensor::QuantMatrix;
 use mnnfast::{
     Budget, ColumnEngine, Executor, MnnFastConfig, ParallelEngine, Scratch, SegmentPlan,
     SoftmaxMode, Trace,
@@ -31,11 +32,11 @@ proptest! {
 
     #[test]
     fn store_behaves_like_a_bounded_deque(
-        ops in vec(op_strategy(), 1..200),
-        bound in prop_oneof![Just(None), (1usize..20).prop_map(Some)],
+        ops in vec(op_strategy(), 1..400),
+        bound in prop_oneof![Just(None), (1usize..40).prop_map(Some)],
     ) {
         let ed = 3usize;
-        let mut store = MemoryStore::new(ed, bound);
+        let mut store = SegmentedStore::new(ed, bound);
         let mut model: Vec<f32> = Vec::new(); // first element of each row
 
         for op in &ops {
@@ -66,22 +67,26 @@ proptest! {
             prop_assert_eq!(store.len(), model.len());
             if let Some(max) = bound {
                 prop_assert!(store.len() <= max);
+                // The window's allocation never exceeds its ceiling.
+                prop_assert!(store.capacity() <= max + (max / 32).max(1));
             }
-            // Row contents track the model exactly, in order.
+            // Row contents track the model exactly, in order, wherever
+            // the window currently sits in its allocation.
             for (i, &v) in model.iter().enumerate() {
-                prop_assert_eq!(store.m_in().row(i)[0], v);
-                prop_assert_eq!(store.m_out().row(i)[2], v);
+                prop_assert_eq!(store.m_in().row(i), &[v; 3]);
+                prop_assert_eq!(store.m_out().row(i), &[v; 3]);
             }
+            prop_assert_eq!(store.norms().len(), model.len());
         }
     }
 
     #[test]
     fn quant_mirror_stays_coherent_under_arbitrary_mutations(
-        ops in vec(op_strategy(), 1..120),
-        bound in prop_oneof![Just(None), (1usize..16).prop_map(Some)],
+        ops in vec(op_strategy(), 1..400),
+        bound in prop_oneof![Just(None), (1usize..40).prop_map(Some)],
     ) {
         let ed = 3usize;
-        let mut store = MemoryStore::new(ed, bound);
+        let mut store = SegmentedStore::new(ed, bound);
         store.enable_quant();
         for op in &ops {
             match op {
@@ -94,6 +99,11 @@ proptest! {
             let (q_in, q_out) = store.quant().expect("synced mirror");
             prop_assert_eq!(q_in.rows(), store.len());
             prop_assert_eq!(q_out.rows(), store.len());
+            // ...is exactly the quantization of the live rows, whatever
+            // dead prefix either plane is carrying...
+            let fresh = QuantMatrix::from_matrix_prefix(store.m_in(), store.len());
+            prop_assert_eq!(q_in, &fresh);
+            prop_assert_eq!(store.quant_resident_bytes(), 2 * fresh.resident_bytes());
             // ...and each surviving row dequantizes back to within half a
             // quantization step of its f32 source.
             for r in 0..store.len() {
@@ -114,7 +124,7 @@ proptest! {
         n_segments in 1usize..6,
     ) {
         let ed = 6usize;
-        let mut store = MemoryStore::new(ed, None);
+        let mut store = SegmentedStore::new(ed, None);
         for row in seed_rows.chunks(ed) {
             // Reuse the row for both memories (shifted) to keep the
             // fixture small; the engines don't care.

@@ -7,16 +7,37 @@ use std::fmt;
 /// row of `M_IN` / `M_OUT`), so the chunking of the column-based algorithm is
 /// expressed as [`Matrix::chunk_rows`].
 ///
+/// # Window contract
+///
+/// A matrix is a *window* over its allocation: logical row `i` lives at
+/// physical row `head + i`, where `head` counts the rows
+/// [`drop_front_rows`](Matrix::drop_front_rows) has taken out of view since
+/// the last [`reclaim_front`](Matrix::reclaim_front). Dropping is O(1) — no
+/// element moves, `rows()` shrinks — and reclaiming is one memmove of the
+/// rows the caller still wants. Every accessor, `==` and `Debug` see the
+/// window only, never the dropped rows. The window stays one contiguous
+/// flat slice, so a chunk of logical rows is still a single `rows_slice`;
+/// it may start off a 64-byte boundary (whenever `cols * 4` is not a
+/// multiple of 64), which every kernel tolerates because they all use
+/// unaligned loads. A matrix that never drops rows has `head == 0` and
+/// behaves exactly as a plain dense matrix.
+///
 /// ```
 /// use mnn_tensor::Matrix;
 ///
-/// let m = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
+/// let mut m = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
 /// assert_eq!(m.row(1), &[2.0, 3.0]);
 /// assert_eq!(m.shape(), (3, 2));
+/// m.drop_front_rows(1);
+/// assert_eq!(m.row(0), &[2.0, 3.0]);
+/// assert_eq!(m.shape(), (2, 2));
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Matrix {
     data: AlignedBuf,
+    /// Element offset of the window's first row into `data` (a multiple
+    /// of `cols`).
+    start: usize,
     rows: usize,
     cols: usize,
 }
@@ -26,6 +47,7 @@ impl Matrix {
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             data: AlignedBuf::zeroed(rows * cols),
+            start: 0,
             rows,
             cols,
         }
@@ -57,6 +79,7 @@ impl Matrix {
         }
         Ok(Self {
             data: AlignedBuf::from_slice(data),
+            start: 0,
             rows,
             cols,
         })
@@ -116,10 +139,53 @@ impl Matrix {
         self.len() == 0
     }
 
-    /// Size of the backing storage in bytes — used by the memory-traffic
+    /// Size of the visible rows in bytes — used by the memory-traffic
     /// accounting in the simulators.
     pub fn size_bytes(&self) -> usize {
         self.len() * std::mem::size_of::<f32>()
+    }
+
+    /// The visible rows as one flat slice; every accessor indexes through
+    /// this (or [`Self::window_mut`]), so none can reach a dropped row.
+    fn window(&self) -> &[f32] {
+        &self.data[self.start..self.start + self.rows * self.cols]
+    }
+
+    fn window_mut(&mut self) -> &mut [f32] {
+        &mut self.data[self.start..self.start + self.rows * self.cols]
+    }
+
+    /// Takes the first `n` rows out of view in O(1): row `n` becomes row
+    /// 0, `rows()` shrinks by `n`, no element moves. The dropped rows keep
+    /// their place in the allocation until [`Self::reclaim_front`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > self.rows()`.
+    pub fn drop_front_rows(&mut self, n: usize) {
+        assert!(n <= self.rows, "drop {n} of {} rows", self.rows);
+        self.start += n * self.cols;
+        self.rows -= n;
+    }
+
+    /// Moves the first `live` visible rows back to the start of the
+    /// allocation (one memmove of `live` rows) and returns every dropped
+    /// row to the tail: `rows()` grows by the number of rows dropped since
+    /// the last reclaim. Rows at and after `live` hold unspecified values
+    /// afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live > self.rows()`.
+    pub fn reclaim_front(&mut self, live: usize) {
+        assert!(live <= self.rows, "keep {live} of {} rows", self.rows);
+        if self.start == 0 {
+            return;
+        }
+        self.data
+            .copy_within(self.start..self.start + live * self.cols, 0);
+        self.rows += self.start / self.cols;
+        self.start = 0;
     }
 
     /// Borrows row `r`.
@@ -133,7 +199,7 @@ impl Matrix {
             "row {r} out of bounds for {} rows",
             self.rows
         );
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.window()[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrows row `r`.
@@ -147,7 +213,8 @@ impl Matrix {
             "row {r} out of bounds for {} rows",
             self.rows
         );
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+        let cols = self.cols;
+        &mut self.window_mut()[r * cols..(r + 1) * cols]
     }
 
     /// Element accessor.
@@ -176,17 +243,17 @@ impl Matrix {
             self.cols
         );
         let cols = self.cols;
-        self.data[r * cols + c] = v;
+        self.window_mut()[r * cols + c] = v;
     }
 
     /// Flat row-major view of the whole matrix.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        self.window()
     }
 
     /// Mutable flat row-major view.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.window_mut()
     }
 
     /// Borrows rows `[start, start + len)` as a sub-matrix view (flat slice
@@ -202,7 +269,7 @@ impl Matrix {
             start + len,
             self.rows
         );
-        &self.data[start * self.cols..(start + len) * self.cols]
+        &self.window()[start * self.cols..(start + len) * self.cols]
     }
 
     /// Iterator over row-chunks of at most `chunk_rows` rows, in order.
@@ -230,7 +297,15 @@ impl Matrix {
     /// Frobenius norm (root of sum of squares), useful for training
     /// diagnostics and gradient-check tests.
     pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
+        self.window().iter().map(|&x| x * x).sum::<f32>().sqrt()
+    }
+}
+
+/// Two matrices are equal when their visible windows are: same shape, same
+/// elements, wherever each window sits in its allocation.
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && self.window() == other.window()
     }
 }
 
@@ -341,6 +416,77 @@ mod tests {
     fn frobenius_norm_matches_hand_value() {
         let m = Matrix::from_flat(1, 2, &[3.0, 4.0]).unwrap();
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn dropped_rows_leave_every_view_and_come_back_at_the_tail() {
+        let mut m = Matrix::from_fn(5, 3, |r, c| (10 * r + c) as f32);
+        m.drop_front_rows(2);
+        assert_eq!(m.shape(), (3, 3));
+        assert_eq!(m.row(0), &[20.0, 21.0, 22.0]);
+        assert_eq!(m.rows_slice(1, 2), &[30.0, 31.0, 32.0, 40.0, 41.0, 42.0]);
+        assert_eq!(m.as_slice().len(), 9);
+        assert_eq!(m.chunk_rows(2).map(|c| c.1).sum::<usize>(), 3);
+        m.set(0, 1, -1.0);
+        m.row_mut(2)[0] = -2.0;
+        assert_eq!(m.as_mut_slice()[1], -1.0);
+        assert_eq!(m.get(2, 0), -2.0);
+
+        // Equality and Debug see the window, wherever it sits.
+        let fresh = Matrix::from_flat(3, 3, m.as_slice()).unwrap();
+        assert_eq!(m, fresh);
+        assert_eq!(format!("{m:?}"), format!("{fresh:?}"));
+        assert_eq!(m.frobenius_norm(), fresh.frobenius_norm());
+        assert_eq!(m.clone(), fresh);
+
+        // Reclaiming keeps the live rows and regains the dropped ones.
+        m.reclaim_front(3);
+        assert_eq!(m.shape(), (5, 3));
+        assert_eq!(m.rows_slice(0, 3), fresh.as_slice());
+        m.drop_front_rows(5);
+        assert!(m.is_empty());
+        m.reclaim_front(0);
+        assert_eq!(m.rows(), 5);
+    }
+
+    #[test]
+    fn kernels_accept_a_window_off_the_cache_line() {
+        // cols * 4 = 12 bytes, so after one dropped row the window starts
+        // 12 bytes into a 64-byte-aligned allocation.
+        let rows = 37;
+        let mut m = Matrix::from_fn(rows + 1, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
+        m.drop_front_rows(1);
+        assert_ne!(m.as_slice().as_ptr() as usize % 64, 0);
+        let fresh = Matrix::from_flat(rows, 3, m.as_slice()).unwrap();
+        assert_eq!(fresh.as_slice().as_ptr() as usize % 64, 0);
+
+        let u = [0.3f32, -0.7, 0.2];
+        for b in [crate::simd::Backend::Scalar, crate::simd::backend()] {
+            let (mut got, mut want) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+            crate::simd::gemv_chunk_with(b, m.as_slice(), rows, &u, &mut got);
+            crate::simd::gemv_chunk_with(b, fresh.as_slice(), rows, &u, &mut want);
+            assert_eq!(got, want);
+            let (mut ws_got, mut ws_want) = ([0.0f32; 3], [0.0f32; 3]);
+            let got = crate::simd::fused_chunk_lazy_with(
+                b,
+                m.as_slice(),
+                m.as_slice(),
+                rows,
+                &u,
+                None,
+                &mut ws_got,
+            );
+            let want = crate::simd::fused_chunk_lazy_with(
+                b,
+                fresh.as_slice(),
+                fresh.as_slice(),
+                rows,
+                &u,
+                None,
+                &mut ws_want,
+            );
+            assert_eq!((got.0.to_bits(), ws_got), (want.0.to_bits(), ws_want));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The inference phase of a memory network is bandwidth-bound: every hop
 //! streams the whole story memory (`M_IN` and `M_OUT`) past the ALUs once.
-//! [`QuantMatrix`] mirrors a row-major f32 [`Matrix`](crate::Matrix) with
+//! [`QuantMatrix`] mirrors a row-major f32 [`Matrix`] with
 //! one signed 8-bit code per element plus one symmetric *per-row* f32
 //! scale, shrinking the bytes moved per query by ~4x.
 //!
@@ -14,9 +14,10 @@
 //! scale is *per row* rather than per chunk for two reasons:
 //!
 //! * **Eviction coherence.** The serving store evicts whole rows from the
-//!   front; per-row scales shift in lockstep with their rows, so an evict
-//!   is a plain `copy_within` on both planes. A per-chunk scale would have
-//!   to re-quantize every chunk the eviction re-aligns.
+//!   front; per-row scales leave in lockstep with their rows, so an evict
+//!   only advances a head over both planes (see [`QuantMatrix`]). A
+//!   per-chunk scale would have to re-quantize every chunk the eviction
+//!   re-aligns.
 //! * **Tighter error.** The quantization step is `s/2 = max|x| / 254` *of
 //!   that row*; a chunk-wide scale inflates the step of every row by the
 //!   chunk's loudest row.
@@ -96,10 +97,24 @@ pub fn dequantize_row(q: &[i8], scale: f32, dst: &mut [f32]) {
 /// mirror of a story-memory [`Matrix`].
 ///
 /// Supports the same front-eviction discipline as the serving store: rows
-/// are pushed at the back and evicted from the front, and the scale plane
-/// shifts in lockstep with the code plane.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// are pushed at the back and evicted from the front, codes and scales in
+/// lockstep.
+///
+/// # Window contract
+///
+/// Logical row `i` lives at physical row `head + i` of the code and scale
+/// vectors. [`evict_front`](QuantMatrix::evict_front) advances `head` and
+/// moves nothing; once the dead prefix reaches `max(live / 32, 64)` rows
+/// the matrix compacts itself (one `copy_within` + `truncate` per plane),
+/// so an evicted row costs amortised O(`cols`) whoever the caller is and
+/// the dead prefix never exceeds ~3 % of the live rows. The live rows stay
+/// one contiguous slice, so a chunk is still a single
+/// [`rows_slice`](QuantMatrix::rows_slice). Accessors, `==`, `Debug` and
+/// [`resident_bytes`](QuantMatrix::resident_bytes) see live rows only.
+#[derive(Clone, Default)]
 pub struct QuantMatrix {
+    /// Codes and scales of every physical row: an evicted prefix (see
+    /// [`Self::head`]) followed by the `rows` live rows.
     data: Vec<i8>,
     scales: Vec<f32>,
     rows: usize,
@@ -197,22 +212,23 @@ impl QuantMatrix {
         self.rows += 1;
     }
 
-    /// Evicts the first `n` rows, shifting codes and scales in lockstep.
+    /// Evicts the first `n` rows by advancing the head over codes and
+    /// scales in lockstep; compacts when the dead prefix has grown to
+    /// `max(live / 32, 64)` rows (see the type docs).
     ///
     /// # Panics
     ///
     /// Panics if `n > self.rows()`.
     pub fn evict_front(&mut self, n: usize) {
         assert!(n <= self.rows, "evict {} of {} rows", n, self.rows);
-        if n == 0 {
-            return;
+        self.rows -= n;
+        let head = self.head();
+        if head >= (self.rows / 32).max(64) {
+            self.data.copy_within(head * self.cols.., 0);
+            self.data.truncate(self.rows * self.cols);
+            self.scales.copy_within(head.., 0);
+            self.scales.truncate(self.rows);
         }
-        let keep = self.rows - n;
-        self.data.copy_within(n * self.cols.., 0);
-        self.data.truncate(keep * self.cols);
-        self.scales.copy_within(n.., 0);
-        self.scales.truncate(keep);
-        self.rows = keep;
     }
 
     /// Removes all rows (capacity is retained).
@@ -222,30 +238,40 @@ impl QuantMatrix {
         self.rows = 0;
     }
 
+    /// Evicted rows still at the front of `data`/`scales`.
+    fn head(&self) -> usize {
+        self.scales.len() - self.rows
+    }
+
+    /// The codes of the live rows, flat.
+    fn live_codes(&self) -> &[i8] {
+        &self.data[self.head() * self.cols..]
+    }
+
     /// The codes of row `r`.
     pub fn row(&self, r: usize) -> &[i8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        self.rows_slice(r, 1)
     }
 
     /// A flat view of `n` consecutive rows starting at `start` — the chunk
     /// layout the i8 kernels consume.
     pub fn rows_slice(&self, start: usize, n: usize) -> &[i8] {
-        &self.data[start * self.cols..(start + n) * self.cols]
+        &self.live_codes()[start * self.cols..(start + n) * self.cols]
     }
 
     /// All per-row scales, in row order.
     pub fn scales(&self) -> &[f32] {
-        &self.scales
+        &self.scales[self.head()..]
     }
 
     /// The scales of `n` consecutive rows starting at `start`.
     pub fn scales_slice(&self, start: usize, n: usize) -> &[f32] {
-        &self.scales[start..start + n]
+        &self.scales()[start..start + n]
     }
 
     /// The scale of row `r`.
     pub fn scale(&self, r: usize) -> f32 {
-        self.scales[r]
+        self.scales()[r]
     }
 
     /// The *exact* Euclidean norm of the dequantized row `r`, in f64:
@@ -258,12 +284,34 @@ impl QuantMatrix {
             .iter()
             .map(|&q| (q as i32 * q as i32) as f64)
             .sum();
-        self.scales[r] as f64 * sumsq.sqrt()
+        self.scale(r) as f64 * sumsq.sqrt()
     }
 
-    /// Bytes resident in the quantized plane (codes + scales).
+    /// Bytes the live rows occupy in the quantized plane (codes + scales);
+    /// an evicted prefix awaiting compaction is not counted.
     pub fn resident_bytes(&self) -> u64 {
-        (self.data.len() + self.scales.len() * 4) as u64
+        (self.rows * (self.cols + 4)) as u64
+    }
+}
+
+/// Two quantized matrices are equal when their live rows are: same codes,
+/// same scales, whatever dead prefix either still carries.
+impl PartialEq for QuantMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols == other.cols
+            && self.live_codes() == other.live_codes()
+            && self.scales() == other.scales()
+    }
+}
+
+impl std::fmt::Debug for QuantMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QuantMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.live_codes())
+            .field("scales", &self.scales())
+            .finish()
     }
 }
 
@@ -364,6 +412,49 @@ mod tests {
         assert!(qm.is_empty());
         qm.push_row(&[1.0, 1.0, 1.0]);
         assert_eq!(qm.rows(), 1);
+    }
+
+    #[test]
+    fn eviction_is_a_head_advance_that_no_view_can_see() {
+        let cols = 5;
+        let m = Matrix::from_fn(400, cols, |r, c| ((r * cols + c) as f32 * 0.13).sin() * 2.0);
+        let mut qm = QuantMatrix::new(cols);
+        let mut first = 0; // logical row 0 is row `first` of `m`
+        for r in 0..m.rows() {
+            qm.push_row(m.row(r));
+            // A sliding window of 100 rows, plus a bulk eviction midway.
+            let n = if r == 250 {
+                37
+            } else {
+                usize::from(qm.rows() > 100)
+            };
+            let row0 = qm.row(0).as_ptr();
+            qm.evict_front(n);
+            first += n;
+            // The dead prefix is bounded, and short of the bound no byte
+            // moved: the view slid forward over the same allocation.
+            assert!(qm.head() < (qm.rows() / 32).max(64));
+            assert_eq!(qm.data.len(), (qm.head() + qm.rows()) * cols);
+            assert!(qm.head() == 0 || qm.row(0).as_ptr() == row0.wrapping_add(n * cols));
+
+            let fresh = QuantMatrix::from_matrix(
+                &Matrix::from_flat(qm.rows(), cols, m.rows_slice(first, qm.rows())).unwrap(),
+            );
+            assert_eq!(qm, fresh, "equal at any head");
+            assert_eq!(format!("{qm:?}"), format!("{fresh:?}"));
+            assert_eq!(qm.resident_bytes(), fresh.resident_bytes());
+            assert_eq!(qm.resident_bytes(), (qm.rows() * (cols + 4)) as u64);
+            assert_eq!(qm.scales(), fresh.scales());
+            let last = qm.rows() - 1;
+            assert_eq!(qm.row(last), fresh.row(last));
+            assert_eq!(qm.rows_slice(0, qm.rows()), fresh.rows_slice(0, qm.rows()));
+            assert_eq!(qm.scales_slice(last, 1), &[fresh.scale(last)]);
+            assert_eq!(qm.row_norm(0), fresh.row_norm(0));
+        }
+        assert!(first > 250, "the window slid and compacted several times");
+        assert_eq!(qm.clone(), qm);
+        qm.clear();
+        assert_eq!((qm.rows(), qm.head(), qm.resident_bytes()), (0, 0, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use mnn_dataset::text;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{eval, MemNet, ModelConfig};
 use mnn_serve::{Session, SessionConfig};
-use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, SkipPolicy};
+use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, Precision, SkipPolicy};
 
 #[test]
 fn train_save_load_serve_round_trip() {
@@ -56,6 +56,51 @@ fn train_save_load_serve_round_trip() {
         (online - offline).abs() < 1e-6,
         "online {online} vs offline {offline}"
     );
+}
+
+#[test]
+fn a_slid_window_serves_like_a_fresh_session() {
+    // Eviction advances a window over the store's planes and compacts
+    // them now and then; neither may show. After 3W + 7 observes a
+    // W-sentence session answers bit for bit like one that saw only the
+    // last W, on the f32 plane and through the int8 mirror.
+    const W: usize = 70; // not a multiple of the chunk size; slack 2
+    let mut generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 77);
+    let config = ModelConfig {
+        temporal: false,
+        ..ModelConfig::for_generator(&generator, 24, 8)
+    }
+    .with_position_encoding(true);
+    let model = MemNet::new(config, 5);
+    let story = generator.story(3 * W + 7, 6);
+    let questions: Vec<_> = story.questions.iter().map(|q| q.tokens.clone()).collect();
+
+    for precision in [Precision::F32, Precision::Int8] {
+        let session_config = SessionConfig {
+            plan: ExecPlan::new(MnnFastConfig::new(4)),
+            max_sentences: Some(W),
+            precision,
+            ..SessionConfig::default()
+        };
+        let serve = |sentences: &[Vec<u32>]| {
+            let mut session = Session::new(model.clone(), session_config).expect("serving model");
+            for sentence in sentences {
+                session.observe(sentence).expect("known words");
+            }
+            let alone = questions.iter().map(|q| session.ask(q).expect("answer"));
+            let mut answers: Vec<_> = alone.collect();
+            let batch = session.ask_many(&questions).expect("batch");
+            answers.extend(batch.into_iter().map(|a| a.expect("answer")));
+            assert_eq!(session.memory_len(), W);
+            answers
+                .iter()
+                .map(|a| (a.word, a.probability.to_bits(), a.stats))
+                .collect::<Vec<_>>()
+        };
+        let slid = serve(&story.sentences);
+        let fresh = serve(&story.sentences[story.sentences.len() - W..]);
+        assert_eq!(slid, fresh, "{precision:?}");
+    }
 }
 
 #[test]
