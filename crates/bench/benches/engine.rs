@@ -6,7 +6,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mnn_tensor::softmax::softmax_in_place;
 use mnn_tensor::{kernels, Matrix};
 use mnnfast::streaming::StreamingEngine;
-use mnnfast::{ColumnEngine, Executor, MnnFastConfig, Scratch, SkipPolicy, SoftmaxMode, Trace};
+use mnnfast::{
+    Budget, ColumnEngine, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
+    SkipPolicy, SoftmaxMode, Trace,
+};
 use std::hint::black_box;
 
 const NS: usize = 50_000;
@@ -89,7 +92,9 @@ fn bench_variants(c: &mut Criterion) {
 /// two bars is the observability overhead.
 fn bench_trace_overhead(c: &mut Criterion) {
     let (m_in, m_out, u) = memories();
-    let engine = ColumnEngine::new(MnnFastConfig::new(1000));
+    let engine: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(1000));
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(NS);
     let mut g = c.benchmark_group("trace_overhead");
     g.throughput(Throughput::Elements((NS * ED) as u64));
 
@@ -98,13 +103,13 @@ fn bench_trace_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut trace = Trace::disabled();
             let out = engine
-                .forward_prefix(
-                    black_box(&m_in),
-                    black_box(&m_out),
-                    NS,
+                .forward(
+                    black_box(view),
+                    Route::Plan(&whole),
                     &u,
                     &mut scratch,
                     &mut trace,
+                    &Budget::unlimited(),
                 )
                 .unwrap();
             scratch.recycle(black_box(out).o);
@@ -114,13 +119,13 @@ fn bench_trace_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut trace = Trace::enabled();
             let out = engine
-                .forward_prefix(
-                    black_box(&m_in),
-                    black_box(&m_out),
-                    NS,
+                .forward(
+                    black_box(view),
+                    Route::Plan(&whole),
                     &u,
                     &mut scratch,
                     &mut trace,
+                    &Budget::unlimited(),
                 )
                 .unwrap();
             scratch.recycle(black_box(out).o);

@@ -16,7 +16,10 @@
 use crate::table::{f, ExperimentTable};
 use crate::Scale;
 use mnn_tensor::Matrix;
-use mnnfast::{Budget, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, Trace};
+use mnnfast::{
+    Budget, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
+    Trace,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -76,6 +79,8 @@ pub fn run(scale: Scale) -> BatchReport {
 
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.001).sin() * 0.3);
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 13 + c * 5) as f32 * 0.002).cos() * 0.3);
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(ns);
 
     let exec = ExecPlan::new(MnnFastConfig::new(chunk))
         .with_kind(EngineKind::Column)
@@ -98,10 +103,9 @@ pub fn run(scale: Scale) -> BatchReport {
             let t0 = Instant::now();
             for u in &questions {
                 let out = exec
-                    .forward_prefix_budgeted(
-                        &m_in,
-                        &m_out,
-                        ns,
+                    .forward(
+                        view,
+                        Route::Plan(&whole),
                         black_box(u),
                         scratch,
                         trace,
@@ -115,10 +119,9 @@ pub fn run(scale: Scale) -> BatchReport {
         let batched_pass = |scratch: &mut Scratch, trace: &mut Trace| {
             let t0 = Instant::now();
             let results = exec
-                .forward_batch_budgeted(
-                    &m_in,
-                    &m_out,
-                    ns,
+                .forward_batch(
+                    view,
+                    &whole,
                     black_box(&questions),
                     scratch,
                     trace,

@@ -21,7 +21,9 @@ use mnn_dist::{
     Coordinator, DistConfig, ForwardOpts, RpcFaultKind, RpcFaultPlan, WorkerConfig, WorkerServer,
 };
 use mnn_tensor::Matrix;
-use mnnfast::{Budget, ColumnEngine, Executor, MnnFastConfig, Scratch, Trace};
+use mnnfast::{
+    Budget, ColumnEngine, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace,
+};
 use std::time::{Duration, Instant};
 
 /// Largest tolerated `distributed p50 / in-process p50` ratio at four
@@ -111,18 +113,19 @@ pub fn run(scale: Scale) -> DistReport {
     };
     let m_in = Matrix::from_fn(ns, ed, |_, _| next());
     let m_out = Matrix::from_fn(ns, ed, |_, _| next());
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(ns);
     let u: Vec<f32> = (0..ed).map(|_| next()).collect();
 
     // In-process reference: the same column pass the workers run.
     let config = MnnFastConfig::new(chunk);
-    let engine = ColumnEngine::new(config);
+    let engine: &dyn Executor = &ColumnEngine::new(config);
     let mut scratch = Scratch::new();
     let mut trace = Trace::disabled();
     let reference = engine
-        .forward_prefix_budgeted(
-            &m_in,
-            &m_out,
-            ns,
+        .forward(
+            view,
+            Route::Plan(&whole),
             &u,
             &mut scratch,
             &mut trace,
@@ -165,10 +168,9 @@ pub fn run(scale: Scale) -> DistReport {
     for _ in 0..questions {
         let t0 = Instant::now();
         let out = engine
-            .forward_prefix_budgeted(
-                &m_in,
-                &m_out,
-                ns,
+            .forward(
+                view,
+                Route::Plan(&whole),
                 &u,
                 &mut scratch,
                 &mut trace,

@@ -1,5 +1,5 @@
 //! Machine-readable engine benchmark: per-[`EngineKind`] latency and
-//! per-phase breakdown measured through the [`Executor`] seam.
+//! per-phase breakdown measured through the [`mnnfast::Executor`] seam.
 //!
 //! The human-readable tables (Fig 9 and friends) are for eyeballs; this
 //! module produces the same measurements as structured data so dashboards
@@ -7,9 +7,11 @@
 //! their stdout tables as `BENCH_engine.json`.
 
 use crate::table::{f, ExperimentTable};
-use crate::Scale;
+use crate::{run_pass, Scale};
 use mnn_tensor::Matrix;
-use mnnfast::{EngineKind, ExecPlan, Executor, MnnFastConfig, Phase, Scratch, Trace};
+use mnnfast::{
+    EngineKind, ExecPlan, MemView, MnnFastConfig, Phase, Route, Scratch, SegmentPlan, Trace,
+};
 use std::time::Instant;
 
 /// Measurements for one engine kind.
@@ -53,6 +55,9 @@ pub fn run(scale: Scale) -> EngineReport {
 
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.001).sin() * 0.3);
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 13 + c * 5) as f32 * 0.002).cos() * 0.3);
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(ns);
+    let route = Route::Plan(&whole);
     let us: Vec<Vec<f32>> = (0..questions)
         .map(|q| {
             (0..ed)
@@ -75,27 +80,18 @@ pub fn run(scale: Scale) -> EngineReport {
 
         // Warm-up grows the scratch buffers so the timed loop reuses them.
         let mut warm = Trace::disabled();
-        let out = exec
-            .forward_prefix(&m_in, &m_out, ns, &us[0], &mut scratch, &mut warm)
-            .expect("valid shapes");
-        scratch.recycle(out.o);
+        run_pass(&exec, view, route, &us[0], &mut scratch, &mut warm);
 
         let mut untraced = Trace::disabled();
         let t0 = Instant::now();
         for u in &us {
-            let out = exec
-                .forward_prefix(&m_in, &m_out, ns, u, &mut scratch, &mut untraced)
-                .expect("valid shapes");
-            scratch.recycle(out.o);
+            run_pass(&exec, view, route, u, &mut scratch, &mut untraced);
         }
         let mean_seconds = t0.elapsed().as_secs_f64() / questions as f64;
 
         let mut trace = Trace::enabled();
         for u in &us {
-            let out = exec
-                .forward_prefix(&m_in, &m_out, ns, u, &mut scratch, &mut trace)
-                .expect("valid shapes");
-            scratch.recycle(out.o);
+            run_pass(&exec, view, route, u, &mut scratch, &mut trace);
         }
 
         entries.push(EngineEntry {

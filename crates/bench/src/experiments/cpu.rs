@@ -3,7 +3,7 @@
 //! counts).
 
 use crate::table::{f, speedup, ExperimentTable};
-use crate::Scale;
+use crate::{run_pass, Scale};
 use mnn_memnn::inference::BaselineCounters;
 use mnn_memnn::timing::{OpKind, OpTimes};
 use mnn_memnn::{model::EmbeddedStory, MemNet, ModelConfig};
@@ -12,7 +12,8 @@ use mnn_memsim::roofline::{self, MachineProfile};
 use mnn_memsim::{SetAssocCache, Variant};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    BatchEngine, EngineKind, ExecPlan, Executor, MnnFastConfig, Phase, Scratch, SkipPolicy, Trace,
+    BatchEngine, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Phase, Route, Scratch,
+    SegmentPlan, SkipPolicy, Trace,
 };
 use std::time::Instant;
 
@@ -71,23 +72,20 @@ pub fn fig09_native(scale: Scale) -> ExperimentTable {
     // layer uses: one reused scratch, untraced timing pass, then a traced
     // pass for the per-phase columns.
     let chunk = 1000;
+    let view = MemView::from((&story.m_in, &story.m_out));
+    let whole = SegmentPlan::unsegmented(ns);
+    let route = Route::Plan(&whole);
     let mut scratch = Scratch::new();
     let mut run = |exec: &dyn Executor| {
         let mut timing = Trace::disabled();
         let t = Instant::now();
         for u in &story.questions {
-            let out = exec
-                .forward_prefix(&story.m_in, &story.m_out, ns, u, &mut scratch, &mut timing)
-                .expect("valid shapes");
-            scratch.recycle(out.o);
+            run_pass(exec, view, route, u, &mut scratch, &mut timing);
         }
         let secs = t.elapsed().as_secs_f64();
         let mut trace = Trace::enabled();
         for u in &story.questions {
-            let out = exec
-                .forward_prefix(&story.m_in, &story.m_out, ns, u, &mut scratch, &mut trace)
-                .expect("valid shapes");
-            scratch.recycle(out.o);
+            run_pass(exec, view, route, u, &mut scratch, &mut trace);
         }
         (secs, trace)
     };

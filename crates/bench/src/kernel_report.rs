@@ -10,10 +10,10 @@
 //! the process-global backend.
 
 use crate::table::{f, ExperimentTable};
-use crate::Scale;
+use crate::{run_pass, Scale};
 use mnn_tensor::simd::{self, Backend};
 use mnn_tensor::Matrix;
-use mnnfast::{EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, Trace};
+use mnnfast::{EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -160,6 +160,9 @@ pub fn run(scale: Scale) -> KernelReport {
     {
         let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.001).sin() * 0.3);
         let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 13 + c * 5) as f32 * 0.002).cos() * 0.3);
+        let view = MemView::from((&m_in, &m_out));
+        let whole = SegmentPlan::unsegmented(ns);
+        let route = Route::Plan(&whole);
         let u = deterministic_vec(ed, 0.9);
         let questions = scale.pick(4, 2);
         let time_config = |config: MnnFastConfig| {
@@ -169,10 +172,7 @@ pub fn run(scale: Scale) -> KernelReport {
             let mut scratch = Scratch::new();
             let mut trace = Trace::disabled();
             best_of(reps.min(3), questions, || {
-                let out = exec
-                    .forward_prefix(&m_in, &m_out, ns, &u, &mut scratch, &mut trace)
-                    .expect("valid shapes");
-                scratch.recycle(black_box(out).o);
+                run_pass(&exec, view, route, &u, &mut scratch, &mut trace);
             })
         };
         let two_pass = time_config(MnnFastConfig::new(1000).with_fused(false));

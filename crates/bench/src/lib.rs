@@ -43,6 +43,51 @@ pub mod serving_report;
 pub mod sparse_report;
 pub mod table;
 
+/// One unbudgeted forward pass as every timing loop here runs it: inputs
+/// and output behind [`black_box`](std::hint::black_box), the output
+/// buffer handed back to `scratch`. Returns the pass's counters.
+///
+/// # Panics
+///
+/// Panics if the pass fails (the reports build valid shapes).
+pub fn run_pass(
+    exec: &dyn mnnfast::Executor,
+    view: mnnfast::MemView<'_>,
+    route: mnnfast::Route<'_>,
+    u: &[f32],
+    scratch: &mut mnnfast::Scratch,
+    trace: &mut mnnfast::Trace,
+) -> mnnfast::InferenceStats {
+    let u = std::hint::black_box(u);
+    let out = exec
+        .forward(
+            view,
+            route,
+            u,
+            scratch,
+            trace,
+            &mnnfast::Budget::unlimited(),
+        )
+        .expect("valid shapes");
+    let stats = out.stats;
+    scratch.recycle(std::hint::black_box(out).o);
+    stats
+}
+
+/// Wall seconds of one [`run_pass`].
+pub fn timed_pass(
+    exec: &dyn mnnfast::Executor,
+    view: mnnfast::MemView<'_>,
+    route: mnnfast::Route<'_>,
+    u: &[f32],
+    scratch: &mut mnnfast::Scratch,
+    trace: &mut mnnfast::Trace,
+) -> f64 {
+    let t0 = std::time::Instant::now();
+    run_pass(exec, view, route, u, scratch, trace);
+    t0.elapsed().as_secs_f64()
+}
+
 /// How large an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

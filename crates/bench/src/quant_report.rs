@@ -19,18 +19,16 @@
 //! `BENCH_segment.json`.
 
 use crate::table::{f, ExperimentTable};
-use crate::Scale;
+use crate::{timed_pass, Scale};
 use mnn_dataset::babi::{BabiGenerator, TaskKind};
 use mnn_memnn::{model::ModelConfig, train::Trainer, MemNet};
 use mnn_serve::{Session, SessionConfig};
 use mnn_tensor::quant::{quantize_row, QuantMatrix};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, EngineKind, ExecPlan, Executor, MnnFastConfig, Precision, Scratch, SegmentPlan,
+    EngineKind, ExecPlan, MemView, MnnFastConfig, Precision, Route, Scratch, SegmentPlan,
     SoftmaxMode, Trace,
 };
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Required f32/int8 time ratio on the paper-shaped memory at full scale.
 pub const SPEEDUP_TARGET: f64 = 1.5;
@@ -94,8 +92,9 @@ pub fn run(scale: Scale) -> QuantReport {
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out = QuantMatrix::from_matrix(&m_out);
     let plan = SegmentPlan::unsegmented(ns);
+    let f32_view = MemView::from((&m_in, &m_out));
+    let int8_view = MemView::from((&q_in, &q_out));
 
-    let budget = Budget::unlimited();
     let mut trace = Trace::disabled();
     let mut speedup = Vec::new();
     for (label, mode) in [("lazy", SoftmaxMode::Lazy), ("online", SoftmaxMode::Online)] {
@@ -105,38 +104,10 @@ pub fn run(scale: Scale) -> QuantReport {
         let mut scratch = Scratch::new();
 
         let f32_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_segmented_budgeted(
-                    &m_in,
-                    &m_out,
-                    &plan,
-                    black_box(&u),
-                    scratch,
-                    trace,
-                    &budget,
-                )
-                .expect("f32 pass");
-            let dt = t0.elapsed().as_secs_f64();
-            scratch.recycle(black_box(out).o);
-            dt
+            timed_pass(&exec, f32_view, Route::Plan(&plan), &u, scratch, trace)
         };
         let int8_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_quant_segmented_budgeted(
-                    &q_in,
-                    &q_out,
-                    &plan,
-                    black_box(&u),
-                    scratch,
-                    trace,
-                    &budget,
-                )
-                .expect("int8 pass");
-            let dt = t0.elapsed().as_secs_f64();
-            scratch.recycle(black_box(out).o);
-            dt
+            timed_pass(&exec, int8_view, Route::Plan(&plan), &u, scratch, trace)
         };
 
         f32_pass(&mut scratch, &mut trace);

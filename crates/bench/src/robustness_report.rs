@@ -13,7 +13,10 @@
 use crate::table::{f, ExperimentTable};
 use crate::Scale;
 use mnn_tensor::Matrix;
-use mnnfast::{Budget, CancelToken, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, Trace};
+use mnnfast::{
+    Budget, CancelToken, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch,
+    SegmentPlan, Trace,
+};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -76,6 +79,8 @@ pub fn run(scale: Scale) -> RobustnessReport {
 
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.001).sin() * 0.3);
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 13 + c * 5) as f32 * 0.002).cos() * 0.3);
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(ns);
     let u: Vec<f32> = (0..ed).map(|i| ((i as f32) * 0.37 + 0.9).sin()).collect();
 
     let exec = ExecPlan::new(MnnFastConfig::new(chunk))
@@ -86,10 +91,9 @@ pub fn run(scale: Scale) -> RobustnessReport {
     let mut time_budget = |budget: &Budget, iters: usize| {
         per_call(iters, || {
             let out = exec
-                .forward_prefix_budgeted(
-                    &m_in,
-                    &m_out,
-                    ns,
+                .forward(
+                    view,
+                    Route::Plan(&whole),
                     &u,
                     &mut scratch,
                     &mut trace,

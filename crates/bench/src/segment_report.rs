@@ -17,14 +17,12 @@
 //! `BENCH_batch.json`.
 
 use crate::table::{f, ExperimentTable};
-use crate::Scale;
+use crate::{run_pass, timed_pass, Scale};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, SegmentMap, SegmentPlan,
+    EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentMap, SegmentPlan,
     SoftmaxMode, Trace,
 };
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Segment counts measured in the pruning section, smallest first.
 pub const PRUNE_SEGMENTS: [usize; 3] = [2, 4, 8];
@@ -97,9 +95,10 @@ pub fn run(scale: Scale) -> SegmentReport {
     // comparison isolates the routing machinery itself.
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.001).sin() * 0.3);
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 13 + c * 5) as f32 * 0.002).cos() * 0.3);
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(ns);
     let u: Vec<f32> = (0..ed).map(|i| ((i as f32) * 0.013 + 0.4).sin()).collect();
 
-    let budget = Budget::unlimited();
     let mut trace = Trace::disabled();
     let mut overhead = Vec::new();
     for (label, mode) in [("lazy", SoftmaxMode::Lazy), ("online", SoftmaxMode::Online)] {
@@ -111,30 +110,10 @@ pub fn run(scale: Scale) -> SegmentReport {
         let mut scratch = Scratch::new();
 
         let prefix_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_prefix_budgeted(&m_in, &m_out, ns, black_box(&u), scratch, trace, &budget)
-                .expect("prefix pass");
-            let dt = t0.elapsed().as_secs_f64();
-            scratch.recycle(black_box(out).o);
-            dt
+            timed_pass(&exec, view, Route::Plan(&whole), &u, scratch, trace)
         };
         let routed_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_segmented_budgeted(
-                    &m_in,
-                    &m_out,
-                    &plan,
-                    black_box(&u),
-                    scratch,
-                    trace,
-                    &budget,
-                )
-                .expect("routed pass");
-            let dt = t0.elapsed().as_secs_f64();
-            scratch.recycle(black_box(out).o);
-            dt
+            timed_pass(&exec, view, Route::Plan(&plan), &u, scratch, trace)
         };
 
         prefix_pass(&mut scratch, &mut trace);
@@ -167,6 +146,7 @@ pub fn run(scale: Scale) -> SegmentReport {
             ((r * 31 + c * 7) as f32 * 0.001).sin() * 1e-3
         }
     });
+    let skewed = MemView::from((&m_in_skew, &m_out));
     let mut u_skew = vec![0.0f32; ed];
     u_skew[0] = 15.0;
     let exec = ExecPlan::new(MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online))
@@ -179,56 +159,24 @@ pub fn run(scale: Scale) -> SegmentReport {
         let mut scratch = Scratch::new();
 
         let unsegmented_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_prefix_budgeted(
-                    &m_in_skew,
-                    &m_out,
-                    ns,
-                    black_box(&u_skew),
-                    scratch,
-                    trace,
-                    &budget,
-                )
-                .expect("unsegmented pass");
-            let dt = t0.elapsed().as_secs_f64();
-            scratch.recycle(black_box(out).o);
-            dt
+            timed_pass(&exec, skewed, Route::Plan(&whole), &u_skew, scratch, trace)
         };
         let pruned_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_segmented_budgeted(
-                    &m_in_skew,
-                    &m_out,
-                    &plan,
-                    black_box(&u_skew),
-                    scratch,
-                    trace,
-                    &budget,
-                )
-                .expect("pruned pass");
-            let dt = t0.elapsed().as_secs_f64();
-            scratch.recycle(black_box(out).o);
-            dt
+            timed_pass(&exec, skewed, Route::Plan(&plan), &u_skew, scratch, trace)
         };
 
         unsegmented_pass(&mut scratch, &mut trace);
         pruned_pass(&mut scratch, &mut trace);
         // One counted pass for the pruned-row fraction.
-        let counted = exec
-            .forward_segmented_budgeted(
-                &m_in_skew,
-                &m_out,
-                &plan,
-                &u_skew,
-                &mut scratch,
-                &mut trace,
-                &budget,
-            )
-            .expect("counted pass");
-        let rows_pruned_frac = counted.stats.rows_pruned as f64 / ns as f64;
-        scratch.recycle(counted.o);
+        let counted = run_pass(
+            &exec,
+            skewed,
+            Route::Plan(&plan),
+            &u_skew,
+            &mut scratch,
+            &mut trace,
+        );
+        let rows_pruned_frac = counted.rows_pruned as f64 / ns as f64;
 
         let (mut best_unseg, mut best_pruned) = (f64::INFINITY, f64::INFINITY);
         let mut ratios = Vec::with_capacity(reps);

@@ -20,17 +20,14 @@
 //! Pairing and medians follow the `BENCH_quant.json` discipline.
 
 use crate::table::{f, ExperimentTable};
-use crate::Scale;
+use crate::{run_pass, timed_pass, Scale};
 use mnn_dataset::babi::{BabiGenerator, TaskKind};
 use mnn_memnn::{model::ModelConfig, train::Trainer, MemNet};
 use mnn_serve::{Session, SessionConfig};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, ClusterIndex, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, SegmentPlan,
-    Trace,
+    ClusterIndex, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace,
 };
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Required exact/sparse time ratio at and above [`HEADLINE_ROWS`].
 pub const SPEEDUP_TARGET: f64 = 3.0;
@@ -105,7 +102,6 @@ pub fn run(scale: Scale) -> SparseReport {
     let exec = ExecPlan::new(MnnFastConfig::new(chunk))
         .with_kind(EngineKind::Column)
         .executor();
-    let budget = Budget::unlimited();
     let mut trace = Trace::disabled();
     let mut scratch = Scratch::new();
 
@@ -116,6 +112,7 @@ pub fn run(scale: Scale) -> SparseReport {
         let u: Vec<f32> = (0..ed).map(|i| ((i as f32) * 0.013 + 0.4).sin()).collect();
         let index = ClusterIndex::build(&m_in, ns, 0);
         let plan = SegmentPlan::unsegmented(ns);
+        let view = MemView::from((&m_in, &m_out));
 
         // Probe quality: the candidate set against the brute-force top-K
         // of the exact logits (ties broken toward the lower row, the same
@@ -136,50 +133,26 @@ pub fn run(scale: Scale) -> SparseReport {
         let recall_at_k = hit as f64 / topk.min(ns) as f64;
 
         let exact_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_segmented_budgeted(
-                    &m_in,
-                    &m_out,
-                    &plan,
-                    black_box(&u),
-                    scratch,
-                    trace,
-                    &budget,
-                )
-                .expect("exact pass");
-            let dt = t0.elapsed().as_secs_f64();
-            scratch.recycle(black_box(out).o);
-            dt
+            timed_pass(&exec, view, Route::Plan(&plan), &u, scratch, trace)
+        };
+        let top = Route::TopK {
+            index: &index,
+            topk,
+            nprobe,
         };
         let sparse_pass = |scratch: &mut Scratch, trace: &mut Trace| {
-            let t0 = Instant::now();
-            let out = exec
-                .forward_topk_segmented_budgeted(
-                    &m_in,
-                    &m_out,
-                    &index,
-                    black_box(&u),
-                    topk,
-                    nprobe,
-                    scratch,
-                    trace,
-                    &budget,
-                )
-                .expect("sparse pass");
-            let dt = t0.elapsed().as_secs_f64();
-            let stats = out.stats;
-            scratch.recycle(black_box(out).o);
-            (dt, stats.candidates_scored, stats.rows_skipped_by_index)
+            timed_pass(&exec, view, top, &u, scratch, trace)
         };
 
         exact_pass(&mut scratch, &mut trace);
-        let (_, rows_rescored, rows_skipped) = sparse_pass(&mut scratch, &mut trace);
+        let sparse = run_pass(&exec, view, top, &u, &mut scratch, &mut trace);
+        let (rows_rescored, rows_skipped) =
+            (sparse.candidates_scored, sparse.rows_skipped_by_index);
         let (mut best_exact, mut best_sparse) = (f64::INFINITY, f64::INFINITY);
         let mut ratios = Vec::with_capacity(reps);
         for _ in 0..reps {
             let a = exact_pass(&mut scratch, &mut trace);
-            let (b, _, _) = sparse_pass(&mut scratch, &mut trace);
+            let b = sparse_pass(&mut scratch, &mut trace);
             best_exact = best_exact.min(a);
             best_sparse = best_sparse.min(b);
             ratios.push(a / b);

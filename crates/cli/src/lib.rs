@@ -23,7 +23,10 @@ use mnn_dataset::Vocabulary;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{eval as meval, MemNet, ModelConfig};
 use mnn_serve::{Session, SessionConfig};
-use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, Precision, Scratch, SkipPolicy, Trace};
+use mnnfast::{
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Precision, Route, Scratch, SegmentPlan,
+    SkipPolicy, Trace,
+};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::time::Duration;
@@ -368,13 +371,13 @@ fn cmd_eval(options: &Options, out: &mut dyn Write) -> CliResult {
     let skipped = meval::accuracy_with(&model, &test_set, |emb, q| {
         let outp = mnnfast::multi_hop(
             &engine,
-            &emb.m_in,
-            &emb.m_out,
-            emb.m_in.rows(),
+            MemView::from((&emb.m_in, &emb.m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(emb.m_in.rows())),
             &emb.questions[q],
             hops,
             &mut scratch,
             &mut trace,
+            &Budget::unlimited(),
         )
         .expect("embedded shapes are consistent");
         stats.merge(&outp.stats);
@@ -813,6 +816,11 @@ mod tests {
         run(&args, &mut input, &mut out).map(|()| String::from_utf8(out).expect("utf8 output"))
     }
 
+    /// The `-> ...` answer lines of a `serve` transcript.
+    fn answer_lines(out: &str) -> Vec<&str> {
+        out.lines().filter(|l| l.starts_with("-> ")).collect()
+    }
+
     #[test]
     fn option_parsing() {
         let options = Options::parse(&[
@@ -1113,15 +1121,17 @@ mod tests {
         assert!(out.contains("distributed: 2 shards"), "{out}");
         assert!(out.contains("-> "), "{out}");
 
-        // Local sessions stay quiet about the fleet; worker sharding and
-        // segment routing cannot be combined.
-        let out = run_cli(&["serve", "--model", model_str], stdin).unwrap();
-        assert!(!out.contains("distributed:"), "{out}");
-        assert!(run_cli(
+        // Local sessions stay quiet about the fleet; worker sharding
+        // composes with segment routing (same answer line).
+        let local = run_cli(&["serve", "--model", model_str], stdin).unwrap();
+        assert!(!local.contains("distributed:"), "{local}");
+        let composed = run_cli(
             &[
                 "serve",
                 "--model",
                 model_str,
+                "--engine",
+                "column",
                 "--workers",
                 "2",
                 "--segments",
@@ -1129,7 +1139,8 @@ mod tests {
             ],
             stdin,
         )
-        .is_err());
+        .unwrap();
+        assert_eq!(answer_lines(&composed), answer_lines(&out), "{composed}");
     }
 
     #[test]
@@ -1168,23 +1179,26 @@ mod tests {
         .unwrap();
         assert!(out.contains("sparse: top-2 (probe floor 1)"), "{out}");
 
-        // Exact sessions stay quiet about the index; top-K and segment
-        // routing cannot be combined.
-        let out = run_cli(&["serve", "--model", model_str], stdin).unwrap();
-        assert!(!out.contains("sparse:"), "{out}");
-        assert!(run_cli(
+        // Exact sessions stay quiet about the index; top-K composes with
+        // segment routing (same answer line).
+        let exact = run_cli(&["serve", "--model", model_str], stdin).unwrap();
+        assert!(!exact.contains("sparse:"), "{exact}");
+        let composed = run_cli(
             &[
                 "serve",
                 "--model",
                 model_str,
                 "--topk",
                 "2",
+                "--nprobe",
+                "1",
                 "--segments",
-                "4"
+                "4",
             ],
             stdin,
         )
-        .is_err());
+        .unwrap();
+        assert_eq!(answer_lines(&composed), answer_lines(&out), "{composed}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Batched column-based inference: many questions per chunk pass.
 //!
-//! [`crate::ColumnEngine::forward_batch`] answers questions one at a time,
-//! re-streaming the memories per question. The batched engine exploits the
+//! The default [`crate::Executor::forward_batch`] answers questions one at
+//! a time, re-streaming the memories per question. The batched engine
+//! exploits the
 //! chunk residency the column-based algorithm creates: each chunk of
 //! `M_IN`/`M_OUT` is loaded once and applied to *all* `nq` questions while
 //! resident (the paper's GPU formulation — Section 4.1.2: "Inner product is
@@ -10,8 +11,7 @@
 //! # The contract: batched == sequential, by construction
 //!
 //! Every answer a batch returns is bitwise the answer a single-question
-//! [`crate::Executor::forward_segmented_budgeted`] run with the same config
-//! returns — whatever the batch's composition, the tile shapes the kernels
+//! [`crate::Executor::forward`] run with the same config returns — whatever the batch's composition, the tile shapes the kernels
 //! pick, or the number of worker threads. Two things make that a property
 //! of the code rather than of its tuning:
 //!
@@ -41,20 +41,17 @@
 //! The quantized plane runs the same driver with the single-question int8
 //! chunk kernel per question (an int8 tile is future work).
 //!
-//! Entry points: [`BatchEngine::forward_segmented_budgeted`] (and its
-//! unsegmented / quantized siblings) is the serving path — it reuses a
-//! [`Scratch`] arena (a warm single-worker pass allocates only its result
-//! vector), records the [`Phase::BatchGemm`] trace phase, and gives every
-//! question its own [`Budget`]. [`BatchEngine::forward`] is a one-shot
-//! convenience over it that adds batch-level counters.
+//! Entry points: [`BatchEngine::forward_batch`] is the serving path (what
+//! [`crate::PlanExecutor`] runs for [`crate::Executor::forward_batch`]) —
+//! it reuses a [`Scratch`] arena (a warm single-worker pass allocates only
+//! its result vector), records the [`Phase::BatchGemm`] trace phase, and
+//! gives every question its own [`Budget`]. [`BatchEngine::forward`] is a
+//! one-shot convenience over it that adds batch-level counters.
 
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
-use crate::engine::{
-    check_denom, check_output, check_rows, check_rows_quant, AccumMut, ColumnEngine, ColumnOutput,
-    EngineError,
-};
-use crate::exec::{Phase, Scratch, Trace};
+use crate::engine::{check_denom, check_output, AccumMut, ColumnEngine, ColumnOutput, EngineError};
+use crate::exec::{MemView, Phase, Scratch, Trace};
 use crate::segment::{self, SegmentPlan};
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
@@ -91,13 +88,6 @@ pub struct BatchOutput {
     pub outputs: Vec<ColumnOutput>,
     /// Batch-level counters: the memories count once, not per question.
     pub stats: InferenceStats,
-}
-
-/// The memory plane a batched pass reads: `(M_IN, M_OUT)`.
-#[derive(Clone, Copy)]
-enum Plane<'a> {
-    F32(&'a Matrix, &'a Matrix),
-    Int8(&'a QuantMatrix, &'a QuantMatrix),
 }
 
 /// The running accumulators and chunk partials of one worker's questions,
@@ -341,7 +331,7 @@ impl BatchEngine {
     }
 
     /// Answers all `questions` with one streaming pass over the memories:
-    /// the serving path ([`BatchEngine::forward_budgeted`]) with unlimited
+    /// the serving path ([`BatchEngine::forward_batch`]) with unlimited
     /// budgets and a throwaway [`Scratch`], plus batch-level counters.
     ///
     /// # Errors
@@ -360,10 +350,9 @@ impl BatchEngine {
         let budgets = vec![Budget::unlimited(); questions.len()];
         let rows = m_in.rows();
         let outputs = self
-            .forward_budgeted(
-                m_in,
-                m_out,
-                rows,
+            .forward_batch(
+                MemView::F32 { m_in, m_out },
+                &SegmentPlan::unsegmented(rows),
                 questions,
                 &mut Scratch::new(),
                 &mut Trace::disabled(),
@@ -393,45 +382,16 @@ impl BatchEngine {
         Ok(BatchOutput { outputs, stats })
     }
 
-    /// Answers a batch of questions over the first `rows` memory entries,
+    /// The batched serving path: `questions` over `plan`'s rows of `view`,
     /// each question under its own [`Budget`] (`budgets[q]` governs
-    /// `questions[q]`): [`BatchEngine::forward_segmented_budgeted`] over an
-    /// unsegmented plan.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchEngine::forward_segmented_budgeted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
-        questions: &[Vec<f32>],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budgets: &[Budget],
-    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        self.forward_segmented_budgeted(
-            m_in,
-            m_out,
-            &SegmentPlan::unsegmented(rows),
-            questions,
-            scratch,
-            trace,
-            budgets,
-        )
-    }
-
-    /// The batched serving path, driven by a [`SegmentPlan`].
+    /// `questions[q]`).
     ///
     /// Each chunk of memories is streamed once per batch and folded into
     /// every live question while cache-resident; every answer is bitwise
-    /// identical to a per-question
-    /// [`crate::Executor::forward_segmented_budgeted`] run with the same
-    /// config, at any thread count (see the module docs for why). Network
-    /// serving relies on this: a coalesced batch returns the same bits as a
-    /// sequence of single-question asks.
+    /// identical to a per-question [`crate::Executor::forward`] run with
+    /// the same config, at any thread count and on either plane (see the
+    /// module docs for why). Network serving relies on this: a coalesced
+    /// batch returns the same bits as a sequence of single-question asks.
     ///
     /// Every live question's budget is checked once per chunk. A question
     /// whose budget fails mid-pass goes *dead* — it stops accumulating and
@@ -444,11 +404,12 @@ impl BatchEngine {
     /// bound skips that segment (its rows contribute exactly-zero terms, so
     /// the answer is bitwise unchanged), while its batchmates still process
     /// it. Lazy-mode questions never prune (no running max exists until the
-    /// division).
+    /// division). Int8 bounds use zone maps built from dequantized row
+    /// norms and each quantized query's own norm.
     ///
     /// Per-question [`InferenceStats`] carry the question's compute share
     /// (its inner products as a GEMV count, exp, weighted-sum and divide
-    /// flops); memory traffic is a batch-level quantity and is not
+    /// flops); f32 memory traffic is a batch-level quantity and is not
     /// attributed per question here. Worker phase times are CPU time summed
     /// across workers.
     ///
@@ -459,11 +420,9 @@ impl BatchEngine {
     /// [`EngineError::Shape`] / [`EngineError::MemoryMismatch`] on bad
     /// operands. Per-question deadline/cancellation/numeric errors are
     /// carried in the inner `Result` slots.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_segmented_budgeted(
+    pub fn forward_batch(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
+        view: MemView<'_>,
         plan: &SegmentPlan<'_>,
         questions: &[Vec<f32>],
         scratch: &mut Scratch,
@@ -472,56 +431,11 @@ impl BatchEngine {
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
         check_batch(questions, budgets)?;
         if let Some(first) = questions.first() {
-            ColumnEngine::new(self.config).check(m_in, m_out, first)?;
-            check_rows(m_in, plan.rows(), "BatchEngine::forward_budgeted")?;
+            self.config.validate().map_err(EngineError::Config)?;
+            view.check(first)?;
+            view.check_rows(plan.rows())?;
         }
-        Ok(self.run(
-            Plane::F32(m_in, m_out),
-            plan,
-            questions,
-            scratch,
-            trace,
-            budgets,
-        ))
-    }
-
-    /// [`BatchEngine::forward_segmented_budgeted`] over the *quantized*
-    /// memory plane: each int8 chunk is streamed once per batch and applied
-    /// to every live question while resident. Per question the processing
-    /// is the single-question discipline — chunk partial → int8 chunk
-    /// kernel → merge through the [`mnn_tensor::partial`] plane — so every
-    /// answer is bitwise identical to a per-question
-    /// [`crate::Executor::forward_quant_segmented_budgeted`] run. Pruning is
-    /// per question (Online mode only), against zone maps built from
-    /// dequantized row norms and each quantized query's own norm.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchEngine::forward_segmented_budgeted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_quant_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        plan: &SegmentPlan<'_>,
-        questions: &[Vec<f32>],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budgets: &[Budget],
-    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        check_batch(questions, budgets)?;
-        if let Some(first) = questions.first() {
-            ColumnEngine::new(self.config).check_quant(m_in, m_out, first)?;
-            check_rows_quant(m_in, plan.rows(), "BatchEngine::forward_quant")?;
-        }
-        Ok(self.run(
-            Plane::Int8(m_in, m_out),
-            plan,
-            questions,
-            scratch,
-            trace,
-            budgets,
-        ))
+        Ok(self.run(view, plan, questions, scratch, trace, budgets))
     }
 
     /// The validated pass: stage one [`BatchLanes`] per worker, walk the
@@ -529,7 +443,7 @@ impl BatchEngine {
     /// question in order.
     fn run(
         &self,
-        plane: Plane<'_>,
+        plane: MemView<'_>,
         plan: &SegmentPlan<'_>,
         questions: &[Vec<f32>],
         scratch: &mut Scratch,
@@ -555,7 +469,7 @@ impl BatchEngine {
             arena.resize_with(workers, BatchLanes::default);
         }
         let lanes = &mut arena[..workers];
-        let quant = matches!(plane, Plane::Int8(..));
+        let quant = matches!(plane, MemView::Int8 { .. });
         for (lane, qs) in lanes.iter_mut().zip(questions.chunks(per)) {
             lane.stage(self.config.softmax, qs, quant, logit_rows);
         }
@@ -645,7 +559,7 @@ impl BatchEngine {
     /// walks every segment and chunk of the plan for them.
     fn walk(
         &self,
-        plane: Plane<'_>,
+        plane: MemView<'_>,
         plan: &SegmentPlan<'_>,
         lanes: &mut BatchLanes,
         budgets: &[Budget],
@@ -700,7 +614,7 @@ impl BatchEngine {
                 }
                 let n = chunk.min(seg_end - row);
                 match plane {
-                    Plane::F32(m_in, m_out) => {
+                    MemView::F32 { m_in, m_out } => {
                         let t0 = trace.begin();
                         lanes.fold_chunk(
                             m_in.rows_slice(row, n),
@@ -724,7 +638,7 @@ impl BatchEngine {
                         }
                         trace.bump(Phase::Skip, chunk_skipped);
                     }
-                    Plane::Int8(m_in, m_out) => {
+                    MemView::Int8 { m_in, m_out } => {
                         lanes.fold_chunk_quant(&engine, m_in, m_out, row, n, trace)
                     }
                 }
@@ -751,7 +665,7 @@ impl BatchEngine {
     /// error is reconstructed at finish time.
     fn resolve_thresholds(
         &self,
-        plane: Plane<'_>,
+        plane: MemView<'_>,
         rows: usize,
         lanes: &mut BatchLanes,
         budgets: &[Budget],
@@ -795,10 +709,10 @@ impl BatchEngine {
             let n = chunk.min(rows - row);
             let logits = &mut logits[..nq * n];
             match plane {
-                Plane::F32(m_in, _) => {
+                MemView::F32 { m_in, .. } => {
                     kernels::gemm_chunk(m_in.rows_slice(row, n), n, us, nq, logits)
                 }
-                Plane::Int8(m_in, _) => {
+                MemView::Int8 { m_in, .. } => {
                     for q in (0..nq).filter(|&q| live[q]) {
                         kernels::gemv_chunk_i8(
                             m_in.rows_slice(row, n),
@@ -839,7 +753,7 @@ impl BatchEngine {
 
 /// Rejects a budget slice that does not pair up with the questions, and
 /// ragged question batches.
-fn check_batch(questions: &[Vec<f32>], budgets: &[Budget]) -> Result<(), EngineError> {
+pub(crate) fn check_batch(questions: &[Vec<f32>], budgets: &[Budget]) -> Result<(), EngineError> {
     if budgets.len() != questions.len() {
         return Err(EngineError::Config(format!(
             "budget count {} != question count {}",
@@ -973,10 +887,9 @@ mod tests {
             let mut trace = Trace::enabled();
             let budgets = vec![Budget::unlimited(); questions.len()];
             let results = engine
-                .forward_budgeted(
-                    &m_in,
-                    &m_out,
-                    m_in.rows(),
+                .forward_batch(
+                    MemView::from((&m_in, &m_out)),
+                    &SegmentPlan::unsegmented(m_in.rows()),
                     &questions,
                     &mut scratch,
                     &mut trace,
@@ -1013,10 +926,9 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut trace = Trace::disabled();
         let results = engine
-            .forward_budgeted(
-                &m_in,
-                &m_out,
-                m_in.rows(),
+            .forward_batch(
+                MemView::from((&m_in, &m_out)),
+                &SegmentPlan::unsegmented(m_in.rows()),
                 &questions,
                 &mut scratch,
                 &mut trace,
@@ -1035,10 +947,9 @@ mod tests {
     fn budgeted_batch_rejects_mismatched_budgets() {
         let (m_in, m_out, questions) = setup(10, 4, 2);
         let engine = BatchEngine::new(MnnFastConfig::new(4));
-        let err = engine.forward_budgeted(
-            &m_in,
-            &m_out,
-            m_in.rows(),
+        let err = engine.forward_batch(
+            MemView::from((&m_in, &m_out)),
+            &SegmentPlan::unsegmented(m_in.rows()),
             &questions,
             &mut Scratch::new(),
             &mut Trace::disabled(),

@@ -24,8 +24,8 @@
 //! untouched.
 //!
 //! [`Budget::unlimited`] is the hot-path default: its check is two
-//! predictable branches and never reads the clock, so existing callers of
-//! [`crate::Executor::forward_prefix`] pay nothing.
+//! predictable branches and never reads the clock, so an unbudgeted
+//! [`crate::Executor::forward`] pays nothing.
 
 use crate::engine::EngineError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,7 +84,7 @@ pub struct Budget {
 
 impl Budget {
     /// A budget that never expires and cannot be cancelled — the hot-path
-    /// default behind [`crate::Executor::forward_prefix`].
+    /// default ("unbudgeted" is this value, not a separate entry point).
     pub fn unlimited() -> Self {
         Budget::default()
     }

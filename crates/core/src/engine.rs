@@ -7,17 +7,21 @@
 //! when the attention weight is below the zero-skip threshold. A single
 //! division pass at the very end produces the response vector `o`.
 //!
-//! [`ColumnEngine`] is the base [`crate::Executor`]: the streaming and
-//! scale-out variants wrap it and reuse its per-chunk kernel, so all three
-//! produce bitwise-identical results.
+//! [`ColumnEngine`] is the base [`crate::Executor`] and owns the one pass
+//! skeleton (`ColumnEngine::pass`): the streaming and scale-out variants
+//! run the same skeleton and differ only in how they produce and fold a
+//! visited segment's chunks (`Walk`), so all three produce
+//! bitwise-identical results on either memory plane.
 
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
-use crate::exec::{EngineKind, Executor, Phase, Scratch, Trace};
-use crate::segment::{self, SegmentPlan};
+use crate::exec::{
+    resolve_route, EngineKind, Executor, MemView, Phase, Route, Scratch, Trace, WorkerScratch,
+};
+use crate::segment::{self, Segment, SegmentPlan};
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
-use mnn_tensor::{kernels, Matrix, QuantMatrix, ShapeError};
+use mnn_tensor::{kernels, Matrix, ShapeError};
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -317,40 +321,147 @@ impl AccumMut<'_> {
             AccumMut::Online(acc) => **acc = mnn_tensor::partial::roundtrip_online(acc),
         }
     }
+
+    /// Folds every chunk partial the `workers` produced into this running
+    /// total and returns how many were merged.
+    ///
+    /// Workers own contiguous ascending chunk ranges, so iterating workers
+    /// in order and their partials in order visits chunks in global
+    /// chunk-index order — exactly the fold the sequential engines perform,
+    /// which is what makes the output bitwise identical.
+    pub(crate) fn fold_workers(&mut self, workers: &[WorkerScratch]) -> u64 {
+        let mut merged = 0u64;
+        for w in workers {
+            match self {
+                AccumMut::Lazy(acc) => {
+                    for partial in &w.lazy_partials[..w.used] {
+                        mnn_tensor::partial::merge_lazy_into(acc, partial);
+                        merged += 1;
+                    }
+                }
+                AccumMut::Online(acc) => {
+                    for partial in &w.online_partials[..w.used] {
+                        mnn_tensor::partial::merge_online_into(acc, partial);
+                        merged += 1;
+                    }
+                }
+            }
+        }
+        merged
+    }
 }
 
-/// Checks the `rows` prefix bound shared by every engine variant.
-pub(crate) fn check_rows(
-    m_in: &Matrix,
-    rows: usize,
-    context: &'static str,
-) -> Result<(), EngineError> {
-    if rows > m_in.rows() {
-        return Err(ShapeError::new(
-            context,
-            format!("rows <= {}", m_in.rows()),
-            format!("rows = {rows}"),
-        )
-        .into());
-    }
-    Ok(())
+/// One chunk's rows of both memories, on whichever plane the pass reads.
+/// Built once per chunk ([`MemView::chunk`], or a streaming staging
+/// buffer) and matched once per chunk in [`ColumnEngine::process_chunk`] —
+/// never per row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ChunkOps<'a> {
+    F32 {
+        m_in: &'a [f32],
+        m_out: &'a [f32],
+    },
+    Int8 {
+        m_in: &'a [i8],
+        in_scales: &'a [f32],
+        m_out: &'a [i8],
+        out_scales: &'a [f32],
+    },
 }
 
-/// [`check_rows`] for the quantized memory plane.
-pub(crate) fn check_rows_quant(
-    m_in: &QuantMatrix,
-    rows: usize,
-    context: &'static str,
-) -> Result<(), EngineError> {
-    if rows > m_in.rows() {
-        return Err(ShapeError::new(
-            context,
-            format!("rows <= {}", m_in.rows()),
-            format!("rows = {rows}"),
-        )
-        .into());
+/// The query as the chunk kernels read it: the f32 state, plus — on the
+/// int8 plane, where the kernels only ever see i8 operands — its codes and
+/// scale, quantized once per pass (`uq` is empty on the f32 plane).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Query<'a> {
+    pub(crate) u: &'a [f32],
+    pub(crate) uq: &'a [i8],
+    pub(crate) scale: f32,
+}
+
+/// How an engine produces and folds the chunks of one visited segment —
+/// the only thing the engine variants contribute to [`ColumnEngine::pass`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Walk {
+    /// On the calling thread, chunk by chunk ([`crate::ColumnEngine`]).
+    Inline,
+    /// A producer thread stages chunks `depth` ahead of the consuming
+    /// caller ([`crate::StreamingEngine`]).
+    Staged { depth: usize },
+    /// Up to `threads` scoped workers over contiguous chunk ranges, folded
+    /// by the caller in global chunk order ([`crate::ParallelEngine`]).
+    Workers { threads: usize },
+}
+
+/// The live state of one pass between its prelude and its lazy division:
+/// the operands, the resolved skip threshold, the running total and chunk
+/// partial (borrowed from the [`Scratch`]) and the counters. A [`Walk`]
+/// folds one segment into it at a time.
+#[derive(Debug)]
+pub(crate) struct PassState<'a> {
+    pub(crate) engine: ColumnEngine,
+    pub(crate) view: MemView<'a>,
+    pub(crate) query: Query<'a>,
+    pub(crate) raw_threshold: Option<f32>,
+    pub(crate) budget: &'a Budget,
+    pub(crate) main: AccumMut<'a>,
+    pub(crate) partial: AccumMut<'a>,
+    pub(crate) logits: &'a mut [f32],
+    pub(crate) workers: &'a mut Vec<WorkerScratch>,
+    pub(crate) stats: InferenceStats,
+}
+
+impl PassState<'_> {
+    /// Produces one chunk's partial: budget check, reset, chunk kernel.
+    pub(crate) fn chunk_partial(
+        &mut self,
+        ops: ChunkOps<'_>,
+        n: usize,
+        trace: &mut Trace,
+    ) -> Result<(), EngineError> {
+        self.budget.check()?;
+        self.partial.reset(self.query.u.len());
+        self.engine.process_chunk(
+            ops,
+            n,
+            self.query,
+            self.raw_threshold,
+            &mut self.partial,
+            &mut self.stats,
+            &mut self.logits[..n],
+            trace,
+        );
+        Ok(())
     }
-    Ok(())
+
+    /// [`Self::chunk_partial`], then the fold every variant performs in
+    /// global chunk order: merge into the running total through the
+    /// [`mnn_tensor::partial`] plane and guard the denominator.
+    pub(crate) fn fold_chunk(
+        &mut self,
+        ops: ChunkOps<'_>,
+        n: usize,
+        trace: &mut Trace,
+    ) -> Result<(), EngineError> {
+        self.chunk_partial(ops, n, trace)?;
+        let t0 = trace.begin();
+        self.main.merge_from(&self.partial);
+        trace.record(Phase::Merge, t0, 1);
+        check_denom(self.main.denom(), "chunk merge")
+    }
+
+    /// [`Walk::Inline`]: the segment's chunks, in place, in order.
+    fn walk_inline(&mut self, seg: Segment, trace: &mut Trace) -> Result<(), EngineError> {
+        let chunk = self.engine.config.chunk_size;
+        let seg_end = seg.start + seg.rows;
+        let mut row = seg.start;
+        while row < seg_end {
+            let n = chunk.min(seg_end - row);
+            self.fold_chunk(self.view.chunk(row, n), n, trace)?;
+            row += n;
+        }
+        Ok(())
+    }
 }
 
 /// The column-based inference engine.
@@ -375,8 +486,8 @@ impl ColumnEngine {
 
     /// Computes `o = softmax(u · M_INᵀ) · M_OUT` with the column-based
     /// algorithm, allocating fresh scratch buffers (one-shot convenience;
-    /// serving loops should call [`Executor::forward_prefix`] with a
-    /// reused [`Scratch`]).
+    /// serving loops should call [`Executor::forward`] with a reused
+    /// [`Scratch`]).
     ///
     /// # Errors
     ///
@@ -389,196 +500,286 @@ impl ColumnEngine {
         m_out: &Matrix,
         u: &[f32],
     ) -> Result<ColumnOutput, EngineError> {
-        let mut scratch = Scratch::new();
-        let mut trace = Trace::disabled();
-        Executor::forward_prefix(self, m_in, m_out, m_in.rows(), u, &mut scratch, &mut trace)
+        one_shot(self, m_in, m_out, u)
     }
 
-    /// Computes forward passes for a batch of questions. Results are in
-    /// question order.
-    ///
-    /// # Errors
-    ///
-    /// As [`ColumnEngine::forward`].
-    pub fn forward_batch(
+    /// The pass prelude shared by [`ColumnEngine::pass`] and the dist
+    /// worker's [`crate::forward_chunk_partials`]: validates the operands,
+    /// quantizes the query on the int8 plane, and borrows the reset
+    /// accumulators and workspaces out of `scratch`.
+    pub(crate) fn begin<'a>(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        questions: &[Vec<f32>],
-    ) -> Result<Vec<ColumnOutput>, EngineError> {
-        let mut scratch = Scratch::new();
-        let mut trace = Trace::disabled();
-        questions
-            .iter()
-            .map(|u| {
-                Executor::forward_prefix(
-                    self,
-                    m_in,
-                    m_out,
-                    m_in.rows(),
+        view: MemView<'a>,
+        rows: usize,
+        u: &'a [f32],
+        budget: &'a Budget,
+        scratch: &'a mut Scratch,
+    ) -> Result<PassState<'a>, EngineError> {
+        self.config.validate().map_err(EngineError::Config)?;
+        view.check(u)?;
+        view.check_rows(rows)?;
+        let ed = u.len();
+        let logit_len = self.config.chunk_size.min(rows.max(1));
+        let Scratch {
+            logits,
+            lazy,
+            online,
+            chunk_lazy,
+            chunk_online,
+            uq,
+            workers,
+            ..
+        } = scratch;
+        if logits.len() < logit_len {
+            logits.resize(logit_len, 0.0);
+        }
+        let query = match view {
+            MemView::F32 { .. } => Query {
+                u,
+                uq: &[],
+                scale: 0.0,
+            },
+            // A non-finite query quantizes to scale +∞ over zero codes,
+            // which drives every logit non-finite and surfaces as a
+            // NumericFault at the first merge — same contract as f32.
+            MemView::Int8 { .. } => {
+                if uq.len() < ed {
+                    uq.resize(ed, 0);
+                }
+                let scale = mnn_tensor::quant::quantize_row(u, &mut uq[..ed]);
+                Query {
                     u,
-                    &mut scratch,
-                    &mut trace,
-                )
-            })
-            .collect()
+                    uq: &uq[..ed],
+                    scale,
+                }
+            }
+        };
+        // Each chunk is processed into the partial and then folded into the
+        // running total — the same merge discipline on every walk, so
+        // accumulation order is identical across engine variants.
+        let (main, partial) = match self.config.softmax {
+            SoftmaxMode::Lazy => {
+                lazy.reset(ed);
+                chunk_lazy.reset(ed);
+                (AccumMut::Lazy(lazy), AccumMut::Lazy(chunk_lazy))
+            }
+            SoftmaxMode::Online => {
+                online.reset(ed);
+                chunk_online.reset(ed);
+                (AccumMut::Online(online), AccumMut::Online(chunk_online))
+            }
+        };
+        Ok(PassState {
+            engine: *self,
+            view,
+            query,
+            raw_threshold: None,
+            budget,
+            main,
+            partial,
+            logits: &mut logits[..logit_len],
+            workers,
+            stats: InferenceStats::default(),
+        })
     }
 
-    /// Validates shapes and configuration.
-    pub(crate) fn check(
+    /// The one forward pass: prelude → Probability pre-pass → per segment
+    /// {budget check, zone-map prune, `walk` its chunks into the running
+    /// total, wire round-trip} → lazy division → output guard. Segments
+    /// are visited in order and every walk folds chunk partials in global
+    /// chunk order, so the answer, denominator and counters do not depend
+    /// on `walk`, the thread count or the segmentation.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn pass(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
+        walk: Walk,
+        view: MemView<'_>,
+        plan: &SegmentPlan<'_>,
         u: &[f32],
-    ) -> Result<(), EngineError> {
-        self.config.validate().map_err(EngineError::Config)?;
-        if m_in.shape() != m_out.shape() {
-            return Err(EngineError::MemoryMismatch {
-                m_in: m_in.shape(),
-                m_out: m_out.shape(),
-            });
+        scratch: &mut Scratch,
+        trace: &mut Trace,
+        budget: &Budget,
+    ) -> Result<ColumnOutput, EngineError> {
+        let rows = plan.rows();
+        let ed = u.len();
+        let walk = match walk {
+            // Partitioned on chunk boundaries below; with nothing to split
+            // the scale-out pass is the sequential one.
+            Walk::Workers { threads } => match threads.min(rows) {
+                0 | 1 => Walk::Inline,
+                threads => Walk::Workers { threads },
+            },
+            walk => walk,
+        };
+        let (denominator, mut stats) = {
+            let mut st = self.begin(view, rows, u, budget, scratch)?;
+            let t0 = trace.begin();
+            // The skip-threshold pre-pass covers *all* plan rows, pruned
+            // segments included, so resolved thresholds match the
+            // unsegmented pass bit for bit.
+            st.raw_threshold =
+                self.resolve_threshold(view, st.query, rows, &mut st.stats, st.logits);
+            trace.record(Phase::Skip, t0, 0);
+            // Int8 zone maps are built from exactly-dequantized row norms,
+            // so Cauchy–Schwarz must use the quantized query's own norm:
+            // those are the vectors the int8 kernels actually dot.
+            let query_norm = match view {
+                MemView::F32 { .. } => segment::query_norm_upper(u),
+                MemView::Int8 { .. } => segment::query_norm_upper_i8(st.query.uq, st.query.scale),
+            };
+            for seg in plan.segments() {
+                budget.check()?;
+                st.stats.segments_total += 1;
+                // The prune decision needs the running max of everything
+                // folded so far, so segments are visited sequentially and a
+                // pruned segment's rows are never even staged.
+                let dominated = plan.prune()
+                    && st.main.running_max().is_some_and(|running_max| {
+                        segment::can_prune(running_max, seg.logit_upper_bound(query_norm))
+                    });
+                if dominated {
+                    st.stats.segments_pruned += 1;
+                    st.stats.rows_pruned += seg.rows as u64;
+                    continue;
+                }
+                match walk {
+                    Walk::Inline => st.walk_inline(seg, trace)?,
+                    Walk::Staged { depth } => {
+                        crate::streaming::walk_staged(&mut st, depth, seg, trace)?
+                    }
+                    Walk::Workers { threads } => {
+                        crate::parallel::walk_workers(&mut st, threads, seg, trace)?
+                    }
+                }
+                let t0 = trace.begin();
+                st.main.wire_roundtrip();
+                trace.record(Phase::SegmentMerge, t0, 1);
+            }
+            (st.main.denom(), st.stats)
+        };
+        if let Walk::Staged { depth } = walk {
+            // Staging buffers double the live intermediate footprint:
+            // depth buffers × two memories × one chunk of rows.
+            stats.intermediate_bytes +=
+                (depth * self.config.chunk_size * view.row_bytes() * 2) as u64;
         }
-        if u.len() != m_in.cols() {
-            return Err(ShapeError::new(
-                "ColumnEngine::forward",
-                format!("u of length {}", m_in.cols()),
-                format!("u of length {}", u.len()),
-            )
-            .into());
-        }
-        Ok(())
-    }
-
-    /// [`ColumnEngine::check`] for the quantized memory plane.
-    pub(crate) fn check_quant(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        u: &[f32],
-    ) -> Result<(), EngineError> {
-        self.config.validate().map_err(EngineError::Config)?;
-        if (m_in.rows(), m_in.cols()) != (m_out.rows(), m_out.cols()) {
-            return Err(EngineError::MemoryMismatch {
-                m_in: (m_in.rows(), m_in.cols()),
-                m_out: (m_out.rows(), m_out.cols()),
-            });
-        }
-        if u.len() != m_in.cols() {
-            return Err(ShapeError::new(
-                "ColumnEngine::forward_quant",
-                format!("u of length {}", m_in.cols()),
-                format!("u of length {}", u.len()),
-            )
-            .into());
-        }
-        Ok(())
+        let mut o = scratch.take_out(ed);
+        let t0 = trace.begin();
+        scratch.finish_main(self.config.softmax, &mut o);
+        trace.record(Phase::Divide, t0, ed as u64);
+        check_output(&o)?;
+        // The lazy division: ed operations, NOT ns (Section 3.1's
+        // division-count reduction).
+        stats.divisions += ed as u64;
+        stats.flops += ed as u64;
+        Ok(ColumnOutput {
+            o,
+            denominator,
+            stats,
+        })
     }
 
     /// Resolves [`SkipPolicy`] into a raw-weight threshold over the first
     /// `rows` rows, running the denominator pre-pass for
     /// [`SkipPolicy::Probability`] in the caller's `logits` buffer
-    /// (`chunk.min(rows.max(1))` elements — no allocation).
-    pub(crate) fn resolve_threshold_prefix(
+    /// (`chunk.min(rows.max(1))` elements — no allocation). On the int8
+    /// plane the sweep runs on the int8 GEMV, so the threshold is
+    /// consistent with the logits the quantized main pass will compute.
+    fn resolve_threshold(
         &self,
-        m_in: &Matrix,
+        view: MemView<'_>,
+        query: Query<'_>,
         rows: usize,
-        u: &[f32],
         stats: &mut InferenceStats,
         logits: &mut [f32],
-    ) -> Result<Option<f32>, EngineError> {
-        match self.config.skip {
-            SkipPolicy::None => Ok(None),
-            SkipPolicy::RawWeight(th) => Ok(Some(th)),
-            SkipPolicy::Probability(th) => {
-                // Pass 1: denominator sweep (inner products + exp only).
-                let ed = u.len();
-                let chunk = self.config.chunk_size;
-                let mut max_logit = f32::NEG_INFINITY;
-                let mut denom_rel = 0.0f64; // relative to running max, online-style
-                let mut raw_denom = 0.0f64;
-                let mut start = 0usize;
-                while start < rows {
-                    let n = chunk.min(rows - start);
-                    let flat = m_in.rows_slice(start, n);
-                    let buf = &mut logits[..n];
-                    kernels::gemv_chunk(flat, n, u, buf);
-                    stats.flops += kernels::gemv_flops(n, ed);
-                    stats.memory_bytes += (n * ed * 4) as u64;
-                    for &x in buf.iter() {
-                        if x > max_logit {
-                            denom_rel *= ((max_logit - x) as f64).exp();
-                            max_logit = x;
-                        }
-                        denom_rel += ((x - max_logit) as f64).exp();
-                        raw_denom += (x as f64).exp();
-                        stats.flops += 1;
-                    }
-                    start += n;
-                }
-                match self.config.softmax {
-                    // p_i = e^{x_i} / Σe^{x_j}  <  th  ⟺  e^{x_i} < th·Σ.
-                    SoftmaxMode::Lazy => Ok(Some((th as f64 * raw_denom) as f32)),
-                    // Relative weight e^{x_i - max} < th · Σe^{x_j - max}.
-                    SoftmaxMode::Online => Ok(Some((th as f64 * denom_rel) as f32)),
-                }
+    ) -> Option<f32> {
+        let th = match self.config.skip {
+            SkipPolicy::None => return None,
+            SkipPolicy::RawWeight(th) => return Some(th),
+            SkipPolicy::Probability(th) => th,
+        };
+        // Pass 1: denominator sweep (inner products + exp only).
+        let ed = query.u.len();
+        let chunk = self.config.chunk_size;
+        let mut max_logit = f32::NEG_INFINITY;
+        let mut denom_rel = 0.0f64; // relative to running max, online-style
+        let mut raw_denom = 0.0f64;
+        let mut start = 0usize;
+        while start < rows {
+            let n = chunk.min(rows - start);
+            let buf = &mut logits[..n];
+            match view.chunk(start, n) {
+                ChunkOps::F32 { m_in, .. } => kernels::gemv_chunk(m_in, n, query.u, buf),
+                ChunkOps::Int8 {
+                    m_in, in_scales, ..
+                } => kernels::gemv_chunk_i8(m_in, in_scales, n, query.uq, query.scale, buf),
             }
+            stats.flops += kernels::gemv_flops(n, ed);
+            stats.memory_bytes += (n * view.row_bytes()) as u64;
+            for &x in buf.iter() {
+                if x > max_logit {
+                    denom_rel *= ((max_logit - x) as f64).exp();
+                    max_logit = x;
+                }
+                denom_rel += ((x - max_logit) as f64).exp();
+                raw_denom += (x as f64).exp();
+                stats.flops += 1;
+            }
+            start += n;
         }
+        Some(match self.config.softmax {
+            // p_i = e^{x_i} / Σe^{x_j}  <  th  ⟺  e^{x_i} < th·Σ.
+            SoftmaxMode::Lazy => (th as f64 * raw_denom) as f32,
+            // Relative weight e^{x_i - max} < th · Σe^{x_j - max}.
+            SoftmaxMode::Online => (th as f64 * denom_rel) as f32,
+        })
     }
 
-    /// [`ColumnEngine::resolve_threshold_prefix`] over the quantized plane:
-    /// the [`SkipPolicy::Probability`] denominator sweep runs on the int8
-    /// GEMV, so the resolved threshold is consistent with the logits the
-    /// quantized main pass will compute (skip decisions are made against
-    /// quantized logits on both passes, keeping the quantized run
-    /// self-consistent and deterministic).
-    pub(crate) fn resolve_threshold_prefix_quant(
+    /// One chunk into `acc`, on whichever plane `ops` carries: the one
+    /// per-chunk dispatch onto the f32 / int8 chunk bodies below.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn process_chunk(
         &self,
-        m_in: &QuantMatrix,
-        rows: usize,
-        uq: &[i8],
-        u_scale: f32,
+        ops: ChunkOps<'_>,
+        n: usize,
+        query: Query<'_>,
+        raw_threshold: Option<f32>,
+        acc: &mut AccumMut<'_>,
         stats: &mut InferenceStats,
         logits: &mut [f32],
-    ) -> Result<Option<f32>, EngineError> {
-        match self.config.skip {
-            SkipPolicy::None => Ok(None),
-            SkipPolicy::RawWeight(th) => Ok(Some(th)),
-            SkipPolicy::Probability(th) => {
-                let ed = uq.len();
-                let chunk = self.config.chunk_size;
-                let mut max_logit = f32::NEG_INFINITY;
-                let mut denom_rel = 0.0f64;
-                let mut raw_denom = 0.0f64;
-                let mut start = 0usize;
-                while start < rows {
-                    let n = chunk.min(rows - start);
-                    let buf = &mut logits[..n];
-                    kernels::gemv_chunk_i8(
-                        m_in.rows_slice(start, n),
-                        m_in.scales_slice(start, n),
-                        n,
-                        uq,
-                        u_scale,
-                        buf,
-                    );
-                    stats.flops += kernels::gemv_flops(n, ed);
-                    stats.memory_bytes += (n * (ed + 4)) as u64;
-                    for &x in buf.iter() {
-                        if x > max_logit {
-                            denom_rel *= ((max_logit - x) as f64).exp();
-                            max_logit = x;
-                        }
-                        denom_rel += ((x - max_logit) as f64).exp();
-                        raw_denom += (x as f64).exp();
-                        stats.flops += 1;
-                    }
-                    start += n;
-                }
-                match self.config.softmax {
-                    SoftmaxMode::Lazy => Ok(Some((th as f64 * raw_denom) as f32)),
-                    SoftmaxMode::Online => Ok(Some((th as f64 * denom_rel) as f32)),
-                }
-            }
+        trace: &mut Trace,
+    ) {
+        match ops {
+            ChunkOps::F32 { m_in, m_out } => self.process_chunk_flat(
+                m_in,
+                m_out,
+                n,
+                query.u,
+                raw_threshold,
+                acc,
+                stats,
+                logits,
+                trace,
+            ),
+            ChunkOps::Int8 {
+                m_in,
+                in_scales,
+                m_out,
+                out_scales,
+            } => self.process_chunk_quant(
+                m_in,
+                in_scales,
+                m_out,
+                out_scales,
+                n,
+                query.uq,
+                query.scale,
+                raw_threshold,
+                acc,
+                stats,
+                logits,
+                trace,
+            ),
         }
     }
 
@@ -654,7 +855,7 @@ impl ColumnEngine {
         trace.bump(Phase::Skip, chunk_skipped);
     }
 
-    /// [`ColumnEngine::process_chunk_flat`] over quantized operands: `n`
+    /// `ColumnEngine::process_chunk_flat` over quantized operands: `n`
     /// rows of int8 codes plus their per-row scales for both memories. The
     /// flop accounting matches the f32 path (same mathematical work); the
     /// traffic accounting charges `ed + 4` bytes per row touched — the int8
@@ -767,225 +968,43 @@ pub(crate) fn check_output(o: &[f32]) -> Result<(), EngineError> {
     }
 }
 
+/// The engines' doc-tested one-shot `forward(&m_in, &m_out, &u)`: every
+/// row, a throwaway [`Scratch`], no trace, no budget.
+pub(crate) fn one_shot(
+    exec: &dyn Executor,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    u: &[f32],
+) -> Result<ColumnOutput, EngineError> {
+    exec.forward(
+        MemView::F32 { m_in, m_out },
+        Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+        u,
+        &mut Scratch::new(),
+        &mut Trace::disabled(),
+        &Budget::unlimited(),
+    )
+}
+
 impl Executor for ColumnEngine {
-    fn forward_prefix_budgeted(
+    fn forward(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
+        view: MemView<'_>,
+        route: Route<'_>,
         u: &[f32],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budget: &Budget,
     ) -> Result<ColumnOutput, EngineError> {
-        self.forward_segmented_budgeted(
-            m_in,
-            m_out,
-            &SegmentPlan::unsegmented(rows),
+        resolve_route(
+            &self.config,
+            view,
+            route,
             u,
             scratch,
             trace,
-            budget,
+            |v, p, s, t| self.pass(Walk::Inline, v, p, u, s, t, budget),
         )
-    }
-
-    fn forward_segmented_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.check(m_in, m_out, u)?;
-        check_rows(m_in, plan.rows(), "ColumnEngine::forward_prefix")?;
-        let rows = plan.rows();
-        let ed = u.len();
-        let chunk = self.config.chunk_size;
-        let mut stats = InferenceStats::default();
-        let denominator;
-        {
-            let (logits, mut main, mut partial) =
-                scratch.split_chunked(self.config.softmax, ed, chunk.min(rows.max(1)));
-            let t0 = trace.begin();
-            // The skip-threshold pre-pass covers *all* plan rows, pruned
-            // segments included, so resolved thresholds match the
-            // unsegmented pass bit for bit.
-            let raw_threshold = self.resolve_threshold_prefix(m_in, rows, u, &mut stats, logits)?;
-            trace.record(Phase::Skip, t0, 0);
-            let query_norm = segment::query_norm_upper(u);
-            for seg in plan.segments() {
-                budget.check()?;
-                stats.segments_total += 1;
-                if plan.prune() {
-                    if let Some(running_max) = main.running_max() {
-                        if segment::can_prune(running_max, seg.logit_upper_bound(query_norm)) {
-                            stats.segments_pruned += 1;
-                            stats.rows_pruned += seg.rows as u64;
-                            continue;
-                        }
-                    }
-                }
-                let seg_end = seg.start + seg.rows;
-                let mut row = seg.start;
-                while row < seg_end {
-                    budget.check()?;
-                    let n = chunk.min(seg_end - row);
-                    partial.reset(ed);
-                    self.process_chunk_flat(
-                        m_in.rows_slice(row, n),
-                        m_out.rows_slice(row, n),
-                        n,
-                        u,
-                        raw_threshold,
-                        &mut partial,
-                        &mut stats,
-                        &mut logits[..n],
-                        trace,
-                    );
-                    let t0 = trace.begin();
-                    main.merge_from(&partial);
-                    trace.record(Phase::Merge, t0, 1);
-                    check_denom(main.denom(), "chunk merge")?;
-                    row += n;
-                }
-                let t0 = trace.begin();
-                main.wire_roundtrip();
-                trace.record(Phase::SegmentMerge, t0, 1);
-            }
-            denominator = main.denom();
-        }
-        let mut o = scratch.take_out(ed);
-        let t0 = trace.begin();
-        scratch.finish_main(self.config.softmax, &mut o);
-        trace.record(Phase::Divide, t0, ed as u64);
-        check_output(&o)?;
-        // The lazy division: ed operations, NOT ns (Section 3.1's
-        // division-count reduction).
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        Ok(ColumnOutput {
-            o,
-            denominator,
-            stats,
-        })
-    }
-
-    fn forward_quant_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.check_quant(m_in, m_out, u)?;
-        check_rows_quant(m_in, plan.rows(), "ColumnEngine::forward_quant")?;
-        let rows = plan.rows();
-        let ed = u.len();
-        let chunk = self.config.chunk_size;
-        let mut stats = InferenceStats::default();
-        // A non-finite query quantizes to scale +∞ over zero codes, which
-        // drives every logit non-finite and surfaces as a NumericFault at
-        // the first merge — same contract as the f32 path.
-        let u_scale = scratch.quant_query(u);
-        let denominator;
-        {
-            let logit_len = chunk.min(rows.max(1));
-            let Scratch {
-                logits,
-                lazy,
-                online,
-                chunk_lazy,
-                chunk_online,
-                uq,
-                ..
-            } = scratch;
-            if logits.len() < logit_len {
-                logits.resize(logit_len, 0.0);
-            }
-            let logits = &mut logits[..logit_len];
-            let uq: &[i8] = &uq[..ed];
-            let (mut main, mut partial) = match self.config.softmax {
-                SoftmaxMode::Lazy => {
-                    lazy.reset(ed);
-                    chunk_lazy.reset(ed);
-                    (AccumMut::Lazy(lazy), AccumMut::Lazy(chunk_lazy))
-                }
-                SoftmaxMode::Online => {
-                    online.reset(ed);
-                    chunk_online.reset(ed);
-                    (AccumMut::Online(online), AccumMut::Online(chunk_online))
-                }
-            };
-            let t0 = trace.begin();
-            let raw_threshold =
-                self.resolve_threshold_prefix_quant(m_in, rows, uq, u_scale, &mut stats, logits)?;
-            trace.record(Phase::Skip, t0, 0);
-            // Zone maps are built from exactly-dequantized row norms, so
-            // Cauchy–Schwarz must use the quantized query's own norm: those
-            // are the vectors the int8 kernels actually dot.
-            let query_norm = segment::query_norm_upper_i8(uq, u_scale);
-            for seg in plan.segments() {
-                budget.check()?;
-                stats.segments_total += 1;
-                if plan.prune() {
-                    if let Some(running_max) = main.running_max() {
-                        if segment::can_prune(running_max, seg.logit_upper_bound(query_norm)) {
-                            stats.segments_pruned += 1;
-                            stats.rows_pruned += seg.rows as u64;
-                            continue;
-                        }
-                    }
-                }
-                let seg_end = seg.start + seg.rows;
-                let mut row = seg.start;
-                while row < seg_end {
-                    budget.check()?;
-                    let n = chunk.min(seg_end - row);
-                    partial.reset(ed);
-                    self.process_chunk_quant(
-                        m_in.rows_slice(row, n),
-                        m_in.scales_slice(row, n),
-                        m_out.rows_slice(row, n),
-                        m_out.scales_slice(row, n),
-                        n,
-                        uq,
-                        u_scale,
-                        raw_threshold,
-                        &mut partial,
-                        &mut stats,
-                        &mut logits[..n],
-                        trace,
-                    );
-                    let t0 = trace.begin();
-                    main.merge_from(&partial);
-                    trace.record(Phase::Merge, t0, 1);
-                    check_denom(main.denom(), "chunk merge")?;
-                    row += n;
-                }
-                let t0 = trace.begin();
-                main.wire_roundtrip();
-                trace.record(Phase::SegmentMerge, t0, 1);
-            }
-            denominator = main.denom();
-        }
-        let mut o = scratch.take_out(ed);
-        let t0 = trace.begin();
-        scratch.finish_main(self.config.softmax, &mut o);
-        trace.record(Phase::Divide, t0, ed as u64);
-        check_output(&o)?;
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        Ok(ColumnOutput {
-            o,
-            denominator,
-            stats,
-        })
     }
 
     fn config(&self) -> MnnFastConfig {
@@ -1018,6 +1037,26 @@ mod tests {
         (m_in, m_out, u)
     }
 
+    fn forward_with(
+        engine: &ColumnEngine,
+        m_in: &Matrix,
+        m_out: &Matrix,
+        rows: usize,
+        u: &[f32],
+        scratch: &mut Scratch,
+        trace: &mut Trace,
+    ) -> Result<ColumnOutput, EngineError> {
+        Executor::forward(
+            engine,
+            MemView::F32 { m_in, m_out },
+            Route::Plan(&SegmentPlan::unsegmented(rows)),
+            u,
+            scratch,
+            trace,
+            &Budget::unlimited(),
+        )
+    }
+
     fn forward_prefix(
         engine: &ColumnEngine,
         m_in: &Matrix,
@@ -1027,7 +1066,7 @@ mod tests {
     ) -> Result<ColumnOutput, EngineError> {
         let mut scratch = Scratch::new();
         let mut trace = Trace::disabled();
-        Executor::forward_prefix(engine, m_in, m_out, rows, u, &mut scratch, &mut trace)
+        forward_with(engine, m_in, m_out, rows, u, &mut scratch, &mut trace)
     }
 
     #[test]
@@ -1213,7 +1252,7 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut trace = Trace::disabled();
         for _ in 0..3 {
-            let reused = Executor::forward_prefix(
+            let reused = forward_with(
                 &engine,
                 &m_in,
                 &m_out,
@@ -1237,7 +1276,7 @@ mod tests {
             ColumnEngine::new(MnnFastConfig::new(16).with_skip(SkipPolicy::Probability(0.01)));
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
-        let out = Executor::forward_prefix(
+        let out = forward_with(
             &engine,
             &m_in,
             &m_out,
@@ -1266,7 +1305,7 @@ mod tests {
                 .with_fused(false),
         );
         let mut trace = Trace::enabled();
-        let out = Executor::forward_prefix(
+        let out = forward_with(
             &engine,
             &m_in,
             &m_out,
@@ -1314,20 +1353,6 @@ mod tests {
                 two_pass.denominator,
                 1e-4
             ));
-        }
-    }
-
-    #[test]
-    fn forward_batch_matches_individual() {
-        let (m_in, m_out, _) = test_memories(20, 4);
-        let questions: Vec<Vec<f32>> = (0..3)
-            .map(|q| (0..4).map(|i| ((q * 4 + i) as f32 * 0.2).cos()).collect())
-            .collect();
-        let engine = ColumnEngine::new(MnnFastConfig::new(6));
-        let batch = engine.forward_batch(&m_in, &m_out, &questions).unwrap();
-        for (q, out) in questions.iter().zip(&batch) {
-            let single = engine.forward(&m_in, &m_out, q).unwrap();
-            assert_eq!(single.o, out.o);
         }
     }
 

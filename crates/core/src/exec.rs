@@ -49,11 +49,11 @@
 
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
-use crate::engine::{AccumMut, ColumnOutput, EngineError};
+use crate::engine::{AccumMut, ChunkOps, ColumnOutput, EngineError, Walk};
 use crate::index::{ClusterIndex, ProbeResult};
 use crate::segment::SegmentPlan;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
-use mnn_tensor::{Matrix, QuantMatrix};
+use mnn_tensor::{Matrix, QuantMatrix, ShapeError};
 use std::fmt;
 use std::time::Instant;
 
@@ -506,6 +506,61 @@ pub struct Scratch {
     // Quantized (int8) path: the query is quantized once per pass, here,
     // so the kernels only ever see i8 operands.
     pub(crate) uq: Vec<i8>,
+    // Top-K gather mode: the contiguous staging memory the candidate rows
+    // are copied into, one pair per plane. Empty until a probe gathers.
+    gather: GatherStage,
+}
+
+/// The top-K gather staging of a [`Scratch`] (see [`Route::TopK`]).
+#[derive(Debug, Clone, Default)]
+struct GatherStage {
+    f32: Option<(Matrix, Matrix)>,
+    int8: (QuantMatrix, QuantMatrix),
+}
+
+impl GatherStage {
+    /// Copies rows `rows` of `view` into the staging pair of its plane, in
+    /// the order given, and returns the staged rows as a view (attend over
+    /// its first `rows.len()` rows). Int8 codes and scales are copied
+    /// *verbatim*, so a gathered pass shares the rounding history of the
+    /// full quantized plane.
+    fn gather(&mut self, view: MemView<'_>, rows: &[u32]) -> MemView<'_> {
+        match view {
+            MemView::F32 { m_in, m_out } => {
+                let (n, ed) = (rows.len(), m_in.cols());
+                let fits = |(m, _): &(Matrix, Matrix)| m.rows() >= n && m.cols() == ed;
+                if !self.f32.as_ref().is_some_and(fits) {
+                    let cap = n.next_power_of_two();
+                    self.f32 = Some((Matrix::zeros(cap, ed), Matrix::zeros(cap, ed)));
+                }
+                let (s_in, s_out) = self.f32.as_mut().expect("sized above");
+                for (i, &r) in rows.iter().enumerate() {
+                    s_in.row_mut(i).copy_from_slice(m_in.row(r as usize));
+                    s_out.row_mut(i).copy_from_slice(m_out.row(r as usize));
+                }
+                MemView::F32 {
+                    m_in: s_in,
+                    m_out: s_out,
+                }
+            }
+            MemView::Int8 { m_in, m_out } => {
+                let (s_in, s_out) = &mut self.int8;
+                for (staged, m) in [(&mut *s_in, m_in), (&mut *s_out, m_out)] {
+                    if staged.cols() != m.cols() {
+                        *staged = QuantMatrix::new(m.cols());
+                    }
+                    staged.clear();
+                    for &r in rows {
+                        staged.push_quantized_row(m.row(r as usize), m.scale(r as usize));
+                    }
+                }
+                MemView::Int8 {
+                    m_in: s_in,
+                    m_out: s_out,
+                }
+            }
+        }
+    }
 }
 
 impl Scratch {
@@ -539,147 +594,6 @@ impl Scratch {
         v.clear();
         v.reserve(ed);
         v
-    }
-
-    /// Splits into the main logits buffer, a reset running-total
-    /// accumulator, and a reset chunk-partial accumulator.
-    ///
-    /// The sequential engines process each chunk into the partial and then
-    /// fold it into the running total — the same merge discipline the
-    /// scale-out path uses — so accumulation order is identical across
-    /// engine variants.
-    pub(crate) fn split_chunked(
-        &mut self,
-        mode: SoftmaxMode,
-        ed: usize,
-        logit_len: usize,
-    ) -> (&mut [f32], AccumMut<'_>, AccumMut<'_>) {
-        if self.logits.len() < logit_len {
-            self.logits.resize(logit_len, 0.0);
-        }
-        let logits = &mut self.logits[..logit_len];
-        match mode {
-            SoftmaxMode::Lazy => {
-                self.lazy.reset(ed);
-                self.chunk_lazy.reset(ed);
-                (
-                    logits,
-                    AccumMut::Lazy(&mut self.lazy),
-                    AccumMut::Lazy(&mut self.chunk_lazy),
-                )
-            }
-            SoftmaxMode::Online => {
-                self.online.reset(ed);
-                self.chunk_online.reset(ed);
-                (
-                    logits,
-                    AccumMut::Online(&mut self.online),
-                    AccumMut::Online(&mut self.chunk_online),
-                )
-            }
-        }
-    }
-
-    /// Quantizes the query into the scratch's `uq` buffer and returns its
-    /// scale. The engines call this once per quantized pass; afterwards
-    /// `self.uq[..u.len()]` holds the codes.
-    pub(crate) fn quant_query(&mut self, u: &[f32]) -> f32 {
-        if self.uq.len() < u.len() {
-            self.uq.resize(u.len(), 0);
-        }
-        mnn_tensor::quant::quantize_row(u, &mut self.uq[..u.len()])
-    }
-
-    /// The main logits buffer, grown to at least `logit_len`.
-    pub(crate) fn logits(&mut self, logit_len: usize) -> &mut [f32] {
-        if self.logits.len() < logit_len {
-            self.logits.resize(logit_len, 0.0);
-        }
-        &mut self.logits[..logit_len]
-    }
-
-    /// Per-worker scratches for an `n`-thread scale-out pass.
-    pub(crate) fn workers(&mut self, n: usize) -> &mut [WorkerScratch] {
-        if self.workers.len() < n {
-            self.workers.resize_with(n, WorkerScratch::default);
-        }
-        &mut self.workers[..n]
-    }
-
-    /// Resets the main (running-total) accumulator for a fresh pass.
-    pub(crate) fn reset_main(&mut self, mode: SoftmaxMode, ed: usize) {
-        match mode {
-            SoftmaxMode::Lazy => self.lazy.reset(ed),
-            SoftmaxMode::Online => self.online.reset(ed),
-        }
-    }
-
-    /// Folds every chunk partial produced by the first `n` workers into the
-    /// main accumulator (which the caller reset via [`Scratch::reset_main`]
-    /// at pass start — the segmented path folds several worker rounds into
-    /// one running total) and returns `(denominator, partials merged)`.
-    ///
-    /// Workers own contiguous ascending chunk ranges, so iterating workers
-    /// in order and their partials in order visits chunks in global
-    /// chunk-index order — exactly the fold the sequential engines perform,
-    /// which is what makes the output bitwise identical. Every fold goes
-    /// through the [`mnn_tensor::partial`] merge plane.
-    pub(crate) fn fold_worker_partials(&mut self, mode: SoftmaxMode, n: usize) -> (f32, u64) {
-        let mut merged = 0u64;
-        match mode {
-            SoftmaxMode::Lazy => {
-                for w in &self.workers[..n] {
-                    for partial in &w.lazy_partials[..w.used] {
-                        mnn_tensor::partial::merge_lazy_into(&mut self.lazy, partial);
-                        merged += 1;
-                    }
-                }
-                (self.lazy.denom(), merged)
-            }
-            SoftmaxMode::Online => {
-                for w in &self.workers[..n] {
-                    for partial in &w.online_partials[..w.used] {
-                        mnn_tensor::partial::merge_online_into(&mut self.online, partial);
-                        merged += 1;
-                    }
-                }
-                (self.online.denom(), merged)
-            }
-        }
-    }
-
-    /// The main accumulator's running softmax max, the quantity zone-map
-    /// pruning tests segment upper bounds against. `None` in lazy mode
-    /// (no running max exists, so pruning can never fire — see
-    /// [`crate::segment`]).
-    pub(crate) fn main_running_max(&self, mode: SoftmaxMode) -> Option<f32> {
-        match mode {
-            SoftmaxMode::Lazy => None,
-            SoftmaxMode::Online => Some(self.online.max_logit()),
-        }
-    }
-
-    /// The main accumulator's denominator.
-    pub(crate) fn main_denom(&self, mode: SoftmaxMode) -> f32 {
-        match mode {
-            SoftmaxMode::Lazy => self.lazy.denom(),
-            SoftmaxMode::Online => self.online.denom(),
-        }
-    }
-
-    /// When the opt-in wire-merge mode is on, replaces the main accumulator
-    /// with its serialization roundtrip — the segment-boundary handoff that
-    /// proves the [`mnn_tensor::partial`] wire format answer-faithful.
-    pub(crate) fn wire_roundtrip_main(&mut self, mode: SoftmaxMode) {
-        if !mnn_tensor::partial::wire_merge_enabled() {
-            return;
-        }
-        match mode {
-            SoftmaxMode::Lazy => self.lazy = mnn_tensor::partial::roundtrip_lazy(&self.lazy),
-            SoftmaxMode::Online => {
-                self.online = mnn_tensor::partial::roundtrip_online(&self.online)
-            }
-        }
     }
 
     /// Writes the main accumulator's normalized response into `out`.
@@ -825,19 +739,208 @@ impl ExecPlan {
     }
 }
 
+/// The memory plane a pass reads: the `(M_IN, M_OUT)` pair, either as f32
+/// rows or as their per-row symmetric int8 mirror ([`QuantMatrix`]: int8
+/// codes plus per-row scales).
+///
+/// On the int8 plane the query is quantized once per pass and every chunk
+/// runs on the exact-integer int8 kernels. Logits carry a bounded relative
+/// error ([`mnn_tensor::simd::I8_LOGIT_MAX_REL_ERROR`]); the result is
+/// bitwise identical across engine variants and SIMD backends (the int8
+/// kernels share one rounding history — see [`mnn_tensor::simd`]).
+#[derive(Debug, Clone, Copy)]
+pub enum MemView<'a> {
+    /// The f32 row store.
+    F32 {
+        /// Input memory `M_IN`.
+        m_in: &'a Matrix,
+        /// Output memory `M_OUT`.
+        m_out: &'a Matrix,
+    },
+    /// The int8 mirror.
+    Int8 {
+        /// Quantized input memory.
+        m_in: &'a QuantMatrix,
+        /// Quantized output memory.
+        m_out: &'a QuantMatrix,
+    },
+}
+
+impl<'a> MemView<'a> {
+    fn shapes(&self) -> ((usize, usize), (usize, usize)) {
+        match self {
+            MemView::F32 { m_in, m_out } => (m_in.shape(), m_out.shape()),
+            MemView::Int8 { m_in, m_out } => {
+                ((m_in.rows(), m_in.cols()), (m_out.rows(), m_out.cols()))
+            }
+        }
+    }
+
+    /// Rows both memories hold (a pass attends over a prefix or a routed
+    /// subset of them).
+    pub fn rows(&self) -> usize {
+        let (m_in, m_out) = self.shapes();
+        m_in.0.min(m_out.0)
+    }
+
+    /// The embedding dimension (`M_IN`'s row width).
+    pub fn cols(&self) -> usize {
+        self.shapes().0 .1
+    }
+
+    /// Bytes one row of one memory moves: `4·ed` f32, or `ed` int8 codes
+    /// plus the f32 scale — where the ~4x bandwidth saving shows up in
+    /// [`crate::InferenceStats::memory_bytes`].
+    pub(crate) fn row_bytes(&self) -> usize {
+        match self {
+            MemView::F32 { .. } => self.cols() * 4,
+            MemView::Int8 { .. } => self.cols() + 4,
+        }
+    }
+
+    /// Checks that the two memories agree in shape and `u` in width.
+    pub(crate) fn check(&self, u: &[f32]) -> Result<(), EngineError> {
+        let (m_in, m_out) = self.shapes();
+        if m_in != m_out {
+            return Err(EngineError::MemoryMismatch { m_in, m_out });
+        }
+        if u.len() != m_in.1 {
+            return Err(ShapeError::new(
+                "Executor::forward",
+                format!("u of length {}", m_in.1),
+                format!("u of length {}", u.len()),
+            )
+            .into());
+        }
+        Ok(())
+    }
+
+    /// Checks that a pass over `rows` rows stays inside the memories.
+    pub(crate) fn check_rows(&self, rows: usize) -> Result<(), EngineError> {
+        if rows > self.rows() {
+            return Err(ShapeError::new(
+                "Executor::forward",
+                format!("rows <= {}", self.rows()),
+                format!("rows = {rows}"),
+            )
+            .into());
+        }
+        Ok(())
+    }
+
+    /// Rows `row..row + n` of both memories.
+    pub(crate) fn chunk(&self, row: usize, n: usize) -> ChunkOps<'a> {
+        match *self {
+            MemView::F32 { m_in, m_out } => ChunkOps::F32 {
+                m_in: m_in.rows_slice(row, n),
+                m_out: m_out.rows_slice(row, n),
+            },
+            MemView::Int8 { m_in, m_out } => ChunkOps::Int8 {
+                m_in: m_in.rows_slice(row, n),
+                in_scales: m_in.scales_slice(row, n),
+                m_out: m_out.rows_slice(row, n),
+                out_scales: m_out.scales_slice(row, n),
+            },
+        }
+    }
+}
+
+impl<'a> From<(&'a Matrix, &'a Matrix)> for MemView<'a> {
+    /// The f32 plane over `(M_IN, M_OUT)`.
+    fn from((m_in, m_out): (&'a Matrix, &'a Matrix)) -> Self {
+        MemView::F32 { m_in, m_out }
+    }
+}
+
+impl<'a> From<(&'a QuantMatrix, &'a QuantMatrix)> for MemView<'a> {
+    /// The int8 plane over `(M_IN, M_OUT)` mirrors.
+    fn from((m_in, m_out): (&'a QuantMatrix, &'a QuantMatrix)) -> Self {
+        MemView::Int8 { m_in, m_out }
+    }
+}
+
+/// Which rows of a [`MemView`] a single-question pass attends over.
+#[derive(Debug, Clone, Copy)]
+pub enum Route<'a> {
+    /// The rows of a [`SegmentPlan`]: a prefix
+    /// ([`SegmentPlan::unsegmented`]) or a routed map whose segments are
+    /// visited in order, folding each segment's chunk partials into one
+    /// running accumulator through the [`mnn_tensor::partial`] merge plane
+    /// and — when the plan enables pruning — skipping segments whose
+    /// zone-map score upper bound provably cannot survive the running
+    /// softmax max (see [`crate::segment`]; int8 bounds come from
+    /// exactly-dequantized row norms and the quantized query's own norm).
+    /// Any routed plan answers bitwise the unsegmented pass: segments are
+    /// chunk-aligned, the fold stays in global chunk order, and pruning
+    /// only removes exactly-zero contributions.
+    Plan(&'a SegmentPlan<'a>),
+    /// Approximate-first, exact-second attention: probe the clustered
+    /// top-K candidate [`ClusterIndex`] for the rows most likely to carry
+    /// the softmax mass, then rescore *only those rows* with the unchanged
+    /// exact kernels. Sublinear in memory size — `O(k·ed)` centroid scoring
+    /// plus `O(candidates·ed)` exact work instead of `O(ns·ed)`.
+    ///
+    /// The route is resolved above the engines into one of two plan walks,
+    /// chosen per probe:
+    ///
+    /// * **Plan mode** — when the candidates are spatially clustered (the
+    ///   covered chunk-run span is at most twice the candidate count), walk
+    ///   a zero-copy *gappy* routed plan
+    ///   ([`crate::SegmentMap::from_segments`]) covering the candidate
+    ///   chunks. The answer is bitwise identical to exact attention
+    ///   restricted to the covered chunk runs.
+    /// * **Gather mode** — when the candidates are scattered (covering
+    ///   their chunks would rescore mostly non-candidates), copy the
+    ///   candidate rows into the [`Scratch`]'s contiguous staging memory
+    ///   and walk it as a prefix. The answer is bitwise identical to exact
+    ///   attention over a memory holding exactly the candidate rows in
+    ///   ascending order (int8 codes and scales are copied verbatim).
+    ///
+    /// Either way the exact kernels do all scoring — the index only chooses
+    /// *which* rows they see, never *how* a row is scored. The probe is
+    /// identical on both planes (centroids are f32). Probe and gather time
+    /// land under [`Phase::IndexProbe`];
+    /// [`crate::InferenceStats::index_probes`],
+    /// [`crate::InferenceStats::candidates_scored`] and
+    /// [`crate::InferenceStats::rows_skipped_by_index`] account the sparse
+    /// work.
+    ///
+    /// A pass over this route fails with [`EngineError::IndexDeclined`]
+    /// when the index cannot stand behind a sparse answer — the index is
+    /// empty, `topk` covers every live row, the probe's confidence margin
+    /// collapsed (centroid-score ties), or the gathered candidate set spans
+    /// every live row (near-duplicate memories cascade the probe through
+    /// every cluster). Callers degrade to exact attention; nothing is wrong
+    /// with the request. It fails with [`EngineError::Config`] on
+    /// `topk == 0` / `nprobe == 0`, a [`SkipPolicy::Probability`]
+    /// configuration (its two-pass threshold sweep is defined over the full
+    /// memory, not a candidate subset), an index larger than the memory it
+    /// claims to mirror, or a query width mismatch.
+    TopK {
+        /// The candidate index over the view's live rows.
+        index: &'a ClusterIndex,
+        /// Candidates wanted per probe.
+        topk: usize,
+        /// Floor on the clusters probed.
+        nprobe: usize,
+    },
+}
+
 /// Anything that can run the forward pass
-/// `o = softmax(u · M_IN[..rows]ᵀ) · M_OUT[..rows]`.
+/// `o = softmax(u · M_INᵀ) · M_OUT` over a [`MemView`].
 ///
 /// This is the single dispatch seam of the codebase: `serve`, `cli` and
 /// `bench` all hold `&dyn Executor`, and [`crate::hops::multi_hop`] accepts
 /// the same trait object. Implemented by [`crate::ColumnEngine`],
 /// [`crate::StreamingEngine`], [`crate::ParallelEngine`] and
-/// [`PlanExecutor`].
+/// [`PlanExecutor`]. Which plane and which rows are *values* — a
+/// [`MemView`] and a [`Route`] — not method names; an unbudgeted pass is
+/// one under [`Budget::unlimited`] (whose check never reads the clock).
 pub trait Executor: Send + Sync + fmt::Debug {
-    /// Computes the response vector over the first `rows` memory entries
+    /// Computes the response vector for `u` over `route`'s rows of `view`
     /// under an execution [`Budget`], reusing `scratch` buffers and
     /// recording per-phase timings into `trace` (free when the trace is
-    /// disabled).
+    /// disabled). A warm pass over a [`Route::Plan`] allocates nothing.
     ///
     /// Every variant checks `budget` once per chunk and validates the
     /// softmax denominator at each merge, so a deadline, a cancellation, or
@@ -847,78 +950,28 @@ pub trait Executor: Send + Sync + fmt::Debug {
     /// # Errors
     ///
     /// Returns [`EngineError`] on invalid configuration, mismatched operand
-    /// shapes, or `rows > m_in.rows()` ([`EngineError::Shape`], never a
-    /// panic); [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`]
-    /// when the budget fails mid-pass; [`EngineError::NumericFault`] when a
-    /// non-finite value reaches an accumulator.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_prefix_budgeted(
+    /// shapes, or a plan reaching past the view's rows
+    /// ([`EngineError::Shape`], never a panic);
+    /// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`] when
+    /// the budget fails mid-pass; [`EngineError::NumericFault`] when a
+    /// non-finite value reaches an accumulator; and the admission errors
+    /// of [`Route::TopK`].
+    fn forward(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
+        view: MemView<'_>,
+        route: Route<'_>,
         u: &[f32],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budget: &Budget,
     ) -> Result<ColumnOutput, EngineError>;
 
-    /// Computes the response vector over a routed [`SegmentPlan`]: the pass
-    /// visits the plan's segments in order, folding each segment's chunk
-    /// partials into one running accumulator through the
-    /// [`mnn_tensor::partial`] merge plane, and — when the plan enables
-    /// pruning — skips segments whose zone-map score upper bound provably
-    /// cannot survive the running softmax max (see [`crate::segment`]).
-    ///
-    /// With a [`SegmentPlan::unsegmented`] plan this is exactly
-    /// [`Executor::forward_prefix_budgeted`]; with any routed plan the
-    /// answer is bitwise identical to the unsegmented pass (segments are
-    /// chunk-aligned, the fold stays in global chunk order, and pruning only
-    /// removes exactly-zero contributions).
-    ///
-    /// The default implementation ignores the zone maps and runs the plain
-    /// prefix pass over `plan.rows()` — correct (never prunes), but blind to
-    /// segmentation. The engine variants override it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::forward_prefix_budgeted`].
-    #[allow(clippy::too_many_arguments)]
-    fn forward_segmented_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.forward_prefix_budgeted(m_in, m_out, plan.rows(), u, scratch, trace, budget)
-    }
-
-    /// [`Executor::forward_prefix_budgeted`] with an unlimited budget — the
-    /// hot-path entry point (the unlimited check never reads the clock).
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::forward_prefix_budgeted`], minus the budget errors.
-    fn forward_prefix(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.forward_prefix_budgeted(m_in, m_out, rows, u, scratch, trace, &Budget::unlimited())
-    }
-
-    /// Answers a batch of same-dimension `questions` over the first `rows`
-    /// memory entries, each question under its own [`Budget`]
-    /// (`budgets[q]` governs `questions[q]`; the two slices must have equal
-    /// length).
+    /// Answers a batch of same-dimension `questions` over `plan`'s rows of
+    /// `view`, each question under its own [`Budget`] (`budgets[q]` governs
+    /// `questions[q]`; the two slices must have equal length). Zone-map
+    /// pruning is decided per question against its own running max, and
+    /// every answer is bitwise the one [`Executor::forward`] returns for
+    /// that question alone.
     ///
     /// Per-question failures are isolated: a deadline, cancellation, or
     /// numeric fault on question `q` lands as the `Err` in slot `q` while
@@ -926,13 +979,12 @@ pub trait Executor: Send + Sync + fmt::Debug {
     /// reserved for batch-level problems (invalid config, ragged batch,
     /// mismatched budget count, bad operand shapes).
     ///
-    /// The default implementation loops
-    /// [`Executor::forward_prefix_budgeted`] per question — correct, but it
-    /// re-streams both memory matrices once per question.
+    /// The default implementation loops [`Executor::forward`] per question
+    /// — correct, but it re-streams both memories once per question.
     /// [`PlanExecutor`] overrides it with the tiled-GEMM
     /// [`crate::BatchEngine`] fast path, which streams each chunk once per
     /// *batch* and applies it to every live question while it is
-    /// cache-resident.
+    /// cache-resident; a warm call allocates only its result vector.
     ///
     /// # Errors
     ///
@@ -940,298 +992,21 @@ pub trait Executor: Send + Sync + fmt::Debug {
     /// `budgets.len() != questions.len()`, [`EngineError::Shape`] on bad
     /// operand shapes. Per-question errors are carried in the inner
     /// `Result`s.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_batch_budgeted(
+    fn forward_batch(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
-        questions: &[Vec<f32>],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budgets: &[Budget],
-    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        if budgets.len() != questions.len() {
-            return Err(EngineError::Config(format!(
-                "budget count {} != question count {}",
-                budgets.len(),
-                questions.len()
-            )));
-        }
-        Ok(questions
-            .iter()
-            .zip(budgets)
-            .map(|(u, b)| self.forward_prefix_budgeted(m_in, m_out, rows, u, scratch, trace, b))
-            .collect())
-    }
-
-    /// [`Executor::forward_batch_budgeted`] over a routed [`SegmentPlan`]:
-    /// per-question zone-map pruning against each question's own running
-    /// max, answers bitwise identical to per-question
-    /// [`Executor::forward_segmented_budgeted`] runs.
-    ///
-    /// The default implementation loops the segmented single-question path;
-    /// [`PlanExecutor`] overrides it with the batched engine's segmented
-    /// fast path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::forward_batch_budgeted`].
-    #[allow(clippy::too_many_arguments)]
-    fn forward_batch_segmented_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
+        view: MemView<'_>,
         plan: &SegmentPlan<'_>,
         questions: &[Vec<f32>],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        if budgets.len() != questions.len() {
-            return Err(EngineError::Config(format!(
-                "budget count {} != question count {}",
-                budgets.len(),
-                questions.len()
-            )));
-        }
+        crate::batch::check_batch(questions, budgets)?;
         Ok(questions
             .iter()
             .zip(budgets)
-            .map(|(u, b)| self.forward_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, b))
+            .map(|(u, b)| self.forward(view, Route::Plan(plan), u, scratch, trace, b))
             .collect())
-    }
-
-    /// [`Executor::forward_segmented_budgeted`] over the *quantized* memory
-    /// plane: both memories arrive as int8 codes with per-row scales
-    /// ([`QuantMatrix`]), the query is quantized once into the scratch, and
-    /// every chunk runs on the exact-integer int8 kernels. Logits carry a
-    /// bounded relative error
-    /// ([`mnn_tensor::simd::I8_LOGIT_MAX_REL_ERROR`]); the result is bitwise
-    /// identical across engine variants and SIMD backends (the int8 kernels
-    /// share one rounding history — see [`mnn_tensor::simd`]).
-    ///
-    /// Zone-map pruning stays conservative: segment upper bounds come from
-    /// exactly-dequantized row norms ([`QuantMatrix::row_norm`]) and the
-    /// quantized query's own norm, so Cauchy–Schwarz bounds the very inner
-    /// products the kernels compute.
-    ///
-    /// The default implementation reports
-    /// [`EngineError::Config`] — engines without an int8 path refuse rather
-    /// than silently dequantize. All four variants override it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::forward_segmented_budgeted`], plus
-    /// [`EngineError::Config`] when the executor has no quantized path.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_quant_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        let _ = (m_in, m_out, plan, u, scratch, trace, budget);
-        Err(EngineError::Config(
-            "this executor has no quantized (int8) path".into(),
-        ))
-    }
-
-    /// [`Executor::forward_batch_segmented_budgeted`] over the quantized
-    /// memory plane. Per-question answers are bitwise identical to
-    /// per-question [`Executor::forward_quant_segmented_budgeted`] runs.
-    ///
-    /// The default implementation loops the quantized single-question path;
-    /// [`PlanExecutor`] overrides it with the batched engine's quantized
-    /// fast path (each int8 chunk is streamed once per batch).
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::forward_batch_segmented_budgeted`].
-    #[allow(clippy::too_many_arguments)]
-    fn forward_quant_batch_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        plan: &SegmentPlan<'_>,
-        questions: &[Vec<f32>],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budgets: &[Budget],
-    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        if budgets.len() != questions.len() {
-            return Err(EngineError::Config(format!(
-                "budget count {} != question count {}",
-                budgets.len(),
-                questions.len()
-            )));
-        }
-        Ok(questions
-            .iter()
-            .zip(budgets)
-            .map(|(u, b)| {
-                self.forward_quant_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, b)
-            })
-            .collect())
-    }
-
-    /// Approximate-first, exact-second attention: probe the clustered
-    /// top-K candidate [`ClusterIndex`] for the rows most likely to carry
-    /// the softmax mass, then rescore *only those rows* with the unchanged
-    /// exact kernels. Sublinear in memory size — `O(k·ed)` centroid scoring
-    /// plus `O(candidates·ed)` exact work instead of `O(ns·ed)`.
-    ///
-    /// Two rescoring modes, chosen per probe:
-    ///
-    /// * **Plan mode** — when the candidates are spatially clustered (the
-    ///   covered chunk-run span is at most twice the candidate count), run
-    ///   [`Executor::forward_segmented_budgeted`] over a zero-copy *gappy*
-    ///   routed plan ([`crate::SegmentMap::from_segments`]) covering the
-    ///   candidate chunks. The answer is bitwise identical to exact
-    ///   attention restricted to the covered chunk runs.
-    /// * **Gather mode** — when the candidates are scattered (covering
-    ///   their chunks would rescore mostly non-candidates), copy the
-    ///   candidate rows into a contiguous staging memory and run the plain
-    ///   prefix pass over it. The answer is bitwise identical to exact
-    ///   attention over a memory holding exactly the candidate rows in
-    ///   ascending order.
-    ///
-    /// Either way the exact fused kernels do all scoring — the index only
-    /// chooses *which* rows they see, never *how* a row is scored.
-    /// Probe and gather time land under [`Phase::IndexProbe`];
-    /// [`crate::InferenceStats::index_probes`],
-    /// [`crate::InferenceStats::candidates_scored`] and
-    /// [`crate::InferenceStats::rows_skipped_by_index`] account the sparse
-    /// work.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::IndexDeclined`] when the index cannot stand behind a
-    /// sparse answer — the index is empty, `topk` covers every live row,
-    /// the probe's confidence margin collapsed (centroid-score ties), or
-    /// the gathered candidate set spans every live row (near-duplicate
-    /// memories cascade the probe through every cluster). Callers degrade
-    /// to exact attention; nothing is wrong with the request. [`EngineError::Config`] on `topk == 0` / `nprobe == 0`, a
-    /// [`SkipPolicy::Probability`] configuration (its two-pass threshold
-    /// sweep is defined over the full memory, not a candidate subset), an
-    /// index larger than the memory it claims to mirror, or a query width
-    /// mismatch. Otherwise as [`Executor::forward_segmented_budgeted`].
-    #[allow(clippy::too_many_arguments)]
-    fn forward_topk_segmented_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        index: &ClusterIndex,
-        u: &[f32],
-        topk: usize,
-        nprobe: usize,
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        let config = self.config();
-        check_topk_request(
-            &config,
-            index,
-            u.len(),
-            topk,
-            nprobe,
-            m_in.rows().min(m_out.rows()),
-        )?;
-        let t0 = trace.begin();
-        let probe = index.probe(u, topk, nprobe, config.chunk_size);
-        let probe = admit_probe(probe, index.len(), trace, t0)?;
-        let mut out = if rescore_via_plan(&probe) {
-            trace.record(Phase::IndexProbe, t0, probe.probes as u64);
-            let plan = SegmentPlan::routed(&probe.covered, false);
-            self.forward_segmented_budgeted(m_in, m_out, &plan, u, scratch, trace, budget)?
-        } else {
-            let n = probe.candidates.len();
-            let ed = index.ed();
-            let mut in_flat = Vec::with_capacity(n * ed);
-            let mut out_flat = Vec::with_capacity(n * ed);
-            for &r in &probe.candidates {
-                in_flat.extend_from_slice(m_in.row(r as usize));
-                out_flat.extend_from_slice(m_out.row(r as usize));
-            }
-            let staged_in = Matrix::from_flat(n, ed, &in_flat)?;
-            let staged_out = Matrix::from_flat(n, ed, &out_flat)?;
-            trace.record(Phase::IndexProbe, t0, probe.probes as u64);
-            self.forward_prefix_budgeted(&staged_in, &staged_out, n, u, scratch, trace, budget)?
-        };
-        patch_topk_stats(&mut out.stats, &probe, index.len());
-        Ok(out)
-    }
-
-    /// [`Executor::forward_topk_segmented_budgeted`] over the *quantized*
-    /// memory plane: the probe is identical (centroids are f32 regardless of
-    /// the memory plane), and the exact-rescoring pass runs on the int8
-    /// kernels through [`Executor::forward_quant_segmented_budgeted`]. The
-    /// gather mode copies the candidates' int8 codes and scales *verbatim*
-    /// ([`QuantMatrix::push_quantized_row`]), so a gathered pass shares the
-    /// rounding history of the full quantized plane — answers on probed rows
-    /// stay bitwise identical to the exact quantized pass restricted to
-    /// those rows.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::forward_topk_segmented_budgeted`], plus
-    /// [`EngineError::Config`] when the executor has no quantized path.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_quant_topk_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        index: &ClusterIndex,
-        u: &[f32],
-        topk: usize,
-        nprobe: usize,
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        let config = self.config();
-        check_topk_request(
-            &config,
-            index,
-            u.len(),
-            topk,
-            nprobe,
-            m_in.rows().min(m_out.rows()),
-        )?;
-        let t0 = trace.begin();
-        let probe = index.probe(u, topk, nprobe, config.chunk_size);
-        let probe = admit_probe(probe, index.len(), trace, t0)?;
-        let mut out = if rescore_via_plan(&probe) {
-            trace.record(Phase::IndexProbe, t0, probe.probes as u64);
-            let plan = SegmentPlan::routed(&probe.covered, false);
-            self.forward_quant_segmented_budgeted(m_in, m_out, &plan, u, scratch, trace, budget)?
-        } else {
-            let n = probe.candidates.len();
-            let mut staged_in = QuantMatrix::with_capacity(n, m_in.cols());
-            let mut staged_out = QuantMatrix::with_capacity(n, m_out.cols());
-            for &r in &probe.candidates {
-                staged_in.push_quantized_row(m_in.row(r as usize), m_in.scale(r as usize));
-                staged_out.push_quantized_row(m_out.row(r as usize), m_out.scale(r as usize));
-            }
-            trace.record(Phase::IndexProbe, t0, probe.probes as u64);
-            let plan = SegmentPlan::unsegmented(n);
-            self.forward_quant_segmented_budgeted(
-                &staged_in,
-                &staged_out,
-                &plan,
-                u,
-                scratch,
-                trace,
-                budget,
-            )?
-        };
-        patch_topk_stats(&mut out.stats, &probe, index.len());
-        Ok(out)
     }
 
     /// The dataflow configuration this executor runs.
@@ -1242,7 +1017,59 @@ pub trait Executor: Send + Sync + fmt::Debug {
     fn kind(&self) -> EngineKind;
 }
 
-/// Shared admission checks of the top-K seam (f32 and quantized variants).
+/// Resolves `route` into the plan walk `pass` runs — the one place a
+/// [`Route::TopK`] is turned into rows: admission checks → probe → gappy
+/// plan or gathered view → the same `pass` a [`Route::Plan`] gets.
+pub(crate) fn resolve_route(
+    config: &MnnFastConfig,
+    view: MemView<'_>,
+    route: Route<'_>,
+    u: &[f32],
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    mut pass: impl FnMut(
+        MemView<'_>,
+        &SegmentPlan<'_>,
+        &mut Scratch,
+        &mut Trace,
+    ) -> Result<ColumnOutput, EngineError>,
+) -> Result<ColumnOutput, EngineError> {
+    let (index, topk, nprobe) = match route {
+        Route::Plan(plan) => return pass(view, plan, scratch, trace),
+        Route::TopK {
+            index,
+            topk,
+            nprobe,
+        } => (index, topk, nprobe),
+    };
+    check_topk_request(config, index, u.len(), topk, nprobe, view.rows())?;
+    let t0 = trace.begin();
+    let probe = index.probe(u, topk, nprobe, config.chunk_size);
+    let probe = admit_probe(probe, index.len(), trace, t0)?;
+    let rescored = if rescore_via_plan(&probe) {
+        trace.record(Phase::IndexProbe, t0, probe.probes as u64);
+        pass(
+            view,
+            &SegmentPlan::routed(&probe.covered, false),
+            scratch,
+            trace,
+        )
+    } else {
+        // The staging leaves the scratch for the pass, which borrows both.
+        let mut stage = std::mem::take(&mut scratch.gather);
+        let staged = stage.gather(view, &probe.candidates);
+        trace.record(Phase::IndexProbe, t0, probe.probes as u64);
+        let plan = SegmentPlan::unsegmented(probe.candidates.len());
+        let rescored = pass(staged, &plan, scratch, trace);
+        scratch.gather = stage;
+        rescored
+    };
+    let mut out = rescored?;
+    patch_topk_stats(&mut out.stats, &probe, index.len());
+    Ok(out)
+}
+
+/// Admission checks of the top-K route.
 fn check_topk_request(
     config: &MnnFastConfig,
     index: &ClusterIndex,
@@ -1361,79 +1188,38 @@ impl PlanExecutor {
 }
 
 impl Executor for PlanExecutor {
-    fn forward_prefix_budgeted(
+    /// Resolves the variant from the rows actually walked: a top-K pass
+    /// picks by its rescored rows, not by the memory it probed.
+    fn forward(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
+        view: MemView<'_>,
+        route: Route<'_>,
         u: &[f32],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budget: &Budget,
     ) -> Result<ColumnOutput, EngineError> {
-        match self.plan.resolve(rows, u.len()) {
-            EngineKind::Column | EngineKind::Auto => self
-                .column
-                .forward_prefix_budgeted(m_in, m_out, rows, u, scratch, trace, budget),
-            EngineKind::Streaming => self
-                .streaming
-                .forward_prefix_budgeted(m_in, m_out, rows, u, scratch, trace, budget),
-            EngineKind::Parallel => self
-                .parallel
-                .forward_prefix_budgeted(m_in, m_out, rows, u, scratch, trace, budget),
-        }
+        resolve_route(
+            &self.plan.config,
+            view,
+            route,
+            u,
+            scratch,
+            trace,
+            |v, p, s, t| {
+                let walk = match self.plan.resolve(p.rows(), u.len()) {
+                    EngineKind::Column | EngineKind::Auto => Walk::Inline,
+                    EngineKind::Streaming => self.streaming.walk(),
+                    EngineKind::Parallel => self.parallel.walk(),
+                };
+                self.column.pass(walk, v, p, u, s, t, budget)
+            },
+        )
     }
 
-    fn forward_segmented_budgeted(
+    fn forward_batch(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        match self.plan.resolve(plan.rows(), u.len()) {
-            EngineKind::Column | EngineKind::Auto => self
-                .column
-                .forward_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget),
-            EngineKind::Streaming => self
-                .streaming
-                .forward_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget),
-            EngineKind::Parallel => self
-                .parallel
-                .forward_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget),
-        }
-    }
-
-    fn forward_quant_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        match self.plan.resolve(plan.rows(), u.len()) {
-            EngineKind::Column | EngineKind::Auto => self
-                .column
-                .forward_quant_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget),
-            EngineKind::Streaming => self
-                .streaming
-                .forward_quant_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget),
-            EngineKind::Parallel => self
-                .parallel
-                .forward_quant_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget),
-        }
-    }
-
-    fn forward_quant_batch_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
+        view: MemView<'_>,
         plan: &SegmentPlan<'_>,
         questions: &[Vec<f32>],
         scratch: &mut Scratch,
@@ -1441,35 +1227,7 @@ impl Executor for PlanExecutor {
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
         crate::BatchEngine::new(self.plan.config)
-            .forward_quant_segmented_budgeted(m_in, m_out, plan, questions, scratch, trace, budgets)
-    }
-
-    fn forward_batch_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
-        questions: &[Vec<f32>],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budgets: &[Budget],
-    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        crate::BatchEngine::new(self.plan.config)
-            .forward_budgeted(m_in, m_out, rows, questions, scratch, trace, budgets)
-    }
-
-    fn forward_batch_segmented_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        plan: &SegmentPlan<'_>,
-        questions: &[Vec<f32>],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budgets: &[Budget],
-    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        crate::BatchEngine::new(self.plan.config)
-            .forward_segmented_budgeted(m_in, m_out, plan, questions, scratch, trace, budgets)
+            .forward_batch(view, plan, questions, scratch, trace, budgets)
     }
 
     fn config(&self) -> MnnFastConfig {

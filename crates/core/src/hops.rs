@@ -10,7 +10,7 @@
 
 use crate::budget::Budget;
 use crate::engine::EngineError;
-use crate::exec::{Executor, Scratch, Trace};
+use crate::exec::{Executor, MemView, Route, Scratch, Trace};
 use crate::index::ClusterIndex;
 use crate::segment::SegmentPlan;
 use crate::stats::InferenceStats;
@@ -32,99 +32,61 @@ pub struct HopsOutput {
     pub stats: InferenceStats,
 }
 
-/// Runs `hops` memory hops with `exec` over the first `rows` memory
-/// entries, chaining `u ← u + o`, reusing `scratch` across hops and
-/// accumulating per-phase timings into `trace`.
+/// Runs `hops` memory hops with `exec` over `route`'s rows of `view`,
+/// chaining `u ← u + o`, reusing `scratch` across hops and accumulating
+/// per-phase timings into `trace`. One `budget` covers the whole chain,
+/// checked once per chunk inside every hop's pass (a serving layer's
+/// per-question deadline spans all hops of the question).
 ///
 /// Matches `mnn-memnn`'s baseline hop semantics exactly (layer-wise tied
-/// memories: the same `M_IN`/`M_OUT` serve every hop). Pass
-/// `m_in.rows()` as `rows` for full matrices; serving layers pass the
-/// populated prefix of their capacity-doubled stores.
+/// memories: the same view serves every hop). The question state stays in
+/// f32 on either plane: an int8 hop re-quantizes its own query, so per-hop
+/// quantization error never compounds through the memories. A routed plan's
+/// zone maps prune on each hop independently (a fresh question state has a
+/// fresh running max), and a [`Route::TopK`] chain *re-probes the index
+/// with each hop's own question state* — hop `k+1`'s query `u + o` attends
+/// where *it* points, not where hop `k` pointed, which is what makes sparse
+/// multi-hop chains work at all.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError`] from the underlying executor, or a
-/// configuration error if `hops == 0`.
+/// Returns [`EngineError`] from [`Executor::forward`], or a configuration
+/// error if `hops == 0`. [`EngineError::IndexDeclined`] aborts the *whole
+/// chain* (a half-sparse, half-exact chain would be neither answer);
+/// callers rerun it over a [`Route::Plan`].
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop(
     exec: &dyn Executor,
-    m_in: &Matrix,
-    m_out: &Matrix,
-    rows: usize,
-    u0: &[f32],
-    hops: usize,
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-) -> Result<HopsOutput, EngineError> {
-    multi_hop_budgeted(
-        exec,
-        m_in,
-        m_out,
-        rows,
-        u0,
-        hops,
-        scratch,
-        trace,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`multi_hop`] under an execution [`Budget`]: one budget covers the whole
-/// hop chain, checked once per chunk inside every hop's forward pass (the
-/// serving layer's per-question deadline spans all hops of the question).
-///
-/// # Errors
-///
-/// As [`multi_hop`], plus [`EngineError::DeadlineExceeded`] /
-/// [`EngineError::Cancelled`] when the budget fails mid-chain and
-/// [`EngineError::NumericFault`] when an accumulator goes non-finite.
-#[allow(clippy::too_many_arguments)]
-pub fn multi_hop_budgeted(
-    exec: &dyn Executor,
-    m_in: &Matrix,
-    m_out: &Matrix,
-    rows: usize,
+    view: MemView<'_>,
+    route: Route<'_>,
     u0: &[f32],
     hops: usize,
     scratch: &mut Scratch,
     trace: &mut Trace,
     budget: &Budget,
 ) -> Result<HopsOutput, EngineError> {
-    multi_hop_segmented_budgeted(
-        exec,
-        m_in,
-        m_out,
-        &SegmentPlan::unsegmented(rows),
-        u0,
-        hops,
-        scratch,
-        trace,
-        budget,
-    )
+    hop_chain(u0, hops, scratch, |u, scratch| {
+        let out = exec.forward(view, route, u, scratch, trace, budget)?;
+        Ok((out.o, out.stats))
+    })
 }
 
-/// [`multi_hop_budgeted`] driven by a [`SegmentPlan`]: every hop runs
-/// through [`Executor::forward_segmented_budgeted`], so a routed plan's
-/// zone maps can prune segments on each hop independently (each hop has a
-/// fresh question state and therefore a fresh running max).
+/// The hop loop behind [`multi_hop`], over any single-hop pass: `hop` maps
+/// a question state to that hop's response vector and counters (a local
+/// [`Executor::forward`], or a memory pass fanned out to a worker fleet).
 ///
 /// # Errors
 ///
-/// As [`multi_hop_budgeted`].
-#[allow(clippy::too_many_arguments)]
-pub fn multi_hop_segmented_budgeted(
-    exec: &dyn Executor,
-    m_in: &Matrix,
-    m_out: &Matrix,
-    plan: &SegmentPlan<'_>,
+/// The first error `hop` returns, or [`EngineError::Config`] (converted)
+/// if `hops == 0`.
+pub fn hop_chain<E: From<EngineError>>(
     u0: &[f32],
     hops: usize,
     scratch: &mut Scratch,
-    trace: &mut Trace,
-    budget: &Budget,
-) -> Result<HopsOutput, EngineError> {
+    mut hop: impl FnMut(&[f32], &mut Scratch) -> Result<(Vec<f32>, InferenceStats), E>,
+) -> Result<HopsOutput, E> {
     if hops == 0 {
-        return Err(EngineError::Config("hops must be positive".into()));
+        return Err(EngineError::Config("hops must be positive".into()).into());
     }
     let mut u = u0.to_vec();
     let mut u_last = u.clone();
@@ -133,18 +95,18 @@ pub fn multi_hop_segmented_budgeted(
     let mut o = Vec::new();
 
     for _ in 0..hops {
-        let out = exec.forward_segmented_budgeted(m_in, m_out, plan, &u, scratch, trace, budget)?;
+        let (hop_o, hop_stats) = hop(&u, scratch)?;
         // Sequential hops: counters add, peak intermediates take the max
         // (which is what `merge` does).
-        stats.merge(&out.stats);
-        u_last = u.clone();
-        for (ui, oi) in u.iter_mut().zip(&out.o) {
+        stats.merge(&hop_stats);
+        u_last.clone_from(&u);
+        for (ui, oi) in u.iter_mut().zip(&hop_o) {
             *ui += oi;
         }
-        per_hop.push(out.o.clone());
-        // The hop's output buffer came from the scratch pool; hand it back
-        // so the next hop (or question) reuses the allocation.
-        scratch.recycle(std::mem::replace(&mut o, out.o));
+        per_hop.push(hop_o.clone());
+        // The hop's output buffer came from the scratch pool; hand the
+        // previous one back so the next hop (or question) reuses it.
+        scratch.recycle(std::mem::replace(&mut o, hop_o));
     }
 
     Ok(HopsOutput {
@@ -154,267 +116,13 @@ pub fn multi_hop_segmented_budgeted(
         per_hop,
         stats,
     })
-}
-
-/// [`multi_hop_segmented_budgeted`] over the *quantized* memory plane:
-/// every hop runs through
-/// [`Executor::forward_quant_segmented_budgeted`]. The hop chain's question
-/// state stays in f32 (`u ← u + o`); each hop re-quantizes its own query,
-/// so per-hop quantization error never compounds through the memories —
-/// only through the f32 hop outputs, the same way any bounded per-hop
-/// error would.
-///
-/// # Errors
-///
-/// As [`multi_hop_budgeted`], plus [`EngineError::Config`] when the
-/// executor has no quantized path.
-#[allow(clippy::too_many_arguments)]
-pub fn multi_hop_quant_segmented_budgeted(
-    exec: &dyn Executor,
-    m_in: &QuantMatrix,
-    m_out: &QuantMatrix,
-    plan: &SegmentPlan<'_>,
-    u0: &[f32],
-    hops: usize,
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-    budget: &Budget,
-) -> Result<HopsOutput, EngineError> {
-    if hops == 0 {
-        return Err(EngineError::Config("hops must be positive".into()));
-    }
-    let mut u = u0.to_vec();
-    let mut u_last = u.clone();
-    let mut per_hop = Vec::with_capacity(hops);
-    let mut stats = InferenceStats::default();
-    let mut o = Vec::new();
-
-    for _ in 0..hops {
-        let out =
-            exec.forward_quant_segmented_budgeted(m_in, m_out, plan, &u, scratch, trace, budget)?;
-        stats.merge(&out.stats);
-        u_last = u.clone();
-        for (ui, oi) in u.iter_mut().zip(&out.o) {
-            *ui += oi;
-        }
-        per_hop.push(out.o.clone());
-        scratch.recycle(std::mem::replace(&mut o, out.o));
-    }
-
-    Ok(HopsOutput {
-        o,
-        u_last,
-        u_final: u,
-        per_hop,
-        stats,
-    })
-}
-
-/// [`multi_hop_segmented_budgeted`] through the sparse top-K attention
-/// path: every hop runs
-/// [`Executor::forward_topk_segmented_budgeted`], *re-probing the
-/// candidate index with the hop's own question state* — hop `k+1`'s query
-/// `u + o` attends where *it* points, not where hop `k` pointed, which is
-/// what makes multi-hop chains work at all (each hop retrieves a different
-/// memory neighborhood).
-///
-/// # Errors
-///
-/// As [`multi_hop_budgeted`], plus the top-K admission errors of
-/// [`Executor::forward_topk_segmented_budgeted`] —
-/// [`EngineError::IndexDeclined`] aborts the *whole chain* (a half-sparse,
-/// half-exact chain would be neither answer), and callers rerun the chain
-/// on the exact path.
-#[allow(clippy::too_many_arguments)]
-pub fn multi_hop_topk_segmented_budgeted(
-    exec: &dyn Executor,
-    m_in: &Matrix,
-    m_out: &Matrix,
-    index: &ClusterIndex,
-    u0: &[f32],
-    hops: usize,
-    topk: usize,
-    nprobe: usize,
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-    budget: &Budget,
-) -> Result<HopsOutput, EngineError> {
-    if hops == 0 {
-        return Err(EngineError::Config("hops must be positive".into()));
-    }
-    let mut u = u0.to_vec();
-    let mut u_last = u.clone();
-    let mut per_hop = Vec::with_capacity(hops);
-    let mut stats = InferenceStats::default();
-    let mut o = Vec::new();
-
-    for _ in 0..hops {
-        let out = exec.forward_topk_segmented_budgeted(
-            m_in, m_out, index, &u, topk, nprobe, scratch, trace, budget,
-        )?;
-        stats.merge(&out.stats);
-        u_last = u.clone();
-        for (ui, oi) in u.iter_mut().zip(&out.o) {
-            *ui += oi;
-        }
-        per_hop.push(out.o.clone());
-        scratch.recycle(std::mem::replace(&mut o, out.o));
-    }
-
-    Ok(HopsOutput {
-        o,
-        u_last,
-        u_final: u,
-        per_hop,
-        stats,
-    })
-}
-
-/// [`multi_hop_topk_segmented_budgeted`] over the *quantized* memory
-/// plane: every hop probes the (f32-centroid) index with its own question
-/// state and rescores candidates through
-/// [`Executor::forward_quant_topk_segmented_budgeted`] on the int8
-/// kernels.
-///
-/// # Errors
-///
-/// As [`multi_hop_topk_segmented_budgeted`], plus [`EngineError::Config`]
-/// when the executor has no quantized path.
-#[allow(clippy::too_many_arguments)]
-pub fn multi_hop_quant_topk_segmented_budgeted(
-    exec: &dyn Executor,
-    m_in: &QuantMatrix,
-    m_out: &QuantMatrix,
-    index: &ClusterIndex,
-    u0: &[f32],
-    hops: usize,
-    topk: usize,
-    nprobe: usize,
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-    budget: &Budget,
-) -> Result<HopsOutput, EngineError> {
-    if hops == 0 {
-        return Err(EngineError::Config("hops must be positive".into()));
-    }
-    let mut u = u0.to_vec();
-    let mut u_last = u.clone();
-    let mut per_hop = Vec::with_capacity(hops);
-    let mut stats = InferenceStats::default();
-    let mut o = Vec::new();
-
-    for _ in 0..hops {
-        let out = exec.forward_quant_topk_segmented_budgeted(
-            m_in, m_out, index, &u, topk, nprobe, scratch, trace, budget,
-        )?;
-        stats.merge(&out.stats);
-        u_last = u.clone();
-        for (ui, oi) in u.iter_mut().zip(&out.o) {
-            *ui += oi;
-        }
-        per_hop.push(out.o.clone());
-        scratch.recycle(std::mem::replace(&mut o, out.o));
-    }
-
-    Ok(HopsOutput {
-        o,
-        u_last,
-        u_final: u,
-        per_hop,
-        stats,
-    })
-}
-
-/// [`multi_hop_batch_segmented_budgeted`] over the quantized memory plane:
-/// every hop of the batch runs through
-/// [`Executor::forward_quant_batch_segmented_budgeted`].
-///
-/// # Errors
-///
-/// As [`multi_hop_batch_budgeted`], plus [`EngineError::Config`] when the
-/// executor has no quantized path.
-#[allow(clippy::too_many_arguments)]
-pub fn multi_hop_quant_batch_segmented_budgeted(
-    exec: &dyn Executor,
-    m_in: &QuantMatrix,
-    m_out: &QuantMatrix,
-    plan: &SegmentPlan<'_>,
-    questions: &[Vec<f32>],
-    hops: usize,
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-    budgets: &[Budget],
-) -> Result<Vec<Result<HopsOutput, EngineError>>, EngineError> {
-    if hops == 0 {
-        return Err(EngineError::Config("hops must be positive".into()));
-    }
-    if budgets.len() != questions.len() {
-        return Err(EngineError::Config(format!(
-            "budget count {} != question count {}",
-            budgets.len(),
-            questions.len()
-        )));
-    }
-    let nq = questions.len();
-    let mut us: Vec<Vec<f32>> = questions.to_vec();
-    let mut u_lasts: Vec<Vec<f32>> = questions.to_vec();
-    let mut per_hops: Vec<Vec<Vec<f32>>> = vec![Vec::with_capacity(hops); nq];
-    let mut stats = vec![InferenceStats::default(); nq];
-    let mut os: Vec<Vec<f32>> = vec![Vec::new(); nq];
-    let mut errors: Vec<Option<EngineError>> = (0..nq).map(|_| None).collect();
-
-    for _ in 0..hops {
-        let idx: Vec<usize> = (0..nq).filter(|&q| errors[q].is_none()).collect();
-        if idx.is_empty() {
-            break;
-        }
-        let sub_questions: Vec<Vec<f32>> = idx.iter().map(|&q| us[q].clone()).collect();
-        let sub_budgets: Vec<Budget> = idx.iter().map(|&q| budgets[q].clone()).collect();
-        let results = exec.forward_quant_batch_segmented_budgeted(
-            m_in,
-            m_out,
-            plan,
-            &sub_questions,
-            scratch,
-            trace,
-            &sub_budgets,
-        )?;
-        for (&q, result) in idx.iter().zip(results) {
-            match result {
-                Ok(out) => {
-                    stats[q].merge(&out.stats);
-                    u_lasts[q].clone_from(&us[q]);
-                    for (ui, oi) in us[q].iter_mut().zip(&out.o) {
-                        *ui += oi;
-                    }
-                    per_hops[q].push(out.o.clone());
-                    scratch.recycle(std::mem::replace(&mut os[q], out.o));
-                }
-                Err(e) => errors[q] = Some(e),
-            }
-        }
-    }
-
-    let mut outputs = Vec::with_capacity(nq);
-    for (q, err) in errors.into_iter().enumerate() {
-        match err {
-            Some(e) => outputs.push(Err(e)),
-            None => outputs.push(Ok(HopsOutput {
-                o: std::mem::take(&mut os[q]),
-                u_last: std::mem::take(&mut u_lasts[q]),
-                u_final: std::mem::take(&mut us[q]),
-                per_hop: std::mem::take(&mut per_hops[q]),
-                stats: stats[q],
-            })),
-        }
-    }
-    Ok(outputs)
 }
 
 /// Batched multi-hop: runs every question's hop chain through
-/// [`Executor::forward_batch_budgeted`], so each hop streams the memories
-/// once per *batch* instead of once per question (`budgets[q]` governs
-/// `questions[q]` across its entire chain).
+/// [`Executor::forward_batch`], so each hop streams the memories once per
+/// *batch* instead of once per question (`budgets[q]` governs
+/// `questions[q]` across its entire chain), and routed plans prune per
+/// question per hop.
 ///
 /// Per-question failures are isolated: a question whose budget expires or
 /// whose accumulator faults in hop `k` carries that typed error in its slot
@@ -423,46 +131,13 @@ pub fn multi_hop_quant_batch_segmented_budgeted(
 ///
 /// # Errors
 ///
-/// The outer `Err` is batch-level, as [`Executor::forward_batch_budgeted`],
-/// plus a configuration error if `hops == 0`. Per-question budget/numeric
-/// errors are in the inner `Result`s.
+/// The outer `Err` is batch-level, as [`Executor::forward_batch`], plus a
+/// configuration error if `hops == 0`. Per-question budget/numeric errors
+/// are in the inner `Result`s.
 #[allow(clippy::too_many_arguments)]
-pub fn multi_hop_batch_budgeted(
+pub fn multi_hop_batch(
     exec: &dyn Executor,
-    m_in: &Matrix,
-    m_out: &Matrix,
-    rows: usize,
-    questions: &[Vec<f32>],
-    hops: usize,
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-    budgets: &[Budget],
-) -> Result<Vec<Result<HopsOutput, EngineError>>, EngineError> {
-    multi_hop_batch_segmented_budgeted(
-        exec,
-        m_in,
-        m_out,
-        &SegmentPlan::unsegmented(rows),
-        questions,
-        hops,
-        scratch,
-        trace,
-        budgets,
-    )
-}
-
-/// [`multi_hop_batch_budgeted`] driven by a [`SegmentPlan`]: every hop of
-/// the batch runs through [`Executor::forward_batch_segmented_budgeted`],
-/// so routed plans prune per question per hop.
-///
-/// # Errors
-///
-/// As [`multi_hop_batch_budgeted`].
-#[allow(clippy::too_many_arguments)]
-pub fn multi_hop_batch_segmented_budgeted(
-    exec: &dyn Executor,
-    m_in: &Matrix,
-    m_out: &Matrix,
+    view: MemView<'_>,
     plan: &SegmentPlan<'_>,
     questions: &[Vec<f32>],
     hops: usize,
@@ -497,15 +172,8 @@ pub fn multi_hop_batch_segmented_budgeted(
         }
         let sub_questions: Vec<Vec<f32>> = idx.iter().map(|&q| us[q].clone()).collect();
         let sub_budgets: Vec<Budget> = idx.iter().map(|&q| budgets[q].clone()).collect();
-        let results = exec.forward_batch_segmented_budgeted(
-            m_in,
-            m_out,
-            plan,
-            &sub_questions,
-            scratch,
-            trace,
-            &sub_budgets,
-        )?;
+        let results =
+            exec.forward_batch(view, plan, &sub_questions, scratch, trace, &sub_budgets)?;
         for (&q, result) in idx.iter().zip(results) {
             match result {
                 Ok(out) => {
@@ -538,30 +206,170 @@ pub fn multi_hop_batch_segmented_budgeted(
     Ok(outputs)
 }
 
-/// One-shot convenience over [`multi_hop`]: fresh scratch, tracing off,
-/// all memory rows.
-///
-/// # Errors
-///
-/// As [`multi_hop`].
-pub fn multi_hop_simple(
+// The six names below are the benchmark's ABI: `perfbench/src/layers.rs`
+// imports them and a PR that touches the engines may not edit it. Each is
+// one expression over the two loops above; nothing inside the workspace
+// calls them, and they go when a `[benchmark]` PR moves perfbench over.
+
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn multi_hop_segmented_budgeted(
     exec: &dyn Executor,
     m_in: &Matrix,
     m_out: &Matrix,
+    plan: &SegmentPlan<'_>,
     u0: &[f32],
     hops: usize,
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budget: &Budget,
 ) -> Result<HopsOutput, EngineError> {
-    let mut scratch = Scratch::new();
-    let mut trace = Trace::disabled();
     multi_hop(
         exec,
-        m_in,
-        m_out,
-        m_in.rows(),
+        MemView::F32 { m_in, m_out },
+        Route::Plan(plan),
         u0,
         hops,
-        &mut scratch,
-        &mut trace,
+        scratch,
+        trace,
+        budget,
+    )
+}
+
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn multi_hop_quant_segmented_budgeted(
+    exec: &dyn Executor,
+    m_in: &QuantMatrix,
+    m_out: &QuantMatrix,
+    plan: &SegmentPlan<'_>,
+    u0: &[f32],
+    hops: usize,
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budget: &Budget,
+) -> Result<HopsOutput, EngineError> {
+    multi_hop(
+        exec,
+        MemView::Int8 { m_in, m_out },
+        Route::Plan(plan),
+        u0,
+        hops,
+        scratch,
+        trace,
+        budget,
+    )
+}
+
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn multi_hop_topk_segmented_budgeted(
+    exec: &dyn Executor,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    index: &ClusterIndex,
+    u0: &[f32],
+    hops: usize,
+    topk: usize,
+    nprobe: usize,
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budget: &Budget,
+) -> Result<HopsOutput, EngineError> {
+    multi_hop(
+        exec,
+        MemView::F32 { m_in, m_out },
+        Route::TopK {
+            index,
+            topk,
+            nprobe,
+        },
+        u0,
+        hops,
+        scratch,
+        trace,
+        budget,
+    )
+}
+
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn multi_hop_quant_topk_segmented_budgeted(
+    exec: &dyn Executor,
+    m_in: &QuantMatrix,
+    m_out: &QuantMatrix,
+    index: &ClusterIndex,
+    u0: &[f32],
+    hops: usize,
+    topk: usize,
+    nprobe: usize,
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budget: &Budget,
+) -> Result<HopsOutput, EngineError> {
+    multi_hop(
+        exec,
+        MemView::Int8 { m_in, m_out },
+        Route::TopK {
+            index,
+            topk,
+            nprobe,
+        },
+        u0,
+        hops,
+        scratch,
+        trace,
+        budget,
+    )
+}
+
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn multi_hop_batch_segmented_budgeted(
+    exec: &dyn Executor,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    plan: &SegmentPlan<'_>,
+    questions: &[Vec<f32>],
+    hops: usize,
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budgets: &[Budget],
+) -> Result<Vec<Result<HopsOutput, EngineError>>, EngineError> {
+    multi_hop_batch(
+        exec,
+        MemView::F32 { m_in, m_out },
+        plan,
+        questions,
+        hops,
+        scratch,
+        trace,
+        budgets,
+    )
+}
+
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn multi_hop_quant_batch_segmented_budgeted(
+    exec: &dyn Executor,
+    m_in: &QuantMatrix,
+    m_out: &QuantMatrix,
+    plan: &SegmentPlan<'_>,
+    questions: &[Vec<f32>],
+    hops: usize,
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budgets: &[Budget],
+) -> Result<Vec<Result<HopsOutput, EngineError>>, EngineError> {
+    multi_hop_batch(
+        exec,
+        MemView::Int8 { m_in, m_out },
+        plan,
+        questions,
+        hops,
+        scratch,
+        trace,
+        budgets,
     )
 }
 
@@ -580,6 +388,27 @@ mod tests {
         let m_out = Matrix::from_fn(ns, ed, |r, c| ((r + 2 * c) as f32 * 0.07).cos() * 0.5);
         let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.4).sin() * 0.3).collect();
         (m_in, m_out, u)
+    }
+
+    /// [`multi_hop`] over every row of an f32 memory: fresh scratch, no
+    /// trace, no budget.
+    fn hops_over(
+        exec: &dyn Executor,
+        m_in: &Matrix,
+        m_out: &Matrix,
+        u0: &[f32],
+        hops: usize,
+    ) -> Result<HopsOutput, EngineError> {
+        multi_hop(
+            exec,
+            MemView::F32 { m_in, m_out },
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            u0,
+            hops,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
     }
 
     /// Reference multi-hop with the textbook dataflow.
@@ -612,7 +441,7 @@ mod tests {
         for hops in [1usize, 2, 3] {
             let expect = reference_hops(&m_in, &m_out, &u, hops);
             for exec in executors {
-                let out = multi_hop_simple(exec, &m_in, &m_out, &u, hops).unwrap();
+                let out = hops_over(exec, &m_in, &m_out, &u, hops).unwrap();
                 assert_slice_approx_eq(&out.u_final, &expect, 1e-3);
                 assert_eq!(out.per_hop.len(), hops);
             }
@@ -623,7 +452,7 @@ mod tests {
     fn u_last_plus_o_equals_u_final() {
         let (m_in, m_out, u) = memories(30, 4);
         let engine = ColumnEngine::new(MnnFastConfig::new(8));
-        let out = multi_hop_simple(&engine, &m_in, &m_out, &u, 3).unwrap();
+        let out = hops_over(&engine, &m_in, &m_out, &u, 3).unwrap();
         for ((last, o), fin) in out.u_last.iter().zip(&out.o).zip(&out.u_final) {
             assert!((last + o - fin).abs() < 1e-6);
         }
@@ -633,8 +462,8 @@ mod tests {
     fn stats_accumulate_across_hops() {
         let (m_in, m_out, u) = memories(40, 4);
         let engine = ColumnEngine::new(MnnFastConfig::new(10));
-        let one = multi_hop_simple(&engine, &m_in, &m_out, &u, 1).unwrap();
-        let three = multi_hop_simple(&engine, &m_in, &m_out, &u, 3).unwrap();
+        let one = hops_over(&engine, &m_in, &m_out, &u, 1).unwrap();
+        let three = hops_over(&engine, &m_in, &m_out, &u, 3).unwrap();
         assert_eq!(three.stats.rows_total, 3 * one.stats.rows_total);
         assert_eq!(three.stats.divisions, 3 * one.stats.divisions);
         // Peak intermediates do not triple: buffers are reused per hop.
@@ -646,7 +475,7 @@ mod tests {
         let (m_in, m_out, u) = memories(10, 4);
         let engine = ColumnEngine::new(MnnFastConfig::new(4));
         assert!(matches!(
-            multi_hop_simple(&engine, &m_in, &m_out, &u, 0),
+            hops_over(&engine, &m_in, &m_out, &u, 0),
             Err(EngineError::Config(_))
         ));
     }
@@ -656,7 +485,7 @@ mod tests {
         let (m_in, m_out, u) = memories(50, 4);
         let engine =
             ColumnEngine::new(MnnFastConfig::new(10).with_skip(SkipPolicy::Probability(0.015)));
-        let out = multi_hop_simple(&engine, &m_in, &m_out, &u, 2).unwrap();
+        let out = hops_over(&engine, &m_in, &m_out, &u, 2).unwrap();
         assert_eq!(out.stats.rows_total, 100);
         assert!(out.stats.rows_skipped > 0);
     }
@@ -675,11 +504,10 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let budgets = vec![Budget::unlimited(); questions.len()];
-        let batched = multi_hop_batch_budgeted(
+        let batched = multi_hop_batch(
             &exec,
-            &m_in,
-            &m_out,
-            m_in.rows(),
+            MemView::from((&m_in, &m_out)),
+            &SegmentPlan::unsegmented(m_in.rows()),
             &questions,
             3,
             &mut scratch,
@@ -690,7 +518,7 @@ mod tests {
         assert_eq!(batched.len(), questions.len());
         for (q, result) in batched.iter().enumerate() {
             let out = result.as_ref().unwrap();
-            let single = multi_hop_simple(&exec, &m_in, &m_out, &questions[q], 3).unwrap();
+            let single = hops_over(&exec, &m_in, &m_out, &questions[q], 3).unwrap();
             assert_slice_approx_eq(&out.u_final, &single.u_final, 1e-4);
             assert_slice_approx_eq(&out.o, &single.o, 1e-4);
             assert_eq!(out.per_hop.len(), 3);
@@ -714,11 +542,10 @@ mod tests {
             Budget::unlimited().with_cancel(token),
             Budget::unlimited(),
         ];
-        let batched = multi_hop_batch_budgeted(
+        let batched = multi_hop_batch(
             &exec,
-            &m_in,
-            &m_out,
-            m_in.rows(),
+            MemView::from((&m_in, &m_out)),
+            &SegmentPlan::unsegmented(m_in.rows()),
             &questions,
             2,
             &mut Scratch::new(),
@@ -729,7 +556,7 @@ mod tests {
         assert!(matches!(batched[1], Err(EngineError::Cancelled)));
         for q in [0usize, 2] {
             let out = batched[q].as_ref().unwrap();
-            let single = multi_hop_simple(&exec, &m_in, &m_out, &questions[q], 2).unwrap();
+            let single = hops_over(&exec, &m_in, &m_out, &questions[q], 2).unwrap();
             assert_slice_approx_eq(&out.u_final, &single.u_final, 1e-4);
         }
     }
@@ -740,7 +567,17 @@ mod tests {
         let engine = ColumnEngine::new(MnnFastConfig::new(10));
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
-        let out = multi_hop(&engine, &m_in, &m_out, 30, &u, 2, &mut scratch, &mut trace).unwrap();
+        let out = multi_hop(
+            &engine,
+            MemView::from((&m_in, &m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(30)),
+            &u,
+            2,
+            &mut scratch,
+            &mut trace,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(out.stats.rows_total, 60);
         assert_eq!(trace.count(Phase::FusedChunk), 60);
         assert_eq!(trace.count(Phase::Divide), 8, "two hops of ed divisions");

@@ -24,7 +24,7 @@
 //! candidate rows of the best `nprobe` clusters (continuing down the
 //! ranking until at least `topk` candidates are in hand). The *exact-second*
 //! half — rescoring candidates with the unchanged fused kernels — lives in
-//! [`crate::Executor::forward_topk_segmented_budgeted`].
+//! the resolution of a [`crate::Route::TopK`] (see there).
 //!
 //! Ranking clusters by the raw inner product `u · c` (not Euclidean
 //! distance) is the standard IVF-for-MIPS heuristic: the attention logit

@@ -67,20 +67,19 @@ pub use budget::{Budget, CancelToken};
 pub use config::{MnnFastConfig, Precision, SkipPolicy, SoftmaxMode};
 pub use engine::{ColumnEngine, ColumnOutput, EngineError};
 pub use exec::{
-    EngineKind, ExecPlan, Executor, LatencyHistogram, Phase, PhaseHistograms, PlanExecutor,
-    Scratch, Trace,
+    EngineKind, ExecPlan, Executor, LatencyHistogram, MemView, Phase, PhaseHistograms,
+    PlanExecutor, Route, Scratch, Trace,
 };
+pub use hops::{hop_chain, multi_hop, multi_hop_batch, HopsOutput};
+#[doc(hidden)]
 pub use hops::{
-    multi_hop, multi_hop_batch_budgeted, multi_hop_batch_segmented_budgeted, multi_hop_budgeted,
-    multi_hop_quant_batch_segmented_budgeted, multi_hop_quant_segmented_budgeted,
-    multi_hop_quant_topk_segmented_budgeted, multi_hop_segmented_budgeted, multi_hop_simple,
-    multi_hop_topk_segmented_budgeted, HopsOutput,
+    multi_hop_batch_segmented_budgeted, multi_hop_quant_batch_segmented_budgeted,
+    multi_hop_quant_segmented_budgeted, multi_hop_quant_topk_segmented_budgeted,
+    multi_hop_segmented_budgeted, multi_hop_topk_segmented_budgeted,
 };
 pub use index::{ClusterIndex, ProbeResult};
 pub use parallel::ParallelEngine;
-pub use partials::{
-    forward_chunk_partials_budgeted, forward_chunk_quant_partials_budgeted, PartialFold,
-};
+pub use partials::{forward_chunk_partials, PartialFold};
 pub use segment::{Segment, SegmentMap, SegmentPlan};
 pub use stats::InferenceStats;
 pub use store::SegmentedStore;

@@ -11,13 +11,13 @@
 
 use crate::budget::Budget;
 use crate::engine::{
-    check_denom, check_output, check_rows, check_rows_quant, ColumnEngine, ColumnOutput,
-    EngineError,
+    check_denom, one_shot, ColumnEngine, ColumnOutput, EngineError, PassState, Walk,
 };
-use crate::exec::{EngineKind, Executor, Phase, Scratch, Trace};
-use crate::segment::{self, SegmentPlan};
+use crate::exec::WorkerScratch;
+use crate::exec::{resolve_route, EngineKind, Executor, MemView, Phase, Route, Scratch, Trace};
+use crate::segment::Segment;
 use crate::stats::InferenceStats;
-use mnn_tensor::{Matrix, QuantMatrix};
+use mnn_tensor::Matrix;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Multi-threaded scale-out wrapper around [`ColumnEngine`].
@@ -52,7 +52,7 @@ impl ParallelEngine {
     /// Computes the response vector with `config.threads` workers over
     /// contiguous row partitions, allocating fresh scratch buffers
     /// (one-shot convenience; serving loops should call
-    /// [`Executor::forward_prefix`] with a reused [`Scratch`]).
+    /// [`Executor::forward`] with a reused [`Scratch`]).
     ///
     /// # Errors
     ///
@@ -63,424 +63,156 @@ impl ParallelEngine {
         m_out: &Matrix,
         u: &[f32],
     ) -> Result<ColumnOutput, EngineError> {
-        let mut scratch = Scratch::new();
-        let mut trace = Trace::disabled();
-        Executor::forward_prefix(self, m_in, m_out, m_in.rows(), u, &mut scratch, &mut trace)
+        one_shot(self, m_in, m_out, u)
+    }
+
+    /// How this engine walks a segment.
+    pub(crate) fn walk(&self) -> Walk {
+        Walk::Workers {
+            threads: self.engine.config().threads,
+        }
     }
 }
 
+/// [`Walk::Workers`]: the rows *within* the segment are partitioned across
+/// `threads` scoped workers on chunk boundaries, so per-thread chunking
+/// matches the sequential chunk layout (segment starts are themselves
+/// chunk-aligned). Each worker fills one partial per chunk it owns and does
+/// NOT pre-fold them; the caller then merges every chunk partial in global
+/// chunk order, so the result is bitwise the sequential one on either
+/// plane. Worker phase times are CPU time summed across threads (they can
+/// exceed wall time).
+pub(crate) fn walk_workers(
+    st: &mut PassState<'_>,
+    threads: usize,
+    seg: Segment,
+    trace: &mut Trace,
+) -> Result<(), EngineError> {
+    let PassState {
+        engine,
+        view,
+        query,
+        raw_threshold,
+        budget,
+        ..
+    } = *st;
+    let config = engine.config();
+    let (chunk, ed) = (config.chunk_size, query.u.len());
+    let rows_per_thread = seg.rows.div_ceil(chunk).div_ceil(threads) * chunk;
+    let enabled = trace.is_enabled();
+    if st.workers.len() < threads {
+        st.workers.resize_with(threads, WorkerScratch::default);
+    }
+    let workers = &mut st.workers[..threads];
+
+    // Cooperative abort: the first worker whose per-chunk budget check
+    // fails trips the flag so its peers stop at their next chunk. The
+    // caller re-runs `budget.check()` after the join — deadline expiry and
+    // cancellation are monotone, so it observes the same error.
+    let abort = &AtomicBool::new(false);
+    let partials: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .enumerate()
+            .map(|(t, ws)| {
+                let start = seg.start + (t * rows_per_thread).min(seg.rows);
+                let end = seg.start + ((t + 1) * rows_per_thread).min(seg.rows);
+                scope.spawn(move || {
+                    // Contain panics (a poisoned chunk kernel, a violated
+                    // slice invariant) to this worker: peers stop at their
+                    // next chunk boundary and the pass surfaces
+                    // `WorkerPanicked` instead of unwinding through the
+                    // serving process.
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let mut local = InferenceStats::default();
+                        let mut ltrace = if enabled {
+                            Trace::enabled()
+                        } else {
+                            Trace::disabled()
+                        };
+                        let logit_len = chunk.min((end - start).max(1));
+                        let mut idx = 0usize;
+                        let mut row = start;
+                        while row < end {
+                            if abort.load(Ordering::Relaxed) || budget.check().is_err() {
+                                abort.store(true, Ordering::Relaxed);
+                                break;
+                            }
+                            let n = chunk.min(end - row);
+                            let (logits, mut acc) =
+                                ws.chunk_slot(config.softmax, ed, logit_len, idx);
+                            engine.process_chunk(
+                                view.chunk(row, n),
+                                n,
+                                query,
+                                raw_threshold,
+                                &mut acc,
+                                &mut local,
+                                &mut logits[..n],
+                                &mut ltrace,
+                            );
+                            row += n;
+                            idx += 1;
+                        }
+                        ws.used = idx;
+                        (local, ltrace)
+                    }));
+                    if result.is_err() {
+                        abort.store(true, Ordering::Relaxed);
+                    }
+                    result
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scale-out worker thread join"))
+            .collect()
+    });
+    // A panicked worker leaves its scratch partials undefined, so the panic
+    // check runs before the abort/budget check and before any fold.
+    if partials.iter().any(|r| r.is_err()) {
+        return Err(EngineError::WorkerPanicked);
+    }
+    if abort.load(Ordering::Relaxed) {
+        // A worker saw the budget fail; surface the same error. The flag
+        // can only be set by a failed check, and budget failures are
+        // permanent — but never return garbage if not.
+        budget.check()?;
+        return Err(EngineError::Cancelled);
+    }
+
+    // Concurrent partials are all live at once: sum their intermediate
+    // footprints rather than taking the max. Segments run sequentially, so
+    // across segments the peak is the max of the per-segment sums.
+    let mut seg_intermediate = 0u64;
+    for (mut local, ltrace) in partials.into_iter().map(|r| r.expect("checked")) {
+        trace.absorb(&ltrace);
+        seg_intermediate += local.intermediate_bytes;
+        local.intermediate_bytes = 0;
+        st.stats.merge(&local);
+    }
+    st.stats.intermediate_bytes = st.stats.intermediate_bytes.max(seg_intermediate);
+
+    let t0 = trace.begin();
+    let merged = st.main.fold_workers(&st.workers[..threads]);
+    trace.record(Phase::Merge, t0, merged);
+    check_denom(st.main.denom(), "chunk merge")
+}
+
 impl Executor for ParallelEngine {
-    /// Workers produce per-chunk accumulator partials in per-worker
-    /// scratches; the main thread merges them in global chunk order, then
-    /// applies the lazy division once. Worker phase times are CPU time
-    /// summed across threads (they can exceed wall time).
-    fn forward_prefix_budgeted(
+    fn forward(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
+        view: MemView<'_>,
+        route: Route<'_>,
         u: &[f32],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budget: &Budget,
     ) -> Result<ColumnOutput, EngineError> {
-        self.forward_segmented_budgeted(
-            m_in,
-            m_out,
-            &SegmentPlan::unsegmented(rows),
-            u,
-            scratch,
-            trace,
-            budget,
-        )
-    }
-
-    /// Segmented scale-out: segments are visited sequentially (the prune
-    /// decision needs the running max of everything folded so far); the
-    /// rows *within* a visited segment are partitioned across workers on
-    /// chunk boundaries, and the main thread folds every chunk partial in
-    /// global chunk order, so the answer stays bitwise identical to the
-    /// sequential engines.
-    fn forward_segmented_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.engine.check(m_in, m_out, u)?;
-        let rows = plan.rows();
-        check_rows(m_in, rows, "ParallelEngine::forward_prefix")?;
         let config = self.engine.config();
-        let threads = config.threads.min(rows).max(1);
-        if threads == 1 {
-            return self
-                .engine
-                .forward_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget);
-        }
-
-        let mut stats = InferenceStats::default();
-        let ns = rows;
-        let ed = u.len();
-        let chunk = config.chunk_size;
-
-        // The probability-threshold pre-pass streams the FULL plan prefix
-        // (pruned segments included) so the resolved raw threshold — and
-        // therefore every skip decision — is bitwise identical to the
-        // unsegmented engines.
-        let t0 = trace.begin();
-        let raw_threshold = {
-            let logits = scratch.logits(chunk.min(ns.max(1)));
-            self.engine
-                .resolve_threshold_prefix(m_in, ns, u, &mut stats, logits)?
-        };
-        trace.record(Phase::Skip, t0, 0);
-
-        let query_norm = segment::query_norm_upper(u);
-        let enabled = trace.is_enabled();
-        let engine = self.engine;
-        scratch.reset_main(config.softmax, ed);
-
-        for seg in plan.segments() {
-            budget.check()?;
-            stats.segments_total += 1;
-            if plan.prune() {
-                if let Some(running_max) = scratch.main_running_max(config.softmax) {
-                    if segment::can_prune(running_max, seg.logit_upper_bound(query_norm)) {
-                        stats.segments_pruned += 1;
-                        stats.rows_pruned += seg.rows as u64;
-                        continue;
-                    }
-                }
-            }
-            // Partition this segment on chunk boundaries so per-thread
-            // chunking matches the sequential engine's chunk layout
-            // (segment starts are themselves chunk-aligned).
-            let chunks_total = seg.rows.div_ceil(chunk);
-            let chunks_per_thread = chunks_total.div_ceil(threads);
-            let rows_per_thread = chunks_per_thread * chunk;
-
-            // Cooperative abort: the first worker whose per-chunk budget
-            // check fails trips the flag so its peers stop at their next
-            // chunk. The main thread re-runs `budget.check()` after the
-            // join — deadline expiry and cancellation are monotone, so it
-            // observes the same error the worker did.
-            let abort = AtomicBool::new(false);
-            let partials = {
-                let workers = scratch.workers(threads);
-                let abort = &abort;
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(threads);
-                    for (t, ws) in workers.iter_mut().enumerate() {
-                        let start = seg.start + (t * rows_per_thread).min(seg.rows);
-                        let end = seg.start + ((t + 1) * rows_per_thread).min(seg.rows);
-                        handles.push(scope.spawn(move || {
-                            // Contain panics (a poisoned chunk kernel, a
-                            // violated slice invariant) to this worker:
-                            // peers stop at their next chunk boundary and
-                            // the pass surfaces `WorkerPanicked` instead of
-                            // unwinding through the serving process.
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let mut local = InferenceStats::default();
-                                    let mut ltrace = if enabled {
-                                        Trace::enabled()
-                                    } else {
-                                        Trace::disabled()
-                                    };
-                                    let logit_len = chunk.min((end - start).max(1));
-                                    // One partial per owned chunk; the worker does
-                                    // NOT pre-fold them — the main thread merges
-                                    // every chunk partial in global chunk order so
-                                    // the result is bitwise identical to the
-                                    // sequential engines.
-                                    let mut idx = 0usize;
-                                    let mut row = start;
-                                    while row < end {
-                                        if abort.load(Ordering::Relaxed) || budget.check().is_err()
-                                        {
-                                            abort.store(true, Ordering::Relaxed);
-                                            break;
-                                        }
-                                        let n = chunk.min(end - row);
-                                        let (logits, mut acc) =
-                                            ws.chunk_slot(config.softmax, ed, logit_len, idx);
-                                        engine.process_chunk_flat(
-                                            m_in.rows_slice(row, n),
-                                            m_out.rows_slice(row, n),
-                                            n,
-                                            u,
-                                            raw_threshold,
-                                            &mut acc,
-                                            &mut local,
-                                            &mut logits[..n],
-                                            &mut ltrace,
-                                        );
-                                        row += n;
-                                        idx += 1;
-                                    }
-                                    ws.used = idx;
-                                    (local, ltrace)
-                                }));
-                            if result.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            result
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("scale-out worker thread join"))
-                        .collect::<Vec<_>>()
-                })
-            };
-            // A panicked worker leaves its scratch partials undefined, so
-            // the panic check runs before the abort/budget check and before
-            // any fold.
-            if partials.iter().any(|r| r.is_err()) {
-                return Err(EngineError::WorkerPanicked);
-            }
-            let partials: Vec<_> = partials.into_iter().map(|r| r.expect("checked")).collect();
-            if abort.load(Ordering::Relaxed) {
-                // A worker saw the budget fail; surface the same error.
-                budget.check()?;
-                // The flag can only be set by a failed check, and budget
-                // failures are permanent — but never return garbage if not.
-                return Err(EngineError::Cancelled);
-            }
-
-            let mut seg_intermediate = 0u64;
-            for (local, ltrace) in &partials {
-                trace.absorb(ltrace);
-                // Concurrent partials are all live at once: sum their
-                // intermediate footprints rather than taking the max.
-                // Segments run sequentially, so across segments the peak is
-                // the max of the per-segment sums.
-                seg_intermediate += local.intermediate_bytes;
-                let mut local_no_peak = *local;
-                local_no_peak.intermediate_bytes = 0;
-                stats.merge(&local_no_peak);
-            }
-            stats.intermediate_bytes = stats.intermediate_bytes.max(seg_intermediate);
-
-            let t0 = trace.begin();
-            let (_, merged) = scratch.fold_worker_partials(config.softmax, threads);
-            trace.record(Phase::Merge, t0, merged);
-            check_denom(scratch.main_denom(config.softmax), "chunk merge")?;
-
-            let t0 = trace.begin();
-            scratch.wire_roundtrip_main(config.softmax);
-            trace.record(Phase::SegmentMerge, t0, 1);
-        }
-
-        let denominator = scratch.main_denom(config.softmax);
-        check_denom(denominator, "chunk merge")?;
-
-        let mut o = scratch.take_out(ed);
-        let t0 = trace.begin();
-        scratch.finish_main(config.softmax, &mut o);
-        trace.record(Phase::Divide, t0, ed as u64);
-        check_output(&o)?;
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        Ok(ColumnOutput {
-            o,
-            denominator,
-            stats,
-        })
-    }
-
-    /// Segmented scale-out over the quantized plane: same partition, fold
-    /// order and abort protocol as the f32 path, with each worker running
-    /// the int8 chunk kernel. Bitwise identical to the quantized sequential
-    /// engines at any thread count (the int8 kernels are themselves bitwise
-    /// identical across backends, so worker placement cannot perturb bits).
-    fn forward_quant_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.engine.check_quant(m_in, m_out, u)?;
-        let rows = plan.rows();
-        check_rows_quant(m_in, rows, "ParallelEngine::forward_quant")?;
-        let config = self.engine.config();
-        let threads = config.threads.min(rows).max(1);
-        if threads == 1 {
-            return self
-                .engine
-                .forward_quant_segmented_budgeted(m_in, m_out, plan, u, scratch, trace, budget);
-        }
-
-        let mut stats = InferenceStats::default();
-        let ns = rows;
-        let ed = u.len();
-        let chunk = config.chunk_size;
-
-        // Take the quantized-query buffer out of the scratch for the pass:
-        // the workers borrow it concurrently with the scratch's per-worker
-        // arenas, which one &mut borrow cannot express. It is handed back
-        // below; early error returns merely drop the allocation (cold path).
-        let mut uq_buf = std::mem::take(&mut scratch.uq);
-        if uq_buf.len() < ed {
-            uq_buf.resize(ed, 0);
-        }
-        let u_scale = mnn_tensor::quant::quantize_row(u, &mut uq_buf[..ed]);
-
-        let t0 = trace.begin();
-        let raw_threshold = {
-            let logits = scratch.logits(chunk.min(ns.max(1)));
-            self.engine.resolve_threshold_prefix_quant(
-                m_in,
-                ns,
-                &uq_buf[..ed],
-                u_scale,
-                &mut stats,
-                logits,
-            )?
-        };
-        trace.record(Phase::Skip, t0, 0);
-
-        let query_norm = segment::query_norm_upper_i8(&uq_buf[..ed], u_scale);
-        let enabled = trace.is_enabled();
-        let engine = self.engine;
-        scratch.reset_main(config.softmax, ed);
-
-        for seg in plan.segments() {
-            budget.check()?;
-            stats.segments_total += 1;
-            if plan.prune() {
-                if let Some(running_max) = scratch.main_running_max(config.softmax) {
-                    if segment::can_prune(running_max, seg.logit_upper_bound(query_norm)) {
-                        stats.segments_pruned += 1;
-                        stats.rows_pruned += seg.rows as u64;
-                        continue;
-                    }
-                }
-            }
-            let chunks_total = seg.rows.div_ceil(chunk);
-            let chunks_per_thread = chunks_total.div_ceil(threads);
-            let rows_per_thread = chunks_per_thread * chunk;
-
-            let abort = AtomicBool::new(false);
-            let partials = {
-                let workers = scratch.workers(threads);
-                let abort = &abort;
-                let uq: &[i8] = &uq_buf[..ed];
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(threads);
-                    for (t, ws) in workers.iter_mut().enumerate() {
-                        let start = seg.start + (t * rows_per_thread).min(seg.rows);
-                        let end = seg.start + ((t + 1) * rows_per_thread).min(seg.rows);
-                        handles.push(scope.spawn(move || {
-                            // Same panic containment as the f32 path: a
-                            // panicking chunk becomes `WorkerPanicked`, not
-                            // a process abort.
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let mut local = InferenceStats::default();
-                                    let mut ltrace = if enabled {
-                                        Trace::enabled()
-                                    } else {
-                                        Trace::disabled()
-                                    };
-                                    let logit_len = chunk.min((end - start).max(1));
-                                    let mut idx = 0usize;
-                                    let mut row = start;
-                                    while row < end {
-                                        if abort.load(Ordering::Relaxed) || budget.check().is_err()
-                                        {
-                                            abort.store(true, Ordering::Relaxed);
-                                            break;
-                                        }
-                                        let n = chunk.min(end - row);
-                                        let (logits, mut acc) =
-                                            ws.chunk_slot(config.softmax, ed, logit_len, idx);
-                                        engine.process_chunk_quant(
-                                            m_in.rows_slice(row, n),
-                                            m_in.scales_slice(row, n),
-                                            m_out.rows_slice(row, n),
-                                            m_out.scales_slice(row, n),
-                                            n,
-                                            uq,
-                                            u_scale,
-                                            raw_threshold,
-                                            &mut acc,
-                                            &mut local,
-                                            &mut logits[..n],
-                                            &mut ltrace,
-                                        );
-                                        row += n;
-                                        idx += 1;
-                                    }
-                                    ws.used = idx;
-                                    (local, ltrace)
-                                }));
-                            if result.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            result
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("scale-out worker thread join"))
-                        .collect::<Vec<_>>()
-                })
-            };
-            if partials.iter().any(|r| r.is_err()) {
-                scratch.uq = uq_buf;
-                return Err(EngineError::WorkerPanicked);
-            }
-            let partials: Vec<_> = partials.into_iter().map(|r| r.expect("checked")).collect();
-            if abort.load(Ordering::Relaxed) {
-                scratch.uq = uq_buf;
-                budget.check()?;
-                return Err(EngineError::Cancelled);
-            }
-
-            let mut seg_intermediate = 0u64;
-            for (local, ltrace) in &partials {
-                trace.absorb(ltrace);
-                seg_intermediate += local.intermediate_bytes;
-                let mut local_no_peak = *local;
-                local_no_peak.intermediate_bytes = 0;
-                stats.merge(&local_no_peak);
-            }
-            stats.intermediate_bytes = stats.intermediate_bytes.max(seg_intermediate);
-
-            let t0 = trace.begin();
-            let (_, merged) = scratch.fold_worker_partials(config.softmax, threads);
-            trace.record(Phase::Merge, t0, merged);
-            check_denom(scratch.main_denom(config.softmax), "chunk merge")?;
-
-            let t0 = trace.begin();
-            scratch.wire_roundtrip_main(config.softmax);
-            trace.record(Phase::SegmentMerge, t0, 1);
-        }
-        scratch.uq = uq_buf;
-
-        let denominator = scratch.main_denom(config.softmax);
-        check_denom(denominator, "chunk merge")?;
-
-        let mut o = scratch.take_out(ed);
-        let t0 = trace.begin();
-        scratch.finish_main(config.softmax, &mut o);
-        trace.record(Phase::Divide, t0, ed as u64);
-        check_output(&o)?;
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        Ok(ColumnOutput {
-            o,
-            denominator,
-            stats,
+        resolve_route(&config, view, route, u, scratch, trace, |v, p, s, t| {
+            self.engine.pass(self.walk(), v, p, u, s, t, budget)
         })
     }
 
@@ -496,7 +228,7 @@ impl Executor for ParallelEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MnnFastConfig, SkipPolicy, SoftmaxMode};
+    use crate::{MnnFastConfig, SegmentPlan, SkipPolicy, SoftmaxMode};
 
     fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
         let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 5 + c) as f32 * 0.13).sin());
@@ -583,14 +315,14 @@ mod tests {
         let engine = ParallelEngine::new(MnnFastConfig::new(16).with_threads(4));
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
-        let out = Executor::forward_prefix(
+        let out = Executor::forward(
             &engine,
-            &m_in,
-            &m_out,
-            m_in.rows(),
+            MemView::from((&m_in, &m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
             &u,
             &mut scratch,
             &mut trace,
+            &Budget::unlimited(),
         )
         .unwrap();
         assert_eq!(out.stats.rows_total, 200);

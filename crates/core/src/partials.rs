@@ -8,11 +8,11 @@
 //! therefore cannot ship per-worker pre-folded sums; it ships the chunk
 //! partials themselves:
 //!
-//! - a worker runs [`forward_chunk_partials_budgeted`] over its local rows
-//!   and gets one serializable [`PartialState`] per chunk — each bitwise
-//!   identical to the partial the single-node engine would have produced
-//!   for that chunk, because both run the exact same
-//!   `ColumnEngine::process_chunk_flat` kernel on the same rows;
+//! - a worker runs [`forward_chunk_partials`] over its local rows and gets
+//!   one serializable [`PartialState`] per chunk — each bitwise identical
+//!   to the partial the single-node engine would have produced for that
+//!   chunk, because both run the exact same per-chunk step of the pass
+//!   skeleton (`PassState::chunk_partial`) on the same rows;
 //! - the coordinator arranges every received partial in global chunk order
 //!   and folds them through a [`PartialFold`], which reproduces the
 //!   single-node merge loop (merge plane + per-merge denominator guard +
@@ -32,31 +32,17 @@
 
 use crate::budget::Budget;
 use crate::config::{SkipPolicy, SoftmaxMode};
-use crate::engine::{check_denom, check_output, check_rows, check_rows_quant};
-use crate::engine::{AccumMut, ColumnEngine, EngineError};
-use crate::exec::{Scratch, Trace};
+use crate::engine::{check_denom, check_output, AccumMut, ColumnEngine, EngineError};
+use crate::exec::{MemView, Scratch, Trace};
 use crate::stats::InferenceStats;
 use mnn_tensor::partial::{merge_lazy_into, merge_online_into};
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
-use mnn_tensor::{Matrix, PartialState, QuantMatrix, ShapeError};
+use mnn_tensor::{PartialState, ShapeError};
 
-/// Rejects skip policies whose threshold cannot be resolved from one shard.
-fn check_local_skip(engine: &ColumnEngine) -> Result<Option<f32>, EngineError> {
-    match engine.config().skip {
-        SkipPolicy::None => Ok(None),
-        SkipPolicy::RawWeight(th) => Ok(Some(th)),
-        SkipPolicy::Probability(_) => Err(EngineError::Config(
-            "SkipPolicy::Probability needs a global denominator pre-pass and cannot \
-             run on a single shard; use SkipPolicy::RawWeight or None"
-                .to_string(),
-        )),
-    }
-}
-
-/// Runs the column engine over the first `rows` rows of `m_in`/`m_out`,
-/// appending one [`PartialState`] per chunk to `out` instead of folding
-/// them. Each appended partial is bitwise identical to the chunk partial
-/// the single-node [`ColumnEngine`] computes for the same rows; a
+/// Runs the column engine over the first `rows` rows of `view` (either
+/// memory plane), appending one [`PartialState`] per chunk to `out` instead
+/// of folding them. Each appended partial is bitwise identical to the chunk
+/// partial the single-node [`ColumnEngine`] computes for the same rows; a
 /// [`PartialFold`] fed every chunk of the full memory in global order
 /// reproduces the single-node answer exactly.
 ///
@@ -70,10 +56,9 @@ fn check_local_skip(engine: &ColumnEngine) -> Result<Option<f32>, EngineError> {
 /// [`SkipPolicy::Probability`] (see the module docs), and abandons the
 /// pass at a chunk boundary on budget expiry or cancellation.
 #[allow(clippy::too_many_arguments)]
-pub fn forward_chunk_partials_budgeted(
+pub fn forward_chunk_partials(
     engine: &ColumnEngine,
-    m_in: &Matrix,
-    m_out: &Matrix,
+    view: MemView<'_>,
     rows: usize,
     u: &[f32],
     scratch: &mut Scratch,
@@ -81,118 +66,30 @@ pub fn forward_chunk_partials_budgeted(
     budget: &Budget,
     out: &mut Vec<PartialState>,
 ) -> Result<InferenceStats, EngineError> {
-    engine.check(m_in, m_out, u)?;
-    check_rows(m_in, rows, "forward_chunk_partials")?;
-    let raw_threshold = check_local_skip(engine)?;
-    let config = engine.config();
-    let ed = u.len();
-    let chunk = config.chunk_size;
-    let mut stats = InferenceStats::default();
-    let (logits, _main, mut partial) =
-        scratch.split_chunked(config.softmax, ed, chunk.min(rows.max(1)));
-    let mut row = 0usize;
-    while row < rows {
-        budget.check()?;
-        let n = chunk.min(rows - row);
-        partial.reset(ed);
-        engine.process_chunk_flat(
-            m_in.rows_slice(row, n),
-            m_out.rows_slice(row, n),
-            n,
-            u,
-            raw_threshold,
-            &mut partial,
-            &mut stats,
-            &mut logits[..n],
-            trace,
-        );
-        out.push(clone_partial(&partial));
-        row += n;
-    }
-    Ok(stats)
-}
-
-/// [`forward_chunk_partials_budgeted`] over the int8 quantized memory
-/// plane: the same per-chunk contract, produced by the quantized chunk
-/// kernel (`ColumnEngine::process_chunk_quant`), so the partials match the
-/// single-node quantized pass bit for bit.
-///
-/// # Errors
-///
-/// As [`forward_chunk_partials_budgeted`].
-#[allow(clippy::too_many_arguments)]
-pub fn forward_chunk_quant_partials_budgeted(
-    engine: &ColumnEngine,
-    m_in: &QuantMatrix,
-    m_out: &QuantMatrix,
-    rows: usize,
-    u: &[f32],
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-    budget: &Budget,
-    out: &mut Vec<PartialState>,
-) -> Result<InferenceStats, EngineError> {
-    engine.check_quant(m_in, m_out, u)?;
-    check_rows_quant(m_in, rows, "forward_chunk_partials_quant")?;
-    let raw_threshold = check_local_skip(engine)?;
-    let config = engine.config();
-    let ed = u.len();
-    let chunk = config.chunk_size;
-    let mut stats = InferenceStats::default();
-    let u_scale = scratch.quant_query(u);
-    let logit_len = chunk.min(rows.max(1));
-    let Scratch {
-        logits,
-        chunk_lazy,
-        chunk_online,
-        uq,
-        ..
-    } = scratch;
-    if logits.len() < logit_len {
-        logits.resize(logit_len, 0.0);
-    }
-    let logits = &mut logits[..logit_len];
-    let uq: &[i8] = &uq[..ed];
-    let mut partial = match config.softmax {
-        SoftmaxMode::Lazy => {
-            chunk_lazy.reset(ed);
-            AccumMut::Lazy(chunk_lazy)
-        }
-        SoftmaxMode::Online => {
-            chunk_online.reset(ed);
-            AccumMut::Online(chunk_online)
+    let mut st = engine.begin(view, rows, u, budget, scratch)?;
+    st.raw_threshold = match engine.config().skip {
+        SkipPolicy::None => None,
+        SkipPolicy::RawWeight(th) => Some(th),
+        SkipPolicy::Probability(_) => {
+            return Err(EngineError::Config(
+                "SkipPolicy::Probability needs a global denominator pre-pass and cannot \
+                 run on a single shard; use SkipPolicy::RawWeight or None"
+                    .to_string(),
+            ))
         }
     };
+    let chunk = engine.config().chunk_size;
     let mut row = 0usize;
     while row < rows {
-        budget.check()?;
         let n = chunk.min(rows - row);
-        partial.reset(ed);
-        engine.process_chunk_quant(
-            m_in.rows_slice(row, n),
-            m_in.scales_slice(row, n),
-            m_out.rows_slice(row, n),
-            m_out.scales_slice(row, n),
-            n,
-            uq,
-            u_scale,
-            raw_threshold,
-            &mut partial,
-            &mut stats,
-            &mut logits[..n],
-            trace,
-        );
-        out.push(clone_partial(&partial));
+        st.chunk_partial(view.chunk(row, n), n, trace)?;
+        out.push(match &st.partial {
+            AccumMut::Lazy(a) => PartialState::Lazy((**a).clone()),
+            AccumMut::Online(a) => PartialState::Online((**a).clone()),
+        });
         row += n;
     }
-    Ok(stats)
-}
-
-fn clone_partial(acc: &AccumMut<'_>) -> PartialState {
-    match acc {
-        AccumMut::Lazy(a) => PartialState::Lazy((**a).clone()),
-        AccumMut::Online(a) => PartialState::Online((**a).clone()),
-    }
+    Ok(st.stats)
 }
 
 /// The coordinator-side running total: absorbs chunk [`PartialState`]s in
@@ -324,8 +221,28 @@ impl PartialFold {
 mod tests {
     use super::*;
     use crate::config::MnnFastConfig;
-    use crate::exec::Executor;
+    use crate::exec::{Executor, Route};
     use crate::segment::SegmentPlan;
+    use mnn_tensor::{Matrix, QuantMatrix};
+
+    fn reference(
+        engine: &ColumnEngine,
+        view: MemView<'_>,
+        rows: usize,
+        u: &[f32],
+        scratch: &mut Scratch,
+    ) -> crate::ColumnOutput {
+        Executor::forward(
+            engine,
+            view,
+            Route::Plan(&SegmentPlan::unsegmented(rows)),
+            u,
+            scratch,
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
+        .unwrap()
+    }
 
     fn fixtures(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
         let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.13).sin() * 0.4);
@@ -334,6 +251,10 @@ mod tests {
             .map(|c| ((c * 11) as f32 * 0.07).sin() * 0.5)
             .collect();
         (m_in, m_out, u)
+    }
+
+    fn f32_view<'a>(m_in: &'a Matrix, m_out: &'a Matrix) -> MemView<'a> {
+        MemView::F32 { m_in, m_out }
     }
 
     fn bits(xs: &[f32]) -> Vec<u32> {
@@ -357,23 +278,12 @@ mod tests {
                 let config = MnnFastConfig::new(16).with_softmax(mode).with_fused(fused);
                 let engine = ColumnEngine::new(config);
                 let mut scratch = Scratch::new();
-                let reference = engine
-                    .forward_prefix_budgeted(
-                        &m_in,
-                        &m_out,
-                        103,
-                        &u,
-                        &mut scratch,
-                        &mut Trace::disabled(),
-                        &Budget::unlimited(),
-                    )
-                    .unwrap();
+                let reference = reference(&engine, f32_view(&m_in, &m_out), 103, &u, &mut scratch);
 
                 let mut partials = Vec::new();
-                let stats = forward_chunk_partials_budgeted(
+                let stats = forward_chunk_partials(
                     &engine,
-                    &m_in,
-                    &m_out,
+                    f32_view(&m_in, &m_out),
                     103,
                     &u,
                     &mut scratch,
@@ -411,17 +321,7 @@ mod tests {
         let config = MnnFastConfig::new(chunk);
         let engine = ColumnEngine::new(config);
         let mut scratch = Scratch::new();
-        let reference = engine
-            .forward_prefix_budgeted(
-                &m_in,
-                &m_out,
-                130,
-                &u,
-                &mut scratch,
-                &mut Trace::disabled(),
-                &Budget::unlimited(),
-            )
-            .unwrap();
+        let reference = reference(&engine, f32_view(&m_in, &m_out), 130, &u, &mut scratch);
 
         // Deal global chunks round-robin into per-shard row stores.
         let mut shard_in: Vec<Vec<f32>> = vec![Vec::new(); shards];
@@ -442,10 +342,9 @@ mod tests {
             let mi = Matrix::from_fn(rows, 8, |r, c| shard_in[s][r * 8 + c]);
             let mo = Matrix::from_fn(rows, 8, |r, c| shard_out[s][r * 8 + c]);
             let mut ps = Vec::new();
-            forward_chunk_partials_budgeted(
+            forward_chunk_partials(
                 &engine,
-                &mi,
-                &mo,
+                f32_view(&mi, &mo),
                 rows,
                 &u,
                 &mut scratch,
@@ -482,23 +381,18 @@ mod tests {
             let config = MnnFastConfig::new(16).with_softmax(mode);
             let engine = ColumnEngine::new(config);
             let mut scratch = Scratch::new();
-            let reference = engine
-                .forward_quant_segmented_budgeted(
-                    &q_in,
-                    &q_out,
-                    &SegmentPlan::unsegmented(77),
-                    &u,
-                    &mut scratch,
-                    &mut Trace::disabled(),
-                    &Budget::unlimited(),
-                )
-                .unwrap();
+            let reference = reference(
+                &engine,
+                MemView::from((&q_in, &q_out)),
+                77,
+                &u,
+                &mut scratch,
+            );
 
             let mut partials = Vec::new();
-            forward_chunk_quant_partials_budgeted(
+            forward_chunk_partials(
                 &engine,
-                &q_in,
-                &q_out,
+                MemView::from((&q_in, &q_out)),
                 77,
                 &u,
                 &mut scratch,
@@ -527,10 +421,9 @@ mod tests {
         let engine = ColumnEngine::new(config);
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
-        let err = forward_chunk_partials_budgeted(
+        let err = forward_chunk_partials(
             &engine,
-            &m_in,
-            &m_out,
+            f32_view(&m_in, &m_out),
             32,
             &u,
             &mut scratch,
@@ -545,22 +438,11 @@ mod tests {
         // to the single-node answer.
         let config = MnnFastConfig::new(16).with_skip(SkipPolicy::RawWeight(0.5));
         let engine = ColumnEngine::new(config);
-        let reference = engine
-            .forward_prefix_budgeted(
-                &m_in,
-                &m_out,
-                32,
-                &u,
-                &mut scratch,
-                &mut Trace::disabled(),
-                &Budget::unlimited(),
-            )
-            .unwrap();
+        let reference = reference(&engine, f32_view(&m_in, &m_out), 32, &u, &mut scratch);
         let mut partials = Vec::new();
-        forward_chunk_partials_budgeted(
+        forward_chunk_partials(
             &engine,
-            &m_in,
-            &m_out,
+            f32_view(&m_in, &m_out),
             32,
             &u,
             &mut scratch,
@@ -611,10 +493,9 @@ mod tests {
         let cancel = crate::CancelToken::new();
         cancel.cancel();
         let budget = Budget::unlimited().with_cancel(cancel.clone());
-        let err = forward_chunk_partials_budgeted(
+        let err = forward_chunk_partials(
             &engine,
-            &m_in,
-            &m_out,
+            f32_view(&m_in, &m_out),
             64,
             &u,
             &mut scratch,

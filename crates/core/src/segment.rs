@@ -213,7 +213,7 @@ enum Source<'a> {
 
 impl SegmentPlan<'static> {
     /// The trivial plan: one segment covering rows `0..rows`, no zone map,
-    /// no pruning. `forward_prefix` is exactly this plan.
+    /// no pruning — the classic prefix pass.
     pub fn unsegmented(rows: usize) -> Self {
         SegmentPlan {
             source: Source::Unsegmented { rows },

@@ -43,7 +43,7 @@
 
 use crate::index::ClusterIndex;
 use crate::segment::row_norm_upper;
-use crate::SegmentMap;
+use crate::{MemView, Precision, SegmentMap};
 use mnn_tensor::{Matrix, QuantMatrix};
 
 /// The int8 mirror of the populated prefix: per-row symmetric codes and
@@ -63,7 +63,7 @@ struct QuantMirror {
 ///
 /// Rows append *and evict* in O(ed) amortized (see the module docs for
 /// the window contract); the engines attend over the populated prefix via
-/// `ColumnEngine::forward_prefix` (or a routed segment plan), so no
+/// [`SegmentedStore::view`] (a prefix or a routed segment plan), so no
 /// per-question copy is ever made. A bounded store evicts its oldest rows
 /// (sliding-window memory) when full.
 #[derive(Debug, Clone)]
@@ -212,6 +212,26 @@ impl SegmentedStore {
             .as_ref()
             .filter(|q| q.synced_at == self.version)
             .map(|q| (&q.m_in_q, &q.m_out_q))
+    }
+
+    /// The populated memories as the engines read them on `precision`'s
+    /// plane (attend over rows `0..len()` only).
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Precision::Int8`] when the int8 mirror is missing or
+    /// stale — call [`Self::enable_quant`] first (a no-op when current).
+    pub fn view(&self, precision: Precision) -> MemView<'_> {
+        match precision {
+            Precision::F32 => MemView::F32 {
+                m_in: &self.m_in,
+                m_out: &self.m_out,
+            },
+            Precision::Int8 => {
+                let (m_in, m_out) = self.quant().expect("int8 mirror not synced");
+                MemView::Int8 { m_in, m_out }
+            }
+        }
     }
 
     /// Bytes resident in the int8 mirror (codes + scales, both memories);

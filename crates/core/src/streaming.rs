@@ -12,35 +12,67 @@
 //! engine, so results are bit-identical to [`ColumnEngine::forward`].
 
 use crate::budget::Budget;
-use crate::config::SoftmaxMode;
-use crate::engine::{
-    check_denom, check_output, check_rows, check_rows_quant, AccumMut, ColumnEngine, ColumnOutput,
-    EngineError,
-};
-use crate::exec::{EngineKind, Executor, Phase, Scratch, Trace};
-use crate::segment::{self, SegmentPlan};
-use crate::stats::InferenceStats;
-use mnn_tensor::{Matrix, QuantMatrix};
+use crate::engine::{one_shot, ChunkOps, ColumnEngine, ColumnOutput, EngineError, PassState, Walk};
+use crate::exec::{resolve_route, EngineKind, Executor, MemView, Route, Scratch, Trace};
+use crate::segment::Segment;
+use mnn_tensor::Matrix;
 use std::sync::mpsc::sync_channel;
 
-/// A staged chunk in flight from the producer to the consumer.
-#[derive(Debug)]
-struct StagedChunk {
+/// A staged chunk in flight from the producer to the consumer: owned copies
+/// of the chunk's rows of both memories, `[M_IN, M_OUT]`. The f32 plane
+/// fills `rows`; the int8 plane fills `codes` and stages the per-row
+/// `scales` alongside them, so the consumer's reads stay sequential over
+/// owned buffers on either plane. The other plane's vectors stay empty.
+#[derive(Debug, Default)]
+struct Staged {
     n: usize,
-    in_data: Vec<f32>,
-    out_data: Vec<f32>,
+    rows: [Vec<f32>; 2],
+    codes: [Vec<i8>; 2],
+    scales: [Vec<f32>; 2],
 }
 
-/// A staged *quantized* chunk: int8 codes plus the per-row scales for both
-/// memories. Staging the scales alongside the codes keeps the consumer's
-/// reads sequential over owned buffers, same as the f32 lane.
-#[derive(Debug)]
-struct StagedChunkI8 {
-    n: usize,
-    in_q: Vec<i8>,
-    in_scales: Vec<f32>,
-    out_q: Vec<i8>,
-    out_scales: Vec<f32>,
+impl Staged {
+    /// Copies an `n`-row chunk in (the producer's "prefetch").
+    fn fill(&mut self, ops: ChunkOps<'_>, n: usize) {
+        fn copy<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+            dst.clear();
+            dst.extend_from_slice(src);
+        }
+        self.n = n;
+        match ops {
+            ChunkOps::F32 { m_in, m_out } => {
+                copy(&mut self.rows[0], m_in);
+                copy(&mut self.rows[1], m_out);
+            }
+            ChunkOps::Int8 {
+                m_in,
+                in_scales,
+                m_out,
+                out_scales,
+            } => {
+                copy(&mut self.codes[0], m_in);
+                copy(&mut self.scales[0], in_scales);
+                copy(&mut self.codes[1], m_out);
+                copy(&mut self.scales[1], out_scales);
+            }
+        }
+    }
+
+    /// The staged operands, on `view`'s plane.
+    fn ops(&self, view: MemView<'_>) -> ChunkOps<'_> {
+        match view {
+            MemView::F32 { .. } => ChunkOps::F32 {
+                m_in: &self.rows[0],
+                m_out: &self.rows[1],
+            },
+            MemView::Int8 { .. } => ChunkOps::Int8 {
+                m_in: &self.codes[0],
+                in_scales: &self.scales[0],
+                m_out: &self.codes[1],
+                out_scales: &self.scales[1],
+            },
+        }
+    }
 }
 
 /// Streaming wrapper around [`ColumnEngine`].
@@ -86,8 +118,7 @@ impl StreamingEngine {
 
     /// Computes the response vector with producer/consumer chunk streaming,
     /// allocating fresh scratch buffers (one-shot convenience; serving
-    /// loops should call [`Executor::forward_prefix`] with a reused
-    /// [`Scratch`]).
+    /// loops should call [`Executor::forward`] with a reused [`Scratch`]).
     ///
     /// Numerically identical to [`ColumnEngine::forward`] with the same
     /// configuration: chunks are consumed in order, so the accumulation
@@ -102,341 +133,84 @@ impl StreamingEngine {
         m_out: &Matrix,
         u: &[f32],
     ) -> Result<ColumnOutput, EngineError> {
-        let mut scratch = Scratch::new();
-        let mut trace = Trace::disabled();
-        Executor::forward_prefix(self, m_in, m_out, m_in.rows(), u, &mut scratch, &mut trace)
+        one_shot(self, m_in, m_out, u)
+    }
+
+    /// How this engine walks a segment.
+    pub(crate) fn walk(&self) -> Walk {
+        Walk::Staged { depth: self.depth }
     }
 }
 
+/// [`Walk::Staged`]: one producer/consumer pipeline over the segment's
+/// chunks. The consumer is the caller's thread and folds each staged chunk
+/// exactly as the inline walk folds it in place.
+pub(crate) fn walk_staged(
+    st: &mut PassState<'_>,
+    depth: usize,
+    seg: Segment,
+    trace: &mut Trace,
+) -> Result<(), EngineError> {
+    let view = st.view;
+    let chunk = st.engine.config().chunk_size;
+    let seg_end = seg.start + seg.rows;
+    std::thread::scope(|scope| {
+        let (tx, rx) = sync_channel::<Staged>(depth);
+        // Recycling lane: consumed buffers return to the producer, so
+        // exactly `depth` buffers circulate — the literal double-buffering
+        // discipline of the FPGA design, with no steady-state allocation.
+        let (recycle_tx, recycle_rx) = sync_channel::<Staged>(depth);
+        for _ in 0..depth {
+            let _ = recycle_tx.send(Staged::default());
+        }
+
+        // Producer: stages chunks ahead of the consumer (the "prefetch"
+        // side of the paper's streaming pipeline).
+        scope.spawn(move || {
+            let mut row = seg.start;
+            while row < seg_end {
+                let Ok(mut staged) = recycle_rx.recv() else {
+                    break; // consumer dropped (error path)
+                };
+                let n = chunk.min(seg_end - row);
+                staged.fill(view.chunk(row, n), n);
+                if tx.send(staged).is_err() {
+                    break;
+                }
+                row += n;
+            }
+        });
+
+        // Consumer: chunks arrive in order. A failed budget check or a
+        // numeric fault breaks the loop; dropping the receiver makes the
+        // producer's next send fail, so it exits too and the scope joins
+        // cleanly.
+        let mut outcome = Ok(());
+        for staged in rx.iter() {
+            outcome = st.fold_chunk(staged.ops(view), staged.n, trace);
+            if outcome.is_err() {
+                break;
+            }
+            let _ = recycle_tx.send(staged); // hand the buffer back
+        }
+        drop(rx);
+        outcome
+    })
+}
+
 impl Executor for StreamingEngine {
-    fn forward_prefix_budgeted(
+    fn forward(
         &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        rows: usize,
+        view: MemView<'_>,
+        route: Route<'_>,
         u: &[f32],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budget: &Budget,
     ) -> Result<ColumnOutput, EngineError> {
-        self.forward_segmented_budgeted(
-            m_in,
-            m_out,
-            &SegmentPlan::unsegmented(rows),
-            u,
-            scratch,
-            trace,
-            budget,
-        )
-    }
-
-    fn forward_segmented_budgeted(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.engine.check(m_in, m_out, u)?;
-        check_rows(m_in, plan.rows(), "StreamingEngine::forward_prefix")?;
         let config = self.engine.config();
-        let chunk = config.chunk_size;
-        let ns = plan.rows();
-        let ed = u.len();
-        let mut stats = InferenceStats::default();
-        let denominator;
-        {
-            let (logits, mut main, mut partial) =
-                scratch.split_chunked(config.softmax, ed, chunk.min(ns.max(1)));
-            let t0 = trace.begin();
-            let raw_threshold = self
-                .engine
-                .resolve_threshold_prefix(m_in, ns, u, &mut stats, logits)?;
-            trace.record(Phase::Skip, t0, 0);
-            let query_norm = segment::query_norm_upper(u);
-
-            // One producer/consumer pipeline per visited segment: the prune
-            // decision depends on the running max, so a pruned segment's
-            // rows are never even staged.
-            for seg in plan.segments() {
-                budget.check()?;
-                stats.segments_total += 1;
-                if plan.prune() {
-                    if let Some(running_max) = main.running_max() {
-                        if segment::can_prune(running_max, seg.logit_upper_bound(query_norm)) {
-                            stats.segments_pruned += 1;
-                            stats.rows_pruned += seg.rows as u64;
-                            continue;
-                        }
-                    }
-                }
-                let seg_start = seg.start;
-                let seg_end = seg.start + seg.rows;
-
-                std::thread::scope(|scope| {
-                    let (tx, rx) = sync_channel::<StagedChunk>(self.depth);
-                    // Recycling lane: consumed buffers return to the producer, so
-                    // exactly `depth` buffers circulate — the literal
-                    // double-buffering discipline of the FPGA design, with no
-                    // steady-state allocation.
-                    let (recycle_tx, recycle_rx) = sync_channel::<StagedChunk>(self.depth);
-                    for _ in 0..self.depth {
-                        let _ = recycle_tx.send(StagedChunk {
-                            n: 0,
-                            in_data: Vec::with_capacity(chunk * ed),
-                            out_data: Vec::with_capacity(chunk * ed),
-                        });
-                    }
-
-                    // Producer: stages chunks ahead of the consumer (the
-                    // "prefetch" side of the paper's streaming pipeline).
-                    scope.spawn(move || {
-                        let mut row = seg_start;
-                        while row < seg_end {
-                            let Ok(mut staged) = recycle_rx.recv() else {
-                                break; // consumer dropped (error path)
-                            };
-                            let n = chunk.min(seg_end - row);
-                            staged.n = n;
-                            staged.in_data.clear();
-                            staged.in_data.extend_from_slice(m_in.rows_slice(row, n));
-                            staged.out_data.clear();
-                            staged.out_data.extend_from_slice(m_out.rows_slice(row, n));
-                            if tx.send(staged).is_err() {
-                                break;
-                            }
-                            row += n;
-                        }
-                    });
-
-                    // Consumer: identical math to the sequential engine —
-                    // chunks arrive in order and fold through the same
-                    // per-chunk partial merge. A failed budget check or a
-                    // numeric fault breaks the loop; dropping the receiver
-                    // makes the producer's next send fail, so it exits too and
-                    // the scope joins cleanly.
-                    let mut aborted = None;
-                    for staged in rx.iter() {
-                        if let Err(e) = budget.check() {
-                            aborted = Some(e);
-                            break;
-                        }
-                        partial.reset(ed);
-                        self.engine.process_chunk_flat(
-                            &staged.in_data,
-                            &staged.out_data,
-                            staged.n,
-                            u,
-                            raw_threshold,
-                            &mut partial,
-                            &mut stats,
-                            &mut logits[..staged.n],
-                            trace,
-                        );
-                        let t0 = trace.begin();
-                        main.merge_from(&partial);
-                        trace.record(Phase::Merge, t0, 1);
-                        if let Err(e) = check_denom(main.denom(), "chunk merge") {
-                            aborted = Some(e);
-                            break;
-                        }
-                        let _ = recycle_tx.send(staged); // hand the buffer back
-                    }
-                    drop(rx);
-                    aborted
-                })
-                .map_or(Ok(()), Err)?;
-
-                let t0 = trace.begin();
-                main.wire_roundtrip();
-                trace.record(Phase::SegmentMerge, t0, 1);
-            }
-            denominator = main.denom();
-        }
-
-        // Staging buffers double the live intermediate footprint.
-        stats.intermediate_bytes += (self.depth * chunk * ed * 4 * 2) as u64;
-        let mut o = scratch.take_out(ed);
-        let t0 = trace.begin();
-        scratch.finish_main(config.softmax, &mut o);
-        trace.record(Phase::Divide, t0, ed as u64);
-        check_output(&o)?;
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        Ok(ColumnOutput {
-            o,
-            denominator,
-            stats,
-        })
-    }
-
-    fn forward_quant_segmented_budgeted(
-        &self,
-        m_in: &QuantMatrix,
-        m_out: &QuantMatrix,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        self.engine.check_quant(m_in, m_out, u)?;
-        check_rows_quant(m_in, plan.rows(), "StreamingEngine::forward_quant")?;
-        let config = self.engine.config();
-        let chunk = config.chunk_size;
-        let ns = plan.rows();
-        let ed = u.len();
-        let mut stats = InferenceStats::default();
-        let u_scale = scratch.quant_query(u);
-        let denominator;
-        {
-            let logit_len = chunk.min(ns.max(1));
-            let Scratch {
-                logits,
-                lazy,
-                online,
-                chunk_lazy,
-                chunk_online,
-                uq,
-                ..
-            } = scratch;
-            if logits.len() < logit_len {
-                logits.resize(logit_len, 0.0);
-            }
-            let logits = &mut logits[..logit_len];
-            let uq: &[i8] = &uq[..ed];
-            let (mut main, mut partial) = match config.softmax {
-                SoftmaxMode::Lazy => {
-                    lazy.reset(ed);
-                    chunk_lazy.reset(ed);
-                    (AccumMut::Lazy(lazy), AccumMut::Lazy(chunk_lazy))
-                }
-                SoftmaxMode::Online => {
-                    online.reset(ed);
-                    chunk_online.reset(ed);
-                    (AccumMut::Online(online), AccumMut::Online(chunk_online))
-                }
-            };
-            let t0 = trace.begin();
-            let raw_threshold = self
-                .engine
-                .resolve_threshold_prefix_quant(m_in, ns, uq, u_scale, &mut stats, logits)?;
-            trace.record(Phase::Skip, t0, 0);
-            let query_norm = segment::query_norm_upper_i8(uq, u_scale);
-
-            for seg in plan.segments() {
-                budget.check()?;
-                stats.segments_total += 1;
-                if plan.prune() {
-                    if let Some(running_max) = main.running_max() {
-                        if segment::can_prune(running_max, seg.logit_upper_bound(query_norm)) {
-                            stats.segments_pruned += 1;
-                            stats.rows_pruned += seg.rows as u64;
-                            continue;
-                        }
-                    }
-                }
-                let seg_start = seg.start;
-                let seg_end = seg.start + seg.rows;
-
-                std::thread::scope(|scope| {
-                    let (tx, rx) = sync_channel::<StagedChunkI8>(self.depth);
-                    let (recycle_tx, recycle_rx) = sync_channel::<StagedChunkI8>(self.depth);
-                    for _ in 0..self.depth {
-                        let _ = recycle_tx.send(StagedChunkI8 {
-                            n: 0,
-                            in_q: Vec::with_capacity(chunk * ed),
-                            in_scales: Vec::with_capacity(chunk),
-                            out_q: Vec::with_capacity(chunk * ed),
-                            out_scales: Vec::with_capacity(chunk),
-                        });
-                    }
-
-                    scope.spawn(move || {
-                        let mut row = seg_start;
-                        while row < seg_end {
-                            let Ok(mut staged) = recycle_rx.recv() else {
-                                break;
-                            };
-                            let n = chunk.min(seg_end - row);
-                            staged.n = n;
-                            staged.in_q.clear();
-                            staged.in_q.extend_from_slice(m_in.rows_slice(row, n));
-                            staged.in_scales.clear();
-                            staged
-                                .in_scales
-                                .extend_from_slice(m_in.scales_slice(row, n));
-                            staged.out_q.clear();
-                            staged.out_q.extend_from_slice(m_out.rows_slice(row, n));
-                            staged.out_scales.clear();
-                            staged
-                                .out_scales
-                                .extend_from_slice(m_out.scales_slice(row, n));
-                            if tx.send(staged).is_err() {
-                                break;
-                            }
-                            row += n;
-                        }
-                    });
-
-                    let mut aborted = None;
-                    for staged in rx.iter() {
-                        if let Err(e) = budget.check() {
-                            aborted = Some(e);
-                            break;
-                        }
-                        partial.reset(ed);
-                        self.engine.process_chunk_quant(
-                            &staged.in_q,
-                            &staged.in_scales,
-                            &staged.out_q,
-                            &staged.out_scales,
-                            staged.n,
-                            uq,
-                            u_scale,
-                            raw_threshold,
-                            &mut partial,
-                            &mut stats,
-                            &mut logits[..staged.n],
-                            trace,
-                        );
-                        let t0 = trace.begin();
-                        main.merge_from(&partial);
-                        trace.record(Phase::Merge, t0, 1);
-                        if let Err(e) = check_denom(main.denom(), "chunk merge") {
-                            aborted = Some(e);
-                            break;
-                        }
-                        let _ = recycle_tx.send(staged);
-                    }
-                    drop(rx);
-                    aborted
-                })
-                .map_or(Ok(()), Err)?;
-
-                let t0 = trace.begin();
-                main.wire_roundtrip();
-                trace.record(Phase::SegmentMerge, t0, 1);
-            }
-            denominator = main.denom();
-        }
-
-        // Quantized staging: depth buffers × two memories × (codes + scale).
-        stats.intermediate_bytes += (self.depth * (chunk * ed + chunk * 4) * 2) as u64;
-        let mut o = scratch.take_out(ed);
-        let t0 = trace.begin();
-        scratch.finish_main(config.softmax, &mut o);
-        trace.record(Phase::Divide, t0, ed as u64);
-        check_output(&o)?;
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        Ok(ColumnOutput {
-            o,
-            denominator,
-            stats,
+        resolve_route(&config, view, route, u, scratch, trace, |v, p, s, t| {
+            self.engine.pass(self.walk(), v, p, u, s, t, budget)
         })
     }
 

@@ -17,7 +17,8 @@ use std::sync::Mutex;
 use mnn_tensor::simd::{self, Backend};
 use mnn_tensor::{assert_slice_approx_eq, Matrix};
 use mnnfast::{
-    BatchEngine, Budget, ColumnEngine, MnnFastConfig, Scratch, SkipPolicy, SoftmaxMode, Trace,
+    BatchEngine, Budget, ColumnEngine, MemView, MnnFastConfig, Scratch, SegmentPlan, SkipPolicy,
+    SoftmaxMode, Trace,
 };
 
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
@@ -91,10 +92,9 @@ fn assert_parity(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, questions
     let mut trace = Trace::disabled();
     let budgets = vec![Budget::unlimited(); questions.len()];
     let results = BatchEngine::new(config)
-        .forward_budgeted(
-            m_in,
-            m_out,
-            m_in.rows(),
+        .forward_batch(
+            MemView::F32 { m_in, m_out },
+            &SegmentPlan::unsegmented(m_in.rows()),
             questions,
             &mut scratch,
             &mut trace,
@@ -172,10 +172,9 @@ fn budgeted_serving_is_bitwise_identical_to_single_question() {
                             let mut trace = Trace::disabled();
                             let budgets = vec![Budget::unlimited(); nq];
                             let results = BatchEngine::new(config)
-                                .forward_budgeted(
-                                    &m_in,
-                                    &m_out,
-                                    m_in.rows(),
+                                .forward_batch(
+                                    MemView::from((&m_in, &m_out)),
+                                    &SegmentPlan::unsegmented(m_in.rows()),
                                     &questions,
                                     &mut scratch,
                                     &mut trace,
@@ -259,9 +258,8 @@ fn thread_count_never_changes_a_bit() {
                                 let engine = BatchEngine::new(config);
                                 let (mut scratch, mut trace) = (Scratch::new(), Trace::disabled());
                                 let results = if quant {
-                                    engine.forward_quant_segmented_budgeted(
-                                        &q_in,
-                                        &q_out,
+                                    engine.forward_batch(
+                                        MemView::from((&q_in, &q_out)),
                                         &SegmentPlan::unsegmented(ns),
                                         &questions,
                                         &mut scratch,
@@ -269,10 +267,9 @@ fn thread_count_never_changes_a_bit() {
                                         &budgets,
                                     )
                                 } else {
-                                    engine.forward_budgeted(
-                                        &m_in,
-                                        &m_out,
-                                        ns,
+                                    engine.forward_batch(
+                                        MemView::from((&m_in, &m_out)),
+                                        &SegmentPlan::unsegmented(ns),
                                         &questions,
                                         &mut scratch,
                                         &mut trace,
@@ -323,10 +320,9 @@ fn cancellation_in_one_workers_range_leaves_the_rest_untouched() {
     for backend in backends() {
         with_backend(backend, || {
             let results = BatchEngine::new(config)
-                .forward_budgeted(
-                    &m_in,
-                    &m_out,
-                    m_in.rows(),
+                .forward_batch(
+                    MemView::from((&m_in, &m_out)),
+                    &SegmentPlan::unsegmented(m_in.rows()),
                     &questions,
                     &mut Scratch::new(),
                     &mut Trace::disabled(),

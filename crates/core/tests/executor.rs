@@ -4,10 +4,12 @@
 
 use mnn_tensor::Matrix;
 use mnnfast::{
-    EngineError, EngineKind, ExecPlan, Executor, MnnFastConfig, Phase, Scratch, SkipPolicy,
-    SoftmaxMode, Trace,
+    Budget, EngineError, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Phase, Route,
+    Scratch, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
 use proptest::prelude::*;
+
+mod lattice;
 
 /// Deterministic pseudo-random memories derived from a seed.
 fn memories(ns: usize, ed: usize, seed: u64) -> (Matrix, Matrix, Vec<f32>) {
@@ -24,6 +26,27 @@ fn memories(ns: usize, ed: usize, seed: u64) -> (Matrix, Matrix, Vec<f32>) {
     (m_in, m_out, u)
 }
 
+/// One forward pass over the first `rows` rows with caller-provided
+/// scratch and trace.
+fn forward_prefix(
+    exec: &dyn Executor,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    rows: usize,
+    u: &[f32],
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+) -> Result<mnnfast::ColumnOutput, EngineError> {
+    exec.forward(
+        MemView::F32 { m_in, m_out },
+        Route::Plan(&SegmentPlan::unsegmented(rows)),
+        u,
+        scratch,
+        trace,
+        &Budget::unlimited(),
+    )
+}
+
 /// One forward pass through an executor with a caller-provided scratch.
 fn run(
     exec: &dyn Executor,
@@ -33,9 +56,7 @@ fn run(
     scratch: &mut Scratch,
 ) -> Vec<f32> {
     let mut trace = Trace::disabled();
-    let out = exec
-        .forward_prefix(m_in, m_out, m_in.rows(), u, scratch, &mut trace)
-        .unwrap();
+    let out = forward_prefix(exec, m_in, m_out, m_in.rows(), u, scratch, &mut trace).unwrap();
     out.o
 }
 
@@ -102,17 +123,14 @@ fn rows_beyond_memory_is_a_shape_error_for_every_kind() {
         let exec = ExecPlan::new(MnnFastConfig::new(4).with_threads(2))
             .with_kind(kind)
             .executor();
-        let err = exec
-            .forward_prefix(&m_in, &m_out, 9, &u, &mut scratch, &mut trace)
-            .unwrap_err();
+        let err =
+            forward_prefix(&exec, &m_in, &m_out, 9, &u, &mut scratch, &mut trace).unwrap_err();
         assert!(
             matches!(err, EngineError::Shape(_)),
             "{kind:?}: expected a shape error, got {err:?}"
         );
         // The bound itself is still fine.
-        let ok = exec
-            .forward_prefix(&m_in, &m_out, 8, &u, &mut scratch, &mut trace)
-            .unwrap();
+        let ok = forward_prefix(&exec, &m_in, &m_out, 8, &u, &mut scratch, &mut trace).unwrap();
         assert_eq!(ok.o.len(), 4);
         scratch.recycle(ok.o);
     }
@@ -131,18 +149,32 @@ fn trace_phase_times_sum_close_to_total_latency() {
     let mut scratch = Scratch::new();
     // Warm-up growth pass.
     let mut warm = Trace::enabled();
-    let out = exec
-        .forward_prefix(&m_in, &m_out, m_in.rows(), &u, &mut scratch, &mut warm)
-        .unwrap();
+    let out = forward_prefix(
+        &exec,
+        &m_in,
+        &m_out,
+        m_in.rows(),
+        &u,
+        &mut scratch,
+        &mut warm,
+    )
+    .unwrap();
     scratch.recycle(out.o);
 
     let mut last = (0u64, 0u64);
     for _ in 0..3 {
         let mut trace = Trace::enabled();
         let started = std::time::Instant::now();
-        let out = exec
-            .forward_prefix(&m_in, &m_out, m_in.rows(), &u, &mut scratch, &mut trace)
-            .unwrap();
+        let out = forward_prefix(
+            &exec,
+            &m_in,
+            &m_out,
+            m_in.rows(),
+            &u,
+            &mut scratch,
+            &mut trace,
+        )
+        .unwrap();
         let wall = started.elapsed().as_nanos() as u64;
         scratch.recycle(out.o);
         let sum = trace.total_nanos();
@@ -189,4 +221,93 @@ fn auto_on_one_thread_stays_on_that_thread() {
         run(&auto.executor(), &m_in, &m_out, &u, &mut scratch),
         run(&column.executor(), &m_in, &m_out, &u, &mut scratch)
     );
+}
+
+/// The one generated parity lattice (see [`lattice`]): every engine, thread
+/// count, memory plane, softmax, skip policy, route and entry point against
+/// the (Column, one thread, unsegmented, `forward`) oracle, bit for bit.
+#[test]
+fn every_lattice_cell_matches_the_column_oracle() {
+    let cells = lattice::run(&lattice::FULL);
+    assert!(cells > 1_000, "lattice shrank to {cells} cells");
+}
+
+/// The six `#[doc(hidden)]` `multi_hop_*` names are the frozen benchmark's
+/// ABI (perfbench imports them and cannot be edited alongside the engines):
+/// each must stay exactly its `multi_hop` / `multi_hop_batch` call.
+#[test]
+fn benchmark_abi_forwards_match_the_two_hop_loops() {
+    use mnnfast::{multi_hop, multi_hop_batch, ClusterIndex, HopsOutput};
+    fn bits(out: &HopsOutput) -> (Vec<u32>, Vec<u32>, mnnfast::InferenceStats) {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect();
+        (bits(&out.o), bits(&out.u_final), out.stats)
+    }
+    let (ns, ed, hops, topk, nprobe) = (203, 8, 2, 16, 2);
+    let m_in = Matrix::from_fn(ns, ed, |r, c| {
+        (r * 4 / ns) as f32 * 1.5 + ((r * 13 + c * 7) as f32 * 0.17).sin() * 0.2
+    });
+    let m_out = Matrix::from_fn(ns, ed, |r, c| ((r + 2 * c) as f32 * 0.07).cos() * 0.5);
+    let (q_in, q_out) = (
+        mnn_tensor::QuantMatrix::from_matrix(&m_in),
+        mnn_tensor::QuantMatrix::from_matrix(&m_out),
+    );
+    let index = ClusterIndex::build(&m_in, ns, 1);
+    let us: Vec<Vec<f32>> = (0..3)
+        .map(|q| {
+            (0..ed)
+                .map(|i| ((q * 7 + i) as f32 * 0.31).sin() * 0.4 + 0.3)
+                .collect()
+        })
+        .collect();
+    let exec = ExecPlan::new(MnnFastConfig::new(16).with_threads(2)).executor();
+    let map = mnnfast::SegmentMap::from_matrix(&m_in, ns, 3, 16);
+    let plan = SegmentPlan::routed(&map, true);
+    let (f32_view, int8_view) = (
+        MemView::from((&m_in, &m_out)),
+        MemView::from((&q_in, &q_out)),
+    );
+    let top = Route::TopK {
+        index: &index,
+        topk,
+        nprobe,
+    };
+    let (s, t, b) = (
+        &mut Scratch::new(),
+        &mut Trace::disabled(),
+        Budget::unlimited(),
+    );
+    let bs = vec![Budget::unlimited(); us.len()];
+    let u = &us[0];
+
+    let abi = mnnfast::multi_hop_segmented_budgeted(&exec, &m_in, &m_out, &plan, u, hops, s, t, &b);
+    let new = multi_hop(&exec, f32_view, Route::Plan(&plan), u, hops, s, t, &b);
+    assert_eq!(bits(&abi.unwrap()), bits(&new.unwrap()));
+    let abi =
+        mnnfast::multi_hop_quant_segmented_budgeted(&exec, &q_in, &q_out, &plan, u, hops, s, t, &b);
+    let new = multi_hop(&exec, int8_view, Route::Plan(&plan), u, hops, s, t, &b);
+    assert_eq!(bits(&abi.unwrap()), bits(&new.unwrap()));
+    let abi = mnnfast::multi_hop_topk_segmented_budgeted(
+        &exec, &m_in, &m_out, &index, u, hops, topk, nprobe, s, t, &b,
+    );
+    let new = multi_hop(&exec, f32_view, top, u, hops, s, t, &b);
+    assert_eq!(bits(&abi.unwrap()), bits(&new.unwrap()));
+    let abi = mnnfast::multi_hop_quant_topk_segmented_budgeted(
+        &exec, &q_in, &q_out, &index, u, hops, topk, nprobe, s, t, &b,
+    );
+    let new = multi_hop(&exec, int8_view, top, u, hops, s, t, &b);
+    assert_eq!(bits(&abi.unwrap()), bits(&new.unwrap()));
+    let abi = mnnfast::multi_hop_batch_segmented_budgeted(
+        &exec, &m_in, &m_out, &plan, &us, hops, s, t, &bs,
+    );
+    let new = multi_hop_batch(&exec, f32_view, &plan, &us, hops, s, t, &bs);
+    for (abi, new) in abi.unwrap().iter().zip(&new.unwrap()) {
+        assert_eq!(bits(abi.as_ref().unwrap()), bits(new.as_ref().unwrap()));
+    }
+    let abi = mnnfast::multi_hop_quant_batch_segmented_budgeted(
+        &exec, &q_in, &q_out, &plan, &us, hops, s, t, &bs,
+    );
+    let new = multi_hop_batch(&exec, int8_view, &plan, &us, hops, s, t, &bs);
+    for (abi, new) in abi.unwrap().iter().zip(&new.unwrap()) {
+        assert_eq!(bits(abi.as_ref().unwrap()), bits(new.as_ref().unwrap()));
+    }
 }

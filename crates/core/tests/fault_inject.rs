@@ -20,8 +20,8 @@
 use mnn_tensor::fault::{self, FaultKind};
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    BatchEngine, Budget, ColumnEngine, EngineError, EngineKind, ExecPlan, Executor, MnnFastConfig,
-    Scratch, SegmentPlan, SoftmaxMode, Trace,
+    BatchEngine, Budget, ColumnEngine, EngineError, EngineKind, ExecPlan, Executor, MemView,
+    MnnFastConfig, Route, Scratch, SegmentPlan, SoftmaxMode, Trace,
 };
 use std::sync::Mutex;
 
@@ -81,10 +81,9 @@ fn panicking_worker_surfaces_worker_panicked_and_engine_recovers() {
 
         fault::arm(FaultKind::PanicChunk, 0, 1);
         let err = with_quiet_panics(|| {
-            parallel.forward_prefix_budgeted(
-                &m_in,
-                &m_out,
-                96,
+            parallel.forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(96)),
                 &u,
                 &mut scratch,
                 &mut trace,
@@ -100,10 +99,9 @@ fn panicking_worker_surfaces_worker_panicked_and_engine_recovers() {
         // The engine and the very same scratch stay serviceable: the next
         // pass is bitwise identical to the sequential reference.
         let reference = column
-            .forward_prefix_budgeted(
-                &m_in,
-                &m_out,
-                96,
+            .forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(96)),
                 &u,
                 &mut Scratch::new(),
                 &mut trace,
@@ -111,10 +109,9 @@ fn panicking_worker_surfaces_worker_panicked_and_engine_recovers() {
             )
             .unwrap();
         let retry = parallel
-            .forward_prefix_budgeted(
-                &m_in,
-                &m_out,
-                96,
+            .forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(96)),
                 &u,
                 &mut scratch,
                 &mut trace,
@@ -148,10 +145,9 @@ fn panicking_worker_on_the_quant_plane_restores_the_scratch() {
 
     fault::arm(FaultKind::PanicChunk, 0, 1);
     let err = with_quiet_panics(|| {
-        parallel.forward_quant_segmented_budgeted(
-            &q_in,
-            &q_out,
-            &plan,
+        parallel.forward(
+            MemView::from((&q_in, &q_out)),
+            Route::Plan(&plan),
             &u,
             &mut scratch,
             &mut trace,
@@ -166,10 +162,9 @@ fn panicking_worker_on_the_quant_plane_restores_the_scratch() {
     // scratch, so the retry on the same scratch matches the sequential
     // quantized reference bit for bit.
     let reference = column
-        .forward_quant_segmented_budgeted(
-            &q_in,
-            &q_out,
-            &plan,
+        .forward(
+            MemView::from((&q_in, &q_out)),
+            Route::Plan(&plan),
             &u,
             &mut Scratch::new(),
             &mut trace,
@@ -177,10 +172,9 @@ fn panicking_worker_on_the_quant_plane_restores_the_scratch() {
         )
         .unwrap();
     let retry = parallel
-        .forward_quant_segmented_budgeted(
-            &q_in,
-            &q_out,
-            &plan,
+        .forward(
+            MemView::from((&q_in, &q_out)),
+            Route::Plan(&plan),
             &u,
             &mut scratch,
             &mut trace,
@@ -207,10 +201,9 @@ fn nan_chunk_in_a_two_worker_batch_poisons_exactly_one_question() {
         let budgets = vec![Budget::unlimited(); questions.len()];
         fault::arm(FaultKind::NanLogit, 7, 1);
         let results = BatchEngine::new(config)
-            .forward_budgeted(
-                &m_in,
-                &m_out,
-                96,
+            .forward_batch(
+                MemView::from((&m_in, &m_out)),
+                &SegmentPlan::unsegmented(96),
                 &questions,
                 &mut Scratch::new(),
                 &mut Trace::disabled(),

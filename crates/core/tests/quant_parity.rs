@@ -13,10 +13,9 @@
 
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    multi_hop_quant_batch_segmented_budgeted, multi_hop_quant_segmented_budgeted, BatchEngine,
-    Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor, MnnFastConfig,
-    ParallelEngine, Scratch, SegmentMap, SegmentPlan, SkipPolicy, SoftmaxMode, StreamingEngine,
-    Trace,
+    multi_hop, multi_hop_batch, BatchEngine, Budget, ColumnEngine, ColumnOutput, EngineKind,
+    ExecPlan, Executor, MemView, MnnFastConfig, ParallelEngine, Route, Scratch, SegmentMap,
+    SegmentPlan, SkipPolicy, SoftmaxMode, StreamingEngine, Trace,
 };
 
 fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
@@ -71,10 +70,9 @@ fn run_quant(
 ) -> ColumnOutput {
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
-    exec.forward_quant_segmented_budgeted(
-        q_in,
-        q_out,
-        plan,
+    exec.forward(
+        MemView::from((q_in, q_out)),
+        Route::Plan(plan),
         u,
         &mut scratch,
         &mut trace,
@@ -135,14 +133,21 @@ fn quant_tracks_f32_within_loose_bound() {
     let chunk = 16usize;
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
         let config = MnnFastConfig::new(chunk).with_softmax(mode);
-        let exec = ColumnEngine::new(config);
+        let exec: &dyn Executor = &ColumnEngine::new(config);
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let f32_out = exec
-            .forward_prefix(&m_in, &m_out, m_in.rows(), &u, &mut scratch, &mut trace)
+            .forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+                &u,
+                &mut scratch,
+                &mut trace,
+                &Budget::unlimited(),
+            )
             .unwrap();
         let plan = SegmentPlan::unsegmented(q_in.rows());
-        let q = run_quant(&exec, &q_in, &q_out, &plan, &u);
+        let q = run_quant(exec, &q_in, &q_out, &plan, &u);
         let norm = f32_out
             .o
             .iter()
@@ -168,14 +173,21 @@ fn quant_memory_traffic_is_a_fraction_of_f32() {
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out = QuantMatrix::from_matrix(&m_out);
     let config = MnnFastConfig::new(16).with_softmax(SoftmaxMode::Lazy);
-    let exec = ColumnEngine::new(config);
+    let exec: &dyn Executor = &ColumnEngine::new(config);
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let f32_out = exec
-        .forward_prefix(&m_in, &m_out, m_in.rows(), &u, &mut scratch, &mut trace)
+        .forward(
+            MemView::from((&m_in, &m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            &u,
+            &mut scratch,
+            &mut trace,
+            &Budget::unlimited(),
+        )
         .unwrap();
     let plan = SegmentPlan::unsegmented(q_in.rows());
-    let q = run_quant(&exec, &q_in, &q_out, &plan, &u);
+    let q = run_quant(exec, &q_in, &q_out, &plan, &u);
     assert!(q.stats.memory_bytes > 0);
     let ratio = q.stats.memory_bytes as f64 / f32_out.stats.memory_bytes as f64;
     assert!(
@@ -241,9 +253,8 @@ fn batch_quant_matches_single_question_quant_bitwise() {
                     let mut scratch = Scratch::new();
                     let mut trace = Trace::enabled();
                     let batch = engine
-                        .forward_quant_segmented_budgeted(
-                            &q_in,
-                            &q_out,
+                        .forward_batch(
+                            MemView::from((&q_in, &q_out)),
                             &plan,
                             qs,
                             &mut scratch,
@@ -285,9 +296,8 @@ fn plan_executor_batch_quant_dispatch_matches_batch_engine() {
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let via_plan = plan_exec
-        .forward_quant_batch_segmented_budgeted(
-            &q_in,
-            &q_out,
+        .forward_batch(
+            MemView::from((&q_in, &q_out)),
             &plan,
             &questions,
             &mut scratch,
@@ -296,9 +306,8 @@ fn plan_executor_batch_quant_dispatch_matches_batch_engine() {
         )
         .unwrap();
     let direct = BatchEngine::new(config)
-        .forward_quant_segmented_budgeted(
-            &q_in,
-            &q_out,
+        .forward_batch(
+            MemView::from((&q_in, &q_out)),
             &plan,
             &questions,
             &mut scratch,
@@ -330,11 +339,10 @@ fn quant_multi_hop_agrees_across_engines_bitwise() {
     for exec in [&column as &dyn Executor, &parallel] {
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
-        let hops = multi_hop_quant_segmented_budgeted(
+        let hops = multi_hop(
             exec,
-            &q_in,
-            &q_out,
-            &plan,
+            MemView::from((&q_in, &q_out)),
+            Route::Plan(&plan),
             &u,
             3,
             &mut scratch,
@@ -374,10 +382,9 @@ fn quant_batch_hops_match_single_question_hops_bitwise() {
     let budgets = vec![Budget::unlimited(); 3];
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
-    let batch = multi_hop_quant_batch_segmented_budgeted(
+    let batch = multi_hop_batch(
         &exec,
-        &q_in,
-        &q_out,
+        MemView::from((&q_in, &q_out)),
         &plan,
         &questions,
         2,
@@ -387,11 +394,10 @@ fn quant_batch_hops_match_single_question_hops_bitwise() {
     )
     .unwrap();
     for (q, out) in batch.iter().enumerate() {
-        let single = multi_hop_quant_segmented_budgeted(
+        let single = multi_hop(
             &exec,
-            &q_in,
-            &q_out,
-            &plan,
+            MemView::from((&q_in, &q_out)),
+            Route::Plan(&plan),
             &questions[q],
             2,
             &mut scratch,
@@ -412,14 +418,13 @@ fn non_finite_query_is_a_numeric_fault_not_garbage() {
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out = QuantMatrix::from_matrix(&m_out);
     u[3] = f32::NAN;
-    let exec = ColumnEngine::new(MnnFastConfig::new(16));
+    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(16));
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let plan = SegmentPlan::unsegmented(q_in.rows());
-    let res = exec.forward_quant_segmented_budgeted(
-        &q_in,
-        &q_out,
-        &plan,
+    let res = exec.forward(
+        MemView::from((&q_in, &q_out)),
+        Route::Plan(&plan),
         &u,
         &mut scratch,
         &mut trace,
@@ -433,14 +438,13 @@ fn quant_shape_mismatches_are_config_errors() {
     let (m_in, m_out, u) = memories(64, 8);
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out_short = QuantMatrix::from_matrix_prefix(&m_out, 32);
-    let exec = ColumnEngine::new(MnnFastConfig::new(16));
+    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(16));
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let plan = SegmentPlan::unsegmented(q_in.rows());
-    let res = exec.forward_quant_segmented_budgeted(
-        &q_in,
-        &q_out_short,
-        &plan,
+    let res = exec.forward(
+        MemView::from((&q_in, &q_out_short)),
+        Route::Plan(&plan),
         &u,
         &mut scratch,
         &mut trace,
@@ -448,10 +452,9 @@ fn quant_shape_mismatches_are_config_errors() {
     );
     assert!(res.is_err(), "row-count mismatch must be rejected");
     let bad_u = vec![0.1f32; 5];
-    let res = exec.forward_quant_segmented_budgeted(
-        &q_in,
-        &QuantMatrix::from_matrix(&m_out),
-        &plan,
+    let res = exec.forward(
+        MemView::from((&q_in, &QuantMatrix::from_matrix(&m_out))),
+        Route::Plan(&plan),
         &bad_u,
         &mut scratch,
         &mut trace,

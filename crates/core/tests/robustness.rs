@@ -5,8 +5,8 @@
 
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, CancelToken, EngineError, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch,
-    SoftmaxMode, Trace,
+    Budget, CancelToken, EngineError, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
+    Route, Scratch, SegmentPlan, SoftmaxMode, Trace,
 };
 use std::time::Duration;
 
@@ -43,10 +43,9 @@ fn run_budgeted(
         .executor();
     let mut scratch = Scratch::new();
     let mut trace = Trace::disabled();
-    exec.forward_prefix_budgeted(
-        m_in,
-        m_out,
-        m_in.rows(),
+    exec.forward(
+        MemView::F32 { m_in, m_out },
+        Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
         u,
         &mut scratch,
         &mut trace,
@@ -122,10 +121,9 @@ fn nan_memory_yields_numeric_fault_for_both_softmax_modes() {
             let mut scratch = Scratch::new();
             let mut trace = Trace::disabled();
             let err = exec
-                .forward_prefix_budgeted(
-                    &m_in,
-                    &m_out,
-                    m_in.rows(),
+                .forward(
+                    MemView::from((&m_in, &m_out)),
+                    Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
                     &u,
                     &mut scratch,
                     &mut trace,
@@ -151,10 +149,9 @@ fn failed_run_leaves_scratch_reusable() {
 
     let budget = Budget::with_deadline(Duration::ZERO);
     let err = exec
-        .forward_prefix_budgeted(
-            &m_in,
-            &m_out,
-            m_in.rows(),
+        .forward(
+            MemView::from((&m_in, &m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
             &u,
             &mut scratch,
             &mut trace,
@@ -165,16 +162,23 @@ fn failed_run_leaves_scratch_reusable() {
 
     // The same scratch then produces the same output as a fresh one.
     let after_failure = exec
-        .forward_prefix(&m_in, &m_out, m_in.rows(), &u, &mut scratch, &mut trace)
+        .forward(
+            MemView::from((&m_in, &m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            &u,
+            &mut scratch,
+            &mut trace,
+            &Budget::unlimited(),
+        )
         .unwrap();
     let fresh = exec
-        .forward_prefix(
-            &m_in,
-            &m_out,
-            m_in.rows(),
+        .forward(
+            MemView::from((&m_in, &m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
             &u,
             &mut Scratch::new(),
             &mut trace,
+            &Budget::unlimited(),
         )
         .unwrap();
     assert_eq!(after_failure.o, fresh.o);

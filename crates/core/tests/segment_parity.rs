@@ -10,8 +10,8 @@
 use mnn_tensor::Matrix;
 use mnnfast::{
     segment, BatchEngine, Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor,
-    MnnFastConfig, ParallelEngine, Scratch, SegmentMap, SegmentPlan, SkipPolicy, SoftmaxMode,
-    StreamingEngine, Trace,
+    MemView, MnnFastConfig, ParallelEngine, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy,
+    SoftmaxMode, StreamingEngine, Trace,
 };
 
 fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
@@ -69,10 +69,9 @@ fn run_segmented(
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let plan = SegmentPlan::routed(map, prune);
-    exec.forward_segmented_budgeted(
-        m_in,
-        m_out,
-        &plan,
+    exec.forward(
+        MemView::F32 { m_in, m_out },
+        Route::Plan(&plan),
         u,
         &mut scratch,
         &mut trace,
@@ -84,8 +83,15 @@ fn run_segmented(
 fn run_plain(exec: &dyn Executor, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
-    exec.forward_prefix(m_in, m_out, m_in.rows(), u, &mut scratch, &mut trace)
-        .unwrap()
+    exec.forward(
+        MemView::F32 { m_in, m_out },
+        Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+        u,
+        &mut scratch,
+        &mut trace,
+        &Budget::unlimited(),
+    )
+    .unwrap()
 }
 
 #[test]
@@ -251,10 +257,9 @@ fn batched_segmented_matches_unsegmented_bitwise() {
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let base = engine
-            .forward_budgeted(
-                &m_in,
-                &m_out,
-                m_in.rows(),
+            .forward_batch(
+                MemView::from((&m_in, &m_out)),
+                &SegmentPlan::unsegmented(m_in.rows()),
                 &questions,
                 &mut scratch,
                 &mut trace,
@@ -266,9 +271,8 @@ fn batched_segmented_matches_unsegmented_bitwise() {
             for prune in [false, true] {
                 let plan = SegmentPlan::routed(&map, prune);
                 let seg = engine
-                    .forward_segmented_budgeted(
-                        &m_in,
-                        &m_out,
+                    .forward_batch(
+                        MemView::from((&m_in, &m_out)),
                         &plan,
                         &questions,
                         &mut scratch,
@@ -301,10 +305,9 @@ fn batched_pruning_is_per_question_and_bitwise() {
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let base = engine
-        .forward_budgeted(
-            &m_in,
-            &m_out,
-            m_in.rows(),
+        .forward_batch(
+            MemView::from((&m_in, &m_out)),
+            &SegmentPlan::unsegmented(m_in.rows()),
             &questions,
             &mut scratch,
             &mut trace,
@@ -314,9 +317,8 @@ fn batched_pruning_is_per_question_and_bitwise() {
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 8, chunk);
     let plan = SegmentPlan::routed(&map, true);
     let seg = engine
-        .forward_segmented_budgeted(
-            &m_in,
-            &m_out,
+        .forward_batch(
+            MemView::from((&m_in, &m_out)),
             &plan,
             &questions,
             &mut scratch,
@@ -375,22 +377,21 @@ fn hops_accept_routed_plans() {
     let mut trace = Trace::enabled();
     let base = mnnfast::multi_hop(
         &exec,
-        &m_in,
-        &m_out,
-        m_in.rows(),
+        MemView::from((&m_in, &m_out)),
+        Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
         &u,
         3,
         &mut scratch,
         &mut trace,
+        &Budget::unlimited(),
     )
     .unwrap();
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 4, chunk);
     let plan = SegmentPlan::routed(&map, true);
-    let seg = mnnfast::multi_hop_segmented_budgeted(
+    let seg = mnnfast::multi_hop(
         &exec,
-        &m_in,
-        &m_out,
-        &plan,
+        MemView::from((&m_in, &m_out)),
+        Route::Plan(&plan),
         &u,
         3,
         &mut scratch,

@@ -16,9 +16,9 @@
 
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    multi_hop_topk_segmented_budgeted, Budget, ClusterIndex, ColumnEngine, EngineError, EngineKind,
-    ExecPlan, Executor, MnnFastConfig, ParallelEngine, Phase, Scratch, SegmentPlan, SegmentedStore,
-    SkipPolicy, SoftmaxMode, StreamingEngine, Trace,
+    multi_hop, Budget, ClusterIndex, ColumnEngine, ColumnOutput, EngineError, EngineKind, ExecPlan,
+    Executor, MemView, MnnFastConfig, ParallelEngine, Phase, Route, Scratch, SegmentPlan,
+    SegmentedStore, SkipPolicy, SoftmaxMode, StreamingEngine, Trace,
 };
 
 const CHUNK: usize = 16;
@@ -38,6 +38,36 @@ fn query(ed: usize, seed: usize) -> Vec<f32> {
     (0..ed)
         .map(|i| ((seed * 7 + i) as f32 * 0.31).sin() * 0.4 + 0.3)
         .collect()
+}
+
+fn f32_view<'a>(m_in: &'a Matrix, m_out: &'a Matrix) -> MemView<'a> {
+    MemView::F32 { m_in, m_out }
+}
+
+fn top(index: &ClusterIndex, topk: usize, nprobe: usize) -> Route<'_> {
+    Route::TopK {
+        index,
+        topk,
+        nprobe,
+    }
+}
+
+/// One untraced, unbudgeted pass.
+fn pass(
+    exec: &dyn Executor,
+    view: MemView<'_>,
+    route: Route<'_>,
+    u: &[f32],
+    scratch: &mut Scratch,
+) -> Result<ColumnOutput, EngineError> {
+    exec.forward(
+        view,
+        route,
+        u,
+        scratch,
+        &mut Trace::disabled(),
+        &Budget::unlimited(),
+    )
 }
 
 fn engines(config: MnnFastConfig) -> Vec<Box<dyn Executor>> {
@@ -89,31 +119,22 @@ fn sparse_is_bitwise_exact_on_rescored_rows_for_every_engine() {
         let staged_out = gather(&m_out, &rows);
         for exec in engines(config) {
             let mut scratch = Scratch::new();
-            let mut trace = Trace::disabled();
-            let sparse = exec
-                .forward_topk_segmented_budgeted(
-                    &m_in,
-                    &m_out,
-                    &index,
-                    &u,
-                    24,
-                    2,
-                    &mut scratch,
-                    &mut trace,
-                    &Budget::unlimited(),
-                )
-                .unwrap();
-            let exact = exec
-                .forward_prefix_budgeted(
-                    &staged_in,
-                    &staged_out,
-                    rows.len(),
-                    &u,
-                    &mut scratch,
-                    &mut trace,
-                    &Budget::unlimited(),
-                )
-                .unwrap();
+            let sparse = pass(
+                &*exec,
+                f32_view(&m_in, &m_out),
+                top(&index, 24, 2),
+                &u,
+                &mut scratch,
+            )
+            .unwrap();
+            let exact = pass(
+                &*exec,
+                f32_view(&staged_in, &staged_out),
+                Route::Plan(&SegmentPlan::unsegmented(rows.len())),
+                &u,
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(
                 sparse.o,
                 exact.o,
@@ -145,32 +166,23 @@ fn sparse_quant_is_bitwise_exact_on_rescored_rows() {
         let config = MnnFastConfig::new(CHUNK).with_softmax(softmax);
         for exec in engines(config) {
             let mut scratch = Scratch::new();
-            let mut trace = Trace::disabled();
-            let sparse = exec
-                .forward_quant_topk_segmented_budgeted(
-                    &q_in,
-                    &q_out,
-                    &index,
-                    &u,
-                    24,
-                    2,
-                    &mut scratch,
-                    &mut trace,
-                    &Budget::unlimited(),
-                )
-                .unwrap();
+            let sparse = pass(
+                &*exec,
+                MemView::from((&q_in, &q_out)),
+                top(&index, 24, 2),
+                &u,
+                &mut scratch,
+            )
+            .unwrap();
             let plan = SegmentPlan::unsegmented(rows.len());
-            let exact = exec
-                .forward_quant_segmented_budgeted(
-                    &staged_in,
-                    &staged_out,
-                    &plan,
-                    &u,
-                    &mut scratch,
-                    &mut trace,
-                    &Budget::unlimited(),
-                )
-                .unwrap();
+            let exact = pass(
+                &*exec,
+                MemView::from((&staged_in, &staged_out)),
+                Route::Plan(&plan),
+                &u,
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(
                 sparse.o,
                 exact.o,
@@ -221,34 +233,25 @@ fn a_slid_window_probes_and_rescores_like_a_fresh_store() {
         assert_eq!(probe, fresh_ix.probe(&u, 24, 2, CHUNK));
         for exec in engines(MnnFastConfig::new(CHUNK)) {
             let mut scratch = Scratch::new();
-            let mut trace = Trace::disabled();
             let mut f32_pass = |s: &SegmentedStore, ix| {
-                exec.forward_topk_segmented_budgeted(
-                    s.m_in(),
-                    s.m_out(),
-                    ix,
+                pass(
+                    &*exec,
+                    f32_view(s.m_in(), s.m_out()),
+                    top(ix, 24, 2),
                     &u,
-                    24,
-                    2,
                     &mut scratch,
-                    &mut trace,
-                    &Budget::unlimited(),
                 )
             };
             let out = f32_pass(&slid, slid_ix);
             assert_eq!(out, f32_pass(&fresh, fresh_ix));
             answered += usize::from(out.is_ok());
             let mut int8_pass = |(q_in, q_out): (&QuantMatrix, &QuantMatrix), ix| {
-                exec.forward_quant_topk_segmented_budgeted(
-                    q_in,
-                    q_out,
-                    ix,
+                pass(
+                    &*exec,
+                    MemView::from((q_in, q_out)),
+                    top(ix, 24, 2),
                     &u,
-                    24,
-                    2,
                     &mut scratch,
-                    &mut trace,
-                    &Budget::unlimited(),
                 )
             };
             assert_eq!(int8_pass(slid_q, slid_ix), int8_pass(fresh_q, fresh_ix));
@@ -265,19 +268,14 @@ fn engines_agree_bitwise_on_the_sparse_path() {
     let config = MnnFastConfig::new(CHUNK).with_softmax(SoftmaxMode::Online);
     let mut answers = Vec::new();
     for exec in engines(config) {
-        let out = exec
-            .forward_topk_segmented_budgeted(
-                &m_in,
-                &m_out,
-                &index,
-                &u,
-                20,
-                2,
-                &mut Scratch::new(),
-                &mut Trace::disabled(),
-                &Budget::unlimited(),
-            )
-            .unwrap();
+        let out = pass(
+            &*exec,
+            f32_view(&m_in, &m_out),
+            top(&index, 20, 2),
+            &u,
+            &mut Scratch::new(),
+        )
+        .unwrap();
         answers.push(out.o);
     }
     for o in &answers[1..] {
@@ -320,13 +318,10 @@ fn stats_account_for_probes_and_skipped_rows() {
     let exec = ExecPlan::new(MnnFastConfig::new(CHUNK)).executor();
     let mut trace = Trace::enabled();
     let out = exec
-        .forward_topk_segmented_budgeted(
-            &m_in,
-            &m_out,
-            &index,
+        .forward(
+            f32_view(&m_in, &m_out),
+            top(&index, 16, 2),
             &u,
-            16,
-            2,
             &mut Scratch::new(),
             &mut trace,
             &Budget::unlimited(),
@@ -357,20 +352,15 @@ fn stats_account_for_probes_and_skipped_rows() {
 fn empty_index_declines() {
     let (m_in, m_out) = memories(64, 4);
     let empty = ClusterIndex::build(&Matrix::zeros(0, 4), 0, 1);
-    let exec = ColumnEngine::new(MnnFastConfig::new(CHUNK));
-    let err = exec
-        .forward_topk_segmented_budgeted(
-            &m_in,
-            &m_out,
-            &empty,
-            &query(4, 0),
-            4,
-            1,
-            &mut Scratch::new(),
-            &mut Trace::disabled(),
-            &Budget::unlimited(),
-        )
-        .unwrap_err();
+    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let err = pass(
+        exec,
+        f32_view(&m_in, &m_out),
+        top(&empty, 4, 1),
+        &query(4, 0),
+        &mut Scratch::new(),
+    )
+    .unwrap_err();
     assert!(matches!(err, EngineError::IndexDeclined { .. }), "{err}");
 }
 
@@ -378,21 +368,16 @@ fn empty_index_declines() {
 fn topk_covering_the_memory_declines() {
     let (m_in, m_out) = memories(64, 4);
     let index = ClusterIndex::build(&m_in, 64, 1);
-    let exec = ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
     for topk in [64usize, 100] {
-        let err = exec
-            .forward_topk_segmented_budgeted(
-                &m_in,
-                &m_out,
-                &index,
-                &query(4, 1),
-                topk,
-                1,
-                &mut Scratch::new(),
-                &mut Trace::disabled(),
-                &Budget::unlimited(),
-            )
-            .unwrap_err();
+        let err = pass(
+            exec,
+            f32_view(&m_in, &m_out),
+            top(&index, topk, 1),
+            &query(4, 1),
+            &mut Scratch::new(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, EngineError::IndexDeclined { reason } if reason.contains("every live row")),
             "{err}"
@@ -406,20 +391,15 @@ fn duplicate_rows_collapse_the_margin_and_decline() {
     // is arbitrary, and the sparse path must refuse to answer.
     let m = Matrix::from_fn(96, 4, |_, c| (c as f32 + 1.0) * 0.25);
     let index = ClusterIndex::build(&m, 96, 1);
-    let exec = ColumnEngine::new(MnnFastConfig::new(CHUNK));
-    let err = exec
-        .forward_topk_segmented_budgeted(
-            &m,
-            &m,
-            &index,
-            &[0.3, 0.1, 0.2, 0.4],
-            4,
-            1,
-            &mut Scratch::new(),
-            &mut Trace::disabled(),
-            &Budget::unlimited(),
-        )
-        .unwrap_err();
+    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let err = pass(
+        exec,
+        f32_view(&m, &m),
+        top(&index, 4, 1),
+        &[0.3, 0.1, 0.2, 0.4],
+        &mut Scratch::new(),
+    )
+    .unwrap_err();
     assert!(
         matches!(err, EngineError::IndexDeclined { reason } if reason.contains("margin")),
         "{err}"
@@ -432,16 +412,12 @@ fn invalid_requests_are_config_errors() {
     let index = ClusterIndex::build(&m_in, 64, 1);
     let u = query(4, 0);
     let run = |exec: &dyn Executor, u: &[f32], topk: usize, nprobe: usize| {
-        exec.forward_topk_segmented_budgeted(
-            &m_in,
-            &m_out,
-            &index,
+        pass(
+            exec,
+            f32_view(&m_in, &m_out),
+            top(&index, topk, nprobe),
             u,
-            topk,
-            nprobe,
             &mut Scratch::new(),
-            &mut Trace::disabled(),
-            &Budget::unlimited(),
         )
     };
     let exact = ColumnEngine::new(MnnFastConfig::new(CHUNK));
@@ -467,20 +443,15 @@ fn index_larger_than_memory_is_a_config_error() {
     let (m_in, m_out) = memories(128, 4);
     let index = ClusterIndex::build(&m_in, 128, 1);
     let (short_in, short_out) = memories(64, 4);
-    let exec = ColumnEngine::new(MnnFastConfig::new(CHUNK));
-    let err = exec
-        .forward_topk_segmented_budgeted(
-            &short_in,
-            &short_out,
-            &index,
-            &query(4, 0),
-            8,
-            1,
-            &mut Scratch::new(),
-            &mut Trace::disabled(),
-            &Budget::unlimited(),
-        )
-        .unwrap_err();
+    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let err = pass(
+        exec,
+        f32_view(&short_in, &short_out),
+        top(&index, 8, 1),
+        &query(4, 0),
+        &mut Scratch::new(),
+    )
+    .unwrap_err();
     assert!(matches!(err, EngineError::Config(_)), "{err}");
     let _ = (m_in, m_out);
 }
@@ -492,15 +463,12 @@ fn multi_hop_topk_reprobes_each_hop_and_matches_manual_chain() {
     let u0 = query(8, 4);
     let exec = ExecPlan::new(MnnFastConfig::new(CHUNK)).executor();
     let hops = 3;
-    let out = multi_hop_topk_segmented_budgeted(
+    let out = multi_hop(
         &exec,
-        &m_in,
-        &m_out,
-        &index,
+        f32_view(&m_in, &m_out),
+        top(&index, 24, 2),
         &u0,
         hops,
-        24,
-        2,
         &mut Scratch::new(),
         &mut Trace::disabled(),
         &Budget::unlimited(),
@@ -512,19 +480,14 @@ fn multi_hop_topk_reprobes_each_hop_and_matches_manual_chain() {
     let mut u = u0.clone();
     let mut scratch = Scratch::new();
     for h in 0..hops {
-        let hop = exec
-            .forward_topk_segmented_budgeted(
-                &m_in,
-                &m_out,
-                &index,
-                &u,
-                24,
-                2,
-                &mut scratch,
-                &mut Trace::disabled(),
-                &Budget::unlimited(),
-            )
-            .unwrap();
+        let hop = pass(
+            &exec,
+            f32_view(&m_in, &m_out),
+            top(&index, 24, 2),
+            &u,
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(out.per_hop[h], hop.o, "hop {h} diverged");
         for (ui, oi) in u.iter_mut().zip(&hop.o) {
             *ui += oi;

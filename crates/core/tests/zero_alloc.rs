@@ -11,11 +11,14 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use mnn_tensor::Matrix;
-use mnnfast::{Budget, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, SoftmaxMode, Trace};
+use mnn_tensor::{Matrix, QuantMatrix};
+use mnnfast::{
+    Budget, ClusterIndex, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch,
+    SegmentPlan, SoftmaxMode, Trace,
+};
 
 // The counting allocator tallies per-thread but into one global counter, so
-// the two tests in this binary must not overlap in time.
+// the tests in this binary must not overlap in time.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
@@ -54,10 +57,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Counts the current thread's allocations until dropped. Declared after
+/// the [`SERIAL`] guard in every test so it is dropped *before* the lock
+/// is released: a finished test's thread (still alive while libtest
+/// reports its result) must not tally into the next test's window.
+struct Counted;
+
+impl Counted {
+    fn start() -> Self {
+        COUNTED_THREAD.with(|c| c.set(true));
+        Counted
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        COUNTED_THREAD.with(|c| c.set(false));
+    }
+}
+
 #[test]
 fn warm_forward_pass_is_allocation_free() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    COUNTED_THREAD.with(|c| c.set(true));
+    let _counted = Counted::start();
     let ns = 512;
     let ed = 32;
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 3 + c) as f32 * 0.05).sin());
@@ -75,7 +97,14 @@ fn warm_forward_pass_is_allocation_free() {
         let mut expected_ptr = std::ptr::null();
         for _ in 0..2 {
             let out = exec
-                .forward_prefix(&m_in, &m_out, ns, &u, &mut scratch, &mut trace)
+                .forward(
+                    MemView::from((&m_in, &m_out)),
+                    Route::Plan(&SegmentPlan::unsegmented(ns)),
+                    &u,
+                    &mut scratch,
+                    &mut trace,
+                    &Budget::unlimited(),
+                )
                 .unwrap();
             expected_ptr = out.o.as_ptr();
             scratch.recycle(out.o);
@@ -84,7 +113,14 @@ fn warm_forward_pass_is_allocation_free() {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for _ in 0..16 {
             let out = exec
-                .forward_prefix(&m_in, &m_out, ns, &u, &mut scratch, &mut trace)
+                .forward(
+                    MemView::from((&m_in, &m_out)),
+                    Route::Plan(&SegmentPlan::unsegmented(ns)),
+                    &u,
+                    &mut scratch,
+                    &mut trace,
+                    &Budget::unlimited(),
+                )
                 .unwrap();
             assert_eq!(
                 out.o.as_ptr(),
@@ -105,7 +141,7 @@ fn warm_forward_pass_is_allocation_free() {
 #[test]
 fn warm_batched_pass_allocates_only_the_result_vec() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    COUNTED_THREAD.with(|c| c.set(true));
+    let _counted = Counted::start();
     let ns = 512;
     let ed = 32;
     let nq = 4;
@@ -127,10 +163,9 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
         // question block) and the output pool.
         for _ in 0..2 {
             let results = exec
-                .forward_batch_budgeted(
-                    &m_in,
-                    &m_out,
-                    ns,
+                .forward_batch(
+                    MemView::from((&m_in, &m_out)),
+                    &SegmentPlan::unsegmented(ns),
                     &questions,
                     &mut scratch,
                     &mut trace,
@@ -146,10 +181,9 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
         let calls = 16u64;
         for _ in 0..calls {
             let results = exec
-                .forward_batch_budgeted(
-                    &m_in,
-                    &m_out,
-                    ns,
+                .forward_batch(
+                    MemView::from((&m_in, &m_out)),
+                    &SegmentPlan::unsegmented(ns),
                     &questions,
                     &mut scratch,
                     &mut trace,
@@ -168,5 +202,68 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
             calls,
             "{mode:?}: warm batched passes must allocate only the result vec"
         );
+    }
+}
+
+/// A warm top-K pass in gather mode stages its candidates in the
+/// [`Scratch`]: on either plane the pass allocates exactly what its index
+/// probe allocates (the probe returns owned candidate lists) — the gather
+/// and the rescoring add nothing.
+#[test]
+fn warm_topk_gather_adds_no_allocation_to_its_probe() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _counted = Counted::start();
+    let (ns, ed, chunk, topk, nprobe) = (512, 32, 16, 24, 2);
+    // Lobes dealt round-robin: every cluster is scattered over all chunks,
+    // so covering the candidates' chunks would rescore ~4x too many rows.
+    let m_in = Matrix::from_fn(ns, ed, |r, c| {
+        (((r % 4) as f32 * 1.7 + c as f32) * 0.9).cos() * 0.15
+            + ((r / 4) as f32 * 0.05 + c as f32 * 0.5).sin() * 0.01
+    });
+    let m_out = Matrix::from_fn(ns, ed, |r, c| ((r + 2 * c) as f32 * 0.07).cos());
+    let (q_in, q_out) = (
+        QuantMatrix::from_matrix(&m_in),
+        QuantMatrix::from_matrix(&m_out),
+    );
+    let index = ClusterIndex::build(&m_in, ns, 1);
+    let u: Vec<f32> = (0..ed).map(|c| (c as f32 * 0.9).cos() * 0.2).collect();
+    let probe = index.probe(&u, topk, nprobe, chunk);
+    assert!(
+        !probe.low_margin && probe.covered.rows() > 2 * probe.candidates.len(),
+        "fixture must put the probe in gather mode"
+    );
+
+    let exec = ExecPlan::new(MnnFastConfig::new(chunk)).executor();
+    let route = Route::TopK {
+        index: &index,
+        topk,
+        nprobe,
+    };
+    let views = [
+        MemView::from((&m_in, &m_out)),
+        MemView::from((&q_in, &q_out)),
+    ];
+    for view in views {
+        let mut scratch = Scratch::new();
+        let mut trace = Trace::enabled();
+        let mut ask = |scratch: &mut Scratch| {
+            let out = exec
+                .forward(view, route, &u, scratch, &mut trace, &Budget::unlimited())
+                .unwrap();
+            assert_eq!(out.stats.candidates_scored, probe.candidates.len() as u64);
+            scratch.recycle(out.o);
+        };
+        for _ in 0..2 {
+            ask(&mut scratch);
+        }
+        for _ in 0..8 {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            drop(index.probe(&u, topk, nprobe, chunk));
+            let probed = ALLOCATIONS.load(Ordering::Relaxed);
+            ask(&mut scratch);
+            let asked = ALLOCATIONS.load(Ordering::Relaxed);
+            assert!(probed > before, "the probe baseline must be real");
+            assert_eq!(asked - probed, probed - before, "{view:?}");
+        }
     }
 }

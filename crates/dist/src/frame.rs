@@ -24,7 +24,7 @@
 //! read/write deadline the caller set on the socket.
 //!
 //! The envelope itself — header layout, length discipline, trailing CRC,
-//! the little-endian payload [`Reader`](mnn_wire::Reader) — lives in the
+//! the little-endian payload [`mnn_wire::Reader`] — lives in the
 //! shared [`mnn_wire`] crate so this protocol and the serving front-end's
 //! (`mnn-net`) cannot drift; this module owns only the opcode table and
 //! the payload layouts.

@@ -5,7 +5,7 @@
 //! A worker is deliberately dumb: it holds rows the coordinator pushed,
 //! and on [`Frame::Forward`] runs the *same* chunk kernels as the
 //! single-node engine over one shard's local store — via
-//! [`mnnfast::forward_chunk_partials_budgeted`] — and streams the encoded
+//! [`mnnfast::forward_chunk_partials`] — and streams the encoded
 //! per-chunk [`mnn_tensor::PartialState`]s back. All fold order, retry,
 //! and failover policy lives in the coordinator; the worker's answers are
 //! bit-exact fragments of the single-node pass by construction.
@@ -20,8 +20,8 @@ use crate::fault::{RpcFaultKind, RpcFaultState};
 use crate::frame::{read_frame, write_frame, ErrorCode, ForwardSpec, Frame, WireStats, HEADER_LEN};
 use mnnfast::store::SegmentedStore;
 use mnnfast::{
-    forward_chunk_partials_budgeted, forward_chunk_quant_partials_budgeted, Budget, ColumnEngine,
-    MnnFastConfig, Scratch, SkipPolicy, SoftmaxMode, Trace,
+    forward_chunk_partials, Budget, ColumnEngine, MemView, MnnFastConfig, Precision, Scratch,
+    SkipPolicy, SoftmaxMode, Trace,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -393,37 +393,27 @@ fn forward(spec: &ForwardSpec, shared: &Shared, scratch: &mut Scratch) -> Frame 
     };
     let mut partials = Vec::new();
     let mut trace = Trace::disabled();
-    let result = if spec.int8 {
-        let Some((q_in, q_out)) = store.quant() else {
+    let view = if spec.int8 {
+        let Some((m_in, m_out)) = store.quant() else {
             return Frame::Error {
                 code: ErrorCode::Engine,
                 message: "int8 forward on a worker without quant mirrors".into(),
             };
         };
-        forward_chunk_quant_partials_budgeted(
-            &engine,
-            q_in,
-            q_out,
-            store.len(),
-            &spec.u,
-            scratch,
-            &mut trace,
-            &budget,
-            &mut partials,
-        )
+        MemView::Int8 { m_in, m_out }
     } else {
-        forward_chunk_partials_budgeted(
-            &engine,
-            store.m_in(),
-            store.m_out(),
-            store.len(),
-            &spec.u,
-            scratch,
-            &mut trace,
-            &budget,
-            &mut partials,
-        )
+        store.view(Precision::F32)
     };
+    let result = forward_chunk_partials(
+        &engine,
+        view,
+        store.len(),
+        &spec.u,
+        scratch,
+        &mut trace,
+        &budget,
+        &mut partials,
+    );
     match result {
         Ok(stats) => Frame::ForwardResp {
             partials: partials.iter().map(|p| p.to_bytes()).collect(),

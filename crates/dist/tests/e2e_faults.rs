@@ -17,8 +17,8 @@ use mnn_dist::{
 };
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    forward_chunk_partials_budgeted, forward_chunk_quant_partials_budgeted, Budget, ColumnEngine,
-    Executor, InferenceStats, MnnFastConfig, PartialFold, Scratch, SoftmaxMode, Trace,
+    forward_chunk_partials, Budget, ColumnEngine, InferenceStats, MemView, MnnFastConfig,
+    PartialFold, Scratch, SoftmaxMode, Trace,
 };
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -67,18 +67,8 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 /// Single-node reference answer `(o, denominator)` for the same pass.
 fn single_node(m_in: &Matrix, m_out: &Matrix, u: &[f32], config: MnnFastConfig) -> (Vec<f32>, f32) {
-    let engine = ColumnEngine::new(config);
-    let mut scratch = Scratch::new();
-    let out = engine
-        .forward_prefix_budgeted(
-            m_in,
-            m_out,
-            m_in.rows(),
-            u,
-            &mut scratch,
-            &mut Trace::disabled(),
-            &Budget::unlimited(),
-        )
+    let out = ColumnEngine::new(config)
+        .forward(m_in, m_out, u)
         .expect("single-node reference");
     (out.o, out.denominator)
 }
@@ -176,10 +166,9 @@ fn killed_worker_without_replica_degrades_with_flag() {
     let engine = ColumnEngine::new(engine_config);
     let mut scratch = Scratch::new();
     let mut partials = Vec::new();
-    forward_chunk_partials_budgeted(
+    forward_chunk_partials(
         &engine,
-        &m_in,
-        &m_out,
+        MemView::from((&m_in, &m_out)),
         ROWS,
         &u,
         &mut scratch,
@@ -361,10 +350,9 @@ fn quant_fleet_matches_single_node_quant_bitwise() {
         let engine = ColumnEngine::new(engine_config);
         let mut scratch = Scratch::new();
         let mut partials = Vec::new();
-        forward_chunk_quant_partials_budgeted(
+        forward_chunk_partials(
             &engine,
-            &q_in,
-            &q_out,
+            MemView::from((&q_in, &q_out)),
             ROWS,
             &u,
             &mut scratch,

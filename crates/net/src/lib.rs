@@ -12,7 +12,7 @@
 //!
 //! The pieces:
 //!
-//! - [`proto`] — the length-prefixed, CRC-guarded binary protocol
+//! - `proto` — the length-prefixed, CRC-guarded binary protocol
 //!   (shared envelope in `mnn-wire`, same idiom as the distributed
 //!   plane's RPC but under its own magic);
 //! - [`NetServer`] — accept loop, non-blocking connection threads, and a
@@ -20,7 +20,7 @@
 //!   token; overload answers a typed [`NetFrame::Overloaded`] with a
 //!   retry-after hint instead of dropping the connection;
 //! - [`NetClient`] — a blocking client with strict and pipelined calls;
-//! - [`env`] readers for `MNNFAST_LISTEN`, `MNNFAST_NET_THREADS`, and
+//! - [`mod@env`] readers for `MNNFAST_LISTEN`, `MNNFAST_NET_THREADS`, and
 //!   `MNNFAST_BATCH_WAIT_US`.
 //!
 //! Answers served over loopback are bitwise-identical to in-process

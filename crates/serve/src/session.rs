@@ -11,11 +11,9 @@ use mnn_tensor::EnvVarError;
 use mnnfast::engine::EngineError;
 use mnnfast::store::SegmentedStore;
 use mnnfast::{
-    multi_hop_batch_segmented_budgeted, multi_hop_quant_batch_segmented_budgeted,
-    multi_hop_quant_segmented_budgeted, multi_hop_quant_topk_segmented_budgeted,
-    multi_hop_segmented_budgeted, multi_hop_topk_segmented_budgeted, Budget, ExecPlan, HopsOutput,
-    InferenceStats, MnnFastConfig, Phase, PhaseHistograms, PlanExecutor, Precision, Scratch,
-    SegmentMap, SegmentPlan, SoftmaxMode, Trace,
+    hop_chain, multi_hop, multi_hop_batch, Budget, ExecPlan, HopsOutput, InferenceStats,
+    MnnFastConfig, Phase, PhaseHistograms, PlanExecutor, Precision, Route, Scratch, SegmentMap,
+    SegmentPlan, SoftmaxMode, Trace,
 };
 use std::error::Error;
 use std::fmt;
@@ -281,7 +279,7 @@ pub struct Answer {
 /// Holds a trained [`MemNet`], a growable [`SegmentedStore`], and a
 /// [`PlanExecutor`]. Incoming story sentences are embedded immediately
 /// (`A` and `C` sides) and appended; questions are embedded through `B`
-/// and answered via the [`Executor`] seam over however many hops the model
+/// and answered via the [`mnnfast::Executor`] seam over however many hops the model
 /// uses. One [`Scratch`] arena is reused across questions, so the engine
 /// forward pass allocates nothing once the buffers have grown to the
 /// store's capacity.
@@ -394,12 +392,6 @@ impl Session {
         let topk = resolve_topk(config.topk)?;
         let nprobe = resolve_nprobe(config.nprobe)?;
         if topk > 0 {
-            if segments > 1 {
-                return Err(ServeError::Engine(EngineError::Config(format!(
-                    "segment routing (segments = {segments}) and top-K candidate attention \
-                     both partition the memory pass; configure one or the other"
-                ))));
-            }
             if matches!(config.plan.config.skip, mnnfast::SkipPolicy::Probability(_)) {
                 return Err(ServeError::Engine(EngineError::Config(
                     "probability zero-skip sweeps the full memory for its denominator; \
@@ -439,7 +431,7 @@ impl Session {
             // is free); every subsequent push re-quantizes incrementally.
             store.enable_quant();
         }
-        let dist = build_dist_plane(&config, segments, ed)?;
+        let dist = build_dist_plane(&config, ed)?;
         if topk > 0 && dist.is_some() {
             return Err(ServeError::Dist(
                 "top-K candidate attention probes a local index the worker fleet \
@@ -980,16 +972,19 @@ impl Session {
         trace.record(Phase::Embed, t0, tokens.len() as u64);
     }
 
-    /// One question through the distributed plane: the same hop chain as
-    /// [`mnnfast::multi_hop_segmented_budgeted`] (`u ← u + o` between
-    /// hops), with each hop's memory pass fanned out to the worker fleet
-    /// and folded in global chunk order — bitwise-identical to the local
-    /// pass when the fleet is healthy.
+    /// One question through the distributed plane: [`mnnfast::multi_hop`]'s
+    /// hop loop (`u ← u + o` between hops), with each hop's memory pass
+    /// fanned out to the worker fleet and folded in global chunk order —
+    /// bitwise-identical to the local pass when the fleet is healthy.
     ///
     /// Errors: `Err(Some(e))` when the caller's budget expired (must
     /// surface, never fall back); `Err(None)` for a total fleet failure
     /// (caller falls back to the local store).
-    fn dist_forward(&self, u0: &[f32], budget: &Budget) -> Result<HopsOutput, Option<EngineError>> {
+    fn dist_forward(
+        &mut self,
+        u0: &[f32],
+        budget: &Budget,
+    ) -> Result<HopsOutput, Option<EngineError>> {
         let Some(dist) = &self.dist else {
             return Err(None);
         };
@@ -998,36 +993,17 @@ impl Session {
         };
         opts.int8 = self.config.precision == Precision::Int8;
         let hops = self.model.config().hops;
-        let mut u = u0.to_vec();
-        let mut u_last = u.clone();
-        let mut per_hop = Vec::with_capacity(hops);
-        let mut stats = InferenceStats::default();
-        let mut o = Vec::new();
-        for _ in 0..hops {
+        hop_chain(u0, hops, &mut self.scratch, |u, _| {
             // Degraded (shard-skipping) answers are refused here: the
             // session holds every row locally, so a full local answer
             // always beats a partial distributed one.
-            let out = match dist.coordinator.forward(&u, opts, budget, false) {
-                Ok(out) => out,
+            match dist.coordinator.forward(u, opts, budget, false) {
+                Ok(out) => Ok((out.o, out.stats)),
                 Err(DistError::Engine(
                     e @ (EngineError::DeadlineExceeded { .. } | EngineError::Cancelled),
-                )) => return Err(Some(e)),
-                Err(_) => return Err(None),
-            };
-            stats.merge(&out.stats);
-            u_last = u.clone();
-            for (ui, oi) in u.iter_mut().zip(&out.o) {
-                *ui += oi;
+                )) => Err(Some(e)),
+                Err(_) => Err(None),
             }
-            per_hop.push(out.o.clone());
-            o = out.o;
-        }
-        Ok(HopsOutput {
-            o,
-            u_last,
-            u_final: u,
-            per_hop,
-            stats,
         })
     }
 
@@ -1065,56 +1041,38 @@ impl Session {
             }
         }
         let hops = self.model.config().hops;
+        let pinned = self.degradation.pinned_safe;
         // Int8 sessions answer from the quantized mirror; sessions pinned
         // to the safe path have already demonstrated numeric trouble, so
         // they stay on the exact f32 plane.
-        let use_quant = self.config.precision == Precision::Int8 && !self.degradation.pinned_safe;
-        if use_quant {
-            // No-op when the mirror is current; rebuilds after any
-            // mutation path that bypassed the incremental maintenance.
-            self.store.enable_quant();
-        }
+        let precision = self.serving_precision();
         // Top-K candidate fast path: probe the clustered index, run the
         // exact kernels over the candidate rows only. Memories no larger
         // than `topk` skip straight to exact attention (the index could not
         // skip a row); a declined probe or a contained fault falls back to
         // the exact path below — every question gets a full-precision
-        // answer either way.
-        if self.topk > 0 && !self.degradation.pinned_safe && self.store.len() > self.topk {
+        // answer either way. The sparse pass never looks at the segment
+        // map, so it composes with segment routing: only the exact
+        // fallback routes by it.
+        if self.topk > 0 && !pinned && self.store.len() > self.topk {
             // No-op when the index is current and undrifted; retrains after
             // clears or enough membership churn to unbalance the clusters.
             self.store.enable_index();
-            let index = self.store.index().expect("index just synced");
-            let attempt = if use_quant {
-                let (q_in, q_out) = self.store.quant().expect("mirror just synced");
-                multi_hop_quant_topk_segmented_budgeted(
-                    &self.executor,
-                    q_in,
-                    q_out,
-                    index,
-                    u,
-                    hops,
-                    self.topk,
-                    self.nprobe,
-                    &mut self.scratch,
-                    trace,
-                    budget,
-                )
-            } else {
-                multi_hop_topk_segmented_budgeted(
-                    &self.executor,
-                    self.store.m_in(),
-                    self.store.m_out(),
-                    index,
-                    u,
-                    hops,
-                    self.topk,
-                    self.nprobe,
-                    &mut self.scratch,
-                    trace,
-                    budget,
-                )
+            let route = Route::TopK {
+                index: self.store.index().expect("index just synced"),
+                topk: self.topk,
+                nprobe: self.nprobe,
             };
+            let attempt = multi_hop(
+                &self.executor,
+                self.store.view(precision),
+                route,
+                u,
+                hops,
+                &mut self.scratch,
+                trace,
+                budget,
+            );
             match attempt {
                 Ok(out) => return Ok((out, false)),
                 // The caller's budget expired: surface it, never mask a
@@ -1135,53 +1093,31 @@ impl Session {
                 Err(e) => return Err(e),
             }
         }
-        let rows = self.store.len();
         self.refresh_segment_map();
-        let plan = if self.segments > 1 {
-            SegmentPlan::routed(&self.seg_map, true)
-        } else {
-            SegmentPlan::unsegmented(rows)
-        };
-        let primary = if self.degradation.pinned_safe {
+        let plan = exact_plan(self.segments, &self.seg_map, self.store.len());
+        let primary = if pinned {
             &self.safe_executor
         } else {
             &self.executor
         };
-        let first = if use_quant {
-            let (q_in, q_out) = self.store.quant().expect("mirror just synced");
-            multi_hop_quant_segmented_budgeted(
-                primary,
-                q_in,
-                q_out,
-                &plan,
-                u,
-                hops,
-                &mut self.scratch,
-                trace,
-                budget,
-            )
-        } else {
-            multi_hop_segmented_budgeted(
-                primary,
-                self.store.m_in(),
-                self.store.m_out(),
-                &plan,
-                u,
-                hops,
-                &mut self.scratch,
-                trace,
-                budget,
-            )
-        };
+        let first = multi_hop(
+            primary,
+            self.store.view(precision),
+            Route::Plan(&plan),
+            u,
+            hops,
+            &mut self.scratch,
+            trace,
+            budget,
+        );
         match first {
-            Ok(out) => Ok((out, self.degradation.pinned_safe)),
+            Ok(out) => Ok((out, pinned)),
             // A contained scale-out worker panic takes the same ladder as
             // a numeric fault: the pass was abandoned cleanly, so the
             // safe-path retry answers the question and repeated panics
             // pin the session off the parallel fast path.
             Err(EngineError::NumericFault { .. } | EngineError::WorkerPanicked)
-                if !self.degradation.pinned_safe
-                    && self.config.degradation.retry_on_numeric_fault =>
+                if !pinned && self.config.degradation.retry_on_numeric_fault =>
             {
                 self.degradation.numeric_faults += 1;
                 if let Some(limit) = self.config.degradation.pin_after_faults {
@@ -1190,11 +1126,10 @@ impl Session {
                     }
                 }
                 let t0 = trace.begin();
-                let retried = multi_hop_segmented_budgeted(
+                let retried = multi_hop(
                     &self.safe_executor,
-                    self.store.m_in(),
-                    self.store.m_out(),
-                    &plan,
+                    self.store.view(Precision::F32),
+                    Route::Plan(&plan),
                     u,
                     hops,
                     &mut self.scratch,
@@ -1213,6 +1148,19 @@ impl Session {
                 }
                 Err(e)
             }
+        }
+    }
+
+    /// The plane questions are served from right now, synced: the int8
+    /// mirror for [`Precision::Int8`] sessions (a no-op when current;
+    /// rebuilt after any mutation path that bypassed the incremental
+    /// maintenance), the f32 store otherwise and for pinned-safe sessions.
+    fn serving_precision(&mut self) -> Precision {
+        if self.config.precision == Precision::Int8 && !self.degradation.pinned_safe {
+            self.store.enable_quant();
+            Precision::Int8
+        } else {
+            Precision::F32
         }
     }
 
@@ -1256,49 +1204,25 @@ impl Session {
             self.teardown_dist();
             self.degradation.dist_fallbacks += 1;
         }
-        let rows = self.store.len();
-        self.refresh_segment_map();
-        let plan = if self.segments > 1 {
-            SegmentPlan::routed(&self.seg_map, true)
-        } else {
-            SegmentPlan::unsegmented(rows)
-        };
         let was_pinned = self.degradation.pinned_safe;
-        let use_quant = self.config.precision == Precision::Int8 && !was_pinned;
-        if use_quant {
-            self.store.enable_quant();
-        }
+        let precision = self.serving_precision();
+        self.refresh_segment_map();
+        let plan = exact_plan(self.segments, &self.seg_map, self.store.len());
         let primary = if was_pinned {
             &self.safe_executor
         } else {
             &self.executor
         };
-        let first = if use_quant {
-            let (q_in, q_out) = self.store.quant().expect("mirror just synced");
-            multi_hop_quant_batch_segmented_budgeted(
-                primary,
-                q_in,
-                q_out,
-                &plan,
-                us,
-                hops,
-                &mut self.scratch,
-                trace,
-                budgets,
-            )?
-        } else {
-            multi_hop_batch_segmented_budgeted(
-                primary,
-                self.store.m_in(),
-                self.store.m_out(),
-                &plan,
-                us,
-                hops,
-                &mut self.scratch,
-                trace,
-                budgets,
-            )?
-        };
+        let first = multi_hop_batch(
+            primary,
+            self.store.view(precision),
+            &plan,
+            us,
+            hops,
+            &mut self.scratch,
+            trace,
+            budgets,
+        )?;
 
         let mut results: Vec<Result<(HopsOutput, bool), EngineError>> =
             Vec::with_capacity(us.len());
@@ -1331,10 +1255,9 @@ impl Session {
             let retry_budgets: Vec<Budget> =
                 retry_idx.iter().map(|&q| budgets[q].clone()).collect();
             let t0 = trace.begin();
-            let retried = multi_hop_batch_segmented_budgeted(
+            let retried = multi_hop_batch(
                 &self.safe_executor,
-                self.store.m_in(),
-                self.store.m_out(),
+                self.store.view(Precision::F32),
                 &plan,
                 &retry_us,
                 hops,
@@ -1461,15 +1384,21 @@ pub(crate) fn serving_model(model: Arc<MemNet>) -> Result<Arc<MemNet>, ServeErro
     Ok(Arc::new(model))
 }
 
+/// The exact pass's plan: routed over the (refreshed) segment map with
+/// pruning on, or the populated prefix for unsegmented sessions.
+fn exact_plan(segments: usize, seg_map: &SegmentMap, rows: usize) -> SegmentPlan<'_> {
+    if segments > 1 {
+        SegmentPlan::routed(seg_map, true)
+    } else {
+        SegmentPlan::unsegmented(rows)
+    }
+}
+
 /// Builds the distributed plane when the effective worker count asks for
 /// one: resolves the `workers`/`replicas`/`hedge` knobs (explicit config
 /// wins, then the `MNNFAST_*` environment, then local serving), validates
 /// the combination, spawns the loopback fleet, and connects a coordinator.
-fn build_dist_plane(
-    config: &SessionConfig,
-    segments: usize,
-    ed: usize,
-) -> Result<Option<DistPlane>, ServeError> {
+fn build_dist_plane(config: &SessionConfig, ed: usize) -> Result<Option<DistPlane>, ServeError> {
     let workers = match config.workers {
         0 => mnn_dist::workers_from_env()?.unwrap_or(1),
         n => n,
@@ -1491,12 +1420,6 @@ fn build_dist_plane(
              use an unbounded store with distributed serving"
                 .into(),
         ));
-    }
-    if segments > 1 {
-        return Err(ServeError::Dist(format!(
-            "segment routing (segments = {segments}) and worker sharding both partition \
-             the store; configure one or the other"
-        )));
     }
     // Probability skip needs a global denominator pre-pass no shard can
     // run; surface that at session creation, not per question.
@@ -2299,11 +2222,6 @@ mod tests {
         }
 
         for bad in [
-            // Segment routing and the candidate index both partition the pass.
-            SessionConfig {
-                segments: 4,
-                ..base
-            },
             // Probability skip needs a full-memory denominator sweep.
             SessionConfig {
                 plan: ExecPlan::new(
@@ -2334,6 +2252,52 @@ mod tests {
             },
         )
         .unwrap();
+
+        // Segment routing composes: the sparse pass is tried first and
+        // never looks at the segment map, so top-K + segments answers
+        // bitwise what top-K alone answers...
+        let (mut generator, model) = trained_serving_model();
+        let story = generator.story(20, 3);
+        let sparse = SessionConfig {
+            plan: ExecPlan::new(MnnFastConfig::new(4)),
+            topk: 10,
+            nprobe: 3,
+            segments: 1,
+            ..SessionConfig::default()
+        };
+        let routed = SessionConfig {
+            segments: 3,
+            ..sparse
+        };
+        let mut alone = Session::new(model.clone(), sparse).unwrap();
+        let mut composed = Session::new(model.clone(), routed).unwrap();
+        assert_eq!(composed.segments(), 3);
+        for s in &story.sentences {
+            alone.observe(s).unwrap();
+            composed.observe(s).unwrap();
+        }
+        for q in &story.questions {
+            let a = alone.ask(&q.tokens).unwrap();
+            let b = composed.ask(&q.tokens).unwrap();
+            assert_eq!(a.word, b.word);
+            assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        }
+        assert!(composed.cumulative_stats().rows_skipped_by_index > 0);
+        // ...and a declined probe (identical rows: every centroid ties)
+        // falls back to the *segmented* exact pass, bitwise the exact
+        // answer of a session with neither feature.
+        let mut exact = Session::new(model.clone(), SessionConfig { topk: 0, ..sparse }).unwrap();
+        let mut composed = Session::new(model, routed).unwrap();
+        for _ in 0..40 {
+            exact.observe(&story.sentences[0]).unwrap();
+            composed.observe(&story.sentences[0]).unwrap();
+        }
+        let a = exact.ask(&story.questions[0].tokens).unwrap();
+        let b = composed.ask(&story.questions[0].tokens).unwrap();
+        assert!(composed.degradation_stats().sparse_fallbacks >= 1);
+        assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        let hops = composed.model().config().hops as u64;
+        assert_eq!(b.stats.segments_total, 3 * hops, "fallback not routed");
     }
 
     #[test]
@@ -2506,18 +2470,42 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ServeError::Dist(_)), "{err}");
-        // Segment routing and worker sharding both partition the store.
-        let err = Session::new(
+        // Segment routing composes with the fleet, which is tried first
+        // and never looks at the segment map: same bits as workers alone;
+        // only the local fallback after a fleet loss routes by it.
+        let (mut generator, _) = trained_serving_model();
+        let story = generator.story(12, 2);
+        let sharded = SessionConfig {
+            plan: dist_plan(),
+            workers: 2,
+            replicas: 1,
+            segments: 1,
+            ..SessionConfig::default()
+        };
+        let mut alone = Session::new(model.clone(), sharded).unwrap();
+        let mut composed = Session::new(
             model.clone(),
             SessionConfig {
-                plan: dist_plan(),
-                workers: 2,
-                segments: 2,
-                ..SessionConfig::default()
+                segments: 3,
+                ..sharded
             },
         )
-        .unwrap_err();
-        assert!(matches!(err, ServeError::Dist(_)), "{err}");
+        .unwrap();
+        for s in &story.sentences {
+            alone.observe(s).unwrap();
+            composed.observe(s).unwrap();
+        }
+        let q = &story.questions[0].tokens;
+        let a = alone.ask(q).unwrap();
+        let b = composed.ask(q).unwrap();
+        assert_eq!(composed.degradation_stats().dist_fallbacks, 0);
+        assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        assert!(composed.kill_dist_worker(0));
+        let c = composed.ask(q).unwrap();
+        assert_eq!(composed.degradation_stats().dist_fallbacks, 1);
+        assert_eq!(a.probability.to_bits(), c.probability.to_bits());
+        let hops = composed.model().config().hops as u64;
+        assert_eq!(c.stats.segments_total, 3 * hops, "fallback not routed");
         // Probability skip needs a global denominator no shard can see.
         let err = Session::new(
             model,

@@ -5,8 +5,8 @@
 use mnn_serve::SegmentedStore;
 use mnn_tensor::QuantMatrix;
 use mnnfast::{
-    Budget, ColumnEngine, Executor, MnnFastConfig, ParallelEngine, Scratch, SegmentPlan,
-    SoftmaxMode, Trace,
+    Budget, ColumnEngine, Executor, MnnFastConfig, ParallelEngine, Precision, Route, Scratch,
+    SegmentPlan, SoftmaxMode, Trace,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -132,26 +132,20 @@ proptest! {
             store.push(row, &out);
         }
         store.enable_quant();
-        let (q_in, q_out) = store.quant().expect("synced mirror");
+        let (f32_view, q_view) = (store.view(Precision::F32), store.view(Precision::Int8));
         let chunk = 4usize;
         let config = MnnFastConfig::new(chunk).with_softmax(mode);
         let map = store.segment_map(n_segments, chunk);
         let plan = SegmentPlan::routed(&map, true);
 
-        let column = ColumnEngine::new(config);
+        let column: &dyn Executor = &ColumnEngine::new(config);
         let mut scratch = Scratch::new();
         let mut trace = Trace::disabled();
         let f32_out = column
-            .forward_segmented_budgeted(
-                store.m_in(), store.m_out(), &plan, &query,
-                &mut scratch, &mut trace, &Budget::unlimited(),
-            )
+            .forward(f32_view, Route::Plan(&plan), &query, &mut scratch, &mut trace, &Budget::unlimited())
             .unwrap();
         let q_col = column
-            .forward_quant_segmented_budgeted(
-                q_in, q_out, &plan, &query,
-                &mut scratch, &mut trace, &Budget::unlimited(),
-            )
+            .forward(q_view, Route::Plan(&plan), &query, &mut scratch, &mut trace, &Budget::unlimited())
             .unwrap();
         // Closeness to f32: bounded by the published logit error, loosened
         // for softmax mixing, relative to the response magnitude.
@@ -161,12 +155,9 @@ proptest! {
             prop_assert!((a - b).abs() / norm <= tol, "quant {a} vs f32 {b}");
         }
         // Bitwise identity across engine variants on the quant plane.
-        let parallel = ParallelEngine::new(config.with_threads(3));
+        let parallel: &dyn Executor = &ParallelEngine::new(config.with_threads(3));
         let q_par = parallel
-            .forward_quant_segmented_budgeted(
-                q_in, q_out, &plan, &query,
-                &mut scratch, &mut trace, &Budget::unlimited(),
-            )
+            .forward(q_view, Route::Plan(&plan), &query, &mut scratch, &mut trace, &Budget::unlimited())
             .unwrap();
         prop_assert_eq!(q_par.denominator.to_bits(), q_col.denominator.to_bits());
         for (a, b) in q_par.o.iter().zip(&q_col.o) {

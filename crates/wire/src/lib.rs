@@ -44,7 +44,7 @@ pub const MAX_PAYLOAD: usize = 1 << 28;
 
 /// The envelope failed to seal or open (transport-level corruption or a
 /// protocol mismatch). Protocol crates wrap this in their own error types
-/// ([`mnn-dist`]'s `FrameError`, [`mnn-net`]'s `NetError`).
+/// (`mnn-dist`'s `FrameError`, `mnn-net`'s `NetError`).
 #[derive(Debug)]
 pub enum WireError {
     /// Fewer bytes than the frame declares.

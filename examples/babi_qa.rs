@@ -7,7 +7,10 @@
 use mnn_dataset::babi::{BabiGenerator, TaskKind};
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{eval, MemNet, ModelConfig};
-use mnnfast::{ColumnEngine, InferenceStats, MnnFastConfig, SkipPolicy};
+use mnnfast::{
+    Budget, ColumnEngine, InferenceStats, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
+    SkipPolicy, Trace,
+};
 
 fn main() {
     for kind in TaskKind::ALL {
@@ -40,12 +43,15 @@ fn main() {
                 ColumnEngine::new(MnnFastConfig::new(ns).with_skip(SkipPolicy::Probability(th)));
             let mut stats = InferenceStats::default();
             let acc = eval::accuracy_with(&model, &test_set, |emb, q| {
-                let out = mnnfast::multi_hop_simple(
+                let out = mnnfast::multi_hop(
                     &engine,
-                    &emb.m_in,
-                    &emb.m_out,
+                    MemView::from((&emb.m_in, &emb.m_out)),
+                    Route::Plan(&SegmentPlan::unsegmented(emb.m_in.rows())),
                     &emb.questions[q],
                     hops,
+                    &mut Scratch::new(),
+                    &mut Trace::disabled(),
+                    &Budget::unlimited(),
                 )
                 .expect("embedded shapes are consistent");
                 stats.merge(&out.stats);

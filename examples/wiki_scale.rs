@@ -8,7 +8,10 @@
 use mnn_memsim::dataflow::{self, DataflowConfig};
 use mnn_memsim::{SetAssocCache, Variant};
 use mnn_tensor::Matrix;
-use mnnfast::{EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, SkipPolicy, Trace};
+use mnnfast::{
+    Budget, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
+    SkipPolicy, Trace,
+};
 use std::time::Instant;
 
 fn main() {
@@ -73,7 +76,14 @@ fn main() {
         let mut trace = Trace::disabled();
         let t0 = Instant::now();
         let out = exec
-            .forward_prefix(&m_in, &m_out, ns, &u, &mut scratch, &mut trace)
+            .forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(ns)),
+                &u,
+                &mut scratch,
+                &mut trace,
+                &Budget::unlimited(),
+            )
             .unwrap();
         let dt = t0.elapsed().as_secs_f64();
         println!(

@@ -12,6 +12,9 @@ use mnnfast::parallel::ParallelEngine;
 use mnnfast::streaming::StreamingEngine;
 use mnnfast::{ColumnEngine, MnnFastConfig, SkipPolicy, SoftmaxMode};
 
+#[path = "../crates/core/tests/lattice/mod.rs"]
+mod lattice;
+
 fn trained_model() -> (MemNet, Vec<Story>) {
     let mut generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 99);
     let train_set = generator.dataset(120, 8, 2);
@@ -168,4 +171,12 @@ fn all_task_kinds_train_above_chance() {
             report.train_accuracy
         );
     }
+}
+
+/// A sub-second cut of the engine parity lattice (`crates/core/tests/
+/// executor.rs` runs all of it), so tier-1 guards the execution seam: each
+/// walk, plane, route and entry point against the column-engine oracle.
+#[test]
+fn lattice_cut_matches_the_column_oracle() {
+    assert!(lattice::run(&lattice::CUT) >= 42);
 }
