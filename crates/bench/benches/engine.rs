@@ -1,11 +1,10 @@
 //! Criterion benchmarks of the inference engines: baseline vs column-based
-//! vs streaming vs zero-skipping, plus the chunk-size ablation of
+//! vs zero-skipping, plus the chunk-size ablation of
 //! DESIGN.md §5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mnn_tensor::softmax::softmax_in_place;
 use mnn_tensor::{kernels, Matrix};
-use mnnfast::streaming::StreamingEngine;
 use mnnfast::{
     Budget, ColumnEngine, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
     SkipPolicy, SoftmaxMode, Trace,
@@ -53,15 +52,6 @@ fn bench_variants(c: &mut Criterion) {
     g.bench_function("column_twopass", |b| {
         b.iter(|| {
             two_pass
-                .forward(black_box(&m_in), black_box(&m_out), &u)
-                .unwrap()
-                .o
-        })
-    });
-    let streaming = StreamingEngine::new(MnnFastConfig::new(1000));
-    g.bench_function("column_streaming", |b| {
-        b.iter(|| {
-            streaming
                 .forward(black_box(&m_in), black_box(&m_out), &u)
                 .unwrap()
                 .o

@@ -7,8 +7,7 @@ use mnn_memsim::cache::SetAssocCache;
 use mnn_memsim::dataflow::{replay, DataflowConfig, Variant};
 use mnn_memsim::EmbeddingCache;
 use mnn_tensor::Matrix;
-use mnnfast::parallel::ParallelEngine;
-use mnnfast::MnnFastConfig;
+use mnnfast::{EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace};
 use std::hint::black_box;
 
 fn bench_llc_replay(c: &mut Criterion) {
@@ -56,14 +55,23 @@ fn bench_parallel_engine(c: &mut Criterion) {
     let m_out = Matrix::from_fn(ns, ed, |r, col| ((r * col) as f32 * 1e-3).cos());
     let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.2).sin()).collect();
     g.throughput(Throughput::Elements((ns * ed) as u64));
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(ns);
+    let mut scratch = Scratch::new();
     for threads in [1usize, 2, 4] {
-        let engine = ParallelEngine::new(MnnFastConfig::new(1000).with_threads(threads));
+        let engine = ExecPlan::new(MnnFastConfig::new(1000).with_threads(threads))
+            .with_kind(EngineKind::Parallel)
+            .executor();
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
-                engine
-                    .forward(black_box(&m_in), black_box(&m_out), &u)
-                    .unwrap()
-                    .o
+                mnn_bench::run_pass(
+                    &engine,
+                    black_box(view),
+                    Route::Plan(&whole),
+                    &u,
+                    &mut scratch,
+                    &mut Trace::disabled(),
+                )
             })
         });
     }

@@ -68,12 +68,7 @@ pub fn run(scale: Scale) -> EngineReport {
 
     let config = MnnFastConfig::new(chunk).with_threads(threads);
     let mut entries = Vec::new();
-    for kind in [
-        EngineKind::Column,
-        EngineKind::Streaming,
-        EngineKind::Parallel,
-        EngineKind::Auto,
-    ] {
+    for kind in [EngineKind::Column, EngineKind::Parallel, EngineKind::Auto] {
         let plan = ExecPlan::new(config).with_kind(kind);
         let exec = plan.executor();
         let mut scratch = Scratch::new();
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn report_covers_all_kinds_with_phases() {
         let report = run(Scale::Smoke);
-        assert_eq!(report.entries.len(), 4);
+        assert_eq!(report.entries.len(), 3);
         for e in &report.entries {
             assert!(e.mean_seconds > 0.0, "{:?}", e.kind);
             assert!(e.trace.total_nanos() > 0, "{:?}", e.kind);
@@ -215,7 +210,7 @@ mod tests {
             );
         }
         assert_ne!(
-            report.entries[3].resolved,
+            report.entries[2].resolved,
             EngineKind::Auto,
             "auto must resolve to a concrete kind"
         );
@@ -230,7 +225,6 @@ mod tests {
         for key in [
             "\"engines\"",
             "\"kind\": \"column\"",
-            "\"kind\": \"streaming\"",
             "\"kind\": \"parallel\"",
             "\"kind\": \"auto\"",
             "\"phase\": \"inner_product\"",
@@ -247,6 +241,6 @@ mod tests {
         let t = report.table();
         assert_eq!(t.headers.len(), 3 + Phase::ALL.len());
         assert!(t.headers.iter().any(|h| h == "fused_chunk"));
-        assert_eq!(t.rows.len(), 4);
+        assert_eq!(t.rows.len(), 3);
     }
 }

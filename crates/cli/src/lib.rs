@@ -118,7 +118,7 @@ USAGE:
   mnnfast eval   --model <model.bin> [--task single] [--stories 40]
                  [--skip 0.01] [--seed 8] [--data <babi.txt>] [--trace]
   mnnfast serve  --model <model.bin> [--window 0] [--skip 0.0]
-                 [--engine auto|column|streaming|parallel] [--threads 1]
+                 [--engine auto|column|parallel] [--threads 1]
                  [--deadline-ms 0] [--batch 0] [--embed-cache 0]
                  [--segments 0] [--precision f32|int8] [--trace]
                  [--workers 0] [--replicas 0] [--hedge-ms 0]
@@ -481,9 +481,8 @@ fn cmd_serve(options: &Options, input: &mut dyn BufRead, out: &mut dyn Write) ->
 
     let kind = match options.get_str("engine") {
         None => EngineKind::Auto,
-        Some(name) => EngineKind::parse(name).ok_or_else(|| {
-            format!("unknown engine '{name}' (expected auto|column|streaming|parallel)")
-        })?,
+        Some(name) => EngineKind::parse(name)
+            .ok_or_else(|| format!("unknown engine '{name}' (expected auto|column|parallel)"))?,
     };
     let threads = options.get("threads", 1usize)?;
     let deadline_ms = options.get("deadline-ms", 0u64)?;
@@ -1040,8 +1039,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("inner_product"), "{out}");
 
-        // Bad engine names error instead of silently defaulting.
-        assert!(run_cli(&["serve", "--model", model_str, "--engine", "warp"], stdin).is_err());
+        // Bad engine names error instead of silently defaulting — the
+        // removed staged walk's name included, no alias.
+        for name in ["warp", "streaming"] {
+            let err = run_cli(&["serve", "--model", model_str, "--engine", name], stdin);
+            assert_eq!(
+                err.unwrap_err(),
+                format!("unknown engine '{name}' (expected auto|column|parallel)")
+            );
+        }
     }
 
     #[test]

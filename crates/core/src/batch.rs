@@ -25,9 +25,8 @@
 //!   single-question kernel *is* its `nq = 1` call.
 //! * **One chunk-partial discipline.** Per chunk, each live question's
 //!   chunk partial is reset, one batched kernel call fills them all, and
-//!   each is merged into its question's running accumulator through the
-//!   [`mnn_tensor::partial`] plane — the fold every engine variant
-//!   performs, in the same chunk order.
+//!   each is merged into its question's running accumulator — the fold
+//!   every walk performs, in the same chunk order.
 //!
 //! A question's arithmetic never depends on its batchmates, so the batch
 //! is split over `config.threads` workers by **contiguous question
@@ -644,14 +643,7 @@ impl BatchEngine {
                 }
                 row += n;
             }
-            // Segment boundary: the opt-in wire roundtrip of every live
-            // running accumulator proves the byte encoding carries the
-            // full merge state across the segment handoff.
-            let t0 = trace.begin();
-            for q in (0..nq).filter(|&q| lanes.live[q]) {
-                lanes.acc.pair(q).0.wire_roundtrip();
-            }
-            trace.record(Phase::SegmentMerge, t0, 1);
+            trace.bump(Phase::SegmentMerge, 1);
         }
     }
 

@@ -7,17 +7,17 @@
 //! when the attention weight is below the zero-skip threshold. A single
 //! division pass at the very end produces the response vector `o`.
 //!
-//! [`ColumnEngine`] is the base [`crate::Executor`] and owns the one pass
-//! skeleton (`ColumnEngine::pass`): the streaming and scale-out variants
-//! run the same skeleton and differ only in how they produce and fold a
-//! visited segment's chunks (`Walk`), so all three produce
-//! bitwise-identical results on either memory plane.
+//! [`ColumnEngine`] owns the one pass skeleton (`ColumnEngine::pass`): the
+//! scale-out walk runs the same skeleton and differs only in how it
+//! produces and folds a visited segment's chunks (`Walk`), so both produce
+//! bitwise-identical results on either memory plane. As an
+//! [`crate::Executor`] the engine always walks inline and answers batches
+//! one question at a time — the reference every parity suite and the
+//! lattice compare [`crate::PlanExecutor`] against.
 
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
-use crate::exec::{
-    resolve_route, EngineKind, Executor, MemView, Phase, Route, Scratch, Trace, WorkerScratch,
-};
+use crate::exec::{resolve_route, Executor, MemView, Phase, Route, Scratch, Trace, WorkerScratch};
 use crate::segment::{self, Segment, SegmentPlan};
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
@@ -281,20 +281,15 @@ impl AccumMut<'_> {
         }
     }
 
-    /// Merges a finished chunk partial into this running total through the
-    /// [`mnn_tensor::partial`] merge plane (the one merge code path shared
-    /// by every engine variant and, in the opt-in wire-merge mode, routed
-    /// through the serialized [`mnn_tensor::PartialState`] encoding).
+    /// Merges a finished chunk partial into this running total.
     ///
-    /// Every engine variant folds per-chunk partials through this method in
+    /// Every walk folds per-chunk partials through this method in
     /// chunk-index order, so the rounding history — and therefore the output
     /// bits — are identical across [`crate::EngineKind`]s and thread counts.
     pub(crate) fn merge_from(&mut self, other: &AccumMut<'_>) {
         match (self, other) {
-            (AccumMut::Lazy(a), AccumMut::Lazy(b)) => mnn_tensor::partial::merge_lazy_into(a, b),
-            (AccumMut::Online(a), AccumMut::Online(b)) => {
-                mnn_tensor::partial::merge_online_into(a, b)
-            }
+            (AccumMut::Lazy(a), AccumMut::Lazy(b)) => a.merge(b),
+            (AccumMut::Online(a), AccumMut::Online(b)) => a.merge(b),
             _ => unreachable!("softmax mode is fixed for a pass"),
         }
     }
@@ -309,25 +304,12 @@ impl AccumMut<'_> {
         }
     }
 
-    /// When the opt-in wire-merge mode is on, replaces the accumulator with
-    /// its serialization roundtrip — the segment-boundary handoff proving
-    /// the [`mnn_tensor::partial`] wire format answer-faithful.
-    pub(crate) fn wire_roundtrip(&mut self) {
-        if !mnn_tensor::partial::wire_merge_enabled() {
-            return;
-        }
-        match self {
-            AccumMut::Lazy(acc) => **acc = mnn_tensor::partial::roundtrip_lazy(acc),
-            AccumMut::Online(acc) => **acc = mnn_tensor::partial::roundtrip_online(acc),
-        }
-    }
-
     /// Folds every chunk partial the `workers` produced into this running
     /// total and returns how many were merged.
     ///
     /// Workers own contiguous ascending chunk ranges, so iterating workers
     /// in order and their partials in order visits chunks in global
-    /// chunk-index order — exactly the fold the sequential engines perform,
+    /// chunk-index order — exactly the fold the inline walk performs,
     /// which is what makes the output bitwise identical.
     pub(crate) fn fold_workers(&mut self, workers: &[WorkerScratch]) -> u64 {
         let mut merged = 0u64;
@@ -335,13 +317,13 @@ impl AccumMut<'_> {
             match self {
                 AccumMut::Lazy(acc) => {
                     for partial in &w.lazy_partials[..w.used] {
-                        mnn_tensor::partial::merge_lazy_into(acc, partial);
+                        acc.merge(partial);
                         merged += 1;
                     }
                 }
                 AccumMut::Online(acc) => {
                     for partial in &w.online_partials[..w.used] {
-                        mnn_tensor::partial::merge_online_into(acc, partial);
+                        acc.merge(partial);
                         merged += 1;
                     }
                 }
@@ -352,9 +334,8 @@ impl AccumMut<'_> {
 }
 
 /// One chunk's rows of both memories, on whichever plane the pass reads.
-/// Built once per chunk ([`MemView::chunk`], or a streaming staging
-/// buffer) and matched once per chunk in [`ColumnEngine::process_chunk`] —
-/// never per row.
+/// Built once per chunk ([`MemView::chunk`]) and matched once per chunk in
+/// [`ColumnEngine::process_chunk`] — never per row.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ChunkOps<'a> {
     F32 {
@@ -379,17 +360,15 @@ pub(crate) struct Query<'a> {
     pub(crate) scale: f32,
 }
 
-/// How an engine produces and folds the chunks of one visited segment —
-/// the only thing the engine variants contribute to [`ColumnEngine::pass`].
+/// How a pass produces and folds the chunks of one visited segment — the
+/// only thing [`crate::EngineKind`] contributes to [`ColumnEngine::pass`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Walk {
-    /// On the calling thread, chunk by chunk ([`crate::ColumnEngine`]).
+    /// On the calling thread, chunk by chunk ([`crate::EngineKind::Column`]).
     Inline,
-    /// A producer thread stages chunks `depth` ahead of the consuming
-    /// caller ([`crate::StreamingEngine`]).
-    Staged { depth: usize },
     /// Up to `threads` scoped workers over contiguous chunk ranges, folded
-    /// by the caller in global chunk order ([`crate::ParallelEngine`]).
+    /// by the caller in global chunk order
+    /// ([`crate::EngineKind::Parallel`]).
     Workers { threads: usize },
 }
 
@@ -434,9 +413,9 @@ impl PassState<'_> {
         Ok(())
     }
 
-    /// [`Self::chunk_partial`], then the fold every variant performs in
-    /// global chunk order: merge into the running total through the
-    /// [`mnn_tensor::partial`] plane and guard the denominator.
+    /// [`Self::chunk_partial`], then the fold every walk performs in
+    /// global chunk order: merge into the running total and guard the
+    /// denominator.
     pub(crate) fn fold_chunk(
         &mut self,
         ops: ChunkOps<'_>,
@@ -485,9 +464,9 @@ impl ColumnEngine {
     }
 
     /// Computes `o = softmax(u · M_INᵀ) · M_OUT` with the column-based
-    /// algorithm, allocating fresh scratch buffers (one-shot convenience;
-    /// serving loops should call [`Executor::forward`] with a reused
-    /// [`Scratch`]).
+    /// algorithm over every row, with a throwaway [`Scratch`], no trace and
+    /// no budget (one-shot convenience; serving loops should call
+    /// [`Executor::forward`] with a reused [`Scratch`]).
     ///
     /// # Errors
     ///
@@ -500,7 +479,15 @@ impl ColumnEngine {
         m_out: &Matrix,
         u: &[f32],
     ) -> Result<ColumnOutput, EngineError> {
-        one_shot(self, m_in, m_out, u)
+        Executor::forward(
+            self,
+            MemView::F32 { m_in, m_out },
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            u,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
     }
 
     /// The pass prelude shared by [`ColumnEngine::pass`] and the dist
@@ -585,7 +572,7 @@ impl ColumnEngine {
 
     /// The one forward pass: prelude → Probability pre-pass → per segment
     /// {budget check, zone-map prune, `walk` its chunks into the running
-    /// total, wire round-trip} → lazy division → output guard. Segments
+    /// total} → lazy division → output guard. Segments
     /// are visited in order and every walk folds chunk partials in global
     /// chunk order, so the answer, denominator and counters do not depend
     /// on `walk`, the thread count or the segmentation.
@@ -632,7 +619,7 @@ impl ColumnEngine {
                 st.stats.segments_total += 1;
                 // The prune decision needs the running max of everything
                 // folded so far, so segments are visited sequentially and a
-                // pruned segment's rows are never even staged.
+                // pruned segment's rows are never even read.
                 let dominated = plan.prune()
                     && st.main.running_max().is_some_and(|running_max| {
                         segment::can_prune(running_max, seg.logit_upper_bound(query_norm))
@@ -644,25 +631,14 @@ impl ColumnEngine {
                 }
                 match walk {
                     Walk::Inline => st.walk_inline(seg, trace)?,
-                    Walk::Staged { depth } => {
-                        crate::streaming::walk_staged(&mut st, depth, seg, trace)?
-                    }
                     Walk::Workers { threads } => {
                         crate::parallel::walk_workers(&mut st, threads, seg, trace)?
                     }
                 }
-                let t0 = trace.begin();
-                st.main.wire_roundtrip();
-                trace.record(Phase::SegmentMerge, t0, 1);
+                trace.bump(Phase::SegmentMerge, 1);
             }
             (st.main.denom(), st.stats)
         };
-        if let Walk::Staged { depth } = walk {
-            // Staging buffers double the live intermediate footprint:
-            // depth buffers × two memories × one chunk of rows.
-            stats.intermediate_bytes +=
-                (depth * self.config.chunk_size * view.row_bytes() * 2) as u64;
-        }
         let mut o = scratch.take_out(ed);
         let t0 = trace.begin();
         scratch.finish_main(self.config.softmax, &mut o);
@@ -784,8 +760,8 @@ impl ColumnEngine {
     }
 
     /// Processes one flat chunk (`n` rows of `M_IN` and `M_OUT`, row-major)
-    /// into `acc`. This is the unit of work shared by the sequential,
-    /// streaming and scale-out paths.
+    /// into `acc`. This is the unit of work shared by the inline and
+    /// scale-out walks.
     ///
     /// # Panics
     ///
@@ -944,7 +920,7 @@ impl ColumnEngine {
     }
 }
 
-/// Merge-time numeric guard shared by every engine variant: a poisoned
+/// Merge-time numeric guard shared by every walk: a poisoned
 /// logit (NaN, or an overflowed exponent) always drives the softmax
 /// denominator non-finite, so one scalar check per merge catches it.
 #[inline]
@@ -966,24 +942,6 @@ pub(crate) fn check_output(o: &[f32]) -> Result<(), EngineError> {
     } else {
         Err(EngineError::NumericFault { stage: "normalize" })
     }
-}
-
-/// The engines' doc-tested one-shot `forward(&m_in, &m_out, &u)`: every
-/// row, a throwaway [`Scratch`], no trace, no budget.
-pub(crate) fn one_shot(
-    exec: &dyn Executor,
-    m_in: &Matrix,
-    m_out: &Matrix,
-    u: &[f32],
-) -> Result<ColumnOutput, EngineError> {
-    exec.forward(
-        MemView::F32 { m_in, m_out },
-        Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
-        u,
-        &mut Scratch::new(),
-        &mut Trace::disabled(),
-        &Budget::unlimited(),
-    )
 }
 
 impl Executor for ColumnEngine {
@@ -1009,10 +967,6 @@ impl Executor for ColumnEngine {
 
     fn config(&self) -> MnnFastConfig {
         self.config
-    }
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Column
     }
 }
 

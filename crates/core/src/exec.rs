@@ -1,17 +1,18 @@
-//! The unified execution layer: one dispatch seam for every engine variant.
+//! The unified execution layer: one dispatch seam for every pass.
 //!
 //! The paper's argument is that a *single* dataflow — chunked column-based
-//! lazy softmax with zero-skipping — scales from one core to streamed and
-//! multi-threaded execution. This module encodes that claim in the type
-//! system:
+//! lazy softmax with zero-skipping — scales from one core to multi-threaded
+//! execution. This module encodes that claim in the type system:
 //!
-//! * [`Executor`] — the one trait every engine variant implements. Serving,
-//!   CLI, and bench layers all hold `&dyn Executor`; nothing above
-//!   `crates/core` dispatches over engine variants by hand.
-//! * [`ExecPlan`] / [`EngineKind`] — declarative engine selection, including
-//!   [`EngineKind::Auto`] which picks a variant from the memory size and the
-//!   configured thread count at call time (the store grows while serving, so
-//!   the right variant changes over a session's lifetime).
+//! * [`Executor`] — the one forward seam. Serving, CLI, and bench layers
+//!   all hold `&dyn Executor`; nothing above `crates/core` dispatches over
+//!   walks by hand. Two implementors: [`PlanExecutor`] (production) and
+//!   [`crate::ColumnEngine`] (the inline reference the parity suites
+//!   compare against).
+//! * [`ExecPlan`] / [`EngineKind`] — declarative walk selection, including
+//!   [`EngineKind::Auto`] which picks inline or scale-out from the rows
+//!   walked and the configured thread count at call time (the store grows
+//!   while serving, so the right walk changes over a session's lifetime).
 //! * [`Scratch`] — a reusable arena for every buffer the forward pass needs
 //!   (chunk logits, softmax accumulators, per-worker partials, recycled
 //!   output vectors). A serving loop that reuses one `Scratch` performs zero
@@ -29,7 +30,7 @@
 //! | [`Phase::FusedChunk`] | the single-pass fused chunk kernel (inner products + exp + weighted accumulate) | rows processed |
 //! | [`Phase::Skip`] | skip-threshold resolution (the Probability pre-pass) | rows skipped |
 //! | [`Phase::Merge`] | folding chunk partials into the running total | partials merged |
-//! | [`Phase::SegmentMerge`] | segment-boundary work of the segmented plane: zone-map prune checks and the opt-in wire-format roundtrip of the running accumulator | segments folded |
+//! | [`Phase::SegmentMerge`] | nothing (count only): segments whose chunks were folded into the running total | segments folded |
 //! | [`Phase::Divide`] | the single lazy-softmax division | `ed` divisions |
 //! | [`Phase::Admission`] | pool admission-control decision (serve layer) | admission checks |
 //! | [`Phase::Retry`] | degraded re-execution after a numeric fault (serve layer) | retries |
@@ -44,8 +45,7 @@
 //! On the column path the phase times sum to ≈ the total forward latency
 //! (the residual is loop control). On the parallel path worker phases are
 //! CPU time summed across threads, so the sum legitimately *exceeds* wall
-//! time; on the streaming path the staging copies overlap compute and are
-//! deliberately untimed.
+//! time.
 
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
@@ -92,12 +92,10 @@ pub enum Phase {
     /// is tokens embedded, so the embedding:inference time split and the
     /// per-token cost are both observable.
     Embed,
-    /// Segment-level merge-plane work, counted separately from the per-chunk
-    /// [`Phase::Merge`] folds: the zone-map prune decision at each segment
-    /// boundary and, when the wire-merge mode is on, the serialization
-    /// roundtrip of the running accumulator. The count unit is segments
-    /// folded into the running total (pruned segments never merge and are
-    /// counted in [`crate::InferenceStats::segments_pruned`] instead).
+    /// Segments folded into the running total, counted separately from the
+    /// per-chunk [`Phase::Merge`] folds and never timed (pruned segments
+    /// never merge and are counted in
+    /// [`crate::InferenceStats::segments_pruned`] instead).
     SegmentMerge,
     /// Distributed shard fan-out: wall time spent inside coordinator RPCs
     /// — dispatching one question to every shard's worker, waiting out
@@ -488,8 +486,8 @@ const OUT_POOL_LIMIT: usize = 8;
 /// buffers have grown to the store's capacity.
 ///
 /// A scratch is engine-agnostic: the same instance can serve
-/// [`EngineKind::Column`], [`EngineKind::Streaming`] and
-/// [`EngineKind::Parallel`] calls interchangeably.
+/// [`EngineKind::Column`] and [`EngineKind::Parallel`] calls
+/// interchangeably.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     pub(crate) logits: Vec<f32>,
@@ -605,18 +603,17 @@ impl Scratch {
     }
 }
 
-/// Which engine variant a plan selects.
+/// How a plan walks a pass's chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Pick a variant per call from the memory size and thread count
+    /// Pick a walk per call from the rows walked and the thread count
     /// (see [`ExecPlan::resolve`]).
     #[default]
     Auto,
-    /// Sequential chunked execution ([`crate::ColumnEngine`]).
+    /// Sequential chunked execution on the calling thread.
     Column,
-    /// Producer/consumer chunk prefetching ([`crate::StreamingEngine`]).
-    Streaming,
-    /// Multi-threaded scale-out ([`crate::ParallelEngine`]).
+    /// Multi-threaded scale-out over [`MnnFastConfig::threads`] scoped
+    /// workers ([`crate::parallel`]).
     Parallel,
 }
 
@@ -626,7 +623,6 @@ impl EngineKind {
         match self {
             EngineKind::Auto => "auto",
             EngineKind::Column => "column",
-            EngineKind::Streaming => "streaming",
             EngineKind::Parallel => "parallel",
         }
     }
@@ -636,7 +632,6 @@ impl EngineKind {
         match s {
             "auto" => Some(EngineKind::Auto),
             "column" => Some(EngineKind::Column),
-            "streaming" => Some(EngineKind::Streaming),
             "parallel" => Some(EngineKind::Parallel),
             _ => None,
         }
@@ -649,14 +644,10 @@ impl fmt::Display for EngineKind {
     }
 }
 
-/// Working sets past this size favor streaming's load/compute overlap
-/// (roughly an LLC slice; both memories no longer fit in-cache).
-const STREAMING_BYTES_THRESHOLD: u64 = 4 << 20;
-
 /// Whether a pass over `rows` entries is big enough to split across the
 /// configured threads: more than one thread, and two chunks of rows for
 /// each. The one floor both [`ExecPlan::resolve`] (row ranges for the
-/// parallel engine) and [`crate::BatchEngine`] (question ranges) apply.
+/// scale-out walk) and [`crate::BatchEngine`] (question ranges) apply.
 pub(crate) fn clears_parallel_floor(config: &MnnFastConfig, rows: usize) -> bool {
     config.threads > 1 && rows >= config.threads * config.chunk_size * 2
 }
@@ -678,9 +669,9 @@ pub(crate) fn clears_parallel_floor(config: &MnnFastConfig, rows: usize) -> bool
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecPlan {
-    /// The dataflow configuration shared by all variants.
+    /// The dataflow configuration shared by both walks.
     pub config: MnnFastConfig,
-    /// Which variant to run ([`EngineKind::Auto`] resolves per call).
+    /// Which walk to run ([`EngineKind::Auto`] resolves per call).
     pub kind: EngineKind,
 }
 
@@ -699,36 +690,20 @@ impl ExecPlan {
         self
     }
 
-    /// Resolves the concrete variant for a pass over `rows` memory entries
-    /// of embedding dimension `ed`.
+    /// Resolves the concrete walk for a pass over `rows` memory entries
+    /// (the embedding dimension `_ed` does not enter the rule).
     ///
     /// [`EngineKind::Auto`] never uses more threads than
-    /// [`MnnFastConfig::threads`] grants. It picks:
-    /// * [`EngineKind::Column`] when one thread is configured — the
-    ///   streaming engine's producer would be a second thread the caller
-    ///   did not grant (pin [`EngineKind::Streaming`] to ask for it);
-    /// * [`EngineKind::Parallel`] when every configured thread gets at
-    ///   least two chunks of work;
-    /// * otherwise [`EngineKind::Streaming`] when the working set
-    ///   (`2 × rows × ed × 4` bytes) exceeds ~4 MiB, so overlapping the
-    ///   chunk loads pays;
-    /// * otherwise [`EngineKind::Column`].
-    pub fn resolve(&self, rows: usize, ed: usize) -> EngineKind {
+    /// [`MnnFastConfig::threads`] grants. It picks
+    /// [`EngineKind::Parallel`] when more than one thread is configured
+    /// and each gets at least two chunks of work, else
+    /// [`EngineKind::Column`] — spawning and joining workers costs more
+    /// than it saves under that floor (EXPERIMENTS.md, "Why there is no
+    /// native staged walk").
+    pub fn resolve(&self, rows: usize, _ed: usize) -> EngineKind {
         match self.kind {
-            EngineKind::Auto => {
-                if self.config.threads <= 1 {
-                    return EngineKind::Column;
-                }
-                if clears_parallel_floor(&self.config, rows) {
-                    return EngineKind::Parallel;
-                }
-                let working_set = 2 * (rows as u64) * (ed as u64) * 4;
-                if working_set >= STREAMING_BYTES_THRESHOLD {
-                    EngineKind::Streaming
-                } else {
-                    EngineKind::Column
-                }
-            }
+            EngineKind::Auto if clears_parallel_floor(&self.config, rows) => EngineKind::Parallel,
+            EngineKind::Auto => EngineKind::Column,
             kind => kind,
         }
     }
@@ -931,18 +906,21 @@ pub enum Route<'a> {
 ///
 /// This is the single dispatch seam of the codebase: `serve`, `cli` and
 /// `bench` all hold `&dyn Executor`, and [`crate::hops::multi_hop`] accepts
-/// the same trait object. Implemented by [`crate::ColumnEngine`],
-/// [`crate::StreamingEngine`], [`crate::ParallelEngine`] and
-/// [`PlanExecutor`]. Which plane and which rows are *values* — a
-/// [`MemView`] and a [`Route`] — not method names; an unbudgeted pass is
-/// one under [`Budget::unlimited`] (whose check never reads the clock).
+/// the same trait object. Exactly two types implement it: [`PlanExecutor`]
+/// — what production runs, inline or scale-out per pass, batches through
+/// [`crate::BatchEngine`] — and [`crate::ColumnEngine`] — always inline,
+/// batches as a per-question loop; the reference the parity suites and the
+/// lattice hold the first one to, bit for bit. Which plane and which rows
+/// are *values* — a [`MemView`] and a [`Route`] — not method names; an
+/// unbudgeted pass is one under [`Budget::unlimited`] (whose check never
+/// reads the clock).
 pub trait Executor: Send + Sync + fmt::Debug {
     /// Computes the response vector for `u` over `route`'s rows of `view`
     /// under an execution [`Budget`], reusing `scratch` buffers and
     /// recording per-phase timings into `trace` (free when the trace is
     /// disabled). A warm pass over a [`Route::Plan`] allocates nothing.
     ///
-    /// Every variant checks `budget` once per chunk and validates the
+    /// Every walk checks `budget` once per chunk and validates the
     /// softmax denominator at each merge, so a deadline, a cancellation, or
     /// a numeric fault surfaces within one chunk's work — never as silent
     /// garbage.
@@ -1011,10 +989,6 @@ pub trait Executor: Send + Sync + fmt::Debug {
 
     /// The dataflow configuration this executor runs.
     fn config(&self) -> MnnFastConfig;
-
-    /// The engine kind this executor reports (the *plan* kind for
-    /// [`PlanExecutor`], which may be [`EngineKind::Auto`]).
-    fn kind(&self) -> EngineKind;
 }
 
 /// Resolves `route` into the plan walk `pass` runs — the one place a
@@ -1160,14 +1134,12 @@ fn patch_topk_stats(stats: &mut crate::InferenceStats, probe: &ProbeResult, stor
     stats.rows_skipped_by_index += (store_rows as u64).saturating_sub(rescored);
 }
 
-/// The executor built from an [`ExecPlan`]: holds all three engine variants
-/// and dispatches per call via [`ExecPlan::resolve`].
+/// The executor built from an [`ExecPlan`]: one pass skeleton, walked
+/// inline or by scoped workers as [`ExecPlan::resolve`] says per call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanExecutor {
     plan: ExecPlan,
     column: crate::ColumnEngine,
-    streaming: crate::StreamingEngine,
-    parallel: crate::ParallelEngine,
 }
 
 impl PlanExecutor {
@@ -1176,8 +1148,6 @@ impl PlanExecutor {
         PlanExecutor {
             plan,
             column: crate::ColumnEngine::new(plan.config),
-            streaming: crate::StreamingEngine::new(plan.config),
-            parallel: crate::ParallelEngine::new(plan.config),
         }
     }
 
@@ -1188,7 +1158,7 @@ impl PlanExecutor {
 }
 
 impl Executor for PlanExecutor {
-    /// Resolves the variant from the rows actually walked: a top-K pass
+    /// Resolves the walk from the rows actually walked: a top-K pass
     /// picks by its rescored rows, not by the memory it probed.
     fn forward(
         &self,
@@ -1209,8 +1179,9 @@ impl Executor for PlanExecutor {
             |v, p, s, t| {
                 let walk = match self.plan.resolve(p.rows(), u.len()) {
                     EngineKind::Column | EngineKind::Auto => Walk::Inline,
-                    EngineKind::Streaming => self.streaming.walk(),
-                    EngineKind::Parallel => self.parallel.walk(),
+                    EngineKind::Parallel => Walk::Workers {
+                        threads: self.plan.config.threads,
+                    },
                 };
                 self.column.pass(walk, v, p, u, s, t, budget)
             },
@@ -1232,10 +1203,6 @@ impl Executor for PlanExecutor {
 
     fn config(&self) -> MnnFastConfig {
         self.plan.config
-    }
-
-    fn kind(&self) -> EngineKind {
-        self.plan.kind
     }
 }
 
@@ -1336,32 +1303,47 @@ mod tests {
         assert_eq!(plan.resolve(10, 8), EngineKind::Column);
         assert_eq!(plan.resolve(2_000, 8), EngineKind::Parallel);
 
-        // One thread is a budget: a 25.6 MB working set still runs on it,
-        // not on a streaming producer nobody granted.
+        // One thread is a budget: a 25.6 MB working set still runs on it.
         let single = ExecPlan::new(MnnFastConfig::new(100));
         assert_eq!(single.resolve(2_000, 8), EngineKind::Column);
         assert_eq!(single.resolve(200_000, 16), EngineKind::Column);
-        // With two threads but too few rows to split, streaming may use
-        // the second one.
+        // With two threads but too few rows to split, the pass stays
+        // inline however large the working set is.
         let wide = ExecPlan::new(MnnFastConfig::new(100_000).with_threads(2));
-        assert_eq!(wide.resolve(200_000, 16), EngineKind::Streaming);
+        assert_eq!(wide.resolve(200_000, 16), EngineKind::Column);
+        let under_floor = ExecPlan::new(MnnFastConfig::new(1000).with_threads(2));
+        assert_eq!(under_floor.resolve(3_000, 256), EngineKind::Column);
 
-        let pinned = ExecPlan::new(MnnFastConfig::new(100)).with_kind(EngineKind::Streaming);
-        assert_eq!(pinned.resolve(1, 1), EngineKind::Streaming);
+        let pinned = ExecPlan::new(MnnFastConfig::new(100)).with_kind(EngineKind::Parallel);
+        assert_eq!(pinned.resolve(1, 1), EngineKind::Parallel);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn auto_resolves_to_parallel_exactly_above_the_floor(
+            threads in 1usize..9,
+            chunk in 1usize..2049,
+            rows in 0usize..(1 << 20) + 1,
+            ed in 1usize..513,
+        ) {
+            let config = MnnFastConfig::new(chunk).with_threads(threads);
+            let expect = if clears_parallel_floor(&config, rows) {
+                EngineKind::Parallel
+            } else {
+                EngineKind::Column
+            };
+            proptest::prop_assert_eq!(ExecPlan::new(config).resolve(rows, ed), expect);
+        }
     }
 
     #[test]
     fn kind_labels_round_trip() {
-        for kind in [
-            EngineKind::Auto,
-            EngineKind::Column,
-            EngineKind::Streaming,
-            EngineKind::Parallel,
-        ] {
+        for kind in [EngineKind::Auto, EngineKind::Column, EngineKind::Parallel] {
             assert_eq!(EngineKind::parse(kind.label()), Some(kind));
             assert_eq!(kind.to_string(), kind.label());
         }
         assert_eq!(EngineKind::parse("gpu"), None);
+        assert_eq!(EngineKind::parse("streaming"), None);
     }
 
     #[test]

@@ -376,10 +376,7 @@ pub fn multi_hop_quant_batch_segmented_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        ColumnEngine, EngineKind, ExecPlan, MnnFastConfig, ParallelEngine, Phase, SkipPolicy,
-        StreamingEngine,
-    };
+    use crate::{ColumnEngine, EngineKind, ExecPlan, MnnFastConfig, Phase, SkipPolicy};
     use mnn_tensor::softmax::softmax_in_place;
     use mnn_tensor::{assert_slice_approx_eq, kernels};
 
@@ -432,12 +429,10 @@ mod tests {
         let (m_in, m_out, u) = memories(60, 8);
         let config = MnnFastConfig::new(16);
         let plan_exec = ExecPlan::new(config).with_kind(EngineKind::Auto).executor();
-        let executors: [&dyn Executor; 4] = [
-            &ColumnEngine::new(config),
-            &StreamingEngine::new(config),
-            &ParallelEngine::new(config.with_threads(2)),
-            &plan_exec,
-        ];
+        let parallel = ExecPlan::new(config.with_threads(2))
+            .with_kind(EngineKind::Parallel)
+            .executor();
+        let executors: [&dyn Executor; 3] = [&ColumnEngine::new(config), &parallel, &plan_exec];
         for hops in [1usize, 2, 3] {
             let expect = reference_hops(&m_in, &m_out, &u, hops);
             for exec in executors {

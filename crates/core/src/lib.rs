@@ -10,21 +10,24 @@
 //! 2. **Zero-skipping** ([`SkipPolicy`]) — bypass the `ed`-wide
 //!    multiply-accumulate for memory entries whose attention weight falls
 //!    below a threshold.
-//! 3. **Streaming** ([`streaming`]) — overlap loading the next chunk with
-//!    computing the current one (double buffering), hiding memory latency.
-//! 4. **Scale-out** ([`parallel`]) — partition chunks across worker threads
+//! 3. **Scale-out** ([`parallel`]) — partition chunks across worker threads
 //!    and merge the partial accumulators, the paper's multi-unit scaling
 //!    argument (Section 3.1, last paragraph).
 //!
-//! All variants implement one trait, [`Executor`] ([`exec`]): callers pick
-//! a variant declaratively with an [`ExecPlan`] (or let [`EngineKind::Auto`]
-//! choose from the memory size and thread count), reuse buffers across
-//! questions through a [`Scratch`] arena, and get per-phase wall-time
-//! breakdowns via [`Trace`] — zero-cost when disabled.
+//! Every pass goes through one trait, [`Executor`] ([`exec`]): callers pick
+//! a walk declaratively with an [`ExecPlan`] (or let [`EngineKind::Auto`]
+//! choose inline or scale-out from the rows walked and the thread count),
+//! reuse buffers across questions through a [`Scratch`] arena, and get
+//! per-phase wall-time breakdowns via [`Trace`] — zero-cost when disabled.
+//! [`PlanExecutor`] is what production runs; [`ColumnEngine`] is the inline
+//! reference every parity suite compares it against.
 //!
-//! The embedding-cache optimization operates on the memory hierarchy rather
-//! than the dataflow; it lives in `mnn-memsim` (simulated cache) and
-//! `mnn-accel` (FPGA model).
+//! The paper's *streaming* (prefetch the next chunk while the current one
+//! is computed) and its embedding cache operate on the memory hierarchy
+//! rather than the dataflow; they live in `mnn-memsim` (simulated cache,
+//! `Variant::ColumnStreaming`) and `mnn-accel` (FPGA pipeline model). A
+//! native staged walk was measured and removed — see EXPERIMENTS.md, "Why
+//! there is no native staged walk".
 //!
 //! # Example
 //!
@@ -60,7 +63,6 @@ pub mod parallel;
 pub mod partials;
 pub mod segment;
 pub mod store;
-pub mod streaming;
 
 pub use batch::{BatchEngine, BatchOutput};
 pub use budget::{Budget, CancelToken};
@@ -78,9 +80,7 @@ pub use hops::{
     multi_hop_segmented_budgeted, multi_hop_topk_segmented_budgeted,
 };
 pub use index::{ClusterIndex, ProbeResult};
-pub use parallel::ParallelEngine;
 pub use partials::{forward_chunk_partials, PartialFold};
 pub use segment::{Segment, SegmentMap, SegmentPlan};
 pub use stats::InferenceStats;
 pub use store::SegmentedStore;
-pub use streaming::StreamingEngine;

@@ -5,76 +5,19 @@
 //! "synchronization overhead is negligible because the size of output
 //! results are proportionate to ed"). Each worker fills one private
 //! softmax partial per chunk it owns; the main thread folds every chunk
-//! partial in global chunk-index order — the same fold the sequential
-//! engines perform — so the output is bitwise identical to
-//! [`crate::ColumnEngine`] at any thread count.
+//! partial in global chunk-index order — the same fold the inline walk
+//! performs — so the output is bitwise identical to
+//! [`crate::ColumnEngine`] at any thread count. [`crate::PlanExecutor`]
+//! takes this walk when its plan resolves to
+//! [`crate::EngineKind::Parallel`].
 
-use crate::budget::Budget;
-use crate::engine::{
-    check_denom, one_shot, ColumnEngine, ColumnOutput, EngineError, PassState, Walk,
-};
-use crate::exec::WorkerScratch;
-use crate::exec::{resolve_route, EngineKind, Executor, MemView, Phase, Route, Scratch, Trace};
+use crate::engine::{check_denom, EngineError, PassState};
+use crate::exec::{Phase, Trace, WorkerScratch};
 use crate::segment::Segment;
 use crate::stats::InferenceStats;
-use mnn_tensor::Matrix;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Multi-threaded scale-out wrapper around [`ColumnEngine`].
-///
-/// The thread count comes from [`crate::MnnFastConfig::threads`].
-///
-/// ```
-/// use mnn_tensor::Matrix;
-/// use mnnfast::{ColumnEngine, MnnFastConfig, parallel::ParallelEngine};
-///
-/// let m_in = Matrix::from_fn(200, 4, |r, c| ((r + c) as f32 * 0.07).sin());
-/// let m_out = m_in.clone();
-/// let u = vec![0.2f32; 4];
-/// let config = MnnFastConfig::new(32).with_threads(4);
-/// let par = ParallelEngine::new(config).forward(&m_in, &m_out, &u).unwrap();
-/// let seq = ColumnEngine::new(config.with_threads(1)).forward(&m_in, &m_out, &u).unwrap();
-/// assert_eq!(par.o, seq.o); // bitwise identical, not just approximately
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParallelEngine {
-    engine: ColumnEngine,
-}
-
-impl ParallelEngine {
-    /// Creates a scale-out engine.
-    pub fn new(config: crate::MnnFastConfig) -> Self {
-        Self {
-            engine: ColumnEngine::new(config),
-        }
-    }
-
-    /// Computes the response vector with `config.threads` workers over
-    /// contiguous row partitions, allocating fresh scratch buffers
-    /// (one-shot convenience; serving loops should call
-    /// [`Executor::forward`] with a reused [`Scratch`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ColumnEngine::forward`].
-    pub fn forward(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        u: &[f32],
-    ) -> Result<ColumnOutput, EngineError> {
-        one_shot(self, m_in, m_out, u)
-    }
-
-    /// How this engine walks a segment.
-    pub(crate) fn walk(&self) -> Walk {
-        Walk::Workers {
-            threads: self.engine.config().threads,
-        }
-    }
-}
-
-/// [`Walk::Workers`]: the rows *within* the segment are partitioned across
+/// `Walk::Workers`: the rows *within* the segment are partitioned across
 /// `threads` scoped workers on chunk boundaries, so per-thread chunking
 /// matches the sequential chunk layout (segment starts are themselves
 /// chunk-aligned). Each worker fills one partial per chunk it owns and does
@@ -200,35 +143,35 @@ pub(crate) fn walk_workers(
     check_denom(st.main.denom(), "chunk merge")
 }
 
-impl Executor for ParallelEngine {
-    fn forward(
-        &self,
-        view: MemView<'_>,
-        route: Route<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        let config = self.engine.config();
-        resolve_route(&config, view, route, u, scratch, trace, |v, p, s, t| {
-            self.engine.pass(self.walk(), v, p, u, s, t, budget)
-        })
-    }
-
-    fn config(&self) -> crate::MnnFastConfig {
-        self.engine.config()
-    }
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Parallel
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MnnFastConfig, SegmentPlan, SkipPolicy, SoftmaxMode};
+    use crate::{
+        Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
+        PlanExecutor, Route, Scratch, SegmentPlan, SkipPolicy, SoftmaxMode,
+    };
+    use mnn_tensor::Matrix;
+
+    /// The plan-built executor pinned to the scale-out walk.
+    fn parallel(config: MnnFastConfig) -> PlanExecutor {
+        ExecPlan::new(config)
+            .with_kind(EngineKind::Parallel)
+            .executor()
+    }
+
+    /// One scale-out pass over every row with a fresh scratch.
+    fn forward(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
+        parallel(config)
+            .forward(
+                MemView::from((m_in, m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+                u,
+                &mut Scratch::new(),
+                &mut Trace::disabled(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
+    }
 
     fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
         let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 5 + c) as f32 * 0.13).sin());
@@ -244,9 +187,12 @@ mod tests {
             .forward(&m_in, &m_out, &u)
             .unwrap();
         for threads in [1usize, 2, 3, 4, 8, 32] {
-            let par = ParallelEngine::new(MnnFastConfig::new(16).with_threads(threads))
-                .forward(&m_in, &m_out, &u)
-                .unwrap();
+            let par = forward(
+                MnnFastConfig::new(16).with_threads(threads),
+                &m_in,
+                &m_out,
+                &u,
+            );
             assert_eq!(par.o, seq.o, "threads {threads}: not bitwise identical");
             assert_eq!(par.stats.rows_total, 150, "threads {threads}");
         }
@@ -255,9 +201,9 @@ mod tests {
     #[test]
     fn parallel_is_deterministic() {
         let (m_in, m_out, u) = memories(97, 4);
-        let engine = ParallelEngine::new(MnnFastConfig::new(10).with_threads(4));
-        let a = engine.forward(&m_in, &m_out, &u).unwrap();
-        let b = engine.forward(&m_in, &m_out, &u).unwrap();
+        let config = MnnFastConfig::new(10).with_threads(4);
+        let a = forward(config, &m_in, &m_out, &u);
+        let b = forward(config, &m_in, &m_out, &u);
         assert_eq!(a.o, b.o, "merge order must be fixed");
     }
 
@@ -268,9 +214,7 @@ mod tests {
         let seq = ColumnEngine::new(config)
             .forward(&m_in, &m_out, &u)
             .unwrap();
-        let par = ParallelEngine::new(config.with_threads(3))
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+        let par = forward(config.with_threads(3), &m_in, &m_out, &u);
         assert_eq!(seq.stats.rows_skipped, par.stats.rows_skipped);
         assert_eq!(par.o, seq.o, "skip decisions and fold order must match");
     }
@@ -282,37 +226,29 @@ mod tests {
         let seq = ColumnEngine::new(config)
             .forward(&m_in, &m_out, &u)
             .unwrap();
-        let par = ParallelEngine::new(config.with_threads(4))
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+        let par = forward(config.with_threads(4), &m_in, &m_out, &u);
         assert_eq!(par.o, seq.o, "online rescale history must match");
     }
 
     #[test]
     fn more_threads_than_rows_is_fine() {
         let (m_in, m_out, u) = memories(3, 4);
-        let par = ParallelEngine::new(MnnFastConfig::new(2).with_threads(16))
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+        let par = forward(MnnFastConfig::new(2).with_threads(16), &m_in, &m_out, &u);
         assert_eq!(par.stats.rows_total, 3);
     }
 
     #[test]
     fn concurrent_intermediates_scale_with_threads() {
         let (m_in, m_out, u) = memories(400, 8);
-        let one = ParallelEngine::new(MnnFastConfig::new(50).with_threads(1))
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
-        let four = ParallelEngine::new(MnnFastConfig::new(50).with_threads(4))
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+        let one = forward(MnnFastConfig::new(50).with_threads(1), &m_in, &m_out, &u);
+        let four = forward(MnnFastConfig::new(50).with_threads(4), &m_in, &m_out, &u);
         assert!(four.stats.intermediate_bytes >= one.stats.intermediate_bytes);
     }
 
     #[test]
     fn parallel_trace_records_merge_phase() {
         let (m_in, m_out, u) = memories(200, 8);
-        let engine = ParallelEngine::new(MnnFastConfig::new(16).with_threads(4));
+        let engine = parallel(MnnFastConfig::new(16).with_threads(4));
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let out = Executor::forward(

@@ -15,8 +15,8 @@
 //!   skeleton (`PassState::chunk_partial`) on the same rows;
 //! - the coordinator arranges every received partial in global chunk order
 //!   and folds them through a [`PartialFold`], which reproduces the
-//!   single-node merge loop (merge plane + per-merge denominator guard +
-//!   final division) exactly.
+//!   single-node merge loop (accumulator merge + per-merge denominator
+//!   guard + final division) exactly.
 //!
 //! Row placement makes "local chunks are global chunks" true by
 //! construction: global chunk `c` (rows `c·chunk_size ..`) lives on shard
@@ -35,9 +35,8 @@ use crate::config::{SkipPolicy, SoftmaxMode};
 use crate::engine::{check_denom, check_output, AccumMut, ColumnEngine, EngineError};
 use crate::exec::{MemView, Scratch, Trace};
 use crate::stats::InferenceStats;
-use mnn_tensor::partial::{merge_lazy_into, merge_online_into};
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
-use mnn_tensor::{PartialState, ShapeError};
+use mnn_tensor::PartialState;
 
 /// Runs the column engine over the first `rows` rows of `view` (either
 /// memory plane), appending one [`PartialState`] per chunk to `out` instead
@@ -98,14 +97,8 @@ pub fn forward_chunk_partials(
 /// denominator guard and the final output guard.
 #[derive(Debug, Clone)]
 pub struct PartialFold {
-    acc: FoldAcc,
+    acc: PartialState,
     absorbed: u64,
-}
-
-#[derive(Debug, Clone)]
-enum FoldAcc {
-    Lazy(LazyAccumulator),
-    Online(OnlineSoftmax),
 }
 
 impl PartialFold {
@@ -113,8 +106,8 @@ impl PartialFold {
     pub fn new(mode: SoftmaxMode, ed: usize) -> Self {
         PartialFold {
             acc: match mode {
-                SoftmaxMode::Lazy => FoldAcc::Lazy(LazyAccumulator::new(ed)),
-                SoftmaxMode::Online => FoldAcc::Online(OnlineSoftmax::new(ed)),
+                SoftmaxMode::Lazy => PartialState::Lazy(LazyAccumulator::new(ed)),
+                SoftmaxMode::Online => PartialState::Online(OnlineSoftmax::new(ed)),
             },
             absorbed: 0,
         }
@@ -123,17 +116,14 @@ impl PartialFold {
     /// The softmax mode this fold accumulates in.
     pub fn mode(&self) -> SoftmaxMode {
         match self.acc {
-            FoldAcc::Lazy(_) => SoftmaxMode::Lazy,
-            FoldAcc::Online(_) => SoftmaxMode::Online,
+            PartialState::Lazy(_) => SoftmaxMode::Lazy,
+            PartialState::Online(_) => SoftmaxMode::Online,
         }
     }
 
     /// Output dimension.
     pub fn dim(&self) -> usize {
-        match &self.acc {
-            FoldAcc::Lazy(a) => a.dim(),
-            FoldAcc::Online(a) => a.dim(),
-        }
+        self.acc.dim()
     }
 
     /// Number of chunk partials absorbed so far.
@@ -143,16 +133,13 @@ impl PartialFold {
 
     /// Current running denominator.
     pub fn denom(&self) -> f32 {
-        match &self.acc {
-            FoldAcc::Lazy(a) => a.denom(),
-            FoldAcc::Online(a) => a.denom(),
-        }
+        self.acc.denom()
     }
 
-    /// Folds one chunk partial into the running total through the
-    /// [`mnn_tensor::partial`] merge plane (identical to the in-process
-    /// merge chokepoint), then runs the same per-merge denominator guard
-    /// the engines run.
+    /// Folds one chunk partial into the running total
+    /// ([`PartialState::merge`], the accumulators' own merge, as
+    /// in-process), then runs the same per-merge denominator guard the
+    /// engines run.
     ///
     /// # Errors
     ///
@@ -160,34 +147,7 @@ impl PartialFold {
     /// [`EngineError::NumericFault`] when the merged denominator goes
     /// non-finite (a poisoned chunk).
     pub fn absorb(&mut self, partial: &PartialState) -> Result<(), EngineError> {
-        if partial.dim() != self.dim() {
-            return Err(ShapeError::new(
-                "PartialFold::absorb",
-                format!("partial of dim {}", self.dim()),
-                format!("partial of dim {}", partial.dim()),
-            )
-            .into());
-        }
-        match (&mut self.acc, partial) {
-            (FoldAcc::Lazy(a), PartialState::Lazy(b)) => merge_lazy_into(a, b),
-            (FoldAcc::Online(a), PartialState::Online(b)) => merge_online_into(a, b),
-            (FoldAcc::Lazy(_), PartialState::Online(_)) => {
-                return Err(ShapeError::new(
-                    "PartialFold::absorb",
-                    "lazy partial",
-                    "online partial",
-                )
-                .into())
-            }
-            (FoldAcc::Online(_), PartialState::Lazy(_)) => {
-                return Err(ShapeError::new(
-                    "PartialFold::absorb",
-                    "online partial",
-                    "lazy partial",
-                )
-                .into())
-            }
-        }
+        self.acc.merge(partial)?;
         self.absorbed += 1;
         check_denom(self.denom(), "chunk merge")
     }
@@ -206,8 +166,8 @@ impl PartialFold {
         stats: &mut InferenceStats,
     ) -> Result<f32, EngineError> {
         match &self.acc {
-            FoldAcc::Lazy(a) => a.finish_into(out),
-            FoldAcc::Online(a) => a.finish_into(out),
+            PartialState::Lazy(a) => a.finish_into(out),
+            PartialState::Online(a) => a.finish_into(out),
         }
         check_output(out)?;
         let ed = self.dim() as u64;
@@ -315,18 +275,20 @@ mod tests {
         // shards a whole chunk at a time (global chunk c → shard c % S);
         // workers chunk their local stores independently; the coordinator
         // interleaves the partial streams back into global chunk order.
+        // Every partial crosses the byte encoding, on both softmax modes
+        // and both memory planes — the wire is the identity on accumulator
+        // state reached by real passes.
         let (m_in, m_out, u) = fixtures(130, 8);
+        let (q_in, q_out) = (quantize(&m_in), quantize(&m_out));
         let chunk = 16usize;
         let shards = 4usize;
-        let config = MnnFastConfig::new(chunk);
-        let engine = ColumnEngine::new(config);
-        let mut scratch = Scratch::new();
-        let reference = reference(&engine, f32_view(&m_in, &m_out), 130, &u, &mut scratch);
+        let chunks_total = 130usize.div_ceil(chunk);
 
-        // Deal global chunks round-robin into per-shard row stores.
+        // Deal global chunks round-robin into per-shard row stores. Int8
+        // quantization is per row, so a shard's mirror of its own rows
+        // holds the codes and scales the global mirror holds for them.
         let mut shard_in: Vec<Vec<f32>> = vec![Vec::new(); shards];
         let mut shard_out: Vec<Vec<f32>> = vec![Vec::new(); shards];
-        let chunks_total = 130usize.div_ceil(chunk);
         for c in 0..chunks_total {
             let start = c * chunk;
             let n = chunk.min(130 - start);
@@ -334,43 +296,70 @@ mod tests {
             shard_in[s].extend_from_slice(m_in.rows_slice(start, n));
             shard_out[s].extend_from_slice(m_out.rows_slice(start, n));
         }
+        let shard_f32: Vec<(Matrix, Matrix)> = (0..shards)
+            .map(|s| {
+                let rows = shard_in[s].len() / 8;
+                (
+                    Matrix::from_fn(rows, 8, |r, c| shard_in[s][r * 8 + c]),
+                    Matrix::from_fn(rows, 8, |r, c| shard_out[s][r * 8 + c]),
+                )
+            })
+            .collect();
+        let shard_int8: Vec<(QuantMatrix, QuantMatrix)> = shard_f32
+            .iter()
+            .map(|(mi, mo)| (quantize(mi), quantize(mo)))
+            .collect();
 
-        // Each shard produces its chunk partials independently.
-        let mut per_shard: Vec<Vec<PartialState>> = Vec::new();
-        for s in 0..shards {
-            let rows = shard_in[s].len() / 8;
-            let mi = Matrix::from_fn(rows, 8, |r, c| shard_in[s][r * 8 + c]);
-            let mo = Matrix::from_fn(rows, 8, |r, c| shard_out[s][r * 8 + c]);
-            let mut ps = Vec::new();
-            forward_chunk_partials(
-                &engine,
-                f32_view(&mi, &mo),
-                rows,
-                &u,
-                &mut scratch,
-                &mut Trace::disabled(),
-                &Budget::unlimited(),
-                &mut ps,
-            )
-            .unwrap();
-            per_shard.push(ps);
-        }
+        for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
+            for int8 in [false, true] {
+                let engine = ColumnEngine::new(MnnFastConfig::new(chunk).with_softmax(mode));
+                let mut scratch = Scratch::new();
+                let global = if int8 {
+                    MemView::from((&q_in, &q_out))
+                } else {
+                    f32_view(&m_in, &m_out)
+                };
+                let reference = reference(&engine, global, 130, &u, &mut scratch);
 
-        // Coordinator: global chunk c is shard (c % S)'s (c / S)-th partial.
-        let mut fold = PartialFold::new(SoftmaxMode::Lazy, 8);
-        for c in 0..chunks_total {
-            // Roundtrip through the wire encoding, as the real RPC does —
-            // the codec is bit-exact, so parity must survive it.
-            let encoded = per_shard[c % shards][c / shards].to_bytes();
-            let decoded = PartialState::from_bytes(&encoded).unwrap();
-            fold.absorb(&decoded).unwrap();
+                // Each shard produces its chunk partials independently.
+                let mut per_shard: Vec<Vec<PartialState>> = Vec::new();
+                for s in 0..shards {
+                    let view = if int8 {
+                        MemView::from((&shard_int8[s].0, &shard_int8[s].1))
+                    } else {
+                        f32_view(&shard_f32[s].0, &shard_f32[s].1)
+                    };
+                    let mut ps = Vec::new();
+                    forward_chunk_partials(
+                        &engine,
+                        view,
+                        view.rows(),
+                        &u,
+                        &mut scratch,
+                        &mut Trace::disabled(),
+                        &Budget::unlimited(),
+                        &mut ps,
+                    )
+                    .unwrap();
+                    per_shard.push(ps);
+                }
+
+                // Coordinator: global chunk c is shard (c % S)'s (c / S)-th
+                // partial, decoded from its wire bytes as the real RPC does.
+                let mut fold = PartialFold::new(mode, 8);
+                for c in 0..chunks_total {
+                    let encoded = per_shard[c % shards][c / shards].to_bytes();
+                    let decoded = PartialState::from_bytes(&encoded).unwrap();
+                    fold.absorb(&decoded).unwrap();
+                }
+                assert_eq!(fold.absorbed(), chunks_total as u64);
+                let mut o = Vec::new();
+                let mut stats = InferenceStats::default();
+                let denom = fold.finish_into(&mut o, &mut stats).unwrap();
+                assert_eq!(bits(&o), bits(&reference.o), "{mode:?} int8 {int8}");
+                assert_eq!(denom.to_bits(), reference.denominator.to_bits());
+            }
         }
-        assert_eq!(fold.absorbed(), chunks_total as u64);
-        let mut o = Vec::new();
-        let mut stats = InferenceStats::default();
-        let denom = fold.finish_into(&mut o, &mut stats).unwrap();
-        assert_eq!(bits(&o), bits(&reference.o));
-        assert_eq!(denom.to_bits(), reference.denominator.to_bits());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! fault-injection hook (cargo feature `fault-inject`).
 //!
 //! A worker thread that panics mid-chunk must not take the process down:
-//! the [`ParallelEngine`] contains the panic with `catch_unwind`, abandons
+//! the scale-out walk contains the panic with `catch_unwind`, abandons
 //! the pass, and surfaces [`EngineError::WorkerPanicked`] so the serving
 //! layer can degrade through its retry ladder. The engine must stay
 //! usable afterwards — the scratch buffers a panicking pass abandoned are

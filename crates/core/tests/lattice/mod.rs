@@ -1,8 +1,8 @@
 //! The generated parity lattice: every cell of
 //! engine x threads x [`MemView`] x softmax x skip x route x entry point
-//! must reproduce, bit for bit, what the simplest cell — the column engine
-//! on one thread walking an unsegmented plan through [`Executor::forward`]
-//! — answers for the same view, softmax and skip policy. Top-K cells are
+//! must reproduce, bit for bit, what the simplest cell — [`ColumnEngine`]
+//! (the inline reference `Executor`) on one thread walking an unsegmented
+//! plan through [`Executor::forward`] — answers for the same view, softmax and skip policy. Top-K cells are
 //! held to the same oracle over exactly the rows their probe hands to
 //! rescoring: a [`Route::Plan`] over the covered chunk runs (plan mode) or
 //! a memory holding exactly the candidates (gather mode).
@@ -15,9 +15,9 @@
 
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    multi_hop, multi_hop_batch, Budget, ClusterIndex, ColumnOutput, EngineKind, ExecPlan, Executor,
-    MemView, MnnFastConfig, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy, SoftmaxMode,
-    Trace,
+    multi_hop, multi_hop_batch, Budget, ClusterIndex, ColumnEngine, ColumnOutput, EngineKind,
+    ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentMap, SegmentPlan,
+    SkipPolicy, SoftmaxMode, Trace,
 };
 
 /// Rows not a multiple of the chunk size, so the last chunk is short.
@@ -58,12 +58,7 @@ pub struct Axes {
 
 /// Every cell.
 pub const FULL: Axes = Axes {
-    engines: &[
-        EngineKind::Column,
-        EngineKind::Streaming,
-        EngineKind::Parallel,
-        EngineKind::Auto,
-    ],
+    engines: &[EngineKind::Column, EngineKind::Parallel, EngineKind::Auto],
     threads: &[1, 3],
     eds: &[63, 65],
     int8: &[false, true],
@@ -83,11 +78,7 @@ pub const FULL: Axes = Axes {
 /// with, chosen so each walk, each plane, each route and each entry point
 /// is exercised at least once.
 pub const CUT: Axes = Axes {
-    engines: &[
-        EngineKind::Streaming,
-        EngineKind::Parallel,
-        EngineKind::Auto,
-    ],
+    engines: &[EngineKind::Parallel, EngineKind::Auto],
     threads: &[3],
     eds: &[65],
     int8: &[false, true],
@@ -158,7 +149,8 @@ impl Answer {
     }
 }
 
-fn pass(exec: &dyn Executor, view: MemView<'_>, route: Route<'_>, u: &[f32]) -> ColumnOutput {
+/// One pass with a fresh scratch, no trace and no budget.
+pub fn pass(exec: &dyn Executor, view: MemView<'_>, route: Route<'_>, u: &[f32]) -> ColumnOutput {
     let (mut scratch, mut trace) = (Scratch::new(), Trace::disabled());
     exec.forward(
         view,
@@ -359,9 +351,7 @@ pub fn run(axes: &Axes) -> usize {
                     let config = MnnFastConfig::new(CHUNK)
                         .with_softmax(softmax)
                         .with_skip(skip);
-                    let oracle = ExecPlan::new(config)
-                        .with_kind(EngineKind::Column)
-                        .executor();
+                    let oracle = ColumnEngine::new(config);
                     let fixture = Fixture {
                         view,
                         index: &index,

@@ -1,11 +1,12 @@
-//! Property tests: the column-based algorithm (with and without streaming,
-//! scale-out, and zero-skipping) is equivalent to the baseline dataflow.
+//! Property tests: the column-based algorithm (with and without scale-out
+//! and zero-skipping) is equivalent to the baseline dataflow.
 
 use mnn_tensor::softmax::softmax_in_place;
 use mnn_tensor::{approx_eq, kernels, Matrix};
-use mnnfast::parallel::ParallelEngine;
-use mnnfast::streaming::StreamingEngine;
-use mnnfast::{ColumnEngine, MnnFastConfig, SkipPolicy, SoftmaxMode};
+use mnnfast::{
+    Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
+    Route, Scratch, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
+};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random memories derived from a seed.
@@ -21,6 +22,28 @@ fn memories(ns: usize, ed: usize, seed: u64) -> (Matrix, Matrix, Vec<f32>) {
     let m_out = Matrix::from_fn(ns, ed, |_, _| next());
     let u: Vec<f32> = (0..ed).map(|_| next()).collect();
     (m_in, m_out, u)
+}
+
+/// One pass of the plan-built executor over every row.
+fn plan_forward(
+    config: MnnFastConfig,
+    kind: EngineKind,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    u: &[f32],
+) -> ColumnOutput {
+    ExecPlan::new(config)
+        .with_kind(kind)
+        .executor()
+        .forward(
+            MemView::from((m_in, m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            u,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
+        .unwrap()
 }
 
 fn baseline(m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> Vec<f32> {
@@ -57,7 +80,7 @@ proptest! {
     }
 
     #[test]
-    fn streaming_is_bit_identical_to_sequential(
+    fn auto_plan_is_bit_identical_to_sequential(
         ns in 1usize..200,
         ed in 1usize..16,
         chunk in 1usize..50,
@@ -66,8 +89,8 @@ proptest! {
         let (m_in, m_out, u) = memories(ns, ed, seed);
         let config = MnnFastConfig::new(chunk);
         let seq = ColumnEngine::new(config).forward(&m_in, &m_out, &u).unwrap();
-        let st = StreamingEngine::new(config).forward(&m_in, &m_out, &u).unwrap();
-        prop_assert_eq!(seq.o, st.o);
+        let auto = plan_forward(config.with_threads(2), EngineKind::Auto, &m_in, &m_out, &u);
+        prop_assert_eq!(seq.o, auto.o);
     }
 
     #[test]
@@ -81,7 +104,7 @@ proptest! {
         let (m_in, m_out, u) = memories(ns, ed, seed);
         let config = MnnFastConfig::new(chunk).with_threads(threads);
         let seq = ColumnEngine::new(config.with_threads(1)).forward(&m_in, &m_out, &u).unwrap();
-        let par = ParallelEngine::new(config).forward(&m_in, &m_out, &u).unwrap();
+        let par = plan_forward(config, EngineKind::Parallel, &m_in, &m_out, &u);
         prop_assert_eq!(par.stats.rows_total, seq.stats.rows_total);
         // Bitwise, not approximate: all engines fold chunk partials in
         // chunk-index order.

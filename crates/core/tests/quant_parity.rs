@@ -2,7 +2,7 @@
 //!
 //! The quantized path has a two-part contract. First, like the f32 plane,
 //! every engine variant folds the same chunk partials in the same global
-//! order — so Column, Streaming, Parallel, PlanExecutor, and the batch
+//! order — so Column, Parallel, Auto, and the batch
 //! engine must agree *bitwise* with each other, across segment counts and
 //! pruning settings. (The quant kernels are exact integer dots followed by
 //! one scale multiply, and the fused path uses the shared polynomial exp on
@@ -14,9 +14,16 @@
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
     multi_hop, multi_hop_batch, BatchEngine, Budget, ColumnEngine, ColumnOutput, EngineKind,
-    ExecPlan, Executor, MemView, MnnFastConfig, ParallelEngine, Route, Scratch, SegmentMap,
-    SegmentPlan, SkipPolicy, SoftmaxMode, StreamingEngine, Trace,
+    ExecPlan, Executor, MemView, MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap,
+    SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
+
+/// The plan-built executor pinned to the scale-out walk.
+fn parallel(config: MnnFastConfig) -> PlanExecutor {
+    ExecPlan::new(config)
+        .with_kind(EngineKind::Parallel)
+        .executor()
+}
 
 fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 7 + c * 3) as f32 * 0.11).sin() * 0.6);
@@ -93,10 +100,9 @@ fn quant_engines_agree_bitwise_across_segments() {
             let plan_exec = ExecPlan::new(config.with_threads(3))
                 .with_kind(EngineKind::Auto)
                 .executor();
-            let executors: [(&str, &dyn Executor); 4] = [
+            let executors: [(&str, &dyn Executor); 3] = [
                 ("column", &ColumnEngine::new(config)),
-                ("streaming", &StreamingEngine::new(config)),
-                ("parallel", &ParallelEngine::new(config.with_threads(4))),
+                ("parallel", &parallel(config.with_threads(4))),
                 ("plan", &plan_exec),
             ];
             let base_plan = SegmentPlan::unsegmented(q_in.rows());
@@ -205,10 +211,9 @@ fn quant_pruning_fires_on_skewed_memories_and_stays_bitwise() {
     let q_out = QuantMatrix::from_matrix(&m_out);
     let chunk = 16usize;
     let config = MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online);
-    let executors: [(&str, &dyn Executor); 3] = [
+    let executors: [(&str, &dyn Executor); 2] = [
         ("column", &ColumnEngine::new(config)),
-        ("streaming", &StreamingEngine::new(config)),
-        ("parallel", &ParallelEngine::new(config.with_threads(4))),
+        ("parallel", &parallel(config.with_threads(4))),
     ];
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 8, chunk);
     let base_plan = SegmentPlan::unsegmented(q_in.rows());
@@ -334,7 +339,7 @@ fn quant_multi_hop_agrees_across_engines_bitwise() {
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 4, chunk);
     let plan = SegmentPlan::routed(&map, true);
     let column = ColumnEngine::new(config);
-    let parallel = ParallelEngine::new(config.with_threads(3));
+    let parallel = parallel(config.with_threads(3));
     let mut hop_outs = Vec::new();
     for exec in [&column as &dyn Executor, &parallel] {
         let mut scratch = Scratch::new();

@@ -25,11 +25,7 @@ fn memories(ns: usize, ed: usize, seed: u64) -> (Matrix, Matrix, Vec<f32>) {
     (m_in, m_out, u)
 }
 
-const KINDS: [EngineKind; 3] = [
-    EngineKind::Column,
-    EngineKind::Streaming,
-    EngineKind::Parallel,
-];
+const KINDS: [EngineKind; 3] = [EngineKind::Column, EngineKind::Parallel, EngineKind::Auto];
 
 fn run_budgeted(
     kind: EngineKind,

@@ -1,18 +1,24 @@
 //! Segmented == unsegmented parity, bitwise.
 //!
 //! The segment plane's contract is that routing a forward pass through a
-//! [`SegmentMap`] — any segment count, pruning on or off, wire-format
-//! roundtrips forced on or off — changes *nothing* about the answer: the
-//! same chunk partials fold in the same global order, pruned segments
-//! contribute only exactly-zero terms, and the byte codec is bit-faithful.
+//! [`SegmentMap`] — any segment count, pruning on or off — changes
+//! *nothing* about the answer: the same chunk partials fold in the same
+//! global order and pruned segments contribute only exactly-zero terms.
 //! Every assertion here is `to_bits` equality, not approximate.
 
 use mnn_tensor::Matrix;
 use mnnfast::{
     segment, BatchEngine, Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor,
-    MemView, MnnFastConfig, ParallelEngine, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy,
-    SoftmaxMode, StreamingEngine, Trace,
+    MemView, MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy,
+    SoftmaxMode, Trace,
 };
+
+/// The plan-built executor pinned to the scale-out walk.
+fn parallel(config: MnnFastConfig) -> PlanExecutor {
+    ExecPlan::new(config)
+        .with_kind(EngineKind::Parallel)
+        .executor()
+}
 
 fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 7 + c * 3) as f32 * 0.11).sin() * 0.6);
@@ -104,10 +110,9 @@ fn segmented_matches_unsegmented_bitwise_across_engines() {
             let plan_exec = ExecPlan::new(config.with_threads(3))
                 .with_kind(EngineKind::Auto)
                 .executor();
-            let executors: [(&str, &dyn Executor); 4] = [
+            let executors: [(&str, &dyn Executor); 3] = [
                 ("column", &ColumnEngine::new(config)),
-                ("streaming", &StreamingEngine::new(config)),
-                ("parallel", &ParallelEngine::new(config.with_threads(4))),
+                ("parallel", &parallel(config.with_threads(4))),
                 ("plan", &plan_exec),
             ];
             for (name, exec) in executors {
@@ -139,10 +144,9 @@ fn pruning_fires_on_skewed_memories_and_stays_bitwise() {
     let (m_in, m_out, u) = skewed_memories(170, 8);
     let chunk = 16usize;
     let config = MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online);
-    let executors: [(&str, &dyn Executor); 3] = [
+    let executors: [(&str, &dyn Executor); 2] = [
         ("column", &ColumnEngine::new(config)),
-        ("streaming", &StreamingEngine::new(config)),
-        ("parallel", &ParallelEngine::new(config.with_threads(4))),
+        ("parallel", &parallel(config.with_threads(4))),
     ];
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 8, chunk);
     for (name, exec) in executors {
@@ -332,39 +336,6 @@ fn batched_pruning_is_per_question_and_bitwise() {
     assert_eq!(q1.stats.segments_pruned, 0, "flat question must not prune");
     assert_bitwise(q0, base[0].as_ref().unwrap(), "batch q0 (pruning)");
     assert_bitwise(q1, base[1].as_ref().unwrap(), "batch q1 (full scan)");
-}
-
-#[test]
-fn wire_merge_forced_roundtrips_are_bitwise() {
-    // Force every segment-boundary merge through the serialized wire
-    // format; the answers must not move by a single bit.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            mnn_tensor::partial::set_wire_merge(None);
-        }
-    }
-    let _restore = Restore;
-
-    let (m_in, m_out, u) = memories(230, 8);
-    let chunk = 16usize;
-    for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-        let config = MnnFastConfig::new(chunk).with_softmax(mode);
-        let executors: [(&str, &dyn Executor); 3] = [
-            ("column", &ColumnEngine::new(config)),
-            ("streaming", &StreamingEngine::new(config)),
-            ("parallel", &ParallelEngine::new(config.with_threads(4))),
-        ];
-        let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 5, chunk);
-        for (name, exec) in executors {
-            mnn_tensor::partial::set_wire_merge(None);
-            let base = run_segmented(exec, &m_in, &m_out, &map, false, &u);
-            mnn_tensor::partial::set_wire_merge(Some(true));
-            let wired = run_segmented(exec, &m_in, &m_out, &map, false, &u);
-            mnn_tensor::partial::set_wire_merge(None);
-            assert_bitwise(&wired, &base, &format!("{name} {mode:?} wire-merge"));
-        }
-    }
 }
 
 #[test]

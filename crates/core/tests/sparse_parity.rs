@@ -17,8 +17,8 @@
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
     multi_hop, Budget, ClusterIndex, ColumnEngine, ColumnOutput, EngineError, EngineKind, ExecPlan,
-    Executor, MemView, MnnFastConfig, ParallelEngine, Phase, Route, Scratch, SegmentPlan,
-    SegmentedStore, SkipPolicy, SoftmaxMode, StreamingEngine, Trace,
+    Executor, MemView, MnnFastConfig, Phase, Route, Scratch, SegmentPlan, SegmentedStore,
+    SkipPolicy, SoftmaxMode, Trace,
 };
 
 const CHUNK: usize = 16;
@@ -73,8 +73,11 @@ fn pass(
 fn engines(config: MnnFastConfig) -> Vec<Box<dyn Executor>> {
     vec![
         Box::new(ColumnEngine::new(config)),
-        Box::new(StreamingEngine::new(config)),
-        Box::new(ParallelEngine::new(config.with_threads(2))),
+        Box::new(
+            ExecPlan::new(config.with_threads(2))
+                .with_kind(EngineKind::Parallel)
+                .executor(),
+        ),
         Box::new(ExecPlan::new(config).with_kind(EngineKind::Auto).executor()),
     ]
 }
@@ -136,11 +139,9 @@ fn sparse_is_bitwise_exact_on_rescored_rows_for_every_engine() {
             )
             .unwrap();
             assert_eq!(
-                sparse.o,
-                exact.o,
+                sparse.o, exact.o,
                 "sparse answer must be bitwise exact attention over the \
-                 rescored rows ({softmax:?}, {:?})",
-                exec.kind()
+                 rescored rows ({softmax:?}, {exec:?})"
             );
         }
     }
@@ -184,10 +185,8 @@ fn sparse_quant_is_bitwise_exact_on_rescored_rows() {
             )
             .unwrap();
             assert_eq!(
-                sparse.o,
-                exact.o,
-                "quant sparse answer must be bitwise exact ({softmax:?}, {:?})",
-                exec.kind()
+                sparse.o, exact.o,
+                "quant sparse answer must be bitwise exact ({softmax:?}, {exec:?})"
             );
         }
     }

@@ -384,9 +384,8 @@ impl Session {
         fingerprint: Option<u64>,
     ) -> Result<Self, ServeError> {
         // Fail fast on malformed environment knobs: a session created with
-        // a typo'd MNNFAST_SIMD / MNNFAST_WIRE_MERGE / MNNFAST_FAULT /
-        // MNNFAST_SEGMENTS surfaces a typed error here instead of silently
-        // serving with the default.
+        // a typo'd MNNFAST_SIMD / MNNFAST_FAULT / MNNFAST_SEGMENTS surfaces
+        // a typed error here instead of silently serving with the default.
         mnn_tensor::validate_env()?;
         let segments = resolve_segments(config.segments)?;
         let topk = resolve_topk(config.topk)?;
@@ -1598,12 +1597,7 @@ mod tests {
         let (mut generator, model) = trained_serving_model();
         let story = generator.story(8, 2);
         let mut answers = Vec::new();
-        for kind in [
-            EngineKind::Column,
-            EngineKind::Streaming,
-            EngineKind::Parallel,
-            EngineKind::Auto,
-        ] {
+        for kind in [EngineKind::Column, EngineKind::Parallel, EngineKind::Auto] {
             let config = SessionConfig {
                 plan: ExecPlan::new(MnnFastConfig::new(4).with_threads(2)).with_kind(kind),
                 ..SessionConfig::default()

@@ -5,7 +5,7 @@
 use mnn_serve::SegmentedStore;
 use mnn_tensor::QuantMatrix;
 use mnnfast::{
-    Budget, ColumnEngine, Executor, MnnFastConfig, ParallelEngine, Precision, Route, Scratch,
+    Budget, ColumnEngine, EngineKind, ExecPlan, Executor, MnnFastConfig, Precision, Route, Scratch,
     SegmentPlan, SoftmaxMode, Trace,
 };
 use proptest::collection::vec;
@@ -155,7 +155,9 @@ proptest! {
             prop_assert!((a - b).abs() / norm <= tol, "quant {a} vs f32 {b}");
         }
         // Bitwise identity across engine variants on the quant plane.
-        let parallel: &dyn Executor = &ParallelEngine::new(config.with_threads(3));
+        let parallel: &dyn Executor = &ExecPlan::new(config.with_threads(3))
+            .with_kind(EngineKind::Parallel)
+            .executor();
         let q_par = parallel
             .forward(q_view, Route::Plan(&plan), &query, &mut scratch, &mut trace, &Budget::unlimited())
             .unwrap();

@@ -66,8 +66,9 @@ fn segmented_sessions_answer_bitwise_identically() {
     let stories: Vec<Story> = (0..4).map(|_| generator.story(20, 3)).collect();
 
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-        for kind in [EngineKind::Column, EngineKind::Streaming] {
-            let p = plan(mode, kind);
+        for kind in [EngineKind::Column, EngineKind::Parallel] {
+            let mut p = plan(mode, kind);
+            p.config = p.config.with_threads(2);
             let mut baseline = Session::new(model.clone(), config(p, 1)).unwrap();
             let expected: Vec<Vec<(u32, u32, u64, u64)>> =
                 stories.iter().map(|s| replay(&mut baseline, s)).collect();

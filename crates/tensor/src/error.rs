@@ -44,10 +44,9 @@ impl Error for ShapeError {}
 /// Error returned when an `MNNFAST_*` environment variable holds a value
 /// that does not parse.
 ///
-/// The runtime knobs (`MNNFAST_SIMD`, `MNNFAST_SEGMENTS`,
-/// `MNNFAST_WIRE_MERGE`, `MNNFAST_FAULT`) historically fell back to their
-/// defaults on garbage, which silently disabled the feature the operator
-/// asked for. The checked parsers report this type instead; an *unset or
+/// The runtime knobs (`MNNFAST_SIMD`, `MNNFAST_SEGMENTS`, `MNNFAST_FAULT`)
+/// historically fell back to their defaults on garbage, which silently
+/// disabled the feature the operator asked for. The checked parsers report this type instead; an *unset or
 /// empty* variable still means "use the default" everywhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvVarError {

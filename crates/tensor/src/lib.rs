@@ -69,8 +69,8 @@ pub use partial::{PartialDecodeError, PartialState};
 pub use quant::QuantMatrix;
 
 /// Validates every `MNNFAST_*` environment variable this crate consumes
-/// (`MNNFAST_SIMD`, `MNNFAST_WIRE_MERGE`, and — under the `fault-inject`
-/// feature — `MNNFAST_FAULT`), returning the first typed error.
+/// (`MNNFAST_SIMD` and — under the `fault-inject` feature —
+/// `MNNFAST_FAULT`), returning the first typed error.
 ///
 /// The lazy in-library readers keep their lenient fall-back-to-default
 /// behaviour so kernels always resolve; serving entry points (the CLI, the
@@ -79,7 +79,6 @@ pub use quant::QuantMatrix;
 /// variables are valid everywhere and mean "use the default".
 pub fn validate_env() -> Result<(), EnvVarError> {
     simd::backend_from_env()?;
-    partial::wire_merge_from_env()?;
     #[cfg(feature = "fault-inject")]
     fault::check_env()?;
     Ok(())

@@ -1,7 +1,7 @@
 //! The segment merge plane: serializable, mergeable softmax partial state.
 //!
 //! Every execution path in the reproduction — sequential fold, scale-out,
-//! streaming, batched, multi-hop — reduces memory rows to a *partial*: a
+//! batched, multi-hop — reduces memory rows to a *partial*: a
 //! lazy `(Σ e^x·m, Σ e^x)` pair or an online `(Σ e^{x−max}·m, Σ e^{x−max},
 //! max)` triple, folded in a fixed global chunk order. [`PartialState`]
 //! makes that partial a first-class value with a versioned, length-prefixed
@@ -9,15 +9,12 @@
 //! in-process today can later run across a socket (the coordinator/worker
 //! split of the scale-out roadmap) without changing a single fold.
 //!
-//! All merge call sites in the engine crate route through
-//! [`merge_lazy_into`] / [`merge_online_into`], the plane's chokepoint.
-//! When *wire merge* mode is armed ([`set_wire_merge`], or the
-//! `MNNFAST_WIRE_MERGE` environment variable), every merge first roundtrips
-//! the source partial through [`PartialState::to_bytes`] /
-//! [`PartialState::from_bytes`] — proving, on the real test suite, that the
-//! wire format is answer-bitwise-faithful before any network exists.
+//! In-process folds call the accumulators' own `merge`; the distributed
+//! plane ships each chunk partial through [`PartialState::to_bytes`] /
+//! [`PartialState::from_bytes`] and folds the decoded value the same way.
 //! Encoding uses [`f32::to_le_bytes`], which is bit-exact (NaN payloads
-//! included), so the roundtrip is the identity on the accumulator state.
+//! included), so the roundtrip is the identity on the accumulator state —
+//! which is why a distributed answer is bitwise the local one.
 //!
 //! ## Wire format (version 2, all fields little-endian)
 //!
@@ -46,8 +43,6 @@ use crate::softmax::{LazyAccumulator, OnlineSoftmax};
 use crate::ShapeError;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicI8, Ordering};
-use std::sync::OnceLock;
 
 /// Wire magic tag, `"PS"` in little-endian order.
 pub const MAGIC: u16 = 0x5350;
@@ -357,135 +352,6 @@ impl fmt::Display for PartialDecodeError {
 
 impl Error for PartialDecodeError {}
 
-/// Forced wire-merge state: `-1` unset (defer to the environment), `0`
-/// off, `1` on. Programmatic override for tests that must not depend on
-/// process environment.
-static WIRE_MERGE_FORCED: AtomicI8 = AtomicI8::new(-1);
-
-fn wire_merge_env() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        matches!(
-            std::env::var("MNNFAST_WIRE_MERGE").ok().as_deref(),
-            Some("1") | Some("true") | Some("on")
-        )
-    })
-}
-
-/// Reads `MNNFAST_WIRE_MERGE` strictly: unset or empty means "default off"
-/// (`Ok(None)`), `1`/`true`/`on` force wire merges, `0`/`false`/`off`
-/// force them off, and anything else is an
-/// [`EnvVarError`](crate::EnvVarError).
-///
-/// The lazy reader used by [`wire_merge_enabled`] keeps its historical
-/// lenient "anything unrecognized is off" behaviour; serving entry points
-/// call [`crate::validate_env`] so typos (`MNNFAST_WIRE_MERGE=yes`) fail
-/// loudly at startup instead of silently skipping the codec.
-pub fn wire_merge_from_env() -> Result<Option<bool>, crate::EnvVarError> {
-    match std::env::var("MNNFAST_WIRE_MERGE") {
-        Ok(v) => match v.as_str() {
-            "" => Ok(None),
-            "1" | "true" | "on" => Ok(Some(true)),
-            "0" | "false" | "off" => Ok(Some(false)),
-            _ => Err(crate::EnvVarError::new(
-                "MNNFAST_WIRE_MERGE",
-                v,
-                "one of `1`, `0`, `true`, `false`, `on`, `off` (empty/unset = off)",
-            )),
-        },
-        Err(_) => Ok(None),
-    }
-}
-
-/// Forces wire-merge mode on or off (`Some`), or restores the
-/// `MNNFAST_WIRE_MERGE` environment default (`None`).
-///
-/// Wire-merge mode makes every plane merge ([`merge_lazy_into`] /
-/// [`merge_online_into`]) and every segment-boundary handoff roundtrip
-/// through the byte encoding first. Because the encoding is bit-exact the
-/// results are bitwise identical either way — that identity, checked by
-/// the parity suites, is the proof the wire format is faithful.
-pub fn set_wire_merge(on: Option<bool>) {
-    WIRE_MERGE_FORCED.store(
-        match on {
-            None => -1,
-            Some(false) => 0,
-            Some(true) => 1,
-        },
-        Ordering::SeqCst,
-    );
-}
-
-/// `true` when merges should cross the serialization boundary
-/// (see [`set_wire_merge`]).
-pub fn wire_merge_enabled() -> bool {
-    match WIRE_MERGE_FORCED.load(Ordering::SeqCst) {
-        0 => false,
-        1 => true,
-        _ => wire_merge_env(),
-    }
-}
-
-/// Roundtrips a lazy accumulator through the wire format, returning the
-/// decoded copy (bit-exact by construction).
-///
-/// # Panics
-///
-/// Panics if the self-produced encoding fails to decode — impossible
-/// unless the codec itself is broken, which is exactly what the opt-in
-/// wire-merge mode exists to catch.
-pub fn roundtrip_lazy(acc: &LazyAccumulator) -> LazyAccumulator {
-    let bytes = PartialState::Lazy(acc.clone()).to_bytes();
-    match PartialState::from_bytes(&bytes) {
-        Ok(PartialState::Lazy(rt)) => rt,
-        other => panic!("self-encoded lazy partial failed to decode: {other:?}"),
-    }
-}
-
-/// Roundtrips an online accumulator through the wire format, returning the
-/// decoded copy (bit-exact by construction).
-///
-/// # Panics
-///
-/// As [`roundtrip_lazy`].
-pub fn roundtrip_online(acc: &OnlineSoftmax) -> OnlineSoftmax {
-    let bytes = PartialState::Online(acc.clone()).to_bytes();
-    match PartialState::from_bytes(&bytes) {
-        Ok(PartialState::Online(rt)) => rt,
-        other => panic!("self-encoded online partial failed to decode: {other:?}"),
-    }
-}
-
-/// Folds a lazy partial into a running lazy accumulator — the merge
-/// plane's lazy chokepoint. Every lazy merge in the engine crate (chunk
-/// folds, worker folds, batch folds) goes through here; in wire-merge mode
-/// the source partial crosses the serialization boundary first.
-///
-/// # Panics
-///
-/// Panics if the dimensions differ (as [`LazyAccumulator::merge`]).
-pub fn merge_lazy_into(dst: &mut LazyAccumulator, src: &LazyAccumulator) {
-    if wire_merge_enabled() {
-        dst.merge(&roundtrip_lazy(src));
-    } else {
-        dst.merge(src);
-    }
-}
-
-/// Folds an online partial into a running online accumulator — the merge
-/// plane's online chokepoint (see [`merge_lazy_into`]).
-///
-/// # Panics
-///
-/// Panics if the dimensions differ (as [`OnlineSoftmax::merge`]).
-pub fn merge_online_into(dst: &mut OnlineSoftmax, src: &OnlineSoftmax) {
-    if wire_merge_enabled() {
-        dst.merge(&roundtrip_online(src));
-    } else {
-        dst.merge(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,62 +450,31 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip_merge_is_bitwise_identical_to_in_memory_merge() {
+    fn merge_of_a_decoded_partial_is_bitwise_the_in_memory_merge() {
+        fn via_wire(mut total: PartialState, part: &PartialState) -> PartialState {
+            let decoded = PartialState::from_bytes(&part.to_bytes()).unwrap();
+            total.merge(&decoded).unwrap();
+            total
+        }
         for dim in [1usize, 5, 16] {
             // Lazy.
             let (a, b) = (lazy_fixture(dim, 0.21), lazy_fixture(dim, 0.53));
             let mut in_memory = a.clone();
             in_memory.merge(&b);
-            let mut via_wire = a.clone();
-            via_wire.merge(&roundtrip_lazy(&b));
             assert_bitwise_eq(
                 &PartialState::Lazy(in_memory),
-                &PartialState::Lazy(via_wire),
+                &via_wire(PartialState::Lazy(a), &PartialState::Lazy(b)),
             );
 
             // Online (exercises the rescale chain on decoded state).
             let (a, b) = (online_fixture(dim, 0.11), online_fixture(dim, 0.77));
             let mut in_memory = a.clone();
             in_memory.merge(&b);
-            let mut via_wire = a.clone();
-            via_wire.merge(&roundtrip_online(&b));
             assert_bitwise_eq(
                 &PartialState::Online(in_memory),
-                &PartialState::Online(via_wire),
+                &via_wire(PartialState::Online(a), &PartialState::Online(b)),
             );
         }
-    }
-
-    #[test]
-    fn plane_merge_functions_match_direct_merges_in_both_modes() {
-        let (a, b) = (online_fixture(6, 0.4), online_fixture(6, 0.9));
-        let mut direct = a.clone();
-        direct.merge(&b);
-
-        for forced in [Some(false), Some(true)] {
-            set_wire_merge(forced);
-            let mut via_plane = a.clone();
-            merge_online_into(&mut via_plane, &b);
-            assert_bitwise_eq(
-                &PartialState::Online(direct.clone()),
-                &PartialState::Online(via_plane),
-            );
-        }
-        set_wire_merge(None);
-
-        let (a, b) = (lazy_fixture(6, 0.4), lazy_fixture(6, 0.9));
-        let mut direct = a.clone();
-        direct.merge(&b);
-        for forced in [Some(false), Some(true)] {
-            set_wire_merge(forced);
-            let mut via_plane = a.clone();
-            merge_lazy_into(&mut via_plane, &b);
-            assert_bitwise_eq(
-                &PartialState::Lazy(direct.clone()),
-                &PartialState::Lazy(via_plane),
-            );
-        }
-        set_wire_merge(None);
     }
 
     #[test]

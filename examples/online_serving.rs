@@ -9,7 +9,7 @@ use mnn_dataset::babi::{BabiGenerator, TaskKind};
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
 use mnn_serve::{Session, SessionConfig};
-use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, Phase, SkipPolicy};
+use mnnfast::{ExecPlan, MnnFastConfig, Phase, SkipPolicy};
 
 fn main() {
     // Train a serving model (no age-indexed temporal encoding — position
@@ -30,10 +30,9 @@ fn main() {
     let vocab = generator.vocab().clone();
 
     // A sliding-window session: at most 6 sentences of context, answered by
-    // the streaming engine with zero-skipping.
+    // the auto-selected walk with zero-skipping.
     let session_config = SessionConfig {
-        plan: ExecPlan::new(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.01)))
-            .with_kind(EngineKind::Streaming),
+        plan: ExecPlan::new(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.01))),
         max_sentences: Some(6),
         trace: true,
         ..SessionConfig::default()

@@ -1,7 +1,7 @@
 //! Large-scale serving scenario: a Wikipedia-sized (scaled-down) story
-//! memory served by the column-based algorithm with streaming, scale-out
-//! threads, and zero-skipping — the Section 3.1 sizing argument made
-//! concrete, plus the simulated off-chip picture.
+//! memory served by the column-based algorithm with scale-out threads and
+//! zero-skipping — the Section 3.1 sizing argument made concrete, plus the
+//! simulated off-chip picture.
 //!
 //! Run with: `cargo run --release --example wiki_scale`
 
@@ -48,12 +48,6 @@ fn main() {
                 .executor(),
         ),
         (
-            "column + streaming",
-            ExecPlan::new(config)
-                .with_kind(EngineKind::Streaming)
-                .executor(),
-        ),
-        (
             "column + 4-thread scale-out",
             ExecPlan::new(config.with_threads(4))
                 .with_kind(EngineKind::Parallel)
@@ -63,10 +57,8 @@ fn main() {
         // entries whose unnormalized weight e^{u·m} is below e^{1} — i.e.
         // everything except the strongly aligned "relevant" rows.
         (
-            "MnnFast (stream + raw skip)",
-            ExecPlan::new(config.with_skip(SkipPolicy::RawWeight(2.7)))
-                .with_kind(EngineKind::Streaming)
-                .executor(),
+            "MnnFast (auto + raw skip)",
+            ExecPlan::new(config.with_threads(4).with_skip(SkipPolicy::RawWeight(2.7))).executor(),
         ),
     ];
 

@@ -6,7 +6,7 @@ use mnn_dataset::text;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{eval, MemNet, ModelConfig};
 use mnn_serve::{Session, SessionConfig};
-use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, Precision, SkipPolicy};
+use mnnfast::{ExecPlan, MnnFastConfig, Precision, SkipPolicy};
 
 #[test]
 fn train_save_load_serve_round_trip() {
@@ -32,8 +32,7 @@ fn train_save_load_serve_round_trip() {
     let offline = eval::accuracy(&restored, std::slice::from_ref(&story));
 
     let session_config = SessionConfig {
-        plan: ExecPlan::new(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.001)))
-            .with_kind(EngineKind::Streaming),
+        plan: ExecPlan::new(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.001))),
         max_sentences: None,
         trace: false,
         ..SessionConfig::default()
