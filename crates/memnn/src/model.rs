@@ -2,7 +2,7 @@
 
 use mnn_dataset::babi::{BabiGenerator, Story};
 use mnn_dataset::WordId;
-use mnn_tensor::{reduce, softmax, Matrix};
+use mnn_tensor::{softmax, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -368,11 +368,14 @@ impl MemNet {
     /// question. Each logit is the same per-row `dot` over the same
     /// operands [`MemNet::output_logits`] computes
     /// ([`mnn_tensor::kernels::gemv_chunk`] is one `dot` per row on either
-    /// backend, dispatched once per block instead of once per row), and the
-    /// word/probability are [`reduce::argmax`] /
-    /// [`softmax::softmax_prob_at`] over those logits, so an answer is
-    /// bitwise what `output_logits` + `argmax` + `softmax_in_place` give,
-    /// whatever else shares its batch. One question is the same loop.
+    /// backend, dispatched once per block instead of once per row). Once
+    /// the walk is done, one [`softmax::argmax_softmax`] call per question
+    /// reads its logits: the word is bitwise what `output_logits` +
+    /// [`mnn_tensor::reduce::argmax`] give, and the probability is the
+    /// canonical answer-softmax kernel's, a function of the logits alone —
+    /// so an answer is the same bits whatever else shares its batch, and
+    /// within [`mnn_tensor::simd::ARGMAX_SOFTMAX_MAX_REL_ERROR`] of
+    /// `softmax_in_place`. One question is the same loop.
     ///
     /// # Panics
     ///
@@ -402,8 +405,8 @@ impl MemNet {
         }
         stage.answers.clear();
         stage.answers.extend((0..nq).map(|q| {
-            let logits = &stage.logits[q * vocab..(q + 1) * vocab];
-            reduce::argmax(logits).map(|w| (w as WordId, softmax::softmax_prob_at(logits, w)))
+            softmax::argmax_softmax(&stage.logits[q * vocab..(q + 1) * vocab])
+                .map(|(w, p)| (w as WordId, p))
         }));
     }
 }
@@ -436,6 +439,8 @@ impl OutputStage {
 mod tests {
     use super::*;
     use mnn_dataset::babi::TaskKind;
+    use mnn_tensor::reduce;
+    use mnn_tensor::simd::ARGMAX_SOFTMAX_MAX_REL_ERROR;
 
     fn small_model() -> (BabiGenerator, MemNet) {
         let generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 3);
@@ -563,9 +568,11 @@ mod tests {
         for (got, (o, u)) in stage.answers().iter().zip(&pairs) {
             let mut logits = model.output_logits(o, u);
             let word = reduce::argmax(&logits).unwrap();
+            let (_, kernel) = softmax::argmax_softmax(&logits).unwrap();
             softmax::softmax_in_place(&mut logits);
             let (w, p) = got.expect("non-empty vocabulary");
-            assert_eq!((w as usize, p.to_bits()), (word, logits[word].to_bits()));
+            assert_eq!((w as usize, p.to_bits()), (word, kernel.to_bits()));
+            assert!((p - logits[word]).abs() <= ARGMAX_SOFTMAX_MAX_REL_ERROR * logits[word]);
         }
         // The stage is reusable, and an empty batch answers nothing.
         model.output_answers(std::iter::empty(), &mut stage);

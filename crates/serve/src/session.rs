@@ -104,7 +104,7 @@ pub struct SessionConfig {
     /// re-answered locally and the fleet is torn down. `0` (the default)
     /// defers to `MNNFAST_WORKERS`, falling back to local serving; `1` is
     /// explicit local serving. Incompatible with [`Self::max_sentences`]
-    /// (eviction is not mirrored), `segments > 1`, and
+    /// (eviction is not mirrored), top-K attention ([`Self::topk`]), and
     /// [`mnnfast::SkipPolicy::Probability`].
     pub workers: usize,
     /// Copies of every shard across the fleet (failover capacity). `0`
@@ -126,9 +126,9 @@ pub struct SessionConfig {
     /// [`DegradationStats::sparse_fallbacks`]. Batched asks
     /// ([`Session::ask_many`]) always run exact attention. `0` (the
     /// default) defers to `MNNFAST_TOPK`, falling back to exact attention.
-    /// Incompatible with distributed serving (`workers >= 2`), segment
-    /// routing (`segments > 1`), [`mnnfast::SkipPolicy::Probability`], and
-    /// a [`Self::max_sentences`] window no larger than `topk`.
+    /// Incompatible with distributed serving (`workers >= 2`),
+    /// [`mnnfast::SkipPolicy::Probability`], and a [`Self::max_sentences`]
+    /// window no larger than `topk`.
     pub topk: usize,
     /// Clusters probed per top-K question before candidate gathering stops
     /// (probing always continues until `topk` candidates are found, so this
@@ -175,7 +175,7 @@ pub enum ServeError {
     Environment(EnvVarError),
     /// The distributed serving plane failed to come up (worker spawn or
     /// coordinator handshake), or its configuration is incompatible with
-    /// the session (sliding window, segment routing, probability skip).
+    /// the session (sliding window, top-K attention, probability skip).
     /// Mid-flight fleet failures never surface here — questions fall back
     /// to the local plane instead.
     Dist(String),

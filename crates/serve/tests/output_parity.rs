@@ -1,12 +1,14 @@
 //! Parity tests for the shared output stage.
 //!
 //! [`MemNet::output_answers`] answers a whole batch in one blocked pass
-//! over `W`. It is a pure optimization: for every question, whatever else
-//! shares its batch, `(word, probability.to_bits())` must equal what the
-//! per-question sequence it replaced — `output_logits` + `argmax` +
-//! `softmax_in_place`, kept here as the reference — gives. Shapes are the
-//! awkward ones: `ed` off the SIMD width, vocabularies that are not a
-//! multiple of the row block, and every batch size the serving paths use.
+//! over `W`. For every question, whatever else shares its batch and
+//! whatever the row block, its answer is the per-question reference
+//! below, bit for bit: the word of `output_logits` + `reduce::argmax`,
+//! and the probability `softmax::argmax_softmax` gives on those logits.
+//! That probability is in turn within `ARGMAX_SOFTMAX_MAX_REL_ERROR` of
+//! the textbook `softmax_in_place`. Shapes are the awkward ones: `ed` off
+//! the SIMD width, vocabularies that are not a multiple of the row block,
+//! and every batch size the serving paths use.
 //!
 //! Every test runs on both kernel backends. The backend is process-global,
 //! so the tests of this file take turns behind one lock.
@@ -14,7 +16,7 @@
 use mnn_memnn::model::OUTPUT_BLOCK_BYTES;
 use mnn_memnn::{MemNet, ModelConfig, OutputStage};
 use mnn_serve::{Session, SessionConfig};
-use mnn_tensor::simd::{self, Backend};
+use mnn_tensor::simd::{self, Backend, ARGMAX_SOFTMAX_MAX_REL_ERROR};
 use mnn_tensor::{reduce, softmax};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -60,13 +62,21 @@ fn responses(nq: usize, ed: usize, seed: u64) -> Vec<(Vec<f32>, Vec<f32>)> {
         .collect()
 }
 
-/// The output stage as `Session::ask` computed it before the shared
-/// helper: one GEMV, arg-max, a full softmax, one element read.
+/// One question's answer from its unblocked logits: the `reduce::argmax`
+/// word and the `softmax::argmax_softmax` probability, which is checked
+/// against the textbook `softmax_in_place` here.
 fn reference(model: &MemNet, o: &[f32], u: &[f32]) -> Option<(u32, f32)> {
     let mut logits = model.output_logits(o, u);
     let word = reduce::argmax(&logits)?;
+    let (_, p) = softmax::argmax_softmax(&logits)?;
     softmax::softmax_in_place(&mut logits);
-    Some((word as u32, logits[word]))
+    let textbook = logits[word];
+    assert!(
+        (p.is_nan() && textbook.is_nan())
+            || (p - textbook).abs() <= ARGMAX_SOFTMAX_MAX_REL_ERROR * textbook,
+        "word {word}: probability {p} vs softmax_in_place {textbook}"
+    );
+    Some((word as u32, p))
 }
 
 fn staged(model: &MemNet, batch: &[(Vec<f32>, Vec<f32>)]) -> Vec<Option<(u32, f32)>> {
@@ -141,9 +151,9 @@ fn all_equal_logits_pick_the_first_word() {
 }
 
 #[test]
-fn a_nan_logit_is_handled_as_the_reference_handles_it() {
-    // A NaN row in the middle, and one as the very last word (where
-    // `reduce::argmax` ends up selecting it).
+fn a_nan_logit_poisons_the_probability_but_never_wins_the_word() {
+    // A NaN row in the middle, and one as the very last word, where a
+    // running arg-max that let the NaN in would have kept it.
     for nan_row in [17usize, 300] {
         let mut model = model(301, 5, 9);
         model.w.row_mut(nan_row)[2] = f32::NAN;
@@ -155,7 +165,12 @@ fn a_nan_logit_is_handled_as_the_reference_handles_it() {
                     same(got, want),
                     "{backend:?} nan_row={nan_row}: {got:?} vs {want:?}"
                 );
-                assert!(want.is_some_and(|(_, p)| p.is_nan()), "NaN poisons the sum");
+                let (word, p) = want.expect("non-empty vocabulary");
+                assert!(p.is_nan(), "NaN poisons the sum");
+                assert_ne!(
+                    word as usize, nan_row,
+                    "{backend:?}: a NaN is never the maximum"
+                );
             }
         });
     }

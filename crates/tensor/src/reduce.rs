@@ -24,18 +24,18 @@ pub fn max(x: &[f32]) -> f32 {
     x.iter().copied().fold(f32::NEG_INFINITY, f32::max)
 }
 
-/// Index of the maximum element, or `None` for an empty slice. Ties resolve
-/// to the first occurrence (the answer-prediction convention of the MemNN
-/// output layer).
+/// Index of the largest non-NaN element, or `None` for an empty slice.
+/// Ties resolve to the first occurrence (the answer-prediction convention
+/// of the MemNN output layer); an all-NaN slice gives 0. This is
+/// `top_k_select(x, 1).first()`, whose order puts NaN last.
 pub fn argmax(x: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        match best {
-            Some((_, bv)) if v <= bv => {}
-            _ => best = Some((i, v)),
+    let (mut best, mut bv) = (0, *x.first()?);
+    for (i, &v) in x.iter().enumerate().skip(1) {
+        if v > bv || (bv.is_nan() && !v.is_nan()) {
+            (best, bv) = (i, v);
         }
     }
-    best.map(|(i, _)| i)
+    Some(best)
 }
 
 /// Number of elements strictly greater than `threshold` — used to measure
@@ -99,9 +99,13 @@ mod tests {
     }
 
     #[test]
-    fn argmax_ignores_nan_after_max() {
-        // NaN comparisons are false, so NaN never replaces a real max.
-        assert_eq!(argmax(&[1.0, f32::NAN, 2.0]), Some(2));
+    fn argmax_ignores_nans_wherever_they_sit() {
+        let nan = f32::NAN;
+        assert_eq!(argmax(&[1.0, nan, 2.0]), Some(2));
+        assert_eq!(argmax(&[3.0, nan, 1.0]), Some(0));
+        assert_eq!(argmax(&[nan, 1.0, 3.0, nan, 2.0]), Some(2));
+        assert_eq!(argmax(&[nan, f32::NEG_INFINITY]), Some(1));
+        assert_eq!(argmax(&[nan, nan]), Some(0));
     }
 
     #[test]

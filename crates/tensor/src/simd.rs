@@ -28,9 +28,11 @@
 //! For a fixed backend every kernel is a pure, deterministic function of
 //! its inputs: the engine variants (column / streaming / parallel / batch,
 //! any thread count) therefore stay bitwise identical to each other.
-//! Results *across* backends agree only approximately (different
-//! accumulation widths, and the fused kernel's fast exp), within the
-//! tolerances asserted by the property tests.
+//! Results *across* backends agree only approximately for the f32
+//! attention kernels (different accumulation widths, and the fused
+//! kernel's fast exp), within the tolerances asserted by the property
+//! tests. The int8 kernels, the embed kernels and the answer softmax
+//! ([`argmax_softmax_with`]) are bitwise identical across backends.
 //!
 //! # The canonical row-dot order
 //!
@@ -530,6 +532,41 @@ pub fn exp_approx(x: f32) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
+// Answer softmax
+// ---------------------------------------------------------------------------
+
+/// Maximum relative error of the probability [`argmax_softmax_with`]
+/// returns, against a softmax computed in f64 from the same logits, for
+/// vocabularies up to 16 384 words. Set from measurement with margin, as
+/// [`EXP_MAX_REL_ERROR`] is: the worst case the property grid finds is
+/// 4.3e-7 (near-uniform logits, V = 10 007), against 2.9e-6 for libm `exp`
+/// with one serial sum, which needs the same bound.
+pub const ARGMAX_SOFTMAX_MAX_REL_ERROR: f32 = 1e-5;
+
+/// Scalar form of [`argmax_softmax_with`]: the eight lanes and their
+/// reduction tree are emulated, so the result is bitwise the AVX2
+/// kernel's.
+fn argmax_softmax_scalar(x: &[f32]) -> Option<(usize, f32)> {
+    let word = crate::reduce::argmax(x)?;
+    let max = x[word];
+    if !max.is_finite() || x.iter().any(|v| v.is_nan()) {
+        return Some((word, f32::NAN));
+    }
+    let full = x.len() / 8 * 8;
+    let mut l = [0.0f32; 8];
+    for block in x[..full].chunks_exact(8) {
+        for (lane, &v) in l.iter_mut().zip(block) {
+            *lane += exp_approx(v - max);
+        }
+    }
+    let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+    for &v in &x[full..] {
+        sum += exp_approx(v - max);
+    }
+    Some((word, 1.0 / sum))
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 + FMA kernels
 // ---------------------------------------------------------------------------
 
@@ -996,6 +1033,81 @@ mod avx2 {
         sum
     }
 
+    /// The answer softmax of [`super::argmax_softmax_with`]: one pass for
+    /// the largest non-NaN value and a NaN flag, an early-exit scan to the
+    /// first index holding it, and one [`exp8`] pass whose lane sums
+    /// [`hsum`] reduces.
+    ///
+    /// # Safety
+    ///
+    /// Needs AVX2 + FMA. Nothing else: every vector load reads
+    /// `x[i..i + 8]` for a multiple of 8 with `i + 8 <= x.len()`, and the
+    /// tail goes through a checked slice.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn argmax_softmax(x: &[f32]) -> Option<(usize, f32)> {
+        if x.is_empty() {
+            return None;
+        }
+        let px = x.as_ptr();
+        let full = x.len() / 8 * 8;
+        debug_assert!(
+            full.is_multiple_of(8) && full <= x.len(),
+            "argmax_softmax: bad blocks"
+        );
+        let tail = &x[full..];
+        let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut vnan = _mm256_setzero_ps();
+        let mut i = 0usize;
+        while i < full {
+            let v = _mm256_loadu_ps(px.add(i));
+            // `max_ps` returns its second operand when either is NaN, so
+            // the running maximum never takes one; the NaN is flagged.
+            vmax = _mm256_max_ps(v, vmax);
+            vnan = _mm256_or_ps(vnan, _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+            i += 8;
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), vmax);
+        let max = lanes
+            .iter()
+            .chain(tail)
+            .fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        let poisoned = _mm256_movemask_ps(vnan) != 0 || tail.iter().any(|v| v.is_nan());
+
+        // No index holds `max` only when every value is NaN: word 0.
+        let vm = _mm256_set1_ps(max);
+        let mut word = None;
+        i = 0;
+        while i < full && word.is_none() {
+            let eq =
+                _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_loadu_ps(px.add(i)), vm));
+            if eq != 0 {
+                word = Some(i + eq.trailing_zeros() as usize);
+            }
+            i += 8;
+        }
+        let word = word
+            .or_else(|| tail.iter().position(|&v| v == max).map(|p| full + p))
+            .unwrap_or(0);
+        // `exp8` clamps a NaN into range instead of propagating it, so a
+        // NaN logit or a non-finite maximum has to poison the sum here.
+        if poisoned || !max.is_finite() {
+            return Some((word, f32::NAN));
+        }
+
+        let mut vsum = _mm256_setzero_ps();
+        i = 0;
+        while i < full {
+            vsum = _mm256_add_ps(vsum, exp8(_mm256_sub_ps(_mm256_loadu_ps(px.add(i)), vm)));
+            i += 8;
+        }
+        let mut sum = hsum(vsum);
+        for &v in tail {
+            sum += exp_approx(v - max);
+        }
+        Some((word, 1.0 / sum))
+    }
+
     /// `ws[k..k + 8N] += Σ_{j ∈ keep} w[j] · out_row_j[k..k + 8N]` with the
     /// `8N` sums held in `N` registers across the rows: one load and one
     /// store of the accumulator per block instead of one per row.
@@ -1410,6 +1522,33 @@ pub fn exp_slice_with(b: Backend, x: &mut [f32]) -> f32 {
             }
             sum
         }
+    }
+}
+
+/// The answer softmax with an explicit backend: the arg-max word of
+/// `logits` and its probability, `None` only for an empty slice. Both
+/// backends compute the same bits:
+///
+/// * **word** — the first index of the largest non-NaN logit, 0 when every
+///   logit is NaN ([`crate::reduce::argmax`]);
+/// * **probability** — `1 / S` (the word's own term is `exp_approx(0) = 1`)
+///   with `S = Σ exp_approx(x_i − max)` in one fixed order: eight lanes
+///   over the full 8-blocks in ascending order, lane `j` taking every
+///   `i ≡ j (mod 8)`, reduced as `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`,
+///   then the tail added in ascending order. The scalar backend emulates
+///   the lanes, and [`exp_approx`] is bitwise one lane of the AVX2 exp on
+///   every input;
+/// * a NaN logit, or a maximum of `±inf`, makes the probability NaN.
+///
+/// The value depends on `logits` alone. Against an f64 softmax it is
+/// within [`ARGMAX_SOFTMAX_MAX_REL_ERROR`].
+#[inline]
+pub fn argmax_softmax_with(b: Backend, logits: &[f32]) -> Option<(usize, f32)> {
+    match b {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot_with`; the kernel reads only inside `logits`.
+        Backend::Avx2 => unsafe { avx2::argmax_softmax(logits) },
+        _ => argmax_softmax_scalar(logits),
     }
 }
 

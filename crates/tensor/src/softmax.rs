@@ -1,10 +1,10 @@
 //! The softmax family used by memory networks.
 //!
-//! Three formulations appear in the reproduction:
+//! Four formulations appear in the reproduction:
 //!
 //! 1. [`softmax_in_place`] — the textbook max-stabilized softmax used by the
 //!    baseline MemNN (the paper's Fig 5(a) dataflow: exponentiate, sum,
-//!    divide).
+//!    divide). It is the reference the other three are tested against.
 //! 2. *Lazy softmax* — the paper's column-based reformulation (Equation 4):
 //!    each chunk contributes `Σ e^{x_i} m_i` and `Σ e^{x_i}`; one division by
 //!    the grand total happens at the very end. [`exp_in_place`] +
@@ -12,6 +12,12 @@
 //! 3. [`OnlineSoftmax`] — a numerically-safe streaming variant (extension,
 //!    §7 of DESIGN.md) that tracks a running maximum and rescales previous
 //!    partial sums, exactly like streamed attention kernels.
+//! 4. [`argmax_softmax`] — the answer softmax over the vocabulary: the
+//!    arg-max word and `1 / Σ exp_approx(x_i − max)` summed in one fixed
+//!    eight-lane order, the same bits on every backend
+//!    ([`simd::argmax_softmax_with`] has the definition). Only the word's
+//!    probability is wanted, so nothing is normalized; the value is within
+//!    [`simd::ARGMAX_SOFTMAX_MAX_REL_ERROR`] of an f64 softmax.
 
 use crate::{kernels, simd};
 
@@ -41,31 +47,25 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
-/// `softmax(x)[i]` without writing the other `x.len() - 1` probabilities:
-/// the same max, the same exponentials summed in the same order and the
-/// same reciprocal as [`softmax_in_place`], so the result is bitwise what
-/// `softmax_in_place(x); x[i]` gives — for any input, NaNs included. The
-/// output layer reads one probability out of a vocabulary-sized vector;
-/// this skips the normalizing pass and leaves `x` intact.
-///
-/// # Panics
-///
-/// Panics if `i` is out of range.
+/// The answer softmax on the active backend: the arg-max word of `logits`
+/// ([`crate::reduce::argmax`]) and its softmax probability, `None` only
+/// for an empty slice. One canonical definition on every backend
+/// ([`simd::argmax_softmax_with`]), so the result depends on `logits`
+/// alone; a NaN logit makes the probability NaN.
 ///
 /// ```
+/// use mnn_tensor::simd::ARGMAX_SOFTMAX_MAX_REL_ERROR;
+/// use mnn_tensor::softmax::{argmax_softmax, softmax_in_place};
+///
 /// let x = [1.0f32, 3.0, 2.0];
-/// let mut p = x;
-/// mnn_tensor::softmax::softmax_in_place(&mut p);
-/// let one = mnn_tensor::softmax::softmax_prob_at(&x, 1);
-/// assert_eq!(one.to_bits(), p[1].to_bits());
+/// let (word, p) = argmax_softmax(&x).unwrap();
+/// let mut reference = x;
+/// softmax_in_place(&mut reference);
+/// assert_eq!(word, 1);
+/// assert!((p - reference[1]).abs() <= ARGMAX_SOFTMAX_MAX_REL_ERROR * reference[1]);
 /// ```
-pub fn softmax_prob_at(x: &[f32], i: usize) -> f32 {
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in x {
-        sum += (*v - max).exp();
-    }
-    (x[i] - max).exp() * (1.0 / sum)
+pub fn argmax_softmax(logits: &[f32]) -> Option<(usize, f32)> {
+    simd::argmax_softmax_with(simd::backend(), logits)
 }
 
 /// Replaces each element with `e^{x_i}` (no normalization), the per-chunk
@@ -967,28 +967,6 @@ mod tests {
             kernels::axpy(*w, row, &mut out);
         }
         out
-    }
-
-    #[test]
-    fn prob_at_is_bitwise_softmax_in_place() {
-        let cases: [&[f32]; 5] = [
-            &[0.0],
-            &[1.0, 2.0, 3.0],
-            &[-5.0, 5.0, 5.0, 0.25, -0.125],
-            &[1000.0, -1000.0, 999.5],
-            &[2.0, f32::NAN, 1.0],
-        ];
-        for x in cases {
-            let mut p = x.to_vec();
-            softmax_in_place(&mut p);
-            for (i, want) in p.iter().enumerate() {
-                let got = softmax_prob_at(x, i);
-                assert!(
-                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                    "{x:?}[{i}]: {got} vs {want}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -25,6 +25,20 @@ fn awkward_f32() -> impl Strategy<Value = f32> {
     ]
 }
 
+/// Any bit pattern, with NaN, ±inf and ±0 drawn often enough to meet each
+/// other in one vector.
+fn any_bits_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        4 => any::<u32>().prop_map(f32::from_bits),
+        2 => (-3.0f32..3.0).prop_map(|x| x),
+        1 => Just(f32::NAN),
+        1 => Just(f32::INFINITY),
+        1 => Just(f32::NEG_INFINITY),
+        1 => Just(0.0f32),
+        1 => Just(-0.0f32),
+    ]
+}
+
 /// Lengths that exercise every tail path of the 8-lane kernels: empty,
 /// single element, below/straddling/above the 8- and 32-element unroll
 /// boundaries.
@@ -169,10 +183,20 @@ proptest! {
     }
 
     #[test]
-    fn argmax_returns_a_maximum(xs in vec(finite_f32(100.0), 1..100)) {
-        let i = reduce::argmax(&xs).unwrap();
-        let m = reduce::max(&xs);
-        prop_assert_eq!(xs[i], m);
+    fn argmax_is_the_first_of_top_k_select_on_any_bits(xs in vec(any_bits_f32(), 0..100)) {
+        let word = reduce::argmax(&xs);
+        prop_assert_eq!(word, reduce::top_k_select(&xs, 1).first().copied(), "{:?}", xs);
+        if let Some(i) = word.filter(|_| xs.iter().any(|v| !v.is_nan())) {
+            prop_assert_eq!(xs[i], reduce::max(&xs));
+        }
+        // The answer softmax picks that word and one probability on every
+        // backend.
+        let answers: Vec<_> = both_backends()
+            .into_iter()
+            .map(|b| simd::argmax_softmax_with(b, &xs).map(|(w, p)| (w, p.to_bits())))
+            .collect();
+        prop_assert!(answers.iter().all(|a| *a == answers[0]), "{:?}: {:?}", xs, answers);
+        prop_assert_eq!(answers[0].map(|(w, _)| w), word);
     }
 
     // ---------------------------------------------------------------
@@ -703,4 +727,96 @@ fn accumulator_batches_are_bitwise_nq_single_calls() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The answer softmax: one value on every backend, within its published
+// bound of an f64 softmax.
+// ---------------------------------------------------------------------------
+
+const ANSWER_LENS: [usize; 9] = [1, 7, 8, 9, 63, 64, 65, 10_000, 10_007];
+
+/// The value families of the answer-softmax grid, each `n` long.
+fn answer_logits(n: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let wave = misaligned(n, n as u64);
+    let spread: Vec<f32> = wave[1..].iter().map(|v| v * 60.0).collect();
+    let narrow: Vec<f32> = wave[1..].iter().map(|v| v * 2.0).collect();
+    let mut inf = narrow.clone();
+    inf[n / 2] = f32::INFINITY;
+    let mut runs = spread.clone();
+    for (i, v) in runs.iter_mut().enumerate() {
+        if i % 13 < 5 {
+            *v = f32::NEG_INFINITY;
+        }
+    }
+    let mut cases = vec![
+        ("spread", spread.clone()),
+        ("narrow", narrow),
+        ("all-equal", vec![0.75; n]),
+        ("+inf", inf),
+        ("-inf runs", runs),
+    ];
+    for (name, at) in [("NaN first", 0), ("NaN middle", n / 2), ("NaN last", n - 1)] {
+        let mut x = spread.clone();
+        x[at] = f32::NAN;
+        cases.push((name, x));
+    }
+    cases
+}
+
+/// `|got - want| / want` against the f64 softmax probability of `word`.
+fn rel_error_vs_f64(x: &[f32], word: usize, got: f32) -> f64 {
+    let max = x[word] as f64;
+    let sum: f64 = x.iter().map(|&v| (v as f64 - max).exp()).sum();
+    let want = 1.0 / sum;
+    (got as f64 - want).abs() / want
+}
+
+#[test]
+fn argmax_softmax_is_one_value_on_every_backend_within_its_bound() {
+    let bound = simd::ARGMAX_SOFTMAX_MAX_REL_ERROR as f64;
+    let (mut worst_new, mut worst_old) = ((0.0f64, String::new()), (0.0f64, String::new()));
+    for n in ANSWER_LENS {
+        for (family, x) in answer_logits(n) {
+            let ctx = format!("n={n} {family}");
+            let word = reduce::argmax(&x).expect("non-empty");
+            let answers: Vec<(usize, u32)> = both_backends()
+                .into_iter()
+                .map(|b| simd::argmax_softmax_with(b, &x).expect("non-empty"))
+                .map(|(w, p)| (w, p.to_bits()))
+                .collect();
+            assert!(
+                answers.iter().all(|a| *a == answers[0]),
+                "{ctx}: {answers:?}"
+            );
+            let (got_word, p) = (answers[0].0, f32::from_bits(answers[0].1));
+            assert_eq!(got_word, word, "{ctx}");
+
+            let max = reduce::max(&x);
+            if x.iter().any(|v| v.is_nan()) || !max.is_finite() {
+                assert!(
+                    p.is_nan(),
+                    "{ctx}: a NaN or infinite maximum poisons the sum"
+                );
+                continue;
+            }
+            let new = rel_error_vs_f64(&x, word, p);
+            assert!(new <= bound, "{ctx}: relative error {new:.3e}");
+            // libm exp with one serial sum, the textbook formulation, needs
+            // the same bound: the canonical value is no less accurate.
+            let serial: f32 = x.iter().map(|&v| (v - max).exp()).sum();
+            let old = rel_error_vs_f64(&x, word, (x[word] - max).exp() * (1.0 / serial));
+            assert!(old <= bound, "{ctx}: old relative error {old:.3e}");
+            if new > worst_new.0 {
+                worst_new = (new, ctx.clone());
+            }
+            if old > worst_old.0 {
+                worst_old = (old, ctx);
+            }
+        }
+    }
+    println!(
+        "worst relative error: kernel {:.3e} ({}), serial libm {:.3e} ({})",
+        worst_new.0, worst_new.1, worst_old.0, worst_old.1
+    );
 }
