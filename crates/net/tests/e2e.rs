@@ -4,7 +4,7 @@
 //! [`Session::ask`] path.
 
 use mnn_dataset::babi::{BabiGenerator, Story, TaskKind};
-use mnn_dataset::Vocabulary;
+use mnn_dataset::{Vocabulary, WordId};
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
 use mnn_net::{
@@ -117,12 +117,12 @@ fn pipelined(frames: &[NetFrame]) -> Vec<u8> {
     frames.iter().flat_map(NetFrame::encode).collect()
 }
 
-/// Replays the stories through a loopback connection and through an
-/// in-process session, and demands bit-identical words AND probability
-/// bit patterns.
-fn assert_loopback_parity(precision: Precision) {
+/// Replays `prelude`, then the stories, through a loopback connection and
+/// through an in-process session, both configured `cfg`, and demands
+/// bit-identical words AND probability bit patterns. Returns the
+/// in-process session.
+fn assert_loopback_parity(cfg: SessionConfig, prelude: &[Vec<WordId>]) -> Session {
     let (model, vocab, stories) = trained_model();
-    let cfg = session_config(precision);
     let server = NetServer::spawn(
         model.clone(),
         vocab.clone(),
@@ -138,13 +138,14 @@ fn assert_loopback_parity(precision: Precision) {
 
     let mut reference = Session::new(model, cfg).expect("in-process session");
     let mut compared = 0usize;
+    let mut prelude = prelude;
     for story in &stories {
-        for sentence in &story.sentences {
+        for sentence in prelude.iter().chain(&story.sentences) {
             let remote = client.observe_tokens(sentence).expect("observe");
-            let local = reference.observe(sentence).expect("observe local");
-            let _ = local;
+            reference.observe(sentence).expect("observe local");
             assert_eq!(remote as usize, reference.memory_len(), "memory in step");
         }
+        prelude = &[];
         // Pipeline the story's questions so the server actually batches.
         let mut ids = Vec::new();
         for q in &story.questions {
@@ -175,16 +176,37 @@ fn assert_loopback_parity(precision: Precision) {
     }
     assert!(compared >= 12, "enough questions compared: {compared}");
     server.shutdown();
+    reference
 }
 
 #[test]
 fn loopback_answers_match_in_process_f32() {
-    assert_loopback_parity(Precision::F32);
+    assert_loopback_parity(session_config(Precision::F32), &[]);
 }
 
 #[test]
 fn loopback_answers_match_in_process_int8() {
-    assert_loopback_parity(Precision::Int8);
+    assert_loopback_parity(session_config(Precision::Int8), &[]);
+}
+
+/// A top-K server answers every wire question through the candidate
+/// index: bitwise what an in-process top-K session's `ask` answers, with
+/// rows really skipped (so exact attention would answer other bits).
+#[test]
+fn wire_answers_honour_top_k() {
+    let mut generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 7);
+    let memory: Vec<Vec<WordId>> = generator
+        .dataset(80, NS, 1)
+        .into_iter()
+        .flat_map(|story| story.sentences)
+        .collect();
+    assert!(memory.len() >= 600, "{} rows", memory.len());
+    let cfg = SessionConfig {
+        topk: 16,
+        ..SessionConfig::default()
+    };
+    let sparse = assert_loopback_parity(cfg, &memory);
+    assert!(sparse.cumulative_stats().rows_skipped_by_index > 0);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! the MnnFast embedding cache addresses.
 
 use crate::embed_cache::SentenceCache;
-use crate::session::{serving_model, Answer, ServeError, Session, SessionConfig};
+use crate::session::{question_budget, serving_model, Answer, ServeError, Session, SessionConfig};
 use mnn_dataset::WordId;
 use mnn_memnn::MemNet;
 use mnnfast::{Budget, InferenceStats, Phase, PhaseHistograms, Trace};
@@ -432,11 +432,7 @@ impl SessionPool {
     ///
     /// [`PoolError::UnknownTenant`] or the session's error.
     pub fn observe(&mut self, tenant: &str, sentence: &[WordId]) -> Result<usize, PoolError> {
-        let session = self
-            .sessions
-            .get_mut(tenant)
-            .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))?;
-        let evicted = session.observe(sentence)?;
+        let evicted = self.session_mut(tenant)?.observe(sentence)?;
         self.embedding_lookups += sentence.len() as u64;
         Ok(evicted)
     }
@@ -449,27 +445,9 @@ impl SessionPool {
     /// [`PoolError::UnknownTenant`], [`PoolError::Overloaded`] when the
     /// pending-work budget is exhausted, or the session's error.
     pub fn ask(&mut self, tenant: &str, question: &[WordId]) -> Result<Answer, PoolError> {
-        let session = self
-            .sessions
-            .get_mut(tenant)
-            .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))?;
-        if let Some(bucket) = &mut self.bucket {
-            let t0 = self.admission_trace.begin();
-            let hops = session.model().config().hops as u64;
-            let cost = (session.memory_len() as u64 * hops).max(1);
-            let decision = bucket.admit(cost);
-            self.admission_trace.record(Phase::Admission, t0, 1);
-            if let Err(available) = decision {
-                self.shed_questions += 1;
-                *self.sheds_by_tenant.entry(tenant.to_owned()).or_insert(0) += 1;
-                return Err(PoolError::Overloaded {
-                    needed: cost,
-                    available,
-                });
-            }
-        }
+        self.admit(tenant, 1)?;
         self.embedding_lookups += question.len() as u64;
-        Ok(session.ask(question)?)
+        Ok(self.session_mut(tenant)?.ask(question)?)
     }
 
     /// Asks `tenant` a batch of questions in one streaming pass over its
@@ -491,36 +469,8 @@ impl SessionPool {
         if questions.is_empty() {
             return Ok(Vec::new());
         }
-        let session = self
-            .sessions
-            .get_mut(tenant)
-            .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))?;
-        let nq = questions.len();
-        if let Some(bucket) = &mut self.bucket {
-            let t0 = self.admission_trace.begin();
-            let hops = session.model().config().hops as u64;
-            let cost = (session.memory_len() as u64 * hops).max(1) * nq as u64;
-            let decision = bucket.admit(cost);
-            self.admission_trace.record(Phase::Admission, t0, nq as u64);
-            if let Err(available) = decision {
-                self.shed_questions += nq as u64;
-                *self.sheds_by_tenant.entry(tenant.to_owned()).or_insert(0) += nq as u64;
-                return Err(PoolError::Overloaded {
-                    needed: cost,
-                    available,
-                });
-            }
-        }
-        self.embedding_lookups += questions.iter().map(|q| q.len() as u64).sum::<u64>();
-        let results = session.ask_many(questions)?;
-        self.batches_dispatched += 1;
-        self.batched_questions += nq as u64;
-        self.max_batch_occupancy = self.max_batch_occupancy.max(nq);
-        self.batch_occupancy[occupancy_bucket(nq)] += 1;
-        Ok(results
-            .into_iter()
-            .map(|r| r.map_err(PoolError::from))
-            .collect())
+        let budgets = vec![question_budget(self.config.deadline, Duration::ZERO); questions.len()];
+        self.dispatch(tenant, questions, &budgets)
     }
 
     /// Submits one question to `tenant`'s coalescing queue. Returns the
@@ -556,9 +506,7 @@ impl SessionPool {
         tenant: &str,
         question: &[WordId],
     ) -> Result<(u64, Vec<BatchedAnswer>), PoolError> {
-        if !self.sessions.contains_key(tenant) {
-            return Err(PoolError::UnknownTenant(tenant.to_owned()));
-        }
+        self.session(tenant)?;
         let id = self.next_request;
         self.next_request += 1;
         let queue = self.queues.entry(tenant.to_owned()).or_default();
@@ -646,10 +594,7 @@ impl SessionPool {
     ///
     /// [`PoolError::UnknownTenant`] if absent.
     pub fn tenant_sentences(&self, tenant: &str) -> Result<usize, PoolError> {
-        self.sessions
-            .get(tenant)
-            .map(Session::memory_len)
-            .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))
+        self.session(tenant).map(Session::memory_len)
     }
 
     /// Dispatches one tenant's queued questions as a single batched pass,
@@ -668,77 +613,95 @@ impl SessionPool {
             _ => return Ok(Vec::new()),
         };
         self.queued -= queued.len();
-        let session = self
-            .sessions
-            .get_mut(tenant)
-            .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))?;
-        let nq = queued.len();
-        if let Some(bucket) = &mut self.bucket {
-            let t0 = self.admission_trace.begin();
-            let hops = session.model().config().hops as u64;
-            let cost = (session.memory_len() as u64 * hops).max(1) * nq as u64;
-            let decision = bucket.admit(cost);
-            self.admission_trace.record(Phase::Admission, t0, nq as u64);
-            if let Err(available) = decision {
-                self.shed_questions += nq as u64;
-                *self.sheds_by_tenant.entry(tenant.to_owned()).or_insert(0) += nq as u64;
-                return Ok(queued
-                    .into_iter()
-                    .map(|r| BatchedAnswer {
-                        request: r.id,
-                        tenant: tenant.to_owned(),
-                        answer: Err(PoolError::Overloaded {
-                            needed: cost,
-                            available,
-                        }),
-                    })
-                    .collect());
-            }
-        }
-        self.embedding_lookups += queued.iter().map(|r| r.tokens.len() as u64).sum::<u64>();
         let now = Instant::now();
-        let deadline = self.config.deadline;
         let budgets: Vec<Budget> = queued
             .iter()
-            .map(|r| match deadline {
-                Some(limit) => {
-                    Budget::with_deadline(limit.saturating_sub(now.duration_since(r.enqueued)))
-                }
-                None => Budget::unlimited(),
-            })
+            .map(|r| question_budget(self.config.deadline, now.duration_since(r.enqueued)))
             .collect();
         let (ids, questions): (Vec<u64>, Vec<Vec<WordId>>) =
             queued.into_iter().map(|r| (r.id, r.tokens)).unzip();
-        let results = match session.ask_many_budgeted(&questions, &budgets) {
-            Ok(results) => results,
-            // A batch-level failure (e.g. asking before any sentence was
-            // observed) must not drop the queued questions' identities: a
-            // network scheduler routing by request id needs every id to
-            // come back, so surface the error in every slot instead.
-            Err(e) => {
-                return Ok(ids
-                    .into_iter()
-                    .map(|id| BatchedAnswer {
-                        request: id,
-                        tenant: tenant.to_owned(),
-                        answer: Err(PoolError::Session(e.clone())),
-                    })
-                    .collect())
-            }
-        };
-        self.batches_dispatched += 1;
-        self.batched_questions += nq as u64;
-        self.max_batch_occupancy = self.max_batch_occupancy.max(nq);
-        self.batch_occupancy[occupancy_bucket(nq)] += 1;
+        // The requests were already accepted, and a network scheduler
+        // routing by request id needs every id back: a shed batch, a
+        // batch-level failure (asking before any sentence was observed) or
+        // a tenant removed with questions still queued fills every slot.
+        let results = self
+            .dispatch(tenant, &questions, &budgets)
+            .unwrap_or_else(|e| vec![Err(e); ids.len()]);
         Ok(ids
             .into_iter()
             .zip(results)
             .map(|(id, answer)| BatchedAnswer {
                 request: id,
                 tenant: tenant.to_owned(),
-                answer: answer.map_err(PoolError::from),
+                answer,
             })
             .collect())
+    }
+
+    /// One batched pass for `tenant`: admission, the session's ladder, and
+    /// the batch-occupancy counters.
+    fn dispatch(
+        &mut self,
+        tenant: &str,
+        questions: &[Vec<WordId>],
+        budgets: &[Budget],
+    ) -> Result<Vec<Result<Answer, PoolError>>, PoolError> {
+        let nq = questions.len();
+        self.admit(tenant, nq)?;
+        self.embedding_lookups += questions.iter().map(|q| q.len() as u64).sum::<u64>();
+        let results = self
+            .session_mut(tenant)?
+            .ask_many_budgeted(questions, budgets)?;
+        self.batches_dispatched += 1;
+        self.batched_questions += nq as u64;
+        self.max_batch_occupancy = self.max_batch_occupancy.max(nq);
+        self.batch_occupancy[occupancy_bucket(nq)] += 1;
+        Ok(results
+            .into_iter()
+            .map(|r| r.map_err(PoolError::from))
+            .collect())
+    }
+
+    /// The tenant's session.
+    fn session(&self, tenant: &str) -> Result<&Session, PoolError> {
+        self.sessions
+            .get(tenant)
+            .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))
+    }
+
+    /// The tenant's session, mutably.
+    fn session_mut(&mut self, tenant: &str) -> Result<&mut Session, PoolError> {
+        self.sessions
+            .get_mut(tenant)
+            .ok_or_else(|| PoolError::UnknownTenant(tenant.to_owned()))
+    }
+
+    /// Charges `nq` questions over `tenant`'s memory (rows × hops each) to
+    /// the admission bucket, when one is configured.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::UnknownTenant`], or [`PoolError::Overloaded`] (counted
+    /// as `nq` shed questions, pool-wide and for `tenant`) when the bucket
+    /// cannot cover the charge.
+    fn admit(&mut self, tenant: &str, nq: usize) -> Result<(), PoolError> {
+        let session = self.session(tenant)?;
+        let per_question = session.memory_len() as u64 * session.model().config().hops as u64;
+        let Some(bucket) = &mut self.bucket else {
+            return Ok(());
+        };
+        let t0 = self.admission_trace.begin();
+        let cost = per_question.max(1) * nq as u64;
+        let decision = bucket.admit(cost);
+        self.admission_trace.record(Phase::Admission, t0, nq as u64);
+        decision.map_err(|available| {
+            self.shed_questions += nq as u64;
+            *self.sheds_by_tenant.entry(tenant.to_owned()).or_insert(0) += nq as u64;
+            PoolError::Overloaded {
+                needed: cost,
+                available,
+            }
+        })
     }
 
     /// Aggregated pool statistics.
@@ -1259,6 +1222,34 @@ mod tests {
         assert_eq!(pool.pending_questions(), 1, "b's question still waits");
         assert_eq!(pool.flush_tenant("a").unwrap(), Vec::new());
         assert_eq!(pool.flush_tenant("ghost").unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn removing_a_tenant_answers_its_queued_requests() {
+        let (mut generator, pool) = pool();
+        let mut pool = pool.with_batching(BatchConfig {
+            max_batch: 64,
+            max_wait: Duration::from_secs(3600),
+        });
+        pool.create_tenant("a").unwrap();
+        pool.create_tenant("b").unwrap();
+        let story = generator.story(5, 2);
+        for s in &story.sentences {
+            pool.observe("a", s).unwrap();
+            pool.observe("b", s).unwrap();
+        }
+        pool.enqueue("a", &story.questions[0].tokens).unwrap();
+        pool.enqueue("b", &story.questions[1].tokens).unwrap();
+        pool.remove_tenant("a").unwrap();
+        // One flush gives every id back: the orphan as a per-slot error,
+        // and the other tenant's due question is not held behind it.
+        let flushed = pool.flush_all().unwrap();
+        assert_eq!(flushed.len(), 2);
+        assert_eq!((flushed[0].request, flushed[0].tenant.as_str()), (0, "a"));
+        assert_eq!(flushed[0].answer, Err(PoolError::UnknownTenant("a".into())));
+        assert_eq!((flushed[1].request, flushed[1].tenant.as_str()), (1, "b"));
+        assert!(flushed[1].answer.is_ok());
+        assert_eq!(pool.pending_questions(), 0);
     }
 
     #[test]

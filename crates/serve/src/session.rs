@@ -22,20 +22,22 @@ use std::time::Duration;
 
 /// How a session reacts to [`EngineError::NumericFault`] from its engine.
 ///
-/// The degradation ladder (paper-adjacent robustness extension): the fast
-/// path runs the fused SIMD kernel with the lazy softmax; when a numeric
-/// fault surfaces (NaN/Inf caught at chunk-merge or normalize time), the
-/// question is retried once on the *safe path* — the two-pass scalar
-/// formulation with the online (running-max) softmax, which is finite for
-/// arbitrary logits. Repeated faults can pin the session to the safe path
-/// permanently so a flaky substrate stops paying the retry tax.
+/// The degradation ladder (paper-adjacent robustness extension): every
+/// question, whichever entry point asked it, descends the same four rungs
+/// — the worker fleet, top-K candidate attention, the fast exact pass
+/// (fused kernels, lazy softmax), and the *safe path* (the two-pass
+/// formulation with the online running-max softmax over the f32 plane,
+/// finite for arbitrary logits). A numeric fault on the fast pass is
+/// retried once on the safe path. Repeated faults can pin the session to
+/// the safe path so a flaky substrate stops paying the retry tax.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationPolicy {
     /// Retry a numerically faulted question once on the safe path instead
     /// of surfacing the error (default `true`).
     pub retry_on_numeric_fault: bool,
-    /// After this many numeric faults, pin the session to the safe path
-    /// for all subsequent questions; `None` never pins (default `Some(3)`).
+    /// After this many numeric faults, retried or surfaced, pin the session
+    /// to the safe path for all subsequent questions; `None` never pins
+    /// (default `Some(3)`).
     pub pin_after_faults: Option<u32>,
 }
 
@@ -123,9 +125,8 @@ pub struct SessionConfig {
     /// size, bitwise-identical to exact attention restricted to those rows.
     /// Low-confidence probes (collapsed score margins) decline per question
     /// and the session falls back to exact attention, counted in
-    /// [`DegradationStats::sparse_fallbacks`]. Batched asks
-    /// ([`Session::ask_many`]) always run exact attention. `0` (the
-    /// default) defers to `MNNFAST_TOPK`, falling back to exact attention.
+    /// [`DegradationStats::sparse_fallbacks`]. `0` (the default) defers to
+    /// `MNNFAST_TOPK`, falling back to exact attention.
     /// Incompatible with distributed serving (`workers >= 2`),
     /// [`mnnfast::SkipPolicy::Probability`], and a [`Self::max_sentences`]
     /// window no larger than `topk`.
@@ -219,10 +220,11 @@ impl From<EnvVarError> for ServeError {
 /// Robustness counters for one session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationStats {
-    /// Fault events the degradation ladder absorbed: numeric faults
-    /// (NaN/Inf caught in an accumulator) plus contained scale-out worker
-    /// panics ([`EngineError::WorkerPanicked`]) — whether or not the
-    /// safe-path retry recovered the question.
+    /// Numeric faults (NaN/Inf caught in an accumulator) plus contained
+    /// scale-out worker panics ([`EngineError::WorkerPanicked`]) on the
+    /// exact passes, fast or safe — whether the safe-path retry recovered
+    /// the question or not. A fault on the top-K pass counts in
+    /// [`Self::sparse_fallbacks`] instead.
     pub numeric_faults: u64,
     /// Questions answered via the safe path (retries plus every question
     /// answered while pinned).
@@ -239,9 +241,9 @@ pub struct DegradationStats {
     pub dist_failovers: u64,
     /// Distributed plane: hedged duplicate requests fired at stragglers.
     pub dist_hedges: u64,
-    /// Questions the distributed plane failed entirely and the session
-    /// re-answered from its local store (each such failure also tears the
-    /// fleet down, so this is at most 1 per session today).
+    /// Fleet teardowns: the distributed plane failed a question (or a
+    /// mirrored write) entirely, and the session answers from its local
+    /// store from then on (so this is at most 1 per session today).
     pub dist_fallbacks: u64,
     /// Questions where the top-K candidate path stood down and the session
     /// answered with exact attention instead: the index declined (low
@@ -267,7 +269,7 @@ pub struct Answer {
     /// engine streams every chunk once for all questions, so phase time is
     /// shared and cannot be attributed per question.
     pub trace: Trace,
-    /// `true` if this answer came from the safe path — either a retry
+    /// `true` if the safe path, the ladder's last rung, answered — a retry
     /// after a numeric fault or a session pinned by its
     /// [`DegradationPolicy`]. Degraded answers are numerically stable but
     /// forgo the fused-kernel speedup.
@@ -308,18 +310,13 @@ pub struct Session {
     model_fingerprint: u64,
     /// Reusable `2 * ed` buffer for the sentence pair in [`Session::observe`].
     pair_buf: Vec<f32>,
-    /// Reusable `ed` buffer for the question state in [`Session::ask`].
-    question_buf: Vec<f32>,
     /// Reusable buffers of the output stage ([`MemNet::output_answers`]).
     output_stage: OutputStage,
-    /// Effective segment count ([`SessionConfig::segments`], or the
-    /// `MNNFAST_SEGMENTS` override captured at creation).
+    /// Effective [`SessionConfig::segments`], [`SessionConfig::topk`] (`0` =
+    /// exact attention) and [`SessionConfig::nprobe`], after the `MNNFAST_*`
+    /// overrides captured at creation.
     segments: usize,
-    /// Effective top-K candidate count ([`SessionConfig::topk`], or the
-    /// `MNNFAST_TOPK` override captured at creation; `0` = exact attention).
     topk: usize,
-    /// Effective probe floor ([`SessionConfig::nprobe`], or the
-    /// `MNNFAST_NPROBE` override captured at creation).
     nprobe: usize,
     /// Cached routed map over the store, rebuilt lazily whenever the store
     /// version moves (only maintained when `segments > 1`).
@@ -387,9 +384,9 @@ impl Session {
         // a typo'd MNNFAST_SIMD / MNNFAST_FAULT / MNNFAST_SEGMENTS surfaces
         // a typed error here instead of silently serving with the default.
         mnn_tensor::validate_env()?;
-        let segments = resolve_segments(config.segments)?;
-        let topk = resolve_topk(config.topk)?;
-        let nprobe = resolve_nprobe(config.nprobe)?;
+        let segments = resolve_count(config.segments, SEGMENTS)?;
+        let topk = resolve_count(config.topk, TOPK)?;
+        let nprobe = resolve_count(config.nprobe, NPROBE)?;
         if topk > 0 {
             if matches!(config.plan.config.skip, mnnfast::SkipPolicy::Probability(_)) {
                 return Err(ServeError::Engine(EngineError::Config(
@@ -409,14 +406,9 @@ impl Session {
         }
         let model = serving_model(model)?;
         let ed = model.embedding_dim();
-        let safe_plan = ExecPlan {
-            config: config
-                .plan
-                .config
-                .with_fused(false)
-                .with_softmax(SoftmaxMode::Online),
-            kind: config.plan.kind,
-        };
+        let safe_config = config.plan.config.with_fused(false);
+        let safe_plan = ExecPlan::new(safe_config.with_softmax(SoftmaxMode::Online))
+            .with_kind(config.plan.kind);
         // The fingerprint hashes every embedding weight; skip it entirely
         // when no cache will ever key on it.
         let model_fingerprint = match (&cache, fingerprint) {
@@ -454,7 +446,6 @@ impl Session {
             embed_cache: cache,
             model_fingerprint,
             pair_buf: Vec::new(),
-            question_buf: Vec::new(),
             output_stage: OutputStage::default(),
             segments,
             topk,
@@ -578,14 +569,6 @@ impl Session {
         }
     }
 
-    /// Tears the distributed plane down (shutting the worker fleet) and
-    /// folds its final counters into the degradation stats. The session
-    /// keeps serving from its local store.
-    fn teardown_dist(&mut self) {
-        self.sync_dist_counters();
-        self.dist = None;
-    }
-
     /// Copies the coordinator's running fault counters into this session's
     /// [`DegradationStats`] (they are cumulative totals, not deltas).
     fn sync_dist_counters(&mut self) {
@@ -620,13 +603,14 @@ impl Session {
     /// it on their next misses.
     pub fn reset(&mut self) {
         self.store.clear();
-        if let Some(dist) = &mut self.dist {
-            // A fleet that cannot confirm the clear may still hold rows;
-            // fall back to local serving rather than risk stale answers.
-            if dist.coordinator.clear().is_err() {
-                self.teardown_dist();
-                self.degradation.dist_fallbacks += 1;
-            }
+        // A fleet that cannot confirm the clear may still hold rows; fall
+        // back to local serving rather than risk stale answers.
+        if self
+            .dist
+            .as_mut()
+            .is_some_and(|d| d.coordinator.clear().is_err())
+        {
+            self.note(Degradation::FleetLost);
         }
         if let Some(cache) = &self.embed_cache {
             cache.invalidate_all();
@@ -653,16 +637,10 @@ impl Session {
             )));
         }
         self.model = model;
-        self.store.clear();
-        if let Some(dist) = &mut self.dist {
-            // Resident worker rows were embedded with the old weights.
-            if dist.coordinator.clear().is_err() {
-                self.teardown_dist();
-                self.degradation.dist_fallbacks += 1;
-            }
-        }
-        if let Some(cache) = &self.embed_cache {
-            cache.invalidate_all();
+        // Resident rows, local and on the fleet, were embedded with the old
+        // weights.
+        self.reset();
+        if self.embed_cache.is_some() {
             self.model_fingerprint = self.model.weights_fingerprint();
         }
         Ok(())
@@ -716,8 +694,7 @@ impl Session {
         // over partial memory without saying so.
         if let Some(dist) = &mut self.dist {
             if dist.coordinator.push(in_row, out_row).is_err() {
-                self.teardown_dist();
-                self.degradation.dist_fallbacks += 1;
+                self.note(Degradation::FleetLost);
             }
         }
         self.pair_buf = buf;
@@ -739,15 +716,14 @@ impl Session {
     /// deadline expires mid-question; [`EngineError::NumericFault`] only if
     /// the degradation retry is disabled or itself faults).
     pub fn ask(&mut self, question: &[WordId]) -> Result<Answer, ServeError> {
-        let budget = match self.config.deadline {
-            Some(limit) => Budget::with_deadline(limit),
-            None => Budget::unlimited(),
-        };
+        let budget = question_budget(self.config.deadline, Duration::ZERO);
         self.ask_with_budget(question, &budget)
     }
 
     /// [`Session::ask`] under a caller-supplied [`Budget`] — e.g. a shared
-    /// cancellation token, or a deadline spanning several questions.
+    /// cancellation token, or a deadline spanning several questions. This is
+    /// [`Session::ask_many_budgeted`] over one question, so an answer never
+    /// depends on which of the two entry points served it.
     ///
     /// A failed question (deadline, cancellation, unrecovered fault) leaves
     /// the session intact: memory, cumulative statistics and scratch are
@@ -761,35 +737,13 @@ impl Session {
         question: &[WordId],
         budget: &Budget,
     ) -> Result<Answer, ServeError> {
-        if self.store.is_empty() {
-            return Err(ServeError::EmptyMemory);
-        }
-        self.check_tokens(question)?;
-        let mut trace = if self.config.trace {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
-        let ed = self.model.embedding_dim();
-        let mut u = std::mem::take(&mut self.question_buf);
-        u.clear();
-        u.resize(ed, 0.0);
-        self.embed_question_cached(question, &mut u, &mut trace);
-
-        let forwarded = self.forward(&u, &mut trace, budget);
-        // `HopsOutput` owns its buffers, so the question state can go back
-        // to the session for reuse before the result is even inspected.
-        self.question_buf = u;
-        let answer = self
-            .answer_outputs(vec![forwarded], trace)
+        self.ask_many_budgeted(&[question.to_vec()], std::slice::from_ref(budget))?
             .pop()
-            .expect("one answer slot per engine result")?;
-        self.cumulative_trace.absorb(&trace);
-        self.histograms.observe(&trace);
-        Ok(answer)
+            .expect("one slot per question")
     }
 
-    /// Answers a batch of questions in one streaming pass over the memory.
+    /// Answers a batch of questions, slot `i` bitwise [`Session::ask`] of
+    /// `questions[i]`.
     ///
     /// Every question runs under its own [`Budget`] built from
     /// [`SessionConfig::deadline`]; see [`Session::ask_many_budgeted`] for
@@ -802,28 +756,24 @@ impl Session {
         &mut self,
         questions: &[Vec<WordId>],
     ) -> Result<Vec<Result<Answer, ServeError>>, ServeError> {
-        let budgets: Vec<Budget> = questions
-            .iter()
-            .map(|_| match self.config.deadline {
-                Some(limit) => Budget::with_deadline(limit),
-                None => Budget::unlimited(),
-            })
-            .collect();
+        let budgets = vec![question_budget(self.config.deadline, Duration::ZERO); questions.len()];
         self.ask_many_budgeted(questions, &budgets)
     }
 
     /// [`Session::ask_many`] under caller-supplied per-question [`Budget`]s
     /// (`budgets[q]` governs `questions[q]` across all hops).
     ///
-    /// This is the cross-request batched fast path: all questions share
-    /// each memory chunk while it is cache-resident, so each hop streams
-    /// `M_IN`/`M_OUT` once per *batch* instead of once per question. Slots
-    /// come back in question order and failures are isolated per question:
-    /// a question whose budget expires mid-batch carries a typed
-    /// [`EngineError::DeadlineExceeded`] (or [`EngineError::Cancelled`]) in
-    /// its slot while its batchmates finish normally. Numeric faults take
-    /// the same degradation ladder as [`Session::ask`]: faulted questions
-    /// are retried as a sub-batch on the safe path.
+    /// Every question climbs the one degradation ladder
+    /// ([`DegradationPolicy`]): fleet, then top-K, then the fast exact
+    /// pass, then the safe pass. The questions that reach the same exact
+    /// rung share each memory chunk while it is cache-resident, so each hop
+    /// streams `M_IN`/`M_OUT` once per *group* instead of once per
+    /// question; questions on the top-K rung run one by one, each over its
+    /// own candidate rows. Slots come back in question order and failures
+    /// are isolated per question: a question whose budget expires carries a
+    /// typed [`EngineError::DeadlineExceeded`] (or
+    /// [`EngineError::Cancelled`]) in its slot while its batchmates finish
+    /// normally.
     ///
     /// # Errors
     ///
@@ -850,61 +800,41 @@ impl Session {
             return Err(ServeError::EmptyMemory);
         }
 
-        // Per-question token validation: bad questions get their error slot
-        // up front and are excluded from the engine batch.
-        let mut token_errors: Vec<Option<ServeError>> = questions
-            .iter()
-            .map(|q| self.check_tokens(q).err())
-            .collect();
-        let ed = self.model.embedding_dim();
         let mut trace = if self.config.trace {
             Trace::enabled()
         } else {
             Trace::disabled()
         };
-        let mut idx = Vec::with_capacity(questions.len());
-        let mut us: Vec<Vec<f32>> = Vec::with_capacity(questions.len());
-        let mut sub_budgets = Vec::with_capacity(questions.len());
-        for (q, question) in questions.iter().enumerate() {
-            if token_errors[q].is_some() {
-                continue;
-            }
-            let mut u = vec![0.0f32; ed];
-            self.embed_question_cached(question, &mut u, &mut trace);
-            idx.push(q);
-            us.push(u);
-            sub_budgets.push(budgets[q].clone());
+        // Per-question token validation: a bad question's slot is settled
+        // up front, so it never reaches the ladder.
+        let mut slots = Vec::with_capacity(questions.len());
+        let mut us = Vec::with_capacity(questions.len());
+        for question in questions {
+            let slot = self.check_tokens(question).err().map(Err);
+            us.push(match slot {
+                Some(_) => Vec::new(),
+                None => self.embed_question_cached(question, &mut trace),
+            });
+            slots.push(slot);
         }
-
-        let engine_results = if us.is_empty() {
-            Vec::new()
-        } else {
-            self.forward_batch(&us, &mut trace, &sub_budgets)?
-        };
-
-        let mut answers: Vec<Option<Result<Answer, ServeError>>> =
-            token_errors.iter_mut().map(|e| e.take().map(Err)).collect();
-        for (&q, answer) in idx.iter().zip(self.answer_outputs(engine_results, trace)) {
-            answers[q] = Some(answer);
-        }
-        // The batch pass is one trace observation: phases are shared across
-        // the batch, so absorbing it per answer would multiply the time.
+        let results = self.climb(&us, budgets, slots, &mut trace)?;
+        let answers = self.answer_outputs(results, trace);
+        // The call is one trace observation: phases are shared across the
+        // batch, so absorbing it per answer would multiply the time.
         self.cumulative_trace.absorb(&trace);
         self.histograms.observe(&trace);
-        Ok(answers
-            .into_iter()
-            .map(|a| a.expect("every question slot is filled"))
-            .collect())
+        Ok(answers)
     }
 
-    /// The output stage behind both [`Session::ask`] (one result) and
-    /// [`Session::ask_many`]: every successful engine pass goes through
+    /// The output stage of every ask: each successful pass goes through
     /// one [`MemNet::output_answers`] call — `W` streamed once for the
-    /// whole batch — and the session's counters are settled slot by slot.
-    /// Slots come back in `results` order; answers carry `trace`.
+    /// whole batch — and each answered slot adds to the cumulative stats
+    /// and the answered count (the ladder counters were settled by
+    /// [`Session::climb`]). Slots come back in `results` order; answers
+    /// carry `trace`.
     fn answer_outputs(
         &mut self,
-        results: Vec<Result<(HopsOutput, bool), EngineError>>,
+        results: Vec<Slot>,
         trace: Trace,
     ) -> Vec<Result<Answer, ServeError>> {
         let mut stage = std::mem::take(&mut self.output_stage);
@@ -919,15 +849,7 @@ impl Session {
         let answers = results
             .into_iter()
             .map(|result| {
-                let (out, degraded) = result.map_err(|e| {
-                    if matches!(e, EngineError::DeadlineExceeded { .. }) {
-                        self.degradation.deadline_misses += 1;
-                    }
-                    ServeError::from(e)
-                })?;
-                if degraded {
-                    self.degradation.degraded_answers += 1;
-                }
+                let (out, degraded) = result?;
                 let (word, probability) = predicted
                     .next()
                     .expect("one prediction per engine output")
@@ -949,327 +871,217 @@ impl Session {
         answers
     }
 
-    /// Embeds a question through `B` into `u`, consulting the sentence
-    /// cache first. This is the single embedding call site for both the
-    /// sequential and batched ask paths; the sentence side
+    /// Embeds a question through `B`, consulting the sentence cache first.
+    /// This is the single question-embedding call site; the sentence side
     /// ([`Session::observe`]) shares the same kernel dispatch via
     /// [`MemNet::embed_sentence_pair`]. Cached and computed results are
     /// bitwise identical (the kernels are deterministic and the cache
     /// stores exact bytes), so hits never change an answer.
-    fn embed_question_cached(&mut self, tokens: &[WordId], u: &mut [f32], trace: &mut Trace) {
+    fn embed_question_cached(&mut self, tokens: &[WordId], trace: &mut Trace) -> Vec<f32> {
+        let mut u = vec![0.0; self.model.embedding_dim()];
         let t0 = trace.begin();
         let cached = match &self.embed_cache {
-            Some(cache) => cache.lookup_question(self.model_fingerprint, tokens, u),
+            Some(cache) => cache.lookup_question(self.model_fingerprint, tokens, &mut u),
             None => false,
         };
         if !cached {
-            self.model.embed_question(tokens, u);
+            self.model.embed_question(tokens, &mut u);
             if let Some(cache) = &self.embed_cache {
-                cache.insert_question(self.model_fingerprint, tokens, u);
+                cache.insert_question(self.model_fingerprint, tokens, &u);
             }
         }
         trace.record(Phase::Embed, t0, tokens.len() as u64);
+        u
     }
 
-    /// One question through the distributed plane: [`mnnfast::multi_hop`]'s
-    /// hop loop (`u ← u + o` between hops), with each hop's memory pass
-    /// fanned out to the worker fleet and folded in global chunk order —
-    /// bitwise-identical to the local pass when the fleet is healthy.
-    ///
-    /// Errors: `Err(Some(e))` when the caller's budget expired (must
-    /// surface, never fall back); `Err(None)` for a total fleet failure
-    /// (caller falls back to the local store).
-    fn dist_forward(
+    /// The degradation ladder, run once per ask over all its questions
+    /// (those whose slot is still `None`). Every question starts on
+    /// [`start`]'s rung and only moves forward ([`next`]), so there are at
+    /// most four rounds, and each round runs the questions that reached its
+    /// rung as one group. Results are in `us` order.
+    fn climb(
         &mut self,
-        u0: &[f32],
-        budget: &Budget,
-    ) -> Result<HopsOutput, Option<EngineError>> {
-        let Some(dist) = &self.dist else {
-            return Err(None);
-        };
-        let Ok(mut opts) = ForwardOpts::from_config(&self.config.plan.config) else {
-            return Err(None);
-        };
-        opts.int8 = self.config.precision == Precision::Int8;
-        let hops = self.model.config().hops;
-        hop_chain(u0, hops, &mut self.scratch, |u, _| {
-            // Degraded (shard-skipping) answers are refused here: the
-            // session holds every row locally, so a full local answer
-            // always beats a partial distributed one.
-            match dist.coordinator.forward(u, opts, budget, false) {
-                Ok(out) => Ok((out.o, out.stats)),
-                Err(DistError::Engine(
-                    e @ (EngineError::DeadlineExceeded { .. } | EngineError::Cancelled),
-                )) => Err(Some(e)),
-                Err(_) => Err(None),
-            }
-        })
-    }
-
-    /// Runs the engine forward pass, applying the degradation ladder.
-    /// Returns the hop output and whether the safe path produced it.
-    fn forward(
-        &mut self,
-        u: &[f32],
+        us: &[Vec<f32>],
+        budgets: &[Budget],
+        mut slots: Vec<Option<Slot>>,
         trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<(HopsOutput, bool), EngineError> {
-        // Distributed fast path: the fleet answers bit-identically to the
-        // local chunked pass when healthy, and the coordinator absorbs
-        // worker faults (retry, failover, hedging) internally. Only a
-        // *total* failure falls through to the local store — which holds
-        // every row, so the fallback answer is exact, not degraded.
-        // Pinned-safe sessions skip the fleet: their trouble was numeric,
-        // and the safe path is a local formulation.
-        if self.dist.is_some() && !self.degradation.pinned_safe {
+    ) -> Result<Vec<Slot>, EngineError> {
+        // A memory no larger than `topk` has no row for the index to skip.
+        let sparse = self.topk > 0 && self.store.len() > self.topk;
+        let first = start(self.degradation.pinned_safe, self.dist.is_some(), sparse);
+        let mut rungs = vec![first; us.len()];
+        for rung in [Rung::Fleet, Rung::Sparse, Rung::Fast, Rung::Safe] {
+            let group: Vec<usize> = (0..us.len())
+                .filter(|&q| slots[q].is_none() && rungs[q] == rung)
+                .collect();
+            if group.is_empty() {
+                continue;
+            }
             let t0 = trace.begin();
-            let attempt = self.dist_forward(u, budget);
-            self.sync_dist_counters();
-            match attempt {
-                Ok(out) => {
-                    trace.record(Phase::Dist, t0, self.model.config().hops as u64);
-                    return Ok((out, false));
+            let results = self.run(rung, &group, us, budgets, trace)?;
+            if rung == Rung::Safe && first != Rung::Safe {
+                trace.record(Phase::Retry, t0, group.len() as u64);
+            }
+            // The one place a question's ladder events are recorded.
+            for (&q, result) in group.iter().zip(results) {
+                let safe = rung == Rung::Safe;
+                let (to, event) = match &result {
+                    Ok(_) => (None, safe.then_some(Degradation::SafeAnswer)),
+                    Err(e) => next(rung, Failure::of(e), self.config.degradation, sparse),
+                };
+                if let Some(event) = event {
+                    self.note(event);
                 }
-                // The caller's budget expired mid-question: that is the
-                // caller's deadline, not a fleet fault — surface it.
-                Err(Some(e)) => return Err(e),
-                Err(None) => {
-                    self.teardown_dist();
-                    self.degradation.dist_fallbacks += 1;
+                match to {
+                    Some(to) => rungs[q] = to,
+                    None => slots[q] = Some(result.map(|out| (out, safe))),
                 }
             }
         }
+        Ok(slots
+            .into_iter()
+            .map(|s| s.expect("no rung follows Safe, so every question settles"))
+            .collect())
+    }
+
+    /// Runs one rung over its group (indices into `us`): one result per
+    /// member, in group order.
+    fn run(
+        &mut self,
+        rung: Rung,
+        group: &[usize],
+        us: &[Vec<f32>],
+        budgets: &[Budget],
+        trace: &mut Trace,
+    ) -> Result<Vec<Result<HopsOutput, ServeError>>, EngineError> {
+        if rung == Rung::Fleet {
+            return Ok(self.run_fleet(group, us, budgets, trace));
+        }
         let hops = self.model.config().hops;
-        let pinned = self.degradation.pinned_safe;
-        // Int8 sessions answer from the quantized mirror; sessions pinned
-        // to the safe path have already demonstrated numeric trouble, so
-        // they stay on the exact f32 plane.
-        let precision = self.serving_precision();
-        // Top-K candidate fast path: probe the clustered index, run the
-        // exact kernels over the candidate rows only. Memories no larger
-        // than `topk` skip straight to exact attention (the index could not
-        // skip a row); a declined probe or a contained fault falls back to
-        // the exact path below — every question gets a full-precision
-        // answer either way. The sparse pass never looks at the segment
-        // map, so it composes with segment routing: only the exact
-        // fallback routes by it.
-        if self.topk > 0 && !pinned && self.store.len() > self.topk {
+        let safe = rung == Rung::Safe;
+        let precision = if safe {
+            Precision::F32
+        } else {
+            self.config.precision
+        };
+        if precision == Precision::Int8 {
+            // A no-op when current; rebuilt after any mutation path that
+            // bypassed the incremental maintenance.
+            self.store.enable_quant();
+        }
+        let plan;
+        let route = if rung == Rung::Sparse {
             // No-op when the index is current and undrifted; retrains after
             // clears or enough membership churn to unbalance the clusters.
             self.store.enable_index();
-            let route = Route::TopK {
+            Route::TopK {
                 index: self.store.index().expect("index just synced"),
                 topk: self.topk,
                 nprobe: self.nprobe,
+            }
+        } else {
+            self.refresh_segment_map();
+            plan = exact_plan(self.segments, &self.seg_map, self.store.len());
+            Route::Plan(&plan)
+        };
+        let exec = if safe {
+            &self.safe_executor
+        } else {
+            &self.executor
+        };
+        let view = self.store.view(precision);
+        // An exact group of two or more shares every chunk in one batched
+        // pass. Top-K questions each probe their own candidate rows, and a
+        // lone question takes the single-question walk, which spreads it
+        // over every engine thread (the batched walk gives each question
+        // one worker). Same bits either way.
+        let outs = if let (Route::Plan(plan), [_, _, ..]) = (route, group) {
+            let qs: Vec<Vec<f32>> = group.iter().map(|&q| us[q].clone()).collect();
+            let bs: Vec<Budget> = group.iter().map(|&q| budgets[q].clone()).collect();
+            multi_hop_batch(exec, view, plan, &qs, hops, &mut self.scratch, trace, &bs)?
+        } else {
+            let scratch = &mut self.scratch;
+            let one = |&q: &usize| {
+                multi_hop(exec, view, route, &us[q], hops, scratch, trace, &budgets[q])
             };
-            let attempt = multi_hop(
-                &self.executor,
-                self.store.view(precision),
-                route,
-                u,
-                hops,
-                &mut self.scratch,
-                trace,
-                budget,
-            );
-            match attempt {
-                Ok(out) => return Ok((out, false)),
-                // The caller's budget expired: surface it, never mask a
-                // deadline by burning more time on the exact path.
-                Err(e @ (EngineError::DeadlineExceeded { .. } | EngineError::Cancelled)) => {
-                    return Err(e)
-                }
-                // The index stood down (collapsed probe margin, candidate
-                // set covering everything) or the sparse pass hit a
-                // contained fault: answer exactly instead.
-                Err(
-                    EngineError::IndexDeclined { .. }
-                    | EngineError::NumericFault { .. }
-                    | EngineError::WorkerPanicked,
-                ) => {
-                    self.degradation.sparse_fallbacks += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.refresh_segment_map();
-        let plan = exact_plan(self.segments, &self.seg_map, self.store.len());
-        let primary = if pinned {
-            &self.safe_executor
-        } else {
-            &self.executor
+            group.iter().map(one).collect()
         };
-        let first = multi_hop(
-            primary,
-            self.store.view(precision),
-            Route::Plan(&plan),
-            u,
-            hops,
-            &mut self.scratch,
-            trace,
-            budget,
-        );
-        match first {
-            Ok(out) => Ok((out, pinned)),
-            // A contained scale-out worker panic takes the same ladder as
-            // a numeric fault: the pass was abandoned cleanly, so the
-            // safe-path retry answers the question and repeated panics
-            // pin the session off the parallel fast path.
-            Err(EngineError::NumericFault { .. } | EngineError::WorkerPanicked)
-                if !pinned && self.config.degradation.retry_on_numeric_fault =>
-            {
-                self.degradation.numeric_faults += 1;
-                if let Some(limit) = self.config.degradation.pin_after_faults {
-                    if self.degradation.numeric_faults >= u64::from(limit) {
-                        self.degradation.pinned_safe = true;
-                    }
-                }
-                let t0 = trace.begin();
-                let retried = multi_hop(
-                    &self.safe_executor,
-                    self.store.view(Precision::F32),
-                    Route::Plan(&plan),
-                    u,
-                    hops,
-                    &mut self.scratch,
-                    trace,
-                    budget,
-                );
-                trace.record(Phase::Retry, t0, 1);
-                retried.map(|out| (out, true))
-            }
-            Err(e) => {
-                if matches!(
-                    e,
-                    EngineError::NumericFault { .. } | EngineError::WorkerPanicked
-                ) {
-                    self.degradation.numeric_faults += 1;
-                }
-                Err(e)
-            }
-        }
+        Ok(outs
+            .into_iter()
+            .map(|r| r.map_err(ServeError::from))
+            .collect())
     }
 
-    /// The plane questions are served from right now, synced: the int8
-    /// mirror for [`Precision::Int8`] sessions (a no-op when current;
-    /// rebuilt after any mutation path that bypassed the incremental
-    /// maintenance), the f32 store otherwise and for pinned-safe sessions.
-    fn serving_precision(&mut self) -> Precision {
-        if self.config.precision == Precision::Int8 && !self.degradation.pinned_safe {
-            self.store.enable_quant();
-            Precision::Int8
-        } else {
-            Precision::F32
-        }
-    }
-
-    /// Batched engine forward pass with the degradation ladder applied
-    /// per question: numeric-faulted questions are retried together as a
-    /// sub-batch on the safe path. Results are in `us` order; the `bool`
-    /// marks answers the safe path produced.
-    #[allow(clippy::type_complexity)]
-    fn forward_batch(
+    /// The Fleet rung: [`hop_chain`] with each hop fanned out to the worker
+    /// fleet, which answers bitwise like the local pass and absorbs
+    /// retries, failovers and hedges itself. A budget expiry surfaces as
+    /// itself; any other fleet error loses the question as
+    /// [`ServeError::Dist`], and every later member of the group with it.
+    fn run_fleet(
         &mut self,
+        group: &[usize],
         us: &[Vec<f32>],
-        trace: &mut Trace,
         budgets: &[Budget],
-    ) -> Result<Vec<Result<(HopsOutput, bool), EngineError>>, EngineError> {
+        trace: &mut Trace,
+    ) -> Vec<Result<HopsOutput, ServeError>> {
+        let t0 = trace.begin();
         let hops = self.model.config().hops;
-        // Distributed plane: the coordinator RPC carries one question per
-        // Forward, so a batch is served as a question loop over the fleet
-        // (the cache-residency batching argument is about local memory
-        // streaming, which the workers already do per shard). Budget
-        // expiries stay per-question slots; a total fleet failure drops
-        // the *whole* batch back to the local batched pass.
-        if self.dist.is_some() && !self.degradation.pinned_safe {
-            let t0 = trace.begin();
-            let mut results = Vec::with_capacity(us.len());
-            let mut fleet_failed = false;
-            for (u, b) in us.iter().zip(budgets) {
-                match self.dist_forward(u, b) {
-                    Ok(out) => results.push(Ok((out, false))),
-                    Err(Some(e)) => results.push(Err(e)),
-                    Err(None) => {
-                        fleet_failed = true;
-                        break;
-                    }
-                }
-            }
-            self.sync_dist_counters();
-            if !fleet_failed {
-                trace.record(Phase::Dist, t0, (us.len() * hops) as u64);
-                return Ok(results);
-            }
-            self.teardown_dist();
-            self.degradation.dist_fallbacks += 1;
-        }
-        let was_pinned = self.degradation.pinned_safe;
-        let precision = self.serving_precision();
-        self.refresh_segment_map();
-        let plan = exact_plan(self.segments, &self.seg_map, self.store.len());
-        let primary = if was_pinned {
-            &self.safe_executor
-        } else {
-            &self.executor
+        let dist = self
+            .dist
+            .as_ref()
+            .expect("the Fleet rung runs only while the fleet is up");
+        let opts = ForwardOpts {
+            int8: self.config.precision == Precision::Int8,
+            ..ForwardOpts::from_config(&self.config.plan.config)
+                .expect("validated when the fleet was built")
         };
-        let first = multi_hop_batch(
-            primary,
-            self.store.view(precision),
-            &plan,
-            us,
-            hops,
-            &mut self.scratch,
-            trace,
-            budgets,
-        )?;
-
-        let mut results: Vec<Result<(HopsOutput, bool), EngineError>> =
-            Vec::with_capacity(us.len());
-        let mut retry_idx: Vec<usize> = Vec::new();
-        for (q, result) in first.into_iter().enumerate() {
-            match result {
-                Ok(out) => results.push(Ok((out, was_pinned))),
-                Err(e) => {
-                    if matches!(
-                        e,
-                        EngineError::NumericFault { .. } | EngineError::WorkerPanicked
-                    ) {
-                        self.degradation.numeric_faults += 1;
-                        if !was_pinned && self.config.degradation.retry_on_numeric_fault {
-                            if let Some(limit) = self.config.degradation.pin_after_faults {
-                                if self.degradation.numeric_faults >= u64::from(limit) {
-                                    self.degradation.pinned_safe = true;
-                                }
-                            }
-                            retry_idx.push(q);
-                        }
+        let mut results: Vec<Result<HopsOutput, ServeError>> = Vec::with_capacity(group.len());
+        for &q in group {
+            let result = match results.last() {
+                Some(Err(e @ ServeError::Dist(_))) => Err(e.clone()),
+                _ => hop_chain(&us[q], hops, &mut self.scratch, |u, _| {
+                    // Degraded (shard-skipping) answers are refused: a full
+                    // local answer always beats a partial distributed one.
+                    match dist.coordinator.forward(u, opts, &budgets[q], false) {
+                        Ok(out) => Ok((out.o, out.stats)),
+                        Err(DistError::Engine(
+                            e @ (EngineError::DeadlineExceeded { .. } | EngineError::Cancelled),
+                        )) => Err(ServeError::Engine(e)),
+                        Err(e) => Err(ServeError::Dist(e.to_string())),
                     }
-                    results.push(Err(e));
+                }),
+            };
+            results.push(result);
+        }
+        self.sync_dist_counters();
+        trace.record(Phase::Dist, t0, (group.len() * hops) as u64);
+        results
+    }
+
+    /// Records one ladder event: the only place the
+    /// [`DegradationStats`] counters move.
+    fn note(&mut self, event: Degradation) {
+        let stats = &mut self.degradation;
+        match event {
+            // Every question a lost fleet hands back notes the loss; the
+            // first tears the fleet down, so the counter counts teardowns.
+            Degradation::FleetLost => {
+                if self.dist.is_some() {
+                    self.sync_dist_counters();
+                    self.dist = None;
+                    self.degradation.dist_fallbacks += 1;
                 }
             }
-        }
-
-        if !retry_idx.is_empty() {
-            let retry_us: Vec<Vec<f32>> = retry_idx.iter().map(|&q| us[q].clone()).collect();
-            let retry_budgets: Vec<Budget> =
-                retry_idx.iter().map(|&q| budgets[q].clone()).collect();
-            let t0 = trace.begin();
-            let retried = multi_hop_batch(
-                &self.safe_executor,
-                self.store.view(Precision::F32),
-                &plan,
-                &retry_us,
-                hops,
-                &mut self.scratch,
-                trace,
-                &retry_budgets,
-            )?;
-            trace.record(Phase::Retry, t0, retry_idx.len() as u64);
-            for (&q, result) in retry_idx.iter().zip(retried) {
-                results[q] = result.map(|out| (out, true));
+            Degradation::SparseFallback => stats.sparse_fallbacks += 1,
+            Degradation::NumericFault => {
+                stats.numeric_faults += 1;
+                if let Some(limit) = self.config.degradation.pin_after_faults {
+                    stats.pinned_safe |= stats.numeric_faults >= u64::from(limit);
+                }
             }
+            Degradation::DeadlineMiss => stats.deadline_misses += 1,
+            Degradation::SafeAnswer => stats.degraded_answers += 1,
         }
-        Ok(results)
     }
 
     /// Text-level [`Session::observe`]: tokenizes against `vocab` first.
@@ -1283,13 +1095,12 @@ impl Session {
         sentence: &str,
         vocab: &Vocabulary,
     ) -> Result<usize, ServeError> {
-        let tokens = text::encode(sentence, vocab)
-            .map_err(|w| ServeError::Model(format!("unknown word '{w}'")))?;
-        self.observe(&tokens)
+        self.observe(&encode(sentence, vocab)?)
     }
 
     /// Text-level [`Session::ask`]: tokenizes against `vocab` and decodes
-    /// the answer back to a word.
+    /// the answer back to a word ([`Session::ask_many_text`] over one
+    /// question).
     ///
     /// # Errors
     ///
@@ -1299,11 +1110,9 @@ impl Session {
         question: &str,
         vocab: &Vocabulary,
     ) -> Result<(String, Answer), ServeError> {
-        let tokens = text::encode(question, vocab)
-            .map_err(|w| ServeError::Model(format!("unknown word '{w}'")))?;
-        let answer = self.ask(&tokens)?;
-        let word = vocab.word(answer.word).unwrap_or("<?>").to_owned();
-        Ok((word, answer))
+        self.ask_many_text(&[question.to_owned()], vocab)?
+            .pop()
+            .expect("one slot per question")
     }
 
     /// Text-level [`Session::ask_many`]: tokenizes every question against
@@ -1320,33 +1129,16 @@ impl Session {
         questions: &[String],
         vocab: &Vocabulary,
     ) -> Result<Vec<Result<(String, Answer), ServeError>>, ServeError> {
-        let encoded: Vec<Result<Vec<WordId>, ServeError>> = questions
-            .iter()
-            .map(|q| {
-                text::encode(q, vocab).map_err(|w| ServeError::Model(format!("unknown word '{w}'")))
-            })
-            .collect();
-        let valid: Vec<Vec<WordId>> = encoded
-            .iter()
-            .filter_map(|r| r.as_ref().ok().cloned())
-            .collect();
-        let mut batched = if valid.is_empty() {
-            Vec::new()
-        } else {
-            self.ask_many(&valid)?
-        }
-        .into_iter();
+        let encoded: Vec<Result<Vec<WordId>, ServeError>> =
+            questions.iter().map(|q| encode(q, vocab)).collect();
+        let valid: Vec<Vec<WordId>> = encoded.iter().flatten().cloned().collect();
+        let mut batched = self.ask_many(&valid)?.into_iter();
         Ok(encoded
             .into_iter()
-            .map(|tokens| match tokens {
-                Err(e) => Err(e),
-                Ok(_) => batched
-                    .next()
-                    .expect("one batched slot per encodable question")
-                    .map(|answer| {
-                        let word = vocab.word(answer.word).unwrap_or("<?>").to_owned();
-                        (word, answer)
-                    }),
+            .map(|tokens| {
+                tokens?;
+                let answer = batched.next().expect("one slot per encodable question")?;
+                Ok((vocab.word(answer.word).unwrap_or("<?>").to_owned(), answer))
             })
             .collect())
     }
@@ -1360,6 +1152,12 @@ impl Session {
         }
         Ok(())
     }
+}
+
+/// Tokenizes `text` against `vocab`; an unknown word is a
+/// [`ServeError::Model`].
+fn encode(text: &str, vocab: &Vocabulary) -> Result<Vec<WordId>, ServeError> {
+    text::encode(text, vocab).map_err(|w| ServeError::Model(format!("unknown word '{w}'")))
 }
 
 /// The model as a session serves it: the age-indexed temporal encoding
@@ -1390,6 +1188,134 @@ fn exact_plan(segments: usize, seg_map: &SegmentMap, rows: usize) -> SegmentPlan
         SegmentPlan::routed(seg_map, true)
     } else {
         SegmentPlan::unsegmented(rows)
+    }
+}
+
+/// The budget a question runs under: [`SessionConfig::deadline`] less the
+/// time it already `waited` (in a coalescing queue), or no limit.
+pub(crate) fn question_budget(deadline: Option<Duration>, waited: Duration) -> Budget {
+    deadline.map_or_else(Budget::unlimited, |limit| {
+        Budget::with_deadline(limit.saturating_sub(waited))
+    })
+}
+
+/// One question's way off the ladder: its hop output and whether the Safe
+/// rung produced it, or the error that ended it.
+type Slot = Result<(HopsOutput, bool), ServeError>;
+
+/// A rung of the degradation ladder, in the order questions descend it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rung {
+    /// The distributed worker fleet, one question at a time.
+    Fleet,
+    /// Top-K candidate attention ([`Route::TopK`]), one question at a time.
+    Sparse,
+    /// Exact attention on the configured executor and precision plane.
+    Fast,
+    /// Exact attention on the unfused online-softmax executor over the f32
+    /// plane: finite for arbitrary logits.
+    Safe,
+}
+
+/// Why a rung handed a question back unanswered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Failure {
+    /// The fleet failed the question as a whole.
+    FleetLost,
+    /// The question's deadline expired.
+    Deadline,
+    /// The question's cancel token tripped.
+    Cancelled,
+    /// The top-K index declined the probe.
+    IndexDeclined,
+    /// A numeric fault or a contained worker panic.
+    Fault,
+    /// Anything else (configuration, shapes).
+    Other,
+}
+
+impl Failure {
+    fn of(e: &ServeError) -> Self {
+        match e {
+            ServeError::Dist(_) => Failure::FleetLost,
+            ServeError::Engine(EngineError::DeadlineExceeded { .. }) => Failure::Deadline,
+            ServeError::Engine(EngineError::Cancelled) => Failure::Cancelled,
+            ServeError::Engine(EngineError::IndexDeclined { .. }) => Failure::IndexDeclined,
+            ServeError::Engine(EngineError::NumericFault { .. } | EngineError::WorkerPanicked) => {
+                Failure::Fault
+            }
+            _ => Failure::Other,
+        }
+    }
+}
+
+/// One event the [`DegradationStats`] counters record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Degradation {
+    /// The fleet was lost and is torn down (`dist_fallbacks`).
+    FleetLost,
+    /// The top-K pass stood down for a question (`sparse_fallbacks`).
+    SparseFallback,
+    /// A numeric fault on the Fast or Safe rung (`numeric_faults`, and the
+    /// [`DegradationPolicy::pin_after_faults`] check).
+    NumericFault,
+    /// A question's deadline expired (`deadline_misses`).
+    DeadlineMiss,
+    /// The Safe rung answered a question (`degraded_answers`).
+    SafeAnswer,
+}
+
+/// The rung every question of an ask starts on, from the session's state
+/// alone: the fleet while it is up, else top-K while it is `sparse` (an
+/// index configured and more rows than `topk`), else the fast exact pass —
+/// and the Safe rung, whatever else holds, once the session is `pinned`:
+/// its trouble was numeric, and the safe pass is local.
+pub(crate) fn start(pinned: bool, fleet_up: bool, sparse: bool) -> Rung {
+    match (pinned, fleet_up, sparse) {
+        (true, _, _) => Rung::Safe,
+        (false, true, _) => Rung::Fleet,
+        (false, false, true) => Rung::Sparse,
+        (false, false, false) => Rung::Fast,
+    }
+}
+
+/// The degradation ladder: where a question goes when `rung` fails it with
+/// `failure` (`None` ends the question with the failure in its slot), and
+/// the event the failure records, whether the question moves or stops. A
+/// question only moves forward, so it climbs at most four rungs.
+///
+/// Numeric-fault counting rule: every numeric fault or contained worker
+/// panic on the Fast or Safe rung is one `numeric_faults` event, and the
+/// pin check runs on each — the one retried on Safe, and one that ends its
+/// question (the retry off, or on the Safe rung: a pinned session's pass,
+/// or a retry that faults again). A fault on the Sparse rung is a
+/// `sparse_fallbacks` event instead, and a fleet that cannot absorb a
+/// fault is lost. An expired deadline is a `deadline_misses` event on
+/// every rung; a cancellation records nothing.
+pub(crate) fn next(
+    rung: Rung,
+    failure: Failure,
+    policy: DegradationPolicy,
+    sparse: bool,
+) -> (Option<Rung>, Option<Degradation>) {
+    match (rung, failure) {
+        // The caller's budget is not a fault: never mask it by burning
+        // more time on another rung. A configuration or shape error would
+        // fail on every rung alike.
+        (_, Failure::Deadline) => (None, Some(Degradation::DeadlineMiss)),
+        (_, Failure::Cancelled | Failure::Other) => (None, None),
+        (Rung::Fleet, _) => (
+            Some(start(false, false, sparse)),
+            Some(Degradation::FleetLost),
+        ),
+        (Rung::Sparse, Failure::IndexDeclined | Failure::Fault) => {
+            (Some(Rung::Fast), Some(Degradation::SparseFallback))
+        }
+        (Rung::Fast, Failure::Fault) if policy.retry_on_numeric_fault => {
+            (Some(Rung::Safe), Some(Degradation::NumericFault))
+        }
+        (Rung::Fast | Rung::Safe, Failure::Fault) => (None, Some(Degradation::NumericFault)),
+        _ => (None, None),
     }
 }
 
@@ -1456,95 +1382,53 @@ fn build_dist_plane(config: &SessionConfig, ed: usize) -> Result<Option<DistPlan
     }))
 }
 
-/// Effective segment count: an explicit configuration wins; `0` defers to
-/// the `MNNFAST_SEGMENTS` environment variable. Unset or empty means the
-/// unsegmented prefix pass (1); anything else must parse as a positive
-/// integer — a malformed value is a typed [`EnvVarError`], not a silent
-/// fallback (the historical behaviour, which ran deployments unsegmented
-/// when the operator fat-fingered the knob).
-fn resolve_segments(configured: usize) -> Result<usize, EnvVarError> {
-    if configured >= 1 {
-        return Ok(configured);
-    }
-    parse_segments(std::env::var("MNNFAST_SEGMENTS").ok().as_deref())
-}
-
-/// The pure parse behind [`resolve_segments`]: `None`/empty → 1, a positive
-/// integer → itself, anything else → a typed error.
-fn parse_segments(value: Option<&str>) -> Result<usize, EnvVarError> {
-    match value {
-        None => Ok(1),
-        Some(v) if v.trim().is_empty() => Ok(1),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(EnvVarError::new(
-                "MNNFAST_SEGMENTS",
-                v,
-                "a positive segment count (empty/unset = 1)",
-            )),
-        },
-    }
-}
-
 /// Probe floor when neither the configuration nor `MNNFAST_NPROBE` names
 /// one: wide enough for near-perfect recall on clustered memories, still
 /// sublinear against the `~sqrt(rows)` cluster count.
 const DEFAULT_NPROBE: usize = 8;
 
-/// Effective top-K candidate count: an explicit configuration wins; `0`
-/// defers to the `MNNFAST_TOPK` environment variable. Unset or empty means
-/// exact attention (0); anything else must parse as a positive integer —
-/// `MNNFAST_TOPK=0` is a typed error, not a silent "disabled" (unset is how
-/// an operator disables the index; an explicit zero is a typo).
-fn resolve_topk(configured: usize) -> Result<usize, EnvVarError> {
+/// An environment count knob: its variable, its value when unset, and the
+/// shape it expects.
+type Knob = (&'static str, usize, &'static str);
+
+const SEGMENTS: Knob = (
+    "MNNFAST_SEGMENTS",
+    1,
+    "a positive segment count (empty/unset = 1)",
+);
+const TOPK: Knob = (
+    "MNNFAST_TOPK",
+    0,
+    "a positive candidate count (empty/unset = exact attention)",
+);
+const NPROBE: Knob = (
+    "MNNFAST_NPROBE",
+    DEFAULT_NPROBE,
+    "a positive cluster probe floor (empty/unset = 8)",
+);
+
+/// Effective value of a count knob: an explicit configuration (`>= 1`)
+/// wins; `0` defers to the knob's `MNNFAST_*` environment variable.
+fn resolve_count(configured: usize, knob: Knob) -> Result<usize, EnvVarError> {
     if configured >= 1 {
         return Ok(configured);
     }
-    parse_topk(std::env::var("MNNFAST_TOPK").ok().as_deref())
+    parse_count(knob, std::env::var(knob.0).ok().as_deref())
 }
 
-/// The pure parse behind [`resolve_topk`]: `None`/empty → 0 (exact
-/// attention), a positive integer → itself, anything else → a typed error.
-fn parse_topk(value: Option<&str>) -> Result<usize, EnvVarError> {
-    match value {
-        None => Ok(0),
-        Some(v) if v.trim().is_empty() => Ok(0),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(EnvVarError::new(
-                "MNNFAST_TOPK",
-                v,
-                "a positive candidate count (empty/unset = exact attention)",
-            )),
-        },
-    }
-}
-
-/// Effective probe floor: an explicit configuration wins; `0` defers to the
-/// `MNNFAST_NPROBE` environment variable, falling back to
-/// [`DEFAULT_NPROBE`]. Zero and malformed values are typed errors.
-fn resolve_nprobe(configured: usize) -> Result<usize, EnvVarError> {
-    if configured >= 1 {
-        return Ok(configured);
-    }
-    parse_nprobe(std::env::var("MNNFAST_NPROBE").ok().as_deref())
-}
-
-/// The pure parse behind [`resolve_nprobe`]: `None`/empty →
-/// [`DEFAULT_NPROBE`], a positive integer → itself, anything else → a typed
-/// error.
-fn parse_nprobe(value: Option<&str>) -> Result<usize, EnvVarError> {
-    match value {
-        None => Ok(DEFAULT_NPROBE),
-        Some(v) if v.trim().is_empty() => Ok(DEFAULT_NPROBE),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(EnvVarError::new(
-                "MNNFAST_NPROBE",
-                v,
-                "a positive cluster probe floor (empty/unset = 8)",
-            )),
-        },
+/// The pure parse behind [`resolve_count`]: unset or empty is the knob's
+/// default, a positive integer is itself, and anything else — zero
+/// included, since unset is how an operator asks for the default — is a
+/// typed [`EnvVarError`], never a silent fallback (the historical
+/// behaviour, which ran deployments unsegmented when the operator
+/// fat-fingered the knob).
+fn parse_count((var, unset, expected): Knob, value: Option<&str>) -> Result<usize, EnvVarError> {
+    let Some(v) = value.filter(|v| !v.trim().is_empty()) else {
+        return Ok(unset);
+    };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(EnvVarError::new(var, v, expected)),
     }
 }
 
@@ -1555,6 +1439,82 @@ mod tests {
     use mnn_memnn::train::Trainer;
     use mnn_memnn::{eval, ModelConfig};
     use mnnfast::{EngineKind, Phase};
+
+    /// Every (rung, failure class, retry on/off) row of the ladder, with
+    /// the event each row records — the whole counting rule stated on
+    /// [`next`]: a Fast fault counts whether it moves to Safe or stops, a
+    /// Safe fault counts, a Sparse fault is a sparse fallback, a deadline
+    /// counts on every rung.
+    #[test]
+    fn ladder_table() {
+        use Degradation as D;
+        use Failure as F;
+        use Rung as R;
+        let policy = |retry| DegradationPolicy {
+            retry_on_numeric_fault: retry,
+            ..DegradationPolicy::default()
+        };
+        // A lost fleet (any fleet error but the budget) answers locally; a
+        // declined or faulted probe answers exactly; a Fast fault is
+        // retried on Safe when the policy says so. Everything else — a
+        // budget expiry, an error no rung can cure, any Safe failure —
+        // surfaces.
+        let local = (Some(R::Fast), Some(D::FleetLost));
+        let exact = (Some(R::Fast), Some(D::SparseFallback));
+        let retry = (Some(R::Safe), Some(D::NumericFault));
+        let fault = (None, Some(D::NumericFault));
+        let missed = (None, Some(D::DeadlineMiss));
+        let quiet = (None, None);
+        // (rung, failure, next with the retry on, next with it off)
+        for (rung, failure, on, off) in [
+            (R::Fleet, F::FleetLost, local, local),
+            (R::Fleet, F::Deadline, missed, missed),
+            (R::Fleet, F::Cancelled, quiet, quiet),
+            (R::Fleet, F::IndexDeclined, local, local),
+            (R::Fleet, F::Fault, local, local),
+            (R::Fleet, F::Other, quiet, quiet),
+            (R::Sparse, F::FleetLost, quiet, quiet),
+            (R::Sparse, F::Deadline, missed, missed),
+            (R::Sparse, F::Cancelled, quiet, quiet),
+            (R::Sparse, F::IndexDeclined, exact, exact),
+            (R::Sparse, F::Fault, exact, exact),
+            (R::Sparse, F::Other, quiet, quiet),
+            (R::Fast, F::FleetLost, quiet, quiet),
+            (R::Fast, F::Deadline, missed, missed),
+            (R::Fast, F::Cancelled, quiet, quiet),
+            (R::Fast, F::IndexDeclined, quiet, quiet),
+            (R::Fast, F::Fault, retry, fault),
+            (R::Fast, F::Other, quiet, quiet),
+            (R::Safe, F::FleetLost, quiet, quiet),
+            (R::Safe, F::Deadline, missed, missed),
+            (R::Safe, F::Cancelled, quiet, quiet),
+            (R::Safe, F::IndexDeclined, quiet, quiet),
+            (R::Safe, F::Fault, fault, fault),
+            (R::Safe, F::Other, quiet, quiet),
+        ] {
+            let row = format!("{rung:?} {failure:?}");
+            assert_eq!(next(rung, failure, policy(true), false), on, "{row}");
+            assert_eq!(next(rung, failure, policy(false), false), off, "{row}");
+        }
+        // With top-K live a lost fleet falls to the Sparse rung; nothing
+        // else depends on it.
+        assert_eq!(
+            next(R::Fleet, F::FleetLost, policy(true), true),
+            (Some(R::Sparse), Some(D::FleetLost))
+        );
+        assert_eq!(next(R::Sparse, F::Fault, policy(true), true), exact);
+        // (pinned, fleet up, sparse) -> first rung: state alone decides.
+        for (pinned, fleet, sparse, rung) in [
+            (true, true, true, R::Safe),
+            (true, false, false, R::Safe),
+            (false, true, false, R::Fleet),
+            (false, true, true, R::Fleet),
+            (false, false, true, R::Sparse),
+            (false, false, false, R::Fast),
+        ] {
+            assert_eq!(start(pinned, fleet, sparse), rung);
+        }
+    }
 
     fn trained_serving_model() -> (BabiGenerator, MemNet) {
         let mut generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 71);
@@ -1833,56 +1793,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_ask_matches_sequential_asks() {
-        let (mut generator, model) = trained_serving_model();
-        let story = generator.story(8, 3);
-        let mut seq = Session::new(model.clone(), SessionConfig::default()).unwrap();
-        let mut batched = Session::new(model, SessionConfig::default()).unwrap();
-        for s in &story.sentences {
-            seq.observe(s).unwrap();
-            batched.observe(s).unwrap();
-        }
-        let questions: Vec<Vec<WordId>> =
-            story.questions.iter().map(|q| q.tokens.clone()).collect();
-        let answers = batched.ask_many(&questions).unwrap();
-        assert_eq!(answers.len(), questions.len());
-        for (q, a) in questions.iter().zip(&answers) {
-            let a = a.as_ref().unwrap();
-            let expect = seq.ask(q).unwrap();
-            assert_eq!(a.word, expect.word);
-            assert!((a.probability - expect.probability).abs() < 1e-4);
-            assert_eq!(a.stats.rows_total, expect.stats.rows_total);
-            assert_eq!(a.stats.rows_skipped, expect.stats.rows_skipped);
-            assert!(!a.degraded);
-        }
-        assert_eq!(batched.questions_answered(), 3);
-        assert_eq!(
-            batched.cumulative_stats().rows_total,
-            seq.cumulative_stats().rows_total
-        );
-    }
-
-    #[test]
-    fn batched_ask_isolates_unknown_tokens() {
-        let (mut generator, model) = trained_serving_model();
-        let story = generator.story(6, 2);
-        let mut session = Session::new(model, SessionConfig::default()).unwrap();
-        for s in &story.sentences {
-            session.observe(s).unwrap();
-        }
-        let questions = vec![
-            story.questions[0].tokens.clone(),
-            vec![9999],
-            story.questions[1].tokens.clone(),
-        ];
-        let answers = session.ask_many(&questions).unwrap();
-        assert!(answers[0].is_ok());
-        assert_eq!(answers[1], Err(ServeError::UnknownToken(9999)));
-        assert!(answers[2].is_ok());
-        assert_eq!(session.questions_answered(), 2);
-    }
-
-    #[test]
     fn batched_ask_traces_the_batch_gemm_phase_once() {
         let (mut generator, model) = trained_serving_model();
         let story = generator.story(6, 2);
@@ -2021,59 +1931,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_batched_ask_matches_sequential_int8() {
-        let (mut generator, model) = trained_serving_model();
-        let story = generator.story(8, 3);
-        let config = SessionConfig {
-            precision: Precision::Int8,
-            ..SessionConfig::default()
-        };
-        let mut seq = Session::new(model.clone(), config).unwrap();
-        let mut batched = Session::new(model, config).unwrap();
-        for s in &story.sentences {
-            seq.observe(s).unwrap();
-            batched.observe(s).unwrap();
-        }
-        let questions: Vec<Vec<WordId>> =
-            story.questions.iter().map(|q| q.tokens.clone()).collect();
-        let answers = batched.ask_many(&questions).unwrap();
-        for (q, a) in questions.iter().zip(&answers) {
-            let a = a.as_ref().unwrap();
-            let expect = seq.ask(q).unwrap();
-            assert_eq!(a.word, expect.word);
-            // Batched int8 inherits the single-question chunk discipline,
-            // so the probabilities agree bitwise, not just approximately.
-            assert_eq!(a.probability.to_bits(), expect.probability.to_bits());
-        }
-    }
-
-    #[test]
-    fn f32_batched_ask_matches_sequential_f32() {
-        let (mut generator, model) = trained_serving_model();
-        let story = generator.story(8, 3);
-        let config = SessionConfig::default();
-        let mut seq = Session::new(model.clone(), config).unwrap();
-        let mut batched = Session::new(model, config).unwrap();
-        for s in &story.sentences {
-            seq.observe(s).unwrap();
-            batched.observe(s).unwrap();
-        }
-        let questions: Vec<Vec<WordId>> =
-            story.questions.iter().map(|q| q.tokens.clone()).collect();
-        let answers = batched.ask_many(&questions).unwrap();
-        for (q, a) in questions.iter().zip(&answers) {
-            let a = a.as_ref().unwrap();
-            let expect = seq.ask(q).unwrap();
-            assert_eq!(a.word, expect.word);
-            // The batched f32 serving path runs each question's chunk share
-            // through the exact single-question kernels (chunk partial →
-            // merge), so a coalesced ask returns the same bits as a solo
-            // ask — the network front-end's parity contract rides on this.
-            assert_eq!(a.probability.to_bits(), expect.probability.to_bits());
-        }
-    }
-
-    #[test]
     fn int8_segmented_serving_stays_consistent() {
         let (mut generator, model) = trained_serving_model();
         let story = generator.story(8, 2);
@@ -2153,6 +2010,7 @@ mod tests {
 
     #[test]
     fn segments_env_parse_is_strict() {
+        let parse_segments = |v| parse_count(SEGMENTS, v);
         assert_eq!(parse_segments(None), Ok(1));
         assert_eq!(parse_segments(Some("")), Ok(1));
         assert_eq!(parse_segments(Some("  ")), Ok(1));
@@ -2164,11 +2022,13 @@ mod tests {
             assert_eq!(err.value(), bad);
         }
         // An explicit configuration short-circuits the environment.
-        assert_eq!(resolve_segments(7), Ok(7));
+        assert_eq!(resolve_count(7, SEGMENTS), Ok(7));
     }
 
     #[test]
     fn topk_and_nprobe_env_parses_are_strict() {
+        let parse_topk = |v| parse_count(TOPK, v);
+        let parse_nprobe = |v| parse_count(NPROBE, v);
         assert_eq!(parse_topk(None), Ok(0));
         assert_eq!(parse_topk(Some("")), Ok(0));
         assert_eq!(parse_topk(Some("  ")), Ok(0));
@@ -2179,7 +2039,7 @@ mod tests {
             assert_eq!(err.var(), "MNNFAST_TOPK");
             assert_eq!(err.value(), bad);
         }
-        assert_eq!(resolve_topk(16), Ok(16));
+        assert_eq!(resolve_count(16, TOPK), Ok(16));
 
         assert_eq!(parse_nprobe(None), Ok(DEFAULT_NPROBE));
         assert_eq!(parse_nprobe(Some(" ")), Ok(DEFAULT_NPROBE));
@@ -2189,7 +2049,7 @@ mod tests {
             assert_eq!(err.var(), "MNNFAST_NPROBE");
             assert_eq!(err.value(), bad);
         }
-        assert_eq!(resolve_nprobe(5), Ok(5));
+        assert_eq!(resolve_count(5, NPROBE), Ok(5));
     }
 
     #[test]

@@ -202,6 +202,44 @@ fn disabled_retry_surfaces_numeric_fault() {
 }
 
 #[test]
+fn surfaced_faults_count_toward_the_pin_too() {
+    let _guard = lock();
+    let (mut generator, model) = trained_model();
+    let story = generator.story(4, 1);
+    let config = SessionConfig {
+        degradation: DegradationPolicy {
+            retry_on_numeric_fault: false,
+            pin_after_faults: Some(2),
+        },
+        ..SessionConfig::default()
+    };
+    let mut session = Session::new(model, config).unwrap();
+    observe_story(&mut session, &story.sentences);
+
+    // Every fault counts, retried or not: two surfaced faults pin the
+    // session, and the pinned session answers on the safe path without
+    // touching the (still armed) fused kernel.
+    fault::arm(FaultKind::NanLogit, 0, u64::MAX);
+    let q = &story.questions[0].tokens;
+    assert!(session.ask(q).is_err());
+    assert!(!session.degradation_stats().pinned_safe);
+    assert!(session.ask(q).is_err());
+    let fires = fault::fired();
+    let a = session.ask(q);
+    let fires_pinned = fault::fired();
+    fault::disarm();
+
+    assert!(a.unwrap().degraded);
+    assert_eq!(
+        fires, fires_pinned,
+        "a pinned session must not run the fused kernel"
+    );
+    let d = session.degradation_stats();
+    assert_eq!((d.numeric_faults, d.degraded_answers), (2, 1));
+    assert!(d.pinned_safe);
+}
+
+#[test]
 fn slow_chunk_trips_one_batched_deadline_leaving_batchmates_unaffected() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
