@@ -14,7 +14,8 @@
 //!
 //! The argument parser is hand-rolled (`--key value` pairs) so the tool
 //! has no dependencies beyond the workspace crates; it is unit-tested
-//! through [`run`], which takes the argument vector and an output sink.
+//! through [`run`], which takes the argument vector, the variable source
+//! `serve` resolves its `MNNFAST_*` knobs from, and an output sink.
 
 use mnn_dataset::babi::{BabiGenerator, Story, TaskKind};
 use mnn_dataset::babi_io;
@@ -45,16 +46,21 @@ impl Options {
     /// Keys that are switches: present-or-absent, no value consumed.
     const SWITCHES: &'static [&'static str] = &["trace"];
 
-    /// Parses an argument list (without the program name).
+    /// Parses an argument list (without the program name) against the
+    /// subcommand's `known` keys.
     ///
     /// # Errors
     ///
-    /// Returns an error for a trailing `--key` without a value.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Returns an error for a `--key` not in `known` and for a trailing
+    /// `--key` without a value.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Self, String> {
         let mut options = Options::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !known.contains(&key) {
+                    return Err(format!("unknown option --{key}"));
+                }
                 if Self::SWITCHES.contains(&key) {
                     options.flags.insert(key.to_owned(), "true".to_owned());
                     continue;
@@ -120,9 +126,9 @@ USAGE:
   mnnfast serve  --model <model.bin> [--window 0] [--skip 0.0]
                  [--engine auto|column|parallel] [--threads 1]
                  [--deadline-ms 0] [--batch 0] [--embed-cache 0]
-                 [--segments 0] [--precision f32|int8] [--trace]
-                 [--workers 0] [--replicas 0] [--hedge-ms 0]
-                 [--topk 0] [--nprobe 0]
+                 [--segments 1] [--precision f32|int8] [--trace]
+                 [--workers 1] [--replicas 1] [--hedge-ms 0]
+                 [--topk 0] [--nprobe 8]
   mnnfast connect --addr <host:port> [--token default]
   mnnfast export --out <babi.txt> [--task single] [--stories 100] [--ns 10]
   mnnfast tasks
@@ -142,8 +148,7 @@ hit-rate line is printed at session end.
 `--segments N` partitions the story memory into N routed segments with
 zone-map (max-norm) metadata; online-softmax questions skip segments that
 provably cannot affect the answer, bitwise-identically. A segment summary
-line is printed at session end. When the flag is absent the
-`MNNFAST_SEGMENTS` environment variable supplies the count.
+line is printed at session end.
 `--precision int8` serves questions from a per-row symmetric int8 mirror
 of the story memory (re-quantized incrementally as sentences arrive),
 moving roughly a quarter of the bytes per question through exact-integer
@@ -156,18 +161,19 @@ deadlines with bounded retries, and a total fleet failure falls back to
 exact local execution. `--replicas R` stores each shard on R workers so
 a killed worker fails over without losing exactness; `--hedge-ms M`
 re-dispatches a shard to a backup replica if the primary has not
-answered after M milliseconds. All three default to the
-`MNNFAST_WORKERS` / `MNNFAST_REPLICAS` / `MNNFAST_HEDGE_MS` environment
-variables when 0/absent. A `distributed:` summary line reports shard
-count, retries, failovers, hedges, and local fallbacks.
+answered after M milliseconds (0 never hedges). A `distributed:` summary
+line reports shard count, retries, failovers, hedges, and local
+fallbacks.
 `--topk K` (K > 0) answers questions through a clustered candidate index:
 each question probes the nearest clusters and the exact kernels rescore
 only the best candidate rows — sublinear in memory size, same kernels,
 bitwise-exact on the rows it attends. `--nprobe P` sets the probe floor
-(clusters opened per question; 0 defers to `MNNFAST_NPROBE`, default 8).
-Low-confidence probes fall back to exact attention per question, reported
-on the `sparse:` summary line. When `--topk` is absent the `MNNFAST_TOPK`
-environment variable supplies the count; unset serves exact attention.
+(clusters opened per question). Low-confidence probes fall back to exact
+attention per question, reported on the `sparse:` summary line.
+A serve flag that is absent takes its `MNNFAST_*` environment variable
+(`MNNFAST_SEGMENTS`, `_WORKERS`, `_REPLICAS`, `_HEDGE_MS`, `_TOPK`,
+`_NPROBE`); a blank variable means the default and a malformed one is an
+error.
 
 `connect` speaks the binary protocol to a running `mnn-serve` daemon:
 facts observe, a trailing `?` asks (the server may coalesce your question
@@ -180,24 +186,61 @@ Models save a `<model>.vocab` sidecar so eval/serve decode consistently.
 ";
 
 /// Runs the CLI with `args` (excluding the program name), writing output to
-/// `out`. Reads `input` for the `serve` REPL.
+/// `out`. Reads `input` for the `serve` REPL, and `env` (the variable
+/// lookup: `std::env::var` in the binary, a table in tests) for the
+/// `MNNFAST_*` knobs `serve` falls back to.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message on bad arguments or I/O failure.
-pub fn run(args: &[String], input: &mut dyn BufRead, out: &mut dyn Write) -> CliResult {
+pub fn run(
+    args: &[String],
+    env: &dyn Fn(&str) -> Option<String>,
+    input: &mut dyn BufRead,
+    out: &mut dyn Write,
+) -> CliResult {
     let Some(command) = args.first() else {
         writeln!(out, "{USAGE}").map_err(|e| e.to_string())?;
         return Err("no subcommand given".into());
     };
-    let options = Options::parse(&args[1..])?;
+    let options = |known: &[&str]| Options::parse(&args[1..], known);
     match command.as_str() {
-        "train" => cmd_train(&options, out),
-        "eval" => cmd_eval(&options, out),
-        "serve" => cmd_serve(&options, input, out),
-        "connect" => cmd_connect(&options, input, out),
-        "export" => cmd_export(&options, out),
-        "tasks" => cmd_tasks(out),
+        "train" => cmd_train(
+            &options(&[
+                "out", "task", "stories", "epochs", "ed", "ns", "hops", "seed", "data",
+            ])?,
+            out,
+        ),
+        "eval" => cmd_eval(
+            &options(&["model", "task", "stories", "skip", "seed", "data", "trace"])?,
+            out,
+        ),
+        "serve" => cmd_serve(
+            &options(&[
+                "model",
+                "window",
+                "skip",
+                "engine",
+                "threads",
+                "deadline-ms",
+                "batch",
+                "embed-cache",
+                "segments",
+                "precision",
+                "trace",
+                "workers",
+                "replicas",
+                "hedge-ms",
+                "topk",
+                "nprobe",
+            ])?,
+            env,
+            input,
+            out,
+        ),
+        "connect" => cmd_connect(&options(&["addr", "token"])?, input, out),
+        "export" => cmd_export(&options(&["out", "task", "stories", "ns", "seed"])?, out),
+        "tasks" => options(&[]).and_then(|_| cmd_tasks(out)),
         "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(|e| e.to_string()),
         other => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
     }
@@ -463,7 +506,18 @@ fn flush_questions(
     Ok(())
 }
 
-fn cmd_serve(options: &Options, input: &mut dyn BufRead, out: &mut dyn Write) -> CliResult {
+fn cmd_serve(
+    options: &Options,
+    env: &dyn Fn(&str) -> Option<String>,
+    input: &mut dyn BufRead,
+    out: &mut dyn Write,
+) -> CliResult {
+    // A malformed MNNFAST_SIMD fails here, not silently on first kernel use.
+    mnn_tensor::validate_env().map_err(|e| e.to_string())?;
+    // Flags win, the environment fills, then the library default.
+    let knobs = SessionConfig::default()
+        .with_env(env)
+        .map_err(|e| e.to_string())?;
     let model = load_model(options)?;
     let window = options.get("window", 0usize)?;
     let skip = options.get("skip", 0.0f32)?;
@@ -487,20 +541,12 @@ fn cmd_serve(options: &Options, input: &mut dyn BufRead, out: &mut dyn Write) ->
     let threads = options.get("threads", 1usize)?;
     let deadline_ms = options.get("deadline-ms", 0u64)?;
     let embed_cache = options.get("embed-cache", 0usize)?;
-    // 0 = defer to MNNFAST_SEGMENTS (the session's env fallback).
-    let segments = options.get("segments", 0usize)?;
     let precision = match options.get_str("precision").unwrap_or("f32") {
         "f32" => Precision::F32,
         "int8" => Precision::Int8,
         other => return Err(format!("unknown precision '{other}' (expected f32|int8)")),
     };
-    // 0 = defer to MNNFAST_WORKERS / MNNFAST_REPLICAS / MNNFAST_HEDGE_MS.
-    let workers = options.get("workers", 0usize)?;
-    let replicas = options.get("replicas", 0usize)?;
-    let hedge_ms = options.get("hedge-ms", 0u64)?;
-    // 0 = defer to MNNFAST_TOPK / MNNFAST_NPROBE.
-    let topk = options.get("topk", 0usize)?;
-    let nprobe = options.get("nprobe", 0usize)?;
+    let hedge_ms = options.get("hedge-ms", knobs.hedge.map_or(0, |d| d.as_millis() as u64))?;
     let config = SessionConfig {
         plan: ExecPlan::new(MnnFastConfig::new(64).with_threads(threads).with_skip(
             if skip > 0.0 {
@@ -514,14 +560,14 @@ fn cmd_serve(options: &Options, input: &mut dyn BufRead, out: &mut dyn Write) ->
         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         trace: options.switch("trace"),
         embed_cache: (embed_cache > 0).then_some(embed_cache),
-        segments,
+        segments: options.get("segments", knobs.segments)?,
         precision,
-        workers,
-        replicas,
+        workers: options.get("workers", knobs.workers)?,
+        replicas: options.get("replicas", knobs.replicas)?,
         hedge: (hedge_ms > 0).then(|| Duration::from_millis(hedge_ms)),
-        topk,
-        nprobe,
-        ..SessionConfig::default()
+        topk: options.get("topk", knobs.topk)?,
+        nprobe: options.get("nprobe", knobs.nprobe)?,
+        ..knobs
     };
     let batch = options.get("batch", 0usize)?;
     let mut session = Session::new(model, config).map_err(|e| e.to_string())?;
@@ -809,10 +855,21 @@ mod tests {
     use std::io::Cursor;
 
     fn run_cli(args: &[&str], stdin: &str) -> Result<String, String> {
+        run_cli_env(args, &[], stdin)
+    }
+
+    /// As [`run_cli`], with `vars` as the whole environment.
+    fn run_cli_env(args: &[&str], vars: &[(&str, &str)], stdin: &str) -> Result<String, String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let env = |name: &str| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_owned())
+        };
         let mut input = Cursor::new(stdin.as_bytes().to_vec());
         let mut out = Vec::new();
-        run(&args, &mut input, &mut out).map(|()| String::from_utf8(out).expect("utf8 output"))
+        run(&args, &env, &mut input, &mut out)
+            .map(|()| String::from_utf8(out).expect("utf8 output"))
     }
 
     /// The `-> ...` answer lines of a `serve` transcript.
@@ -822,20 +879,46 @@ mod tests {
 
     #[test]
     fn option_parsing() {
-        let options = Options::parse(&[
-            "--task".into(),
-            "single".into(),
-            "pos".into(),
-            "--epochs".into(),
-            "3".into(),
-        ])
+        let known = ["task", "epochs", "dangling"];
+        let options = Options::parse(
+            &[
+                "--task".into(),
+                "single".into(),
+                "pos".into(),
+                "--epochs".into(),
+                "3".into(),
+            ],
+            &known,
+        )
         .unwrap();
         assert_eq!(options.get_str("task"), Some("single"));
         assert_eq!(options.get("epochs", 0usize).unwrap(), 3);
         assert_eq!(options.get("missing", 9usize).unwrap(), 9);
         assert_eq!(options.positional, vec!["pos".to_string()]);
-        assert!(Options::parse(&["--dangling".into()]).is_err());
+        assert!(Options::parse(&["--dangling".into()], &known).is_err());
         assert!(options.get::<usize>("task", 0).is_err());
+        let err = Options::parse(&["--epocs".into(), "9".into()], &known).unwrap_err();
+        assert_eq!(err, "unknown option --epocs");
+    }
+
+    /// A misspelt flag is an error naming it, not a silent default.
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (args, typo) in [
+            (&["train", "--out", "m.bin", "--epocs", "9"][..], "--epocs"),
+            (
+                &["serve", "--model", "m.bin", "--segmnets", "5"][..],
+                "--segmnets",
+            ),
+            (
+                &["eval", "--model", "m.bin", "--segments", "2"][..],
+                "--segments",
+            ),
+            (&["tasks", "--trace"][..], "--trace"),
+        ] {
+            let err = run_cli(args, "").unwrap_err();
+            assert_eq!(err, format!("unknown option {typo}"), "{args:?}");
+        }
     }
 
     #[test]
@@ -1082,6 +1165,23 @@ mod tests {
         // Unsegmented sessions stay quiet about segments.
         let out = run_cli(&["serve", "--model", model_str], stdin).unwrap();
         assert!(!out.contains("segments:"), "{out}");
+
+        // An absent flag takes its variable; a flag wins over it; blank
+        // means the default; malformed is an error naming the variable.
+        let serve = ["serve", "--model", model_str];
+        let env = |v| [("MNNFAST_SEGMENTS", v)];
+        let out = run_cli_env(&serve, &env("3"), stdin).unwrap();
+        assert!(out.contains("segments: 3 routed"), "{out}");
+        let flagged = [&serve[..], &["--segments", "4"]].concat();
+        let out = run_cli_env(&flagged, &env("3"), stdin).unwrap();
+        assert!(out.contains("segments: 4 routed"), "{out}");
+        let out = run_cli_env(&serve, &env("  "), stdin).unwrap();
+        assert!(!out.contains("segments:"), "{out}");
+        let err = run_cli_env(&serve, &env("three"), stdin).unwrap_err();
+        assert!(err.contains("MNNFAST_SEGMENTS"), "{err}");
+        let zero = [&serve[..], &["--segments", "0"]].concat();
+        let err = run_cli(&zero, stdin).unwrap_err();
+        assert!(err.contains("segments must be at least 1"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,8 @@ fn main() -> ExitCode {
     let mut input: Box<dyn BufRead> = Box::new(stdin.lock());
     let stdout = io::stdout();
     let mut out = stdout.lock();
-    match mnnfast_cli::run(&args, &mut input, &mut out) {
+    let env = |name: &str| std::env::var(name).ok();
+    match mnnfast_cli::run(&args, &env, &mut input, &mut out) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             let _ = writeln!(io::stderr(), "error: {message}");

@@ -1,6 +1,6 @@
 //! Typed errors for the distributed serving plane.
 
-use mnn_tensor::{EnvVarError, PartialDecodeError};
+use mnn_tensor::PartialDecodeError;
 use mnnfast::EngineError;
 use std::error::Error;
 use std::fmt;
@@ -102,8 +102,6 @@ pub enum DistError {
     Worker(String),
     /// The coordinator was configured inconsistently.
     Config(String),
-    /// An `MNNFAST_*` environment knob failed validation.
-    Env(EnvVarError),
 }
 
 impl fmt::Display for DistError {
@@ -118,7 +116,6 @@ impl fmt::Display for DistError {
             }
             DistError::Worker(m) => write!(f, "worker error: {m}"),
             DistError::Config(m) => write!(f, "config: {m}"),
-            DistError::Env(e) => write!(f, "{e}"),
         }
     }
 }
@@ -129,7 +126,6 @@ impl Error for DistError {
             DistError::Io(e) => Some(e),
             DistError::Frame(e) => Some(e),
             DistError::Engine(e) => Some(e),
-            DistError::Env(e) => Some(e),
             _ => None,
         }
     }
@@ -167,12 +163,6 @@ impl From<std::io::Error> for DistError {
 impl From<EngineError> for DistError {
     fn from(e: EngineError) -> Self {
         DistError::Engine(e)
-    }
-}
-
-impl From<EnvVarError> for DistError {
-    fn from(e: EnvVarError) -> Self {
-        DistError::Env(e)
     }
 }
 

@@ -60,8 +60,8 @@ impl RpcFaultPlan {
     ///
     /// # Errors
     ///
-    /// [`EnvVarError`] for anything malformed, so startup validation can
-    /// fail loudly instead of a typo'd fault silently not firing.
+    /// [`EnvVarError`] for anything malformed, so a binary reading the
+    /// spec fails loudly instead of a typo'd fault silently not firing.
     pub fn parse(spec: &str) -> Result<Option<RpcFaultPlan>, EnvVarError> {
         let malformed = || {
             EnvVarError::new(
@@ -72,7 +72,7 @@ impl RpcFaultPlan {
                  `;after=N` / `;fires=M` (empty/unset = none)",
             )
         };
-        if spec.is_empty() {
+        if spec.trim().is_empty() {
             return Ok(None);
         }
         let mut kind: Option<Option<RpcFaultKind>> = None;
@@ -106,18 +106,6 @@ impl RpcFaultPlan {
             Some(Some(kind)) => Ok(Some(RpcFaultPlan { kind, after, fires })),
             Some(None) => Ok(None),
             None => Err(malformed()),
-        }
-    }
-
-    /// Parses the `MNNFAST_FAULT` environment variable.
-    ///
-    /// # Errors
-    ///
-    /// As [`RpcFaultPlan::parse`]; unset is `Ok(None)`.
-    pub fn from_env() -> Result<Option<RpcFaultPlan>, EnvVarError> {
-        match std::env::var("MNNFAST_FAULT") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => Ok(None),
         }
     }
 }

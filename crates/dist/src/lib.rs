@@ -19,9 +19,11 @@
 //! - per-worker Live → Suspect → Dead health with probe resurrection,
 //! - degraded partial answers (skip dead shards, flag the output) instead
 //!   of errors when the caller allows it,
-//! - RPC-level fault injection ([`fault`]) sharing the `MNNFAST_FAULT`
-//!   grammar with the kernel-level hook, so CI can drill every failure
-//!   mode from one knob.
+//! - RPC-level fault injection ([`fault`]), armed per worker, sharing the
+//!   `MNNFAST_FAULT` grammar with the kernel-level hook.
+//!
+//! The library reads no environment; only the `mnn-dist-worker` binary
+//! reads `MNNFAST_FAULT`.
 //!
 //! # Example
 //!
@@ -53,7 +55,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod coordinator;
-pub mod env;
 pub mod error;
 pub mod fault;
 pub mod frame;
@@ -62,7 +63,6 @@ pub mod worker;
 pub use coordinator::{
     Coordinator, DistConfig, DistCounters, DistOutput, ForwardOpts, WorkerState,
 };
-pub use env::{hedge_from_env, replicas_from_env, validate_env, workers_from_env};
 pub use error::{DistError, FrameError};
 pub use fault::{RpcFaultKind, RpcFaultPlan, RpcFaultState};
 pub use frame::{ForwardSpec, Frame, WireStats};

@@ -249,6 +249,61 @@ fn disconnect_mid_stream_reconnects_to_identity() {
     retried_to_identity(RpcFaultKind::Disconnect);
 }
 
+/// Workers armed before the handshake damage their `HelloAck`: a
+/// dropped, delayed, corrupted or severed ack is a transient the connect
+/// retries through, not a dead worker.
+#[test]
+fn damaged_handshake_is_retried_not_dead() {
+    let (m_in, m_out, u) = memories(ROWS, ED, 0x4E110);
+    let (workers, addrs) = spawn_fleet(4, false);
+    let kinds = [
+        RpcFaultKind::Drop,
+        RpcFaultKind::Delay(Duration::from_millis(5)),
+        RpcFaultKind::Corrupt,
+        RpcFaultKind::Disconnect,
+    ];
+    for (worker, kind) in workers.iter().zip(kinds) {
+        worker.arm_fault(RpcFaultPlan {
+            kind,
+            after: 0,
+            fires: 1,
+        });
+    }
+    let config = DistConfig {
+        rpc_timeout: Duration::from_millis(250),
+        connect_timeout: Duration::from_millis(200),
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(5),
+        ..DistConfig::default()
+    };
+    let mut coordinator = Coordinator::connect(&addrs, ED, CHUNK, false, config)
+        .expect("a damaged ack must not fail the connect");
+    for (worker, kind) in workers.iter().zip(kinds) {
+        assert_eq!(worker.fault_fired(), 1, "{kind:?} should fire on the ack");
+    }
+    assert_eq!(
+        coordinator.worker_states(),
+        vec![mnn_dist::WorkerState::Live; 4],
+        "no worker may be marked dead by a damaged ack"
+    );
+    let (retries, _failovers, _hedges, _skipped) = coordinator.counters().snapshot();
+    assert!(
+        retries >= 3,
+        "drop, corrupt and disconnect each need a retry: {retries}"
+    );
+
+    push_all(&mut coordinator, &m_in, &m_out);
+    let engine_config = MnnFastConfig::new(CHUNK);
+    let (ref_o, ref_denom) = single_node(&m_in, &m_out, &u, engine_config);
+    let opts = ForwardOpts::from_config(&engine_config).unwrap();
+    let answer = coordinator
+        .forward(&u, opts, &Budget::unlimited(), false)
+        .expect("forward after a damaged handshake");
+    assert!(!answer.degraded);
+    assert_eq!(bits(&answer.o), bits(&ref_o));
+    assert_eq!(answer.denominator.to_bits(), ref_denom.to_bits());
+}
+
 #[test]
 fn hedged_request_beats_an_injected_straggler() {
     let (m_in, m_out, u) = memories(ROWS, ED, 0x510);

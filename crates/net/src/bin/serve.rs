@@ -9,9 +9,13 @@
 //!     --tenants alpha=alice,beta=bob --max-batch 16 --batch-wait-us 500
 //! ```
 //!
-//! Flags (every one has a default; `--listen`, `--net-threads`, and
-//! `--batch-wait-us` fall back to `MNNFAST_LISTEN`,
-//! `MNNFAST_NET_THREADS`, and `MNNFAST_BATCH_WAIT_US`):
+//! Flags (every one has a default; any other `--key` is an error).
+//! `--listen`, `--net-threads`, and `--batch-wait-us` fall back to
+//! `MNNFAST_LISTEN`, `MNNFAST_NET_THREADS`, and `MNNFAST_BATCH_WAIT_US`,
+//! and the session knobs come from the six variables
+//! [`SessionConfig::with_env`] reads. A blank variable means the default;
+//! a malformed one stops the daemon. The resolved session configuration
+//! is printed once on stderr.
 //!
 //! | flag | meaning | default |
 //! |------|---------|---------|
@@ -36,6 +40,7 @@ use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
 use mnn_net::{NetServer, ServerConfig, TenantAuth};
 use mnn_serve::{AdmissionConfig, BatchConfig, SessionConfig};
+use mnn_tensor::read_var;
 use mnnfast::Precision;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -43,7 +48,7 @@ use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = run(&args) {
+    if let Err(e) = run(&args, &|name| std::env::var(name).ok()) {
         eprintln!("mnn-serve: {e}");
         std::process::exit(1);
     }
@@ -57,6 +62,23 @@ struct Options {
 
 impl Options {
     const SWITCHES: &'static [&'static str] = &["synthetic"];
+    /// Every flag the daemon knows.
+    const KEYS: &'static [&'static str] = &[
+        "model",
+        "synthetic",
+        "listen",
+        "net-threads",
+        "tenants",
+        "max-batch",
+        "batch-wait-us",
+        "deadline-ms",
+        "precision",
+        "window",
+        "admission-capacity",
+        "admission-refill",
+        "max-inflight",
+        "idle-timeout-ms",
+    ];
 
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut flags = BTreeMap::new();
@@ -65,6 +87,9 @@ impl Options {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument '{a}'"));
             };
+            if !Self::KEYS.contains(&key) {
+                return Err(format!("unknown option --{key}"));
+            }
             if Self::SWITCHES.contains(&key) {
                 flags.insert(key.to_owned(), "true".to_owned());
                 continue;
@@ -148,36 +173,39 @@ fn parse_tenants(raw: &str) -> Result<Vec<TenantAuth>, String> {
     Ok(tenants)
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    mnn_net::env::validate_env().map_err(|e| e.to_string())?;
-    let options = Options::parse(args)?;
-    let (model, vocab) = load_or_train(&options)?;
-
-    let listen: SocketAddr = match options.get_str("listen") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid --listen '{raw}'"))?,
-        None => mnn_net::env::listen_from_env()
-            .map_err(|e| e.to_string())?
-            .unwrap_or_else(|| "127.0.0.1:7464".parse().expect("literal address")),
-    };
-    let net_threads = match options.get("net-threads", 0usize)? {
-        0 => mnn_net::env::net_threads_from_env()
-            .map_err(|e| e.to_string())?
-            .unwrap_or(2),
-        n => n,
-    };
-    // One source for both defaults: the library's.
+/// Resolves the daemon's two configurations: a flag wins, the
+/// environment (`env`) fills, then the default.
+fn resolve(
+    options: &Options,
+    env: &dyn Fn(&str) -> Option<String>,
+) -> Result<(SessionConfig, ServerConfig), String> {
+    let listen = read_var(
+        env,
+        "MNNFAST_LISTEN",
+        "a socket address such as 127.0.0.1:7464",
+        |_: &SocketAddr| true,
+    )
+    .map_err(|e| e.to_string())?
+    .unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 7464)));
+    let net_threads = read_var(
+        env,
+        "MNNFAST_NET_THREADS",
+        "a positive integer",
+        |&n: &usize| n > 0,
+    )
+    .map_err(|e| e.to_string())?
+    .unwrap_or(2);
+    // One source for both batching defaults: the library's.
     let batch_default = BatchConfig::default();
-    let max_wait = match options.flags.get("batch-wait-us") {
-        Some(raw) => Duration::from_micros(
-            raw.parse()
-                .map_err(|_| format!("invalid --batch-wait-us '{raw}'"))?,
-        ),
-        None => mnn_net::env::batch_wait_from_env()
-            .map_err(|e| e.to_string())?
-            .unwrap_or(batch_default.max_wait),
-    };
+    let wait_us = read_var(
+        env,
+        "MNNFAST_BATCH_WAIT_US",
+        "a non-negative integer of microseconds",
+        |_: &u64| true,
+    )
+    .map_err(|e| e.to_string())?
+    .unwrap_or(batch_default.max_wait.as_micros() as u64);
+    let max_wait = Duration::from_micros(options.get("batch-wait-us", wait_us)?);
     let tenants = parse_tenants(options.get_str("tenants").unwrap_or("default=default"))?;
     let max_batch = options.get("max-batch", batch_default.max_batch)?;
     let deadline_ms = options.get("deadline-ms", 0u64)?;
@@ -195,10 +223,12 @@ fn run(args: &[String]) -> Result<(), String> {
         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         precision,
         ..SessionConfig::default()
-    };
-    let config = ServerConfig {
-        listen,
-        net_threads,
+    }
+    .with_env(env)
+    .map_err(|e| e.to_string())?;
+    let server = ServerConfig {
+        listen: options.get("listen", listen)?,
+        net_threads: options.get("net-threads", net_threads)?,
         tenants,
         max_inflight: options.get("max-inflight", 64u32)?,
         idle_timeout: Duration::from_millis(options.get("idle-timeout-ms", 60_000u64)?),
@@ -211,6 +241,35 @@ fn run(args: &[String]) -> Result<(), String> {
             max_wait,
         }),
     };
+    Ok((session, server))
+}
+
+/// The one startup line that says what every tenant session runs with.
+fn describe(s: &SessionConfig) -> String {
+    let millis =
+        |d: Option<Duration>| d.map_or("off".to_owned(), |d| format!("{}ms", d.as_millis()));
+    format!(
+        "session: segments {}, workers {}, replicas {}, hedge {}, topk {}, nprobe {}, \
+         precision {:?}, window {}, deadline {}",
+        s.segments,
+        s.workers,
+        s.replicas,
+        millis(s.hedge),
+        s.topk,
+        s.nprobe,
+        s.precision,
+        s.max_sentences
+            .map_or("unbounded".to_owned(), |n| n.to_string()),
+        millis(s.deadline),
+    )
+}
+
+fn run(args: &[String], env: &dyn Fn(&str) -> Option<String>) -> Result<(), String> {
+    mnn_tensor::validate_env().map_err(|e| e.to_string())?;
+    let options = Options::parse(args)?;
+    let (session, config) = resolve(&options, env)?;
+    eprintln!("{}", describe(&session));
+    let (model, vocab) = load_or_train(&options)?;
 
     let server = NetServer::spawn(model, vocab, session, config).map_err(|e| e.to_string())?;
     // The test harness and quickstart scrape this exact line for the
@@ -219,4 +278,85 @@ fn run(args: &[String]) -> Result<(), String> {
     server.wait();
     println!("drained and stopped");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for typo in ["--listn", "--segments", "--max-batches"] {
+            let err = Options::parse(&args(&[typo, "1"])).err().expect(typo);
+            assert!(err.contains(typo), "{err}");
+        }
+        assert!(Options::parse(&args(&["--synthetic", "--listen", "127.0.0.1:0"])).is_ok());
+    }
+
+    /// Flag over environment over default, for every knob the daemon
+    /// reads, with the environment as a table.
+    #[test]
+    fn resolve_table() {
+        let resolve_with = |flags: &[&str], vars: &[(&str, &str)]| {
+            let vars: Vec<(String, String)> = vars
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect();
+            let env =
+                move |name: &str| vars.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone());
+            resolve(&Options::parse(&args(flags)).unwrap(), &env)
+        };
+        let (session, server) = resolve_with(&[], &[]).unwrap();
+        assert_eq!(session, SessionConfig::default());
+        assert_eq!(server.listen, "127.0.0.1:7464".parse().unwrap());
+        assert_eq!(server.net_threads, 2);
+        assert_eq!(server.batching, Some(BatchConfig::default()));
+
+        let env = [
+            ("MNNFAST_LISTEN", "127.0.0.1:9000"),
+            ("MNNFAST_NET_THREADS", "4"),
+            ("MNNFAST_BATCH_WAIT_US", "0"),
+            ("MNNFAST_SEGMENTS", "3"),
+        ];
+        let (session, server) = resolve_with(&[], &env).unwrap();
+        assert_eq!(server.listen, "127.0.0.1:9000".parse().unwrap());
+        assert_eq!(server.net_threads, 4);
+        assert_eq!(server.batching.unwrap().max_wait, Duration::ZERO);
+        assert_eq!(session.segments, 3);
+        assert!(describe(&session).starts_with("session: segments 3, workers 1,"));
+
+        let flags = [
+            "--listen",
+            "127.0.0.1:0",
+            "--net-threads",
+            "1",
+            "--batch-wait-us",
+            "250",
+        ];
+        let (_, server) = resolve_with(&flags, &env).unwrap();
+        assert_eq!(server.listen, "127.0.0.1:0".parse().unwrap());
+        assert_eq!(server.net_threads, 1);
+        assert_eq!(
+            server.batching.unwrap().max_wait,
+            Duration::from_micros(250)
+        );
+
+        let blank: Vec<(&str, &str)> = env.iter().map(|&(k, _)| (k, " ")).collect();
+        assert_eq!(resolve_with(&[], &blank).unwrap().1.net_threads, 2);
+
+        for (var, bad) in [
+            ("MNNFAST_LISTEN", "localhost"),
+            ("MNNFAST_NET_THREADS", "0"),
+            ("MNNFAST_NET_THREADS", "many"),
+            ("MNNFAST_BATCH_WAIT_US", "-5"),
+            ("MNNFAST_WORKERS", "two"),
+        ] {
+            let err = resolve_with(&[], &[(var, bad)]).expect_err(var);
+            assert!(err.contains(var), "{err}");
+        }
+    }
 }

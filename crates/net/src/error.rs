@@ -1,6 +1,5 @@
 //! Typed errors for the serving front-end.
 
-use mnn_tensor::EnvVarError;
 use mnn_wire::WireError;
 use std::error::Error;
 use std::fmt;
@@ -72,8 +71,6 @@ pub enum NetError {
         /// Human-readable detail from the server.
         message: String,
     },
-    /// An `MNNFAST_*` environment knob failed validation.
-    Env(EnvVarError),
     /// The server failed to start (bind, tenant bootstrap, session
     /// construction).
     Spawn(String),
@@ -89,7 +86,6 @@ impl fmt::Display for NetError {
             NetError::Rejected { code, message } => {
                 write!(f, "server rejected ({code}): {message}")
             }
-            NetError::Env(e) => write!(f, "{e}"),
             NetError::Spawn(m) => write!(f, "server startup: {m}"),
         }
     }
@@ -100,7 +96,6 @@ impl Error for NetError {
         match self {
             NetError::Wire(e) => Some(e),
             NetError::Io(e) => Some(e),
-            NetError::Env(e) => Some(e),
             _ => None,
         }
     }
@@ -118,12 +113,6 @@ impl From<WireError> for NetError {
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
-    }
-}
-
-impl From<EnvVarError> for NetError {
-    fn from(e: EnvVarError) -> Self {
-        NetError::Env(e)
     }
 }
 

@@ -19,9 +19,11 @@
 //!   scheduler thread that owns the pool. Authentication is by tenant
 //!   token; overload answers a typed [`NetFrame::Overloaded`] with a
 //!   retry-after hint instead of dropping the connection;
-//! - [`NetClient`] — a blocking client with strict and pipelined calls;
-//! - [`mod@env`] readers for `MNNFAST_LISTEN`, `MNNFAST_NET_THREADS`, and
-//!   `MNNFAST_BATCH_WAIT_US`.
+//! - [`NetClient`] — a blocking client with strict and pipelined calls.
+//!
+//! The library reads no environment: a server is a function of its
+//! [`ServerConfig`] and [`mnn_serve::SessionConfig`]. The `mnn-serve`
+//! binary resolves flags and `MNNFAST_*` variables into both.
 //!
 //! Answers served over loopback are bitwise-identical to in-process
 //! [`mnn_serve::Session::ask`]: tokenization, budgets, and batched
@@ -32,7 +34,6 @@
 #![deny(missing_debug_implementations)]
 
 mod client;
-pub mod env;
 mod error;
 mod proto;
 mod server;

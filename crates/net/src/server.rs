@@ -208,15 +208,13 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// [`NetError::Spawn`] when the bind or pool bootstrap fails;
-    /// [`NetError::Env`] when an `MNNFAST_*` knob is malformed.
+    /// [`NetError::Spawn`] when the bind or pool bootstrap fails.
     pub fn spawn(
         model: impl Into<Arc<MemNet>>,
         vocab: Vocabulary,
         session: SessionConfig,
         config: ServerConfig,
     ) -> Result<NetServer, NetError> {
-        crate::env::validate_env()?;
         if config.net_threads == 0 {
             return Err(NetError::Spawn("net_threads must be at least 1".into()));
         }

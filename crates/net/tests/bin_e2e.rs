@@ -1,6 +1,10 @@
 //! End-to-end test of the `mnn-serve` binary: spawn the real daemon,
 //! speak the real protocol over a real socket, drain it with a shutdown
 //! frame, and check it exits cleanly.
+//!
+//! The daemon is the edge that reads the environment, so the child gets
+//! none of the serving variables this test's own environment may hold,
+//! except the one it checks the daemon resolves.
 
 use mnn_net::{NetClient, Response};
 use std::io::{BufRead, BufReader};
@@ -18,9 +22,27 @@ impl Drop for Reap {
     }
 }
 
+/// Every serving variable the daemon resolves.
+const SERVING_VARS: [&str; 9] = [
+    "MNNFAST_SEGMENTS",
+    "MNNFAST_WORKERS",
+    "MNNFAST_REPLICAS",
+    "MNNFAST_HEDGE_MS",
+    "MNNFAST_TOPK",
+    "MNNFAST_NPROBE",
+    "MNNFAST_LISTEN",
+    "MNNFAST_NET_THREADS",
+    "MNNFAST_BATCH_WAIT_US",
+];
+
 #[test]
 fn serve_binary_trains_listens_answers_and_drains() {
-    let child = Command::new(env!("CARGO_BIN_EXE_mnn-serve"))
+    let mut command = Command::new(env!("CARGO_BIN_EXE_mnn-serve"));
+    for var in SERVING_VARS {
+        command.env_remove(var);
+    }
+    let child = command
+        .env("MNNFAST_SEGMENTS", "3")
         .args([
             "--synthetic",
             "--listen",
@@ -35,12 +57,25 @@ fn serve_binary_trains_listens_answers_and_drains() {
             "500",
         ])
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn mnn-serve");
     let mut child = Reap(child);
     let stdout = child.0.stdout.take().expect("child stdout");
     let mut lines = BufReader::new(stdout).lines();
+
+    // The resolved session configuration, once, before any training.
+    let stderr = child.0.stderr.take().expect("child stderr");
+    let config = BufReader::new(stderr)
+        .lines()
+        .next()
+        .expect("daemon printed no configuration")
+        .expect("read configuration");
+    assert!(
+        config.starts_with("session: segments 3, workers 1, replicas 1,"),
+        "{config}"
+    );
+    assert!(config.contains("window 8"), "{config}");
 
     // The daemon prints exactly `listening on ADDR` once it is serving
     // (after the synthetic training pass, which takes a few seconds).

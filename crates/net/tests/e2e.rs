@@ -182,6 +182,11 @@ fn assert_loopback_parity(cfg: SessionConfig, prelude: &[Vec<WordId>]) -> Sessio
 #[test]
 fn loopback_answers_match_in_process_f32() {
     assert_loopback_parity(session_config(Precision::F32), &[]);
+    let routed = SessionConfig {
+        segments: 5,
+        ..session_config(Precision::F32)
+    };
+    assert_loopback_parity(routed, &[]);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use mnn_dist::{
     Coordinator, DistConfig, DistError, ForwardOpts, WorkerConfig, WorkerServer, WorkerState,
 };
 use mnn_memnn::{MemNet, ModelConfig, OutputStage};
-use mnn_tensor::EnvVarError;
+use mnn_tensor::{read_var, EnvVarError};
 use mnnfast::engine::EngineError;
 use mnnfast::store::SegmentedStore;
 use mnnfast::{
@@ -83,11 +83,8 @@ pub struct SessionConfig {
     /// segment pruning: online-softmax passes skip whole segments whose
     /// logit upper bound provably cannot affect the answer
     /// (bitwise-identical results either way; lazy-softmax passes route
-    /// through the same plan but never prune). `0` (the default) defers to
-    /// the `MNNFAST_SEGMENTS` environment variable at session creation,
-    /// falling back to 1 — so a deployment can segment every
-    /// default-configured session without touching code, while an explicit
-    /// value here always wins.
+    /// through the same plan but never prune). Default 1; `0` is a
+    /// configuration error at session creation.
     pub segments: usize,
     /// Numeric precision of the memory plane. [`Precision::F32`] (the
     /// default) serves from the f32 row store; [`Precision::Int8`] keeps a
@@ -103,20 +100,20 @@ pub struct SessionConfig {
     /// local serving when nothing fails, with retry/failover/hedging when
     /// something does. The session keeps its full local store as the
     /// fallback plane: if the whole fleet fails a question, it is
-    /// re-answered locally and the fleet is torn down. `0` (the default)
-    /// defers to `MNNFAST_WORKERS`, falling back to local serving; `1` is
-    /// explicit local serving. Incompatible with [`Self::max_sentences`]
+    /// re-answered locally and the fleet is torn down. `1` (the default) is
+    /// local serving; `0` is a configuration error at session creation.
+    /// Incompatible with [`Self::max_sentences`]
     /// (eviction is not mirrored), top-K attention ([`Self::topk`]), and
     /// [`mnnfast::SkipPolicy::Probability`].
     pub workers: usize,
-    /// Copies of every shard across the fleet (failover capacity). `0`
-    /// (the default) defers to `MNNFAST_REPLICAS`, falling back to 1 (no
-    /// replication). Ignored for local serving.
+    /// Copies of every shard across the fleet (failover capacity). Default
+    /// 1 (no replication); `0` is a configuration error at session
+    /// creation. Otherwise ignored for local serving.
     pub replicas: usize,
     /// Hedge delay for the distributed plane: a duplicate shard request is
     /// fired at the next replica when the primary has not answered within
-    /// this long. `None` (the default) defers to `MNNFAST_HEDGE_MS`,
-    /// falling back to no hedging. Ignored for local serving.
+    /// this long. `None` (the default) never hedges. Ignored for local
+    /// serving.
     pub hedge: Option<Duration>,
     /// Top-K candidate attention. With `topk >= 1` the session maintains a
     /// clustered candidate index over the memory store and answers each
@@ -125,8 +122,8 @@ pub struct SessionConfig {
     /// size, bitwise-identical to exact attention restricted to those rows.
     /// Low-confidence probes (collapsed score margins) decline per question
     /// and the session falls back to exact attention, counted in
-    /// [`DegradationStats::sparse_fallbacks`]. `0` (the default) defers to
-    /// `MNNFAST_TOPK`, falling back to exact attention.
+    /// [`DegradationStats::sparse_fallbacks`]. `0` (the default) is exact
+    /// attention.
     /// Incompatible with distributed serving (`workers >= 2`),
     /// [`mnnfast::SkipPolicy::Probability`], and a [`Self::max_sentences`]
     /// window no larger than `topk`.
@@ -134,8 +131,10 @@ pub struct SessionConfig {
     /// Clusters probed per top-K question before candidate gathering stops
     /// (probing always continues until `topk` candidates are found, so this
     /// is a floor, not a cap). Higher values trade candidate-scoring work
-    /// for recall. `0` (the default) defers to `MNNFAST_NPROBE`, falling
-    /// back to 8. Ignored unless top-K attention is active.
+    /// for recall. Default 8: wide enough for near-perfect recall on
+    /// clustered memories, still sublinear against the `~sqrt(rows)`
+    /// cluster count. `0` is a configuration error at session creation.
+    /// Otherwise ignored unless top-K attention is active.
     pub nprobe: usize,
 }
 
@@ -148,14 +147,57 @@ impl Default for SessionConfig {
             deadline: None,
             degradation: DegradationPolicy::default(),
             embed_cache: None,
-            segments: 0,
+            segments: 1,
             precision: Precision::F32,
-            workers: 0,
-            replicas: 0,
+            workers: 1,
+            replicas: 1,
             hedge: None,
             topk: 0,
-            nprobe: 0,
+            nprobe: 8,
         }
+    }
+}
+
+impl SessionConfig {
+    /// The session half of a binary's resolver: each of the six serving
+    /// knobs set in `source` replaces `self`'s value, and an unset or blank
+    /// one keeps it. An edge passes a lookup over [`std::env::var`] and
+    /// then applies its flags over the result, so a flag wins, the
+    /// environment fills, and `self` is the default. The library never
+    /// calls this: a [`Session`] is a function of its `SessionConfig`.
+    ///
+    /// | variable | field | accepts |
+    /// |----------|-------|---------|
+    /// | `MNNFAST_SEGMENTS` | [`Self::segments`] | a positive count |
+    /// | `MNNFAST_WORKERS` | [`Self::workers`] | a positive count |
+    /// | `MNNFAST_REPLICAS` | [`Self::replicas`] | a positive count |
+    /// | `MNNFAST_HEDGE_MS` | [`Self::hedge`] | milliseconds, `0` = no hedging |
+    /// | `MNNFAST_TOPK` | [`Self::topk`] | a positive count |
+    /// | `MNNFAST_NPROBE` | [`Self::nprobe`] | a positive count |
+    ///
+    /// # Errors
+    ///
+    /// The first malformed variable, as an [`EnvVarError`].
+    pub fn with_env(self, source: &dyn Fn(&str) -> Option<String>) -> Result<Self, EnvVarError> {
+        let count = |var, current| {
+            read_var(source, var, "a positive integer", |&n: &usize| n > 0)
+                .map(|n| n.unwrap_or(current))
+        };
+        let hedge_ms = read_var(
+            source,
+            "MNNFAST_HEDGE_MS",
+            "a non-negative integer of milliseconds (0 disables hedging)",
+            |_: &u64| true,
+        )?;
+        Ok(Self {
+            segments: count("MNNFAST_SEGMENTS", self.segments)?,
+            workers: count("MNNFAST_WORKERS", self.workers)?,
+            replicas: count("MNNFAST_REPLICAS", self.replicas)?,
+            hedge: hedge_ms.map_or(self.hedge, |ms| (ms > 0).then(|| Duration::from_millis(ms))),
+            topk: count("MNNFAST_TOPK", self.topk)?,
+            nprobe: count("MNNFAST_NPROBE", self.nprobe)?,
+            ..self
+        })
     }
 }
 
@@ -170,10 +212,6 @@ pub enum ServeError {
     EmptyMemory,
     /// The underlying engine failed.
     Engine(mnnfast::engine::EngineError),
-    /// An `MNNFAST_*` environment variable holds a malformed value. The
-    /// serving layer refuses to start rather than silently running with a
-    /// default the operator did not ask for.
-    Environment(EnvVarError),
     /// The distributed serving plane failed to come up (worker spawn or
     /// coordinator handshake), or its configuration is incompatible with
     /// the session (sliding window, top-K attention, probability skip).
@@ -189,7 +227,6 @@ impl fmt::Display for ServeError {
             ServeError::UnknownToken(t) => write!(f, "token {t} outside vocabulary"),
             ServeError::EmptyMemory => write!(f, "no sentences observed yet"),
             ServeError::Engine(e) => write!(f, "{e}"),
-            ServeError::Environment(e) => write!(f, "{e}"),
             ServeError::Dist(msg) => write!(f, "distributed serving: {msg}"),
         }
     }
@@ -199,7 +236,6 @@ impl Error for ServeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ServeError::Engine(e) => Some(e),
-            ServeError::Environment(e) => Some(e),
             _ => None,
         }
     }
@@ -208,12 +244,6 @@ impl Error for ServeError {
 impl From<mnnfast::engine::EngineError> for ServeError {
     fn from(e: mnnfast::engine::EngineError) -> Self {
         ServeError::Engine(e)
-    }
-}
-
-impl From<EnvVarError> for ServeError {
-    fn from(e: EnvVarError) -> Self {
-        ServeError::Environment(e)
     }
 }
 
@@ -312,12 +342,6 @@ pub struct Session {
     pair_buf: Vec<f32>,
     /// Reusable buffers of the output stage ([`MemNet::output_answers`]).
     output_stage: OutputStage,
-    /// Effective [`SessionConfig::segments`], [`SessionConfig::topk`] (`0` =
-    /// exact attention) and [`SessionConfig::nprobe`], after the `MNNFAST_*`
-    /// overrides captured at creation.
-    segments: usize,
-    topk: usize,
-    nprobe: usize,
     /// Cached routed map over the store, rebuilt lazily whenever the store
     /// version moves (only maintained when `segments > 1`).
     seg_map: SegmentMap,
@@ -380,13 +404,19 @@ impl Session {
         cache: Option<Arc<SentenceCache>>,
         fingerprint: Option<u64>,
     ) -> Result<Self, ServeError> {
-        // Fail fast on malformed environment knobs: a session created with
-        // a typo'd MNNFAST_SIMD / MNNFAST_FAULT / MNNFAST_SEGMENTS surfaces
-        // a typed error here instead of silently serving with the default.
-        mnn_tensor::validate_env()?;
-        let segments = resolve_count(config.segments, SEGMENTS)?;
-        let topk = resolve_count(config.topk, TOPK)?;
-        let nprobe = resolve_count(config.nprobe, NPROBE)?;
+        for (name, value) in [
+            ("segments", config.segments),
+            ("workers", config.workers),
+            ("replicas", config.replicas),
+            ("nprobe", config.nprobe),
+        ] {
+            if value == 0 {
+                return Err(ServeError::Engine(EngineError::Config(format!(
+                    "{name} must be at least 1"
+                ))));
+            }
+        }
+        let topk = config.topk;
         if topk > 0 {
             if matches!(config.plan.config.skip, mnnfast::SkipPolicy::Probability(_)) {
                 return Err(ServeError::Engine(EngineError::Config(
@@ -447,9 +477,6 @@ impl Session {
             model_fingerprint,
             pair_buf: Vec::new(),
             output_stage: OutputStage::default(),
-            segments,
-            topk,
-            nprobe,
             seg_map: SegmentMap::default(),
             seg_map_version: None,
             dist,
@@ -461,10 +488,10 @@ impl Session {
         self.store.len()
     }
 
-    /// Effective segment count this session routes over (after the
-    /// `MNNFAST_SEGMENTS` override; `1` = unsegmented prefix pass).
+    /// Segment count this session routes over (`1` = unsegmented prefix
+    /// pass).
     pub fn segments(&self) -> usize {
-        self.segments
+        self.config.segments
     }
 
     /// Numeric precision of this session's memory plane.
@@ -472,17 +499,15 @@ impl Session {
         self.config.precision
     }
 
-    /// Effective top-K candidate count (after the `MNNFAST_TOPK` override;
-    /// `0` = exact attention).
+    /// Top-K candidate count (`0` = exact attention).
     pub fn topk(&self) -> usize {
-        self.topk
+        self.config.topk
     }
 
-    /// Effective probe floor for top-K questions (after the
-    /// `MNNFAST_NPROBE` override; meaningless unless [`Session::topk`] is
-    /// non-zero).
+    /// Probe floor for top-K questions (meaningless unless
+    /// [`Session::topk`] is non-zero).
     pub fn nprobe(&self) -> usize {
-        self.nprobe
+        self.config.nprobe
     }
 
     /// Bytes resident in the f32 memory plane (populated rows of both
@@ -501,14 +526,14 @@ impl Session {
     /// with the engine's chunk size so segment boundaries stay
     /// chunk-aligned (the bitwise-parity requirement).
     fn refresh_segment_map(&mut self) {
-        if self.segments <= 1 {
+        if self.config.segments <= 1 {
             return;
         }
         let version = self.store.version();
         if self.seg_map_version != Some(version) {
             self.seg_map = self
                 .store
-                .segment_map(self.segments, self.config.plan.config.chunk_size);
+                .segment_map(self.config.segments, self.config.plan.config.chunk_size);
             self.seg_map_version = Some(version);
         }
     }
@@ -907,7 +932,8 @@ impl Session {
         trace: &mut Trace,
     ) -> Result<Vec<Slot>, EngineError> {
         // A memory no larger than `topk` has no row for the index to skip.
-        let sparse = self.topk > 0 && self.store.len() > self.topk;
+        let topk = self.config.topk;
+        let sparse = topk > 0 && self.store.len() > topk;
         let first = start(self.degradation.pinned_safe, self.dist.is_some(), sparse);
         let mut rungs = vec![first; us.len()];
         for rung in [Rung::Fleet, Rung::Sparse, Rung::Fast, Rung::Safe] {
@@ -976,12 +1002,12 @@ impl Session {
             self.store.enable_index();
             Route::TopK {
                 index: self.store.index().expect("index just synced"),
-                topk: self.topk,
-                nprobe: self.nprobe,
+                topk: self.config.topk,
+                nprobe: self.config.nprobe,
             }
         } else {
             self.refresh_segment_map();
-            plan = exact_plan(self.segments, &self.seg_map, self.store.len());
+            plan = exact_plan(self.config.segments, &self.seg_map, self.store.len());
             Route::Plan(&plan)
         };
         let exec = if safe {
@@ -1319,26 +1345,14 @@ pub(crate) fn next(
     }
 }
 
-/// Builds the distributed plane when the effective worker count asks for
-/// one: resolves the `workers`/`replicas`/`hedge` knobs (explicit config
-/// wins, then the `MNNFAST_*` environment, then local serving), validates
-/// the combination, spawns the loopback fleet, and connects a coordinator.
+/// Builds the distributed plane when the worker count asks for one:
+/// validates the combination, spawns the loopback fleet, and connects a
+/// coordinator.
 fn build_dist_plane(config: &SessionConfig, ed: usize) -> Result<Option<DistPlane>, ServeError> {
-    let workers = match config.workers {
-        0 => mnn_dist::workers_from_env()?.unwrap_or(1),
-        n => n,
-    };
+    let workers = config.workers;
     if workers <= 1 {
         return Ok(None);
     }
-    let replicas = match config.replicas {
-        0 => mnn_dist::replicas_from_env()?.unwrap_or(1),
-        n => n,
-    };
-    let hedge = match config.hedge {
-        Some(h) => Some(h),
-        None => mnn_dist::hedge_from_env()?.flatten(),
-    };
     if config.max_sentences.is_some() {
         return Err(ServeError::Dist(
             "max_sentences (sliding-window eviction) is not mirrored to workers; \
@@ -1354,15 +1368,10 @@ fn build_dist_plane(config: &SessionConfig, ed: usize) -> Result<Option<DistPlan
     })?;
     let quant = config.precision == Precision::Int8;
     let chunk_size = config.plan.config.chunk_size;
-    // An RPC-level MNNFAST_FAULT spec arms every spawned worker, so the
-    // CI fault matrix drives the whole retry/failover net through real
-    // sessions; kernel-level specs are armed by the engine layer instead.
-    let fault = mnn_dist::RpcFaultPlan::from_env()?;
     let mut fleet = Vec::with_capacity(workers);
     for _ in 0..workers {
         let mut wc = WorkerConfig::new(ed, chunk_size);
         wc.quant = quant;
-        wc.fault = fault;
         fleet.push(
             WorkerServer::spawn(wc)
                 .map_err(|e| ServeError::Dist(format!("worker spawn failed: {e}")))?,
@@ -1370,8 +1379,8 @@ fn build_dist_plane(config: &SessionConfig, ed: usize) -> Result<Option<DistPlan
     }
     let addrs: Vec<_> = fleet.iter().map(WorkerServer::addr).collect();
     let dist_config = DistConfig {
-        replicas,
-        hedge,
+        replicas: config.replicas,
+        hedge: config.hedge,
         ..DistConfig::default()
     };
     let coordinator = Coordinator::connect(&addrs, ed, chunk_size, quant, dist_config)
@@ -1380,56 +1389,6 @@ fn build_dist_plane(config: &SessionConfig, ed: usize) -> Result<Option<DistPlan
         workers: fleet,
         coordinator,
     }))
-}
-
-/// Probe floor when neither the configuration nor `MNNFAST_NPROBE` names
-/// one: wide enough for near-perfect recall on clustered memories, still
-/// sublinear against the `~sqrt(rows)` cluster count.
-const DEFAULT_NPROBE: usize = 8;
-
-/// An environment count knob: its variable, its value when unset, and the
-/// shape it expects.
-type Knob = (&'static str, usize, &'static str);
-
-const SEGMENTS: Knob = (
-    "MNNFAST_SEGMENTS",
-    1,
-    "a positive segment count (empty/unset = 1)",
-);
-const TOPK: Knob = (
-    "MNNFAST_TOPK",
-    0,
-    "a positive candidate count (empty/unset = exact attention)",
-);
-const NPROBE: Knob = (
-    "MNNFAST_NPROBE",
-    DEFAULT_NPROBE,
-    "a positive cluster probe floor (empty/unset = 8)",
-);
-
-/// Effective value of a count knob: an explicit configuration (`>= 1`)
-/// wins; `0` defers to the knob's `MNNFAST_*` environment variable.
-fn resolve_count(configured: usize, knob: Knob) -> Result<usize, EnvVarError> {
-    if configured >= 1 {
-        return Ok(configured);
-    }
-    parse_count(knob, std::env::var(knob.0).ok().as_deref())
-}
-
-/// The pure parse behind [`resolve_count`]: unset or empty is the knob's
-/// default, a positive integer is itself, and anything else — zero
-/// included, since unset is how an operator asks for the default — is a
-/// typed [`EnvVarError`], never a silent fallback (the historical
-/// behaviour, which ran deployments unsegmented when the operator
-/// fat-fingered the knob).
-fn parse_count((var, unset, expected): Knob, value: Option<&str>) -> Result<usize, EnvVarError> {
-    let Some(v) = value.filter(|v| !v.trim().is_empty()) else {
-        return Ok(unset);
-    };
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(EnvVarError::new(var, v, expected)),
-    }
 }
 
 #[cfg(test)]
@@ -2008,48 +1967,102 @@ mod tests {
         assert_eq!(a.probability.to_bits(), b.probability.to_bits());
     }
 
+    /// The six variables [`SessionConfig::with_env`] reads.
+    const ENV_KNOBS: [&str; 6] = [
+        "MNNFAST_SEGMENTS",
+        "MNNFAST_WORKERS",
+        "MNNFAST_REPLICAS",
+        "MNNFAST_HEDGE_MS",
+        "MNNFAST_TOPK",
+        "MNNFAST_NPROBE",
+    ];
+
+    /// The session resolver, driven by a table instead of the process
+    /// environment: every knob fills from its variable, blank or unset
+    /// keeps the base value, and anything malformed names its variable.
     #[test]
-    fn segments_env_parse_is_strict() {
-        let parse_segments = |v| parse_count(SEGMENTS, v);
-        assert_eq!(parse_segments(None), Ok(1));
-        assert_eq!(parse_segments(Some("")), Ok(1));
-        assert_eq!(parse_segments(Some("  ")), Ok(1));
-        assert_eq!(parse_segments(Some("4")), Ok(4));
-        assert_eq!(parse_segments(Some(" 16 ")), Ok(16));
-        for bad in ["0", "-3", "banana", "4.5", "1e3"] {
-            let err = parse_segments(Some(bad)).unwrap_err();
-            assert_eq!(err.var(), "MNNFAST_SEGMENTS");
-            assert_eq!(err.value(), bad);
+    fn with_env_table() {
+        let resolve = |vars: &[(&str, &str)]| {
+            let vars: Vec<(String, String)> = vars
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect();
+            SessionConfig::default().with_env(&move |name: &str| {
+                vars.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+            })
+        };
+        let base = SessionConfig::default();
+        assert_eq!(resolve(&[]), Ok(base));
+        let blank: Vec<(&str, &str)> = ENV_KNOBS.iter().map(|&k| (k, "  ")).collect();
+        assert_eq!(resolve(&blank), Ok(base), "blank means the default");
+        let set = resolve(&[
+            ("MNNFAST_SEGMENTS", "3"),
+            ("MNNFAST_WORKERS", "4"),
+            ("MNNFAST_REPLICAS", "2"),
+            ("MNNFAST_HEDGE_MS", " 35 "),
+            ("MNNFAST_TOPK", "16"),
+            ("MNNFAST_NPROBE", "5"),
+        ])
+        .unwrap();
+        assert_eq!(
+            (
+                set.segments,
+                set.workers,
+                set.replicas,
+                set.topk,
+                set.nprobe
+            ),
+            (3, 4, 2, 16, 5)
+        );
+        assert_eq!(set.hedge, Some(Duration::from_millis(35)));
+        let off = SessionConfig {
+            hedge: Some(Duration::from_millis(9)),
+            ..base
         }
-        // An explicit configuration short-circuits the environment.
-        assert_eq!(resolve_count(7, SEGMENTS), Ok(7));
+        .with_env(&|name: &str| (name == "MNNFAST_HEDGE_MS").then(|| "0".to_owned()));
+        assert_eq!(off.unwrap().hedge, None, "0 turns hedging off");
+        for (var, bad) in [
+            ("MNNFAST_SEGMENTS", "0"),
+            ("MNNFAST_SEGMENTS", "banana"),
+            ("MNNFAST_WORKERS", "four"),
+            ("MNNFAST_REPLICAS", "-1"),
+            ("MNNFAST_HEDGE_MS", "fast"),
+            ("MNNFAST_TOPK", "0"),
+            ("MNNFAST_TOPK", "2.5"),
+            ("MNNFAST_NPROBE", "1e3"),
+        ] {
+            let err = resolve(&[(var, bad)]).unwrap_err();
+            assert_eq!((err.var(), err.value()), (var, bad));
+        }
     }
 
     #[test]
-    fn topk_and_nprobe_env_parses_are_strict() {
-        let parse_topk = |v| parse_count(TOPK, v);
-        let parse_nprobe = |v| parse_count(NPROBE, v);
-        assert_eq!(parse_topk(None), Ok(0));
-        assert_eq!(parse_topk(Some("")), Ok(0));
-        assert_eq!(parse_topk(Some("  ")), Ok(0));
-        assert_eq!(parse_topk(Some(" 32 ")), Ok(32));
-        // An explicit zero is a typo, not "disabled" — unset disables.
-        for bad in ["0", "-1", "eight", "2.5", "1e3"] {
-            let err = parse_topk(Some(bad)).unwrap_err();
-            assert_eq!(err.var(), "MNNFAST_TOPK");
-            assert_eq!(err.value(), bad);
+    fn zero_counts_fail_at_creation() {
+        let (_, model) = trained_serving_model();
+        for zero in [
+            SessionConfig {
+                segments: 0,
+                ..SessionConfig::default()
+            },
+            SessionConfig {
+                workers: 0,
+                ..SessionConfig::default()
+            },
+            SessionConfig {
+                replicas: 0,
+                ..SessionConfig::default()
+            },
+            SessionConfig {
+                nprobe: 0,
+                ..SessionConfig::default()
+            },
+        ] {
+            let err = Session::new(model.clone(), zero).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Engine(EngineError::Config(_))),
+                "{err}"
+            );
         }
-        assert_eq!(resolve_count(16, TOPK), Ok(16));
-
-        assert_eq!(parse_nprobe(None), Ok(DEFAULT_NPROBE));
-        assert_eq!(parse_nprobe(Some(" ")), Ok(DEFAULT_NPROBE));
-        assert_eq!(parse_nprobe(Some("3")), Ok(3));
-        for bad in ["0", "-2", "many", "4.5"] {
-            let err = parse_nprobe(Some(bad)).unwrap_err();
-            assert_eq!(err.var(), "MNNFAST_NPROBE");
-            assert_eq!(err.value(), bad);
-        }
-        assert_eq!(resolve_count(5, NPROBE), Ok(5));
     }
 
     #[test]
@@ -2071,9 +2084,7 @@ mod tests {
         // Sparse serving alone is fine, and the knobs are observable.
         let session = Session::new(model.clone(), base).unwrap();
         assert_eq!(session.topk(), 8);
-        if std::env::var("MNNFAST_NPROBE").is_err() {
-            assert_eq!(session.nprobe(), DEFAULT_NPROBE);
-        }
+        assert_eq!(session.nprobe(), 8);
 
         for bad in [
             // Probability skip needs a full-memory denominator sweep.
@@ -2216,10 +2227,66 @@ mod tests {
         }
         let d = dist.degradation_stats();
         assert_eq!(d.dist_fallbacks, 0, "fault-free run must not fall back");
-        // Injected RPC faults (the CI fault matrix arms MNNFAST_FAULT)
-        // are absorbed by retries; only assert a quiet wire without them.
-        if std::env::var("MNNFAST_FAULT").is_err() {
-            assert_eq!(d.dist_retries, 0);
+        assert_eq!(d.dist_retries, 0);
+    }
+
+    /// The RPC fault matrix: the session's own fleet is armed with each
+    /// spec before any row is mirrored, so pushes and forwards eat the
+    /// damage. Retries, failover or a local fallback absorb it; the answers
+    /// never move.
+    #[test]
+    fn dist_rpc_faults_keep_local_parity() {
+        let (mut generator, model) = trained_serving_model();
+        // Two fully replicated workers each answer every one of the 30
+        // pushes, so the `after=` specs fire mid-push.
+        let story = generator.story(30, 3);
+        let config = |workers| SessionConfig {
+            plan: dist_plan(),
+            workers,
+            replicas: 2,
+            ..SessionConfig::default()
+        };
+        let mut local = Session::new(model.clone(), config(1)).unwrap();
+        for s in &story.sentences {
+            local.observe(s).unwrap();
+        }
+        let expected: Vec<Answer> = story
+            .questions
+            .iter()
+            .map(|q| local.ask(&q.tokens).unwrap())
+            .collect();
+        for spec in [
+            "drop",
+            "delay:5",
+            "corrupt",
+            "disconnect",
+            "corrupt;after=25",
+            "disconnect;after=10",
+        ] {
+            let plan = mnn_dist::RpcFaultPlan::parse(spec).unwrap().unwrap();
+            let mut dist = Session::new(model.clone(), config(2)).unwrap();
+            for worker in &dist.dist.as_ref().unwrap().workers {
+                worker.arm_fault(plan);
+            }
+            for s in &story.sentences {
+                dist.observe(s).unwrap();
+            }
+            for (q, a) in story.questions.iter().zip(&expected) {
+                let b = dist.ask(&q.tokens).unwrap();
+                assert_eq!(a.word, b.word, "{spec}");
+                assert_eq!(a.probability.to_bits(), b.probability.to_bits(), "{spec}");
+            }
+            let fired: u64 = match &dist.dist {
+                Some(plane) => plane.workers.iter().map(WorkerServer::fault_fired).sum(),
+                None => 1, // torn down: the fault cost the fleet
+            };
+            assert!(fired > 0, "{spec}: no fault fired");
+            // A delay is only late; every damaging fault costs a retry, a
+            // failover or the fleet.
+            let d = dist.degradation_stats();
+            let absorbed = d.dist_retries + d.dist_failovers + d.dist_fallbacks;
+            let delay = matches!(plan.kind, mnn_dist::RpcFaultKind::Delay(_));
+            assert!(delay || absorbed > 0, "{spec}: {d:?}");
         }
     }
 

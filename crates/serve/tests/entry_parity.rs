@@ -22,7 +22,7 @@ const TOPK: usize = 10;
 /// The axes of the table.
 const PRECISIONS: [Precision; 2] = [Precision::F32, Precision::Int8];
 const TOPKS: [usize; 2] = [0, TOPK];
-const SEGMENTS: [usize; 2] = [1, 3];
+const SEGMENTS: [usize; 3] = [1, 3, 8];
 const WORKERS: [usize; 2] = [1, 2];
 const PINNED: [bool; 2] = [false, true];
 
@@ -182,9 +182,9 @@ fn ask_many_is_ask_slot_for_slot_on_every_config() {
         }
     }
     let expected = if cfg!(feature = "fault-inject") {
-        24
+        36
     } else {
-        12
+        18
     };
     assert_eq!(cells, expected, "cells run");
 }

@@ -63,16 +63,25 @@ fn sparse_sessions_preserve_babi_answers() {
     let (mut generator, model) = trained_serving_model();
     let stories: Vec<Story> = (0..10).map(|_| generator.story(20, 3)).collect();
 
-    for kind in [EngineKind::Column, EngineKind::Auto] {
+    for (kind, segments) in [
+        (EngineKind::Column, 1),
+        (EngineKind::Auto, 1),
+        (EngineKind::Column, 5),
+    ] {
         let mut exact = Session::new(
             model.clone(),
             SessionConfig {
                 plan: plan(kind),
+                segments,
                 ..SessionConfig::default()
             },
         )
         .unwrap();
-        let mut sparse = Session::new(model.clone(), sparse_config(plan(kind), 10, 3)).unwrap();
+        let sparse_config = SessionConfig {
+            segments,
+            ..sparse_config(plan(kind), 10, 3)
+        };
+        let mut sparse = Session::new(model.clone(), sparse_config).unwrap();
         assert_eq!(sparse.topk(), 10);
         assert_eq!(sparse.nprobe(), 3);
 
@@ -80,7 +89,10 @@ fn sparse_sessions_preserve_babi_answers() {
         for story in &stories {
             let expect = replay_words(&mut exact, story);
             let got = replay_words(&mut sparse, story);
-            assert_eq!(got, expect, "sparse attention changed an answer ({kind:?})");
+            assert_eq!(
+                got, expect,
+                "sparse attention changed an answer ({kind:?}, {segments} segments)"
+            );
             questions += expect.len();
         }
         assert!(questions >= 30, "vacuous run: {questions} questions");

@@ -63,7 +63,7 @@ pub mod simd;
 pub mod softmax;
 
 pub use buffer::AlignedBuf;
-pub use error::{EnvVarError, ShapeError};
+pub use error::{read_var, EnvVarError, ShapeError};
 pub use matrix::{ChunkRows, Matrix};
 pub use partial::{PartialDecodeError, PartialState};
 pub use quant::QuantMatrix;
@@ -73,8 +73,8 @@ pub use quant::QuantMatrix;
 /// `MNNFAST_FAULT`), returning the first typed error.
 ///
 /// The lazy in-library readers keep their lenient fall-back-to-default
-/// behaviour so kernels always resolve; serving entry points (the CLI, the
-/// session layer) call this at startup so a typo'd knob fails loudly
+/// behaviour so kernels always resolve; the serving binaries (`mnnfast
+/// serve`, `mnn-serve`) call this at startup so a typo'd knob fails loudly
 /// instead of silently running with the default. Unset and *empty*
 /// variables are valid everywhere and mean "use the default".
 pub fn validate_env() -> Result<(), EnvVarError> {
