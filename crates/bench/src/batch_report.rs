@@ -121,7 +121,7 @@ pub fn run(scale: Scale) -> BatchReport {
             let results = exec
                 .forward_batch(
                     view,
-                    &whole,
+                    Route::Plan(&whole),
                     black_box(&questions),
                     scratch,
                     trace,

@@ -12,7 +12,7 @@ use mnn_memsim::roofline::{self, MachineProfile};
 use mnn_memsim::{SetAssocCache, Variant};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    BatchEngine, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Phase, Route, Scratch,
+    Budget, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Phase, Route, Scratch,
     SegmentPlan, SkipPolicy, Trace,
 };
 use std::time::Instant;
@@ -152,11 +152,15 @@ pub fn fig09_native(scale: Scale) -> ExperimentTable {
     let _ = mnn_memnn::inference::baseline_forward_batch(&model, &batch_story, &mut bt, &mut bc);
     let base_batch_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let _ = BatchEngine::new(MnnFastConfig::new(chunk))
-        .forward(
-            &batch_story.m_in,
-            &batch_story.m_out,
+    let _ = ExecPlan::new(MnnFastConfig::new(chunk))
+        .executor()
+        .forward_batch(
+            MemView::from((&batch_story.m_in, &batch_story.m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(batch_story.m_in.rows())),
             &batch_story.questions,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &vec![Budget::unlimited(); nq_batch],
         )
         .expect("valid shapes");
     let col_batch_s = t1.elapsed().as_secs_f64();

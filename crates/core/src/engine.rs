@@ -7,18 +7,18 @@
 //! when the attention weight is below the zero-skip threshold. A single
 //! division pass at the very end produces the response vector `o`.
 //!
-//! [`ColumnEngine`] owns the one pass skeleton (`ColumnEngine::pass`): the
-//! scale-out walk runs the same skeleton and differs only in how it
-//! produces and folds a visited segment's chunks (`Walk`), so both produce
-//! bitwise-identical results on either memory plane. As an
-//! [`crate::Executor`] the engine always walks inline and answers batches
-//! one question at a time — the reference every parity suite and the
-//! lattice compare [`crate::PlanExecutor`] against.
+//! This module holds the per-chunk kernels ([`ColumnEngine`]'s chunk step,
+//! on either memory plane) and the numeric guards. The one pass that drives
+//! them — for one question or many, inline or over worker threads — is
+//! [`crate::parallel`]'s, over the per-worker arenas of [`crate::batch`].
+//! As an [`crate::Executor`] the engine always walks inline and answers
+//! batches one question at a time — the reference every parity suite and
+//! the lattice compare [`crate::PlanExecutor`] against.
 
 use crate::budget::Budget;
-use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
-use crate::exec::{resolve_route, Executor, MemView, Phase, Route, Scratch, Trace, WorkerScratch};
-use crate::segment::{self, Segment, SegmentPlan};
+use crate::config::MnnFastConfig;
+use crate::exec::{resolve_route, Executor, MemView, Phase, Route, Scratch, Trace};
+use crate::segment::SegmentPlan;
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
 use mnn_tensor::{kernels, Matrix, ShapeError};
@@ -60,12 +60,15 @@ pub enum EngineError {
         /// `"normalize"`).
         stage: &'static str,
     },
-    /// A scale-out worker thread panicked mid-chunk.
+    /// A chunk kernel panicked mid-pass.
     ///
-    /// The panic is contained with `catch_unwind` so one poisoned chunk
-    /// kernel cannot take down the whole serving process; the pass is
-    /// abandoned (peers stop at their next chunk boundary) and the serving
-    /// layer degrades through the same retry ladder as
+    /// Every lane of a pass — the caller's own share included — runs under
+    /// `catch_unwind`, so one poisoned chunk kernel cannot take down the
+    /// serving process at any thread count or batch size. The questions
+    /// the panicking lane owned carry this error (every question on a
+    /// chunk split, the lane's own range on a question split), peers of a
+    /// chunk split stop at their next chunk boundary, and the serving layer
+    /// degrades through the same retry ladder as
     /// [`EngineError::NumericFault`].
     WorkerPanicked,
     /// The top-K candidate index declined to answer this pass.
@@ -266,70 +269,12 @@ impl AccumMut<'_> {
         }
     }
 
-    pub(crate) fn denom(&self) -> f32 {
-        match self {
-            AccumMut::Lazy(acc) => acc.denom(),
-            AccumMut::Online(acc) => acc.denom(),
-        }
-    }
-
     /// Resets to an empty accumulator of width `ed`.
     pub(crate) fn reset(&mut self, ed: usize) {
         match self {
             AccumMut::Lazy(acc) => acc.reset(ed),
             AccumMut::Online(acc) => acc.reset(ed),
         }
-    }
-
-    /// Merges a finished chunk partial into this running total.
-    ///
-    /// Every walk folds per-chunk partials through this method in
-    /// chunk-index order, so the rounding history — and therefore the output
-    /// bits — are identical across [`crate::EngineKind`]s and thread counts.
-    pub(crate) fn merge_from(&mut self, other: &AccumMut<'_>) {
-        match (self, other) {
-            (AccumMut::Lazy(a), AccumMut::Lazy(b)) => a.merge(b),
-            (AccumMut::Online(a), AccumMut::Online(b)) => a.merge(b),
-            _ => unreachable!("softmax mode is fixed for a pass"),
-        }
-    }
-
-    /// The running softmax max zone-map pruning compares segment bounds
-    /// against. `None` in lazy mode, where pruning can never fire (see
-    /// [`crate::segment`]).
-    pub(crate) fn running_max(&self) -> Option<f32> {
-        match self {
-            AccumMut::Lazy(_) => None,
-            AccumMut::Online(acc) => Some(acc.max_logit()),
-        }
-    }
-
-    /// Folds every chunk partial the `workers` produced into this running
-    /// total and returns how many were merged.
-    ///
-    /// Workers own contiguous ascending chunk ranges, so iterating workers
-    /// in order and their partials in order visits chunks in global
-    /// chunk-index order — exactly the fold the inline walk performs,
-    /// which is what makes the output bitwise identical.
-    pub(crate) fn fold_workers(&mut self, workers: &[WorkerScratch]) -> u64 {
-        let mut merged = 0u64;
-        for w in workers {
-            match self {
-                AccumMut::Lazy(acc) => {
-                    for partial in &w.lazy_partials[..w.used] {
-                        acc.merge(partial);
-                        merged += 1;
-                    }
-                }
-                AccumMut::Online(acc) => {
-                    for partial in &w.online_partials[..w.used] {
-                        acc.merge(partial);
-                        merged += 1;
-                    }
-                }
-            }
-        }
-        merged
     }
 }
 
@@ -358,89 +303,6 @@ pub(crate) struct Query<'a> {
     pub(crate) u: &'a [f32],
     pub(crate) uq: &'a [i8],
     pub(crate) scale: f32,
-}
-
-/// How a pass produces and folds the chunks of one visited segment — the
-/// only thing [`crate::EngineKind`] contributes to [`ColumnEngine::pass`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Walk {
-    /// On the calling thread, chunk by chunk ([`crate::EngineKind::Column`]).
-    Inline,
-    /// Up to `threads` scoped workers over contiguous chunk ranges, folded
-    /// by the caller in global chunk order
-    /// ([`crate::EngineKind::Parallel`]).
-    Workers { threads: usize },
-}
-
-/// The live state of one pass between its prelude and its lazy division:
-/// the operands, the resolved skip threshold, the running total and chunk
-/// partial (borrowed from the [`Scratch`]) and the counters. A [`Walk`]
-/// folds one segment into it at a time.
-#[derive(Debug)]
-pub(crate) struct PassState<'a> {
-    pub(crate) engine: ColumnEngine,
-    pub(crate) view: MemView<'a>,
-    pub(crate) query: Query<'a>,
-    pub(crate) raw_threshold: Option<f32>,
-    pub(crate) budget: &'a Budget,
-    pub(crate) main: AccumMut<'a>,
-    pub(crate) partial: AccumMut<'a>,
-    pub(crate) logits: &'a mut [f32],
-    pub(crate) workers: &'a mut Vec<WorkerScratch>,
-    pub(crate) stats: InferenceStats,
-}
-
-impl PassState<'_> {
-    /// Produces one chunk's partial: budget check, reset, chunk kernel.
-    pub(crate) fn chunk_partial(
-        &mut self,
-        ops: ChunkOps<'_>,
-        n: usize,
-        trace: &mut Trace,
-    ) -> Result<(), EngineError> {
-        self.budget.check()?;
-        self.partial.reset(self.query.u.len());
-        self.engine.process_chunk(
-            ops,
-            n,
-            self.query,
-            self.raw_threshold,
-            &mut self.partial,
-            &mut self.stats,
-            &mut self.logits[..n],
-            trace,
-        );
-        Ok(())
-    }
-
-    /// [`Self::chunk_partial`], then the fold every walk performs in
-    /// global chunk order: merge into the running total and guard the
-    /// denominator.
-    pub(crate) fn fold_chunk(
-        &mut self,
-        ops: ChunkOps<'_>,
-        n: usize,
-        trace: &mut Trace,
-    ) -> Result<(), EngineError> {
-        self.chunk_partial(ops, n, trace)?;
-        let t0 = trace.begin();
-        self.main.merge_from(&self.partial);
-        trace.record(Phase::Merge, t0, 1);
-        check_denom(self.main.denom(), "chunk merge")
-    }
-
-    /// [`Walk::Inline`]: the segment's chunks, in place, in order.
-    fn walk_inline(&mut self, seg: Segment, trace: &mut Trace) -> Result<(), EngineError> {
-        let chunk = self.engine.config.chunk_size;
-        let seg_end = seg.start + seg.rows;
-        let mut row = seg.start;
-        while row < seg_end {
-            let n = chunk.min(seg_end - row);
-            self.fold_chunk(self.view.chunk(row, n), n, trace)?;
-            row += n;
-        }
-        Ok(())
-    }
 }
 
 /// The column-based inference engine.
@@ -488,227 +350,6 @@ impl ColumnEngine {
             &mut Trace::disabled(),
             &Budget::unlimited(),
         )
-    }
-
-    /// The pass prelude shared by [`ColumnEngine::pass`] and the dist
-    /// worker's [`crate::forward_chunk_partials`]: validates the operands,
-    /// quantizes the query on the int8 plane, and borrows the reset
-    /// accumulators and workspaces out of `scratch`.
-    pub(crate) fn begin<'a>(
-        &self,
-        view: MemView<'a>,
-        rows: usize,
-        u: &'a [f32],
-        budget: &'a Budget,
-        scratch: &'a mut Scratch,
-    ) -> Result<PassState<'a>, EngineError> {
-        self.config.validate().map_err(EngineError::Config)?;
-        view.check(u)?;
-        view.check_rows(rows)?;
-        let ed = u.len();
-        let logit_len = self.config.chunk_size.min(rows.max(1));
-        let Scratch {
-            logits,
-            lazy,
-            online,
-            chunk_lazy,
-            chunk_online,
-            uq,
-            workers,
-            ..
-        } = scratch;
-        if logits.len() < logit_len {
-            logits.resize(logit_len, 0.0);
-        }
-        let query = match view {
-            MemView::F32 { .. } => Query {
-                u,
-                uq: &[],
-                scale: 0.0,
-            },
-            // A non-finite query quantizes to scale +∞ over zero codes,
-            // which drives every logit non-finite and surfaces as a
-            // NumericFault at the first merge — same contract as f32.
-            MemView::Int8 { .. } => {
-                if uq.len() < ed {
-                    uq.resize(ed, 0);
-                }
-                let scale = mnn_tensor::quant::quantize_row(u, &mut uq[..ed]);
-                Query {
-                    u,
-                    uq: &uq[..ed],
-                    scale,
-                }
-            }
-        };
-        // Each chunk is processed into the partial and then folded into the
-        // running total — the same merge discipline on every walk, so
-        // accumulation order is identical across engine variants.
-        let (main, partial) = match self.config.softmax {
-            SoftmaxMode::Lazy => {
-                lazy.reset(ed);
-                chunk_lazy.reset(ed);
-                (AccumMut::Lazy(lazy), AccumMut::Lazy(chunk_lazy))
-            }
-            SoftmaxMode::Online => {
-                online.reset(ed);
-                chunk_online.reset(ed);
-                (AccumMut::Online(online), AccumMut::Online(chunk_online))
-            }
-        };
-        Ok(PassState {
-            engine: *self,
-            view,
-            query,
-            raw_threshold: None,
-            budget,
-            main,
-            partial,
-            logits: &mut logits[..logit_len],
-            workers,
-            stats: InferenceStats::default(),
-        })
-    }
-
-    /// The one forward pass: prelude → Probability pre-pass → per segment
-    /// {budget check, zone-map prune, `walk` its chunks into the running
-    /// total} → lazy division → output guard. Segments
-    /// are visited in order and every walk folds chunk partials in global
-    /// chunk order, so the answer, denominator and counters do not depend
-    /// on `walk`, the thread count or the segmentation.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn pass(
-        &self,
-        walk: Walk,
-        view: MemView<'_>,
-        plan: &SegmentPlan<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        let rows = plan.rows();
-        let ed = u.len();
-        let walk = match walk {
-            // Partitioned on chunk boundaries below; with nothing to split
-            // the scale-out pass is the sequential one.
-            Walk::Workers { threads } => match threads.min(rows) {
-                0 | 1 => Walk::Inline,
-                threads => Walk::Workers { threads },
-            },
-            walk => walk,
-        };
-        let (denominator, mut stats) = {
-            let mut st = self.begin(view, rows, u, budget, scratch)?;
-            let t0 = trace.begin();
-            // The skip-threshold pre-pass covers *all* plan rows, pruned
-            // segments included, so resolved thresholds match the
-            // unsegmented pass bit for bit.
-            st.raw_threshold =
-                self.resolve_threshold(view, st.query, rows, &mut st.stats, st.logits);
-            trace.record(Phase::Skip, t0, 0);
-            // Int8 zone maps are built from exactly-dequantized row norms,
-            // so Cauchy–Schwarz must use the quantized query's own norm:
-            // those are the vectors the int8 kernels actually dot.
-            let query_norm = match view {
-                MemView::F32 { .. } => segment::query_norm_upper(u),
-                MemView::Int8 { .. } => segment::query_norm_upper_i8(st.query.uq, st.query.scale),
-            };
-            for seg in plan.segments() {
-                budget.check()?;
-                st.stats.segments_total += 1;
-                // The prune decision needs the running max of everything
-                // folded so far, so segments are visited sequentially and a
-                // pruned segment's rows are never even read.
-                let dominated = plan.prune()
-                    && st.main.running_max().is_some_and(|running_max| {
-                        segment::can_prune(running_max, seg.logit_upper_bound(query_norm))
-                    });
-                if dominated {
-                    st.stats.segments_pruned += 1;
-                    st.stats.rows_pruned += seg.rows as u64;
-                    continue;
-                }
-                match walk {
-                    Walk::Inline => st.walk_inline(seg, trace)?,
-                    Walk::Workers { threads } => {
-                        crate::parallel::walk_workers(&mut st, threads, seg, trace)?
-                    }
-                }
-                trace.bump(Phase::SegmentMerge, 1);
-            }
-            (st.main.denom(), st.stats)
-        };
-        let mut o = scratch.take_out(ed);
-        let t0 = trace.begin();
-        scratch.finish_main(self.config.softmax, &mut o);
-        trace.record(Phase::Divide, t0, ed as u64);
-        check_output(&o)?;
-        // The lazy division: ed operations, NOT ns (Section 3.1's
-        // division-count reduction).
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        Ok(ColumnOutput {
-            o,
-            denominator,
-            stats,
-        })
-    }
-
-    /// Resolves [`SkipPolicy`] into a raw-weight threshold over the first
-    /// `rows` rows, running the denominator pre-pass for
-    /// [`SkipPolicy::Probability`] in the caller's `logits` buffer
-    /// (`chunk.min(rows.max(1))` elements — no allocation). On the int8
-    /// plane the sweep runs on the int8 GEMV, so the threshold is
-    /// consistent with the logits the quantized main pass will compute.
-    fn resolve_threshold(
-        &self,
-        view: MemView<'_>,
-        query: Query<'_>,
-        rows: usize,
-        stats: &mut InferenceStats,
-        logits: &mut [f32],
-    ) -> Option<f32> {
-        let th = match self.config.skip {
-            SkipPolicy::None => return None,
-            SkipPolicy::RawWeight(th) => return Some(th),
-            SkipPolicy::Probability(th) => th,
-        };
-        // Pass 1: denominator sweep (inner products + exp only).
-        let ed = query.u.len();
-        let chunk = self.config.chunk_size;
-        let mut max_logit = f32::NEG_INFINITY;
-        let mut denom_rel = 0.0f64; // relative to running max, online-style
-        let mut raw_denom = 0.0f64;
-        let mut start = 0usize;
-        while start < rows {
-            let n = chunk.min(rows - start);
-            let buf = &mut logits[..n];
-            match view.chunk(start, n) {
-                ChunkOps::F32 { m_in, .. } => kernels::gemv_chunk(m_in, n, query.u, buf),
-                ChunkOps::Int8 {
-                    m_in, in_scales, ..
-                } => kernels::gemv_chunk_i8(m_in, in_scales, n, query.uq, query.scale, buf),
-            }
-            stats.flops += kernels::gemv_flops(n, ed);
-            stats.memory_bytes += (n * view.row_bytes()) as u64;
-            for &x in buf.iter() {
-                if x > max_logit {
-                    denom_rel *= ((max_logit - x) as f64).exp();
-                    max_logit = x;
-                }
-                denom_rel += ((x - max_logit) as f64).exp();
-                raw_denom += (x as f64).exp();
-                stats.flops += 1;
-            }
-            start += n;
-        }
-        Some(match self.config.softmax {
-            // p_i = e^{x_i} / Σe^{x_j}  <  th  ⟺  e^{x_i} < th·Σ.
-            SoftmaxMode::Lazy => (th as f64 * raw_denom) as f32,
-            // Relative weight e^{x_i - max} < th · Σe^{x_j - max}.
-            SoftmaxMode::Online => (th as f64 * denom_rel) as f32,
-        })
     }
 
     /// One chunk into `acc`, on whichever plane `ops` carries: the one
@@ -760,8 +401,7 @@ impl ColumnEngine {
     }
 
     /// Processes one flat chunk (`n` rows of `M_IN` and `M_OUT`, row-major)
-    /// into `acc`. This is the unit of work shared by the inline and
-    /// scale-out walks.
+    /// into `acc`: the single-question unit of work of every pass.
     ///
     /// # Panics
     ///
@@ -786,16 +426,7 @@ impl ColumnEngine {
             let skipped = acc.accumulate_chunk(in_flat, out_flat, n, u, raw_threshold);
             trace.record(Phase::FusedChunk, t0, n as u64);
             trace.bump(Phase::Skip, skipped);
-            // Aggregate counters computed from (n, skipped) — numerically
-            // identical to the two-pass accounting below.
-            let kept = n as u64 - skipped;
-            stats.flops += kernels::gemv_flops(n, ed) + n as u64 + kept * 2 * ed as u64;
-            stats.ws_flops += kept * 2 * ed as u64;
-            stats.flops_skipped += skipped * 2 * ed as u64;
-            stats.rows_total += n as u64;
-            stats.rows_skipped += skipped;
-            stats.memory_bytes += (n * ed * 4) as u64 + kept * (ed * 4) as u64;
-            stats.chunks += 1;
+            charge_chunk(stats, n, ed, skipped, ed * 4);
             // Fusion removes the chunk-wide logits intermediate: only an
             // 8-row logit block plus the accumulator row stay live.
             stats.intermediate_bytes = stats.intermediate_bytes.max((8 * 4 + ed * 4) as u64);
@@ -873,14 +504,7 @@ impl ColumnEngine {
             );
             trace.record(Phase::FusedChunk, t0, n as u64);
             trace.bump(Phase::Skip, skipped);
-            let kept = n as u64 - skipped;
-            stats.flops += kernels::gemv_flops(n, ed) + n as u64 + kept * 2 * ed as u64;
-            stats.ws_flops += kept * 2 * ed as u64;
-            stats.flops_skipped += skipped * 2 * ed as u64;
-            stats.rows_total += n as u64;
-            stats.rows_skipped += skipped;
-            stats.memory_bytes += (n * (ed + 4)) as u64 + kept * (ed + 4) as u64;
-            stats.chunks += 1;
+            charge_chunk(stats, n, ed, skipped, ed + 4);
             stats.intermediate_bytes = stats.intermediate_bytes.max((8 * 4 + ed * 4) as u64);
             return;
         }
@@ -918,6 +542,29 @@ impl ColumnEngine {
         trace.record(Phase::ExpAccumulate, t0, n as u64 - chunk_skipped);
         trace.bump(Phase::Skip, chunk_skipped);
     }
+}
+
+/// Charges one chunk of `n` rows, `skipped` of them zero-skipped, to a
+/// question's counters: its inner products, one exponential per row, the
+/// weighted sums it kept, and `row_bytes` of traffic per `M_IN` row read
+/// and per `M_OUT` row accumulated. The one accounting rule of every chunk
+/// kernel — fused, two-pass and tiled count the same work the same way,
+/// so a question's counters do not depend on the kernel or the batch.
+pub(crate) fn charge_chunk(
+    stats: &mut InferenceStats,
+    n: usize,
+    ed: usize,
+    skipped: u64,
+    row_bytes: usize,
+) {
+    let kept = n as u64 - skipped;
+    stats.flops += kernels::gemv_flops(n, ed) + n as u64 + kept * 2 * ed as u64;
+    stats.ws_flops += kept * 2 * ed as u64;
+    stats.flops_skipped += skipped * 2 * ed as u64;
+    stats.rows_total += n as u64;
+    stats.rows_skipped += skipped;
+    stats.memory_bytes += (n * row_bytes) as u64 + kept * row_bytes as u64;
+    stats.chunks += 1;
 }
 
 /// Merge-time numeric guard shared by every walk: a poisoned
@@ -961,7 +608,7 @@ impl Executor for ColumnEngine {
             u,
             scratch,
             trace,
-            |v, p, s, t| self.pass(Walk::Inline, v, p, u, s, t, budget),
+            |v, p, s, t| crate::parallel::forward_one(&self.config, 1, v, p, u, s, t, budget),
         )
     }
 
@@ -973,6 +620,7 @@ impl Executor for ColumnEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{SkipPolicy, SoftmaxMode};
     use mnn_tensor::{assert_slice_approx_eq, softmax};
 
     fn reference_forward(m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> Vec<f32> {

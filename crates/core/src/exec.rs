@@ -6,7 +6,8 @@
 //!
 //! * [`Executor`] — the one forward seam. Serving, CLI, and bench layers
 //!   all hold `&dyn Executor`; nothing above `crates/core` dispatches over
-//!   walks by hand. Two implementors: [`PlanExecutor`] (production) and
+//!   walks by hand. Two implementors: [`PlanExecutor`] (production: the
+//!   one pass of [`crate::parallel`], for one question or a batch) and
 //!   [`crate::ColumnEngine`] (the inline reference the parity suites
 //!   compare against).
 //! * [`ExecPlan`] / [`EngineKind`] — declarative walk selection, including
@@ -14,9 +15,9 @@
 //!   walked and the configured thread count at call time (the store grows
 //!   while serving, so the right walk changes over a session's lifetime).
 //! * [`Scratch`] — a reusable arena for every buffer the forward pass needs
-//!   (chunk logits, softmax accumulators, per-worker partials, recycled
-//!   output vectors). A serving loop that reuses one `Scratch` performs zero
-//!   per-question heap allocations on the column path.
+//!   (one [`crate::batch`] lane per worker, recycled output vectors, the
+//!   top-K gather staging). A serving loop that reuses one `Scratch`
+//!   performs zero per-question heap allocations on the inline path.
 //! * [`Trace`] / [`Phase`] — per-phase wall-time and work counters threaded
 //!   through the same seam. Zero-cost when disabled (no clock reads), and
 //!   aggregated into [`PhaseHistograms`] by the serving layer.
@@ -42,17 +43,16 @@
 //! disabling fusion ([`MnnFastConfig::with_fused`]) restores the two-pass
 //! attribution. Skipped rows are counted under `Skip` on both paths.
 //!
-//! On the column path the phase times sum to ≈ the total forward latency
-//! (the residual is loop control). On the parallel path worker phases are
-//! CPU time summed across threads, so the sum legitimately *exceeds* wall
-//! time.
+//! On the inline path the phase times sum to ≈ the total forward latency
+//! (the residual is loop control). When a pass splits over threads, worker
+//! phases are CPU time summed across threads, so the sum legitimately
+//! *exceeds* wall time.
 
 use crate::budget::Budget;
-use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
-use crate::engine::{AccumMut, ChunkOps, ColumnOutput, EngineError, Walk};
+use crate::config::{MnnFastConfig, SkipPolicy};
+use crate::engine::{ChunkOps, ColumnOutput, EngineError};
 use crate::index::{ClusterIndex, ProbeResult};
 use crate::segment::SegmentPlan;
-use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
 use mnn_tensor::{Matrix, QuantMatrix, ShapeError};
 use std::fmt;
 use std::time::Instant;
@@ -420,90 +420,25 @@ impl PhaseHistograms {
     }
 }
 
-/// Reusable per-worker buffers for the scale-out path.
-///
-/// A worker keeps one accumulator *per chunk it owns* instead of folding its
-/// chunks locally: the main thread merges all chunk partials itself, in
-/// global chunk-index order, so the parallel engine reproduces the column
-/// engine's rounding history bit for bit.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WorkerScratch {
-    pub(crate) logits: Vec<f32>,
-    pub(crate) lazy_partials: Vec<LazyAccumulator>,
-    pub(crate) online_partials: Vec<OnlineSoftmax>,
-    /// How many chunk partials the last pass filled in.
-    pub(crate) used: usize,
-}
-
-impl WorkerScratch {
-    /// Borrows the logits buffer (grown to `logit_len`) together with a
-    /// reset chunk-partial accumulator for the worker's `idx`-th chunk.
-    pub(crate) fn chunk_slot(
-        &mut self,
-        mode: SoftmaxMode,
-        ed: usize,
-        logit_len: usize,
-        idx: usize,
-    ) -> (&mut [f32], AccumMut<'_>) {
-        if self.logits.len() < logit_len {
-            self.logits.resize(logit_len, 0.0);
-        }
-        let logits = &mut self.logits[..logit_len];
-        let acc = match mode {
-            SoftmaxMode::Lazy => {
-                if self.lazy_partials.len() <= idx {
-                    self.lazy_partials
-                        .resize_with(idx + 1, LazyAccumulator::default);
-                }
-                let slot = &mut self.lazy_partials[idx];
-                slot.reset(ed);
-                AccumMut::Lazy(slot)
-            }
-            SoftmaxMode::Online => {
-                if self.online_partials.len() <= idx {
-                    self.online_partials
-                        .resize_with(idx + 1, OnlineSoftmax::default);
-                }
-                let slot = &mut self.online_partials[idx];
-                slot.reset(ed);
-                AccumMut::Online(slot)
-            }
-        };
-        (logits, acc)
-    }
-}
-
 /// Maximum recycled output vectors a scratch keeps (hops hand back one
 /// buffer per hop; serving hands back one per question).
 const OUT_POOL_LIMIT: usize = 8;
 
 /// The shared, reusable arena for forward passes.
 ///
-/// One `Scratch` holds every buffer the engine variants need: the chunk
-/// logits buffer, both softmax accumulators, per-worker partials for the
-/// scale-out path, and a small pool of recycled output vectors. Reusing a
-/// scratch across questions makes the column path allocation-free once the
-/// buffers have grown to the store's capacity.
+/// One `Scratch` holds every buffer a pass needs: one lane per worker
+/// (each holding its questions' block, accumulators, chunk partials and
+/// counters — see [`crate::batch`]), a small pool of recycled output
+/// vectors, and the top-K gather staging. Reusing a scratch across
+/// questions makes the inline pass allocation-free once the buffers have
+/// grown to the store's capacity.
 ///
-/// A scratch is engine-agnostic: the same instance can serve
-/// [`EngineKind::Column`] and [`EngineKind::Parallel`] calls
-/// interchangeably.
+/// A scratch is engine-agnostic: the same instance can serve one question
+/// or a batch, inline or over worker threads, interchangeably.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    pub(crate) logits: Vec<f32>,
-    pub(crate) lazy: LazyAccumulator,
-    pub(crate) online: OnlineSoftmax,
-    pub(crate) chunk_lazy: LazyAccumulator,
-    pub(crate) chunk_online: OnlineSoftmax,
+    pub(crate) lanes: Vec<crate::batch::Lane>,
     pub(crate) out_pool: Vec<Vec<f32>>,
-    pub(crate) workers: Vec<WorkerScratch>,
-    // Batched-path arena (`BatchEngine`): one lane set per worker, each
-    // holding its questions' block, accumulators and bookkeeping. Grown on
-    // first batched call, reused afterwards.
-    pub(crate) batch: Vec<crate::batch::BatchLanes>,
-    // Quantized (int8) path: the query is quantized once per pass, here,
-    // so the kernels only ever see i8 operands.
-    pub(crate) uq: Vec<i8>,
     // Top-K gather mode: the contiguous staging memory the candidate rows
     // are copied into, one pair per plane. Empty until a probe gathers.
     gather: GatherStage,
@@ -593,14 +528,6 @@ impl Scratch {
         v.reserve(ed);
         v
     }
-
-    /// Writes the main accumulator's normalized response into `out`.
-    pub(crate) fn finish_main(&self, mode: SoftmaxMode, out: &mut Vec<f32>) {
-        match mode {
-            SoftmaxMode::Lazy => self.lazy.finish_into(out),
-            SoftmaxMode::Online => self.online.finish_into(out),
-        }
-    }
 }
 
 /// How a plan walks a pass's chunks.
@@ -612,8 +539,9 @@ pub enum EngineKind {
     Auto,
     /// Sequential chunked execution on the calling thread.
     Column,
-    /// Multi-threaded scale-out over [`MnnFastConfig::threads`] scoped
-    /// workers ([`crate::parallel`]).
+    /// Multi-threaded scale-out over [`MnnFastConfig::threads`] threads
+    /// ([`crate::parallel`]: by question range when a batch has at least
+    /// as many questions as threads, else by chunk range).
     Parallel,
 }
 
@@ -646,8 +574,8 @@ impl fmt::Display for EngineKind {
 
 /// Whether a pass over `rows` entries is big enough to split across the
 /// configured threads: more than one thread, and two chunks of rows for
-/// each. The one floor both [`ExecPlan::resolve`] (row ranges for the
-/// scale-out walk) and [`crate::BatchEngine`] (question ranges) apply.
+/// each — the floor [`ExecPlan::resolve`] applies to one question and to a
+/// batch alike (which range a split cuts is [`crate::parallel`]'s rule).
 pub(crate) fn clears_parallel_floor(config: &MnnFastConfig, rows: usize) -> bool {
     config.threads > 1 && rows >= config.threads * config.chunk_size * 2
 }
@@ -907,23 +835,25 @@ pub enum Route<'a> {
 /// This is the single dispatch seam of the codebase: `serve`, `cli` and
 /// `bench` all hold `&dyn Executor`, and [`crate::hops::multi_hop`] accepts
 /// the same trait object. Exactly two types implement it: [`PlanExecutor`]
-/// — what production runs, inline or scale-out per pass, batches through
-/// [`crate::BatchEngine`] — and [`crate::ColumnEngine`] — always inline,
-/// batches as a per-question loop; the reference the parity suites and the
-/// lattice hold the first one to, bit for bit. Which plane and which rows
-/// are *values* — a [`MemView`] and a [`Route`] — not method names; an
-/// unbudgeted pass is one under [`Budget::unlimited`] (whose check never
-/// reads the clock).
+/// — what production runs: one pass over a questions × chunk-ranges grid
+/// ([`crate::parallel`]), inline or over worker threads — and
+/// [`crate::ColumnEngine`] — always inline, batches as a per-question
+/// loop; the reference the parity suites and the lattice hold the first
+/// one to, bit for bit. Which plane and which rows are *values* — a
+/// [`MemView`] and a [`Route`] — not method names; an unbudgeted pass is
+/// one under [`Budget::unlimited`] (whose check never reads the clock).
 pub trait Executor: Send + Sync + fmt::Debug {
     /// Computes the response vector for `u` over `route`'s rows of `view`
     /// under an execution [`Budget`], reusing `scratch` buffers and
     /// recording per-phase timings into `trace` (free when the trace is
-    /// disabled). A warm pass over a [`Route::Plan`] allocates nothing.
+    /// disabled). A warm inline pass over a [`Route::Plan`] allocates
+    /// nothing.
     ///
     /// Every walk checks `budget` once per chunk and validates the
     /// softmax denominator at each merge, so a deadline, a cancellation, or
     /// a numeric fault surfaces within one chunk's work — never as silent
-    /// garbage.
+    /// garbage — and a panicking chunk kernel surfaces as
+    /// [`EngineError::WorkerPanicked`], on the caller's thread too.
     ///
     /// # Errors
     ///
@@ -944,25 +874,30 @@ pub trait Executor: Send + Sync + fmt::Debug {
         budget: &Budget,
     ) -> Result<ColumnOutput, EngineError>;
 
-    /// Answers a batch of same-dimension `questions` over `plan`'s rows of
-    /// `view`, each question under its own [`Budget`] (`budgets[q]` governs
-    /// `questions[q]`; the two slices must have equal length). Zone-map
-    /// pruning is decided per question against its own running max, and
-    /// every answer is bitwise the one [`Executor::forward`] returns for
-    /// that question alone.
+    /// Answers a batch of same-dimension `questions` over `route`'s rows
+    /// of `view`, each question under its own [`Budget`] (`budgets[q]`
+    /// governs `questions[q]`; the two slices must have equal length).
+    /// Every slot is bitwise the [`Executor::forward`] answer for that
+    /// question alone, and its work counters (`rows_*`, `chunks`, `flops`,
+    /// `ws_flops`, `flops_skipped`, `memory_bytes`, `divisions`,
+    /// `segments_*`) are that lone pass's. `intermediate_bytes` is a
+    /// footprint, not work: a batch of two or more reports one question's
+    /// share of the batched tile, `(logit_rows + ed) · 4` bytes, whichever
+    /// split served it.
     ///
-    /// Per-question failures are isolated: a deadline, cancellation, or
-    /// numeric fault on question `q` lands as the `Err` in slot `q` while
-    /// the remaining questions complete normally — the outer `Err` is
-    /// reserved for batch-level problems (invalid config, ragged batch,
-    /// mismatched budget count, bad operand shapes).
+    /// Per-question failures are isolated: a deadline, cancellation,
+    /// numeric fault or contained panic on question `q` lands as the `Err`
+    /// in slot `q` while the remaining questions complete normally — the
+    /// outer `Err` is reserved for batch-level problems (invalid config,
+    /// ragged batch, mismatched budget count, bad operand shapes).
     ///
     /// The default implementation loops [`Executor::forward`] per question
     /// — correct, but it re-streams both memories once per question.
-    /// [`PlanExecutor`] overrides it with the tiled-GEMM
-    /// [`crate::BatchEngine`] fast path, which streams each chunk once per
-    /// *batch* and applies it to every live question while it is
-    /// cache-resident; a warm call allocates only its result vector.
+    /// [`PlanExecutor`] runs a [`Route::Plan`] batch as one pass that
+    /// streams each chunk once per *batch* and applies it to every live
+    /// question while it is cache-resident (a warm call allocates only its
+    /// result vector); a [`Route::TopK`] batch probes per question, since
+    /// each question's candidates are its own.
     ///
     /// # Errors
     ///
@@ -973,22 +908,37 @@ pub trait Executor: Send + Sync + fmt::Debug {
     fn forward_batch(
         &self,
         view: MemView<'_>,
-        plan: &SegmentPlan<'_>,
+        route: Route<'_>,
         questions: &[Vec<f32>],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        crate::batch::check_batch(questions, budgets)?;
-        Ok(questions
-            .iter()
-            .zip(budgets)
-            .map(|(u, b)| self.forward(view, Route::Plan(plan), u, scratch, trace, b))
-            .collect())
+        one_at_a_time(self, view, route, questions, scratch, trace, budgets)
     }
 
     /// The dataflow configuration this executor runs.
     fn config(&self) -> MnnFastConfig;
+}
+
+/// A batch as a loop of [`Executor::forward`] calls: the trait's default
+/// batch, and [`PlanExecutor`]'s top-K batch (each question probes its own
+/// candidates).
+fn one_at_a_time<E: Executor + ?Sized>(
+    exec: &E,
+    view: MemView<'_>,
+    route: Route<'_>,
+    questions: &[Vec<f32>],
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budgets: &[Budget],
+) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
+    crate::parallel::check_batch(questions, budgets)?;
+    Ok(questions
+        .iter()
+        .zip(budgets)
+        .map(|(u, b)| exec.forward(view, route, u, scratch, trace, b))
+        .collect())
 }
 
 /// Resolves `route` into the plan walk `pass` runs — the one place a
@@ -1134,26 +1084,31 @@ fn patch_topk_stats(stats: &mut crate::InferenceStats, probe: &ProbeResult, stor
     stats.rows_skipped_by_index += (store_rows as u64).saturating_sub(rescored);
 }
 
-/// The executor built from an [`ExecPlan`]: one pass skeleton, walked
-/// inline or by scoped workers as [`ExecPlan::resolve`] says per call.
+/// The executor built from an [`ExecPlan`]: one pass, walked inline or
+/// over the configured threads as [`ExecPlan::resolve`] says per call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanExecutor {
     plan: ExecPlan,
-    column: crate::ColumnEngine,
 }
 
 impl PlanExecutor {
     /// Builds the executor for `plan`.
     pub fn new(plan: ExecPlan) -> Self {
-        PlanExecutor {
-            plan,
-            column: crate::ColumnEngine::new(plan.config),
-        }
+        PlanExecutor { plan }
     }
 
     /// The plan this executor implements.
     pub fn plan(&self) -> ExecPlan {
         self.plan
+    }
+
+    /// The threads a pass over `rows` rows may use: the configured count
+    /// when the plan resolves to the scale-out walk, else one (inline).
+    fn threads(&self, rows: usize, ed: usize) -> usize {
+        match self.plan.resolve(rows, ed) {
+            EngineKind::Parallel => self.plan.config.threads,
+            EngineKind::Column | EngineKind::Auto => 1,
+        }
     }
 }
 
@@ -1169,36 +1124,41 @@ impl Executor for PlanExecutor {
         trace: &mut Trace,
         budget: &Budget,
     ) -> Result<ColumnOutput, EngineError> {
-        resolve_route(
-            &self.plan.config,
-            view,
-            route,
-            u,
-            scratch,
-            trace,
-            |v, p, s, t| {
-                let walk = match self.plan.resolve(p.rows(), u.len()) {
-                    EngineKind::Column | EngineKind::Auto => Walk::Inline,
-                    EngineKind::Parallel => Walk::Workers {
-                        threads: self.plan.config.threads,
-                    },
-                };
-                self.column.pass(walk, v, p, u, s, t, budget)
-            },
-        )
+        let config = &self.plan.config;
+        resolve_route(config, view, route, u, scratch, trace, |v, p, s, t| {
+            let threads = self.threads(p.rows(), u.len());
+            crate::parallel::forward_one(config, threads, v, p, u, s, t, budget)
+        })
     }
 
     fn forward_batch(
         &self,
         view: MemView<'_>,
-        plan: &SegmentPlan<'_>,
+        route: Route<'_>,
         questions: &[Vec<f32>],
         scratch: &mut Scratch,
         trace: &mut Trace,
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        crate::BatchEngine::new(self.plan.config)
-            .forward_batch(view, plan, questions, scratch, trace, budgets)
+        let Route::Plan(plan) = route else {
+            return one_at_a_time(self, view, route, questions, scratch, trace, budgets);
+        };
+        let ed = questions.first().map_or(0, Vec::len);
+        let threads = self.threads(plan.rows(), ed);
+        let mut slots = Vec::with_capacity(questions.len());
+        let config = &self.plan.config;
+        crate::parallel::pass(
+            config,
+            threads,
+            view,
+            plan,
+            questions,
+            budgets,
+            scratch,
+            trace,
+            |slot| slots.push(slot),
+        )?;
+        Ok(slots)
     }
 
     fn config(&self) -> MnnFastConfig {

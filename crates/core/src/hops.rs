@@ -9,7 +9,7 @@
 //! no parallel trait hierarchy.
 
 use crate::budget::Budget;
-use crate::engine::EngineError;
+use crate::engine::{ColumnOutput, EngineError};
 use crate::exec::{Executor, MemView, Route, Scratch, Trace};
 use crate::index::ClusterIndex;
 use crate::segment::SegmentPlan;
@@ -34,9 +34,10 @@ pub struct HopsOutput {
 
 /// Runs `hops` memory hops with `exec` over `route`'s rows of `view`,
 /// chaining `u ← u + o`, reusing `scratch` across hops and accumulating
-/// per-phase timings into `trace`. One `budget` covers the whole chain,
-/// checked once per chunk inside every hop's pass (a serving layer's
-/// per-question deadline spans all hops of the question).
+/// per-phase timings into `trace`: [`multi_hop_batch`] over one question.
+/// One `budget` covers the whole chain, checked once per chunk inside
+/// every hop's pass (a serving layer's per-question deadline spans all
+/// hops of the question).
 ///
 /// Matches `mnn-memnn`'s baseline hop semantics exactly (layer-wise tied
 /// memories: the same view serves every hop). The question state stays in
@@ -50,10 +51,10 @@ pub struct HopsOutput {
 ///
 /// # Errors
 ///
-/// Returns [`EngineError`] from [`Executor::forward`], or a configuration
-/// error if `hops == 0`. [`EngineError::IndexDeclined`] aborts the *whole
-/// chain* (a half-sparse, half-exact chain would be neither answer);
-/// callers rerun it over a [`Route::Plan`].
+/// Returns [`EngineError`] from [`Executor::forward_batch`], or a
+/// configuration error if `hops == 0`. [`EngineError::IndexDeclined`]
+/// aborts the *whole chain* (a half-sparse, half-exact chain would be
+/// neither answer); callers rerun it over a [`Route::Plan`].
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop(
     exec: &dyn Executor,
@@ -65,150 +66,142 @@ pub fn multi_hop(
     trace: &mut Trace,
     budget: &Budget,
 ) -> Result<HopsOutput, EngineError> {
-    hop_chain(u0, hops, scratch, |u, scratch| {
-        let out = exec.forward(view, route, u, scratch, trace, budget)?;
-        Ok((out.o, out.stats))
-    })
-}
-
-/// The hop loop behind [`multi_hop`], over any single-hop pass: `hop` maps
-/// a question state to that hop's response vector and counters (a local
-/// [`Executor::forward`], or a memory pass fanned out to a worker fleet).
-///
-/// # Errors
-///
-/// The first error `hop` returns, or [`EngineError::Config`] (converted)
-/// if `hops == 0`.
-pub fn hop_chain<E: From<EngineError>>(
-    u0: &[f32],
-    hops: usize,
-    scratch: &mut Scratch,
-    mut hop: impl FnMut(&[f32], &mut Scratch) -> Result<(Vec<f32>, InferenceStats), E>,
-) -> Result<HopsOutput, E> {
-    if hops == 0 {
-        return Err(EngineError::Config("hops must be positive".into()).into());
-    }
-    let mut u = u0.to_vec();
-    let mut u_last = u.clone();
-    let mut per_hop = Vec::with_capacity(hops);
-    let mut stats = InferenceStats::default();
-    let mut o = Vec::new();
-
-    for _ in 0..hops {
-        let (hop_o, hop_stats) = hop(&u, scratch)?;
-        // Sequential hops: counters add, peak intermediates take the max
-        // (which is what `merge` does).
-        stats.merge(&hop_stats);
-        u_last.clone_from(&u);
-        for (ui, oi) in u.iter_mut().zip(&hop_o) {
-            *ui += oi;
-        }
-        per_hop.push(hop_o.clone());
-        // The hop's output buffer came from the scratch pool; hand the
-        // previous one back so the next hop (or question) reuses it.
-        scratch.recycle(std::mem::replace(&mut o, hop_o));
-    }
-
-    Ok(HopsOutput {
-        o,
-        u_last,
-        u_final: u,
-        per_hop,
-        stats,
-    })
+    let questions = std::slice::from_ref(&u0);
+    let budgets = std::slice::from_ref(budget);
+    hop_chain(questions, hops, scratch, |us, _, scratch| {
+        exec.forward_batch(view, route, us, scratch, trace, budgets)
+    })?
+    .pop()
+    .expect("one question, one chain")
 }
 
 /// Batched multi-hop: runs every question's hop chain through
 /// [`Executor::forward_batch`], so each hop streams the memories once per
 /// *batch* instead of once per question (`budgets[q]` governs
-/// `questions[q]` across its entire chain), and routed plans prune per
-/// question per hop.
+/// `questions[q]` across its entire chain); routed plans prune per
+/// question per hop, and a [`Route::TopK`] chain re-probes per question
+/// per hop.
 ///
-/// Per-question failures are isolated: a question whose budget expires or
-/// whose accumulator faults in hop `k` carries that typed error in its slot
-/// and is dropped from the remaining hops, while its batchmates keep
-/// hopping. Slots come back in question order.
+/// Per-question failures are isolated: a question whose budget expires,
+/// whose accumulator faults or whose probe is declined in hop `k` carries
+/// that typed error in its slot and is dropped from the remaining hops,
+/// while its batchmates keep hopping. Slots come back in question order.
 ///
 /// # Errors
 ///
 /// The outer `Err` is batch-level, as [`Executor::forward_batch`], plus a
-/// configuration error if `hops == 0`. Per-question budget/numeric errors
-/// are in the inner `Result`s.
+/// configuration error if `hops == 0`. Per-question errors are in the
+/// inner `Result`s.
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_batch(
     exec: &dyn Executor,
     view: MemView<'_>,
-    plan: &SegmentPlan<'_>,
+    route: Route<'_>,
     questions: &[Vec<f32>],
     hops: usize,
     scratch: &mut Scratch,
     trace: &mut Trace,
     budgets: &[Budget],
 ) -> Result<Vec<Result<HopsOutput, EngineError>>, EngineError> {
+    let mut live_budgets = Vec::new();
+    hop_chain(questions, hops, scratch, |us, live, scratch| {
+        // Budgets follow their questions only once one has dropped out.
+        let budgets = if live.len() == questions.len() {
+            budgets
+        } else {
+            live_budgets.clear();
+            live_budgets.extend(live.iter().map(|&q| budgets[q].clone()));
+            &live_budgets
+        };
+        exec.forward_batch(view, route, us, scratch, trace, budgets)
+    })
+}
+
+/// The one hop loop, over any batched single-hop pass: `hop` maps the
+/// still-live question states (and their indices into `questions`) to
+/// that hop's outputs, one slot per state in order — a local
+/// [`Executor::forward_batch`], or a memory pass fanned out to a worker
+/// fleet. A slot's error ends that question's chain, in its slot; the
+/// others keep hopping. Each hop's response buffer came from the scratch
+/// pool, and the one it replaces goes back, so the next hop (or question)
+/// reuses it.
+///
+/// # Errors
+///
+/// The first batch-level error `hop` returns, or [`EngineError::Config`]
+/// (converted) if `hops == 0`.
+#[allow(clippy::type_complexity)]
+pub fn hop_chain<Q: AsRef<[f32]>, E: From<EngineError>>(
+    questions: &[Q],
+    hops: usize,
+    scratch: &mut Scratch,
+    mut hop: impl FnMut(&[Vec<f32>], &[usize], &mut Scratch) -> Result<Vec<Result<ColumnOutput, E>>, E>,
+) -> Result<Vec<Result<HopsOutput, E>>, E> {
     if hops == 0 {
-        return Err(EngineError::Config("hops must be positive".into()));
+        return Err(EngineError::Config("hops must be positive".into()).into());
     }
-    if budgets.len() != questions.len() {
-        return Err(EngineError::Config(format!(
-            "budget count {} != question count {}",
-            budgets.len(),
-            questions.len()
-        )));
-    }
-    let nq = questions.len();
-    let mut us: Vec<Vec<f32>> = questions.to_vec();
-    let mut u_lasts: Vec<Vec<f32>> = questions.to_vec();
-    let mut per_hops: Vec<Vec<Vec<f32>>> = vec![Vec::with_capacity(hops); nq];
-    let mut stats = vec![InferenceStats::default(); nq];
-    let mut os: Vec<Vec<f32>> = vec![Vec::new(); nq];
-    let mut errors: Vec<Option<EngineError>> = (0..nq).map(|_| None).collect();
+    // The live questions' states, compacted as chains end, and their slots.
+    let mut us: Vec<Vec<f32>> = questions.iter().map(|u| u.as_ref().to_vec()).collect();
+    let mut live: Vec<usize> = (0..questions.len()).collect();
+    let mut chains: Vec<Result<HopsOutput, E>> = us
+        .iter()
+        .map(|u| {
+            Ok(HopsOutput {
+                o: Vec::new(),
+                u_last: u.clone(),
+                u_final: Vec::new(),
+                per_hop: Vec::with_capacity(hops),
+                stats: InferenceStats::default(),
+            })
+        })
+        .collect();
 
     for _ in 0..hops {
-        // Compact the still-healthy questions into the hop's sub-batch; a
-        // slot that already failed stays failed and does no further work.
-        let idx: Vec<usize> = (0..nq).filter(|&q| errors[q].is_none()).collect();
-        if idx.is_empty() {
+        if live.is_empty() {
             break;
         }
-        let sub_questions: Vec<Vec<f32>> = idx.iter().map(|&q| us[q].clone()).collect();
-        let sub_budgets: Vec<Budget> = idx.iter().map(|&q| budgets[q].clone()).collect();
-        let results =
-            exec.forward_batch(view, plan, &sub_questions, scratch, trace, &sub_budgets)?;
-        for (&q, result) in idx.iter().zip(results) {
-            match result {
-                Ok(out) => {
-                    stats[q].merge(&out.stats);
-                    u_lasts[q].clone_from(&us[q]);
-                    for (ui, oi) in us[q].iter_mut().zip(&out.o) {
-                        *ui += oi;
-                    }
-                    per_hops[q].push(out.o.clone());
-                    scratch.recycle(std::mem::replace(&mut os[q], out.o));
+        let outs = hop(&us, &live, scratch)?;
+        let mut kept = 0;
+        for (i, out) in outs.into_iter().enumerate() {
+            let q = live[i];
+            let out = match out {
+                Ok(out) => out,
+                Err(e) => {
+                    chains[q] = Err(e);
+                    continue;
                 }
-                Err(e) => errors[q] = Some(e),
+            };
+            let Ok(chain) = &mut chains[q] else {
+                unreachable!("a live question's chain is Ok");
+            };
+            // Sequential hops: counters add, peak intermediates take the
+            // max (which is what `merge` does).
+            chain.stats.merge(&out.stats);
+            chain.u_last.clone_from(&us[i]);
+            for (ui, oi) in us[i].iter_mut().zip(&out.o) {
+                *ui += oi;
             }
+            chain.per_hop.push(out.o.clone());
+            scratch.recycle(std::mem::replace(&mut chain.o, out.o));
+            us.swap(kept, i);
+            live[kept] = q;
+            kept += 1;
         }
+        us.truncate(kept);
+        live.truncate(kept);
     }
 
-    let mut outputs = Vec::with_capacity(nq);
-    for (q, err) in errors.into_iter().enumerate() {
-        match err {
-            Some(e) => outputs.push(Err(e)),
-            None => outputs.push(Ok(HopsOutput {
-                o: std::mem::take(&mut os[q]),
-                u_last: std::mem::take(&mut u_lasts[q]),
-                u_final: std::mem::take(&mut us[q]),
-                per_hop: std::mem::take(&mut per_hops[q]),
-                stats: stats[q],
-            })),
+    for (u, q) in us.into_iter().zip(live) {
+        if let Ok(chain) = &mut chains[q] {
+            chain.u_final = u;
         }
     }
-    Ok(outputs)
+    Ok(chains)
 }
 
 // The six names below are the benchmark's ABI: `perfbench/src/layers.rs`
 // imports them and a PR that touches the engines may not edit it. Each is
-// one expression over the two loops above; nothing inside the workspace
+// one expression over the two entries above; nothing inside the workspace
 // calls them, and they go when a `[benchmark]` PR moves perfbench over.
 
 #[doc(hidden)]
@@ -339,7 +332,7 @@ pub fn multi_hop_batch_segmented_budgeted(
     multi_hop_batch(
         exec,
         MemView::F32 { m_in, m_out },
-        plan,
+        Route::Plan(plan),
         questions,
         hops,
         scratch,
@@ -364,7 +357,7 @@ pub fn multi_hop_quant_batch_segmented_budgeted(
     multi_hop_batch(
         exec,
         MemView::Int8 { m_in, m_out },
-        plan,
+        Route::Plan(plan),
         questions,
         hops,
         scratch,
@@ -502,7 +495,7 @@ mod tests {
         let batched = multi_hop_batch(
             &exec,
             MemView::from((&m_in, &m_out)),
-            &SegmentPlan::unsegmented(m_in.rows()),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
             &questions,
             3,
             &mut scratch,
@@ -540,7 +533,7 @@ mod tests {
         let batched = multi_hop_batch(
             &exec,
             MemView::from((&m_in, &m_out)),
-            &SegmentPlan::unsegmented(m_in.rows()),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
             &questions,
             2,
             &mut Scratch::new(),

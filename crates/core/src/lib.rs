@@ -10,9 +10,10 @@
 //! 2. **Zero-skipping** ([`SkipPolicy`]) — bypass the `ed`-wide
 //!    multiply-accumulate for memory entries whose attention weight falls
 //!    below a threshold.
-//! 3. **Scale-out** ([`parallel`]) — partition chunks across worker threads
-//!    and merge the partial accumulators, the paper's multi-unit scaling
-//!    argument (Section 3.1, last paragraph).
+//! 3. **Scale-out** ([`parallel`]) — partition chunks (or, for a batch of
+//!    questions, question ranges) across worker threads and merge the
+//!    partial accumulators, the paper's multi-unit scaling argument
+//!    (Section 3.1, last paragraph).
 //!
 //! Every pass goes through one trait, [`Executor`] ([`exec`]): callers pick
 //! a walk declaratively with an [`ExecPlan`] (or let [`EngineKind::Auto`]
@@ -64,7 +65,6 @@ pub mod partials;
 pub mod segment;
 pub mod store;
 
-pub use batch::{BatchEngine, BatchOutput};
 pub use budget::{Budget, CancelToken};
 pub use config::{MnnFastConfig, Precision, SkipPolicy, SoftmaxMode};
 pub use engine::{ColumnEngine, ColumnOutput, EngineError};

@@ -11,8 +11,8 @@
 //! - a worker runs [`forward_chunk_partials`] over its local rows and gets
 //!   one serializable [`PartialState`] per chunk — each bitwise identical
 //!   to the partial the single-node engine would have produced for that
-//!   chunk, because both run the exact same per-chunk step of the pass
-//!   skeleton (`PassState::chunk_partial`) on the same rows;
+//!   chunk, because both run the exact same per-chunk step of the one pass
+//!   (a [`crate::batch`] lane's chunk step) on the same rows;
 //! - the coordinator arranges every received partial in global chunk order
 //!   and folds them through a [`PartialFold`], which reproduces the
 //!   single-node merge loop (accumulator merge + per-merge denominator
@@ -32,7 +32,7 @@
 
 use crate::budget::Budget;
 use crate::config::{SkipPolicy, SoftmaxMode};
-use crate::engine::{check_denom, check_output, AccumMut, ColumnEngine, EngineError};
+use crate::engine::{check_denom, check_output, ColumnEngine, EngineError};
 use crate::exec::{MemView, Scratch, Trace};
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
@@ -65,30 +65,32 @@ pub fn forward_chunk_partials(
     budget: &Budget,
     out: &mut Vec<PartialState>,
 ) -> Result<InferenceStats, EngineError> {
-    let mut st = engine.begin(view, rows, u, budget, scratch)?;
-    st.raw_threshold = match engine.config().skip {
-        SkipPolicy::None => None,
-        SkipPolicy::RawWeight(th) => Some(th),
-        SkipPolicy::Probability(_) => {
-            return Err(EngineError::Config(
-                "SkipPolicy::Probability needs a global denominator pre-pass and cannot \
-                 run on a single shard; use SkipPolicy::RawWeight or None"
-                    .to_string(),
-            ))
-        }
-    };
-    let chunk = engine.config().chunk_size;
+    let config = engine.config();
+    crate::parallel::validate(&config, view, u, rows)?;
+    if let SkipPolicy::Probability(_) = config.skip {
+        return Err(EngineError::Config(
+            "SkipPolicy::Probability needs a global denominator pre-pass and cannot \
+             run on a single shard; use SkipPolicy::RawWeight or None"
+                .to_string(),
+        ));
+    }
+    let chunk = config.chunk_size;
+    if scratch.lanes.is_empty() {
+        scratch.lanes.push(Default::default());
+    }
+    let lane = &mut scratch.lanes[0];
+    let quant = matches!(view, MemView::Int8 { .. });
+    lane.stage(config.softmax, &[u], quant, chunk.min(rows.max(1)));
+    let budgets = std::slice::from_ref(budget);
+    lane.resolve_thresholds(&config, view, rows, budgets);
     let mut row = 0usize;
     while row < rows {
+        budget.check()?;
         let n = chunk.min(rows - row);
-        st.chunk_partial(view.chunk(row, n), n, trace)?;
-        out.push(match &st.partial {
-            AccumMut::Lazy(a) => PartialState::Lazy((**a).clone()),
-            AccumMut::Online(a) => PartialState::Online((**a).clone()),
-        });
+        out.push(lane.chunk_partial(engine, view, row, n, trace));
         row += n;
     }
-    Ok(st.stats)
+    Ok(lane.stats())
 }
 
 /// The coordinator-side running total: absorbs chunk [`PartialState`]s in

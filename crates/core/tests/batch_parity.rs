@@ -1,7 +1,8 @@
 //! Batched == per-question parity on awkward shapes.
 //!
-//! The batched engine must reproduce the single-question [`ColumnEngine`]
-//! to 1e-4 — with *identical* `rows_skipped` — across Lazy/Online softmax ×
+//! [`PlanExecutor::forward_batch`] must reproduce the single-question
+//! [`ColumnEngine`] to 1e-4 — with *identical* work counters (everything
+//! but the split-dependent `intermediate_bytes`) — across Lazy/Online softmax ×
 //! every skip policy × fused/unfused × the forced-scalar backend, including
 //! the shapes that stress kernel edges: `nq = 1` (no 2-question tile),
 //! `ns` not a multiple of the chunk, `chunk > ns` (single short chunk), and
@@ -17,8 +18,8 @@ use std::sync::Mutex;
 use mnn_tensor::simd::{self, Backend};
 use mnn_tensor::{assert_slice_approx_eq, Matrix};
 use mnnfast::{
-    BatchEngine, Budget, ColumnEngine, MemView, MnnFastConfig, Scratch, SegmentPlan, SkipPolicy,
-    SoftmaxMode, Trace,
+    Budget, ColumnEngine, ColumnOutput, EngineError, ExecPlan, Executor, InferenceStats, MemView,
+    MnnFastConfig, Route, Scratch, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
 
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
@@ -72,12 +73,54 @@ const SHAPES: [(usize, usize, usize, usize); 5] = [
     (29, 6, 10, 1),
 ];
 
+/// One [`PlanExecutor::forward_batch`] over every row of an f32 memory.
+///
+/// [`PlanExecutor::forward_batch`]: mnnfast::PlanExecutor
+fn forward_batch(
+    config: MnnFastConfig,
+    view: MemView<'_>,
+    rows: usize,
+    questions: &[Vec<f32>],
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+    budgets: &[Budget],
+) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
+    ExecPlan::new(config).executor().forward_batch(
+        view,
+        Route::Plan(&SegmentPlan::unsegmented(rows)),
+        questions,
+        scratch,
+        trace,
+        budgets,
+    )
+}
+
+/// The work counters a batch slot shares with its lone pass: all of them
+/// but `intermediate_bytes`, which is the footprint of the split.
+fn work(stats: &InferenceStats) -> InferenceStats {
+    InferenceStats {
+        intermediate_bytes: 0,
+        ..*stats
+    }
+}
+
 fn assert_parity(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, questions: &[Vec<f32>]) {
-    let batched = BatchEngine::new(config)
-        .forward(m_in, m_out, questions)
-        .unwrap();
+    let budgets = vec![Budget::unlimited(); questions.len()];
+    let batched: Vec<ColumnOutput> = forward_batch(
+        config,
+        MemView::F32 { m_in, m_out },
+        m_in.rows(),
+        questions,
+        &mut Scratch::new(),
+        &mut Trace::disabled(),
+        &budgets,
+    )
+    .unwrap()
+    .into_iter()
+    .map(Result::unwrap)
+    .collect();
     let single = ColumnEngine::new(config);
-    for (q, out) in batched.outputs.iter().enumerate() {
+    for (q, out) in batched.iter().enumerate() {
         let expect = single.forward(m_in, m_out, &questions[q]).unwrap();
         assert_slice_approx_eq(&out.o, &expect.o, 1e-4);
         assert_eq!(
@@ -85,26 +128,32 @@ fn assert_parity(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, questions
             "skip counts must match exactly (q{q}, {config:?})"
         );
         assert_eq!(out.stats.rows_total, expect.stats.rows_total);
+        assert_eq!(
+            work(&out.stats),
+            work(&expect.stats),
+            "a slot's work counters are its lone pass's (q{q}, {config:?})"
+        );
     }
 
-    // The budgeted serving path agrees with the one-shot batched path.
+    // A reused scratch and an enabled trace change nothing.
     let mut scratch = Scratch::new();
-    let mut trace = Trace::disabled();
-    let budgets = vec![Budget::unlimited(); questions.len()];
-    let results = BatchEngine::new(config)
-        .forward_batch(
+    let mut trace = Trace::enabled();
+    for _ in 0..2 {
+        let results = forward_batch(
+            config,
             MemView::F32 { m_in, m_out },
-            &SegmentPlan::unsegmented(m_in.rows()),
+            m_in.rows(),
             questions,
             &mut scratch,
             &mut trace,
             &budgets,
         )
         .unwrap();
-    for (r, expect) in results.iter().zip(&batched.outputs) {
-        let out = r.as_ref().unwrap();
-        assert_slice_approx_eq(&out.o, &expect.o, 1e-5);
-        assert_eq!(out.stats.rows_skipped, expect.stats.rows_skipped);
+        for (r, expect) in results.iter().zip(&batched) {
+            let out = r.as_ref().unwrap();
+            assert_slice_approx_eq(&out.o, &expect.o, 1e-5);
+            assert_eq!(out.stats.rows_skipped, expect.stats.rows_skipped);
+        }
     }
 }
 
@@ -171,16 +220,16 @@ fn budgeted_serving_is_bitwise_identical_to_single_question() {
                             let mut scratch = Scratch::new();
                             let mut trace = Trace::disabled();
                             let budgets = vec![Budget::unlimited(); nq];
-                            let results = BatchEngine::new(config)
-                                .forward_batch(
-                                    MemView::from((&m_in, &m_out)),
-                                    &SegmentPlan::unsegmented(m_in.rows()),
-                                    &questions,
-                                    &mut scratch,
-                                    &mut trace,
-                                    &budgets,
-                                )
-                                .unwrap();
+                            let results = forward_batch(
+                                config,
+                                MemView::from((&m_in, &m_out)),
+                                m_in.rows(),
+                                &questions,
+                                &mut scratch,
+                                &mut trace,
+                                &budgets,
+                            )
+                            .unwrap();
                             let single = ColumnEngine::new(config);
                             for (q, r) in results.iter().enumerate() {
                                 let out = r.as_ref().unwrap();
@@ -234,7 +283,6 @@ fn batched_parity_with_probability_skipping() {
 #[test]
 fn thread_count_never_changes_a_bit() {
     use mnn_tensor::QuantMatrix;
-    use mnnfast::SegmentPlan;
 
     // 5 threads × chunk 8 × 2 = 80 rows is the floor for the widest split.
     let (ns, ed, chunk) = (163, 9, 8);
@@ -255,27 +303,21 @@ fn thread_count_never_changes_a_bit() {
                                     .with_softmax(mode)
                                     .with_skip(skip)
                                     .with_threads(threads);
-                                let engine = BatchEngine::new(config);
                                 let (mut scratch, mut trace) = (Scratch::new(), Trace::disabled());
-                                let results = if quant {
-                                    engine.forward_batch(
-                                        MemView::from((&q_in, &q_out)),
-                                        &SegmentPlan::unsegmented(ns),
-                                        &questions,
-                                        &mut scratch,
-                                        &mut trace,
-                                        &budgets,
-                                    )
+                                let view = if quant {
+                                    MemView::from((&q_in, &q_out))
                                 } else {
-                                    engine.forward_batch(
-                                        MemView::from((&m_in, &m_out)),
-                                        &SegmentPlan::unsegmented(ns),
-                                        &questions,
-                                        &mut scratch,
-                                        &mut trace,
-                                        &budgets,
-                                    )
+                                    MemView::from((&m_in, &m_out))
                                 };
+                                let results = forward_batch(
+                                    config,
+                                    view,
+                                    ns,
+                                    &questions,
+                                    &mut scratch,
+                                    &mut trace,
+                                    &budgets,
+                                );
                                 results
                                     .unwrap()
                                     .into_iter()
@@ -309,7 +351,7 @@ fn thread_count_never_changes_a_bit() {
 /// worker's answers are bitwise the single-question engine's.
 #[test]
 fn cancellation_in_one_workers_range_leaves_the_rest_untouched() {
-    use mnnfast::{CancelToken, EngineError};
+    use mnnfast::CancelToken;
 
     let (m_in, m_out, questions) = memories(64, 8, 4);
     let config = MnnFastConfig::new(8).with_threads(2);
@@ -319,16 +361,16 @@ fn cancellation_in_one_workers_range_leaves_the_rest_untouched() {
     budgets[1] = Budget::unlimited().with_cancel(token);
     for backend in backends() {
         with_backend(backend, || {
-            let results = BatchEngine::new(config)
-                .forward_batch(
-                    MemView::from((&m_in, &m_out)),
-                    &SegmentPlan::unsegmented(m_in.rows()),
-                    &questions,
-                    &mut Scratch::new(),
-                    &mut Trace::disabled(),
-                    &budgets,
-                )
-                .unwrap();
+            let results = forward_batch(
+                config,
+                MemView::from((&m_in, &m_out)),
+                m_in.rows(),
+                &questions,
+                &mut Scratch::new(),
+                &mut Trace::disabled(),
+                &budgets,
+            )
+            .unwrap();
             assert!(matches!(results[1], Err(EngineError::Cancelled)));
             let single = ColumnEngine::new(config);
             for q in [0usize, 2, 3] {

@@ -1,16 +1,17 @@
-//! Panic containment in the scale-out engine, driven by the `mnn-tensor`
+//! Panic containment in the one pass, driven by the `mnn-tensor`
 //! fault-injection hook (cargo feature `fault-inject`).
 //!
-//! A worker thread that panics mid-chunk must not take the process down:
-//! the scale-out walk contains the panic with `catch_unwind`, abandons
-//! the pass, and surfaces [`EngineError::WorkerPanicked`] so the serving
-//! layer can degrade through its retry ladder. The engine must stay
-//! usable afterwards — the scratch buffers a panicking pass abandoned are
-//! reset by the next pass, bitwise-identically to a never-faulted run.
+//! A chunk kernel that panics mid-pass must not take the process down, on
+//! a worker thread or on the caller's own: every lane of the pass contains
+//! the panic with `catch_unwind`, and the questions that lane owned
+//! surface [`EngineError::WorkerPanicked`] so the serving layer can degrade
+//! through its retry ladder. The engine must stay usable afterwards — the
+//! scratch buffers a panicking pass abandoned are reset by the next pass,
+//! bitwise-identically to a never-faulted run.
 //!
-//! The batched engine's question-range workers are covered too: a fault
-//! fires per chunk per question, so whichever worker draws it, exactly one
-//! question's slot carries the damage.
+//! Question-range splits are covered too: a fault fires per chunk per
+//! question, so whichever worker draws it, exactly one question's slot
+//! carries the damage.
 //!
 //! Each test arms a process-global fault, so the whole file serializes on
 //! one mutex and disarms before releasing it.
@@ -20,8 +21,8 @@
 use mnn_tensor::fault::{self, FaultKind};
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    BatchEngine, Budget, ColumnEngine, EngineError, EngineKind, ExecPlan, Executor, MemView,
-    MnnFastConfig, Route, Scratch, SegmentPlan, SoftmaxMode, Trace,
+    Budget, ColumnEngine, EngineError, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
+    Route, Scratch, SegmentPlan, SoftmaxMode, Trace,
 };
 use std::sync::Mutex;
 
@@ -64,66 +65,86 @@ fn quantize(m: &Matrix) -> QuantMatrix {
     q
 }
 
+/// Containment does not depend on the thread count or the batch size:
+/// at threads {1, 2, 3} × {1, 5} questions (96 rows, chunk 8, one panic
+/// armed), the slots the panicking lane owned — every slot inline or on a
+/// chunk split, one question range on a question split — surface
+/// `WorkerPanicked`, every other slot answers bitwise as a lone ask, and
+/// the very same scratch answers the next pass bitwise too.
 #[test]
 fn panicking_worker_surfaces_worker_panicked_and_engine_recovers() {
     let _guard = lock();
-    let (m_in, m_out, u) = memories(96, 8, 23);
-    for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-        let config = MnnFastConfig::new(8).with_threads(3).with_softmax(mode);
-        let parallel = ExecPlan::new(config)
-            .with_kind(EngineKind::Parallel)
-            .executor();
-        let column = ExecPlan::new(config)
-            .with_kind(EngineKind::Column)
-            .executor();
-        let mut scratch = Scratch::new();
-        let mut trace = Trace::disabled();
+    let (m_in, m_out, _) = memories(96, 8, 23);
+    let questions: Vec<Vec<f32>> = (0..5).map(|q| memories(1, 8, 300 + q).2).collect();
+    let view = MemView::from((&m_in, &m_out));
+    let plan = SegmentPlan::unsegmented(96);
+    let bits = |o: &[f32]| o.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for threads in [1usize, 2, 3] {
+        for nq in [1usize, 5] {
+            for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
+                let cell = format!("threads {threads} nq {nq} {mode:?}");
+                let config = MnnFastConfig::new(8)
+                    .with_threads(threads)
+                    .with_softmax(mode);
+                let exec = ExecPlan::new(config).executor();
+                let qs = &questions[..nq];
+                let budgets = vec![Budget::unlimited(); nq];
+                let mut scratch = Scratch::new();
+                let mut trace = Trace::disabled();
+                let mut ask = |scratch: &mut Scratch| {
+                    if nq == 1 {
+                        let u = &qs[0];
+                        let b = &budgets[0];
+                        vec![exec.forward(view, Route::Plan(&plan), u, scratch, &mut trace, b)]
+                    } else {
+                        exec.forward_batch(
+                            view,
+                            Route::Plan(&plan),
+                            qs,
+                            scratch,
+                            &mut trace,
+                            &budgets,
+                        )
+                        .unwrap()
+                    }
+                };
 
-        fault::arm(FaultKind::PanicChunk, 0, 1);
-        let err = with_quiet_panics(|| {
-            parallel.forward(
-                MemView::from((&m_in, &m_out)),
-                Route::Plan(&SegmentPlan::unsegmented(96)),
-                &u,
-                &mut scratch,
-                &mut trace,
-                &Budget::unlimited(),
-            )
-        })
-        .unwrap_err();
-        let fires = fault::fired();
-        fault::disarm();
-        assert_eq!(err, EngineError::WorkerPanicked, "{mode:?}");
-        assert_eq!(fires, 1, "exactly one chunk kernel panicked");
+                fault::arm(FaultKind::PanicChunk, 0, 1);
+                let slots = with_quiet_panics(|| ask(&mut scratch));
+                let fires = fault::fired();
+                fault::disarm();
+                assert_eq!(fires, 1, "{cell}: exactly one chunk kernel panicked");
 
-        // The engine and the very same scratch stay serviceable: the next
-        // pass is bitwise identical to the sequential reference.
-        let reference = column
-            .forward(
-                MemView::from((&m_in, &m_out)),
-                Route::Plan(&SegmentPlan::unsegmented(96)),
-                &u,
-                &mut Scratch::new(),
-                &mut trace,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        let retry = parallel
-            .forward(
-                MemView::from((&m_in, &m_out)),
-                Route::Plan(&SegmentPlan::unsegmented(96)),
-                &u,
-                &mut scratch,
-                &mut trace,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        let same = retry
-            .o
-            .iter()
-            .zip(&reference.o)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "{mode:?}: post-panic pass must match the reference");
+                let panicked: Vec<usize> = (0..nq)
+                    .filter(|&q| slots[q] == Err(EngineError::WorkerPanicked))
+                    .collect();
+                // Question ranges of a five-question split over 2 or 3
+                // threads; one thread, or one question, is one range.
+                let ranges: &[&[usize]] = match (threads, nq) {
+                    (2, 5) => &[&[0, 1, 2], &[3, 4]],
+                    (3, 5) => &[&[0, 1], &[2, 3], &[4]],
+                    _ => &[&[0, 1, 2, 3, 4][..nq]],
+                };
+                assert!(
+                    ranges.contains(&panicked.as_slice()),
+                    "{cell}: panicked slots {panicked:?} are not one lane's range"
+                );
+                let reference = ColumnEngine::new(config);
+                for q in (0..nq).filter(|q| !panicked.contains(q)) {
+                    let expect = reference.forward(&m_in, &m_out, &qs[q]).unwrap();
+                    let got = slots[q].as_ref().expect("an untouched lane answers");
+                    assert_eq!(bits(&got.o), bits(&expect.o), "{cell} q{q}");
+                }
+
+                // The engine and the very same scratch stay serviceable:
+                // the next pass is bitwise identical to the reference.
+                for (q, slot) in ask(&mut scratch).into_iter().enumerate() {
+                    let expect = reference.forward(&m_in, &m_out, &qs[q]).unwrap();
+                    let retry = slot.expect("post-panic pass");
+                    assert_eq!(bits(&retry.o), bits(&expect.o), "{cell} retry q{q}");
+                }
+            }
+        }
     }
 }
 
@@ -200,10 +221,11 @@ fn nan_chunk_in_a_two_worker_batch_poisons_exactly_one_question() {
         let config = MnnFastConfig::new(8).with_threads(2).with_softmax(mode);
         let budgets = vec![Budget::unlimited(); questions.len()];
         fault::arm(FaultKind::NanLogit, 7, 1);
-        let results = BatchEngine::new(config)
+        let results = ExecPlan::new(config)
+            .executor()
             .forward_batch(
                 MemView::from((&m_in, &m_out)),
-                &SegmentPlan::unsegmented(96),
+                Route::Plan(&SegmentPlan::unsegmented(96)),
                 &questions,
                 &mut Scratch::new(),
                 &mut Trace::disabled(),

@@ -1,6 +1,6 @@
 //! The generated parity lattice: every cell of
-//! engine x threads x [`MemView`] x softmax x skip x route x entry point
-//! must reproduce, bit for bit, what the simplest cell — [`ColumnEngine`]
+//! engine x threads x [`MemView`] x softmax x skip x route x entry point x
+//! batch size must reproduce, bit for bit, what the simplest cell — [`ColumnEngine`]
 //! (the inline reference `Executor`) on one thread walking an unsegmented
 //! plan through [`Executor::forward`] — answers for the same view, softmax and skip policy. Top-K cells are
 //! held to the same oracle over exactly the rows their probe hands to
@@ -36,7 +36,8 @@ pub enum RouteKind {
     TopKGather,
 }
 
-/// Which entry point a cell goes through.
+/// Which entry point a cell goes through. The batch and hop entries run
+/// every batch size of [`Axes::nqs`]; the single-question entry runs one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Entry {
     Forward,
@@ -54,6 +55,9 @@ pub struct Axes {
     pub skips: &'static [SkipPolicy],
     pub routes: &'static [RouteKind],
     pub entries: &'static [Entry],
+    /// Questions per batch: below, at and above the thread count reach
+    /// both splits of the one pass (by chunk range and by question range).
+    pub nqs: &'static [usize],
 }
 
 /// Every cell.
@@ -72,6 +76,7 @@ pub const FULL: Axes = Axes {
         RouteKind::TopKGather,
     ],
     entries: &[Entry::Forward, Entry::Batch, Entry::Hops],
+    nqs: &[1, 2, 4],
 };
 
 /// The tier-1 cut: one value per axis that every other axis is crossed
@@ -90,6 +95,7 @@ pub const CUT: Axes = Axes {
         RouteKind::TopKGather,
     ],
     entries: &[Entry::Forward, Entry::Batch, Entry::Hops],
+    nqs: &[1, 2, 4],
 };
 
 /// Four lobes of rows pointing in distinct directions (so k-means finds
@@ -227,64 +233,60 @@ impl Fixture<'_> {
         }
     }
 
-    /// The oracle's answer to every slot of `entry`.
+    /// The oracle's answer to every slot of `entry` over `us`.
     fn expect_entry(&self, route: RouteKind, entry: Entry, us: &[Vec<f32>]) -> Vec<Answer> {
         match entry {
-            Entry::Forward => vec![self.expect(route, &us[0])],
-            Entry::Batch => us.iter().map(|u| self.expect(route, u)).collect(),
-            Entry::Hops => {
-                let mut u = us[0].clone();
-                let mut chain = Answer::default();
-                for _ in 0..HOPS {
-                    let hop = self.expect(route, &u);
-                    for (ui, oi) in u.iter_mut().zip(&hop.o) {
-                        *ui += f32::from_bits(*oi);
+            Entry::Forward | Entry::Batch => us.iter().map(|u| self.expect(route, u)).collect(),
+            Entry::Hops => us
+                .iter()
+                .map(|u| {
+                    let mut u = u.clone();
+                    let mut chain = Answer::default();
+                    for _ in 0..HOPS {
+                        let hop = self.expect(route, &u);
+                        for (ui, oi) in u.iter_mut().zip(&hop.o) {
+                            *ui += f32::from_bits(*oi);
+                        }
+                        chain = chain.then(hop);
                     }
-                    chain = chain.then(hop);
-                }
-                vec![chain]
-            }
+                    chain
+                })
+                .collect(),
         }
     }
 
-    /// What `exec` answers through `entry` (`None`: the cell does not
-    /// exist — the batch entry takes a plan, not a top-K route).
+    /// What `exec` answers through `entry` for every question of `us`.
     fn got(
         &self,
         exec: &dyn Executor,
         route: RouteKind,
         entry: Entry,
         us: &[Vec<f32>],
-    ) -> Option<Vec<Answer>> {
+    ) -> Vec<Answer> {
         let whole = SegmentPlan::unsegmented(ROWS);
         let routed;
-        let (plan, top) = match route {
-            RouteKind::Unsegmented => (Some(&whole), None),
+        let route = match route {
+            RouteKind::Unsegmented => Route::Plan(&whole),
             RouteKind::Routed { prune } => {
                 routed = SegmentPlan::routed(self.map, prune);
-                (Some(&routed), None)
+                Route::Plan(&routed)
             }
-            RouteKind::TopKPlan | RouteKind::TopKGather => (
-                None,
-                Some(Route::TopK {
-                    index: self.index,
-                    topk: TOPK,
-                    nprobe: NPROBE,
-                }),
-            ),
+            RouteKind::TopKPlan | RouteKind::TopKGather => Route::TopK {
+                index: self.index,
+                topk: TOPK,
+                nprobe: NPROBE,
+            },
         };
-        let route = top.or(plan.map(Route::Plan))?;
         let (mut scratch, mut trace) = (Scratch::new(), Trace::disabled());
-        Some(match entry {
+        let budgets = vec![Budget::unlimited(); us.len()];
+        match entry {
             Entry::Forward => vec![Answer::of(&pass(exec, self.view, route, &us[0]))],
-            Entry::Batch => {
-                let budgets = vec![Budget::unlimited(); us.len()];
-                exec.forward_batch(self.view, plan?, us, &mut scratch, &mut trace, &budgets)
-                    .expect("lattice batch")
-                    .iter()
-                    .map(|slot| Answer::of(slot.as_ref().expect("lattice batch slot")))
-                    .collect()
-            }
+            Entry::Batch => exec
+                .forward_batch(self.view, route, us, &mut scratch, &mut trace, &budgets)
+                .expect("lattice batch")
+                .iter()
+                .map(|slot| Answer::of(slot.as_ref().expect("lattice batch slot")))
+                .collect(),
             Entry::Hops => {
                 let out = multi_hop(
                     exec,
@@ -297,30 +299,33 @@ impl Fixture<'_> {
                     &Budget::unlimited(),
                 )
                 .expect("lattice hops");
-                // The batched hop loop must agree with the single one.
-                if let Some(plan) = plan {
-                    let budgets = [Budget::unlimited()];
-                    let batched = multi_hop_batch(
-                        exec,
-                        self.view,
-                        plan,
-                        &us[..1],
-                        HOPS,
-                        &mut scratch,
-                        &mut trace,
-                        &budgets,
-                    )
-                    .expect("lattice batched hops");
-                    assert_eq!(batched[0].as_ref().expect("hop slot").per_hop, out.per_hop);
-                }
-                vec![Answer {
-                    o: out.per_hop.iter().flatten().map(|x| x.to_bits()).collect(),
-                    denominator: 0,
-                    rows_covered: out.stats.rows_total + out.stats.rows_pruned,
-                    segments_total: out.stats.segments_total,
-                }]
+                let batched = multi_hop_batch(
+                    exec,
+                    self.view,
+                    route,
+                    us,
+                    HOPS,
+                    &mut scratch,
+                    &mut trace,
+                    &budgets,
+                )
+                .expect("lattice batched hops");
+                // A lone chain is the batch's first slot.
+                assert_eq!(batched[0].as_ref().expect("hop slot").per_hop, out.per_hop);
+                batched
+                    .iter()
+                    .map(|slot| {
+                        let out = slot.as_ref().expect("lattice hop slot");
+                        Answer {
+                            o: out.per_hop.iter().flatten().map(|x| x.to_bits()).collect(),
+                            denominator: 0,
+                            rows_covered: out.stats.rows_total + out.stats.rows_pruned,
+                            segments_total: out.stats.segments_total,
+                        }
+                    })
+                    .collect()
             }
-        })
+        }
     }
 }
 
@@ -369,24 +374,28 @@ pub fn run(axes: &Axes) -> usize {
                             continue;
                         }
                         for &entry in axes.entries {
-                            let mut expected = None;
-                            for &kind in axes.engines {
-                                for &threads in axes.threads {
-                                    let exec = ExecPlan::new(config.with_threads(threads))
-                                        .with_kind(kind)
-                                        .executor();
-                                    let Some(got) = fixture.got(&exec, route, entry, &us) else {
-                                        continue;
-                                    };
-                                    let expected = expected.get_or_insert_with(|| {
-                                        fixture.expect_entry(route, entry, &us)
-                                    });
-                                    assert_eq!(
-                                        &got, &*expected,
-                                        "{kind:?} x{threads} ed={ed} int8={int8} {softmax:?} \
-                                         {skip:?} {route:?} {entry:?}"
-                                    );
-                                    cells += 1;
+                            for &nq in axes.nqs {
+                                if entry == Entry::Forward && nq > 1 {
+                                    continue;
+                                }
+                                let us = &us[..nq];
+                                let mut expected = None;
+                                for &kind in axes.engines {
+                                    for &threads in axes.threads {
+                                        let exec = ExecPlan::new(config.with_threads(threads))
+                                            .with_kind(kind)
+                                            .executor();
+                                        let got = fixture.got(&exec, route, entry, us);
+                                        let expected = expected.get_or_insert_with(|| {
+                                            fixture.expect_entry(route, entry, us)
+                                        });
+                                        assert_eq!(
+                                            &got, &*expected,
+                                            "{kind:?} x{threads} ed={ed} int8={int8} {softmax:?} \
+                                             {skip:?} {route:?} {entry:?} nq={nq}"
+                                        );
+                                        cells += 1;
+                                    }
                                 }
                             }
                         }

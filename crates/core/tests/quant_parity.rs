@@ -13,9 +13,9 @@
 
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    multi_hop, multi_hop_batch, BatchEngine, Budget, ColumnEngine, ColumnOutput, EngineKind,
-    ExecPlan, Executor, MemView, MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap,
-    SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
+    multi_hop, multi_hop_batch, Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor,
+    MemView, MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy,
+    SoftmaxMode, Trace,
 };
 
 /// The plan-built executor pinned to the scale-out walk.
@@ -246,7 +246,7 @@ fn batch_quant_matches_single_question_quant_bitwise() {
     let chunk = 16usize;
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
         let config = MnnFastConfig::new(chunk).with_softmax(mode);
-        let engine = BatchEngine::new(config);
+        let engine = ExecPlan::new(config).executor();
         let column = ColumnEngine::new(config);
         for n_segments in [1usize, 4, 9] {
             let map = SegmentMap::from_matrix(&m_in, m_in.rows(), n_segments, chunk);
@@ -260,7 +260,7 @@ fn batch_quant_matches_single_question_quant_bitwise() {
                     let batch = engine
                         .forward_batch(
                             MemView::from((&q_in, &q_out)),
-                            &plan,
+                            Route::Plan(&plan),
                             qs,
                             &mut scratch,
                             &mut trace,
@@ -282,7 +282,7 @@ fn batch_quant_matches_single_question_quant_bitwise() {
 }
 
 #[test]
-fn plan_executor_batch_quant_dispatch_matches_batch_engine() {
+fn plan_executor_batch_quant_matches_across_splits() {
     let (m_in, m_out, _) = memories(150, 8);
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out = QuantMatrix::from_matrix(&m_out);
@@ -303,29 +303,35 @@ fn plan_executor_batch_quant_dispatch_matches_batch_engine() {
     let via_plan = plan_exec
         .forward_batch(
             MemView::from((&q_in, &q_out)),
-            &plan,
+            Route::Plan(&plan),
             &questions,
             &mut scratch,
             &mut trace,
             &budgets,
         )
         .unwrap();
-    let direct = BatchEngine::new(config)
-        .forward_batch(
-            MemView::from((&q_in, &q_out)),
-            &plan,
-            &questions,
-            &mut scratch,
-            &mut trace,
-            &budgets,
-        )
-        .unwrap();
-    for (q, (a, b)) in via_plan.iter().zip(&direct).enumerate() {
-        assert_bitwise(
-            a.as_ref().unwrap(),
-            b.as_ref().unwrap(),
-            &format!("plan-executor batch q{q}"),
-        );
+    // Two threads split the three questions by range, four split every
+    // segment's chunks: neither may move a bit.
+    for threads in [2usize, 4] {
+        let direct = ExecPlan::new(config.with_threads(threads))
+            .with_kind(EngineKind::Parallel)
+            .executor()
+            .forward_batch(
+                MemView::from((&q_in, &q_out)),
+                Route::Plan(&plan),
+                &questions,
+                &mut scratch,
+                &mut trace,
+                &budgets,
+            )
+            .unwrap();
+        for (q, (a, b)) in via_plan.iter().zip(&direct).enumerate() {
+            assert_bitwise(
+                a.as_ref().unwrap(),
+                b.as_ref().unwrap(),
+                &format!("plan-executor batch q{q} x{threads}"),
+            );
+        }
     }
 }
 
@@ -390,7 +396,7 @@ fn quant_batch_hops_match_single_question_hops_bitwise() {
     let batch = multi_hop_batch(
         &exec,
         MemView::from((&q_in, &q_out)),
-        &plan,
+        Route::Plan(&plan),
         &questions,
         2,
         &mut scratch,

@@ -8,9 +8,9 @@
 
 use mnn_tensor::Matrix;
 use mnnfast::{
-    segment, BatchEngine, Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor,
-    MemView, MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy,
-    SoftmaxMode, Trace,
+    segment, Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor, MemView,
+    MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy, SoftmaxMode,
+    Trace,
 };
 
 /// The plan-built executor pinned to the scale-out walk.
@@ -256,14 +256,14 @@ fn batched_segmented_matches_unsegmented_bitwise() {
     let chunk = 16usize;
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
         let config = MnnFastConfig::new(chunk).with_softmax(mode);
-        let engine = BatchEngine::new(config);
+        let engine = ExecPlan::new(config).executor();
         let budgets = vec![Budget::unlimited(); questions.len()];
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let base = engine
             .forward_batch(
                 MemView::from((&m_in, &m_out)),
-                &SegmentPlan::unsegmented(m_in.rows()),
+                Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
                 &questions,
                 &mut scratch,
                 &mut trace,
@@ -277,7 +277,7 @@ fn batched_segmented_matches_unsegmented_bitwise() {
                 let seg = engine
                     .forward_batch(
                         MemView::from((&m_in, &m_out)),
-                        &plan,
+                        Route::Plan(&plan),
                         &questions,
                         &mut scratch,
                         &mut trace,
@@ -304,14 +304,15 @@ fn batched_pruning_is_per_question_and_bitwise() {
     let u_flat: Vec<f32> = (0..8).map(|i| (i as f32 * 0.21).sin() * 0.02).collect();
     let questions = vec![u_spike, u_flat];
     let chunk = 16usize;
-    let engine = BatchEngine::new(MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online));
+    let engine =
+        ExecPlan::new(MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online)).executor();
     let budgets = vec![Budget::unlimited(); 2];
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let base = engine
         .forward_batch(
             MemView::from((&m_in, &m_out)),
-            &SegmentPlan::unsegmented(m_in.rows()),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
             &questions,
             &mut scratch,
             &mut trace,
@@ -323,7 +324,7 @@ fn batched_pruning_is_per_question_and_bitwise() {
     let seg = engine
         .forward_batch(
             MemView::from((&m_in, &m_out)),
-            &plan,
+            Route::Plan(&plan),
             &questions,
             &mut scratch,
             &mut trace,

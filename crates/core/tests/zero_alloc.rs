@@ -165,7 +165,7 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
             let results = exec
                 .forward_batch(
                     MemView::from((&m_in, &m_out)),
-                    &SegmentPlan::unsegmented(ns),
+                    Route::Plan(&SegmentPlan::unsegmented(ns)),
                     &questions,
                     &mut scratch,
                     &mut trace,
@@ -183,7 +183,7 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
             let results = exec
                 .forward_batch(
                     MemView::from((&m_in, &m_out)),
-                    &SegmentPlan::unsegmented(ns),
+                    Route::Plan(&SegmentPlan::unsegmented(ns)),
                     &questions,
                     &mut scratch,
                     &mut trace,

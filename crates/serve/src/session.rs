@@ -11,10 +11,11 @@ use mnn_tensor::{read_var, EnvVarError};
 use mnnfast::engine::EngineError;
 use mnnfast::store::SegmentedStore;
 use mnnfast::{
-    hop_chain, multi_hop, multi_hop_batch, Budget, ExecPlan, HopsOutput, InferenceStats,
+    hop_chain, multi_hop_batch, Budget, ColumnOutput, ExecPlan, HopsOutput, InferenceStats,
     MnnFastConfig, Phase, PhaseHistograms, PlanExecutor, Precision, Route, Scratch, SegmentMap,
     SegmentPlan, SoftmaxMode, Trace,
 };
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -970,8 +971,9 @@ impl Session {
             .collect())
     }
 
-    /// Runs one rung over its group (indices into `us`): one result per
-    /// member, in group order.
+    /// Runs one rung over its group (indices into `us`) as one batched hop
+    /// chain: one result per member, in group order, each bitwise its lone
+    /// ask however the executor splits the group.
     fn run(
         &mut self,
         rung: Rung,
@@ -980,8 +982,9 @@ impl Session {
         budgets: &[Budget],
         trace: &mut Trace,
     ) -> Result<Vec<Result<HopsOutput, ServeError>>, EngineError> {
+        let (us, budgets) = (members(group, us), members(group, budgets));
         if rung == Rung::Fleet {
-            return Ok(self.run_fleet(group, us, budgets, trace));
+            return Ok(self.run_fleet(&us, &budgets, trace));
         }
         let hops = self.model.config().hops;
         let safe = rung == Rung::Safe;
@@ -1015,37 +1018,18 @@ impl Session {
         } else {
             &self.executor
         };
-        let view = self.store.view(precision);
-        // An exact group of two or more shares every chunk in one batched
-        // pass. Top-K questions each probe their own candidate rows, and a
-        // lone question takes the single-question walk, which spreads it
-        // over every engine thread (the batched walk gives each question
-        // one worker). Same bits either way.
-        let outs = if let (Route::Plan(plan), [_, _, ..]) = (route, group) {
-            let qs: Vec<Vec<f32>> = group.iter().map(|&q| us[q].clone()).collect();
-            let bs: Vec<Budget> = group.iter().map(|&q| budgets[q].clone()).collect();
-            multi_hop_batch(exec, view, plan, &qs, hops, &mut self.scratch, trace, &bs)?
-        } else {
-            let scratch = &mut self.scratch;
-            let one = |&q: &usize| {
-                multi_hop(exec, view, route, &us[q], hops, scratch, trace, &budgets[q])
-            };
-            group.iter().map(one).collect()
-        };
-        Ok(outs
-            .into_iter()
-            .map(|r| r.map_err(ServeError::from))
-            .collect())
+        let (view, scratch) = (self.store.view(precision), &mut self.scratch);
+        let outs = multi_hop_batch(exec, view, route, &us, hops, scratch, trace, &budgets)?;
+        Ok(outs.into_iter().map(|r| Ok(r?)).collect())
     }
 
     /// The Fleet rung: [`hop_chain`] with each hop fanned out to the worker
     /// fleet, which answers bitwise like the local pass and absorbs
     /// retries, failovers and hedges itself. A budget expiry surfaces as
     /// itself; any other fleet error loses the question as
-    /// [`ServeError::Dist`], and every later member of the group with it.
+    /// [`ServeError::Dist`], and every later pass of the rung with it.
     fn run_fleet(
         &mut self,
-        group: &[usize],
         us: &[Vec<f32>],
         budgets: &[Budget],
         trace: &mut Trace,
@@ -1061,27 +1045,32 @@ impl Session {
             ..ForwardOpts::from_config(&self.config.plan.config)
                 .expect("validated when the fleet was built")
         };
-        let mut results: Vec<Result<HopsOutput, ServeError>> = Vec::with_capacity(group.len());
-        for &q in group {
-            let result = match results.last() {
-                Some(Err(e @ ServeError::Dist(_))) => Err(e.clone()),
-                _ => hop_chain(&us[q], hops, &mut self.scratch, |u, _| {
-                    // Degraded (shard-skipping) answers are refused: a full
-                    // local answer always beats a partial distributed one.
-                    match dist.coordinator.forward(u, opts, &budgets[q], false) {
-                        Ok(out) => Ok((out.o, out.stats)),
-                        Err(DistError::Engine(
-                            e @ (EngineError::DeadlineExceeded { .. } | EngineError::Cancelled),
-                        )) => Err(ServeError::Engine(e)),
-                        Err(e) => Err(ServeError::Dist(e.to_string())),
-                    }
+        let mut lost: Option<ServeError> = None;
+        let mut fleet_pass = |u: &Vec<f32>, budget: &Budget| {
+            if let Some(e) = &lost {
+                return Err(e.clone());
+            }
+            // Degraded (shard-skipping) answers are refused: a full local
+            // answer always beats a partial distributed one.
+            match dist.coordinator.forward(u, opts, budget, false) {
+                Ok(out) => Ok(ColumnOutput {
+                    o: out.o,
+                    denominator: out.denominator,
+                    stats: out.stats,
                 }),
-            };
-            results.push(result);
-        }
+                Err(DistError::Engine(
+                    e @ (EngineError::DeadlineExceeded { .. } | EngineError::Cancelled),
+                )) => Err(ServeError::Engine(e)),
+                Err(e) => Err(lost.insert(ServeError::Dist(e.to_string())).clone()),
+            }
+        };
+        let chains = hop_chain(us, hops, &mut self.scratch, |states, live, _| {
+            let pass = |(u, &q): (&Vec<f32>, &usize)| fleet_pass(u, &budgets[q]);
+            Ok(states.iter().zip(live).map(pass).collect())
+        });
         self.sync_dist_counters();
-        trace.record(Phase::Dist, t0, (group.len() * hops) as u64);
-        results
+        trace.record(Phase::Dist, t0, (us.len() * hops) as u64);
+        chains.unwrap_or_else(|e| vec![Err(e); us.len()])
     }
 
     /// Records one ladder event: the only place the
@@ -1205,6 +1194,16 @@ pub(crate) fn serving_model(model: Arc<MemNet>) -> Result<Arc<MemNet>, ServeErro
     let mut model = Arc::unwrap_or_clone(model);
     model.set_config(fixed);
     Ok(Arc::new(model))
+}
+
+/// `all`'s members at `group` (ascending indices into it), borrowed when
+/// the group is all of them.
+fn members<'a, T: Clone>(group: &[usize], all: &'a [T]) -> Cow<'a, [T]> {
+    if group.len() == all.len() {
+        Cow::Borrowed(all)
+    } else {
+        Cow::Owned(group.iter().map(|&q| all[q].clone()).collect())
+    }
 }
 
 /// The exact pass's plan: routed over the (refreshed) segment map with

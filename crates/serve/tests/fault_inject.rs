@@ -71,6 +71,52 @@ fn injected_nan_recovers_via_scalar_stable_retry() {
     assert!(!d.pinned_safe, "one fault must not pin (threshold is 3)");
 }
 
+/// A chunk kernel that panics on a one-thread session — the daemon's
+/// default, where the pass runs inline on the serving thread — is
+/// contained like a worker's: the question moves to the Safe rung and is
+/// answered there, for a lone ask and for a coalesced pair alike.
+#[test]
+fn panicking_chunk_on_a_one_thread_session_answers_through_safe() {
+    let _guard = lock();
+    let (mut generator, model) = trained_model();
+    let story = generator.story(6, 2);
+    let questions: Vec<_> = story.questions.iter().map(|q| q.tokens.clone()).collect();
+
+    let mut clean = Session::new(model.clone(), SessionConfig::default()).unwrap();
+    observe_story(&mut clean, &story.sentences);
+    let expected: Vec<_> = questions.iter().map(|q| clean.ask(q).unwrap()).collect();
+
+    let config = SessionConfig::default();
+    assert_eq!(config.plan.config.threads, 1);
+    let mut session = Session::new(model, config).unwrap();
+    observe_story(&mut session, &story.sentences);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    fault::arm(FaultKind::PanicChunk, 0, 1);
+    let lone = session.ask(&questions[0]);
+    let lone_fires = fault::fired();
+    fault::arm(FaultKind::PanicChunk, 0, 1);
+    let pair = session.ask_many(&questions);
+    let pair_fires = fault::fired();
+    fault::disarm();
+    std::panic::set_hook(previous);
+
+    assert_eq!((lone_fires, pair_fires), (1, 1));
+    let lone = lone.expect("a contained panic is not a lost question");
+    assert!(lone.degraded, "the Safe rung answered");
+    assert_eq!(lone.word, expected[0].word);
+    // One lane held both questions, so both moved to the Safe rung.
+    for (a, e) in pair.unwrap().iter().zip(&expected) {
+        let a = a.as_ref().unwrap();
+        assert!(a.degraded);
+        assert_eq!(a.word, e.word);
+    }
+    let d = session.degradation_stats();
+    assert_eq!(d.degraded_answers, 3, "three SafeAnswer events");
+    assert_eq!(d.numeric_faults, 3, "a contained panic counts as a fault");
+    assert_eq!(session.questions_answered(), 3);
+}
+
 #[test]
 fn int8_numeric_fault_degrades_to_f32_safe_path() {
     let _guard = lock();
