@@ -386,6 +386,8 @@ pub(crate) struct Lane {
     prepass: Vec<f64>,
     /// Whether the lane's last contained run panicked.
     pub(crate) panicked: bool,
+    /// What the lane's last split run recorded, for the caller to absorb.
+    pub(crate) trace: Trace,
 }
 
 impl Lane {

@@ -16,8 +16,9 @@
 //!   while serving, so the right walk changes over a session's lifetime).
 //! * [`Scratch`] — a reusable arena for every buffer the forward pass needs
 //!   (one [`crate::batch`] lane per worker, recycled output vectors, the
-//!   top-K gather staging). A serving loop that reuses one `Scratch`
-//!   performs zero per-question heap allocations on the inline path.
+//!   top-K gather staging) plus the parked worker [`Team`] a split pass
+//!   runs on. A serving loop that reuses one `Scratch` performs zero
+//!   per-question heap allocations, inline or split.
 //! * [`Trace`] / [`Phase`] — per-phase wall-time and work counters threaded
 //!   through the same seam. Zero-cost when disabled (no clock reads), and
 //!   aggregated into [`PhaseHistograms`] by the serving layer.
@@ -53,7 +54,7 @@ use crate::config::{MnnFastConfig, SkipPolicy};
 use crate::engine::{ChunkOps, ColumnOutput, EngineError};
 use crate::index::{ClusterIndex, ProbeResult};
 use crate::segment::SegmentPlan;
-use mnn_tensor::{Matrix, QuantMatrix, ShapeError};
+use mnn_tensor::{Matrix, QuantMatrix, ShapeError, Team};
 use std::fmt;
 use std::time::Instant;
 
@@ -427,11 +428,17 @@ const OUT_POOL_LIMIT: usize = 8;
 /// The shared, reusable arena for forward passes.
 ///
 /// One `Scratch` holds every buffer a pass needs: one lane per worker
-/// (each holding its questions' block, accumulators, chunk partials and
-/// counters — see [`crate::batch`]), a small pool of recycled output
-/// vectors, and the top-K gather staging. Reusing a scratch across
-/// questions makes the inline pass allocation-free once the buffers have
-/// grown to the store's capacity.
+/// (each holding its questions' block, accumulators, chunk partials,
+/// counters and trace slot — see [`crate::batch`]), a small pool of
+/// recycled output vectors, and the top-K gather staging. Reusing a
+/// scratch across questions makes every pass allocation-free once the
+/// buffers have grown to the store's capacity.
+///
+/// It also owns the [`Team`] a split pass runs its lanes on. The team
+/// starts no thread until a pass first splits, then keeps `threads − 1`
+/// workers (spinning for [`mnn_tensor::team::SPIN`], then parked) until
+/// the scratch is dropped, which joins them. A cloned scratch gets its own
+/// team, not yet started.
 ///
 /// A scratch is engine-agnostic: the same instance can serve one question
 /// or a batch, inline or over worker threads, interchangeably.
@@ -439,6 +446,7 @@ const OUT_POOL_LIMIT: usize = 8;
 pub struct Scratch {
     pub(crate) lanes: Vec<crate::batch::Lane>,
     pub(crate) out_pool: Vec<Vec<f32>>,
+    pub(crate) team: Team,
     // Top-K gather mode: the contiguous staging memory the candidate rows
     // are copied into, one pair per plane. Empty until a probe gathers.
     gather: GatherStage,
@@ -515,6 +523,12 @@ impl Scratch {
         }
     }
 
+    /// The worker team this scratch's passes split over; the answer layer
+    /// splits on the same threads ([`Team::threads`] counts them).
+    pub fn team(&mut self) -> &mut Team {
+        &mut self.team
+    }
+
     /// Number of pooled output buffers currently available.
     pub fn pooled_outputs(&self) -> usize {
         self.out_pool.len()
@@ -576,6 +590,8 @@ impl fmt::Display for EngineKind {
 /// configured threads: more than one thread, and two chunks of rows for
 /// each — the floor [`ExecPlan::resolve`] applies to one question and to a
 /// batch alike (which range a split cuts is [`crate::parallel`]'s rule).
+/// The answer layer has its own floor on the threads a pass holds: two
+/// 32 KiB blocks of `W` per lane (`mnn_memnn::model::OUTPUT_SPLIT_BLOCKS`).
 pub(crate) fn clears_parallel_floor(config: &MnnFastConfig, rows: usize) -> bool {
     config.threads > 1 && rows >= config.threads * config.chunk_size * 2
 }
@@ -625,9 +641,11 @@ impl ExecPlan {
     /// [`MnnFastConfig::threads`] grants. It picks
     /// [`EngineKind::Parallel`] when more than one thread is configured
     /// and each gets at least two chunks of work, else
-    /// [`EngineKind::Column`] — spawning and joining workers costs more
-    /// than it saves under that floor (EXPERIMENTS.md, "Why there is no
-    /// native staged walk").
+    /// [`EngineKind::Column`]. Waking the scratch's parked workers and
+    /// joining them costs a few µs per pass; at the default 64-row chunk
+    /// a two-thread split breaks even between 512 and 1 024 rows, so the
+    /// 256-row floor is within about a microsecond of the crossover
+    /// (EXPERIMENTS.md, "The parallel floor on a worker team").
     pub fn resolve(&self, rows: usize, _ed: usize) -> EngineKind {
         match self.kind {
             EngineKind::Auto if clears_parallel_floor(&self.config, rows) => EngineKind::Parallel,

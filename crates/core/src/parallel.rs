@@ -18,13 +18,16 @@
 //!
 //! Either way each question's arithmetic is the inline walk's, so the
 //! answer is bitwise identical to [`crate::ColumnEngine`] at any thread
-//! count and batch size, on either plane. Lanes beyond the first run on
-//! scoped threads spawned in one place (`fan_out`); the caller runs the
-//! first itself. Every lane, the caller's included, is contained with
-//! `catch_unwind`: a panicking chunk kernel fails the questions its lane
-//! owned with [`EngineError::WorkerPanicked`] instead of unwinding through
-//! the serving thread. Worker phase times are CPU time summed across
-//! threads (they can exceed wall time).
+//! count and batch size, on either plane. The caller runs the first lane
+//! itself and the scratch's [`mnn_tensor::Team`] runs the rest, in one
+//! place (`fan_out`): its workers start when a pass first splits and then
+//! persist, so the hops of a question wake them instead of spawning them.
+//! A one-lane pass runs inline and touches no team. Every lane, the
+//! caller's included, is contained with `catch_unwind`: a panicking chunk
+//! kernel fails the questions its lane owned with
+//! [`EngineError::WorkerPanicked`] instead of unwinding through the
+//! serving thread, and the worker serves the next pass. Worker phase times
+//! are CPU time summed across threads (they can exceed wall time).
 
 use crate::batch::Lane;
 use crate::budget::Budget;
@@ -32,6 +35,7 @@ use crate::config::MnnFastConfig;
 use crate::engine::{ColumnEngine, ColumnOutput, EngineError};
 use crate::exec::{MemView, Phase, Scratch, Trace};
 use crate::segment::SegmentPlan;
+use mnn_tensor::Team;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -156,7 +160,8 @@ pub(crate) fn pass<Q: AsRef<[f32]>>(
         for (lane, qs) in lanes.iter_mut().zip(questions.chunks(per)) {
             lane.stage(config.softmax, qs, quant, logit_rows);
         }
-        fan_out(&mut lanes[..owners], trace, abort, |i, lane, trace| {
+        let (team, owned) = (&mut scratch.team, &mut lanes[..owners]);
+        fan_out(team, owned, trace, abort, |i, lane, trace| {
             let budgets = &budgets[i * per..i * per + lane.nq()];
             lane.walk(&engine, view, plan, budgets, trace);
         });
@@ -180,7 +185,8 @@ pub(crate) fn pass<Q: AsRef<[f32]>>(
             let per = chunks.div_ceil(threads).max(1) * chunk;
             let used = seg.rows.div_ceil(per).max(1);
             let (block, visit) = (&head.block, &head.work.visit);
-            fan_out(&mut shares[..used], trace, abort, |i, lane, trace| {
+            let team = &mut scratch.team;
+            fan_out(team, &mut shares[..used], trace, abort, |i, lane, trace| {
                 let start = seg.start + (i * per).min(seg.rows);
                 let end = seg.start + ((i + 1) * per).min(seg.rows);
                 lane.work.share(
@@ -228,11 +234,14 @@ pub(crate) fn pass<Q: AsRef<[f32]>>(
 }
 
 /// Runs `work` once per lane — the first on the calling thread, the rest
-/// on scoped threads: the one place a pass spawns. Every run is contained
-/// with `catch_unwind`; a panicking run marks its lane
-/// [`Lane::panicked`] and raises `abort` so chunk-split peers stop at
-/// their next chunk. A single lane spawns nothing and allocates nothing.
+/// on `team`'s workers: the one place a pass starts or wakes threads.
+/// Every run is contained with `catch_unwind`; a panicking run marks its
+/// lane [`Lane::panicked`] and raises `abort` so chunk-split peers stop at
+/// their next chunk. Each lane of a split records into its own trace slot,
+/// which the caller absorbs after the join. A single lane runs inline,
+/// touching neither the team nor the slots.
 fn fan_out(
+    team: &mut Team,
     lanes: &mut [Lane],
     trace: &mut Trace,
     abort: &AtomicBool,
@@ -244,35 +253,22 @@ fn fan_out(
             abort.store(true, Ordering::Relaxed);
         }
     };
-    let Some((first, rest)) = lanes.split_first_mut() else {
-        return;
-    };
-    if rest.is_empty() {
-        return contained(0, first, trace);
+    if let [lane] = lanes {
+        return contained(0, lane, trace);
     }
     let enabled = trace.is_enabled();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = rest
-            .iter_mut()
-            .enumerate()
-            .map(|(i, lane)| {
-                let contained = &contained;
-                scope.spawn(move || {
-                    let mut local = if enabled {
-                        Trace::enabled()
-                    } else {
-                        Trace::disabled()
-                    };
-                    contained(i + 1, lane, &mut local);
-                    local
-                })
-            })
-            .collect();
-        contained(0, first, trace);
-        for handle in handles {
-            trace.absorb(&handle.join().expect("lane runs are contained"));
-        }
+    team.split(lanes.iter_mut().enumerate(), |(i, lane)| {
+        let mut local = if enabled {
+            Trace::enabled()
+        } else {
+            Trace::disabled()
+        };
+        contained(i, lane, &mut local);
+        lane.trace = local;
     });
+    for lane in lanes.iter() {
+        trace.absorb(&lane.trace);
+    }
 }
 
 #[cfg(test)]
@@ -328,6 +324,36 @@ mod tests {
             assert_eq!(par.o, seq.o, "threads {threads}: not bitwise identical");
             assert_eq!(par.stats.rows_total, 150, "threads {threads}");
         }
+    }
+
+    /// A scratch's team starts with its first split and stays; a clone
+    /// starts its own and answers the same bits, and the original keeps
+    /// serving on the workers it had.
+    #[test]
+    fn a_cloned_scratch_gets_its_own_team() {
+        let (m_in, m_out, u) = memories(150, 8);
+        let exec = parallel(MnnFastConfig::new(16).with_threads(3));
+        let run = |scratch: &mut Scratch| {
+            exec.forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+                &u,
+                scratch,
+                &mut Trace::disabled(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
+        };
+        let mut scratch = Scratch::new();
+        assert_eq!(scratch.team.threads(), 1, "nothing starts before a split");
+        let first = run(&mut scratch);
+        assert_eq!(scratch.team.threads(), 3);
+        let mut clone = scratch.clone();
+        assert_eq!(clone.team.threads(), 1, "a clone's team is not started");
+        assert_eq!(run(&mut clone).o, first.o);
+        assert_eq!(clone.team.threads(), 3);
+        assert_eq!(run(&mut scratch).o, first.o);
+        assert_eq!(scratch.team.threads(), 3);
     }
 
     #[test]

@@ -252,3 +252,65 @@ fn nan_chunk_in_a_two_worker_batch_poisons_exactly_one_question() {
         }
     }
 }
+
+/// The worker team survives its panics: on one scratch at threads 3,
+/// fifty rounds alternate a pass with one chunk panic armed (landing on a
+/// different chunk, so a different lane, each round; one question on a
+/// chunk split, five on a question split) with a clean pass. Every
+/// faulted pass reports `WorkerPanicked` in the slots of the lane that
+/// drew the fault and answers the rest bitwise; every clean pass is
+/// bitwise the Column oracle; and the team keeps its two workers
+/// throughout.
+#[test]
+fn the_team_serves_clean_passes_between_panics() {
+    let _guard = lock();
+    let (m_in, m_out, _) = memories(96, 8, 57);
+    let questions: Vec<Vec<f32>> = (0..5).map(|q| memories(1, 8, 500 + q).2).collect();
+    let view = MemView::from((&m_in, &m_out));
+    let plan = SegmentPlan::unsegmented(96);
+    let bits = |o: &[f32]| o.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let config = MnnFastConfig::new(8).with_threads(3);
+    let exec = ExecPlan::new(config).executor();
+    let reference = ColumnEngine::new(config);
+    let oracle: Vec<Vec<u32>> = questions
+        .iter()
+        .map(|u| bits(&reference.forward(&m_in, &m_out, u).unwrap().o))
+        .collect();
+    let budgets = vec![Budget::unlimited(); 5];
+    let mut scratch = Scratch::new();
+    let mut trace = Trace::disabled();
+    let mut ask = |scratch: &mut Scratch, nq: usize| {
+        exec.forward_batch(
+            view,
+            Route::Plan(&plan),
+            &questions[..nq],
+            scratch,
+            &mut trace,
+            &budgets[..nq],
+        )
+        .unwrap()
+    };
+    for round in 0..50u64 {
+        let nq = if round % 2 == 0 { 1 } else { 5 };
+        fault::arm(FaultKind::PanicChunk, round % 12, 1);
+        let slots = with_quiet_panics(|| ask(&mut scratch, nq));
+        let fires = fault::fired();
+        fault::disarm();
+        assert_eq!(fires, 1, "round {round}: one chunk kernel panicked");
+        let mut panicked = 0;
+        for (q, slot) in slots.iter().enumerate() {
+            match slot {
+                Err(EngineError::WorkerPanicked) => panicked += 1,
+                Ok(out) => assert_eq!(bits(&out.o), oracle[q], "round {round} q{q}"),
+                Err(e) => panic!("round {round} q{q}: {e:?}"),
+            }
+        }
+        assert!(panicked > 0, "round {round}: the fault reached a slot");
+
+        for (q, slot) in ask(&mut scratch, nq).into_iter().enumerate() {
+            let out = slot.expect("a clean pass answers");
+            assert_eq!(bits(&out.o), oracle[q], "round {round} clean q{q}");
+        }
+        assert_eq!(scratch.team().threads(), 3, "round {round}");
+    }
+}

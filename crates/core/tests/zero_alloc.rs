@@ -1,7 +1,8 @@
 //! Serving-path allocation discipline: once a [`Scratch`] has grown to the
 //! store's capacity, a forward pass through the unified executor must not
-//! touch the heap at all, and the recycled output buffer must round-trip by
-//! pointer identity.
+//! touch the heap at all — inline or split over the scratch's worker team,
+//! whose threads are counted too — and the recycled output buffer must
+//! round-trip by pointer identity.
 //!
 //! This lives in its own integration binary because the counting global
 //! allocator observes the whole process.
@@ -25,25 +26,31 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// Count only the test thread's allocations: libtest's main thread stays
-// alive alongside the test and allocates at unpredictable times (channel
-// bookkeeping, output buffering), which made the zero-allocation assertion
-// flaky. Const-initialized thread-locals are plain TLS — reading one in
-// `alloc` cannot itself allocate.
+// Count only the test thread's allocations and those of engine worker
+// threads: libtest's main thread stays alive alongside the test and
+// allocates at unpredictable times (channel bookkeeping, output
+// buffering), which made the zero-allocation assertion flaky.
+// Const-initialized thread-locals are plain TLS — reading one in `alloc`
+// cannot itself allocate. Each test's scratches (and so their workers) are
+// gone before the next test takes the lock.
 thread_local! {
     static COUNTED_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
+fn counted() -> bool {
+    COUNTED_THREAD.try_with(Cell::get).unwrap_or(false) || mnn_tensor::team::on_worker()
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTED_THREAD.try_with(Cell::get).unwrap_or(false) {
+        if counted() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTED_THREAD.try_with(Cell::get).unwrap_or(false) {
+        if counted() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -86,14 +93,23 @@ fn warm_forward_pass_is_allocation_free() {
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r + 2 * c) as f32 * 0.07).cos());
     let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.2).sin()).collect();
 
-    for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-        let exec = ExecPlan::new(MnnFastConfig::new(64).with_softmax(mode))
-            .with_kind(EngineKind::Column)
+    // Inline, and split by chunk range over two threads.
+    let cells = [
+        (SoftmaxMode::Lazy, EngineKind::Column, 1),
+        (SoftmaxMode::Online, EngineKind::Column, 1),
+        (SoftmaxMode::Lazy, EngineKind::Parallel, 2),
+        (SoftmaxMode::Online, EngineKind::Parallel, 2),
+    ];
+    for (mode, kind, threads) in cells {
+        let config = MnnFastConfig::new(64).with_softmax(mode);
+        let exec = ExecPlan::new(config.with_threads(threads))
+            .with_kind(kind)
             .executor();
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
 
-        // Warm-up: grows the logits buffer, accumulators and output pool.
+        // Warm-up: grows the logits buffer, accumulators and output pool,
+        // and starts the team's worker.
         let mut expected_ptr = std::ptr::null();
         for _ in 0..2 {
             let out = exec
@@ -125,15 +141,16 @@ fn warm_forward_pass_is_allocation_free() {
             assert_eq!(
                 out.o.as_ptr(),
                 expected_ptr,
-                "{mode:?}: output buffer should round-trip through the pool"
+                "{mode:?} x{threads}: output buffer should round-trip through the pool"
             );
             scratch.recycle(out.o);
         }
         let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(scratch.team().threads(), threads, "{mode:?} x{threads}");
         assert_eq!(
             after - before,
             0,
-            "{mode:?}: warm forward passes must not allocate"
+            "{mode:?} x{threads}: warm forward passes must not allocate"
         );
     }
 }
@@ -152,15 +169,24 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
         .collect();
     let budgets = vec![Budget::unlimited(); nq];
 
-    for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-        let exec = ExecPlan::new(MnnFastConfig::new(64).with_softmax(mode))
-            .with_kind(EngineKind::Column)
+    // Inline, and split by question range over three threads: four
+    // questions in ranges of two, so the team holds two threads.
+    let cells = [
+        (SoftmaxMode::Lazy, EngineKind::Column, 1, 1),
+        (SoftmaxMode::Online, EngineKind::Column, 1, 1),
+        (SoftmaxMode::Lazy, EngineKind::Parallel, 3, 2),
+        (SoftmaxMode::Online, EngineKind::Parallel, 3, 2),
+    ];
+    for (mode, kind, threads, held) in cells {
+        let config = MnnFastConfig::new(64).with_softmax(mode);
+        let exec = ExecPlan::new(config.with_threads(threads))
+            .with_kind(kind)
             .executor();
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
 
         // Warm-up: grows the batch arena (logits tile, accumulators,
-        // question block) and the output pool.
+        // question block) and the output pool, and starts the workers.
         for _ in 0..2 {
             let results = exec
                 .forward_batch(
@@ -195,12 +221,13 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
             }
         }
         let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(scratch.team().threads(), held, "{mode:?} x{threads}");
         // The only heap touch per warm batched call is the returned result
         // Vec itself — no per-chunk or per-question buffer allocations.
         assert_eq!(
             after - before,
             calls,
-            "{mode:?}: warm batched passes must allocate only the result vec"
+            "{mode:?} x{threads}: warm batched passes must allocate only the result vec"
         );
     }
 }

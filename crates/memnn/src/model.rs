@@ -2,9 +2,10 @@
 
 use mnn_dataset::babi::{BabiGenerator, Story};
 use mnn_dataset::WordId;
-use mnn_tensor::{softmax, Matrix};
+use mnn_tensor::{kernels, softmax, Matrix, Team};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Hyper-parameters of a [`MemNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -363,19 +364,29 @@ impl MemNet {
     ///
     /// `W` is the layer's memory traffic (`V × ed` floats, megabytes at a
     /// real vocabulary), so its rows are walked in blocks of
-    /// [`OUTPUT_BLOCK_BYTES`] and every question scores a block while it
-    /// is cache-resident: a batch streams `W` once instead of once per
-    /// question. Each logit is the same per-row `dot` over the same
-    /// operands [`MemNet::output_logits`] computes
-    /// ([`mnn_tensor::kernels::gemv_chunk`] is one `dot` per row on either
-    /// backend, dispatched once per block instead of once per row). Once
-    /// the walk is done, one [`softmax::argmax_softmax`] call per question
-    /// reads its logits: the word is bitwise what `output_logits` +
-    /// [`mnn_tensor::reduce::argmax`] give, and the probability is the
-    /// canonical answer-softmax kernel's, a function of the logits alone —
-    /// so an answer is the same bits whatever else shares its batch, and
-    /// within [`mnn_tensor::simd::ARGMAX_SOFTMAX_MAX_REL_ERROR`] of
-    /// `softmax_in_place`. One question is the same loop.
+    /// [`OUTPUT_BLOCK_BYTES`] and each block is scored for a lane's
+    /// questions while it is cache-resident, in one
+    /// [`mnn_tensor::kernels::gemm_chunk`] call staged in the lane's tile
+    /// (one question goes straight through
+    /// [`mnn_tensor::kernels::gemv_chunk`]): a batch streams `W` once
+    /// instead of once per question. Row `q` of the tile is bitwise
+    /// `gemv_chunk` over question `q`, one `dot` per row on either backend,
+    /// so each logit is the same `dot` over the same operands
+    /// [`MemNet::output_logits`] computes.
+    ///
+    /// The stage splits over the threads `team` already holds (it never
+    /// starts one) by the engine pass's grid rule: question ranges when
+    /// `nq >= lanes`, else ranges of `W` rows, each lane scoring its rows
+    /// for every question. `lanes` is capped so that each lane gets at least
+    /// [`OUTPUT_SPLIT_BLOCKS`] blocks of `W`; under that the stage runs
+    /// inline. Once the split has joined, one [`softmax::argmax_softmax`]
+    /// call per question reads its logits: the word is bitwise what
+    /// `output_logits` + [`mnn_tensor::reduce::argmax`] give, and the
+    /// probability is the canonical answer-softmax kernel's, a function of
+    /// the logits alone — so an answer is the same bits whatever else
+    /// shares its batch and however many lanes scored it, and within
+    /// [`mnn_tensor::simd::ARGMAX_SOFTMAX_MAX_REL_ERROR`] of
+    /// `softmax_in_place`.
     ///
     /// # Panics
     ///
@@ -384,30 +395,117 @@ impl MemNet {
         &self,
         responses: impl IntoIterator<Item = (&'a [f32], &'a [f32])>,
         stage: &mut OutputStage,
+        team: &mut Team,
     ) {
         let (vocab, ed) = self.w.shape();
         assert!(ed > 0, "output_answers: W has no columns");
-        stage.sums.clear();
+        let OutputStage {
+            sums,
+            logits,
+            tiles,
+            spare,
+            answers,
+        } = stage;
+        sums.clear();
         for (o, u) in responses {
             assert_eq!((o.len(), u.len()), (ed, ed), "output_answers: bad width");
-            stage.sums.extend(o.iter().zip(u).map(|(a, b)| a + b));
+            sums.extend(o.iter().zip(u).map(|(a, b)| a + b));
         }
-        let nq = stage.sums.len() / ed;
+        let nq = sums.len() / ed;
+        answers.clear();
+        if nq == 0 || vocab == 0 {
+            answers.resize(nq, None);
+            return;
+        }
         // Every logit below is overwritten, so only growth is zero-filled.
-        stage.logits.resize(nq * vocab, 0.0);
+        logits.resize(nq * vocab, 0.0);
         let block = (OUTPUT_BLOCK_BYTES / (4 * ed)).max(1);
-        for (start, n_rows, rows) in self.w.chunk_rows(block) {
-            for q in 0..nq {
-                let sum = &stage.sums[q * ed..(q + 1) * ed];
-                let logits = &mut stage.logits[q * vocab + start..][..n_rows];
-                mnn_tensor::kernels::gemv_chunk(rows, n_rows, sum, logits);
+        let lanes = team
+            .threads()
+            .min(vocab / (OUTPUT_SPLIT_BLOCKS * block))
+            .max(1);
+        if tiles.len() < lanes {
+            tiles.resize_with(lanes, Vec::new);
+        }
+        let (w, sums) = (&self.w, &sums[..]);
+        if nq >= lanes {
+            // Question ranges (one lane is the inline stage): each lane
+            // scores every row for its questions into their logits.
+            let per = nq.div_ceil(lanes);
+            let ranges = tiles
+                .iter_mut()
+                .zip(sums.chunks(per * ed).zip(logits.chunks_mut(per * vocab)));
+            team.split(ranges, |(tile, (sums, logits))| {
+                score(w, 0..vocab, block, sums, logits, tile)
+            });
+        } else {
+            // Row ranges: lane `j` scores rows `j·per..` for every question
+            // into its own `[nq × rows]` stretch of `logits`.
+            let per = vocab.div_ceil(block).div_ceil(lanes) * block;
+            let ranges = tiles
+                .iter_mut()
+                .zip(logits.chunks_mut(nq * per).enumerate());
+            team.split(ranges, |(tile, (j, logits))| {
+                score(
+                    w,
+                    j * per..vocab.min((j + 1) * per),
+                    block,
+                    sums,
+                    logits,
+                    tile,
+                )
+            });
+            if nq > 1 {
+                // Regroup the lanes' stretches into one row per question.
+                spare.resize(nq * vocab, 0.0);
+                for (j, stretch) in logits.chunks(nq * per).enumerate() {
+                    let n = stretch.len() / nq;
+                    for (q, scores) in stretch.chunks_exact(n).enumerate() {
+                        spare[q * vocab + j * per..][..n].copy_from_slice(scores);
+                    }
+                }
+                std::mem::swap(logits, spare);
             }
         }
-        stage.answers.clear();
-        stage.answers.extend((0..nq).map(|q| {
-            softmax::argmax_softmax(&stage.logits[q * vocab..(q + 1) * vocab])
-                .map(|(w, p)| (w as WordId, p))
-        }));
+        answers.extend(
+            logits
+                .chunks_exact(vocab)
+                .map(|logits| softmax::argmax_softmax(logits).map(|(w, p)| (w as WordId, p))),
+        );
+    }
+}
+
+/// Scores rows `rows` of `w` for the questions whose `o + u` sums are
+/// `sums` into `logits`, laid out `[q][rows.len()]`: one
+/// [`kernels::gemm_chunk`] per block of `block` rows, staged in `tile` and
+/// copied into each question's logits (one question is scored straight
+/// into them with [`kernels::gemv_chunk`], the tile's `nq = 1` row).
+fn score(
+    w: &Matrix,
+    rows: Range<usize>,
+    block: usize,
+    sums: &[f32],
+    logits: &mut [f32],
+    tile: &mut Vec<f32>,
+) {
+    let nq = sums.len() / w.cols();
+    let n = rows.len();
+    if nq > 1 && tile.len() < nq * block {
+        tile.resize(nq * block, 0.0);
+    }
+    for start in rows.clone().step_by(block) {
+        let take = block.min(rows.end - start);
+        let chunk = w.rows_slice(start, take);
+        let at = start - rows.start;
+        if nq == 1 {
+            kernels::gemv_chunk(chunk, take, sums, &mut logits[at..at + take]);
+            continue;
+        }
+        let tile = &mut tile[..nq * take];
+        kernels::gemm_chunk(chunk, take, sums, nq, tile);
+        for (q, scores) in tile.chunks_exact(take).enumerate() {
+            logits[q * n + at..][..take].copy_from_slice(scores);
+        }
     }
 }
 
@@ -416,13 +514,25 @@ impl MemNet {
 /// scores it, large enough that the per-block loop overhead vanishes.
 pub const OUTPUT_BLOCK_BYTES: usize = 32 * 1024;
 
-/// Reusable buffers of [`MemNet::output_answers`] (the `o + u` sums and
-/// `nq × V` logits) plus its result. A serving session keeps one, so the
-/// output stage allocates nothing once the buffers have grown.
+/// The output stage's parallel floor: it splits over `lanes` threads only
+/// while `W` holds at least this many [`OUTPUT_BLOCK_BYTES`] blocks per
+/// lane (a 10 000-word, 64-wide `W` is 78 blocks). Under it, waking a
+/// worker costs more than scoring the rows it would take. The engine
+/// pass's own floor is `mnnfast`'s `clears_parallel_floor`, two chunks per
+/// thread.
+pub const OUTPUT_SPLIT_BLOCKS: usize = 2;
+
+/// Reusable buffers of [`MemNet::output_answers`] (the `o + u` sums, the
+/// `nq × V` logits and one staging tile per lane) plus its result. A
+/// serving session keeps one, so the output stage allocates nothing once
+/// the buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub struct OutputStage {
     sums: Vec<f32>,
     logits: Vec<f32>,
+    tiles: Vec<Vec<f32>>,
+    /// Regrouping space for a row split of several questions.
+    spare: Vec<f32>,
     answers: Vec<Option<(WordId, f32)>>,
 }
 
@@ -563,6 +673,7 @@ mod tests {
         model.output_answers(
             pairs.iter().map(|(o, u)| (o.as_slice(), u.as_slice())),
             &mut stage,
+            &mut Team::new(),
         );
         assert_eq!(stage.answers().len(), 3);
         for (got, (o, u)) in stage.answers().iter().zip(&pairs) {
@@ -575,7 +686,7 @@ mod tests {
             assert!((p - logits[word]).abs() <= ARGMAX_SOFTMAX_MAX_REL_ERROR * logits[word]);
         }
         // The stage is reusable, and an empty batch answers nothing.
-        model.output_answers(std::iter::empty(), &mut stage);
+        model.output_answers(std::iter::empty(), &mut stage, &mut Team::new());
         assert!(stage.answers().is_empty());
     }
 

@@ -58,6 +58,14 @@ pub struct SessionConfig {
     /// skipping, softmax mode, threads) plus which engine variant runs it
     /// ([`mnnfast::EngineKind::Auto`] picks per question from the current
     /// memory size).
+    ///
+    /// Threads are held, not borrowed per question: a session with
+    /// `threads = t` starts `t − 1` worker threads the first time a pass
+    /// splits and keeps them, spinning briefly after each pass and then
+    /// parked, until the session is dropped; its output stage splits on
+    /// the same threads. With `threads = 1` (the default, and what a
+    /// [`crate::SessionPool`] and the `mnn-serve` daemon run by default)
+    /// no thread is ever started.
     pub plan: ExecPlan,
     /// Memory bound in sentences (`None` = unbounded).
     pub max_sentences: Option<usize>,
@@ -854,7 +862,8 @@ impl Session {
 
     /// The output stage of every ask: each successful pass goes through
     /// one [`MemNet::output_answers`] call — `W` streamed once for the
-    /// whole batch — and each answered slot adds to the cumulative stats
+    /// whole batch, split over the worker threads the engine pass already
+    /// holds in the session's scratch — and each answered slot adds to the cumulative stats
     /// and the answered count (the ladder counters were settled by
     /// [`Session::climb`]). Slots come back in `results` order; answers
     /// carry `trace`.
@@ -870,6 +879,7 @@ impl Session {
                 .flatten()
                 .map(|(out, _)| (out.o.as_slice(), out.u_last.as_slice())),
             &mut stage,
+            self.scratch.team(),
         );
         let mut predicted = stage.answers().iter();
         let answers = results
@@ -1660,6 +1670,34 @@ mod tests {
         // Steady state: the pool neither grows nor drains.
         session.ask(&story.questions[1].tokens).unwrap();
         assert_eq!(session.scratch.pooled_outputs(), pooled);
+    }
+
+    /// One thread is a budget the output stage keeps too: a threads-1
+    /// session, even pinned to the parallel walk, answers a hundred asks
+    /// without starting a worker, while a two-thread one holds one.
+    #[test]
+    fn a_threads_1_session_starts_no_worker() {
+        let (mut generator, model) = trained_serving_model();
+        let story = generator.story(6, 3);
+        for (threads, kind, held) in [
+            (1, EngineKind::Auto, 1),
+            (1, EngineKind::Parallel, 1),
+            (2, EngineKind::Parallel, 2),
+        ] {
+            let config = SessionConfig {
+                plan: ExecPlan::new(MnnFastConfig::new(2).with_threads(threads)).with_kind(kind),
+                ..SessionConfig::default()
+            };
+            let mut session = Session::new(model.clone(), config).unwrap();
+            for s in &story.sentences {
+                session.observe(s).unwrap();
+            }
+            for k in 0..100 {
+                let q = &story.questions[k % story.questions.len()];
+                session.ask(&q.tokens).unwrap();
+            }
+            assert_eq!(session.scratch.team().threads(), held, "{threads} {kind}");
+        }
     }
 
     #[test]

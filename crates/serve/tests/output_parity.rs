@@ -8,16 +8,19 @@
 //! That probability is in turn within `ARGMAX_SOFTMAX_MAX_REL_ERROR` of
 //! the textbook `softmax_in_place`. Shapes are the awkward ones: `ed` off
 //! the SIMD width, vocabularies that are not a multiple of the row block,
-//! and every batch size the serving paths use.
+//! and every batch size the serving paths use. The stage splits over a
+//! worker team's threads (by question range, or by `W` row range when a
+//! batch has fewer questions than lanes); at one, two and three lanes the
+//! answers are the inline stage's bits.
 //!
 //! Every test runs on both kernel backends. The backend is process-global,
 //! so the tests of this file take turns behind one lock.
 
-use mnn_memnn::model::OUTPUT_BLOCK_BYTES;
+use mnn_memnn::model::{OUTPUT_BLOCK_BYTES, OUTPUT_SPLIT_BLOCKS};
 use mnn_memnn::{MemNet, ModelConfig, OutputStage};
 use mnn_serve::{Session, SessionConfig};
 use mnn_tensor::simd::{self, Backend, ARGMAX_SOFTMAX_MAX_REL_ERROR};
-use mnn_tensor::{reduce, softmax};
+use mnn_tensor::{reduce, softmax, Team};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -80,12 +83,29 @@ fn reference(model: &MemNet, o: &[f32], u: &[f32]) -> Option<(u32, f32)> {
 }
 
 fn staged(model: &MemNet, batch: &[(Vec<f32>, Vec<f32>)]) -> Vec<Option<(u32, f32)>> {
+    staged_on(model, batch, &mut Team::new())
+}
+
+fn staged_on(
+    model: &MemNet,
+    batch: &[(Vec<f32>, Vec<f32>)],
+    team: &mut Team,
+) -> Vec<Option<(u32, f32)>> {
     let mut stage = OutputStage::default();
     model.output_answers(
         batch.iter().map(|(o, u)| (o.as_slice(), u.as_slice())),
         &mut stage,
+        team,
     );
     stage.answers().to_vec()
+}
+
+/// A team that holds `lanes` threads, the caller's included.
+fn team_of(lanes: usize) -> Team {
+    let mut team = Team::new();
+    team.split(0..lanes, |_| {});
+    assert_eq!(team.threads(), lanes);
+    team
 }
 
 /// Bitwise equality, except that two NaN probabilities agree whatever
@@ -107,15 +127,17 @@ proptest! {
     fn batched_output_stage_is_bitwise_the_per_question_sequence(
         nq in prop_oneof![Just(1usize), Just(2), Just(7), Just(8), Just(32)],
         ed in prop_oneof![Just(1usize), Just(3), Just(63), Just(65)],
-        blocks in 0usize..3,
+        blocks in 0usize..3 * OUTPUT_SPLIT_BLOCKS + 2,
         ragged in 1usize..40,
         seed in 0u64..1000,
     ) {
         // `blocks` whole row blocks plus a ragged tail: never a multiple.
+        // Three lanes split from `3 · OUTPUT_SPLIT_BLOCKS` blocks on.
         let block = OUTPUT_BLOCK_BYTES / (4 * ed);
         let vocab = blocks * block + ragged;
         let model = model(vocab, ed, seed);
         let batch = responses(nq, ed, seed);
+        let mut teams = [team_of(1), team_of(2), team_of(3)];
         let mut failure = None;
         on_each_backend(|backend| {
             let got = staged(&model, &batch);
@@ -129,6 +151,19 @@ proptest! {
                          batch {:?}, alone {alone:?}, reference {want:?}",
                         got[q]
                     ));
+                }
+            }
+            // Split over a team: every lane count is the inline stage.
+            for team in &mut teams {
+                let lanes = team.threads();
+                let split = staged_on(&model, &batch, team);
+                for (q, (a, b)) in split.iter().zip(&got).enumerate() {
+                    if !same(*a, *b) {
+                        failure.get_or_insert(format!(
+                            "{backend:?} lanes={lanes} nq={nq} ed={ed} vocab={vocab} q={q}: \
+                             split {a:?}, inline {b:?}"
+                        ));
+                    }
                 }
             }
         });

@@ -23,7 +23,10 @@
 //!   and the coordinator/worker RPC frames,
 //! - [`quant`]: the int8 quantized memory plane — [`QuantMatrix`] mirrors
 //!   of the story memory (symmetric per-row scales) consumed by the
-//!   bitwise-reproducible int8 kernels in [`simd`].
+//!   bitwise-reproducible int8 kernels in [`simd`],
+//! - [`team`]: the parked worker [`Team`] a split pass runs its lanes on
+//!   (the engine's chunk and question splits and the answer layer's `W`
+//!   split) — started on first need, reused across passes, joined on drop.
 //!
 //! # Example
 //!
@@ -61,12 +64,14 @@ pub mod quant;
 pub mod reduce;
 pub mod simd;
 pub mod softmax;
+pub mod team;
 
 pub use buffer::AlignedBuf;
 pub use error::{read_var, EnvVarError, ShapeError};
 pub use matrix::{ChunkRows, Matrix};
 pub use partial::{PartialDecodeError, PartialState};
 pub use quant::QuantMatrix;
+pub use team::Team;
 
 /// Validates every `MNNFAST_*` environment variable this crate consumes
 /// (`MNNFAST_SIMD` and — under the `fault-inject` feature —
