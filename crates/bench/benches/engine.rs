@@ -48,14 +48,10 @@ fn bench_variants(c: &mut Criterion) {
                 .o
         })
     });
-    let two_pass = ColumnEngine::new(MnnFastConfig::new(1000).with_fused(false));
+    // The two-pass dataflow the fused kernel replaces, on the tensor
+    // reference primitives.
     g.bench_function("column_twopass", |b| {
-        b.iter(|| {
-            two_pass
-                .forward(black_box(&m_in), black_box(&m_out), &u)
-                .unwrap()
-                .o
-        })
+        b.iter(|| mnn_bench::two_pass_forward(black_box(&m_in), black_box(&m_out), &u, 1000))
     });
     let skip = ColumnEngine::new(MnnFastConfig::new(1000).with_skip(SkipPolicy::RawWeight(1.0)));
     g.bench_function("column_zero_skip", |b| {

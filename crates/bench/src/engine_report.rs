@@ -227,7 +227,7 @@ mod tests {
             "\"kind\": \"column\"",
             "\"kind\": \"parallel\"",
             "\"kind\": \"auto\"",
-            "\"phase\": \"inner_product\"",
+            "\"phase\": \"fused_chunk\"",
             "\"phase\": \"divide\"",
             "\"mean_seconds\"",
         ] {

@@ -1,6 +1,6 @@
 //! Machine-readable kernel-backend benchmark: scalar vs SIMD for the
-//! hot-path kernels, plus the fused chunk kernel vs the two-pass dataflow
-//! end-to-end.
+//! hot-path kernels, plus the fused column engine vs the two-pass dataflow
+//! on the tensor primitives ([`crate::two_pass_forward`]) end-to-end.
 //!
 //! Companion to [`crate::engine_report`]: the Criterion benches are for
 //! interactive exploration; this module produces one structured artifact
@@ -10,7 +10,7 @@
 //! the process-global backend.
 
 use crate::table::{f, ExperimentTable};
-use crate::{run_pass, Scale};
+use crate::{run_pass, two_pass_forward, Scale};
 use mnn_tensor::simd::{self, Backend};
 use mnn_tensor::Matrix;
 use mnnfast::{EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace};
@@ -155,7 +155,8 @@ pub fn run(scale: Scale) -> KernelReport {
     }
 
     // End-to-end: the fig 9 column engine with the fused chunk kernel vs
-    // the two-pass reference dataflow, both on the active backend.
+    // the two-pass reference dataflow (`two_pass_forward`, the tensor
+    // primitives), both on the active backend.
     let ns = scale.pick(200_000, 4_000);
     {
         let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.001).sin() * 0.3);
@@ -165,18 +166,17 @@ pub fn run(scale: Scale) -> KernelReport {
         let route = Route::Plan(&whole);
         let u = deterministic_vec(ed, 0.9);
         let questions = scale.pick(4, 2);
-        let time_config = |config: MnnFastConfig| {
-            let exec = ExecPlan::new(config)
-                .with_kind(EngineKind::Column)
-                .executor();
-            let mut scratch = Scratch::new();
-            let mut trace = Trace::disabled();
-            best_of(reps.min(3), questions, || {
-                run_pass(&exec, view, route, &u, &mut scratch, &mut trace);
-            })
-        };
-        let two_pass = time_config(MnnFastConfig::new(1000).with_fused(false));
-        let fused = time_config(MnnFastConfig::new(1000));
+        let two_pass = best_of(reps.min(3), questions, || {
+            black_box(two_pass_forward(&m_in, &m_out, black_box(&u), 1000));
+        });
+        let exec = ExecPlan::new(MnnFastConfig::new(1000))
+            .with_kind(EngineKind::Column)
+            .executor();
+        let mut scratch = Scratch::new();
+        let mut trace = Trace::disabled();
+        let fused = best_of(reps.min(3), questions, || {
+            run_pass(&exec, view, route, &u, &mut scratch, &mut trace);
+        });
         entries.push(KernelEntry {
             name: "column_forward_fig09",
             baseline: "two_pass".to_string(),

@@ -88,6 +88,45 @@ pub fn timed_pass(
     t0.elapsed().as_secs_f64()
 }
 
+/// The two-pass column dataflow the fused chunk kernel replaces, on the
+/// tensor reference primitives: per `chunk` rows one
+/// [`kernels::gemv_chunk`](mnn_tensor::kernels::gemv_chunk) into a
+/// chunk-wide logits buffer, then per row `e^x` and
+/// [`LazyAccumulator::add_weighted`](mnn_tensor::softmax::LazyAccumulator::add_weighted)
+/// into the chunk partial, merged in chunk order, and one lazy division.
+/// The baseline of the fusion comparisons (`bench_kernels`'
+/// `column_forward_fig09` row, the criterion `column_twopass` case): the
+/// same arithmetic as a lazy [`mnnfast::ColumnEngine`] pass, with the
+/// logits spilled once per chunk.
+///
+/// # Panics
+///
+/// Panics if `chunk` is 0 or the operands disagree in shape.
+pub fn two_pass_forward(
+    m_in: &mnn_tensor::Matrix,
+    m_out: &mnn_tensor::Matrix,
+    u: &[f32],
+    chunk: usize,
+) -> Vec<f32> {
+    use mnn_tensor::softmax::LazyAccumulator;
+    let (ns, ed) = (m_in.rows(), u.len());
+    let mut logits = vec![0.0f32; chunk];
+    let mut total = LazyAccumulator::new(ed);
+    let mut part = LazyAccumulator::new(ed);
+    for start in (0..ns).step_by(chunk) {
+        let n = chunk.min(ns - start);
+        let logits = &mut logits[..n];
+        mnn_tensor::kernels::gemv_chunk(m_in.rows_slice(start, n), n, u, logits);
+        let rows = m_out.rows_slice(start, n);
+        part.reset(ed);
+        for (row, &x) in rows.chunks_exact(ed).zip(logits.iter()) {
+            part.add_weighted(x.exp(), row);
+        }
+        total.merge(&part);
+    }
+    total.finish()
+}
+
 /// How large an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -120,6 +159,21 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn two_pass_forward_computes_the_column_pass() {
+        use mnn_tensor::Matrix;
+        let (ns, ed) = (203, 12);
+        let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 13 + c * 7) as f32 * 0.37).sin() * 0.8);
+        let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 5 + c * 11) as f32 * 0.21).cos() * 0.6);
+        let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.3).sin()).collect();
+        for chunk in [1, 16, 64, 500] {
+            let engine = mnnfast::ColumnEngine::new(mnnfast::MnnFastConfig::new(chunk));
+            let fused = engine.forward(&m_in, &m_out, &u).unwrap().o;
+            let two_pass = two_pass_forward(&m_in, &m_out, &u, chunk);
+            mnn_tensor::assert_slice_approx_eq(&two_pass, &fused, 1e-4);
+        }
+    }
 
     #[test]
     fn pick_selects_by_scale() {

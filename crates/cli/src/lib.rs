@@ -567,7 +567,6 @@ fn cmd_serve(
         hedge: (hedge_ms > 0).then(|| Duration::from_millis(hedge_ms)),
         topk: options.get("topk", knobs.topk)?,
         nprobe: options.get("nprobe", knobs.nprobe)?,
-        ..knobs
     };
     let batch = options.get("batch", 0usize)?;
     let mut session = Session::new(model, config).map_err(|e| e.to_string())?;
@@ -1100,27 +1099,20 @@ mod tests {
             stdin,
         )
         .unwrap();
-        for label in [
-            "inner_product",
-            "exp_accumulate",
-            "skip",
-            "merge",
-            "divide",
-            "total",
-        ] {
+        for label in ["fused_chunk", "skip", "merge", "divide", "total"] {
             assert!(out.contains(label), "missing {label} in {out}");
         }
 
         // Without the switch no breakdown is printed.
         let out = run_cli(&["serve", "--model", model_str], stdin).unwrap();
-        assert!(!out.contains("inner_product"), "{out}");
+        assert!(!out.contains("fused_chunk"), "{out}");
 
         let out = run_cli(
             &["eval", "--model", model_str, "--stories", "4", "--trace"],
             "",
         )
         .unwrap();
-        assert!(out.contains("inner_product"), "{out}");
+        assert!(out.contains("fused_chunk"), "{out}");
 
         // Bad engine names error instead of silently defaulting — the
         // removed staged walk's name included, no alias.

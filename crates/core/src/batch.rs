@@ -253,7 +253,6 @@ impl Work {
         match ops {
             ChunkOps::F32 { m_in, m_out } if nq > 1 => {
                 self.skipped.fill(0);
-                let fused = engine.config().fused;
                 let t0 = trace.begin();
                 match mode {
                     SoftmaxMode::Lazy => {
@@ -267,7 +266,6 @@ impl Work {
                             &block.us,
                             &block.thresholds,
                             &self.visit,
-                            fused,
                             &mut self.skipped,
                         );
                     }
@@ -282,7 +280,6 @@ impl Work {
                             &block.us,
                             &block.thresholds,
                             &self.visit,
-                            fused,
                             &mut self.logits,
                             &mut self.skipped,
                         );
@@ -308,7 +305,6 @@ impl Work {
                         block.thresholds[q],
                         &mut part,
                         &mut self.stats[q],
-                        &mut self.logits[..n],
                         trace,
                     );
                 }

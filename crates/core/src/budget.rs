@@ -8,7 +8,7 @@
 //!
 //! * [`Budget`] — an optional wall-clock deadline plus an optional
 //!   [`CancelToken`], checked **once per chunk** on every walk (inline,
-//!   scale-out, batched; fused or two-pass). The chunk is the
+//!   scale-out, batched). The chunk is the
 //!   natural quantum: it bounds the response latency of a check by one
 //!   chunk's work (micro­seconds at serving shapes) while keeping the
 //!   fault-free overhead to one clock read per chunk — measured ≤ 2% in

@@ -68,26 +68,19 @@ pub struct MnnFastConfig {
     pub softmax: SoftmaxMode,
     /// Worker threads for the scale-out path (1 = sequential).
     pub threads: usize,
-    /// Use the fused single-pass chunk kernel (default `true`): inner
-    /// products, exponentiation and weighted accumulation in one traversal
-    /// per chunk. `false` restores the two-pass formulation (GEMV into the
-    /// logits buffer, then exp + accumulate) — kept for A/B benchmarking
-    /// and as the reference dataflow.
-    pub fused: bool,
     /// Precision of the memory plane consumed by the inference phase.
     pub precision: Precision,
 }
 
 impl MnnFastConfig {
     /// Creates a configuration with the given chunk size, no skipping,
-    /// lazy softmax, single-threaded, fused chunk kernel.
+    /// lazy softmax, single-threaded, f32 plane.
     pub fn new(chunk_size: usize) -> Self {
         Self {
             chunk_size,
             skip: SkipPolicy::None,
             softmax: SoftmaxMode::Lazy,
             threads: 1,
-            fused: true,
             precision: Precision::F32,
         }
     }
@@ -107,12 +100,6 @@ impl MnnFastConfig {
     /// Sets the number of scale-out worker threads (min 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the fused chunk kernel.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -163,7 +150,6 @@ mod tests {
         assert_eq!(c.skip, SkipPolicy::None);
         assert_eq!(c.softmax, SoftmaxMode::Lazy);
         assert_eq!(c.threads, 1);
-        assert!(c.fused);
         assert_eq!(c.precision, Precision::F32);
         c.validate().unwrap();
     }
@@ -174,14 +160,12 @@ mod tests {
             .with_skip(SkipPolicy::Probability(0.1))
             .with_softmax(SoftmaxMode::Online)
             .with_threads(4)
-            .with_fused(false)
             .with_precision(Precision::Int8);
         assert_eq!(c.precision, Precision::Int8);
         assert_eq!(c.chunk_size, 64);
         assert_eq!(c.skip.threshold(), Some(0.1));
         assert_eq!(c.softmax, SoftmaxMode::Online);
         assert_eq!(c.threads, 4);
-        assert!(!c.fused);
         c.validate().unwrap();
     }
 

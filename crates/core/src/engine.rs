@@ -54,7 +54,8 @@ pub enum EngineError {
     /// poisoned logit turns the lazy-softmax denominator non-finite, which
     /// every variant checks at merge time, so garbage never silently
     /// propagates into an answer. The serving layer reacts by retrying once
-    /// on the scalar stable path (two-pass + running-max softmax).
+    /// on its safe path (the same fused kernels with the running-max
+    /// online softmax).
     NumericFault {
         /// Where the non-finite value was caught (`"chunk merge"` or
         /// `"normalize"`).
@@ -141,42 +142,13 @@ pub(crate) enum AccumMut<'a> {
 }
 
 impl AccumMut<'_> {
-    /// Adds an entry; returns `true` if the weighted sum was skipped.
-    ///
-    /// `raw_threshold` compares against `e^{logit}` (lazy) or the relative
-    /// weight `e^{logit - max}` (online).
-    pub(crate) fn add(&mut self, logit: f32, row: &[f32], raw_threshold: Option<f32>) -> bool {
-        match self {
-            AccumMut::Lazy(acc) => {
-                let w = logit.exp();
-                if let Some(th) = raw_threshold {
-                    if w < th {
-                        acc.add_skipped(w);
-                        return true;
-                    }
-                }
-                acc.add_weighted(w, row);
-                false
-            }
-            AccumMut::Online(acc) => {
-                if let Some(th) = raw_threshold {
-                    if acc.relative_weight(logit) < th {
-                        acc.add_skipped(logit);
-                        return true;
-                    }
-                }
-                acc.add(logit, row);
-                false
-            }
-        }
-    }
-
     /// Fused single-pass chunk accumulate: inner products, exponentiation
     /// and weighted accumulation in one traversal, delegating to the
     /// accumulators' fused kernels
     /// ([`LazyAccumulator::accumulate_chunk`] /
-    /// [`OnlineSoftmax::accumulate_chunk`]). `raw_threshold` has the same
-    /// semantics as [`AccumMut::add`]. Returns the number of skipped rows.
+    /// [`OnlineSoftmax::accumulate_chunk`]). `raw_threshold` compares
+    /// against `e^{logit}` (lazy) or the relative weight `e^{logit - max}`
+    /// (online). Returns the number of skipped rows.
     pub(crate) fn accumulate_chunk(
         &mut self,
         in_flat: &[f32],
@@ -188,43 +160,6 @@ impl AccumMut<'_> {
         match self {
             AccumMut::Lazy(acc) => acc.accumulate_chunk(in_flat, out_flat, n, u, raw_threshold),
             AccumMut::Online(acc) => acc.accumulate_chunk(in_flat, out_flat, n, u, raw_threshold),
-        }
-    }
-
-    /// Adds one *quantized* entry given its precomputed logit; returns
-    /// `true` if the weighted sum was skipped. The int8 counterpart of
-    /// [`AccumMut::add`] for the two-pass path: the weight math is identical,
-    /// the `M_OUT` row is dequantized on the fly through the shared scalar
-    /// dequant-axpy (bitwise identical across SIMD backends).
-    pub(crate) fn add_i8(
-        &mut self,
-        logit: f32,
-        row_q: &[i8],
-        row_scale: f32,
-        raw_threshold: Option<f32>,
-    ) -> bool {
-        match self {
-            AccumMut::Lazy(acc) => {
-                let w = logit.exp();
-                if let Some(th) = raw_threshold {
-                    if w < th {
-                        acc.add_skipped(w);
-                        return true;
-                    }
-                }
-                acc.add_weighted_i8(w, row_q, row_scale);
-                false
-            }
-            AccumMut::Online(acc) => {
-                if let Some(th) = raw_threshold {
-                    if acc.relative_weight(logit) < th {
-                        acc.add_skipped(logit);
-                        return true;
-                    }
-                }
-                acc.add_i8(logit, row_q, row_scale);
-                false
-            }
         }
     }
 
@@ -353,7 +288,17 @@ impl ColumnEngine {
     }
 
     /// One chunk into `acc`, on whichever plane `ops` carries: the one
-    /// per-chunk dispatch onto the f32 / int8 chunk bodies below.
+    /// per-chunk dispatch onto the f32 / int8 fused chunk kernels, charged
+    /// by [`charge_chunk`] and traced as [`Phase::FusedChunk`]. Fusion
+    /// removes the chunk-wide logits intermediate: only an 8-row logit
+    /// block plus the accumulator row stay live. The int8 plane charges
+    /// `ed + 4` bytes per row touched — the codes plus the f32 scale —
+    /// which is where the ~4x bandwidth saving shows up in
+    /// [`InferenceStats::memory_bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices disagree with `n` and the query's width.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_chunk(
         &self,
@@ -363,184 +308,40 @@ impl ColumnEngine {
         raw_threshold: Option<f32>,
         acc: &mut AccumMut<'_>,
         stats: &mut InferenceStats,
-        logits: &mut [f32],
         trace: &mut Trace,
     ) {
-        match ops {
-            ChunkOps::F32 { m_in, m_out } => self.process_chunk_flat(
-                m_in,
-                m_out,
-                n,
-                query.u,
-                raw_threshold,
-                acc,
-                stats,
-                logits,
-                trace,
-            ),
+        let ed = query.u.len();
+        let t0 = trace.begin();
+        let (skipped, row_bytes) = match ops {
+            ChunkOps::F32 { m_in, m_out } => {
+                assert_eq!(m_out.len(), n * ed, "process_chunk: bad out chunk");
+                let skipped = acc.accumulate_chunk(m_in, m_out, n, query.u, raw_threshold);
+                (skipped, ed * 4)
+            }
             ChunkOps::Int8 {
                 m_in,
                 in_scales,
                 m_out,
                 out_scales,
-            } => self.process_chunk_quant(
-                m_in,
-                in_scales,
-                m_out,
-                out_scales,
-                n,
-                query.uq,
-                query.scale,
-                raw_threshold,
-                acc,
-                stats,
-                logits,
-                trace,
-            ),
-        }
-    }
-
-    /// Processes one flat chunk (`n` rows of `M_IN` and `M_OUT`, row-major)
-    /// into `acc`: the single-question unit of work of every pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree with `n`/`u.len()`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_chunk_flat(
-        &self,
-        in_flat: &[f32],
-        out_flat: &[f32],
-        n: usize,
-        u: &[f32],
-        raw_threshold: Option<f32>,
-        acc: &mut AccumMut<'_>,
-        stats: &mut InferenceStats,
-        logits: &mut [f32],
-        trace: &mut Trace,
-    ) {
-        let ed = u.len();
-        assert_eq!(out_flat.len(), n * ed, "process_chunk_flat: bad out chunk");
-        if self.config.fused {
-            let t0 = trace.begin();
-            let skipped = acc.accumulate_chunk(in_flat, out_flat, n, u, raw_threshold);
-            trace.record(Phase::FusedChunk, t0, n as u64);
-            trace.bump(Phase::Skip, skipped);
-            charge_chunk(stats, n, ed, skipped, ed * 4);
-            // Fusion removes the chunk-wide logits intermediate: only an
-            // 8-row logit block plus the accumulator row stay live.
-            stats.intermediate_bytes = stats.intermediate_bytes.max((8 * 4 + ed * 4) as u64);
-            return;
-        }
-        let t0 = trace.begin();
-        kernels::gemv_chunk(in_flat, n, u, logits);
-        trace.record(Phase::InnerProduct, t0, n as u64);
-        stats.flops += kernels::gemv_flops(n, ed);
-        stats.memory_bytes += (n * ed * 4) as u64;
-        stats.chunks += 1;
-        stats.intermediate_bytes = stats
-            .intermediate_bytes
-            .max((logits.len() * 4 + ed * 4) as u64);
-
-        let t0 = trace.begin();
-        let mut chunk_skipped = 0u64;
-        for (i, &x) in logits.iter().enumerate() {
-            stats.flops += 1; // exp
-            let skipped = acc.add(x, &out_flat[i * ed..(i + 1) * ed], raw_threshold);
-            stats.rows_total += 1;
-            if skipped {
-                chunk_skipped += 1;
-                stats.rows_skipped += 1;
-                stats.flops_skipped += 2 * ed as u64;
-            } else {
-                stats.flops += 2 * ed as u64;
-                stats.ws_flops += 2 * ed as u64;
-                stats.memory_bytes += (ed * 4) as u64;
+            } => {
+                assert_eq!(m_out.len(), n * ed, "process_chunk: bad out chunk");
+                let skipped = acc.accumulate_chunk_i8(
+                    m_in,
+                    in_scales,
+                    m_out,
+                    out_scales,
+                    n,
+                    query.uq,
+                    query.scale,
+                    raw_threshold,
+                );
+                (skipped, ed + 4)
             }
-        }
-        trace.record(Phase::ExpAccumulate, t0, n as u64 - chunk_skipped);
-        trace.bump(Phase::Skip, chunk_skipped);
-    }
-
-    /// `ColumnEngine::process_chunk_flat` over quantized operands: `n`
-    /// rows of int8 codes plus their per-row scales for both memories. The
-    /// flop accounting matches the f32 path (same mathematical work); the
-    /// traffic accounting charges `ed + 4` bytes per row touched — the int8
-    /// codes plus the f32 scale — which is where the ~4x bandwidth saving
-    /// shows up in [`InferenceStats::memory_bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree with `n`/`uq.len()`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_chunk_quant(
-        &self,
-        in_q: &[i8],
-        in_scales: &[f32],
-        out_q: &[i8],
-        out_scales: &[f32],
-        n: usize,
-        uq: &[i8],
-        u_scale: f32,
-        raw_threshold: Option<f32>,
-        acc: &mut AccumMut<'_>,
-        stats: &mut InferenceStats,
-        logits: &mut [f32],
-        trace: &mut Trace,
-    ) {
-        let ed = uq.len();
-        assert_eq!(out_q.len(), n * ed, "process_chunk_quant: bad out chunk");
-        if self.config.fused {
-            let t0 = trace.begin();
-            let skipped = acc.accumulate_chunk_i8(
-                in_q,
-                in_scales,
-                out_q,
-                out_scales,
-                n,
-                uq,
-                u_scale,
-                raw_threshold,
-            );
-            trace.record(Phase::FusedChunk, t0, n as u64);
-            trace.bump(Phase::Skip, skipped);
-            charge_chunk(stats, n, ed, skipped, ed + 4);
-            stats.intermediate_bytes = stats.intermediate_bytes.max((8 * 4 + ed * 4) as u64);
-            return;
-        }
-        let t0 = trace.begin();
-        kernels::gemv_chunk_i8(in_q, in_scales, n, uq, u_scale, logits);
-        trace.record(Phase::InnerProduct, t0, n as u64);
-        stats.flops += kernels::gemv_flops(n, ed);
-        stats.memory_bytes += (n * (ed + 4)) as u64;
-        stats.chunks += 1;
-        stats.intermediate_bytes = stats
-            .intermediate_bytes
-            .max((logits.len() * 4 + ed * 4) as u64);
-
-        let t0 = trace.begin();
-        let mut chunk_skipped = 0u64;
-        for (i, &x) in logits.iter().enumerate() {
-            stats.flops += 1; // exp
-            let skipped = acc.add_i8(
-                x,
-                &out_q[i * ed..(i + 1) * ed],
-                out_scales[i],
-                raw_threshold,
-            );
-            stats.rows_total += 1;
-            if skipped {
-                chunk_skipped += 1;
-                stats.rows_skipped += 1;
-                stats.flops_skipped += 2 * ed as u64;
-            } else {
-                stats.flops += 2 * ed as u64;
-                stats.ws_flops += 2 * ed as u64;
-                stats.memory_bytes += (ed + 4) as u64;
-            }
-        }
-        trace.record(Phase::ExpAccumulate, t0, n as u64 - chunk_skipped);
-        trace.bump(Phase::Skip, chunk_skipped);
+        };
+        trace.record(Phase::FusedChunk, t0, n as u64);
+        trace.bump(Phase::Skip, skipped);
+        charge_chunk(stats, n, ed, skipped, row_bytes);
+        stats.intermediate_bytes = stats.intermediate_bytes.max((8 * 4 + ed * 4) as u64);
     }
 }
 
@@ -548,7 +349,7 @@ impl ColumnEngine {
 /// question's counters: its inner products, one exponential per row, the
 /// weighted sums it kept, and `row_bytes` of traffic per `M_IN` row read
 /// and per `M_OUT` row accumulated. The one accounting rule of every chunk
-/// kernel — fused, two-pass and tiled count the same work the same way,
+/// kernel — single-question and tiled count the same work the same way,
 /// so a question's counters do not depend on the kernel or the batch.
 pub(crate) fn charge_chunk(
     stats: &mut InferenceStats,
@@ -873,7 +674,7 @@ mod tests {
     #[test]
     fn trace_attributes_phases() {
         let (m_in, m_out, u) = test_memories(90, 8);
-        // Default (fused) path: all per-chunk work lands in FusedChunk.
+        // All per-chunk work lands in FusedChunk.
         let engine =
             ColumnEngine::new(MnnFastConfig::new(16).with_skip(SkipPolicy::Probability(0.01)));
         let mut scratch = Scratch::new();
@@ -889,8 +690,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(trace.count(Phase::FusedChunk), 90);
-        assert_eq!(trace.count(Phase::InnerProduct), 0);
-        assert_eq!(trace.count(Phase::ExpAccumulate), 0);
         assert_eq!(trace.count(Phase::Skip), out.stats.rows_skipped);
         assert_eq!(trace.count(Phase::Divide), 8);
         assert!(trace.nanos(Phase::FusedChunk) > 0);
@@ -899,62 +698,139 @@ mod tests {
             "probability pre-pass is timed"
         );
         assert!(trace.total_nanos() > 0);
-
-        // Two-pass path: InnerProduct/ExpAccumulate carry the work instead.
-        let engine = ColumnEngine::new(
-            MnnFastConfig::new(16)
-                .with_skip(SkipPolicy::Probability(0.01))
-                .with_fused(false),
-        );
-        let mut trace = Trace::enabled();
-        let out = forward_with(
-            &engine,
-            &m_in,
-            &m_out,
-            m_in.rows(),
-            &u,
-            &mut scratch,
-            &mut trace,
-        )
-        .unwrap();
-        assert_eq!(trace.count(Phase::FusedChunk), 0);
-        assert_eq!(trace.count(Phase::InnerProduct), 90);
-        assert_eq!(
-            trace.count(Phase::ExpAccumulate) + trace.count(Phase::Skip),
-            90
-        );
-        assert_eq!(trace.count(Phase::Skip), out.stats.rows_skipped);
-        assert!(trace.nanos(Phase::InnerProduct) > 0);
     }
 
+    /// The two-pass dataflow the fused kernels replace, kept test-local as
+    /// the engine's reference: per chunk `kernels::gemv_chunk`, then the
+    /// per-row tensor primitives (`LazyAccumulator::add_weighted` /
+    /// `OnlineSoftmax::add`, or their `add_skipped` forms) into a fresh
+    /// chunk partial merged in chunk order, charged by [`charge_chunk`].
+    /// Probability thresholds are resolved as the pass's pre-pass does
+    /// (f64 sums over the logits in row order, the max in f32). Returns
+    /// `(o, denominator, stats)`.
+    fn reference_fold(
+        cfg: MnnFastConfig,
+        m_in: &Matrix,
+        m_out: &Matrix,
+        u: &[f32],
+    ) -> (Vec<f32>, f32, InferenceStats) {
+        let (ns, ed) = (m_in.rows(), u.len());
+        let mut stats = InferenceStats::default();
+        let mut all = vec![0.0f32; ns];
+        kernels::gemv_chunk(m_in.as_slice(), ns, u, &mut all);
+        let threshold = match cfg.skip {
+            SkipPolicy::None => None,
+            SkipPolicy::RawWeight(th) => Some(th),
+            SkipPolicy::Probability(th) => {
+                let (mut max, mut rel, mut raw) = (f64::NEG_INFINITY, 0.0f64, 0.0f64);
+                for &x in &all {
+                    if x > max as f32 {
+                        rel *= ((max as f32 - x) as f64).exp();
+                        max = x as f64;
+                    }
+                    rel += ((x - max as f32) as f64).exp();
+                    raw += (x as f64).exp();
+                }
+                stats.flops += kernels::gemv_flops(ns, ed) + ns as u64;
+                stats.memory_bytes += (ns * ed * 4) as u64;
+                let denom = match cfg.softmax {
+                    SoftmaxMode::Lazy => raw,
+                    SoftmaxMode::Online => rel,
+                };
+                Some((th as f64 * denom) as f32)
+            }
+        };
+        let mut lazy = LazyAccumulator::new(ed);
+        let mut online = OnlineSoftmax::new(ed);
+        for start in (0..ns).step_by(cfg.chunk_size) {
+            let n = cfg.chunk_size.min(ns - start);
+            let mut logits = vec![0.0f32; n];
+            kernels::gemv_chunk(m_in.rows_slice(start, n), n, u, &mut logits);
+            let rows = m_out.rows_slice(start, n);
+            let row = |i: usize| &rows[i * ed..(i + 1) * ed];
+            let mut skipped = 0u64;
+            match cfg.softmax {
+                SoftmaxMode::Lazy => {
+                    let mut part = LazyAccumulator::new(ed);
+                    for (i, &x) in logits.iter().enumerate() {
+                        let w = x.exp();
+                        match threshold {
+                            Some(th) if w < th => {
+                                part.add_skipped(w);
+                                skipped += 1;
+                            }
+                            _ => part.add_weighted(w, row(i)),
+                        }
+                    }
+                    lazy.merge(&part);
+                }
+                SoftmaxMode::Online => {
+                    let mut part = OnlineSoftmax::new(ed);
+                    for (i, &x) in logits.iter().enumerate() {
+                        match threshold {
+                            Some(th) if part.relative_weight(x) < th => {
+                                part.add_skipped(x);
+                                skipped += 1;
+                            }
+                            _ => part.add(x, row(i)),
+                        }
+                    }
+                    online.merge(&part);
+                }
+            }
+            charge_chunk(&mut stats, n, ed, skipped, ed * 4);
+        }
+        stats.divisions += ed as u64;
+        stats.flops += ed as u64;
+        match cfg.softmax {
+            SoftmaxMode::Lazy => (lazy.clone().finish(), lazy.denom(), stats),
+            SoftmaxMode::Online => (online.clone().finish(), online.denom(), stats),
+        }
+    }
+
+    /// A whole column pass against [`reference_fold`]: the work counters
+    /// always agree; the output is bitwise in online mode on every backend
+    /// and in lazy mode on the scalar backend (libm `exp` on both sides),
+    /// within 1e-4 in lazy mode on AVX2 (the fused kernel's fast exp).
     #[test]
-    fn fused_matches_two_pass() {
+    fn column_pass_matches_the_two_pass_reference() {
+        use mnn_tensor::simd::{self, Backend};
         let (m_in, m_out, u) = test_memories(97, 8);
+        let scalar = simd::backend() == Backend::Scalar;
         for (skip, softmax) in [
             (SkipPolicy::None, SoftmaxMode::Lazy),
             (SkipPolicy::None, SoftmaxMode::Online),
             (SkipPolicy::RawWeight(0.9), SoftmaxMode::Lazy),
+            (SkipPolicy::RawWeight(0.9), SoftmaxMode::Online),
             (SkipPolicy::Probability(0.01), SoftmaxMode::Lazy),
             (SkipPolicy::Probability(0.01), SoftmaxMode::Online),
         ] {
+            let ctx = format!("{skip:?} {softmax:?}");
             let cfg = MnnFastConfig::new(16).with_skip(skip).with_softmax(softmax);
-            let fused = ColumnEngine::new(cfg).forward(&m_in, &m_out, &u).unwrap();
-            let two_pass = ColumnEngine::new(cfg.with_fused(false))
-                .forward(&m_in, &m_out, &u)
-                .unwrap();
-            // Work accounting is path-independent by construction.
-            assert_eq!(fused.stats.rows_total, two_pass.stats.rows_total);
-            assert_eq!(fused.stats.rows_skipped, two_pass.stats.rows_skipped);
-            assert_eq!(fused.stats.flops, two_pass.stats.flops);
-            assert_eq!(fused.stats.memory_bytes, two_pass.stats.memory_bytes);
-            // Outputs agree to kernel tolerance (bitwise on the scalar
-            // backend; the AVX2 fused path uses the fast exp).
-            assert_slice_approx_eq(&fused.o, &two_pass.o, 1e-4);
-            assert!(mnn_tensor::approx_eq(
-                fused.denominator,
-                two_pass.denominator,
-                1e-4
-            ));
+            let out = ColumnEngine::new(cfg).forward(&m_in, &m_out, &u).unwrap();
+            let (o, denominator, stats) = reference_fold(cfg, &m_in, &m_out, &u);
+            assert_eq!(out.stats.rows_total, stats.rows_total, "{ctx}");
+            assert_eq!(out.stats.rows_skipped, stats.rows_skipped, "{ctx}");
+            assert_eq!(out.stats.flops, stats.flops, "{ctx}");
+            assert_eq!(out.stats.memory_bytes, stats.memory_bytes, "{ctx}");
+            assert_eq!(out.stats.divisions, stats.divisions, "{ctx}");
+            if skip != SkipPolicy::None {
+                assert!(
+                    stats.rows_skipped > 0,
+                    "{ctx}: the threshold must skip rows"
+                );
+            }
+            if scalar || softmax == SoftmaxMode::Online {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out.o), bits(&o), "{ctx}");
+                assert_eq!(out.denominator.to_bits(), denominator.to_bits(), "{ctx}");
+            } else {
+                assert_slice_approx_eq(&out.o, &o, 1e-4);
+                assert!(
+                    mnn_tensor::approx_eq(out.denominator, denominator, 1e-4),
+                    "{ctx}"
+                );
+            }
         }
     }
 

@@ -27,22 +27,19 @@
 //!
 //! | Phase | What is timed | Count unit |
 //! |-------|---------------|------------|
-//! | [`Phase::InnerProduct`] | `x = u · chunkᵀ` GEMV per chunk (two-pass path) | rows |
-//! | [`Phase::ExpAccumulate`] | exponentiation + weighted accumulation loop (two-pass path) | rows accumulated |
 //! | [`Phase::FusedChunk`] | the single-pass fused chunk kernel (inner products + exp + weighted accumulate) | rows processed |
 //! | [`Phase::Skip`] | skip-threshold resolution (the Probability pre-pass) | rows skipped |
 //! | [`Phase::Merge`] | folding chunk partials into the running total | partials merged |
 //! | [`Phase::SegmentMerge`] | nothing (count only): segments whose chunks were folded into the running total | segments folded |
 //! | [`Phase::Divide`] | the single lazy-softmax division | `ed` divisions |
 //! | [`Phase::Admission`] | pool admission-control decision (serve layer) | admission checks |
-//! | [`Phase::Retry`] | degraded re-execution after a numeric fault (serve layer) | retries |
+//! | [`Phase::Retry`] | the Safe rung's online-softmax re-execution after a numeric fault (serve layer) | retries |
 //! | [`Phase::BatchGemm`] | the batched chunk GEMM + accumulate (batched path) | rows × live questions |
 //! | [`Phase::Embed`] | token gather-sum embedding, including sentence-cache lookups (serve layer) | tokens embedded |
 //!
-//! With the default fused configuration the per-chunk work lands in
-//! `FusedChunk` and the `InnerProduct`/`ExpAccumulate` rows stay zero;
-//! disabling fusion ([`MnnFastConfig::with_fused`]) restores the two-pass
-//! attribution. Skipped rows are counted under `Skip` on both paths.
+//! A single-question chunk lands in `FusedChunk`, a tiled chunk of several
+//! questions in `BatchGemm`; skipped rows are counted under `Skip` on
+//! both.
 //!
 //! On the inline path the phase times sum to ≈ the total forward latency
 //! (the residual is loop control). When a pass splits over threads, worker
@@ -62,13 +59,8 @@ use std::time::Instant;
 /// taxonomy table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Chunk inner products `x_i = u · m_i^IN` (two-pass path only).
-    InnerProduct,
-    /// Exponentiation and weighted accumulation of non-skipped rows
-    /// (two-pass path only).
-    ExpAccumulate,
     /// The fused single-pass chunk kernel: inner products, exponentiation
-    /// and weighted accumulation in one traversal (the default path).
+    /// and weighted accumulation in one traversal.
     FusedChunk,
     /// Zero-skip bookkeeping: threshold resolution time, skipped-row count.
     Skip,
@@ -81,7 +73,7 @@ pub enum Phase {
     /// the engines).
     Admission,
     /// Degraded re-execution after a numeric fault: the time spent on the
-    /// scalar-stable retry pass (recorded by the serving session).
+    /// online-softmax retry pass (recorded by the serving session).
     Retry,
     /// The batched chunk kernel: one tiled GEMM over all questions of a
     /// cache-resident chunk plus the per-question exp/skip/accumulate
@@ -113,14 +105,12 @@ pub enum Phase {
 
 /// Number of [`Phase`] variants (array sizes in [`Trace`] and
 /// [`PhaseHistograms`]).
-const PHASES: usize = 13;
+const PHASES: usize = 11;
 
 impl Phase {
     /// All phases, in pipeline order.
     pub const ALL: [Phase; PHASES] = [
         Phase::Embed,
-        Phase::InnerProduct,
-        Phase::ExpAccumulate,
         Phase::IndexProbe,
         Phase::FusedChunk,
         Phase::BatchGemm,
@@ -136,8 +126,6 @@ impl Phase {
     /// Stable machine-readable name (used in JSON output and CLI tables).
     pub fn label(self) -> &'static str {
         match self {
-            Phase::InnerProduct => "inner_product",
-            Phase::ExpAccumulate => "exp_accumulate",
             Phase::FusedChunk => "fused_chunk",
             Phase::Skip => "skip",
             Phase::Merge => "merge",
@@ -155,19 +143,17 @@ impl Phase {
     #[inline]
     fn idx(self) -> usize {
         match self {
-            Phase::InnerProduct => 0,
-            Phase::ExpAccumulate => 1,
-            Phase::FusedChunk => 2,
-            Phase::Skip => 3,
-            Phase::Merge => 4,
-            Phase::Divide => 5,
-            Phase::Admission => 6,
-            Phase::Retry => 7,
-            Phase::BatchGemm => 8,
-            Phase::Embed => 9,
-            Phase::SegmentMerge => 10,
-            Phase::Dist => 11,
-            Phase::IndexProbe => 12,
+            Phase::FusedChunk => 0,
+            Phase::Skip => 1,
+            Phase::Merge => 2,
+            Phase::Divide => 3,
+            Phase::Admission => 4,
+            Phase::Retry => 5,
+            Phase::BatchGemm => 6,
+            Phase::Embed => 7,
+            Phase::SegmentMerge => 8,
+            Phase::Dist => 9,
+            Phase::IndexProbe => 10,
         }
     }
 }
@@ -1193,7 +1179,7 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
         assert!(t.begin().is_none());
-        t.record(Phase::InnerProduct, None, 100);
+        t.record(Phase::FusedChunk, None, 100);
         t.bump(Phase::Skip, 5);
         assert_eq!(t.total_nanos(), 0);
         assert_eq!(t.count(Phase::Skip), 0);
@@ -1205,15 +1191,15 @@ mod tests {
         let t0 = t.begin();
         assert!(t0.is_some());
         std::thread::sleep(std::time::Duration::from_millis(1));
-        t.record(Phase::InnerProduct, t0, 7);
-        assert!(t.nanos(Phase::InnerProduct) >= 1_000_000);
-        assert_eq!(t.count(Phase::InnerProduct), 7);
-        assert_eq!(t.total_nanos(), t.nanos(Phase::InnerProduct));
+        t.record(Phase::FusedChunk, t0, 7);
+        assert!(t.nanos(Phase::FusedChunk) >= 1_000_000);
+        assert_eq!(t.count(Phase::FusedChunk), 7);
+        assert_eq!(t.total_nanos(), t.nanos(Phase::FusedChunk));
 
         let mut sum = Trace::enabled();
         sum.absorb(&t);
         sum.absorb(&t);
-        assert_eq!(sum.count(Phase::InnerProduct), 14);
+        assert_eq!(sum.count(Phase::FusedChunk), 14);
 
         t.reset();
         assert_eq!(t.total_nanos(), 0);
@@ -1223,7 +1209,7 @@ mod tests {
     #[test]
     fn trace_render_lists_all_phases() {
         let mut t = Trace::enabled();
-        t.add(Phase::InnerProduct, 1_500, 10);
+        t.add(Phase::FusedChunk, 1_500, 10);
         t.add(Phase::Divide, 500, 8);
         let s = t.render();
         for phase in Phase::ALL {
@@ -1258,12 +1244,12 @@ mod tests {
     fn phase_histograms_observe_traces() {
         let mut hist = PhaseHistograms::new();
         let mut t = Trace::enabled();
-        t.add(Phase::InnerProduct, 2_000, 64);
+        t.add(Phase::FusedChunk, 2_000, 64);
         t.add(Phase::Divide, 300, 8);
         hist.observe(&t);
         hist.observe(&t);
         assert_eq!(hist.total().count(), 2);
-        assert_eq!(hist.phase(Phase::InnerProduct).count(), 2);
+        assert_eq!(hist.phase(Phase::FusedChunk).count(), 2);
         assert_eq!(hist.phase(Phase::Merge).count(), 0);
 
         // Disabled traces are ignored.

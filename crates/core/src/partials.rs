@@ -236,38 +236,36 @@ mod tests {
         // Awkward row count: the final chunk is short.
         let (m_in, m_out, u) = fixtures(103, 16);
         for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-            for fused in [true, false] {
-                let config = MnnFastConfig::new(16).with_softmax(mode).with_fused(fused);
-                let engine = ColumnEngine::new(config);
-                let mut scratch = Scratch::new();
-                let reference = reference(&engine, f32_view(&m_in, &m_out), 103, &u, &mut scratch);
+            let config = MnnFastConfig::new(16).with_softmax(mode);
+            let engine = ColumnEngine::new(config);
+            let mut scratch = Scratch::new();
+            let reference = reference(&engine, f32_view(&m_in, &m_out), 103, &u, &mut scratch);
 
-                let mut partials = Vec::new();
-                let stats = forward_chunk_partials(
-                    &engine,
-                    f32_view(&m_in, &m_out),
-                    103,
-                    &u,
-                    &mut scratch,
-                    &mut Trace::disabled(),
-                    &Budget::unlimited(),
-                    &mut partials,
-                )
-                .unwrap();
-                assert_eq!(partials.len(), 103usize.div_ceil(16));
-                assert_eq!(stats.chunks, partials.len() as u64);
+            let mut partials = Vec::new();
+            let stats = forward_chunk_partials(
+                &engine,
+                f32_view(&m_in, &m_out),
+                103,
+                &u,
+                &mut scratch,
+                &mut Trace::disabled(),
+                &Budget::unlimited(),
+                &mut partials,
+            )
+            .unwrap();
+            assert_eq!(partials.len(), 103usize.div_ceil(16));
+            assert_eq!(stats.chunks, partials.len() as u64);
 
-                let mut fold = PartialFold::new(mode, 16);
-                for p in &partials {
-                    fold.absorb(p).unwrap();
-                }
-                let mut o = Vec::new();
-                let mut fold_stats = InferenceStats::default();
-                let denom = fold.finish_into(&mut o, &mut fold_stats).unwrap();
-                assert_eq!(bits(&o), bits(&reference.o), "mode {mode:?} fused {fused}");
-                assert_eq!(denom.to_bits(), reference.denominator.to_bits());
-                assert_eq!(fold_stats.divisions, 16);
+            let mut fold = PartialFold::new(mode, 16);
+            for p in &partials {
+                fold.absorb(p).unwrap();
             }
+            let mut o = Vec::new();
+            let mut fold_stats = InferenceStats::default();
+            let denom = fold.finish_into(&mut o, &mut fold_stats).unwrap();
+            assert_eq!(bits(&o), bits(&reference.o), "mode {mode:?}");
+            assert_eq!(denom.to_bits(), reference.denominator.to_bits());
+            assert_eq!(fold_stats.divisions, 16);
         }
     }
 

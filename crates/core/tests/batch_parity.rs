@@ -3,7 +3,7 @@
 //! [`PlanExecutor::forward_batch`] must reproduce the single-question
 //! [`ColumnEngine`] to 1e-4 — with *identical* work counters (everything
 //! but the split-dependent `intermediate_bytes`) — across Lazy/Online softmax ×
-//! every skip policy × fused/unfused × the forced-scalar backend, including
+//! every skip policy × the forced-scalar backend, including
 //! the shapes that stress kernel edges: `nq = 1` (no 2-question tile),
 //! `ns` not a multiple of the chunk, `chunk > ns` (single short chunk), and
 //! `ed = 1` (no SIMD lanes).
@@ -164,12 +164,8 @@ fn batched_parity_without_skipping() {
             for (ns, ed, chunk, nq) in SHAPES {
                 let (m_in, m_out, questions) = memories(ns, ed, nq);
                 for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-                    for fused in [true, false] {
-                        let config = MnnFastConfig::new(chunk)
-                            .with_softmax(mode)
-                            .with_fused(fused);
-                        assert_parity(config, &m_in, &m_out, &questions);
-                    }
+                    let config = MnnFastConfig::new(chunk).with_softmax(mode);
+                    assert_parity(config, &m_in, &m_out, &questions);
                 }
             }
         });
@@ -183,13 +179,10 @@ fn batched_parity_with_raw_weight_skipping() {
             for (ns, ed, chunk, nq) in SHAPES {
                 let (m_in, m_out, questions) = memories(ns, ed, nq);
                 for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-                    for fused in [true, false] {
-                        let config = MnnFastConfig::new(chunk)
-                            .with_softmax(mode)
-                            .with_fused(fused)
-                            .with_skip(SkipPolicy::RawWeight(0.9));
-                        assert_parity(config, &m_in, &m_out, &questions);
-                    }
+                    let config = MnnFastConfig::new(chunk)
+                        .with_softmax(mode)
+                        .with_skip(SkipPolicy::RawWeight(0.9));
+                    assert_parity(config, &m_in, &m_out, &questions);
                 }
             }
         });
@@ -207,46 +200,38 @@ fn budgeted_serving_is_bitwise_identical_to_single_question() {
             for (ns, ed, chunk, nq) in SHAPES {
                 let (m_in, m_out, questions) = memories(ns, ed, nq);
                 for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-                    for fused in [true, false] {
-                        for skip in [
-                            SkipPolicy::None,
-                            SkipPolicy::RawWeight(0.9),
-                            SkipPolicy::Probability(0.02),
-                        ] {
-                            let config = MnnFastConfig::new(chunk)
-                                .with_softmax(mode)
-                                .with_fused(fused)
-                                .with_skip(skip);
-                            let mut scratch = Scratch::new();
-                            let mut trace = Trace::disabled();
-                            let budgets = vec![Budget::unlimited(); nq];
-                            let results = forward_batch(
-                                config,
-                                MemView::from((&m_in, &m_out)),
-                                m_in.rows(),
-                                &questions,
-                                &mut scratch,
-                                &mut trace,
-                                &budgets,
-                            )
-                            .unwrap();
-                            let single = ColumnEngine::new(config);
-                            for (q, r) in results.iter().enumerate() {
-                                let out = r.as_ref().unwrap();
-                                let expect = single.forward(&m_in, &m_out, &questions[q]).unwrap();
-                                let got: Vec<u32> = out.o.iter().map(|v| v.to_bits()).collect();
-                                let want: Vec<u32> = expect.o.iter().map(|v| v.to_bits()).collect();
-                                assert_eq!(
-                                    got, want,
-                                    "bitwise drift (q{q}, {backend:?}, {config:?})"
-                                );
-                                assert_eq!(
-                                    out.denominator.to_bits(),
-                                    expect.denominator.to_bits(),
-                                    "denominator drift (q{q}, {backend:?}, {config:?})"
-                                );
-                                assert_eq!(out.stats.rows_skipped, expect.stats.rows_skipped);
-                            }
+                    for skip in [
+                        SkipPolicy::None,
+                        SkipPolicy::RawWeight(0.9),
+                        SkipPolicy::Probability(0.02),
+                    ] {
+                        let config = MnnFastConfig::new(chunk).with_softmax(mode).with_skip(skip);
+                        let mut scratch = Scratch::new();
+                        let mut trace = Trace::disabled();
+                        let budgets = vec![Budget::unlimited(); nq];
+                        let results = forward_batch(
+                            config,
+                            MemView::from((&m_in, &m_out)),
+                            m_in.rows(),
+                            &questions,
+                            &mut scratch,
+                            &mut trace,
+                            &budgets,
+                        )
+                        .unwrap();
+                        let single = ColumnEngine::new(config);
+                        for (q, r) in results.iter().enumerate() {
+                            let out = r.as_ref().unwrap();
+                            let expect = single.forward(&m_in, &m_out, &questions[q]).unwrap();
+                            let got: Vec<u32> = out.o.iter().map(|v| v.to_bits()).collect();
+                            let want: Vec<u32> = expect.o.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(got, want, "bitwise drift (q{q}, {backend:?}, {config:?})");
+                            assert_eq!(
+                                out.denominator.to_bits(),
+                                expect.denominator.to_bits(),
+                                "denominator drift (q{q}, {backend:?}, {config:?})"
+                            );
+                            assert_eq!(out.stats.rows_skipped, expect.stats.rows_skipped);
                         }
                     }
                 }
@@ -262,13 +247,10 @@ fn batched_parity_with_probability_skipping() {
             for (ns, ed, chunk, nq) in SHAPES {
                 let (m_in, m_out, questions) = memories(ns, ed, nq);
                 for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-                    for fused in [true, false] {
-                        let config = MnnFastConfig::new(chunk)
-                            .with_softmax(mode)
-                            .with_fused(fused)
-                            .with_skip(SkipPolicy::Probability(0.02));
-                        assert_parity(config, &m_in, &m_out, &questions);
-                    }
+                    let config = MnnFastConfig::new(chunk)
+                        .with_softmax(mode)
+                        .with_skip(SkipPolicy::Probability(0.02));
+                    assert_parity(config, &m_in, &m_out, &questions);
                 }
             }
         });

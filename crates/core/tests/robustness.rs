@@ -110,27 +110,25 @@ fn nan_memory_yields_numeric_fault_for_both_softmax_modes() {
     let (m_in, mut m_out, u) = memories(32, 8, 19);
     m_out.row_mut(5)[0] = f32::NAN;
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-        for fused in [true, false] {
-            let exec = ExecPlan::new(MnnFastConfig::new(8).with_softmax(mode).with_fused(fused))
-                .with_kind(EngineKind::Column)
-                .executor();
-            let mut scratch = Scratch::new();
-            let mut trace = Trace::disabled();
-            let err = exec
-                .forward(
-                    MemView::from((&m_in, &m_out)),
-                    Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
-                    &u,
-                    &mut scratch,
-                    &mut trace,
-                    &Budget::unlimited(),
-                )
-                .unwrap_err();
-            assert!(
-                matches!(err, EngineError::NumericFault { .. }),
-                "{mode:?} fused={fused}: expected NumericFault, got {err:?}"
-            );
-        }
+        let exec = ExecPlan::new(MnnFastConfig::new(8).with_softmax(mode))
+            .with_kind(EngineKind::Column)
+            .executor();
+        let mut scratch = Scratch::new();
+        let mut trace = Trace::disabled();
+        let err = exec
+            .forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+                &u,
+                &mut scratch,
+                &mut trace,
+                &Budget::unlimited(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::NumericFault { .. }),
+            "{mode:?}: expected NumericFault, got {err:?}"
+        );
     }
 }
 

@@ -172,8 +172,6 @@ impl DistCounters {
 pub struct ForwardOpts {
     /// Softmax plane.
     pub mode: SoftmaxMode,
-    /// Fused chunk kernels.
-    pub fused: bool,
     /// Run over the int8 mirrors.
     pub int8: bool,
     /// Raw-weight zero-skip threshold.
@@ -201,7 +199,6 @@ impl ForwardOpts {
         };
         Ok(ForwardOpts {
             mode: config.softmax,
-            fused: config.fused,
             int8: config.precision == Precision::Int8,
             skip_raw,
         })
@@ -684,7 +681,6 @@ impl Coordinator {
             shard: shard as u32,
             chunk_size: self.chunk_size as u32,
             online: opts.mode == SoftmaxMode::Online,
-            fused: opts.fused,
             int8: opts.int8,
             skip_raw: opts.skip_raw,
             deadline_ms: deadline.as_millis() as u64,

@@ -6,7 +6,7 @@
 //! | bytes | field |
 //! |-------|-------|
 //! | 0..2  | magic `0x4D46` ("MF") |
-//! | 2     | protocol version (currently 1) |
+//! | 2     | protocol version (currently 2) |
 //! | 3     | opcode |
 //! | 4..8  | payload length `n` as `u32` (counts payload **and** the CRC) |
 //! | 8..8+n−4 | opcode-specific payload |
@@ -36,8 +36,10 @@ use std::io::{Read, Write};
 
 /// First two bytes of every frame ("MF" little-endian).
 pub const MAGIC: u16 = 0x4D46;
-/// Protocol version emitted by this build.
-pub const VERSION: u8 = 1;
+/// Protocol version emitted by this build. A frame of any other version
+/// is refused whole (a version-1 [`Frame::Forward`] carried one more flag
+/// byte, which would shift every later field).
+pub const VERSION: u8 = 2;
 /// Fixed header length (magic + version + opcode + payload length).
 pub const HEADER_LEN: usize = mnn_wire::HEADER_LEN;
 /// Trailing checksum length.
@@ -86,8 +88,6 @@ pub struct ForwardSpec {
     pub chunk_size: u32,
     /// Softmax plane: 0 = lazy, 1 = online.
     pub online: bool,
-    /// Use the fused chunk kernel.
-    pub fused: bool,
     /// Run over the int8 quantized mirror instead of the f32 rows.
     pub int8: bool,
     /// Raw-weight zero-skip threshold (`None` disables skipping).
@@ -247,7 +247,6 @@ impl Frame {
                 buf.extend_from_slice(&spec.shard.to_le_bytes());
                 buf.extend_from_slice(&spec.chunk_size.to_le_bytes());
                 buf.push(u8::from(spec.online));
-                buf.push(u8::from(spec.fused));
                 buf.push(u8::from(spec.int8));
                 match spec.skip_raw {
                     Some(th) => {
@@ -340,7 +339,6 @@ impl Frame {
                 let shard = r.u32()?;
                 let chunk_size = r.u32()?;
                 let online = r.flag()?;
-                let fused = r.flag()?;
                 let int8 = r.flag()?;
                 let has_skip = r.flag()?;
                 let th = r.f32()?;
@@ -351,7 +349,6 @@ impl Frame {
                     shard,
                     chunk_size,
                     online,
-                    fused,
                     int8,
                     skip_raw: has_skip.then_some(th),
                     deadline_ms,
@@ -456,7 +453,6 @@ mod tests {
             shard: 1,
             chunk_size: 32,
             online: true,
-            fused: false,
             int8: true,
             skip_raw: Some(0.125),
             deadline_ms: 250,
@@ -489,7 +485,6 @@ mod tests {
             shard: 0,
             chunk_size: 16,
             online: false,
-            fused: true,
             int8: false,
             skip_raw: None,
             deadline_ms: 0,

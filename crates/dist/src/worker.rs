@@ -367,13 +367,11 @@ fn forward(spec: &ForwardSpec, shared: &Shared, scratch: &mut Scratch) -> Frame 
             cfg.ed
         ));
     }
-    let mut engine_config = MnnFastConfig::new(cfg.chunk_size)
-        .with_softmax(if spec.online {
-            SoftmaxMode::Online
-        } else {
-            SoftmaxMode::Lazy
-        })
-        .with_fused(spec.fused);
+    let mut engine_config = MnnFastConfig::new(cfg.chunk_size).with_softmax(if spec.online {
+        SoftmaxMode::Online
+    } else {
+        SoftmaxMode::Lazy
+    });
     if let Some(th) = spec.skip_raw {
         engine_config = engine_config.with_skip(SkipPolicy::RawWeight(th));
     }
@@ -496,7 +494,6 @@ mod tests {
                 shard: 0,
                 chunk_size: 2,
                 online: false,
-                fused: true,
                 int8: false,
                 skip_raw: None,
                 deadline_ms: 0,
@@ -520,7 +517,6 @@ mod tests {
                 shard: 7,
                 chunk_size: 2,
                 online: false,
-                fused: true,
                 int8: false,
                 skip_raw: None,
                 deadline_ms: 0,

@@ -3,7 +3,7 @@
 //! and any single-bit damage or truncation must be rejected with a typed
 //! error — never a panic, never a silently-wrong frame.
 
-use mnn_dist::frame::ErrorCode;
+use mnn_dist::frame::{self, ErrorCode};
 use mnn_dist::{ForwardSpec, Frame, FrameError, WireStats};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -40,7 +40,7 @@ fn any_stats() -> impl Strategy<Value = WireStats> {
 
 fn any_spec() -> impl Strategy<Value = ForwardSpec> {
     (
-        (any::<u32>(), 1u32..1024, any::<bool>(), any::<bool>()),
+        (any::<u32>(), 1u32..1024, any::<bool>()),
         (
             any::<bool>(),
             prop_oneof![Just(None), (0.0f32..10.0).prop_map(Some)],
@@ -49,17 +49,34 @@ fn any_spec() -> impl Strategy<Value = ForwardSpec> {
         ),
     )
         .prop_map(
-            |((shard, chunk_size, online, fused), (int8, skip_raw, deadline, u))| ForwardSpec {
+            |((shard, chunk_size, online), (int8, skip_raw, deadline, u))| ForwardSpec {
                 shard,
                 chunk_size,
                 online,
-                fused,
                 int8,
                 skip_raw,
                 deadline_ms: deadline as u64,
                 u,
             },
         )
+}
+
+/// `spec` as a version-1 peer sealed it: the `fused` byte after `online`.
+fn seal_v1_forward(spec: &ForwardSpec, fused: bool) -> Vec<u8> {
+    mnn_wire::seal_frame(frame::MAGIC, 1, 7, |buf| {
+        buf.extend_from_slice(&spec.shard.to_le_bytes());
+        buf.extend_from_slice(&spec.chunk_size.to_le_bytes());
+        buf.push(u8::from(spec.online));
+        buf.push(u8::from(fused));
+        buf.push(u8::from(spec.int8));
+        buf.push(u8::from(spec.skip_raw.is_some()));
+        buf.extend_from_slice(&spec.skip_raw.unwrap_or(0.0).to_le_bytes());
+        buf.extend_from_slice(&spec.deadline_ms.to_le_bytes());
+        buf.extend_from_slice(&(spec.u.len() as u32).to_le_bytes());
+        for x in &spec.u {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+    })
 }
 
 fn ascii_message() -> impl Strategy<Value = String> {
@@ -129,6 +146,23 @@ proptest! {
             Err(FrameError::Truncated { .. }) | Err(FrameError::BadMagic(_)) => {}
             Err(other) => prop_assert!(false, "unexpected error class {:?}", other),
             Ok(f) => prop_assert!(false, "truncated to {} bytes decoded {:?}", keep, f),
+        }
+    }
+
+    /// A `Forward` frame from a version-1 peer — whose layout carried a
+    /// `fused` byte after `online`, shifting every later field — is
+    /// refused whole with the typed version error, from a buffer and from
+    /// a stream, whatever the fused byte said.
+    #[test]
+    fn version_1_forward_frames_fail_loudly(spec in any_spec(), fused in any::<bool>()) {
+        let bytes = seal_v1_forward(&spec, fused);
+        match Frame::decode(&bytes) {
+            Err(FrameError::UnsupportedVersion(1)) => {}
+            other => prop_assert!(false, "v1 frame decoded as {:?}", other),
+        }
+        match frame::read_frame(&mut bytes.as_slice()) {
+            Err(FrameError::UnsupportedVersion(1)) => {}
+            other => prop_assert!(false, "v1 frame read as {:?}", other),
         }
     }
 

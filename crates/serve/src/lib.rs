@@ -49,6 +49,4 @@ pub use pool::{
     occupancy_bucket, AdmissionConfig, BatchConfig, BatchedAnswer, PoolError, PoolStats,
     SessionPool, OCCUPANCY_BOUNDS, OCCUPANCY_BUCKETS,
 };
-pub use session::{
-    Answer, DegradationPolicy, DegradationStats, ServeError, Session, SessionConfig,
-};
+pub use session::{Answer, DegradationStats, ServeError, Session, SessionConfig};

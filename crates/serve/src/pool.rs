@@ -187,8 +187,8 @@ pub struct PoolStats {
     /// Answers produced by the safe path pool-wide (degradation retries
     /// plus questions answered while pinned).
     pub degraded_answers: u64,
-    /// Tenants currently pinned to the safe path by their
-    /// [`crate::DegradationPolicy`].
+    /// Tenants currently pinned to the safe path after repeated numeric
+    /// faults ([`crate::DegradationStats::pinned_safe`]).
     pub pinned_sessions: usize,
     /// Distributed RPC retries pool-wide (re-sent requests after a
     /// transport fault or per-RPC deadline).

@@ -21,35 +21,13 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How a session reacts to [`EngineError::NumericFault`] from its engine.
-///
-/// The degradation ladder (paper-adjacent robustness extension): every
-/// question, whichever entry point asked it, descends the same four rungs
-/// — the worker fleet, top-K candidate attention, the fast exact pass
-/// (fused kernels, lazy softmax), and the *safe path* (the two-pass
-/// formulation with the online running-max softmax over the f32 plane,
-/// finite for arbitrary logits). A numeric fault on the fast pass is
-/// retried once on the safe path. Repeated faults can pin the session to
-/// the safe path so a flaky substrate stops paying the retry tax.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradationPolicy {
-    /// Retry a numerically faulted question once on the safe path instead
-    /// of surfacing the error (default `true`).
-    pub retry_on_numeric_fault: bool,
-    /// After this many numeric faults, retried or surfaced, pin the session
-    /// to the safe path for all subsequent questions; `None` never pins
-    /// (default `Some(3)`).
-    pub pin_after_faults: Option<u32>,
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        Self {
-            retry_on_numeric_fault: true,
-            pin_after_faults: Some(3),
-        }
-    }
-}
+/// Numeric faults, retried or surfaced, after which a session is pinned to
+/// the Safe rung. The degradation ladder (a paper-adjacent robustness
+/// extension) retries a faulted exact pass once on the online-softmax
+/// safe pass; one fault is noise that retry absorbs, but a session that
+/// keeps faulting pays a wasted fast pass for every question, so from the
+/// third fault on its questions start on the Safe rung.
+const PIN_AFTER_FAULTS: u64 = 3;
 
 /// Session configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,8 +56,6 @@ pub struct SessionConfig {
     /// abandon the question with [`EngineError::DeadlineExceeded`] instead
     /// of finishing late. `None` (default) never expires.
     pub deadline: Option<Duration>,
-    /// Numeric-fault handling (see [`DegradationPolicy`]).
-    pub degradation: DegradationPolicy,
     /// Sentence-embedding memoization bound in entries (`None`, the
     /// default, disables it). A standalone [`Session`] builds a private
     /// [`SentenceCache`] of this capacity; sessions created by a
@@ -154,7 +130,6 @@ impl Default for SessionConfig {
             max_sentences: None,
             trace: false,
             deadline: None,
-            degradation: DegradationPolicy::default(),
             embed_cache: None,
             segments: 1,
             precision: Precision::F32,
@@ -270,8 +245,8 @@ pub struct DegradationStats {
     pub degraded_answers: u64,
     /// Questions abandoned because their deadline expired.
     pub deadline_misses: u64,
-    /// Whether the session is pinned to the safe path
-    /// (see [`DegradationPolicy::pin_after_faults`]).
+    /// Whether the session is pinned to the safe path: after three
+    /// numeric faults, retried or surfaced, every question starts there.
     pub pinned_safe: bool,
     /// Distributed plane: shard RPC attempts beyond the first (running
     /// total from the coordinator; 0 for local sessions).
@@ -309,9 +284,11 @@ pub struct Answer {
     /// shared and cannot be attributed per question.
     pub trace: Trace,
     /// `true` if the safe path, the ladder's last rung, answered — a retry
-    /// after a numeric fault or a session pinned by its
-    /// [`DegradationPolicy`]. Degraded answers are numerically stable but
-    /// forgo the fused-kernel speedup.
+    /// after a numeric fault, or a session pinned after repeated faults.
+    /// The safe path runs the same fused kernels with the online softmax
+    /// over the f32 plane: finite for arbitrary logits, at the price of
+    /// the running-max rescaling (and, on an int8 session, of reading the
+    /// full-width rows).
     pub degraded: bool,
 }
 
@@ -332,10 +309,10 @@ pub struct Session {
     store: SegmentedStore,
     config: SessionConfig,
     executor: PlanExecutor,
-    /// Safe-path executor: same engine kind, but the two-pass (non-fused)
-    /// formulation with the online softmax — finite for arbitrary logits
-    /// and free of the fused kernel's fast-exp. Used for numeric-fault
-    /// retries and for sessions pinned by their [`DegradationPolicy`].
+    /// Safe-path executor: the same plan in online-softmax mode — the
+    /// same fused kernels and engine kind, finite for arbitrary logits and
+    /// free of the lazy path's fast exp. Used for numeric-fault retries
+    /// and for sessions pinned after repeated faults.
     safe_executor: PlanExecutor,
     scratch: Scratch,
     cumulative: InferenceStats,
@@ -445,8 +422,7 @@ impl Session {
         }
         let model = serving_model(model)?;
         let ed = model.embedding_dim();
-        let safe_config = config.plan.config.with_fused(false);
-        let safe_plan = ExecPlan::new(safe_config.with_softmax(SoftmaxMode::Online))
+        let safe_plan = ExecPlan::new(config.plan.config.with_softmax(SoftmaxMode::Online))
             .with_kind(config.plan.kind);
         // The fingerprint hashes every embedding weight; skip it entirely
         // when no cache will ever key on it.
@@ -748,7 +724,7 @@ impl Session {
     /// observed, [`ServeError::UnknownToken`] for out-of-vocabulary tokens,
     /// or an engine error ([`EngineError::DeadlineExceeded`] when the
     /// deadline expires mid-question; [`EngineError::NumericFault`] only if
-    /// the degradation retry is disabled or itself faults).
+    /// the safe-path retry faults too).
     pub fn ask(&mut self, question: &[WordId]) -> Result<Answer, ServeError> {
         let budget = question_budget(self.config.deadline, Duration::ZERO);
         self.ask_with_budget(question, &budget)
@@ -797,13 +773,12 @@ impl Session {
     /// [`Session::ask_many`] under caller-supplied per-question [`Budget`]s
     /// (`budgets[q]` governs `questions[q]` across all hops).
     ///
-    /// Every question climbs the one degradation ladder
-    /// ([`DegradationPolicy`]): fleet, then top-K, then the fast exact
-    /// pass, then the safe pass. The questions that reach the same exact
-    /// rung share each memory chunk while it is cache-resident, so each hop
-    /// streams `M_IN`/`M_OUT` once per *group* instead of once per
-    /// question; questions on the top-K rung run one by one, each over its
-    /// own candidate rows. Slots come back in question order and failures
+    /// Every question climbs the one degradation ladder: fleet, then
+    /// top-K, then the fast exact pass, then the safe pass. The questions
+    /// that reach the same exact rung share each memory chunk while it is
+    /// cache-resident, so each hop streams `M_IN`/`M_OUT` once per *group*
+    /// instead of once per question; questions on the top-K rung run one
+    /// by one, each over its own candidate rows. Slots come back in question order and failures
     /// are isolated per question: a question whose budget expires carries a
     /// typed [`EngineError::DeadlineExceeded`] (or
     /// [`EngineError::Cancelled`]) in its slot while its batchmates finish
@@ -964,7 +939,7 @@ impl Session {
                 let safe = rung == Rung::Safe;
                 let (to, event) = match &result {
                     Ok(_) => (None, safe.then_some(Degradation::SafeAnswer)),
-                    Err(e) => next(rung, Failure::of(e), self.config.degradation, sparse),
+                    Err(e) => next(rung, Failure::of(e), sparse),
                 };
                 if let Some(event) = event {
                     self.note(event);
@@ -1100,9 +1075,7 @@ impl Session {
             Degradation::SparseFallback => stats.sparse_fallbacks += 1,
             Degradation::NumericFault => {
                 stats.numeric_faults += 1;
-                if let Some(limit) = self.config.degradation.pin_after_faults {
-                    stats.pinned_safe |= stats.numeric_faults >= u64::from(limit);
-                }
+                stats.pinned_safe |= stats.numeric_faults >= PIN_AFTER_FAULTS;
             }
             Degradation::DeadlineMiss => stats.deadline_misses += 1,
             Degradation::SafeAnswer => stats.degraded_answers += 1,
@@ -1247,8 +1220,8 @@ pub(crate) enum Rung {
     Sparse,
     /// Exact attention on the configured executor and precision plane.
     Fast,
-    /// Exact attention on the unfused online-softmax executor over the f32
-    /// plane: finite for arbitrary logits.
+    /// Exact attention on the configured plan in online-softmax mode over
+    /// the f32 plane: the same fused kernels, finite for arbitrary logits.
     Safe,
 }
 
@@ -1292,7 +1265,7 @@ pub(crate) enum Degradation {
     /// The top-K pass stood down for a question (`sparse_fallbacks`).
     SparseFallback,
     /// A numeric fault on the Fast or Safe rung (`numeric_faults`, and the
-    /// [`DegradationPolicy::pin_after_faults`] check).
+    /// [`PIN_AFTER_FAULTS`] check).
     NumericFault,
     /// A question's deadline expired (`deadline_misses`).
     DeadlineMiss,
@@ -1322,15 +1295,13 @@ pub(crate) fn start(pinned: bool, fleet_up: bool, sparse: bool) -> Rung {
 /// Numeric-fault counting rule: every numeric fault or contained worker
 /// panic on the Fast or Safe rung is one `numeric_faults` event, and the
 /// pin check runs on each — the one retried on Safe, and one that ends its
-/// question (the retry off, or on the Safe rung: a pinned session's pass,
-/// or a retry that faults again). A fault on the Sparse rung is a
-/// `sparse_fallbacks` event instead, and a fleet that cannot absorb a
-/// fault is lost. An expired deadline is a `deadline_misses` event on
+/// question on the Safe rung (a pinned session's pass, or a retry that
+/// faults again). A fault on the Sparse rung is a `sparse_fallbacks`
+/// event instead, and a fleet that cannot absorb a fault is lost. An expired deadline is a `deadline_misses` event on
 /// every rung; a cancellation records nothing.
 pub(crate) fn next(
     rung: Rung,
     failure: Failure,
-    policy: DegradationPolicy,
     sparse: bool,
 ) -> (Option<Rung>, Option<Degradation>) {
     match (rung, failure) {
@@ -1346,10 +1317,8 @@ pub(crate) fn next(
         (Rung::Sparse, Failure::IndexDeclined | Failure::Fault) => {
             (Some(Rung::Fast), Some(Degradation::SparseFallback))
         }
-        (Rung::Fast, Failure::Fault) if policy.retry_on_numeric_fault => {
-            (Some(Rung::Safe), Some(Degradation::NumericFault))
-        }
-        (Rung::Fast | Rung::Safe, Failure::Fault) => (None, Some(Degradation::NumericFault)),
+        (Rung::Fast, Failure::Fault) => (Some(Rung::Safe), Some(Degradation::NumericFault)),
+        (Rung::Safe, Failure::Fault) => (None, Some(Degradation::NumericFault)),
         _ => (None, None),
     }
 }
@@ -1408,69 +1377,60 @@ mod tests {
     use mnn_memnn::{eval, ModelConfig};
     use mnnfast::{EngineKind, Phase};
 
-    /// Every (rung, failure class, retry on/off) row of the ladder, with
-    /// the event each row records — the whole counting rule stated on
-    /// [`next`]: a Fast fault counts whether it moves to Safe or stops, a
-    /// Safe fault counts, a Sparse fault is a sparse fallback, a deadline
-    /// counts on every rung.
+    /// Every (rung, failure class) row of the ladder, with the event each
+    /// row records — the whole counting rule stated on [`next`]: a Fast
+    /// fault counts and moves to Safe, a Safe fault counts and stops, a
+    /// Sparse fault is a sparse fallback, a deadline counts on every rung.
     #[test]
     fn ladder_table() {
         use Degradation as D;
         use Failure as F;
         use Rung as R;
-        let policy = |retry| DegradationPolicy {
-            retry_on_numeric_fault: retry,
-            ..DegradationPolicy::default()
-        };
         // A lost fleet (any fleet error but the budget) answers locally; a
         // declined or faulted probe answers exactly; a Fast fault is
-        // retried on Safe when the policy says so. Everything else — a
-        // budget expiry, an error no rung can cure, any Safe failure —
-        // surfaces.
+        // retried on Safe. Everything else — a budget expiry, an error no
+        // rung can cure, any Safe failure — surfaces.
         let local = (Some(R::Fast), Some(D::FleetLost));
         let exact = (Some(R::Fast), Some(D::SparseFallback));
         let retry = (Some(R::Safe), Some(D::NumericFault));
         let fault = (None, Some(D::NumericFault));
         let missed = (None, Some(D::DeadlineMiss));
         let quiet = (None, None);
-        // (rung, failure, next with the retry on, next with it off)
-        for (rung, failure, on, off) in [
-            (R::Fleet, F::FleetLost, local, local),
-            (R::Fleet, F::Deadline, missed, missed),
-            (R::Fleet, F::Cancelled, quiet, quiet),
-            (R::Fleet, F::IndexDeclined, local, local),
-            (R::Fleet, F::Fault, local, local),
-            (R::Fleet, F::Other, quiet, quiet),
-            (R::Sparse, F::FleetLost, quiet, quiet),
-            (R::Sparse, F::Deadline, missed, missed),
-            (R::Sparse, F::Cancelled, quiet, quiet),
-            (R::Sparse, F::IndexDeclined, exact, exact),
-            (R::Sparse, F::Fault, exact, exact),
-            (R::Sparse, F::Other, quiet, quiet),
-            (R::Fast, F::FleetLost, quiet, quiet),
-            (R::Fast, F::Deadline, missed, missed),
-            (R::Fast, F::Cancelled, quiet, quiet),
-            (R::Fast, F::IndexDeclined, quiet, quiet),
-            (R::Fast, F::Fault, retry, fault),
-            (R::Fast, F::Other, quiet, quiet),
-            (R::Safe, F::FleetLost, quiet, quiet),
-            (R::Safe, F::Deadline, missed, missed),
-            (R::Safe, F::Cancelled, quiet, quiet),
-            (R::Safe, F::IndexDeclined, quiet, quiet),
-            (R::Safe, F::Fault, fault, fault),
-            (R::Safe, F::Other, quiet, quiet),
+        for (rung, failure, then) in [
+            (R::Fleet, F::FleetLost, local),
+            (R::Fleet, F::Deadline, missed),
+            (R::Fleet, F::Cancelled, quiet),
+            (R::Fleet, F::IndexDeclined, local),
+            (R::Fleet, F::Fault, local),
+            (R::Fleet, F::Other, quiet),
+            (R::Sparse, F::FleetLost, quiet),
+            (R::Sparse, F::Deadline, missed),
+            (R::Sparse, F::Cancelled, quiet),
+            (R::Sparse, F::IndexDeclined, exact),
+            (R::Sparse, F::Fault, exact),
+            (R::Sparse, F::Other, quiet),
+            (R::Fast, F::FleetLost, quiet),
+            (R::Fast, F::Deadline, missed),
+            (R::Fast, F::Cancelled, quiet),
+            (R::Fast, F::IndexDeclined, quiet),
+            (R::Fast, F::Fault, retry),
+            (R::Fast, F::Other, quiet),
+            (R::Safe, F::FleetLost, quiet),
+            (R::Safe, F::Deadline, missed),
+            (R::Safe, F::Cancelled, quiet),
+            (R::Safe, F::IndexDeclined, quiet),
+            (R::Safe, F::Fault, fault),
+            (R::Safe, F::Other, quiet),
         ] {
-            let row = format!("{rung:?} {failure:?}");
-            assert_eq!(next(rung, failure, policy(true), false), on, "{row}");
-            assert_eq!(next(rung, failure, policy(false), false), off, "{row}");
+            assert_eq!(next(rung, failure, false), then, "{rung:?} {failure:?}");
         }
         // With top-K live a lost fleet falls to the Sparse rung; nothing
         // else depends on it.
         assert_eq!(
-            next(R::Fleet, F::FleetLost, policy(true), true),
+            next(R::Fleet, F::FleetLost, true),
             (Some(R::Sparse), Some(D::FleetLost))
         );
-        assert_eq!(next(R::Sparse, F::Fault, policy(true), true), exact);
+        assert_eq!(next(R::Sparse, F::Fault, true), exact);
         // (pinned, fleet up, sparse) -> first rung: state alone decides.
         for (pinned, fleet, sparse, rung) in [
             (true, true, true, R::Safe),

@@ -6,14 +6,17 @@
 //!
 //! The pinned-safe state is reached by driving real numeric faults through
 //! the ladder, so those cells run only with the `fault-inject` feature; the
-//! whole table is one test, because an armed fault is process-global.
+//! whole table is one test, because an armed fault is process-global. A
+//! pinned cell also checks that each ask ran one Online pass: its answers
+//! are bitwise a clean online-softmax session's over the f32 plane, its
+//! rows grow by exactly that session's, and no retry is traced.
 
 use mnn_dataset::babi::{BabiGenerator, Story, TaskKind};
 use mnn_dataset::WordId;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
-use mnn_serve::{Answer, DegradationPolicy, DegradationStats, ServeError, Session, SessionConfig};
-use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, Precision};
+use mnn_serve::{Answer, DegradationStats, ServeError, Session, SessionConfig};
+use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, Phase, Precision, SoftmaxMode};
 
 /// Candidate rows per top-K question: well under the story's rows, so the
 /// index really skips some.
@@ -39,8 +42,8 @@ fn trained_serving_model() -> (BabiGenerator, MemNet) {
     (generator, model)
 }
 
-/// One cell's session configuration. The pin threshold is one fault, so a
-/// single faulted question pins the session.
+/// One cell's session configuration (traced, so a pinned cell can count
+/// retries).
 fn config(precision: Precision, topk: usize, segments: usize, workers: usize) -> SessionConfig {
     SessionConfig {
         plan: ExecPlan::new(MnnFastConfig::new(4)).with_kind(EngineKind::Column),
@@ -50,27 +53,48 @@ fn config(precision: Precision, topk: usize, segments: usize, workers: usize) ->
         segments,
         workers,
         replicas: 1,
-        degradation: DegradationPolicy {
-            retry_on_numeric_fault: true,
-            pin_after_faults: Some(1),
-        },
+        trace: true,
         ..SessionConfig::default()
     }
 }
 
-/// Pins `session` to the safe path by faulting every fused chunk until one
-/// question has been retried there.
+/// The clean session a pinned `config` session answers like, bit for bit:
+/// the same segments on the local f32 plane in online-softmax mode, exact
+/// attention.
+fn online_twin(config: SessionConfig) -> SessionConfig {
+    SessionConfig {
+        plan: ExecPlan::new(config.plan.config.with_softmax(SoftmaxMode::Online))
+            .with_kind(config.plan.kind),
+        precision: Precision::F32,
+        topk: 0,
+        workers: 1,
+        ..config
+    }
+}
+
+/// Pins `session` to the safe path with real numeric faults: while every
+/// chunk faults, an ask's exact pass and its Safe retry both fault (the
+/// fleet and top-K rungs, where present, stand down first), so two asks
+/// surface their faults and the third fault pins the session.
 #[cfg(feature = "fault-inject")]
 fn pin(session: &mut Session, question: &[WordId]) {
     use mnn_tensor::fault::{self, FaultKind};
+    use mnnfast::engine::EngineError;
     fault::arm(FaultKind::NanLogit, 0, u64::MAX);
-    let answer = session.ask(question);
+    let asks = [session.ask(question), session.ask(question)];
     fault::disarm();
-    assert!(
-        answer.unwrap().degraded,
-        "the faulted question took the safe path"
-    );
-    assert!(session.degradation_stats().pinned_safe);
+    for ask in asks {
+        assert!(
+            matches!(
+                ask,
+                Err(ServeError::Engine(EngineError::NumericFault { .. }))
+            ),
+            "{ask:?}"
+        );
+    }
+    let d = session.degradation_stats();
+    assert!(d.pinned_safe);
+    assert_eq!((d.numeric_faults, d.degraded_answers), (4, 0));
 }
 
 #[cfg(not(feature = "fault-inject"))]
@@ -145,6 +169,11 @@ fn ask_many_is_ask_slot_for_slot_on_every_config() {
                         let config = config(precision, topk, segments, workers);
                         let mut one = session(&model, config, &story, pinned);
                         let mut many = session(&model, config, &story, pinned);
+                        // A pinned cell's clean online twin.
+                        let mut twin =
+                            pinned.then(|| session(&model, online_twin(config), &story, false));
+                        let retries = |s: &Session| s.cumulative_trace().count(Phase::Retry);
+                        let retried = retries(&one);
                         let batched = many.ask_many(&questions).unwrap();
                         assert_eq!(
                             batched[2].as_ref().err(),
@@ -157,18 +186,27 @@ fn ask_many_is_ask_slot_for_slot_on_every_config() {
                             if let Ok((.., degraded, _, _, _)) = a {
                                 assert_eq!(degraded, pinned, "{cell}");
                             }
+                            if let Some(twin) = twin.as_mut() {
+                                let online = key(twin.ask(q)).map(|k| (k.0, k.1, true, k.3));
+                                assert_eq!(a.map(|k| (k.0, k.1, k.2, k.3)), online, "{cell}");
+                            }
                         }
                         let rows = |s: &Session| s.cumulative_stats().rows_total;
                         assert_eq!(rows(&one), rows(&many), "{cell}");
+                        if let Some(twin) = &twin {
+                            // The pinning asks failed and merged nothing.
+                            assert_eq!(rows(&one), rows(twin), "{cell}: one pass per ask");
+                            assert_eq!(retries(&one), retried, "{cell}: nothing retried");
+                        }
                         assert_eq!(
                             ladder_counters(one.degradation_stats()),
                             ladder_counters(many.degradation_stats()),
                             "{cell}"
                         );
-                        // Every in-vocabulary question is answered, plus the
-                        // one that pinned the session; the unknown token is
-                        // not.
-                        let answered = (story.questions.len() + usize::from(pinned)) as u64;
+                        // Every in-vocabulary question is answered (the asks
+                        // that pinned the session failed); the unknown token
+                        // is not.
+                        let answered = story.questions.len() as u64;
                         assert_eq!(one.questions_answered(), answered, "{cell}");
                         assert_eq!(many.questions_answered(), answered, "{cell}");
                         if topk > 0 && !pinned {

@@ -2,17 +2,21 @@
 //! fault-injection hook (cargo feature `fault-inject`).
 //!
 //! Each test arms a process-global fault, so the whole file serializes on
-//! one mutex and disarms before releasing it.
+//! one mutex and disarms before releasing it. The Safe rung runs the same
+//! fused kernels as the fast pass (in online-softmax mode), so it polls the
+//! hook too: a fault armed to fire once is transient — the retry runs
+//! clean — while one armed to keep firing reaches the retry as well.
 
 #![cfg(feature = "fault-inject")]
 
-use mnn_dataset::babi::{BabiGenerator, TaskKind};
+use mnn_dataset::babi::{BabiGenerator, Question, Story, TaskKind};
+use mnn_dataset::WordId;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
-use mnn_serve::{DegradationPolicy, ServeError, Session, SessionConfig};
+use mnn_serve::{Answer, ServeError, Session, SessionConfig};
 use mnn_tensor::fault::{self, FaultKind};
 use mnnfast::engine::EngineError;
-use mnnfast::{Budget, EngineKind, ExecPlan, MnnFastConfig};
+use mnnfast::{Budget, EngineKind, ExecPlan, MnnFastConfig, Phase, Precision, SoftmaxMode};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -35,35 +39,129 @@ fn trained_model() -> (BabiGenerator, MemNet) {
     (generator, model)
 }
 
-fn observe_story(session: &mut Session, sentences: &[Vec<mnn_dataset::WordId>]) {
+fn observe_story(session: &mut Session, sentences: &[Vec<WordId>]) {
     for s in sentences {
         session.observe(s).unwrap();
     }
 }
 
+/// The story a Safe-bits test runs on: the first story drawn whose every
+/// clean answer carries different probability bits in lazy and online
+/// mode (the f32 plane), so a Safe answer that matches the online bits
+/// cannot have come from a lazy retry.
+fn safe_story(
+    generator: &mut BabiGenerator,
+    model: &MemNet,
+    sentences: usize,
+    questions: usize,
+) -> Story {
+    for _ in 0..16 {
+        let story = generator.story(sentences, questions);
+        let probabilities = |config: SessionConfig| {
+            let mut session = Session::new(model.clone(), config).unwrap();
+            observe_story(&mut session, &story.sentences);
+            let ask = |q: &Question| session.ask(&q.tokens).unwrap().probability.to_bits();
+            story.questions.iter().map(ask).collect::<Vec<_>>()
+        };
+        let lazy = probabilities(SessionConfig::default());
+        let online = probabilities(SessionConfig {
+            plan: ExecPlan::new(MnnFastConfig::new(64).with_softmax(SoftmaxMode::Online)),
+            ..SessionConfig::default()
+        });
+        if lazy.iter().zip(&online).all(|(l, o)| l != o) {
+            return story;
+        }
+    }
+    panic!("no story tells lazy from online answers");
+}
+
+/// A clean session whose answers a Safe-rung answer of a `config` session
+/// must equal bit for bit: the same plan in online-softmax mode over the
+/// f32 plane (the Safe rung reads f32 rows whatever the precision).
+fn online_twin(model: &MemNet, config: SessionConfig, sentences: &[Vec<WordId>]) -> Session {
+    let config = SessionConfig {
+        plan: ExecPlan::new(config.plan.config.with_softmax(SoftmaxMode::Online))
+            .with_kind(config.plan.kind),
+        precision: Precision::F32,
+        ..config
+    };
+    let mut twin = Session::new(model.clone(), config).unwrap();
+    observe_story(&mut twin, sentences);
+    twin
+}
+
+/// `answer` came from the Safe rung and carries `clean`'s word and
+/// probability bits (a finite, positive probability).
+fn assert_safe_bits(answer: &Answer, clean: &Answer, ctx: &str) {
+    assert!(answer.degraded, "{ctx}: the Safe rung answered");
+    assert!(!clean.degraded, "{ctx}");
+    assert!(
+        clean.probability.is_finite() && clean.probability > 0.0,
+        "{ctx}"
+    );
+    assert_eq!(answer.word, clean.word, "{ctx}");
+    assert_eq!(
+        answer.probability.to_bits(),
+        clean.probability.to_bits(),
+        "{ctx}: probability {} vs {}",
+        answer.probability,
+        clean.probability
+    );
+}
+
+/// A pinned session's ask runs exactly one Online pass: its answer is the
+/// clean Online answer's bits, the session's rows grow by that answer's
+/// rows, the chunk kernels run that answer's chunks (a zero-length
+/// `SlowChunk` fires on every chunk and changes nothing), and no retry is
+/// traced.
+fn assert_one_online_pass(session: &mut Session, question: &[WordId], clean: &Answer) {
+    assert!(session.degradation_stats().pinned_safe);
+    let rows = session.cumulative_stats().rows_total;
+    let retries = session.cumulative_trace().count(Phase::Retry);
+    fault::arm(FaultKind::SlowChunk(Duration::ZERO), 0, u64::MAX);
+    let answer = session.ask(question);
+    let chunks = fault::fired();
+    fault::disarm();
+    let answer = answer.unwrap();
+    assert_safe_bits(&answer, clean, "pinned ask");
+    assert_eq!(
+        session.cumulative_stats().rows_total - rows,
+        clean.stats.rows_total,
+        "one pass of rows"
+    );
+    assert_eq!(chunks, clean.stats.chunks, "one pass of chunk kernels");
+    assert_eq!(
+        session.cumulative_trace().count(Phase::Retry),
+        retries,
+        "a pinned ask starts on the Safe rung: nothing is retried"
+    );
+}
+
 #[test]
-fn injected_nan_recovers_via_scalar_stable_retry() {
+fn injected_nan_recovers_via_the_safe_retry() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
-    let story = generator.story(6, 2);
+    let story = safe_story(&mut generator, &model, 6, 2);
+    let q = &story.questions[0].tokens;
 
-    // Reference answer from an undisturbed session.
+    // Reference answers from undisturbed sessions.
     let mut clean = Session::new(model.clone(), SessionConfig::default()).unwrap();
     observe_story(&mut clean, &story.sentences);
-    let expected = clean.ask(&story.questions[0].tokens).unwrap();
+    let expected = clean.ask(q).unwrap();
     assert!(!expected.degraded);
+    let online = online_twin(&model, SessionConfig::default(), &story.sentences).ask(q);
 
     let mut session = Session::new(model, SessionConfig::default()).unwrap();
     observe_story(&mut session, &story.sentences);
+    // Transient: one fire poisons the fast pass; the retry runs clean.
     fault::arm(FaultKind::NanLogit, 0, 1);
-    let answer = session.ask(&story.questions[0].tokens).unwrap();
+    let answer = session.ask(q).unwrap();
     let fires = fault::fired();
     fault::disarm();
 
     assert_eq!(fires, 1, "exactly one chunk was poisoned");
-    assert!(answer.degraded, "answer must come from the safe path");
     assert_eq!(answer.word, expected.word, "retry reproduces the answer");
-    assert!(answer.probability.is_finite() && answer.probability > 0.0);
+    assert_safe_bits(&answer, &online.unwrap(), "lone f32 retry");
     let d = session.degradation_stats();
     assert_eq!(d.numeric_faults, 1);
     assert_eq!(d.degraded_answers, 1);
@@ -79,12 +177,14 @@ fn injected_nan_recovers_via_scalar_stable_retry() {
 fn panicking_chunk_on_a_one_thread_session_answers_through_safe() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
-    let story = generator.story(6, 2);
+    let story = safe_story(&mut generator, &model, 6, 2);
     let questions: Vec<_> = story.questions.iter().map(|q| q.tokens.clone()).collect();
 
     let mut clean = Session::new(model.clone(), SessionConfig::default()).unwrap();
     observe_story(&mut clean, &story.sentences);
     let expected: Vec<_> = questions.iter().map(|q| clean.ask(q).unwrap()).collect();
+    let mut twin = online_twin(&model, SessionConfig::default(), &story.sentences);
+    let online: Vec<_> = questions.iter().map(|q| twin.ask(q).unwrap()).collect();
 
     let config = SessionConfig::default();
     assert_eq!(config.plan.config.threads, 1);
@@ -92,6 +192,7 @@ fn panicking_chunk_on_a_one_thread_session_answers_through_safe() {
     observe_story(&mut session, &story.sentences);
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
+    // Transient: one panicking chunk per ask; the Safe pass runs clean.
     fault::arm(FaultKind::PanicChunk, 0, 1);
     let lone = session.ask(&questions[0]);
     let lone_fires = fault::fired();
@@ -103,13 +204,13 @@ fn panicking_chunk_on_a_one_thread_session_answers_through_safe() {
 
     assert_eq!((lone_fires, pair_fires), (1, 1));
     let lone = lone.expect("a contained panic is not a lost question");
-    assert!(lone.degraded, "the Safe rung answered");
     assert_eq!(lone.word, expected[0].word);
+    assert_safe_bits(&lone, &online[0], "lone");
     // One lane held both questions, so both moved to the Safe rung.
-    for (a, e) in pair.unwrap().iter().zip(&expected) {
+    for (i, a) in pair.unwrap().iter().enumerate() {
         let a = a.as_ref().unwrap();
-        assert!(a.degraded);
-        assert_eq!(a.word, e.word);
+        assert_eq!(a.word, expected[i].word);
+        assert_safe_bits(a, &online[i], &format!("pair slot {i}"));
     }
     let d = session.degradation_stats();
     assert_eq!(d.degraded_answers, 3, "three SafeAnswer events");
@@ -121,58 +222,79 @@ fn panicking_chunk_on_a_one_thread_session_answers_through_safe() {
 fn int8_numeric_fault_degrades_to_f32_safe_path() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
-    let story = generator.story(6, 2);
+    let story = safe_story(&mut generator, &model, 6, 2);
+    let questions: Vec<_> = story.questions.iter().map(|q| q.tokens.clone()).collect();
     let config = SessionConfig {
-        precision: mnnfast::Precision::Int8,
+        precision: Precision::Int8,
         ..SessionConfig::default()
     };
 
     let mut clean = Session::new(model.clone(), config).unwrap();
     observe_story(&mut clean, &story.sentences);
-    let expected = clean.ask(&story.questions[0].tokens).unwrap();
-    assert!(!expected.degraded);
+    let expected: Vec<_> = questions.iter().map(|q| clean.ask(q).unwrap()).collect();
+    assert!(!expected[0].degraded);
+    let mut twin = online_twin(&model, config, &story.sentences);
+    let online: Vec<_> = questions.iter().map(|q| twin.ask(q).unwrap()).collect();
 
     let mut session = Session::new(model, config).unwrap();
     observe_story(&mut session, &story.sentences);
+    // Transient: one fire on the int8 fast pass, a clean f32 retry.
     fault::arm(FaultKind::NanLogit, 0, 1);
-    let answer = session.ask(&story.questions[0].tokens).unwrap();
+    let answer = session.ask(&questions[0]).unwrap();
     let fires = fault::fired();
     fault::disarm();
 
     assert_eq!(fires, 1, "the poison must land on the int8 fused path");
-    assert!(
-        answer.degraded,
-        "the faulted int8 question must retry on the f32 safe path"
-    );
-    assert_eq!(answer.word, expected.word);
-    assert!(answer.probability.is_finite() && answer.probability > 0.0);
+    assert_eq!(answer.word, expected[0].word);
+    assert_safe_bits(&answer, &online[0], "lone int8 retry on the f32 plane");
     let d = session.degradation_stats();
     assert_eq!(d.numeric_faults, 1);
     assert_eq!(d.degraded_answers, 1);
     assert!(!d.pinned_safe);
     // The safe-path retry read the full-width f32 rows, so the degraded
     // answer's byte count exceeds a clean int8 pass.
-    assert!(answer.stats.memory_bytes > expected.stats.memory_bytes);
+    assert!(answer.stats.memory_bytes > expected[0].stats.memory_bytes);
+
+    // A coalesced pair: the int8 plane runs each question's chunk on its
+    // own, so the one fire poisons the first question only.
+    fault::arm(FaultKind::NanLogit, 0, 1);
+    let pair = session.ask_many(&questions).unwrap();
+    let fires = fault::fired();
+    fault::disarm();
+    assert_eq!(fires, 1);
+    let (a0, a1) = (pair[0].as_ref().unwrap(), pair[1].as_ref().unwrap());
+    assert_safe_bits(a0, &online[0], "pair slot 0 (int8)");
+    assert!(
+        !a1.degraded,
+        "the unpoisoned question stays on the int8 pass"
+    );
+    assert_eq!(a1.word, expected[1].word);
+    assert_eq!(a1.probability.to_bits(), expected[1].probability.to_bits());
+    let d = session.degradation_stats();
+    assert_eq!((d.numeric_faults, d.degraded_answers), (2, 2));
 }
 
 #[test]
 fn oversized_logits_overflow_is_caught_and_degraded() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
-    let story = generator.story(6, 1);
+    let story = safe_story(&mut generator, &model, 6, 1);
+    let q = &story.questions[0].tokens;
 
     let mut clean = Session::new(model.clone(), SessionConfig::default()).unwrap();
     observe_story(&mut clean, &story.sentences);
-    let expected = clean.ask(&story.questions[0].tokens).unwrap();
+    let expected = clean.ask(q).unwrap();
+    let online = online_twin(&model, SessionConfig::default(), &story.sentences).ask(q);
 
     let mut session = Session::new(model, SessionConfig::default()).unwrap();
     observe_story(&mut session, &story.sentences);
+    // Transient: the lazy fast pass overflows once; the retry runs clean.
     fault::arm(FaultKind::OversizedLogit, 0, 1);
-    let answer = session.ask(&story.questions[0].tokens).unwrap();
+    let answer = session.ask(q).unwrap();
     fault::disarm();
 
-    assert!(answer.degraded);
     assert_eq!(answer.word, expected.word);
+    assert_safe_bits(&answer, &online.unwrap(), "overflow retry");
     assert_eq!(session.degradation_stats().numeric_faults, 1);
 }
 
@@ -180,66 +302,61 @@ fn oversized_logits_overflow_is_caught_and_degraded() {
 fn repeated_faults_pin_session_to_safe_path() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
-    let story = generator.story(6, 2);
+    let story = safe_story(&mut generator, &model, 6, 2);
     let config = SessionConfig {
-        degradation: DegradationPolicy {
-            retry_on_numeric_fault: true,
-            pin_after_faults: Some(2),
-        },
+        trace: true,
         ..SessionConfig::default()
     };
+    let q = &story.questions[0].tokens;
+    let clean = online_twin(&model, config, &story.sentences)
+        .ask(q)
+        .unwrap();
     let mut session = Session::new(model, config).unwrap();
     observe_story(&mut session, &story.sentences);
 
-    // Every fused chunk faults until disarmed.
-    fault::arm(FaultKind::NanLogit, 0, u64::MAX);
-    let q = &story.questions[0].tokens;
-    let a1 = session.ask(q).unwrap();
-    let a2 = session.ask(q).unwrap();
-    // Two faults reached the threshold: this ask runs on the safe path
-    // directly and never touches the (still armed) fused kernel.
-    let fires_before_pinned = fault::fired();
-    let a3 = session.ask(q).unwrap();
-    let fires_after_pinned = fault::fired();
-    fault::disarm();
+    // Three transient faults, each cured by its retry, reach the pin.
+    for faults in 1..=3 {
+        fault::arm(FaultKind::NanLogit, 0, 1);
+        let answer = session.ask(q).unwrap();
+        let fires = fault::fired();
+        fault::disarm();
+        assert_eq!(fires, 1);
+        assert_safe_bits(&answer, &clean, &format!("retry {faults}"));
+        assert_eq!(session.degradation_stats().pinned_safe, faults == 3);
+    }
+    assert_eq!(session.cumulative_trace().count(Phase::Retry), 3);
+    assert_one_online_pass(&mut session, q, &clean);
 
-    assert!(a1.degraded && a2.degraded && a3.degraded);
-    assert_eq!(
-        fires_before_pinned, fires_after_pinned,
-        "a pinned session must not run the fused kernel"
-    );
     let d = session.degradation_stats();
-    assert_eq!(d.numeric_faults, 2);
-    assert_eq!(d.degraded_answers, 3);
+    assert_eq!(d.numeric_faults, 3);
+    assert_eq!(d.degraded_answers, 4);
     assert!(d.pinned_safe);
-    assert_eq!(session.questions_answered(), 3);
+    assert_eq!(session.questions_answered(), 4);
 }
 
 #[test]
-fn disabled_retry_surfaces_numeric_fault() {
+fn a_fault_that_reaches_the_retry_surfaces() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
     let story = generator.story(4, 1);
-    let config = SessionConfig {
-        degradation: DegradationPolicy {
-            retry_on_numeric_fault: false,
-            pin_after_faults: None,
-        },
-        ..SessionConfig::default()
-    };
-    let mut session = Session::new(model, config).unwrap();
+    let mut session = Session::new(model, SessionConfig::default()).unwrap();
     observe_story(&mut session, &story.sentences);
 
-    fault::arm(FaultKind::NanLogit, 0, 1);
+    // Two fires: the fast pass's first chunk, then the Safe retry's.
+    fault::arm(FaultKind::NanLogit, 0, 2);
     let err = session.ask(&story.questions[0].tokens).unwrap_err();
+    let fires = fault::fired();
     fault::disarm();
 
+    assert_eq!(fires, 2, "the retry ran and faulted too");
     assert!(matches!(
         err,
         ServeError::Engine(EngineError::NumericFault { .. })
     ));
     let d = session.degradation_stats();
-    assert_eq!(d.numeric_faults, 1);
+    assert_eq!(d.numeric_faults, 2, "the fast fault and the Safe fault");
+    assert_eq!(d.degraded_answers, 0);
+    assert!(!d.pinned_safe);
     assert_eq!(session.questions_answered(), 0);
     assert_eq!(session.cumulative_stats().rows_total, 0);
     // The fault left no residue: the next question answers normally.
@@ -251,37 +368,32 @@ fn disabled_retry_surfaces_numeric_fault() {
 fn surfaced_faults_count_toward_the_pin_too() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
-    let story = generator.story(4, 1);
+    let story = safe_story(&mut generator, &model, 4, 1);
     let config = SessionConfig {
-        degradation: DegradationPolicy {
-            retry_on_numeric_fault: false,
-            pin_after_faults: Some(2),
-        },
+        trace: true,
         ..SessionConfig::default()
     };
+    let q = &story.questions[0].tokens;
+    let clean = online_twin(&model, config, &story.sentences)
+        .ask(q)
+        .unwrap();
     let mut session = Session::new(model, config).unwrap();
     observe_story(&mut session, &story.sentences);
 
-    // Every fault counts, retried or not: two surfaced faults pin the
-    // session, and the pinned session answers on the safe path without
-    // touching the (still armed) fused kernel.
+    // Every fault counts, retried or not. Persistent: each ask's fast pass
+    // and its Safe retry both fault, so the first ask surfaces two faults
+    // and the second ask's fast fault is the third, which pins the
+    // session (its retry faults too, the fourth).
     fault::arm(FaultKind::NanLogit, 0, u64::MAX);
-    let q = &story.questions[0].tokens;
     assert!(session.ask(q).is_err());
     assert!(!session.degradation_stats().pinned_safe);
     assert!(session.ask(q).is_err());
-    let fires = fault::fired();
-    let a = session.ask(q);
-    let fires_pinned = fault::fired();
     fault::disarm();
+    assert_eq!(session.degradation_stats().numeric_faults, 4);
+    assert_one_online_pass(&mut session, q, &clean);
 
-    assert!(a.unwrap().degraded);
-    assert_eq!(
-        fires, fires_pinned,
-        "a pinned session must not run the fused kernel"
-    );
     let d = session.degradation_stats();
-    assert_eq!((d.numeric_faults, d.degraded_answers), (2, 1));
+    assert_eq!((d.numeric_faults, d.degraded_answers), (4, 1));
     assert!(d.pinned_safe);
 }
 
@@ -337,7 +449,7 @@ fn slow_chunk_trips_one_batched_deadline_leaving_batchmates_unaffected() {
 fn batched_numeric_fault_retries_only_the_faulted_question() {
     let _guard = lock();
     let (mut generator, model) = trained_model();
-    let story = generator.story(6, 2);
+    let story = safe_story(&mut generator, &model, 6, 2);
 
     let mut clean = Session::new(model.clone(), SessionConfig::default()).unwrap();
     observe_story(&mut clean, &story.sentences);
@@ -345,12 +457,14 @@ fn batched_numeric_fault_retries_only_the_faulted_question() {
     let q1 = story.questions[1].tokens.clone();
     let e0 = clean.ask(&q0).unwrap();
     let e1 = clean.ask(&q1).unwrap();
+    let mut twin = online_twin(&model, SessionConfig::default(), &story.sentences);
+    let online = [twin.ask(&q0).unwrap(), twin.ask(&q1).unwrap()];
 
     let mut session = Session::new(model, SessionConfig::default()).unwrap();
     observe_story(&mut session, &story.sentences);
     // The poison lands in the first logit slot of the batched chunk, so
     // exactly one question's accumulator goes NaN and only that question
-    // takes the safe-path retry.
+    // takes the safe-path retry (transient: the retry runs clean).
     fault::arm(FaultKind::NanLogit, 0, 1);
     let answers = session.ask_many(&[q0, q1]).unwrap();
     let fires = fault::fired();
@@ -363,6 +477,13 @@ fn batched_numeric_fault_retries_only_the_faulted_question() {
     assert_eq!(a1.word, e1.word);
     let degraded = usize::from(a0.degraded) + usize::from(a1.degraded);
     assert_eq!(degraded, 1, "exactly one question took the retry path");
+    for (i, (a, e)) in [(a0, &e0), (a1, &e1)].into_iter().enumerate() {
+        if a.degraded {
+            assert_safe_bits(a, &online[i], &format!("pair slot {i}"));
+        } else {
+            assert_eq!(a.probability.to_bits(), e.probability.to_bits(), "slot {i}");
+        }
+    }
     let d = session.degradation_stats();
     assert_eq!(d.numeric_faults, 1);
     assert_eq!(d.degraded_answers, 1);

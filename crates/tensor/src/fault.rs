@@ -3,11 +3,11 @@
 //! Compiled only under the `fault-inject` cargo feature; release serving
 //! builds contain none of this code. The hook sits inside
 //! [`crate::softmax::LazyAccumulator::accumulate_chunk`] and
-//! [`crate::softmax::OnlineSoftmax::accumulate_chunk`] — the fused chunk
-//! kernels — so injected faults exercise exactly the path the serving
-//! layer's degradation ladder falls back *from*: the scalar-stable retry
-//! (two-pass, running-max softmax) never runs the fused kernel and is
-//! therefore deterministically clean.
+//! [`crate::softmax::OnlineSoftmax::accumulate_chunk`] (and their batched
+//! and int8 forms) — the fused chunk kernels every pass runs, the serving
+//! layer's online-softmax safe retry included. The firing schedule decides
+//! what a test exercises: a fault that fires once is transient (the retry
+//! runs clean), one that keeps firing reaches the retry too.
 //!
 //! Faults are armed process-globally, either programmatically
 //! ([`arm`] / [`disarm`]) or from the `MNNFAST_FAULT` environment variable

@@ -1166,9 +1166,9 @@ mod avx2 {
     }
 
     /// Folds one block's logits into one question's lane: exponentiate
-    /// (the 8-lane fast exp, or libm per row when `fast_exp` is off), add
-    /// the weights to the denominator in row order, zero-skip test per row,
-    /// [`axpy_rows`] over the kept rows. Returns the rows skipped.
+    /// (the 8-lane fast exp), add the weights to the denominator in row
+    /// order, zero-skip test per row, [`axpy_rows`] over the kept rows.
+    /// Returns the rows skipped.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn fold_block<L: FusedLane>(
@@ -1177,18 +1177,10 @@ mod avx2 {
         block: usize,
         out_block: &[f32],
         raw_threshold: Option<f32>,
-        fast_exp: bool,
     ) -> u64 {
         let ed = out_block.len() / block;
         let mut w = [0.0f32; 8];
-        if fast_exp {
-            _mm256_storeu_ps(w.as_mut_ptr(), exp8(logits));
-        } else {
-            _mm256_storeu_ps(w.as_mut_ptr(), logits);
-            for wj in &mut w[..block] {
-                *wj = wj.exp();
-            }
-        }
+        _mm256_storeu_ps(w.as_mut_ptr(), exp8(logits));
         let (ws, denom) = lane.parts();
         let mut keep = [0usize; 8];
         let mut kept = 0usize;
@@ -1229,7 +1221,6 @@ mod avx2 {
         lanes: &mut [L],
         raw_thresholds: &[Option<f32>],
         live: &[bool],
-        fast_exp: bool,
         skipped: &mut [u64],
     ) {
         let nq = lanes.len();
@@ -1248,14 +1239,8 @@ mod avx2 {
             let rows = row_ptrs(in_flat.as_ptr().add(r * ed), ed, block);
             let out_block = &out_flat[r * ed..(r + block) * ed];
             let mut fold = |q: usize, logits: __m256| {
-                skipped[q] += fold_block(
-                    &mut lanes[q],
-                    logits,
-                    block,
-                    out_block,
-                    raw_thresholds[q],
-                    fast_exp,
-                );
+                skipped[q] +=
+                    fold_block(&mut lanes[q], logits, block, out_block, raw_thresholds[q]);
             };
             let mut q = 0usize;
             while q < nq {
@@ -1580,9 +1565,8 @@ impl FusedLane for SliceLane<'_> {
 /// What question `q` receives is bitwise what a call with `lanes = [q]`
 /// alone computes: batch composition and tile shape never reach a bit.
 ///
-/// `fast_exp` picks the exponential on AVX2: the 8-lane [`exp_approx`]
-/// kernel (the fused path), or libm per row (the two-pass path's numerics
-/// on the batched dataflow). The scalar backend uses libm either way.
+/// The exponential is the 8-lane [`exp_approx`] kernel on AVX2 and libm
+/// `exp` on the scalar backend.
 ///
 /// # Panics
 ///
@@ -1599,7 +1583,6 @@ pub fn fused_chunk_lazy_batch_with<L: FusedLane>(
     lanes: &mut [L],
     raw_thresholds: &[Option<f32>],
     live: &[bool],
-    fast_exp: bool,
     skipped: &mut [u64],
 ) {
     let nq = lanes.len();
@@ -1627,7 +1610,6 @@ pub fn fused_chunk_lazy_batch_with<L: FusedLane>(
                 lanes,
                 raw_thresholds,
                 live,
-                fast_exp,
                 skipped,
             )
         },
@@ -1679,7 +1661,6 @@ pub fn fused_chunk_lazy_with(
         &mut lane,
         &[raw_threshold],
         &[true],
-        true,
         &mut skipped,
     );
     (lane[0].1, skipped[0])

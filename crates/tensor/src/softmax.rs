@@ -217,7 +217,6 @@ impl LazyAccumulator {
             u,
             &[raw_threshold],
             &[true],
-            true,
             &mut skipped,
         );
         skipped[0]
@@ -234,17 +233,13 @@ impl LazyAccumulator {
     /// * `live` — questions whose accumulation is still wanted; dead
     ///   questions (expired budgets) are passed over without touching their
     ///   accumulator, while the rest of the batch proceeds.
-    /// * `fused` — `true` is the fused path (fast exp on AVX2, the
-    ///   fault-injection hook polled once per live question); `false`
-    ///   keeps the two-pass path's numerics (libm `exp` on every backend,
-    ///   no hook) on the same single traversal.
     /// * `skipped` — per-question skipped-row counters, incremented.
     ///
     /// What `accs[q]` receives is bitwise what
-    /// [`LazyAccumulator::accumulate_chunk`] on it alone computes (and, with
-    /// `fused` off, what `gemv_chunk` + per-row
-    /// [`LazyAccumulator::add_weighted`] computes): the canonical order in
-    /// [`crate::simd`] makes batched == sequential a kernel property.
+    /// [`LazyAccumulator::accumulate_chunk`] on it alone computes: the
+    /// canonical order in [`crate::simd`] makes batched == sequential a
+    /// kernel property. Under the `fault-inject` feature the hook is polled
+    /// once per live question.
     ///
     /// # Panics
     ///
@@ -260,7 +255,6 @@ impl LazyAccumulator {
         us_flat: &[f32],
         raw_thresholds: &[Option<f32>],
         live: &[bool],
-        fused: bool,
         skipped: &mut [u64],
     ) {
         // A question that draws a corrupting fault takes the poisoned path
@@ -268,7 +262,7 @@ impl LazyAccumulator {
         #[cfg(feature = "fault-inject")]
         let mut masked = Vec::new();
         #[cfg(feature = "fault-inject")]
-        if fused {
+        {
             let ed = us_flat.len() / accs.len().max(1);
             for (q, acc) in accs.iter_mut().enumerate().filter(|(q, _)| live[*q]) {
                 if let Some(kind) = poll_chunk_fault() {
@@ -299,7 +293,6 @@ impl LazyAccumulator {
             accs,
             raw_thresholds,
             live,
-            fused,
             skipped,
         );
     }
@@ -584,8 +577,8 @@ impl OnlineSoftmax {
     /// `prob_threshold`. Returns the number of skipped rows.
     ///
     /// This is [`OnlineSoftmax::accumulate_chunk_batch`] for one question.
-    /// The rescaling chain stays on libm `exp` on every backend, so the
-    /// fused and two-pass online formulations are bitwise identical; the
+    /// The rescaling chain stays on libm `exp` on every backend, so this is
+    /// bitwise a `gemv_chunk` + per-row [`OnlineSoftmax::add`] fold; the
     /// win here is the SIMD inner products and axpy, not a fast exp.
     ///
     /// # Panics
@@ -608,7 +601,6 @@ impl OnlineSoftmax {
             u,
             &[prob_threshold],
             &[true],
-            true,
             &mut [0.0; 64],
             &mut skipped,
         );
@@ -647,10 +639,9 @@ impl OnlineSoftmax {
     ///
     /// Arguments are as in [`LazyAccumulator::accumulate_chunk_batch`],
     /// with `prob_thresholds` compared against
-    /// [`OnlineSoftmax::relative_weight`], `fused` only gating the
-    /// fault-injection hook (the online numerics are the same either way),
-    /// and `logits` any workspace of at least `nq` floats (overwritten;
-    /// `nq × n_rows` covers the chunk in one tile pass).
+    /// [`OnlineSoftmax::relative_weight`] and `logits` any workspace of at
+    /// least `nq` floats (overwritten; `nq × n_rows` covers the chunk in
+    /// one tile pass).
     ///
     /// Note the online formulation is robust to oversized logits by
     /// construction — the running max absorbs them — so an injected
@@ -663,7 +654,6 @@ impl OnlineSoftmax {
     /// [`LazyAccumulator::accumulate_chunk_batch`], plus
     /// `logits.len() >= nq`.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
     pub fn accumulate_chunk_batch(
         accs: &mut [OnlineSoftmax],
         in_flat: &[f32],
@@ -672,7 +662,6 @@ impl OnlineSoftmax {
         us_flat: &[f32],
         prob_thresholds: &[Option<f32>],
         live: &[bool],
-        fused: bool,
         logits: &mut [f32],
         skipped: &mut [u64],
     ) {
@@ -692,11 +681,9 @@ impl OnlineSoftmax {
         #[cfg(feature = "fault-inject")]
         let mut poison = Vec::new();
         #[cfg(feature = "fault-inject")]
-        if fused {
-            for q in (0..nq).filter(|&q| live[q]) {
-                if let Some(kind) = poll_chunk_fault() {
-                    poison.push((q, first_logit_poison(kind)));
-                }
+        for q in (0..nq).filter(|&q| live[q]) {
+            if let Some(kind) = poll_chunk_fault() {
+                poison.push((q, first_logit_poison(kind)));
             }
         }
         let b = simd::backend();
@@ -1201,44 +1188,6 @@ mod tests {
     // this layer.
 
     #[test]
-    fn unfused_batched_chunk_is_bitwise_the_two_pass_path() {
-        let (n, ed, nq) = (11usize, 6usize, 3usize);
-        let (in_flat, out_flat, us_flat) = batch_fixture(n, ed, nq);
-        let thresholds = [None, Some(0.9f32), Some(0.5f32)];
-        let mut accs = vec![LazyAccumulator::new(ed); nq];
-        let mut skipped = vec![0u64; nq];
-        LazyAccumulator::accumulate_chunk_batch(
-            &mut accs,
-            &in_flat,
-            &out_flat,
-            n,
-            &us_flat,
-            &thresholds,
-            &[true; 3],
-            false,
-            &mut skipped,
-        );
-        for q in 0..nq {
-            let mut logits = vec![0.0f32; n];
-            kernels::gemv_chunk(&in_flat, n, &us_flat[q * ed..(q + 1) * ed], &mut logits);
-            let mut two_pass = LazyAccumulator::new(ed);
-            let mut skipped_ref = 0u64;
-            for (r, &x) in logits.iter().enumerate() {
-                let w = x.exp();
-                match thresholds[q] {
-                    Some(th) if w < th => {
-                        two_pass.add_skipped(w);
-                        skipped_ref += 1;
-                    }
-                    _ => two_pass.add_weighted(w, &out_flat[r * ed..(r + 1) * ed]),
-                }
-            }
-            assert_eq!(skipped[q], skipped_ref, "q{q}");
-            assert_eq!(accs[q], two_pass, "q{q}");
-        }
-    }
-
-    #[test]
     fn batched_chunk_skips_dead_questions() {
         let (n, ed, nq) = (8usize, 4usize, 2usize);
         let (in_flat, out_flat, us_flat) = batch_fixture(n, ed, nq);
@@ -1252,7 +1201,6 @@ mod tests {
             &us_flat,
             &[None, None],
             &[false, true],
-            true,
             &mut skipped,
         );
         // The dead question's accumulator is untouched; the live one is not.

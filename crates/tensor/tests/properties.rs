@@ -599,48 +599,42 @@ fn fused_lazy_batch_is_bitwise_nq_single_calls() {
             let live: Vec<bool> = (0..nq).map(|q| nq < 3 || q != 1).collect();
             for with_skip in [false, true] {
                 let ths = thresholds_for(nq, with_skip);
-                for fast_exp in [true, false] {
-                    let mut batch = fresh.clone();
-                    let mut skipped = vec![0u64; nq];
-                    simd::fused_chunk_lazy_batch_with(
-                        b,
-                        m_in,
-                        m_out,
-                        n_rows,
-                        us,
-                        &mut batch,
-                        &ths,
-                        &live,
-                        fast_exp,
-                        &mut skipped,
-                    );
-                    for q in 0..nq {
-                        let ctx = format!(
-                            "{b:?} nq{nq} rows{n_rows} ed{ed} q{q} skip={with_skip} fast={fast_exp}"
+                let mut batch = fresh.clone();
+                let mut skipped = vec![0u64; nq];
+                simd::fused_chunk_lazy_batch_with(
+                    b,
+                    m_in,
+                    m_out,
+                    n_rows,
+                    us,
+                    &mut batch,
+                    &ths,
+                    &live,
+                    &mut skipped,
+                );
+                for q in 0..nq {
+                    let ctx = format!("{b:?} nq{nq} rows{n_rows} ed{ed} q{q} skip={with_skip}");
+                    let mut alone = [fresh[q].clone()];
+                    let mut alone_skipped = [0u64];
+                    if live[q] {
+                        simd::fused_chunk_lazy_batch_with(
+                            b,
+                            m_in,
+                            m_out,
+                            n_rows,
+                            &us[q * ed..(q + 1) * ed],
+                            &mut alone,
+                            &ths[q..q + 1],
+                            &[true],
+                            &mut alone_skipped,
                         );
-                        let mut alone = [fresh[q].clone()];
-                        let mut alone_skipped = [0u64];
-                        if live[q] {
-                            simd::fused_chunk_lazy_batch_with(
-                                b,
-                                m_in,
-                                m_out,
-                                n_rows,
-                                &us[q * ed..(q + 1) * ed],
-                                &mut alone,
-                                &ths[q..q + 1],
-                                &[true],
-                                fast_exp,
-                                &mut alone_skipped,
-                            );
-                        }
-                        assert_eq!(bits(&batch[q].ws), bits(&alone[0].ws), "{ctx}");
-                        assert_eq!(batch[q].denom.to_bits(), alone[0].denom.to_bits(), "{ctx}");
-                        assert_eq!(skipped[q], alone_skipped[0], "{ctx}");
-                        if with_skip && live[q] {
-                            seen.0 += skipped[q];
-                            seen.1 += n_rows as u64 - skipped[q];
-                        }
+                    }
+                    assert_eq!(bits(&batch[q].ws), bits(&alone[0].ws), "{ctx}");
+                    assert_eq!(batch[q].denom.to_bits(), alone[0].denom.to_bits(), "{ctx}");
+                    assert_eq!(skipped[q], alone_skipped[0], "{ctx}");
+                    if with_skip && live[q] {
+                        seen.0 += skipped[q];
+                        seen.1 += n_rows as u64 - skipped[q];
                     }
                 }
             }
@@ -680,7 +674,6 @@ fn accumulator_batches_are_bitwise_nq_single_calls() {
                 us,
                 &ths,
                 &live,
-                true,
                 &mut skipped,
             );
             for q in 0..nq {
@@ -710,7 +703,6 @@ fn accumulator_batches_are_bitwise_nq_single_calls() {
                 us,
                 &ths,
                 &live,
-                true,
                 &mut logits,
                 &mut skipped,
             );
