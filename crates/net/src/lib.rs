@@ -15,9 +15,10 @@
 //! - `proto` — the length-prefixed, CRC-guarded binary protocol
 //!   (shared envelope in `mnn-wire`, same idiom as the distributed
 //!   plane's RPC but under its own magic);
-//! - [`NetServer`] — accept loop, non-blocking connection threads, and a
-//!   scheduler thread that owns the pool. Authentication is by tenant
-//!   token; overload answers a typed [`NetFrame::Overloaded`] with a
+//! - [`NetServer`] — non-blocking connection threads parked in POSIX
+//!   `poll(2)` (so the server builds on unix only), and a scheduler
+//!   thread that owns the pool. Authentication is by tenant token;
+//!   overload answers a typed [`NetFrame::Overloaded`] with a
 //!   retry-after hint instead of dropping the connection;
 //! - [`NetClient`] — a blocking client with strict and pipelined calls.
 //!
@@ -35,6 +36,7 @@
 
 mod client;
 mod error;
+mod poll;
 mod proto;
 mod server;
 

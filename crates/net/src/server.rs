@@ -1,17 +1,20 @@
 //! The multi-tenant serving front-end.
 //!
-//! Thread shape (no async runtime — non-blocking sockets on a polling
-//! readiness loop, the repo's offline-shim discipline applied to I/O):
+//! Thread shape (no async runtime — non-blocking sockets parked in POSIX
+//! `poll(2)`, so the server builds on unix only):
 //!
-//! - an **accept thread** blocks on the listener and deals new
-//!   connections round-robin to the net threads;
 //! - **N net threads** ([`ServerConfig::net_threads`]) each own their
 //!   connections: non-blocking reads accumulate bytes per connection and
 //!   [`mnn_wire::frame_len`] carves complete frames out zero-copy,
-//!   non-blocking writes drain each connection's outbox, and a condvar
-//!   park bounds the poll when nothing is ready. Authentication, text
-//!   encoding, the per-connection in-flight cap, and idle timeouts all
-//!   live here, off the scheduler's critical path;
+//!   non-blocking writes drain each connection's outbox, and with nothing
+//!   left to do the thread sleeps in `poll` on its own sockets plus a wake
+//!   pipe, so a frame's bytes, a queued reply or shutdown wake it at once
+//!   and an idle thread wakes only for the next idle-timeout deadline.
+//!   Net thread 0 also polls the listener and deals new connections
+//!   round-robin. Authentication, text encoding, the per-connection
+//!   in-flight cap, idle timeouts and backpressure (a connection whose
+//!   outbox holds `max_inflight` frames is not read until its client
+//!   reads) all live here, off the scheduler's critical path;
 //! - one **scheduler thread** owns the [`SessionPool`] and is the only
 //!   thread that touches model state. Network asks feed the pool's
 //!   coalescing queues via `enqueue_tracked` — batching **across tenants
@@ -30,6 +33,7 @@
 //! the acknowledgement goes out and the threads exit.
 
 use crate::error::{NetError, NetErrorCode};
+use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::proto::{NetFrame, NetStatsWire, MAGIC, NO_REQUEST, VERSION};
 use mnn_dataset::text;
 use mnn_dataset::{Vocabulary, WordId};
@@ -38,11 +42,13 @@ use mnn_serve::{
     AdmissionConfig, BatchConfig, BatchedAnswer, PoolError, SessionConfig, SessionPool,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,7 +74,9 @@ pub struct ServerConfig {
     /// pool at startup.
     pub tenants: Vec<TenantAuth>,
     /// Requests a single connection may have in flight before further
-    /// asks are answered [`NetFrame::Overloaded`] immediately.
+    /// asks are answered [`NetFrame::Overloaded`] immediately. It also
+    /// bounds a client that does not read its replies: while this many
+    /// frames (at least one) wait in its outbox, its socket is not read.
     pub max_inflight: u32,
     /// Close a connection after this long with no traffic and nothing in
     /// flight.
@@ -97,11 +105,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// How long a net thread parks when no connection made progress. The
-/// loop is a polling readiness scan, so this bounds added latency.
-const PARK_BUSY: Duration = Duration::from_micros(200);
-/// Park bound when a net thread owns no connections at all.
-const PARK_IDLE: Duration = Duration::from_millis(2);
 /// Grace period for draining outboxes at shutdown.
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
 /// Retry hint when the per-connection in-flight cap rejects an ask.
@@ -118,13 +121,22 @@ struct Counters {
     frames_out: AtomicU64,
 }
 
-/// A net thread's parking spot: `true` means "work arrived, wake up".
-type Waker = Arc<(Mutex<bool>, Condvar)>;
+/// The write end of a net thread's wake pipe: a byte in it means "work
+/// arrived, wake up". The thread polls the read end with its sockets and
+/// drains it after each `poll`, so a wake is never lost.
+type Waker = Arc<UnixStream>;
+
+/// A connected, non-blocking wake pipe: (write end, read end).
+fn wake_pipe() -> std::io::Result<(Waker, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((Arc::new(tx), rx))
+}
 
 fn wake(waker: &Waker) {
-    let (flag, cv) = &**waker;
-    *flag.lock().unwrap_or_else(|e| e.into_inner()) = true;
-    cv.notify_all();
+    // `WouldBlock` means the pipe is full: a wake is pending already.
+    let _ = (&**waker).write(&[1]);
 }
 
 /// Pending response bytes for one connection, drained by its net thread.
@@ -158,6 +170,15 @@ impl ConnShared {
             .queue
             .push_back(frame.encode());
         wake(&self.waker);
+    }
+
+    /// Response frames not yet fully written.
+    fn queued(&self) -> usize {
+        self.outbox
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .queue
+            .len()
     }
 
     fn settle(&self, frame: &NetFrame) {
@@ -204,7 +225,7 @@ pub struct NetServer {
 impl NetServer {
     /// Boots the front-end: binds the listener, builds the pool (one
     /// session per configured tenant, all sharing the one `model`), and
-    /// spawns the accept, net, and scheduler threads.
+    /// spawns the net and scheduler threads.
     ///
     /// # Errors
     ///
@@ -226,6 +247,9 @@ impl NetServer {
         let addr = listener
             .local_addr()
             .map_err(|e| NetError::Spawn(format!("local_addr: {e}")))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| NetError::Spawn(format!("listener: {e}")))?;
 
         let mut pool = SessionPool::new(model, session)
             .map_err(|e| NetError::Spawn(format!("session pool: {e}")))?;
@@ -252,15 +276,27 @@ impl NetServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<Request>();
 
+        let mut pipes = Vec::new();
+        for _ in 0..config.net_threads {
+            pipes.push(wake_pipe().map_err(|e| NetError::Spawn(format!("wake pipe: {e}")))?);
+        }
+        let wakers: Vec<Waker> = pipes.iter().map(|(waker, _)| waker.clone()).collect();
+        let registries: Vec<Registry> = pipes.iter().map(|_| Registry::default()).collect();
+        let mut listener = Some(Listener {
+            listener,
+            registries: registries.clone(),
+            wakers: wakers.clone(),
+            next: 0,
+        });
+
         let mut handles = Vec::new();
-        let mut wakers = Vec::new();
-        let mut registries: Vec<Arc<Mutex<Vec<TcpStream>>>> = Vec::new();
-        for i in 0..config.net_threads {
-            let waker: Waker = Arc::new((Mutex::new(false), Condvar::new()));
-            let registry: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        for (i, (waker, wake_rx)) in pipes.into_iter().enumerate() {
             let thread = NetThread {
-                registry: registry.clone(),
-                waker: waker.clone(),
+                listener: listener.take(),
+                registry: registries[i].clone(),
+                waker,
+                wake_rx,
+                fds: Vec::new(),
                 auth: auth.clone(),
                 vocab: vocab.clone(),
                 counters: counters.clone(),
@@ -275,8 +311,6 @@ impl NetServer {
                     .spawn(move || thread.run())
                     .map_err(|e| NetError::Spawn(format!("net thread: {e}")))?,
             );
-            wakers.push(waker);
-            registries.push(registry);
         }
         drop(tx); // the scheduler's rx disconnects once every net thread exits
 
@@ -286,9 +320,8 @@ impl NetServer {
             rx,
             admission: config.admission,
             shutdown: shutdown.clone(),
-            counters: counters.clone(),
+            counters,
             wakers: wakers.clone(),
-            addr,
             pending: HashMap::new(),
         };
         handles.push(
@@ -296,20 +329,6 @@ impl NetServer {
                 .name("mnn-net-sched".into())
                 .spawn(move || scheduler.run())
                 .map_err(|e| NetError::Spawn(format!("scheduler thread: {e}")))?,
-        );
-
-        let accept = AcceptLoop {
-            listener,
-            registries,
-            wakers: wakers.clone(),
-            counters,
-            shutdown: shutdown.clone(),
-        };
-        handles.push(
-            std::thread::Builder::new()
-                .name("mnn-net-accept".into())
-                .spawn(move || accept.run())
-                .map_err(|e| NetError::Spawn(format!("accept thread: {e}")))?,
         );
 
         Ok(NetServer {
@@ -345,8 +364,6 @@ impl NetServer {
         for waker in &self.wakers {
             wake(waker);
         }
-        // Unblock the accept thread's blocking accept.
-        let _ = TcpStream::connect(self.addr);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -361,44 +378,41 @@ impl Drop for NetServer {
     }
 }
 
-/// The accept loop: blocks on the listener, deals connections
-/// round-robin to net threads.
-struct AcceptLoop {
+/// Connections accepted for a net thread but not yet adopted by it.
+type Registry = Arc<Mutex<Vec<TcpStream>>>;
+
+/// The listening socket, polled by net thread 0, which deals each new
+/// connection round-robin to the net threads' registries.
+struct Listener {
     listener: TcpListener,
-    registries: Vec<Arc<Mutex<Vec<TcpStream>>>>,
+    registries: Vec<Registry>,
     wakers: Vec<Waker>,
-    counters: Arc<Counters>,
-    shutdown: Arc<AtomicBool>,
+    next: usize,
 }
 
-impl AcceptLoop {
-    fn run(self) {
-        let mut next = 0usize;
+impl Listener {
+    /// Accepts every pending connection.
+    fn accept(&mut self, counters: &Counters) {
         loop {
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
-                Err(_) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    continue;
-                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // `WouldBlock`, or a failure (a connection reset before it
+                // was accepted, no fds left) the next poll retries.
+                Err(_) => return,
             };
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
             let _ = stream.set_nodelay(true);
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            self.counters.active.fetch_add(1, Ordering::Relaxed);
-            self.registries[next]
+            counters.accepted.fetch_add(1, Ordering::Relaxed);
+            counters.active.fetch_add(1, Ordering::Relaxed);
+            self.registries[self.next]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(stream);
-            wake(&self.wakers[next]);
-            next = (next + 1) % self.registries.len();
+            wake(&self.wakers[self.next]);
+            self.next = (self.next + 1) % self.registries.len();
         }
     }
 }
@@ -410,6 +424,9 @@ struct Conn {
     inbuf: Vec<u8>,
     tenant: Option<String>,
     last_activity: Instant,
+    /// The last `poll` reported bytes or a hang-up (a new connection
+    /// starts readable).
+    readable: bool,
     /// Close once the outbox drains (set after an unrecoverable frame
     /// error — the byte stream can no longer be trusted to re-sync).
     draining: bool,
@@ -418,8 +435,13 @@ struct Conn {
 
 /// One connection-handling thread.
 struct NetThread {
-    registry: Arc<Mutex<Vec<TcpStream>>>,
+    /// Net thread 0 owns the listener.
+    listener: Option<Listener>,
+    registry: Registry,
     waker: Waker,
+    wake_rx: UnixStream,
+    /// The poll set, kept across parks so a park allocates nothing.
+    fds: Vec<PollFd>,
     auth: Arc<BTreeMap<String, String>>,
     vocab: Arc<Vocabulary>,
     counters: Arc<Counters>,
@@ -430,7 +452,7 @@ struct NetThread {
 }
 
 impl NetThread {
-    fn run(self) {
+    fn run(mut self) {
         let mut conns: Vec<Conn> = Vec::new();
         loop {
             // Adopt newly accepted connections.
@@ -451,6 +473,7 @@ impl NetThread {
                     inbuf: Vec::new(),
                     tenant: None,
                     last_activity: Instant::now(),
+                    readable: true,
                     draining: false,
                     dead: false,
                 });
@@ -461,22 +484,13 @@ impl NetThread {
                 return;
             }
 
-            let mut progress = false;
             for conn in &mut conns {
-                progress |= self.write_conn(conn);
-                if !conn.dead && !conn.draining {
-                    progress |= self.read_conn(conn);
+                self.write_conn(conn);
+                if !conn.dead && !conn.draining && conn.readable {
+                    conn.readable = false;
+                    self.read_conn(conn);
                 }
-                if conn.draining
-                    && !conn.dead
-                    && conn
-                        .shared
-                        .outbox
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .queue
-                        .is_empty()
-                {
+                if conn.draining && !conn.dead && conn.shared.queued() == 0 {
                     Self::close(conn, &self.counters);
                 }
                 if !conn.dead
@@ -487,23 +501,65 @@ impl NetThread {
                 }
             }
             conns.retain(|c| !c.dead);
+            self.park(&mut conns);
+        }
+    }
 
-            if !progress {
-                let park = if conns.is_empty() {
-                    PARK_IDLE
-                } else {
-                    PARK_BUSY
-                };
-                let (flag, cv) = &*self.waker;
-                let mut ready = flag.lock().unwrap_or_else(|e| e.into_inner());
-                if !*ready {
-                    let (guard, _) = cv
-                        .wait_timeout(ready, park)
-                        .unwrap_or_else(|e| e.into_inner());
-                    ready = guard;
-                }
-                *ready = false;
+    /// Frames a connection's outbox may hold before its socket stops
+    /// being read: past it, TCP flow control holds a client that does not
+    /// read its replies.
+    fn outbox_cap(&self) -> usize {
+        self.max_inflight.max(1) as usize
+    }
+
+    /// Sleeps in `poll` until a socket this thread owns is ready, its wake
+    /// pipe holds a byte, or the earliest idle-timeout deadline passes.
+    /// `poll` is level-triggered: anything the last pass left ready (bytes
+    /// not yet read, a reply not yet written) returns at once.
+    fn park(&mut self, conns: &mut [Conn]) {
+        let cap = self.outbox_cap();
+        self.fds.clear();
+        self.fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+        if let Some(listener) = &self.listener {
+            self.fds
+                .push(PollFd::new(listener.listener.as_raw_fd(), POLLIN));
+        }
+        let mut deadline: Option<Instant> = None;
+        for conn in conns.iter() {
+            let queued = conn.shared.queued();
+            let mut events = 0;
+            if !conn.draining && queued < cap {
+                events |= POLLIN;
             }
+            // Only while there is something to write, so a client that
+            // reads slowly cannot make the thread spin.
+            if queued > 0 {
+                events |= POLLOUT;
+            }
+            self.fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            if conn.shared.inflight.load(Ordering::Acquire) == 0 {
+                if let Some(at) = conn.last_activity.checked_add(self.idle_timeout) {
+                    deadline = Some(deadline.map_or(at, |d| d.min(at)));
+                }
+            }
+        }
+        let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+        // An error (no memory for the poll set) only costs a rescan.
+        if poll(&mut self.fds, timeout).is_err() {
+            return;
+        }
+        if self.fds[0].revents() != 0 {
+            let mut drained = [0u8; 64];
+            while matches!((&self.wake_rx).read(&mut drained), Ok(n) if n == drained.len()) {}
+        }
+        if let Some(listener) = &mut self.listener {
+            if self.fds[1].revents() != 0 {
+                listener.accept(&self.counters);
+            }
+        }
+        let socks = &self.fds[self.fds.len() - conns.len()..];
+        for (conn, fd) in conns.iter_mut().zip(socks) {
+            conn.readable = fd.revents() & !POLLOUT != 0;
         }
     }
 
@@ -517,13 +573,11 @@ impl NetThread {
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
     }
 
-    /// Drains response bytes into the socket; returns whether any byte
-    /// moved.
-    fn write_conn(&self, conn: &mut Conn) -> bool {
+    /// Drains response bytes into the socket until it would block.
+    fn write_conn(&self, conn: &mut Conn) {
         if conn.dead {
-            return false;
+            return;
         }
-        let mut progress = false;
         let mut outbox = conn.shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
         while let Some(front) = outbox.queue.front() {
             let frame_len = front.len();
@@ -532,10 +586,9 @@ impl NetThread {
                 Ok(0) => {
                     drop(outbox);
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
                 Ok(n) => {
-                    progress = true;
                     outbox.front_written += n;
                     if outbox.front_written == frame_len {
                         outbox.queue.pop_front();
@@ -543,47 +596,48 @@ impl NetThread {
                         self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     drop(outbox);
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
             }
         }
-        progress
     }
 
-    /// Reads available bytes, carves complete frames out of the
-    /// accumulation buffer, and handles each; returns whether any byte
-    /// moved.
-    fn read_conn(&self, conn: &mut Conn) -> bool {
-        let mut progress = false;
+    /// Reads available bytes and handles every complete frame they
+    /// finish, until the socket would block or the outbox is full.
+    fn read_conn(&self, conn: &mut Conn) {
         let mut tmp = [0u8; 16 * 1024];
-        loop {
+        while conn.shared.queued() < self.outbox_cap() {
             match conn.stream.read(&mut tmp) {
                 Ok(0) => {
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
                 Ok(n) => {
-                    progress = true;
                     conn.last_activity = Instant::now();
                     conn.inbuf.extend_from_slice(&tmp[..n]);
-                    if n < tmp.len() {
-                        break;
+                    self.carve_frames(conn);
+                    if conn.draining || n < tmp.len() {
+                        return;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
             }
         }
-        // Carve complete frames out of the buffer (zero-copy probe).
+    }
+
+    /// Carves complete frames out of the accumulation buffer (zero-copy
+    /// probe) and handles each.
+    fn carve_frames(&self, conn: &mut Conn) {
         loop {
             match mnn_wire::frame_len(&conn.inbuf, MAGIC, VERSION) {
                 Ok(Some(end)) => {
@@ -604,11 +658,11 @@ impl NetThread {
                                 message: e.to_string(),
                             });
                             conn.draining = true;
-                            return true;
+                            return;
                         }
                     }
                 }
-                Ok(None) => break,
+                Ok(None) => return,
                 Err(e) => {
                     // Garbled header: there is no way to find the next
                     // frame boundary. Answer typed and drain.
@@ -619,11 +673,10 @@ impl NetThread {
                     });
                     conn.inbuf.clear();
                     conn.draining = true;
-                    return true;
+                    return;
                 }
             }
         }
-        progress
     }
 
     fn handle_frame(&self, conn: &mut Conn, frame: NetFrame) {
@@ -733,33 +786,23 @@ impl NetThread {
         }
     }
 
-    /// Shutdown path: give each connection a grace period to flush its
-    /// outbox, then close everything.
-    fn drain_and_close(&self, conns: &mut Vec<Conn>) {
-        let start = Instant::now();
-        while start.elapsed() < DRAIN_GRACE {
-            let mut outstanding = false;
+    /// Shutdown path: give each connection until a grace deadline to
+    /// flush its outbox, sleeping in `poll` until a socket takes more
+    /// bytes, then close everything.
+    fn drain_and_close(&mut self, conns: &mut Vec<Conn>) {
+        let deadline = Instant::now() + DRAIN_GRACE;
+        loop {
+            self.fds.clear();
             for conn in conns.iter_mut() {
-                if conn.dead {
-                    continue;
-                }
                 self.write_conn(conn);
-                if !conn.dead
-                    && !conn
-                        .shared
-                        .outbox
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .queue
-                        .is_empty()
-                {
-                    outstanding = true;
+                if !conn.dead && conn.shared.queued() > 0 {
+                    self.fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLOUT));
                 }
             }
-            if !outstanding {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if self.fds.is_empty() || left.is_zero() || poll(&mut self.fds, Some(left)).is_err() {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
         }
         for conn in conns.iter_mut() {
             Self::close(conn, &self.counters);
@@ -784,7 +827,6 @@ struct Scheduler {
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
     wakers: Vec<Waker>,
-    addr: SocketAddr,
     pending: HashMap<u64, PendingAsk>,
 }
 
@@ -915,8 +957,6 @@ impl Scheduler {
                 for waker in &self.wakers {
                     wake(waker);
                 }
-                // Unblock the accept thread.
-                let _ = TcpStream::connect(self.addr);
             }
         }
     }

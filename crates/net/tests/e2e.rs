@@ -623,3 +623,61 @@ fn observe_does_not_overtake_a_queued_ask() {
     }
     server.shutdown();
 }
+
+#[test]
+fn a_client_that_never_reads_is_held_back_by_tcp() {
+    const CAP: usize = 64 << 20;
+    let (model, vocab, stories) = trained_model();
+    let server = NetServer::spawn(
+        model,
+        vocab,
+        session_config(Precision::F32),
+        server_config(&[("alpha", "alice"), ("beta", "bob")]),
+    )
+    .expect("server spawns");
+    let story = &stories[0];
+
+    // Never authenticated, so every ask queues an `Error` reply — which
+    // this client never reads. Once its outbox is full the server stops
+    // reading the socket, and TCP flow control stalls the writes.
+    let chunk = pipelined(&ask_burst(story, 1024));
+    let mut flooder = TcpStream::connect(server.addr()).expect("connect");
+    flooder
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    let (started, flooding) = std::sync::mpsc::channel();
+    let flood = std::thread::spawn(move || {
+        let mut accepted = 0;
+        while accepted <= CAP {
+            match flooder.write(&chunk) {
+                Ok(n) => accepted += n,
+                Err(_) => break, // the write timed out: the server holds back
+            }
+            if accepted >= 1 << 20 {
+                let _ = started.send(());
+            }
+        }
+        accepted
+    });
+    flooding.recv().expect("the flood gets going");
+
+    // Meanwhile, another tenant's lone ask is answered.
+    let (mut client, _) = NetClient::connect(server.addr(), "beta").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    for sentence in &story.sentences {
+        client.observe_tokens(sentence).expect("observe");
+    }
+    match client.ask_tokens(&story.questions[0].tokens) {
+        Ok(Response::Answer(_)) => {}
+        other => panic!("a lone ask beside the flood: {other:?}"),
+    }
+
+    let accepted = flood.join().expect("flood thread");
+    assert!(
+        accepted <= CAP,
+        "{accepted} bytes accepted from a client that never reads"
+    );
+    server.shutdown();
+}
