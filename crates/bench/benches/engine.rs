@@ -3,11 +3,12 @@
 //! DESIGN.md §5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mnn_bench::run_pass;
 use mnn_tensor::softmax::softmax_in_place;
 use mnn_tensor::{kernels, Matrix};
 use mnnfast::{
-    Budget, ColumnEngine, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
-    SkipPolicy, SoftmaxMode, Trace,
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, PlanExecutor, Route, Scratch,
+    SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
 use std::hint::black_box;
 
@@ -19,6 +20,13 @@ fn memories() -> (Matrix, Matrix, Vec<f32>) {
     let m_out = Matrix::from_fn(NS, ED, |r, c| ((r * 7 + c) as f32 * 0.002).cos() * 0.4);
     let u: Vec<f32> = (0..ED).map(|i| (i as f32 * 0.3).sin()).collect();
     (m_in, m_out, u)
+}
+
+/// The inline walk of `config`.
+fn column(config: MnnFastConfig) -> PlanExecutor {
+    ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor()
 }
 
 /// The baseline dataflow: full-length T_IN / P spill between layers.
@@ -39,37 +47,30 @@ fn bench_variants(c: &mut Criterion) {
     g.bench_function("baseline", |b| {
         b.iter(|| baseline_forward(black_box(&m_in), black_box(&m_out), black_box(&u)))
     });
-    let column = ColumnEngine::new(MnnFastConfig::new(1000));
-    g.bench_function("column", |b| {
-        b.iter(|| {
-            column
-                .forward(black_box(&m_in), black_box(&m_out), &u)
-                .unwrap()
-                .o
-        })
-    });
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(NS);
+    let mut scratch = Scratch::new();
+    let mut pass = |exec: &PlanExecutor| {
+        run_pass(
+            exec,
+            black_box(view),
+            Route::Plan(&whole),
+            &u,
+            &mut scratch,
+            &mut Trace::disabled(),
+        )
+    };
+    let exec = column(MnnFastConfig::new(1000));
+    g.bench_function("column", |b| b.iter(|| pass(&exec)));
     // The two-pass dataflow the fused kernel replaces, on the tensor
     // reference primitives.
     g.bench_function("column_twopass", |b| {
         b.iter(|| mnn_bench::two_pass_forward(black_box(&m_in), black_box(&m_out), &u, 1000))
     });
-    let skip = ColumnEngine::new(MnnFastConfig::new(1000).with_skip(SkipPolicy::RawWeight(1.0)));
-    g.bench_function("column_zero_skip", |b| {
-        b.iter(|| {
-            skip.forward(black_box(&m_in), black_box(&m_out), &u)
-                .unwrap()
-                .o
-        })
-    });
-    let online = ColumnEngine::new(MnnFastConfig::new(1000).with_softmax(SoftmaxMode::Online));
-    g.bench_function("column_online_softmax", |b| {
-        b.iter(|| {
-            online
-                .forward(black_box(&m_in), black_box(&m_out), &u)
-                .unwrap()
-                .o
-        })
-    });
+    let exec = column(MnnFastConfig::new(1000).with_skip(SkipPolicy::RawWeight(1.0)));
+    g.bench_function("column_zero_skip", |b| b.iter(|| pass(&exec)));
+    let exec = column(MnnFastConfig::new(1000).with_softmax(SoftmaxMode::Online));
+    g.bench_function("column_online_softmax", |b| b.iter(|| pass(&exec)));
     g.finish();
 }
 
@@ -78,7 +79,7 @@ fn bench_variants(c: &mut Criterion) {
 /// two bars is the observability overhead.
 fn bench_trace_overhead(c: &mut Criterion) {
     let (m_in, m_out, u) = memories();
-    let engine: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(1000));
+    let engine = column(MnnFastConfig::new(1000));
     let view = MemView::from((&m_in, &m_out));
     let whole = SegmentPlan::unsegmented(NS);
     let mut g = c.benchmark_group("trace_overhead");
@@ -122,15 +123,23 @@ fn bench_trace_overhead(c: &mut Criterion) {
 
 fn bench_chunk_sweep(c: &mut Criterion) {
     let (m_in, m_out, u) = memories();
+    let view = MemView::from((&m_in, &m_out));
+    let whole = SegmentPlan::unsegmented(NS);
+    let mut scratch = Scratch::new();
     let mut g = c.benchmark_group("chunk_sweep");
     for &chunk in &[64usize, 256, 1024, 4096, 16384] {
-        let engine = ColumnEngine::new(MnnFastConfig::new(chunk));
+        let exec = column(MnnFastConfig::new(chunk));
         g.bench_with_input(BenchmarkId::from_parameter(chunk), &chunk, |b, _| {
             b.iter(|| {
-                engine
-                    .forward(black_box(&m_in), black_box(&m_out), &u)
-                    .unwrap()
-                    .o
+                let route = Route::Plan(&whole);
+                run_pass(
+                    &exec,
+                    black_box(view),
+                    route,
+                    &u,
+                    &mut scratch,
+                    &mut Trace::disabled(),
+                )
             })
         });
     }

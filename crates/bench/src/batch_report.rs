@@ -17,8 +17,7 @@ use crate::table::{f, ExperimentTable};
 use crate::Scale;
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
-    Trace,
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace,
 };
 use std::hint::black_box;
 use std::time::Instant;

@@ -22,7 +22,7 @@ use mnn_dist::{
 };
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, ColumnEngine, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace,
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace,
 };
 use std::time::{Duration, Instant};
 
@@ -90,7 +90,7 @@ fn percentiles(samples: &mut [f64]) -> (f64, f64) {
 }
 
 /// Runs the overhead + straggler measurement on a four-worker loopback
-/// fleet against the in-process column engine.
+/// fleet against the in-process Column walk.
 pub fn run(scale: Scale) -> DistReport {
     let ed = 64;
     // Coarse chunks keep the per-question partial count (and so the
@@ -119,7 +119,9 @@ pub fn run(scale: Scale) -> DistReport {
 
     // In-process reference: the same column pass the workers run.
     let config = MnnFastConfig::new(chunk);
-    let engine: &dyn Executor = &ColumnEngine::new(config);
+    let engine = ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor();
     let mut scratch = Scratch::new();
     let mut trace = Trace::disabled();
     let reference = engine

@@ -1,5 +1,5 @@
 //! Machine-readable engine benchmark: per-[`EngineKind`] latency and
-//! per-phase breakdown measured through the [`mnnfast::Executor`] seam.
+//! per-phase breakdown measured through the [`mnnfast::PlanExecutor`] entry.
 //!
 //! The human-readable tables (Fig 9 and friends) are for eyeballs; this
 //! module produces the same measurements as structured data so dashboards
@@ -115,7 +115,7 @@ impl EngineReport {
             headers.push(phase.label());
         }
         let mut t = ExperimentTable::new(
-            "Engine latency and per-phase time share (Executor seam)",
+            "Engine latency and per-phase time share (PlanExecutor entry)",
             &headers,
         );
         for e in &self.entries {

@@ -11,8 +11,8 @@ use mnn_memsim::hierarchy::{replay_hierarchy, CacheHierarchy};
 use mnn_memsim::{EmbeddingCache, Variant};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, ColumnEngine, EngineError, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch,
-    SegmentPlan, SoftmaxMode, Trace,
+    Budget, ColumnOutput, EngineError, EngineKind, ExecPlan, MemView, MnnFastConfig, Route,
+    Scratch, SegmentPlan, SoftmaxMode, Trace,
 };
 use std::time::Instant;
 
@@ -21,6 +21,26 @@ fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r + 9 * c) as f32 * 2e-3).cos() * 0.4);
     let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.31).sin()).collect();
     (m_in, m_out, u)
+}
+
+/// One inline pass of `config` over every row, with a fresh scratch.
+fn column_pass(
+    config: MnnFastConfig,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    u: &[f32],
+) -> Result<ColumnOutput, EngineError> {
+    ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor()
+        .forward(
+            MemView::from((m_in, m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            u,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
 }
 
 /// Chunk-size sweep: native latency and peak intermediate footprint.
@@ -33,9 +53,9 @@ pub fn chunk_sweep(scale: Scale) -> ExperimentTable {
         &["chunk", "seconds", "peak intermediates (B)", "chunks"],
     );
     for chunk in [64usize, 256, 1024, 4096, 16384] {
-        let engine = ColumnEngine::new(MnnFastConfig::new(chunk.min(ns)));
+        let config = MnnFastConfig::new(chunk.min(ns));
         let t0 = Instant::now();
-        let out = engine.forward(&m_in, &m_out, &u).expect("valid shapes");
+        let out = column_pass(config, &m_in, &m_out, &u).expect("valid shapes");
         t.row(vec![
             chunk.to_string(),
             f(t0.elapsed().as_secs_f64()),
@@ -61,12 +81,9 @@ pub fn softmax_modes(scale: Scale) -> ExperimentTable {
     );
 
     // Realistic logits (|x| small): both finite and equal.
-    let lazy = ColumnEngine::new(MnnFastConfig::new(1000))
-        .forward(&m_in, &m_out, &u)
-        .expect("valid shapes");
-    let online = ColumnEngine::new(MnnFastConfig::new(1000).with_softmax(SoftmaxMode::Online))
-        .forward(&m_in, &m_out, &u)
-        .expect("valid shapes");
+    let lazy = column_pass(MnnFastConfig::new(1000), &m_in, &m_out, &u).expect("valid shapes");
+    let online_config = MnnFastConfig::new(1000).with_softmax(SoftmaxMode::Online);
+    let online = column_pass(online_config, &m_in, &m_out, &u).expect("valid shapes");
     let diff = lazy
         .o
         .iter()
@@ -86,15 +103,13 @@ pub fn softmax_modes(scale: Scale) -> ExperimentTable {
     let hot_u: Vec<f32> = vec![60.0; ed];
     let hot_in = Matrix::from_fn(256, ed, |r, _| 0.12 + (r as f32) * 1e-5);
     let hot_out = Matrix::from_fn(256, ed, |_, c| c as f32 * 0.1);
-    let lazy_hot_finite =
-        match ColumnEngine::new(MnnFastConfig::new(64)).forward(&hot_in, &hot_out, &hot_u) {
-            Ok(out) => out.o.iter().all(|v| v.is_finite()),
-            Err(EngineError::NumericFault { .. }) => false,
-            Err(e) => panic!("unexpected engine error: {e}"),
-        };
-    let online_hot = ColumnEngine::new(MnnFastConfig::new(64).with_softmax(SoftmaxMode::Online))
-        .forward(&hot_in, &hot_out, &hot_u)
-        .expect("valid shapes");
+    let lazy_hot_finite = match column_pass(MnnFastConfig::new(64), &hot_in, &hot_out, &hot_u) {
+        Ok(out) => out.o.iter().all(|v| v.is_finite()),
+        Err(EngineError::NumericFault { .. }) => false,
+        Err(e) => panic!("unexpected engine error: {e}"),
+    };
+    let online_config = MnnFastConfig::new(64).with_softmax(SoftmaxMode::Online);
+    let online_hot = column_pass(online_config, &hot_in, &hot_out, &hot_u).expect("valid shapes");
     t.row(vec![
         "overflow logits (~115)".into(),
         lazy_hot_finite.to_string(),
@@ -246,15 +261,11 @@ pub fn batching(scale: Scale) -> ExperimentTable {
         "Ablation: per-question vs batched engine (8 questions)",
         &["engine", "seconds", "memory bytes"],
     );
-    let single = ColumnEngine::new(config);
     let t0 = Instant::now();
     let mut per_q_bytes = 0u64;
     for q in &questions {
-        per_q_bytes += single
-            .forward(&m_in, &m_out, q)
-            .expect("valid shapes")
-            .stats
-            .memory_bytes;
+        let out = column_pass(config, &m_in, &m_out, q).expect("valid shapes");
+        per_q_bytes += out.stats.memory_bytes;
     }
     t.row(vec![
         "per-question".into(),

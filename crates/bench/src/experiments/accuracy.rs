@@ -5,7 +5,10 @@ use crate::table::{f, pct, ExperimentTable};
 use crate::Scale;
 use mnn_dataset::babi::{BabiGenerator, Story, TaskKind};
 use mnn_memnn::{eval, model::ModelConfig, train::Trainer, MemNet};
-use mnnfast::{ColumnEngine, InferenceStats, MnnFastConfig, SkipPolicy};
+use mnnfast::{
+    Budget, EngineKind, ExecPlan, InferenceStats, MemView, MnnFastConfig, Route, Scratch,
+    SegmentPlan, SkipPolicy, Trace,
+};
 
 /// Trains a MemN2N on the synthetic bAbI task and returns the model with a
 /// held-out test set — shared by Fig 6 and Fig 7.
@@ -84,11 +87,21 @@ pub fn zero_skip_eval(model: &MemNet, stories: &[Story], threshold: f32) -> (f32
     } else {
         SkipPolicy::None
     };
-    let engine = ColumnEngine::new(MnnFastConfig::new(16).with_skip(skip));
+    let exec = ExecPlan::new(MnnFastConfig::new(16).with_skip(skip))
+        .with_kind(EngineKind::Column)
+        .executor();
     let mut stats = InferenceStats::default();
+    let mut scratch = Scratch::new();
     let accuracy = eval::accuracy_with(model, stories, |emb, q| {
-        let out = engine
-            .forward(&emb.m_in, &emb.m_out, &emb.questions[q])
+        let out = exec
+            .forward(
+                MemView::from((&emb.m_in, &emb.m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(emb.m_in.rows())),
+                &emb.questions[q],
+                &mut scratch,
+                &mut Trace::disabled(),
+                &Budget::unlimited(),
+            )
             .expect("shapes from embed_story are consistent");
         stats.merge(&out.stats);
         model.output_logits(&out.o, &emb.questions[q])

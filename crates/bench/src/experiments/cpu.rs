@@ -12,7 +12,7 @@ use mnn_memsim::roofline::{self, MachineProfile};
 use mnn_memsim::{SetAssocCache, Variant};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Phase, Route, Scratch,
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Phase, PlanExecutor, Route, Scratch,
     SegmentPlan, SkipPolicy, Trace,
 };
 use std::time::Instant;
@@ -68,15 +68,15 @@ pub fn fig09_native(scale: Scale) -> ExperimentTable {
     }
     let baseline_s = t0.elapsed().as_secs_f64();
 
-    // Every MnnFast variant runs through the same Executor seam the serving
-    // layer uses: one reused scratch, untraced timing pass, then a traced
+    // Every MnnFast variant runs through the same PlanExecutor entry the
+    // serving layer uses: one reused scratch, untraced timing pass, then a traced
     // pass for the per-phase columns.
     let chunk = 1000;
     let view = MemView::from((&story.m_in, &story.m_out));
     let whole = SegmentPlan::unsegmented(ns);
     let route = Route::Plan(&whole);
     let mut scratch = Scratch::new();
-    let mut run = |exec: &dyn Executor| {
+    let mut run = |exec: &PlanExecutor| {
         let mut timing = Trace::disabled();
         let t = Instant::now();
         for u in &story.questions {

@@ -51,7 +51,7 @@ pub mod table;
 ///
 /// Panics if the pass fails (the reports build valid shapes).
 pub fn run_pass(
-    exec: &dyn mnnfast::Executor,
+    exec: &mnnfast::PlanExecutor,
     view: mnnfast::MemView<'_>,
     route: mnnfast::Route<'_>,
     u: &[f32],
@@ -76,7 +76,7 @@ pub fn run_pass(
 
 /// Wall seconds of one [`run_pass`].
 pub fn timed_pass(
-    exec: &dyn mnnfast::Executor,
+    exec: &mnnfast::PlanExecutor,
     view: mnnfast::MemView<'_>,
     route: mnnfast::Route<'_>,
     u: &[f32],
@@ -96,7 +96,7 @@ pub fn timed_pass(
 /// into the chunk partial, merged in chunk order, and one lazy division.
 /// The baseline of the fusion comparisons (`bench_kernels`'
 /// `column_forward_fig09` row, the criterion `column_twopass` case): the
-/// same arithmetic as a lazy [`mnnfast::ColumnEngine`] pass, with the
+/// same arithmetic as a lazy [`mnnfast::EngineKind::Column`] pass, with the
 /// logits spilled once per chunk.
 ///
 /// # Panics
@@ -168,8 +168,20 @@ mod tests {
         let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 5 + c * 11) as f32 * 0.21).cos() * 0.6);
         let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.3).sin()).collect();
         for chunk in [1, 16, 64, 500] {
-            let engine = mnnfast::ColumnEngine::new(mnnfast::MnnFastConfig::new(chunk));
-            let fused = engine.forward(&m_in, &m_out, &u).unwrap().o;
+            let exec = mnnfast::ExecPlan::new(mnnfast::MnnFastConfig::new(chunk))
+                .with_kind(mnnfast::EngineKind::Column)
+                .executor();
+            let fused = exec
+                .forward(
+                    (&m_in, &m_out).into(),
+                    mnnfast::Route::Plan(&mnnfast::SegmentPlan::unsegmented(ns)),
+                    &u,
+                    &mut mnnfast::Scratch::new(),
+                    &mut mnnfast::Trace::disabled(),
+                    &mnnfast::Budget::unlimited(),
+                )
+                .unwrap()
+                .o;
             let two_pass = two_pass_forward(&m_in, &m_out, &u, chunk);
             mnn_tensor::assert_slice_approx_eq(&two_pass, &fused, 1e-4);
         }

@@ -14,8 +14,8 @@ use crate::table::{f, ExperimentTable};
 use crate::Scale;
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, CancelToken, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch,
-    SegmentPlan, Trace,
+    Budget, CancelToken, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
+    Trace,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};

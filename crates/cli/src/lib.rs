@@ -400,9 +400,10 @@ fn cmd_eval(options: &Options, out: &mut dyn Write) -> CliResult {
     };
     let baseline = meval::accuracy(&model, &test_set);
 
-    let engine = mnnfast::ColumnEngine::new(
-        MnnFastConfig::new(ns.max(1)).with_skip(SkipPolicy::Probability(skip)),
-    );
+    let config = MnnFastConfig::new(ns.max(1)).with_skip(SkipPolicy::Probability(skip));
+    let exec = ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor();
     let hops = model.config().hops;
     let mut stats = mnnfast::InferenceStats::default();
     let mut scratch = Scratch::new();
@@ -413,7 +414,7 @@ fn cmd_eval(options: &Options, out: &mut dyn Write) -> CliResult {
     };
     let skipped = meval::accuracy_with(&model, &test_set, |emb, q| {
         let outp = mnnfast::multi_hop(
-            &engine,
+            &exec,
             MemView::from((&emb.m_in, &emb.m_out)),
             Route::Plan(&SegmentPlan::unsegmented(emb.m_in.rows())),
             &emb.questions[q],

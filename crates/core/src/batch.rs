@@ -38,7 +38,7 @@
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
 use crate::engine::{
-    charge_chunk, check_denom, check_output, AccumMut, ChunkOps, ColumnEngine, ColumnOutput,
+    charge_chunk, check_denom, check_output, process_chunk, AccumMut, ChunkOps, ColumnOutput,
     EngineError, Query,
 };
 use crate::exec::{MemView, Phase, Scratch, Trace};
@@ -237,15 +237,7 @@ impl Work {
     /// `slot` of the partials: reset, fill, count. A lane of several f32
     /// questions makes one tiled kernel call; otherwise each question runs
     /// the single-question chunk kernel, which counts and traces itself.
-    fn step(
-        &mut self,
-        engine: &ColumnEngine,
-        block: &Block,
-        ops: ChunkOps<'_>,
-        n: usize,
-        slot: usize,
-        trace: &mut Trace,
-    ) {
+    fn step(&mut self, block: &Block, ops: ChunkOps<'_>, n: usize, slot: usize, trace: &mut Trace) {
         let (nq, ed) = (block.nq, block.ed);
         let mode = self.parts.mode;
         self.parts.reserve(mode, (slot + 1) * nq);
@@ -298,7 +290,7 @@ impl Work {
                 for q in (0..nq).filter(|&q| self.visit[q]) {
                     let mut part = self.parts.get(slots.start + q);
                     part.reset(ed);
-                    engine.process_chunk(
+                    process_chunk(
                         ops,
                         n,
                         block.query(q),
@@ -344,7 +336,7 @@ impl Work {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn share(
         &mut self,
-        engine: &ColumnEngine,
+        config: &MnnFastConfig,
         block: &Block,
         visit: &[bool],
         view: MemView<'_>,
@@ -353,16 +345,16 @@ impl Work {
         abort: &AtomicBool,
         trace: &mut Trace,
     ) {
-        self.ready(engine.config().softmax, block);
+        self.ready(config.softmax, block);
         self.visit.copy_from_slice(visit);
-        let chunk = engine.config().chunk_size;
+        let chunk = config.chunk_size;
         let mut row = rows.start;
         while row < rows.end
             && !abort.load(Ordering::Relaxed)
             && self.check_budgets(budgets, |_, _| {})
         {
             let n = chunk.min(rows.end - row);
-            self.step(engine, block, view.chunk(row, n), n, self.used, trace);
+            self.step(block, view.chunk(row, n), n, self.used, trace);
             self.used += 1;
             row += n;
         }
@@ -554,13 +546,12 @@ impl Lane {
     /// question's partial into its running total.
     fn walk_chunks(
         &mut self,
-        engine: &ColumnEngine,
+        chunk: usize,
         view: MemView<'_>,
         rows: Range<usize>,
         budgets: &[Budget],
         trace: &mut Trace,
     ) {
-        let chunk = engine.config().chunk_size;
         let mut row = rows.start;
         while row < rows.end {
             let errors = &mut self.errors;
@@ -568,8 +559,7 @@ impl Lane {
                 break;
             }
             let n = chunk.min(rows.end - row);
-            self.work
-                .step(engine, &self.block, view.chunk(row, n), n, 0, trace);
+            self.work.step(&self.block, view.chunk(row, n), n, 0, trace);
             let t0 = trace.begin();
             let mut merged = 0;
             for (q, visit) in self.work.visit.iter_mut().enumerate() {
@@ -588,19 +578,19 @@ impl Lane {
     /// pre-pass, then each segment's chunks folded in order.
     pub(crate) fn walk(
         &mut self,
-        engine: &ColumnEngine,
+        config: &MnnFastConfig,
         view: MemView<'_>,
         plan: &SegmentPlan<'_>,
         budgets: &[Budget],
         trace: &mut Trace,
     ) {
         let t0 = trace.begin();
-        self.resolve_thresholds(&engine.config(), view, plan.rows(), budgets);
+        self.resolve_thresholds(config, view, plan.rows(), budgets);
         trace.record(Phase::Skip, t0, 0);
         for seg in plan.segments() {
             if self.enter(seg, plan, budgets) {
                 self.walk_chunks(
-                    engine,
+                    config.chunk_size,
                     view,
                     seg.start..seg.start + seg.rows,
                     budgets,
@@ -695,14 +685,12 @@ impl Lane {
     /// folded.
     pub(crate) fn chunk_partial(
         &mut self,
-        engine: &ColumnEngine,
         view: MemView<'_>,
         row: usize,
         n: usize,
         trace: &mut Trace,
     ) -> PartialState {
-        self.work
-            .step(engine, &self.block, view.chunk(row, n), n, 0, trace);
+        self.work.step(&self.block, view.chunk(row, n), n, 0, trace);
         self.work.parts.state(0)
     }
 

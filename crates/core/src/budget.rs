@@ -4,7 +4,7 @@
 //! multi-tenant load: a single slow question must not stall the pool, and a
 //! caller that has given up must be able to reclaim the worker. Both needs
 //! are met with one cooperative mechanism threaded through the
-//! [`crate::Executor`] seam:
+//! [`crate::PlanExecutor`] entry:
 //!
 //! * [`Budget`] — an optional wall-clock deadline plus an optional
 //!   [`CancelToken`], checked **once per chunk** on every walk (inline,
@@ -25,7 +25,7 @@
 //!
 //! [`Budget::unlimited`] is the hot-path default: its check is two
 //! predictable branches and never reads the clock, so an unbudgeted
-//! [`crate::Executor::forward`] pays nothing.
+//! [`crate::PlanExecutor::forward`] pays nothing.
 
 use crate::engine::EngineError;
 use std::sync::atomic::{AtomicBool, Ordering};

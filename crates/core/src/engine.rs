@@ -7,21 +7,16 @@
 //! when the attention weight is below the zero-skip threshold. A single
 //! division pass at the very end produces the response vector `o`.
 //!
-//! This module holds the per-chunk kernels ([`ColumnEngine`]'s chunk step,
-//! on either memory plane) and the numeric guards. The one pass that drives
-//! them — for one question or many, inline or over worker threads — is
-//! [`crate::parallel`]'s, over the per-worker arenas of [`crate::batch`].
-//! As an [`crate::Executor`] the engine always walks inline and answers
-//! batches one question at a time — the reference every parity suite and
-//! the lattice compare [`crate::PlanExecutor`] against.
+//! This module holds the per-chunk step (one chunk on either memory plane)
+//! and the numeric guards. The one pass that drives them — for one question
+//! or many, inline or over worker threads — is [`crate::parallel`]'s, over
+//! the per-worker arenas of [`crate::batch`], entered through
+//! [`crate::PlanExecutor`].
 
-use crate::budget::Budget;
-use crate::config::MnnFastConfig;
-use crate::exec::{resolve_route, Executor, MemView, Phase, Route, Scratch, Trace};
-use crate::segment::SegmentPlan;
+use crate::exec::{Phase, Trace};
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
-use mnn_tensor::{kernels, Matrix, ShapeError};
+use mnn_tensor::{kernels, ShapeError};
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -214,8 +209,8 @@ impl AccumMut<'_> {
 }
 
 /// One chunk's rows of both memories, on whichever plane the pass reads.
-/// Built once per chunk ([`MemView::chunk`]) and matched once per chunk in
-/// [`ColumnEngine::process_chunk`] — never per row.
+/// Built once per chunk ([`crate::MemView::chunk`]) and matched once per
+/// chunk in [`process_chunk`] — never per row.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ChunkOps<'a> {
     F32 {
@@ -240,109 +235,58 @@ pub(crate) struct Query<'a> {
     pub(crate) scale: f32,
 }
 
-/// The column-based inference engine.
+/// One chunk into `acc`, on whichever plane `ops` carries: the one
+/// per-chunk dispatch onto the f32 / int8 fused chunk kernels, charged by
+/// [`charge_chunk`] and traced as [`Phase::FusedChunk`]. Fusion removes the
+/// chunk-wide logits intermediate: only an 8-row logit block plus the
+/// accumulator row stay live. The int8 plane charges `ed + 4` bytes per row
+/// touched — the codes plus the f32 scale — which is where the ~4x
+/// bandwidth saving shows up in [`InferenceStats::memory_bytes`].
 ///
-/// Construction is cheap; one engine can serve many forward passes and is
-/// `Send + Sync` (it holds only the configuration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColumnEngine {
-    config: MnnFastConfig,
-}
-
-impl ColumnEngine {
-    /// Creates an engine with the given configuration.
-    pub fn new(config: MnnFastConfig) -> Self {
-        Self { config }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> MnnFastConfig {
-        self.config
-    }
-
-    /// Computes `o = softmax(u · M_INᵀ) · M_OUT` with the column-based
-    /// algorithm over every row, with a throwaway [`Scratch`], no trace and
-    /// no budget (one-shot convenience; serving loops should call
-    /// [`Executor::forward`] with a reused [`Scratch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if the configuration is invalid, the two
-    /// memories disagree in shape, or `u` does not match the embedding
-    /// dimension.
-    pub fn forward(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        u: &[f32],
-    ) -> Result<ColumnOutput, EngineError> {
-        Executor::forward(
-            self,
-            MemView::F32 { m_in, m_out },
-            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
-            u,
-            &mut Scratch::new(),
-            &mut Trace::disabled(),
-            &Budget::unlimited(),
-        )
-    }
-
-    /// One chunk into `acc`, on whichever plane `ops` carries: the one
-    /// per-chunk dispatch onto the f32 / int8 fused chunk kernels, charged
-    /// by [`charge_chunk`] and traced as [`Phase::FusedChunk`]. Fusion
-    /// removes the chunk-wide logits intermediate: only an 8-row logit
-    /// block plus the accumulator row stay live. The int8 plane charges
-    /// `ed + 4` bytes per row touched — the codes plus the f32 scale —
-    /// which is where the ~4x bandwidth saving shows up in
-    /// [`InferenceStats::memory_bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree with `n` and the query's width.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_chunk(
-        &self,
-        ops: ChunkOps<'_>,
-        n: usize,
-        query: Query<'_>,
-        raw_threshold: Option<f32>,
-        acc: &mut AccumMut<'_>,
-        stats: &mut InferenceStats,
-        trace: &mut Trace,
-    ) {
-        let ed = query.u.len();
-        let t0 = trace.begin();
-        let (skipped, row_bytes) = match ops {
-            ChunkOps::F32 { m_in, m_out } => {
-                assert_eq!(m_out.len(), n * ed, "process_chunk: bad out chunk");
-                let skipped = acc.accumulate_chunk(m_in, m_out, n, query.u, raw_threshold);
-                (skipped, ed * 4)
-            }
-            ChunkOps::Int8 {
+/// # Panics
+///
+/// Panics if the slices disagree with `n` and the query's width.
+pub(crate) fn process_chunk(
+    ops: ChunkOps<'_>,
+    n: usize,
+    query: Query<'_>,
+    raw_threshold: Option<f32>,
+    acc: &mut AccumMut<'_>,
+    stats: &mut InferenceStats,
+    trace: &mut Trace,
+) {
+    let ed = query.u.len();
+    let t0 = trace.begin();
+    let (skipped, row_bytes) = match ops {
+        ChunkOps::F32 { m_in, m_out } => {
+            assert_eq!(m_out.len(), n * ed, "process_chunk: bad out chunk");
+            let skipped = acc.accumulate_chunk(m_in, m_out, n, query.u, raw_threshold);
+            (skipped, ed * 4)
+        }
+        ChunkOps::Int8 {
+            m_in,
+            in_scales,
+            m_out,
+            out_scales,
+        } => {
+            assert_eq!(m_out.len(), n * ed, "process_chunk: bad out chunk");
+            let skipped = acc.accumulate_chunk_i8(
                 m_in,
                 in_scales,
                 m_out,
                 out_scales,
-            } => {
-                assert_eq!(m_out.len(), n * ed, "process_chunk: bad out chunk");
-                let skipped = acc.accumulate_chunk_i8(
-                    m_in,
-                    in_scales,
-                    m_out,
-                    out_scales,
-                    n,
-                    query.uq,
-                    query.scale,
-                    raw_threshold,
-                );
-                (skipped, ed + 4)
-            }
-        };
-        trace.record(Phase::FusedChunk, t0, n as u64);
-        trace.bump(Phase::Skip, skipped);
-        charge_chunk(stats, n, ed, skipped, row_bytes);
-        stats.intermediate_bytes = stats.intermediate_bytes.max((8 * 4 + ed * 4) as u64);
-    }
+                n,
+                query.uq,
+                query.scale,
+                raw_threshold,
+            );
+            (skipped, ed + 4)
+        }
+    };
+    trace.record(Phase::FusedChunk, t0, n as u64);
+    trace.bump(Phase::Skip, skipped);
+    charge_chunk(stats, n, ed, skipped, row_bytes);
+    stats.intermediate_bytes = stats.intermediate_bytes.max((8 * 4 + ed * 4) as u64);
 }
 
 /// Charges one chunk of `n` rows, `skipped` of them zero-skipped, to a
@@ -392,37 +336,14 @@ pub(crate) fn check_output(o: &[f32]) -> Result<(), EngineError> {
     }
 }
 
-impl Executor for ColumnEngine {
-    fn forward(
-        &self,
-        view: MemView<'_>,
-        route: Route<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError> {
-        resolve_route(
-            &self.config,
-            view,
-            route,
-            u,
-            scratch,
-            trace,
-            |v, p, s, t| crate::parallel::forward_one(&self.config, 1, v, p, u, s, t, budget),
-        )
-    }
-
-    fn config(&self) -> MnnFastConfig {
-        self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{SkipPolicy, SoftmaxMode};
-    use mnn_tensor::{assert_slice_approx_eq, softmax};
+    use crate::budget::Budget;
+    use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
+    use crate::exec::{EngineKind, ExecPlan, MemView, PlanExecutor, Route, Scratch};
+    use crate::segment::SegmentPlan;
+    use mnn_tensor::{assert_slice_approx_eq, softmax, Matrix};
 
     fn reference_forward(m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> Vec<f32> {
         let mut p = vec![0.0f32; m_in.rows()];
@@ -440,8 +361,15 @@ mod tests {
         (m_in, m_out, u)
     }
 
+    /// The inline walk: the plan pinned to [`EngineKind::Column`].
+    fn column(config: MnnFastConfig) -> PlanExecutor {
+        ExecPlan::new(config)
+            .with_kind(EngineKind::Column)
+            .executor()
+    }
+
     fn forward_with(
-        engine: &ColumnEngine,
+        config: MnnFastConfig,
         m_in: &Matrix,
         m_out: &Matrix,
         rows: usize,
@@ -449,8 +377,7 @@ mod tests {
         scratch: &mut Scratch,
         trace: &mut Trace,
     ) -> Result<ColumnOutput, EngineError> {
-        Executor::forward(
-            engine,
+        column(config).forward(
             MemView::F32 { m_in, m_out },
             Route::Plan(&SegmentPlan::unsegmented(rows)),
             u,
@@ -461,7 +388,7 @@ mod tests {
     }
 
     fn forward_prefix(
-        engine: &ColumnEngine,
+        config: MnnFastConfig,
         m_in: &Matrix,
         m_out: &Matrix,
         rows: usize,
@@ -469,7 +396,17 @@ mod tests {
     ) -> Result<ColumnOutput, EngineError> {
         let mut scratch = Scratch::new();
         let mut trace = Trace::disabled();
-        forward_with(engine, m_in, m_out, rows, u, &mut scratch, &mut trace)
+        forward_with(config, m_in, m_out, rows, u, &mut scratch, &mut trace)
+    }
+
+    /// One inline pass over every row with a fresh scratch.
+    fn forward(
+        config: MnnFastConfig,
+        m_in: &Matrix,
+        m_out: &Matrix,
+        u: &[f32],
+    ) -> Result<ColumnOutput, EngineError> {
+        forward_prefix(config, m_in, m_out, m_in.rows(), u)
     }
 
     #[test]
@@ -477,8 +414,8 @@ mod tests {
         let (m_in, m_out, u) = test_memories(97, 12);
         let expect = reference_forward(&m_in, &m_out, &u);
         for chunk in [1usize, 7, 16, 97, 200] {
-            let engine = ColumnEngine::new(MnnFastConfig::new(chunk));
-            let out = engine.forward(&m_in, &m_out, &u).unwrap();
+            let config = MnnFastConfig::new(chunk);
+            let out = forward(config, &m_in, &m_out, &u).unwrap();
             assert_slice_approx_eq(&out.o, &expect, 1e-4);
         }
     }
@@ -487,17 +424,16 @@ mod tests {
     fn online_mode_matches_baseline() {
         let (m_in, m_out, u) = test_memories(64, 8);
         let expect = reference_forward(&m_in, &m_out, &u);
-        let engine = ColumnEngine::new(MnnFastConfig::new(10).with_softmax(SoftmaxMode::Online));
-        let out = engine.forward(&m_in, &m_out, &u).unwrap();
+        let config = MnnFastConfig::new(10).with_softmax(SoftmaxMode::Online);
+        let out = forward(config, &m_in, &m_out, &u).unwrap();
         assert_slice_approx_eq(&out.o, &expect, 1e-4);
     }
 
     #[test]
     fn zero_threshold_skips_nothing() {
         let (m_in, m_out, u) = test_memories(50, 6);
-        let engine =
-            ColumnEngine::new(MnnFastConfig::new(8).with_skip(SkipPolicy::Probability(0.0)));
-        let out = engine.forward(&m_in, &m_out, &u).unwrap();
+        let config = MnnFastConfig::new(8).with_skip(SkipPolicy::Probability(0.0));
+        let out = forward(config, &m_in, &m_out, &u).unwrap();
         assert_eq!(out.stats.rows_skipped, 0);
         let expect = reference_forward(&m_in, &m_out, &u);
         assert_slice_approx_eq(&out.o, &expect, 1e-4);
@@ -516,9 +452,8 @@ mod tests {
         let u = vec![1.0f32; ed];
 
         let th = 0.05f32;
-        let engine =
-            ColumnEngine::new(MnnFastConfig::new(8).with_skip(SkipPolicy::Probability(th)));
-        let out = engine.forward(&m_in, &m_out, &u).unwrap();
+        let config = MnnFastConfig::new(8).with_skip(SkipPolicy::Probability(th));
+        let out = forward(config, &m_in, &m_out, &u).unwrap();
 
         // Oracle: compute true probabilities, count those under threshold.
         let mut p = vec![0.0f32; ns];
@@ -543,8 +478,8 @@ mod tests {
     fn raw_weight_skip_in_lazy_mode() {
         let (m_in, m_out, u) = test_memories(30, 4);
         // Threshold 1.0 skips all rows with negative logits.
-        let engine = ColumnEngine::new(MnnFastConfig::new(5).with_skip(SkipPolicy::RawWeight(1.0)));
-        let out = engine.forward(&m_in, &m_out, &u).unwrap();
+        let config = MnnFastConfig::new(5).with_skip(SkipPolicy::RawWeight(1.0));
+        let out = forward(config, &m_in, &m_out, &u).unwrap();
         let mut logits = vec![0.0f32; 30];
         kernels::gemv(&m_in, &u, &mut logits).unwrap();
         let expect_skipped = logits.iter().filter(|&&x| x.exp() < 1.0).count() as u64;
@@ -554,8 +489,8 @@ mod tests {
     #[test]
     fn stats_account_for_work() {
         let (m_in, m_out, u) = test_memories(24, 8);
-        let engine = ColumnEngine::new(MnnFastConfig::new(8));
-        let out = engine.forward(&m_in, &m_out, &u).unwrap();
+        let config = MnnFastConfig::new(8);
+        let out = forward(config, &m_in, &m_out, &u).unwrap();
         let s = out.stats;
         assert_eq!(s.rows_total, 24);
         assert_eq!(s.chunks, 3);
@@ -571,13 +506,14 @@ mod tests {
     #[test]
     fn skipping_reduces_memory_traffic() {
         let (m_in, m_out, u) = test_memories(60, 8);
-        let none = ColumnEngine::new(MnnFastConfig::new(10))
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
-        let skip =
-            ColumnEngine::new(MnnFastConfig::new(10).with_skip(SkipPolicy::Probability(0.02)))
-                .forward(&m_in, &m_out, &u)
-                .unwrap();
+        let none = forward(MnnFastConfig::new(10), &m_in, &m_out, &u).unwrap();
+        let skip = forward(
+            MnnFastConfig::new(10).with_skip(SkipPolicy::Probability(0.02)),
+            &m_in,
+            &m_out,
+            &u,
+        )
+        .unwrap();
         assert!(skip.stats.rows_skipped > 0);
         // Two-pass probability mode re-reads M_IN, but saves M_OUT rows.
         let m_out_bytes_none = none.stats.memory_bytes - 60 * 8 * 4;
@@ -589,20 +525,20 @@ mod tests {
     #[test]
     fn shape_errors_are_reported() {
         let (m_in, m_out, u) = test_memories(10, 4);
-        let engine = ColumnEngine::new(MnnFastConfig::new(4));
+        let config = MnnFastConfig::new(4);
         let bad_u = vec![0.0f32; 5];
         assert!(matches!(
-            engine.forward(&m_in, &m_out, &bad_u),
+            forward(config, &m_in, &m_out, &bad_u),
             Err(EngineError::Shape(_))
         ));
         let m_out_bad = Matrix::zeros(11, 4);
         assert!(matches!(
-            engine.forward(&m_in, &m_out_bad, &u),
+            forward(config, &m_in, &m_out_bad, &u),
             Err(EngineError::MemoryMismatch { .. })
         ));
-        let bad_cfg = ColumnEngine::new(MnnFastConfig::new(0));
+        let bad_cfg = MnnFastConfig::new(0);
         assert!(matches!(
-            bad_cfg.forward(&m_in, &m_out, &u),
+            forward(bad_cfg, &m_in, &m_out, &u),
             Err(EngineError::Config(_))
         ));
     }
@@ -611,13 +547,13 @@ mod tests {
     fn forward_prefix_equals_forward_on_truncated_memories() {
         let (m_in, m_out, u) = test_memories(50, 6);
         for rows in [0usize, 1, 17, 50] {
-            let engine = ColumnEngine::new(MnnFastConfig::new(8));
-            let prefix = forward_prefix(&engine, &m_in, &m_out, rows, &u).unwrap();
+            let config = MnnFastConfig::new(8);
+            let prefix = forward_prefix(config, &m_in, &m_out, rows, &u).unwrap();
             // Reference: physically truncated matrices.
             if rows > 0 {
                 let ti = Matrix::from_flat(rows, 6, m_in.rows_slice(0, rows)).unwrap();
                 let to = Matrix::from_flat(rows, 6, m_out.rows_slice(0, rows)).unwrap();
-                let full = engine.forward(&ti, &to, &u).unwrap();
+                let full = forward(config, &ti, &to, &u).unwrap();
                 assert_eq!(prefix.o, full.o, "rows {rows}");
                 assert_eq!(prefix.stats.rows_total, rows as u64);
             } else {
@@ -625,9 +561,9 @@ mod tests {
             }
         }
         // Out-of-range prefix errors.
-        let engine = ColumnEngine::new(MnnFastConfig::new(8));
+        let config = MnnFastConfig::new(8);
         assert!(matches!(
-            forward_prefix(&engine, &m_in, &m_out, 51, &u),
+            forward_prefix(config, &m_in, &m_out, 51, &u),
             Err(EngineError::Shape(_))
         ));
     }
@@ -635,13 +571,12 @@ mod tests {
     #[test]
     fn forward_prefix_with_probability_skip() {
         let (m_in, m_out, u) = test_memories(60, 4);
-        let engine =
-            ColumnEngine::new(MnnFastConfig::new(7).with_skip(SkipPolicy::Probability(0.02)));
+        let config = MnnFastConfig::new(7).with_skip(SkipPolicy::Probability(0.02));
         let rows = 33;
-        let prefix = forward_prefix(&engine, &m_in, &m_out, rows, &u).unwrap();
+        let prefix = forward_prefix(config, &m_in, &m_out, rows, &u).unwrap();
         let ti = Matrix::from_flat(rows, 4, m_in.rows_slice(0, rows)).unwrap();
         let to = Matrix::from_flat(rows, 4, m_out.rows_slice(0, rows)).unwrap();
-        let full = engine.forward(&ti, &to, &u).unwrap();
+        let full = forward(config, &ti, &to, &u).unwrap();
         assert_eq!(prefix.o, full.o);
         assert_eq!(prefix.stats.rows_skipped, full.stats.rows_skipped);
     }
@@ -649,14 +584,13 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_scratch() {
         let (m_in, m_out, u) = test_memories(77, 8);
-        let engine =
-            ColumnEngine::new(MnnFastConfig::new(13).with_skip(SkipPolicy::Probability(0.01)));
-        let plain = engine.forward(&m_in, &m_out, &u).unwrap();
+        let config = MnnFastConfig::new(13).with_skip(SkipPolicy::Probability(0.01));
+        let plain = forward(config, &m_in, &m_out, &u).unwrap();
         let mut scratch = Scratch::new();
         let mut trace = Trace::disabled();
         for _ in 0..3 {
             let reused = forward_with(
-                &engine,
+                config,
                 &m_in,
                 &m_out,
                 m_in.rows(),
@@ -675,12 +609,11 @@ mod tests {
     fn trace_attributes_phases() {
         let (m_in, m_out, u) = test_memories(90, 8);
         // All per-chunk work lands in FusedChunk.
-        let engine =
-            ColumnEngine::new(MnnFastConfig::new(16).with_skip(SkipPolicy::Probability(0.01)));
+        let config = MnnFastConfig::new(16).with_skip(SkipPolicy::Probability(0.01));
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let out = forward_with(
-            &engine,
+            config,
             &m_in,
             &m_out,
             m_in.rows(),
@@ -698,140 +631,6 @@ mod tests {
             "probability pre-pass is timed"
         );
         assert!(trace.total_nanos() > 0);
-    }
-
-    /// The two-pass dataflow the fused kernels replace, kept test-local as
-    /// the engine's reference: per chunk `kernels::gemv_chunk`, then the
-    /// per-row tensor primitives (`LazyAccumulator::add_weighted` /
-    /// `OnlineSoftmax::add`, or their `add_skipped` forms) into a fresh
-    /// chunk partial merged in chunk order, charged by [`charge_chunk`].
-    /// Probability thresholds are resolved as the pass's pre-pass does
-    /// (f64 sums over the logits in row order, the max in f32). Returns
-    /// `(o, denominator, stats)`.
-    fn reference_fold(
-        cfg: MnnFastConfig,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        u: &[f32],
-    ) -> (Vec<f32>, f32, InferenceStats) {
-        let (ns, ed) = (m_in.rows(), u.len());
-        let mut stats = InferenceStats::default();
-        let mut all = vec![0.0f32; ns];
-        kernels::gemv_chunk(m_in.as_slice(), ns, u, &mut all);
-        let threshold = match cfg.skip {
-            SkipPolicy::None => None,
-            SkipPolicy::RawWeight(th) => Some(th),
-            SkipPolicy::Probability(th) => {
-                let (mut max, mut rel, mut raw) = (f64::NEG_INFINITY, 0.0f64, 0.0f64);
-                for &x in &all {
-                    if x > max as f32 {
-                        rel *= ((max as f32 - x) as f64).exp();
-                        max = x as f64;
-                    }
-                    rel += ((x - max as f32) as f64).exp();
-                    raw += (x as f64).exp();
-                }
-                stats.flops += kernels::gemv_flops(ns, ed) + ns as u64;
-                stats.memory_bytes += (ns * ed * 4) as u64;
-                let denom = match cfg.softmax {
-                    SoftmaxMode::Lazy => raw,
-                    SoftmaxMode::Online => rel,
-                };
-                Some((th as f64 * denom) as f32)
-            }
-        };
-        let mut lazy = LazyAccumulator::new(ed);
-        let mut online = OnlineSoftmax::new(ed);
-        for start in (0..ns).step_by(cfg.chunk_size) {
-            let n = cfg.chunk_size.min(ns - start);
-            let mut logits = vec![0.0f32; n];
-            kernels::gemv_chunk(m_in.rows_slice(start, n), n, u, &mut logits);
-            let rows = m_out.rows_slice(start, n);
-            let row = |i: usize| &rows[i * ed..(i + 1) * ed];
-            let mut skipped = 0u64;
-            match cfg.softmax {
-                SoftmaxMode::Lazy => {
-                    let mut part = LazyAccumulator::new(ed);
-                    for (i, &x) in logits.iter().enumerate() {
-                        let w = x.exp();
-                        match threshold {
-                            Some(th) if w < th => {
-                                part.add_skipped(w);
-                                skipped += 1;
-                            }
-                            _ => part.add_weighted(w, row(i)),
-                        }
-                    }
-                    lazy.merge(&part);
-                }
-                SoftmaxMode::Online => {
-                    let mut part = OnlineSoftmax::new(ed);
-                    for (i, &x) in logits.iter().enumerate() {
-                        match threshold {
-                            Some(th) if part.relative_weight(x) < th => {
-                                part.add_skipped(x);
-                                skipped += 1;
-                            }
-                            _ => part.add(x, row(i)),
-                        }
-                    }
-                    online.merge(&part);
-                }
-            }
-            charge_chunk(&mut stats, n, ed, skipped, ed * 4);
-        }
-        stats.divisions += ed as u64;
-        stats.flops += ed as u64;
-        match cfg.softmax {
-            SoftmaxMode::Lazy => (lazy.clone().finish(), lazy.denom(), stats),
-            SoftmaxMode::Online => (online.clone().finish(), online.denom(), stats),
-        }
-    }
-
-    /// A whole column pass against [`reference_fold`]: the work counters
-    /// always agree; the output is bitwise in online mode on every backend
-    /// and in lazy mode on the scalar backend (libm `exp` on both sides),
-    /// within 1e-4 in lazy mode on AVX2 (the fused kernel's fast exp).
-    #[test]
-    fn column_pass_matches_the_two_pass_reference() {
-        use mnn_tensor::simd::{self, Backend};
-        let (m_in, m_out, u) = test_memories(97, 8);
-        let scalar = simd::backend() == Backend::Scalar;
-        for (skip, softmax) in [
-            (SkipPolicy::None, SoftmaxMode::Lazy),
-            (SkipPolicy::None, SoftmaxMode::Online),
-            (SkipPolicy::RawWeight(0.9), SoftmaxMode::Lazy),
-            (SkipPolicy::RawWeight(0.9), SoftmaxMode::Online),
-            (SkipPolicy::Probability(0.01), SoftmaxMode::Lazy),
-            (SkipPolicy::Probability(0.01), SoftmaxMode::Online),
-        ] {
-            let ctx = format!("{skip:?} {softmax:?}");
-            let cfg = MnnFastConfig::new(16).with_skip(skip).with_softmax(softmax);
-            let out = ColumnEngine::new(cfg).forward(&m_in, &m_out, &u).unwrap();
-            let (o, denominator, stats) = reference_fold(cfg, &m_in, &m_out, &u);
-            assert_eq!(out.stats.rows_total, stats.rows_total, "{ctx}");
-            assert_eq!(out.stats.rows_skipped, stats.rows_skipped, "{ctx}");
-            assert_eq!(out.stats.flops, stats.flops, "{ctx}");
-            assert_eq!(out.stats.memory_bytes, stats.memory_bytes, "{ctx}");
-            assert_eq!(out.stats.divisions, stats.divisions, "{ctx}");
-            if skip != SkipPolicy::None {
-                assert!(
-                    stats.rows_skipped > 0,
-                    "{ctx}: the threshold must skip rows"
-                );
-            }
-            if scalar || softmax == SoftmaxMode::Online {
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out.o), bits(&o), "{ctx}");
-                assert_eq!(out.denominator.to_bits(), denominator.to_bits(), "{ctx}");
-            } else {
-                assert_slice_approx_eq(&out.o, &o, 1e-4);
-                assert!(
-                    mnn_tensor::approx_eq(out.denominator, denominator, 1e-4),
-                    "{ctx}"
-                );
-            }
-        }
     }
 
     #[test]

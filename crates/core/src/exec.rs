@@ -4,16 +4,18 @@
 //! lazy softmax with zero-skipping — scales from one core to multi-threaded
 //! execution. This module encodes that claim in the type system:
 //!
-//! * [`Executor`] — the one forward seam. Serving, CLI, and bench layers
-//!   all hold `&dyn Executor`; nothing above `crates/core` dispatches over
-//!   walks by hand. Two implementors: [`PlanExecutor`] (production: the
-//!   one pass of [`crate::parallel`], for one question or a batch) and
-//!   [`crate::ColumnEngine`] (the inline reference the parity suites
-//!   compare against).
+//! * [`PlanExecutor`] — the one forward entry. Serving, CLI, and bench
+//!   layers all hold one; nothing above `crates/core` dispatches over walks
+//!   by hand. Its [`PlanExecutor::forward`] and
+//!   [`PlanExecutor::forward_batch`] run the one pass of
+//!   [`crate::parallel`], for one question or a batch.
 //! * [`ExecPlan`] / [`EngineKind`] — declarative walk selection, including
 //!   [`EngineKind::Auto`] which picks inline or scale-out from the rows
 //!   walked and the configured thread count at call time (the store grows
 //!   while serving, so the right walk changes over a session's lifetime).
+//!   A plan pinned to [`EngineKind::Column`] always walks inline on the
+//!   caller's thread: the reference walk the parity suites and the lattice
+//!   hold every other cell to, bit for bit.
 //! * [`Scratch`] — a reusable arena for every buffer the forward pass needs
 //!   (one [`crate::batch`] lane per worker, recycled output vectors, the
 //!   top-K gather staging) plus the parked worker [`Team`] a split pass
@@ -713,7 +715,7 @@ impl<'a> MemView<'a> {
         }
         if u.len() != m_in.1 {
             return Err(ShapeError::new(
-                "Executor::forward",
+                "PlanExecutor::forward",
                 format!("u of length {}", m_in.1),
                 format!("u of length {}", u.len()),
             )
@@ -726,7 +728,7 @@ impl<'a> MemView<'a> {
     pub(crate) fn check_rows(&self, rows: usize) -> Result<(), EngineError> {
         if rows > self.rows() {
             return Err(ShapeError::new(
-                "Executor::forward",
+                "PlanExecutor::forward",
                 format!("rows <= {}", self.rows()),
                 format!("rows = {rows}"),
             )
@@ -833,122 +835,10 @@ pub enum Route<'a> {
     },
 }
 
-/// Anything that can run the forward pass
-/// `o = softmax(u · M_INᵀ) · M_OUT` over a [`MemView`].
-///
-/// This is the single dispatch seam of the codebase: `serve`, `cli` and
-/// `bench` all hold `&dyn Executor`, and [`crate::hops::multi_hop`] accepts
-/// the same trait object. Exactly two types implement it: [`PlanExecutor`]
-/// — what production runs: one pass over a questions × chunk-ranges grid
-/// ([`crate::parallel`]), inline or over worker threads — and
-/// [`crate::ColumnEngine`] — always inline, batches as a per-question
-/// loop; the reference the parity suites and the lattice hold the first
-/// one to, bit for bit. Which plane and which rows are *values* — a
-/// [`MemView`] and a [`Route`] — not method names; an unbudgeted pass is
-/// one under [`Budget::unlimited`] (whose check never reads the clock).
-pub trait Executor: Send + Sync + fmt::Debug {
-    /// Computes the response vector for `u` over `route`'s rows of `view`
-    /// under an execution [`Budget`], reusing `scratch` buffers and
-    /// recording per-phase timings into `trace` (free when the trace is
-    /// disabled). A warm inline pass over a [`Route::Plan`] allocates
-    /// nothing.
-    ///
-    /// Every walk checks `budget` once per chunk and validates the
-    /// softmax denominator at each merge, so a deadline, a cancellation, or
-    /// a numeric fault surfaces within one chunk's work — never as silent
-    /// garbage — and a panicking chunk kernel surfaces as
-    /// [`EngineError::WorkerPanicked`], on the caller's thread too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] on invalid configuration, mismatched operand
-    /// shapes, or a plan reaching past the view's rows
-    /// ([`EngineError::Shape`], never a panic);
-    /// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`] when
-    /// the budget fails mid-pass; [`EngineError::NumericFault`] when a
-    /// non-finite value reaches an accumulator; and the admission errors
-    /// of [`Route::TopK`].
-    fn forward(
-        &self,
-        view: MemView<'_>,
-        route: Route<'_>,
-        u: &[f32],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budget: &Budget,
-    ) -> Result<ColumnOutput, EngineError>;
-
-    /// Answers a batch of same-dimension `questions` over `route`'s rows
-    /// of `view`, each question under its own [`Budget`] (`budgets[q]`
-    /// governs `questions[q]`; the two slices must have equal length).
-    /// Every slot is bitwise the [`Executor::forward`] answer for that
-    /// question alone, and its work counters (`rows_*`, `chunks`, `flops`,
-    /// `ws_flops`, `flops_skipped`, `memory_bytes`, `divisions`,
-    /// `segments_*`) are that lone pass's. `intermediate_bytes` is a
-    /// footprint, not work: a batch of two or more reports one question's
-    /// share of the batched tile, `(logit_rows + ed) · 4` bytes, whichever
-    /// split served it.
-    ///
-    /// Per-question failures are isolated: a deadline, cancellation,
-    /// numeric fault or contained panic on question `q` lands as the `Err`
-    /// in slot `q` while the remaining questions complete normally — the
-    /// outer `Err` is reserved for batch-level problems (invalid config,
-    /// ragged batch, mismatched budget count, bad operand shapes).
-    ///
-    /// The default implementation loops [`Executor::forward`] per question
-    /// — correct, but it re-streams both memories once per question.
-    /// [`PlanExecutor`] runs a [`Route::Plan`] batch as one pass that
-    /// streams each chunk once per *batch* and applies it to every live
-    /// question while it is cache-resident (a warm call allocates only its
-    /// result vector); a [`Route::TopK`] batch probes per question, since
-    /// each question's candidates are its own.
-    ///
-    /// # Errors
-    ///
-    /// Batch-level: [`EngineError::Config`] on ragged question batches or
-    /// `budgets.len() != questions.len()`, [`EngineError::Shape`] on bad
-    /// operand shapes. Per-question errors are carried in the inner
-    /// `Result`s.
-    fn forward_batch(
-        &self,
-        view: MemView<'_>,
-        route: Route<'_>,
-        questions: &[Vec<f32>],
-        scratch: &mut Scratch,
-        trace: &mut Trace,
-        budgets: &[Budget],
-    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        one_at_a_time(self, view, route, questions, scratch, trace, budgets)
-    }
-
-    /// The dataflow configuration this executor runs.
-    fn config(&self) -> MnnFastConfig;
-}
-
-/// A batch as a loop of [`Executor::forward`] calls: the trait's default
-/// batch, and [`PlanExecutor`]'s top-K batch (each question probes its own
-/// candidates).
-fn one_at_a_time<E: Executor + ?Sized>(
-    exec: &E,
-    view: MemView<'_>,
-    route: Route<'_>,
-    questions: &[Vec<f32>],
-    scratch: &mut Scratch,
-    trace: &mut Trace,
-    budgets: &[Budget],
-) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-    crate::parallel::check_batch(questions, budgets)?;
-    Ok(questions
-        .iter()
-        .zip(budgets)
-        .map(|(u, b)| exec.forward(view, route, u, scratch, trace, b))
-        .collect())
-}
-
 /// Resolves `route` into the plan walk `pass` runs — the one place a
 /// [`Route::TopK`] is turned into rows: admission checks → probe → gappy
 /// plan or gathered view → the same `pass` a [`Route::Plan`] gets.
-pub(crate) fn resolve_route(
+fn resolve_route(
     config: &MnnFastConfig,
     view: MemView<'_>,
     route: Route<'_>,
@@ -1088,8 +978,11 @@ fn patch_topk_stats(stats: &mut crate::InferenceStats, probe: &ProbeResult, stor
     stats.rows_skipped_by_index += (store_rows as u64).saturating_sub(rescored);
 }
 
-/// The executor built from an [`ExecPlan`]: one pass, walked inline or
-/// over the configured threads as [`ExecPlan::resolve`] says per call.
+/// The one forward entry of the codebase, built from an [`ExecPlan`]: one
+/// pass, walked inline or over the configured threads as
+/// [`ExecPlan::resolve`] says per call. Which plane and which rows are
+/// *values* — a [`MemView`] and a [`Route`] — not method names; multi-hop
+/// chains go through the same entry ([`crate::multi_hop`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanExecutor {
     plan: ExecPlan,
@@ -1106,6 +999,11 @@ impl PlanExecutor {
         self.plan
     }
 
+    /// The dataflow configuration this executor runs.
+    pub fn config(&self) -> MnnFastConfig {
+        self.plan.config
+    }
+
     /// The threads a pass over `rows` rows may use: the configured count
     /// when the plan resolves to the scale-out walk, else one (inline).
     fn threads(&self, rows: usize, ed: usize) -> usize {
@@ -1114,12 +1012,32 @@ impl PlanExecutor {
             EngineKind::Column | EngineKind::Auto => 1,
         }
     }
-}
 
-impl Executor for PlanExecutor {
-    /// Resolves the walk from the rows actually walked: a top-K pass
-    /// picks by its rescored rows, not by the memory it probed.
-    fn forward(
+    /// Computes the response vector `o = softmax(u · M_INᵀ) · M_OUT` for
+    /// `u` over `route`'s rows of `view` under an execution [`Budget`],
+    /// reusing `scratch` buffers and recording per-phase timings into
+    /// `trace` (free when the trace is disabled). A warm inline pass over a
+    /// [`Route::Plan`] allocates nothing. The walk is resolved from the
+    /// rows actually walked: a top-K pass picks by its rescored rows, not
+    /// by the memory it probed. An unbudgeted pass is one under
+    /// [`Budget::unlimited`] (whose check never reads the clock).
+    ///
+    /// Every walk checks `budget` once per chunk and validates the
+    /// softmax denominator at each merge, so a deadline, a cancellation, or
+    /// a numeric fault surfaces within one chunk's work — never as silent
+    /// garbage — and a panicking chunk kernel surfaces as
+    /// [`EngineError::WorkerPanicked`], on the caller's thread too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError`] on invalid configuration, mismatched operand
+    /// shapes, or a plan reaching past the view's rows
+    /// ([`EngineError::Shape`], never a panic);
+    /// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`] when
+    /// the budget fails mid-pass; [`EngineError::NumericFault`] when a
+    /// non-finite value reaches an accumulator; and the admission errors
+    /// of [`Route::TopK`].
+    pub fn forward(
         &self,
         view: MemView<'_>,
         route: Route<'_>,
@@ -1135,7 +1053,36 @@ impl Executor for PlanExecutor {
         })
     }
 
-    fn forward_batch(
+    /// Answers a batch of same-dimension `questions` over `route`'s rows
+    /// of `view`, each question under its own [`Budget`] (`budgets[q]`
+    /// governs `questions[q]`; the two slices must have equal length).
+    /// Every slot is bitwise the [`PlanExecutor::forward`] answer for that
+    /// question alone, and its work counters (`rows_*`, `chunks`, `flops`,
+    /// `ws_flops`, `flops_skipped`, `memory_bytes`, `divisions`,
+    /// `segments_*`) are that lone pass's. `intermediate_bytes` is a
+    /// footprint, not work: a batch of two or more reports one question's
+    /// share of the batched tile, `(logit_rows + ed) · 4` bytes, whichever
+    /// split served it.
+    ///
+    /// Per-question failures are isolated: a deadline, cancellation,
+    /// numeric fault or contained panic on question `q` lands as the `Err`
+    /// in slot `q` while the remaining questions complete normally — the
+    /// outer `Err` is reserved for batch-level problems (invalid config,
+    /// ragged batch, mismatched budget count, bad operand shapes).
+    ///
+    /// A [`Route::Plan`] batch is one pass that streams each chunk once per
+    /// *batch* and applies it to every live question while it is
+    /// cache-resident (a warm call allocates only its result vector); a
+    /// [`Route::TopK`] batch is a loop of [`PlanExecutor::forward`] calls,
+    /// since each question probes its own candidates.
+    ///
+    /// # Errors
+    ///
+    /// Batch-level: [`EngineError::Config`] on ragged question batches or
+    /// `budgets.len() != questions.len()`, [`EngineError::Shape`] on bad
+    /// operand shapes. Per-question errors are carried in the inner
+    /// `Result`s.
+    pub fn forward_batch(
         &self,
         view: MemView<'_>,
         route: Route<'_>,
@@ -1145,7 +1092,12 @@ impl Executor for PlanExecutor {
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
         let Route::Plan(plan) = route else {
-            return one_at_a_time(self, view, route, questions, scratch, trace, budgets);
+            crate::parallel::check_batch(questions, budgets)?;
+            return Ok(questions
+                .iter()
+                .zip(budgets)
+                .map(|(u, b)| self.forward(view, route, u, scratch, trace, b))
+                .collect());
         };
         let ed = questions.first().map_or(0, Vec::len);
         let threads = self.threads(plan.rows(), ed);
@@ -1163,10 +1115,6 @@ impl Executor for PlanExecutor {
             |slot| slots.push(slot),
         )?;
         Ok(slots)
-    }
-
-    fn config(&self) -> MnnFastConfig {
-        self.plan.config
     }
 }
 

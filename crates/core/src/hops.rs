@@ -1,16 +1,15 @@
-//! Multi-hop inference on top of any [`Executor`].
+//! Multi-hop inference on top of the [`PlanExecutor`].
 //!
 //! The paper's inference operation can "iterate over several times for
 //! better results" (Section 2.1): hop `k` computes
 //! `o_k = softmax(u_k · M_INᵀ) · M_OUT` and feeds `u_{k+1} = u_k + o_k`
 //! into the next hop. Every MnnFast optimization applies per hop, so this
-//! module lifts the single-hop engines to hop chains through the same
-//! [`Executor`] trait object the serving layer dispatches on — one seam,
-//! no parallel trait hierarchy.
+//! module lifts the single-hop pass to hop chains through the same
+//! [`PlanExecutor`] the serving layer holds — one entry, one hop loop.
 
 use crate::budget::Budget;
 use crate::engine::{ColumnOutput, EngineError};
-use crate::exec::{Executor, MemView, Route, Scratch, Trace};
+use crate::exec::{MemView, PlanExecutor, Route, Scratch, Trace};
 use crate::index::ClusterIndex;
 use crate::segment::SegmentPlan;
 use crate::stats::InferenceStats;
@@ -51,13 +50,13 @@ pub struct HopsOutput {
 ///
 /// # Errors
 ///
-/// Returns [`EngineError`] from [`Executor::forward_batch`], or a
+/// Returns [`EngineError`] from [`PlanExecutor::forward_batch`], or a
 /// configuration error if `hops == 0`. [`EngineError::IndexDeclined`]
 /// aborts the *whole chain* (a half-sparse, half-exact chain would be
 /// neither answer); callers rerun it over a [`Route::Plan`].
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     view: MemView<'_>,
     route: Route<'_>,
     u0: &[f32],
@@ -76,7 +75,7 @@ pub fn multi_hop(
 }
 
 /// Batched multi-hop: runs every question's hop chain through
-/// [`Executor::forward_batch`], so each hop streams the memories once per
+/// [`PlanExecutor::forward_batch`], so each hop streams the memories once per
 /// *batch* instead of once per question (`budgets[q]` governs
 /// `questions[q]` across its entire chain); routed plans prune per
 /// question per hop, and a [`Route::TopK`] chain re-probes per question
@@ -89,12 +88,12 @@ pub fn multi_hop(
 ///
 /// # Errors
 ///
-/// The outer `Err` is batch-level, as [`Executor::forward_batch`], plus a
+/// The outer `Err` is batch-level, as [`PlanExecutor::forward_batch`], plus a
 /// configuration error if `hops == 0`. Per-question errors are in the
 /// inner `Result`s.
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_batch(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     view: MemView<'_>,
     route: Route<'_>,
     questions: &[Vec<f32>],
@@ -120,7 +119,7 @@ pub fn multi_hop_batch(
 /// The one hop loop, over any batched single-hop pass: `hop` maps the
 /// still-live question states (and their indices into `questions`) to
 /// that hop's outputs, one slot per state in order — a local
-/// [`Executor::forward_batch`], or a memory pass fanned out to a worker
+/// [`PlanExecutor::forward_batch`], or a memory pass fanned out to a worker
 /// fleet. A slot's error ends that question's chain, in its slot; the
 /// others keep hopping. Each hop's response buffer came from the scratch
 /// pool, and the one it replaces goes back, so the next hop (or question)
@@ -207,7 +206,7 @@ pub fn hop_chain<Q: AsRef<[f32]>, E: From<EngineError>>(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_segmented_budgeted(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &Matrix,
     m_out: &Matrix,
     plan: &SegmentPlan<'_>,
@@ -232,7 +231,7 @@ pub fn multi_hop_segmented_budgeted(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_quant_segmented_budgeted(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &QuantMatrix,
     m_out: &QuantMatrix,
     plan: &SegmentPlan<'_>,
@@ -257,7 +256,7 @@ pub fn multi_hop_quant_segmented_budgeted(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_topk_segmented_budgeted(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &Matrix,
     m_out: &Matrix,
     index: &ClusterIndex,
@@ -288,7 +287,7 @@ pub fn multi_hop_topk_segmented_budgeted(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_quant_topk_segmented_budgeted(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &QuantMatrix,
     m_out: &QuantMatrix,
     index: &ClusterIndex,
@@ -319,7 +318,7 @@ pub fn multi_hop_quant_topk_segmented_budgeted(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_batch_segmented_budgeted(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &Matrix,
     m_out: &Matrix,
     plan: &SegmentPlan<'_>,
@@ -344,7 +343,7 @@ pub fn multi_hop_batch_segmented_budgeted(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn multi_hop_quant_batch_segmented_budgeted(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &QuantMatrix,
     m_out: &QuantMatrix,
     plan: &SegmentPlan<'_>,
@@ -369,9 +368,16 @@ pub fn multi_hop_quant_batch_segmented_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ColumnEngine, EngineKind, ExecPlan, MnnFastConfig, Phase, SkipPolicy};
+    use crate::{EngineKind, ExecPlan, MnnFastConfig, Phase, SkipPolicy};
     use mnn_tensor::softmax::softmax_in_place;
     use mnn_tensor::{assert_slice_approx_eq, kernels};
+
+    /// The inline walk: the plan pinned to [`EngineKind::Column`].
+    fn column(config: MnnFastConfig) -> PlanExecutor {
+        ExecPlan::new(config)
+            .with_kind(EngineKind::Column)
+            .executor()
+    }
 
     fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
         let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 3 + c) as f32 * 0.11).sin() * 0.5);
@@ -383,7 +389,7 @@ mod tests {
     /// [`multi_hop`] over every row of an f32 memory: fresh scratch, no
     /// trace, no budget.
     fn hops_over(
-        exec: &dyn Executor,
+        exec: &PlanExecutor,
         m_in: &Matrix,
         m_out: &Matrix,
         u0: &[f32],
@@ -425,10 +431,10 @@ mod tests {
         let parallel = ExecPlan::new(config.with_threads(2))
             .with_kind(EngineKind::Parallel)
             .executor();
-        let executors: [&dyn Executor; 3] = [&ColumnEngine::new(config), &parallel, &plan_exec];
+        let executors = [column(config), parallel, plan_exec];
         for hops in [1usize, 2, 3] {
             let expect = reference_hops(&m_in, &m_out, &u, hops);
-            for exec in executors {
+            for exec in &executors {
                 let out = hops_over(exec, &m_in, &m_out, &u, hops).unwrap();
                 assert_slice_approx_eq(&out.u_final, &expect, 1e-3);
                 assert_eq!(out.per_hop.len(), hops);
@@ -439,8 +445,8 @@ mod tests {
     #[test]
     fn u_last_plus_o_equals_u_final() {
         let (m_in, m_out, u) = memories(30, 4);
-        let engine = ColumnEngine::new(MnnFastConfig::new(8));
-        let out = hops_over(&engine, &m_in, &m_out, &u, 3).unwrap();
+        let exec = column(MnnFastConfig::new(8));
+        let out = hops_over(&exec, &m_in, &m_out, &u, 3).unwrap();
         for ((last, o), fin) in out.u_last.iter().zip(&out.o).zip(&out.u_final) {
             assert!((last + o - fin).abs() < 1e-6);
         }
@@ -449,9 +455,9 @@ mod tests {
     #[test]
     fn stats_accumulate_across_hops() {
         let (m_in, m_out, u) = memories(40, 4);
-        let engine = ColumnEngine::new(MnnFastConfig::new(10));
-        let one = hops_over(&engine, &m_in, &m_out, &u, 1).unwrap();
-        let three = hops_over(&engine, &m_in, &m_out, &u, 3).unwrap();
+        let exec = column(MnnFastConfig::new(10));
+        let one = hops_over(&exec, &m_in, &m_out, &u, 1).unwrap();
+        let three = hops_over(&exec, &m_in, &m_out, &u, 3).unwrap();
         assert_eq!(three.stats.rows_total, 3 * one.stats.rows_total);
         assert_eq!(three.stats.divisions, 3 * one.stats.divisions);
         // Peak intermediates do not triple: buffers are reused per hop.
@@ -461,9 +467,9 @@ mod tests {
     #[test]
     fn zero_hops_is_an_error() {
         let (m_in, m_out, u) = memories(10, 4);
-        let engine = ColumnEngine::new(MnnFastConfig::new(4));
+        let exec = column(MnnFastConfig::new(4));
         assert!(matches!(
-            hops_over(&engine, &m_in, &m_out, &u, 0),
+            hops_over(&exec, &m_in, &m_out, &u, 0),
             Err(EngineError::Config(_))
         ));
     }
@@ -471,9 +477,8 @@ mod tests {
     #[test]
     fn skipping_applies_on_every_hop() {
         let (m_in, m_out, u) = memories(50, 4);
-        let engine =
-            ColumnEngine::new(MnnFastConfig::new(10).with_skip(SkipPolicy::Probability(0.015)));
-        let out = hops_over(&engine, &m_in, &m_out, &u, 2).unwrap();
+        let exec = column(MnnFastConfig::new(10).with_skip(SkipPolicy::Probability(0.015)));
+        let out = hops_over(&exec, &m_in, &m_out, &u, 2).unwrap();
         assert_eq!(out.stats.rows_total, 100);
         assert!(out.stats.rows_skipped > 0);
     }
@@ -552,11 +557,11 @@ mod tests {
     #[test]
     fn hops_over_prefix_and_traced() {
         let (m_in, m_out, u) = memories(50, 4);
-        let engine = ColumnEngine::new(MnnFastConfig::new(10));
+        let exec = column(MnnFastConfig::new(10));
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let out = multi_hop(
-            &engine,
+            &exec,
             MemView::from((&m_in, &m_out)),
             Route::Plan(&SegmentPlan::unsegmented(30)),
             &u,

@@ -15,13 +15,14 @@
 //!    partial accumulators, the paper's multi-unit scaling argument
 //!    (Section 3.1, last paragraph).
 //!
-//! Every pass goes through one trait, [`Executor`] ([`exec`]): callers pick
-//! a walk declaratively with an [`ExecPlan`] (or let [`EngineKind::Auto`]
-//! choose inline or scale-out from the rows walked and the thread count),
-//! reuse buffers across questions through a [`Scratch`] arena, and get
-//! per-phase wall-time breakdowns via [`Trace`] — zero-cost when disabled.
-//! [`PlanExecutor`] is what production runs; [`ColumnEngine`] is the inline
-//! reference every parity suite compares it against.
+//! Every pass goes through one entry, [`PlanExecutor`] ([`exec`]): callers
+//! pick a walk declaratively with an [`ExecPlan`] (or let
+//! [`EngineKind::Auto`] choose inline or scale-out from the rows walked and
+//! the thread count), reuse buffers across questions through a [`Scratch`]
+//! arena, and get per-phase wall-time breakdowns via [`Trace`] — zero-cost
+//! when disabled. A plan pinned to [`EngineKind::Column`] walks inline on
+//! the caller's thread: the reference every parity suite compares the other
+//! walks against.
 //!
 //! The paper's *streaming* (prefetch the next chunk while the current one
 //! is computed) and its embedding cache operate on the memory hierarchy
@@ -34,14 +35,27 @@
 //!
 //! ```
 //! use mnn_tensor::Matrix;
-//! use mnnfast::{ColumnEngine, MnnFastConfig};
+//! use mnnfast::{Budget, EngineKind, ExecPlan, MnnFastConfig, Route, Scratch, SegmentPlan, Trace};
 //!
 //! let m_in = Matrix::from_fn(100, 8, |r, c| ((r + c) as f32).sin() * 0.1);
 //! let m_out = Matrix::from_fn(100, 8, |r, c| ((r * c) as f32).cos() * 0.1);
 //! let u = vec![0.05f32; 8];
 //!
-//! let engine = ColumnEngine::new(MnnFastConfig::new(16));
-//! let result = engine.forward(&m_in, &m_out, &u).unwrap();
+//! let exec = ExecPlan::new(MnnFastConfig::new(16))
+//!     .with_kind(EngineKind::Column)
+//!     .executor();
+//! // A serving loop keeps one scratch and reuses it for every question.
+//! let mut scratch = Scratch::new();
+//! let result = exec
+//!     .forward(
+//!         (&m_in, &m_out).into(),
+//!         Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+//!         &u,
+//!         &mut scratch,
+//!         &mut Trace::disabled(),
+//!         &Budget::unlimited(),
+//!     )
+//!     .unwrap();
 //! assert_eq!(result.o.len(), 8);
 //! // All 100 rows were processed; none skipped without a threshold.
 //! assert_eq!(result.stats.rows_total, 100);
@@ -67,10 +81,10 @@ pub mod store;
 
 pub use budget::{Budget, CancelToken};
 pub use config::{MnnFastConfig, Precision, SkipPolicy, SoftmaxMode};
-pub use engine::{ColumnEngine, ColumnOutput, EngineError};
+pub use engine::{ColumnOutput, EngineError};
 pub use exec::{
-    EngineKind, ExecPlan, Executor, LatencyHistogram, MemView, Phase, PhaseHistograms,
-    PlanExecutor, Route, Scratch, Trace,
+    EngineKind, ExecPlan, LatencyHistogram, MemView, Phase, PhaseHistograms, PlanExecutor, Route,
+    Scratch, Trace,
 };
 pub use hops::{hop_chain, multi_hop, multi_hop_batch, HopsOutput};
 #[doc(hidden)]

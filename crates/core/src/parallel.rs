@@ -17,8 +17,9 @@
 //!   chunk-index order — the same fold the inline walk performs.
 //!
 //! Either way each question's arithmetic is the inline walk's, so the
-//! answer is bitwise identical to [`crate::ColumnEngine`] at any thread
-//! count and batch size, on either plane. The caller runs the first lane
+//! answer is bitwise identical to a plan pinned to
+//! [`crate::EngineKind::Column`] at any thread count and batch size, on
+//! either plane. The caller runs the first lane
 //! itself and the scratch's [`mnn_tensor::Team`] runs the rest, in one
 //! place (`fan_out`): its workers start when a pass first splits and then
 //! persist, so the hops of a question wake them instead of spawning them.
@@ -32,7 +33,7 @@
 use crate::batch::Lane;
 use crate::budget::Budget;
 use crate::config::MnnFastConfig;
-use crate::engine::{ColumnEngine, ColumnOutput, EngineError};
+use crate::engine::{ColumnOutput, EngineError};
 use crate::exec::{MemView, Phase, Scratch, Trace};
 use crate::segment::SegmentPlan;
 use mnn_tensor::Team;
@@ -139,7 +140,6 @@ pub(crate) fn pass<Q: AsRef<[f32]>>(
     };
     let rows = plan.rows();
     validate(config, view, first.as_ref(), rows)?;
-    let engine = ColumnEngine::new(*config);
     let (nq, chunk) = (questions.len(), config.chunk_size);
     let logit_rows = chunk.min(rows.max(1));
     let quant = matches!(view, MemView::Int8 { .. });
@@ -163,7 +163,7 @@ pub(crate) fn pass<Q: AsRef<[f32]>>(
         let (team, owned) = (&mut scratch.team, &mut lanes[..owners]);
         fan_out(team, owned, trace, abort, |i, lane, trace| {
             let budgets = &budgets[i * per..i * per + lane.nq()];
-            lane.walk(&engine, view, plan, budgets, trace);
+            lane.walk(config, view, plan, budgets, trace);
         });
         owners
     } else {
@@ -190,7 +190,7 @@ pub(crate) fn pass<Q: AsRef<[f32]>>(
                 let start = seg.start + (i * per).min(seg.rows);
                 let end = seg.start + ((i + 1) * per).min(seg.rows);
                 lane.work.share(
-                    &engine,
+                    config,
                     block,
                     visit,
                     view,
@@ -275,8 +275,8 @@ fn fan_out(
 mod tests {
     use super::*;
     use crate::{
-        Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
-        PlanExecutor, Route, Scratch, SegmentPlan, SkipPolicy, SoftmaxMode,
+        Budget, ColumnOutput, EngineKind, ExecPlan, MemView, MnnFastConfig, PlanExecutor, Route,
+        Scratch, SegmentPlan, SkipPolicy, SoftmaxMode,
     };
     use mnn_tensor::Matrix;
 
@@ -287,18 +287,28 @@ mod tests {
             .executor()
     }
 
+    /// One pass of `exec` over every row with a fresh scratch.
+    fn run(exec: PlanExecutor, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
+        exec.forward(
+            MemView::from((m_in, m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            u,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
+        .unwrap()
+    }
+
     /// One scale-out pass over every row with a fresh scratch.
     fn forward(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
-        parallel(config)
-            .forward(
-                MemView::from((m_in, m_out)),
-                Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
-                u,
-                &mut Scratch::new(),
-                &mut Trace::disabled(),
-                &Budget::unlimited(),
-            )
-            .unwrap()
+        run(parallel(config), m_in, m_out, u)
+    }
+
+    /// One inline pass over every row with a fresh scratch.
+    fn inline(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
+        let exec = ExecPlan::new(config).with_kind(EngineKind::Column);
+        run(exec.executor(), m_in, m_out, u)
     }
 
     fn memories(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
@@ -311,9 +321,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_for_all_thread_counts() {
         let (m_in, m_out, u) = memories(150, 8);
-        let seq = ColumnEngine::new(MnnFastConfig::new(16))
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+        let seq = inline(MnnFastConfig::new(16), &m_in, &m_out, &u);
         for threads in [1usize, 2, 3, 4, 8, 32] {
             let par = forward(
                 MnnFastConfig::new(16).with_threads(threads),
@@ -369,9 +377,7 @@ mod tests {
     fn parallel_with_skipping_matches_sequential_counts() {
         let (m_in, m_out, u) = memories(120, 6);
         let config = MnnFastConfig::new(15).with_skip(SkipPolicy::Probability(0.005));
-        let seq = ColumnEngine::new(config)
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+        let seq = inline(config, &m_in, &m_out, &u);
         let par = forward(config.with_threads(3), &m_in, &m_out, &u);
         assert_eq!(seq.stats.rows_skipped, par.stats.rows_skipped);
         assert_eq!(par.o, seq.o, "skip decisions and fold order must match");
@@ -381,9 +387,7 @@ mod tests {
     fn online_mode_parallel_merge() {
         let (m_in, m_out, u) = memories(64, 4);
         let config = MnnFastConfig::new(8).with_softmax(SoftmaxMode::Online);
-        let seq = ColumnEngine::new(config)
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+        let seq = inline(config, &m_in, &m_out, &u);
         let par = forward(config.with_threads(4), &m_in, &m_out, &u);
         assert_eq!(par.o, seq.o, "online rescale history must match");
     }
@@ -409,16 +413,16 @@ mod tests {
         let engine = parallel(MnnFastConfig::new(16).with_threads(4));
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
-        let out = Executor::forward(
-            &engine,
-            MemView::from((&m_in, &m_out)),
-            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
-            &u,
-            &mut scratch,
-            &mut trace,
-            &Budget::unlimited(),
-        )
-        .unwrap();
+        let out = engine
+            .forward(
+                MemView::from((&m_in, &m_out)),
+                Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+                &u,
+                &mut scratch,
+                &mut trace,
+                &Budget::unlimited(),
+            )
+            .unwrap();
         assert_eq!(out.stats.rows_total, 200);
         assert_eq!(trace.count(Phase::FusedChunk), 200);
         // One merge per chunk partial: ceil(200 / 16) = 13 chunks.
@@ -438,7 +442,7 @@ mod tests {
     }
 
     fn batch(
-        exec: &dyn Executor,
+        exec: &PlanExecutor,
         m_in: &Matrix,
         m_out: &Matrix,
         qs: &[Vec<f32>],
@@ -508,9 +512,7 @@ mod tests {
             let slots = batch(&exec, &m_in, &m_out, &qs, &mut trace, &budgets).unwrap();
             assert_eq!(slots[0], Err(EngineError::Cancelled));
             let got = slots[1].as_ref().unwrap();
-            let lone = ColumnEngine::new(config)
-                .forward(&m_in, &m_out, &qs[1])
-                .unwrap();
+            let lone = inline(config, &m_in, &m_out, &qs[1]);
             assert_eq!(got.o, lone.o, "{skip:?}");
             let work = |s: &crate::InferenceStats| crate::InferenceStats {
                 intermediate_bytes: 0,

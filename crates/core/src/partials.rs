@@ -1,8 +1,8 @@
 //! Per-chunk partial production and global-order folding — the engine
 //! seam the coordinator/worker split is built on.
 //!
-//! The bitwise-parity discipline of this codebase is that every engine
-//! variant folds *per-chunk* softmax partials into one running total in
+//! The bitwise-parity discipline of this codebase is that every walk of the
+//! one pass folds *per-chunk* softmax partials into one running total in
 //! global chunk-index order (f32 addition is not associative, so any other
 //! association would change the answer bits). A distributed plane
 //! therefore cannot ship per-worker pre-folded sums; it ships the chunk
@@ -10,9 +10,10 @@
 //!
 //! - a worker runs [`forward_chunk_partials`] over its local rows and gets
 //!   one serializable [`PartialState`] per chunk — each bitwise identical
-//!   to the partial the single-node engine would have produced for that
-//!   chunk, because both run the exact same per-chunk step of the one pass
-//!   (a [`crate::batch`] lane's chunk step) on the same rows;
+//!   to the partial a single-node [`crate::PlanExecutor`] pass would have
+//!   produced for that chunk, because both run the exact same per-chunk
+//!   step of the one pass (a [`crate::batch`] lane's chunk step) on the
+//!   same rows;
 //! - the coordinator arranges every received partial in global chunk order
 //!   and folds them through a [`PartialFold`], which reproduces the
 //!   single-node merge loop (accumulator merge + per-merge denominator
@@ -31,22 +32,23 @@
 //! per-row-local and distribute freely.
 
 use crate::budget::Budget;
-use crate::config::{SkipPolicy, SoftmaxMode};
-use crate::engine::{check_denom, check_output, ColumnEngine, EngineError};
+use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
+use crate::engine::{check_denom, check_output, EngineError};
 use crate::exec::{MemView, Scratch, Trace};
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
 use mnn_tensor::PartialState;
 
-/// Runs the column engine over the first `rows` rows of `view` (either
-/// memory plane), appending one [`PartialState`] per chunk to `out` instead
-/// of folding them. Each appended partial is bitwise identical to the chunk
-/// partial the single-node [`ColumnEngine`] computes for the same rows; a
-/// [`PartialFold`] fed every chunk of the full memory in global order
-/// reproduces the single-node answer exactly.
+/// Runs the column-based chunk step of `config` over the first `rows` rows
+/// of `view` (either memory plane), appending one [`PartialState`] per
+/// chunk to `out` instead of folding them. Each appended partial is bitwise
+/// identical to the chunk partial a single-node [`crate::PlanExecutor`]
+/// pass computes for the same rows; a [`PartialFold`] fed every chunk of
+/// the full memory in global order reproduces the single-node answer
+/// exactly.
 ///
 /// Returns the work counters for the pass (chunk/flop/traffic accounting
-/// identical to the single-node engine; the final division is counted by
+/// identical to the single-node pass; the final division is counted by
 /// [`PartialFold::finish_into`], not here).
 ///
 /// # Errors
@@ -56,7 +58,7 @@ use mnn_tensor::PartialState;
 /// pass at a chunk boundary on budget expiry or cancellation.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_chunk_partials(
-    engine: &ColumnEngine,
+    config: &MnnFastConfig,
     view: MemView<'_>,
     rows: usize,
     u: &[f32],
@@ -65,8 +67,7 @@ pub fn forward_chunk_partials(
     budget: &Budget,
     out: &mut Vec<PartialState>,
 ) -> Result<InferenceStats, EngineError> {
-    let config = engine.config();
-    crate::parallel::validate(&config, view, u, rows)?;
+    crate::parallel::validate(config, view, u, rows)?;
     if let SkipPolicy::Probability(_) = config.skip {
         return Err(EngineError::Config(
             "SkipPolicy::Probability needs a global denominator pre-pass and cannot \
@@ -82,12 +83,12 @@ pub fn forward_chunk_partials(
     let quant = matches!(view, MemView::Int8 { .. });
     lane.stage(config.softmax, &[u], quant, chunk.min(rows.max(1)));
     let budgets = std::slice::from_ref(budget);
-    lane.resolve_thresholds(&config, view, rows, budgets);
+    lane.resolve_thresholds(config, view, rows, budgets);
     let mut row = 0usize;
     while row < rows {
         budget.check()?;
         let n = chunk.min(rows - row);
-        out.push(lane.chunk_partial(engine, view, row, n, trace));
+        out.push(lane.chunk_partial(view, row, n, trace));
         row += n;
     }
     Ok(lane.stats())
@@ -182,28 +183,29 @@ impl PartialFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MnnFastConfig;
-    use crate::exec::{Executor, Route};
+    use crate::exec::{EngineKind, ExecPlan, Route};
     use crate::segment::SegmentPlan;
     use mnn_tensor::{Matrix, QuantMatrix};
 
+    /// The single-node answer: the inline walk over the first `rows` rows.
     fn reference(
-        engine: &ColumnEngine,
+        config: &MnnFastConfig,
         view: MemView<'_>,
         rows: usize,
         u: &[f32],
         scratch: &mut Scratch,
     ) -> crate::ColumnOutput {
-        Executor::forward(
-            engine,
-            view,
-            Route::Plan(&SegmentPlan::unsegmented(rows)),
-            u,
-            scratch,
-            &mut Trace::disabled(),
-            &Budget::unlimited(),
-        )
-        .unwrap()
+        let exec = ExecPlan::new(*config).with_kind(EngineKind::Column);
+        exec.executor()
+            .forward(
+                view,
+                Route::Plan(&SegmentPlan::unsegmented(rows)),
+                u,
+                scratch,
+                &mut Trace::disabled(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
     }
 
     fn fixtures(ns: usize, ed: usize) -> (Matrix, Matrix, Vec<f32>) {
@@ -237,13 +239,12 @@ mod tests {
         let (m_in, m_out, u) = fixtures(103, 16);
         for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
             let config = MnnFastConfig::new(16).with_softmax(mode);
-            let engine = ColumnEngine::new(config);
             let mut scratch = Scratch::new();
-            let reference = reference(&engine, f32_view(&m_in, &m_out), 103, &u, &mut scratch);
+            let reference = reference(&config, f32_view(&m_in, &m_out), 103, &u, &mut scratch);
 
             let mut partials = Vec::new();
             let stats = forward_chunk_partials(
-                &engine,
+                &config,
                 f32_view(&m_in, &m_out),
                 103,
                 &u,
@@ -312,14 +313,14 @@ mod tests {
 
         for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
             for int8 in [false, true] {
-                let engine = ColumnEngine::new(MnnFastConfig::new(chunk).with_softmax(mode));
+                let config = MnnFastConfig::new(chunk).with_softmax(mode);
                 let mut scratch = Scratch::new();
                 let global = if int8 {
                     MemView::from((&q_in, &q_out))
                 } else {
                     f32_view(&m_in, &m_out)
                 };
-                let reference = reference(&engine, global, 130, &u, &mut scratch);
+                let reference = reference(&config, global, 130, &u, &mut scratch);
 
                 // Each shard produces its chunk partials independently.
                 let mut per_shard: Vec<Vec<PartialState>> = Vec::new();
@@ -331,7 +332,7 @@ mod tests {
                     };
                     let mut ps = Vec::new();
                     forward_chunk_partials(
-                        &engine,
+                        &config,
                         view,
                         view.rows(),
                         &u,
@@ -368,10 +369,9 @@ mod tests {
         let (q_in, q_out) = (quantize(&m_in), quantize(&m_out));
         for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
             let config = MnnFastConfig::new(16).with_softmax(mode);
-            let engine = ColumnEngine::new(config);
             let mut scratch = Scratch::new();
             let reference = reference(
-                &engine,
+                &config,
                 MemView::from((&q_in, &q_out)),
                 77,
                 &u,
@@ -380,7 +380,7 @@ mod tests {
 
             let mut partials = Vec::new();
             forward_chunk_partials(
-                &engine,
+                &config,
                 MemView::from((&q_in, &q_out)),
                 77,
                 &u,
@@ -407,11 +407,10 @@ mod tests {
     fn probability_skip_is_rejected() {
         let (m_in, m_out, u) = fixtures(32, 4);
         let config = MnnFastConfig::new(16).with_skip(SkipPolicy::Probability(0.01));
-        let engine = ColumnEngine::new(config);
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
         let err = forward_chunk_partials(
-            &engine,
+            &config,
             f32_view(&m_in, &m_out),
             32,
             &u,
@@ -426,11 +425,10 @@ mod tests {
         // RawWeight is per-row-local and distributes: partials still fold
         // to the single-node answer.
         let config = MnnFastConfig::new(16).with_skip(SkipPolicy::RawWeight(0.5));
-        let engine = ColumnEngine::new(config);
-        let reference = reference(&engine, f32_view(&m_in, &m_out), 32, &u, &mut scratch);
+        let reference = reference(&config, f32_view(&m_in, &m_out), 32, &u, &mut scratch);
         let mut partials = Vec::new();
         forward_chunk_partials(
-            &engine,
+            &config,
             f32_view(&m_in, &m_out),
             32,
             &u,
@@ -476,14 +474,14 @@ mod tests {
     #[test]
     fn budget_expiry_abandons_at_chunk_boundary() {
         let (m_in, m_out, u) = fixtures(64, 4);
-        let engine = ColumnEngine::new(MnnFastConfig::new(8));
+        let config = MnnFastConfig::new(8);
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
         let cancel = crate::CancelToken::new();
         cancel.cancel();
         let budget = Budget::unlimited().with_cancel(cancel.clone());
         let err = forward_chunk_partials(
-            &engine,
+            &config,
             f32_view(&m_in, &m_out),
             64,
             &u,

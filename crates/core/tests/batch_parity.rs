@@ -1,7 +1,7 @@
 //! Batched == per-question parity on awkward shapes.
 //!
 //! [`PlanExecutor::forward_batch`] must reproduce the single-question
-//! [`ColumnEngine`] to 1e-4 — with *identical* work counters (everything
+//! Column walk to 1e-4 — with *identical* work counters (everything
 //! but the split-dependent `intermediate_bytes`) — across Lazy/Online softmax ×
 //! every skip policy × the forced-scalar backend, including
 //! the shapes that stress kernel edges: `nq = 1` (no 2-question tile),
@@ -18,9 +18,13 @@ use std::sync::Mutex;
 use mnn_tensor::simd::{self, Backend};
 use mnn_tensor::{assert_slice_approx_eq, Matrix};
 use mnnfast::{
-    Budget, ColumnEngine, ColumnOutput, EngineError, ExecPlan, Executor, InferenceStats, MemView,
-    MnnFastConfig, Route, Scratch, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
+    Budget, ColumnOutput, EngineError, ExecPlan, InferenceStats, MemView, MnnFastConfig, Route,
+    Scratch, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
+
+mod lattice;
+
+use lattice::{column, whole};
 
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
@@ -119,9 +123,9 @@ fn assert_parity(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, questions
     .into_iter()
     .map(Result::unwrap)
     .collect();
-    let single = ColumnEngine::new(config);
+    let single = column(config);
     for (q, out) in batched.iter().enumerate() {
-        let expect = single.forward(m_in, m_out, &questions[q]).unwrap();
+        let expect = whole(&single, m_in, m_out, &questions[q]);
         assert_slice_approx_eq(&out.o, &expect.o, 1e-4);
         assert_eq!(
             out.stats.rows_skipped, expect.stats.rows_skipped,
@@ -219,10 +223,10 @@ fn budgeted_serving_is_bitwise_identical_to_single_question() {
                             &budgets,
                         )
                         .unwrap();
-                        let single = ColumnEngine::new(config);
+                        let single = column(config);
                         for (q, r) in results.iter().enumerate() {
                             let out = r.as_ref().unwrap();
-                            let expect = single.forward(&m_in, &m_out, &questions[q]).unwrap();
+                            let expect = whole(&single, &m_in, &m_out, &questions[q]);
                             let got: Vec<u32> = out.o.iter().map(|v| v.to_bits()).collect();
                             let want: Vec<u32> = expect.o.iter().map(|v| v.to_bits()).collect();
                             assert_eq!(got, want, "bitwise drift (q{q}, {backend:?}, {config:?})");
@@ -354,10 +358,10 @@ fn cancellation_in_one_workers_range_leaves_the_rest_untouched() {
             )
             .unwrap();
             assert!(matches!(results[1], Err(EngineError::Cancelled)));
-            let single = ColumnEngine::new(config);
+            let single = column(config);
             for q in [0usize, 2, 3] {
                 let out = results[q].as_ref().unwrap();
-                let expect = single.forward(&m_in, &m_out, &questions[q]).unwrap();
+                let expect = whole(&single, &m_in, &m_out, &questions[q]);
                 assert_eq!(out.o, expect.o, "{backend:?} q{q}");
                 assert_eq!(out.stats.rows_total, expect.stats.rows_total, "q{q}");
             }

@@ -4,7 +4,7 @@
 
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, EngineError, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Phase, Route,
+    Budget, EngineError, EngineKind, ExecPlan, MemView, MnnFastConfig, Phase, PlanExecutor, Route,
     Scratch, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn memories(ns: usize, ed: usize, seed: u64) -> (Matrix, Matrix, Vec<f32>) {
 /// One forward pass over the first `rows` rows with caller-provided
 /// scratch and trace.
 fn forward_prefix(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &Matrix,
     m_out: &Matrix,
     rows: usize,
@@ -49,7 +49,7 @@ fn forward_prefix(
 
 /// One forward pass through an executor with a caller-provided scratch.
 fn run(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &Matrix,
     m_out: &Matrix,
     u: &[f32],
@@ -214,11 +214,47 @@ fn auto_on_one_thread_stays_on_that_thread() {
 /// The one generated parity lattice (see [`lattice`]): every engine, thread
 /// count, memory plane, softmax, skip policy, route, entry point and batch
 /// size against the (Column, one thread, unsegmented, `forward`) oracle,
-/// bit for bit.
+/// bit for bit — and every f32 answer of that oracle against the two-pass
+/// reference.
 #[test]
 fn every_lattice_cell_matches_the_column_oracle() {
-    let cells = lattice::run(&lattice::FULL);
+    let (cells, referenced) = lattice::run(&lattice::FULL);
     assert!(cells >= 3_360, "lattice shrank to {cells} cells");
+    assert!(
+        referenced >= 1_160,
+        "{referenced} oracle answers referenced"
+    );
+}
+
+/// The lattice has no Probability axis (its threshold pre-pass sweeps the
+/// whole memory, which top-K routes refuse), so the Column walk meets the
+/// two-pass reference on the Probability policy here, beside the other two.
+#[test]
+fn column_walk_matches_the_two_pass_reference_on_every_skip_policy() {
+    let m_in = Matrix::from_fn(97, 8, |r, c| ((r * 13 + c * 7) as f32 * 0.37).sin() * 0.8);
+    let m_out = Matrix::from_fn(97, 8, |r, c| ((r * 5 + c * 11) as f32 * 0.21).cos() * 0.6);
+    let u: Vec<f32> = (0..8).map(|i| (i as f32 * 0.3).sin()).collect();
+    let whole = SegmentPlan::unsegmented(m_in.rows());
+    for (skip, softmax) in [
+        (SkipPolicy::None, SoftmaxMode::Lazy),
+        (SkipPolicy::None, SoftmaxMode::Online),
+        (SkipPolicy::RawWeight(0.9), SoftmaxMode::Lazy),
+        (SkipPolicy::RawWeight(0.9), SoftmaxMode::Online),
+        (SkipPolicy::Probability(0.01), SoftmaxMode::Lazy),
+        (SkipPolicy::Probability(0.01), SoftmaxMode::Online),
+    ] {
+        let ctx = format!("{skip:?} {softmax:?}");
+        let config = MnnFastConfig::new(16).with_skip(skip).with_softmax(softmax);
+        let view = MemView::from((&m_in, &m_out));
+        let out = lattice::pass(&lattice::column(config), view, Route::Plan(&whole), &u);
+        if skip != SkipPolicy::None {
+            assert!(
+                out.stats.rows_skipped > 0,
+                "{ctx}: the threshold must skip rows"
+            );
+        }
+        lattice::check_reference(config, &m_in, &m_out, &u, &out, &ctx);
+    }
 }
 
 /// The six `#[doc(hidden)]` `multi_hop_*` names are the frozen benchmark's

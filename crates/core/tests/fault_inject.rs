@@ -21,10 +21,14 @@
 use mnn_tensor::fault::{self, FaultKind};
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    Budget, ColumnEngine, EngineError, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
-    Route, Scratch, SegmentPlan, SoftmaxMode, Trace,
+    Budget, EngineError, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
+    SoftmaxMode, Trace,
 };
 use std::sync::Mutex;
+
+mod lattice;
+
+use lattice::{column, whole};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -129,9 +133,9 @@ fn panicking_worker_surfaces_worker_panicked_and_engine_recovers() {
                     ranges.contains(&panicked.as_slice()),
                     "{cell}: panicked slots {panicked:?} are not one lane's range"
                 );
-                let reference = ColumnEngine::new(config);
+                let reference = column(config);
                 for q in (0..nq).filter(|q| !panicked.contains(q)) {
-                    let expect = reference.forward(&m_in, &m_out, &qs[q]).unwrap();
+                    let expect = whole(&reference, &m_in, &m_out, &qs[q]);
                     let got = slots[q].as_ref().expect("an untouched lane answers");
                     assert_eq!(bits(&got.o), bits(&expect.o), "{cell} q{q}");
                 }
@@ -139,7 +143,7 @@ fn panicking_worker_surfaces_worker_panicked_and_engine_recovers() {
                 // The engine and the very same scratch stay serviceable:
                 // the next pass is bitwise identical to the reference.
                 for (q, slot) in ask(&mut scratch).into_iter().enumerate() {
-                    let expect = reference.forward(&m_in, &m_out, &qs[q]).unwrap();
+                    let expect = whole(&reference, &m_in, &m_out, &qs[q]);
                     let retry = slot.expect("post-panic pass");
                     assert_eq!(bits(&retry.o), bits(&expect.o), "{cell} retry q{q}");
                 }
@@ -245,9 +249,9 @@ fn nan_chunk_in_a_two_worker_batch_poisons_exactly_one_question() {
             Err(EngineError::NumericFault { .. })
         ));
         // Everyone else got the bits a lone, unfaulted ask gets.
-        let single = ColumnEngine::new(config);
+        let single = column(config);
         for q in (0..questions.len()).filter(|q| !poisoned.contains(q)) {
-            let expect = single.forward(&m_in, &m_out, &questions[q]).unwrap();
+            let expect = whole(&single, &m_in, &m_out, &questions[q]);
             assert_eq!(results[q].as_ref().unwrap().o, expect.o, "{mode:?} q{q}");
         }
     }
@@ -271,10 +275,10 @@ fn the_team_serves_clean_passes_between_panics() {
     let bits = |o: &[f32]| o.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let config = MnnFastConfig::new(8).with_threads(3);
     let exec = ExecPlan::new(config).executor();
-    let reference = ColumnEngine::new(config);
+    let reference = column(config);
     let oracle: Vec<Vec<u32>> = questions
         .iter()
-        .map(|u| bits(&reference.forward(&m_in, &m_out, u).unwrap().o))
+        .map(|u| bits(&whole(&reference, &m_in, &m_out, u).o))
         .collect();
     let budgets = vec![Budget::unlimited(); 5];
     let mut scratch = Scratch::new();

@@ -1,11 +1,18 @@
 //! The generated parity lattice: every cell of
 //! engine x threads x [`MemView`] x softmax x skip x route x entry point x
-//! batch size must reproduce, bit for bit, what the simplest cell — [`ColumnEngine`]
-//! (the inline reference `Executor`) on one thread walking an unsegmented
-//! plan through [`Executor::forward`] — answers for the same view, softmax and skip policy. Top-K cells are
-//! held to the same oracle over exactly the rows their probe hands to
-//! rescoring: a [`Route::Plan`] over the covered chunk runs (plan mode) or
-//! a memory holding exactly the candidates (gather mode).
+//! batch size must reproduce, bit for bit, what the simplest cell — a plan
+//! pinned to [`EngineKind::Column`] on one thread walking an unsegmented
+//! plan through [`PlanExecutor::forward`] — answers for the same view,
+//! softmax and skip policy. Top-K cells are held to the same oracle over
+//! exactly the rows their probe hands to rescoring: a [`Route::Plan`] over
+//! the covered chunk runs (plan mode) or a memory holding exactly the
+//! candidates (gather mode).
+//!
+//! That oracle is itself a lattice cell, so on the f32 plane every answer
+//! it gives is also held to [`reference_fold`], the two-pass dataflow the
+//! fused chunk kernels replace, written with tensor primitives only (see
+//! [`check_reference`] for the contract). Int8 answers have no such
+//! reference yet.
 //!
 //! Shared by `crates/core/tests/executor.rs` (the full lattice) and the
 //! root `tests/end_to_end.rs` (a sub-second cut that tier-1 runs).
@@ -13,12 +20,15 @@
 // Each includer runs one of the two axis sets.
 #![allow(dead_code)]
 
-use mnn_tensor::{Matrix, QuantMatrix};
+use mnn_tensor::simd::{self, Backend};
+use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
+use mnn_tensor::{kernels, Matrix, QuantMatrix};
 use mnnfast::{
-    multi_hop, multi_hop_batch, Budget, ClusterIndex, ColumnEngine, ColumnOutput, EngineKind,
-    ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentMap, SegmentPlan,
+    multi_hop, multi_hop_batch, Budget, ClusterIndex, ColumnOutput, EngineKind, ExecPlan,
+    InferenceStats, MemView, MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan,
     SkipPolicy, SoftmaxMode, Trace,
 };
+use std::cell::Cell;
 
 /// Rows not a multiple of the chunk size, so the last chunk is short.
 const ROWS: usize = 203;
@@ -155,8 +165,29 @@ impl Answer {
     }
 }
 
+/// Rows `rows` of `m`, in order, as a memory of their own.
+fn pick(m: &Matrix, rows: &[usize]) -> Matrix {
+    let rows: Vec<&[f32]> = rows.iter().map(|&r| m.row(r)).collect();
+    Matrix::from_rows(&rows).expect("picked rows")
+}
+
+/// The inline walk of `config`: the plan pinned to [`EngineKind::Column`].
+pub fn column(config: MnnFastConfig) -> PlanExecutor {
+    ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor()
+}
+
+/// One pass of `exec` over every row of an f32 memory, with a fresh
+/// scratch, no trace and no budget: with [`column`], the lone pass the
+/// parity suites compare batches, splits and planes against.
+pub fn whole(exec: &PlanExecutor, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
+    let rows = SegmentPlan::unsegmented(m_in.rows());
+    pass(exec, MemView::from((m_in, m_out)), Route::Plan(&rows), u)
+}
+
 /// One pass with a fresh scratch, no trace and no budget.
-pub fn pass(exec: &dyn Executor, view: MemView<'_>, route: Route<'_>, u: &[f32]) -> ColumnOutput {
+pub fn pass(exec: &PlanExecutor, view: MemView<'_>, route: Route<'_>, u: &[f32]) -> ColumnOutput {
     let (mut scratch, mut trace) = (Scratch::new(), Trace::disabled());
     exec.forward(
         view,
@@ -169,28 +200,193 @@ pub fn pass(exec: &dyn Executor, view: MemView<'_>, route: Route<'_>, u: &[f32])
     .expect("lattice pass")
 }
 
+/// The two-pass dataflow the fused chunk kernels replace, as the reference
+/// the Column walk is held to: per chunk `kernels::gemv_chunk`, then the
+/// per-row tensor primitives (`LazyAccumulator::add_weighted` /
+/// `OnlineSoftmax::add`, or their `add_skipped` forms) into a fresh chunk
+/// partial merged in chunk order. Counters follow the engine's accounting
+/// rule, written out here. Probability thresholds are resolved as the
+/// pass's pre-pass does (f64 sums over the logits in row order, the max in
+/// f32). Returns `(o, denominator, stats)`.
+pub fn reference_fold(
+    cfg: MnnFastConfig,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    u: &[f32],
+) -> (Vec<f32>, f32, InferenceStats) {
+    let (ns, ed) = (m_in.rows(), u.len());
+    let mut stats = InferenceStats::default();
+    let mut all = vec![0.0f32; ns];
+    kernels::gemv_chunk(m_in.as_slice(), ns, u, &mut all);
+    let threshold = match cfg.skip {
+        SkipPolicy::None => None,
+        SkipPolicy::RawWeight(th) => Some(th),
+        SkipPolicy::Probability(th) => {
+            let (mut max, mut rel, mut raw) = (f64::NEG_INFINITY, 0.0f64, 0.0f64);
+            for &x in &all {
+                if x > max as f32 {
+                    rel *= ((max as f32 - x) as f64).exp();
+                    max = x as f64;
+                }
+                rel += ((x - max as f32) as f64).exp();
+                raw += (x as f64).exp();
+            }
+            stats.flops += kernels::gemv_flops(ns, ed) + ns as u64;
+            stats.memory_bytes += (ns * ed * 4) as u64;
+            let denom = match cfg.softmax {
+                SoftmaxMode::Lazy => raw,
+                SoftmaxMode::Online => rel,
+            };
+            Some((th as f64 * denom) as f32)
+        }
+    };
+    let mut lazy = LazyAccumulator::new(ed);
+    let mut online = OnlineSoftmax::new(ed);
+    for start in (0..ns).step_by(cfg.chunk_size) {
+        let n = cfg.chunk_size.min(ns - start);
+        let mut logits = vec![0.0f32; n];
+        kernels::gemv_chunk(m_in.rows_slice(start, n), n, u, &mut logits);
+        let rows = m_out.rows_slice(start, n);
+        let row = |i: usize| &rows[i * ed..(i + 1) * ed];
+        let mut skipped = 0u64;
+        match cfg.softmax {
+            SoftmaxMode::Lazy => {
+                let mut part = LazyAccumulator::new(ed);
+                for (i, &x) in logits.iter().enumerate() {
+                    let w = x.exp();
+                    match threshold {
+                        Some(th) if w < th => {
+                            part.add_skipped(w);
+                            skipped += 1;
+                        }
+                        _ => part.add_weighted(w, row(i)),
+                    }
+                }
+                lazy.merge(&part);
+            }
+            SoftmaxMode::Online => {
+                let mut part = OnlineSoftmax::new(ed);
+                for (i, &x) in logits.iter().enumerate() {
+                    match threshold {
+                        Some(th) if part.relative_weight(x) < th => {
+                            part.add_skipped(x);
+                            skipped += 1;
+                        }
+                        _ => part.add(x, row(i)),
+                    }
+                }
+                online.merge(&part);
+            }
+        }
+        // Inner products, one exponential per row, the kept weighted sums;
+        // every `M_IN` row read and every kept `M_OUT` row accumulated.
+        let kept = n as u64 - skipped;
+        stats.flops += kernels::gemv_flops(n, ed) + n as u64 + kept * 2 * ed as u64;
+        stats.rows_total += n as u64;
+        stats.rows_skipped += skipped;
+        stats.memory_bytes += ((n as u64 + kept) * ed as u64) * 4;
+    }
+    stats.divisions += ed as u64;
+    stats.flops += ed as u64;
+    match cfg.softmax {
+        SoftmaxMode::Lazy => (lazy.clone().finish(), lazy.denom(), stats),
+        SoftmaxMode::Online => (online.clone().finish(), online.denom(), stats),
+    }
+}
+
+/// Holds one Column-walk answer over every row of `m_in`/`m_out` to
+/// [`reference_fold`]: the work counters always agree; the output and
+/// denominator are bitwise in online mode on every backend and in lazy mode
+/// on the scalar backend (libm `exp` on both sides), and within 1e-4 in
+/// lazy mode on AVX2 (the fused kernel's fast exp).
+pub fn check_reference(
+    cfg: MnnFastConfig,
+    m_in: &Matrix,
+    m_out: &Matrix,
+    u: &[f32],
+    out: &ColumnOutput,
+    ctx: &str,
+) {
+    let (o, denominator, stats) = reference_fold(cfg, m_in, m_out, u);
+    let got = &out.stats;
+    assert_eq!(got.rows_total, stats.rows_total, "{ctx}: rows_total");
+    assert_eq!(got.rows_skipped, stats.rows_skipped, "{ctx}: rows_skipped");
+    assert_eq!(got.flops, stats.flops, "{ctx}: flops");
+    assert_eq!(got.memory_bytes, stats.memory_bytes, "{ctx}: memory_bytes");
+    assert_eq!(got.divisions, stats.divisions, "{ctx}: divisions");
+    if simd::backend() == Backend::Scalar || cfg.softmax == SoftmaxMode::Online {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.o), bits(&o), "{ctx}: o");
+        assert_eq!(
+            out.denominator.to_bits(),
+            denominator.to_bits(),
+            "{ctx}: denominator"
+        );
+    } else {
+        mnn_tensor::assert_slice_approx_eq(&out.o, &o, 1e-4);
+        assert!(
+            mnn_tensor::approx_eq(out.denominator, denominator, 1e-4),
+            "{ctx}: denominator {} vs {denominator}",
+            out.denominator
+        );
+    }
+}
+
 /// One fixture (an `ed`, a layout, a plane) and the oracle over it.
 struct Fixture<'a> {
     view: MemView<'a>,
     index: &'a ClusterIndex,
     map: &'a SegmentMap,
-    oracle: &'a dyn Executor,
+    config: MnnFastConfig,
+    oracle: PlanExecutor,
+    /// Oracle answers held to [`reference_fold`] so far.
+    referenced: &'a Cell<usize>,
 }
 
 impl Fixture<'_> {
+    /// The oracle's pass over `route`'s rows of `view`. On the f32 plane
+    /// `held` is those rows back to back — the whole memory, or the rows a
+    /// probe handed to rescoring — and the answer is also held to
+    /// [`reference_fold`] over them.
+    fn oracle_pass(
+        &self,
+        view: MemView<'_>,
+        route: Route<'_>,
+        u: &[f32],
+        held: Option<(&Matrix, &Matrix)>,
+    ) -> Answer {
+        let out = pass(&self.oracle, view, route, u);
+        if let Some((m_in, m_out)) = held {
+            let ctx = format!(
+                "oracle vs two-pass reference: {:?} ed={}",
+                self.config,
+                u.len()
+            );
+            check_reference(self.config, m_in, m_out, u, &out, &ctx);
+            self.referenced.set(self.referenced.get() + 1);
+        }
+        Answer::of(&out)
+    }
+
     /// What the oracle answers for one question over `route`'s rows: the
     /// unsegmented pass for plan routes (with the segment count the route
     /// must report), the probe's rows walked explicitly for top-K routes.
     fn expect(&self, route: RouteKind, u: &[f32]) -> Answer {
         let whole = SegmentPlan::unsegmented(ROWS);
-        match route {
+        let full = match self.view {
+            MemView::F32 { m_in, m_out } => Some((m_in, m_out)),
+            MemView::Int8 { .. } => None,
+        };
+        let rows: Vec<usize> = match route {
             RouteKind::Unsegmented => {
-                Answer::of(&pass(self.oracle, self.view, Route::Plan(&whole), u))
+                return self.oracle_pass(self.view, Route::Plan(&whole), u, full);
             }
-            RouteKind::Routed { .. } => Answer {
-                segments_total: self.map.len() as u64,
-                ..Answer::of(&pass(self.oracle, self.view, Route::Plan(&whole), u))
-            },
+            RouteKind::Routed { .. } => {
+                return Answer {
+                    segments_total: self.map.len() as u64,
+                    ..self.oracle_pass(self.view, Route::Plan(&whole), u, full)
+                };
+            }
             RouteKind::TopKPlan | RouteKind::TopKGather => {
                 let probe = self.index.probe(u, TOPK, NPROBE, CHUNK);
                 assert!(!probe.low_margin, "lattice geometry must probe confidently");
@@ -202,33 +398,42 @@ impl Fixture<'_> {
                     "{route:?}: wrong mode"
                 );
                 if plan_mode {
+                    // Covered runs are chunk-aligned and only the memory's
+                    // last chunk is short, so the covered rows held back
+                    // to back chunk exactly as the routed plan walks them.
                     let covered = SegmentPlan::routed(&probe.covered, false);
-                    return Answer::of(&pass(self.oracle, self.view, Route::Plan(&covered), u));
+                    let held = full.map(|(m_in, m_out)| {
+                        let rows: Vec<usize> = probe
+                            .covered
+                            .segments()
+                            .iter()
+                            .flat_map(|s| s.start..s.start + s.rows)
+                            .collect();
+                        (pick(m_in, &rows), pick(m_out, &rows))
+                    });
+                    let held = held.as_ref().map(|(i, o)| (i, o));
+                    return self.oracle_pass(self.view, Route::Plan(&covered), u, held);
                 }
-                let rows = probe.candidates.iter().map(|&r| r as usize);
-                let only = SegmentPlan::unsegmented(n);
-                match self.view {
-                    MemView::F32 { m_in, m_out } => {
-                        let pick = |m: &Matrix| {
-                            let rows: Vec<&[f32]> = rows.clone().map(|r| m.row(r)).collect();
-                            Matrix::from_rows(&rows).expect("gathered rows")
-                        };
-                        let (m_in, m_out) = (&pick(m_in), &pick(m_out));
-                        let held = MemView::F32 { m_in, m_out };
-                        Answer::of(&pass(self.oracle, held, Route::Plan(&only), u))
-                    }
-                    MemView::Int8 { m_in, m_out } => {
-                        let pick = |m: &QuantMatrix| {
-                            let mut held = QuantMatrix::new(m.cols());
-                            rows.clone()
-                                .for_each(|r| held.push_quantized_row(m.row(r), m.scale(r)));
-                            held
-                        };
-                        let (m_in, m_out) = (&pick(m_in), &pick(m_out));
-                        let held = MemView::Int8 { m_in, m_out };
-                        Answer::of(&pass(self.oracle, held, Route::Plan(&only), u))
-                    }
-                }
+                probe.candidates.iter().map(|&r| r as usize).collect()
+            }
+        };
+        let only = SegmentPlan::unsegmented(rows.len());
+        match self.view {
+            MemView::F32 { m_in, m_out } => {
+                let (m_in, m_out) = (&pick(m_in, &rows), &pick(m_out, &rows));
+                let held = MemView::F32 { m_in, m_out };
+                self.oracle_pass(held, Route::Plan(&only), u, Some((m_in, m_out)))
+            }
+            MemView::Int8 { m_in, m_out } => {
+                let pick = |m: &QuantMatrix| {
+                    let mut held = QuantMatrix::new(m.cols());
+                    rows.iter()
+                        .for_each(|&r| held.push_quantized_row(m.row(r), m.scale(r)));
+                    held
+                };
+                let (m_in, m_out) = (&pick(m_in), &pick(m_out));
+                let held = MemView::Int8 { m_in, m_out };
+                self.oracle_pass(held, Route::Plan(&only), u, None)
             }
         }
     }
@@ -258,7 +463,7 @@ impl Fixture<'_> {
     /// What `exec` answers through `entry` for every question of `us`.
     fn got(
         &self,
-        exec: &dyn Executor,
+        exec: &PlanExecutor,
         route: RouteKind,
         entry: Entry,
         us: &[Vec<f32>],
@@ -329,9 +534,11 @@ impl Fixture<'_> {
     }
 }
 
-/// Runs every cell of `axes`; returns how many were compared.
-pub fn run(axes: &Axes) -> usize {
+/// Runs every cell of `axes`; returns how many were compared, and how many
+/// oracle answers were held to [`reference_fold`].
+pub fn run(axes: &Axes) -> (usize, usize) {
     let mut cells = 0;
+    let referenced = Cell::new(0);
     for &ed in axes.eds {
         let us = questions(ed);
         for interleaved in [false, true] {
@@ -356,12 +563,13 @@ pub fn run(axes: &Axes) -> usize {
                     let config = MnnFastConfig::new(CHUNK)
                         .with_softmax(softmax)
                         .with_skip(skip);
-                    let oracle = ColumnEngine::new(config);
                     let fixture = Fixture {
                         view,
                         index: &index,
                         map: &map,
-                        oracle: &oracle,
+                        config,
+                        oracle: column(config),
+                        referenced: &referenced,
                     };
                     for &route in axes.routes {
                         // Each layout exists to put the probe in one mode.
@@ -404,5 +612,5 @@ pub fn run(axes: &Axes) -> usize {
             }
         }
     }
-    cells
+    (cells, referenced.get())
 }

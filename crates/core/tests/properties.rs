@@ -4,8 +4,8 @@
 use mnn_tensor::softmax::softmax_in_place;
 use mnn_tensor::{approx_eq, kernels, Matrix};
 use mnnfast::{
-    Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
-    Route, Scratch, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
+    Budget, ColumnOutput, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch,
+    SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
 use proptest::prelude::*;
 
@@ -68,9 +68,8 @@ proptest! {
         let (m_in, m_out, u) = memories(ns, ed, seed);
         let expect = baseline(&m_in, &m_out, &u);
         for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
-            let out = ColumnEngine::new(MnnFastConfig::new(chunk).with_softmax(mode))
-                .forward(&m_in, &m_out, &u)
-                .unwrap();
+            let config = MnnFastConfig::new(chunk).with_softmax(mode);
+            let out = plan_forward(config, EngineKind::Column, &m_in, &m_out, &u);
             for (a, b) in out.o.iter().zip(&expect) {
                 prop_assert!(approx_eq(*a, *b, 2e-3), "{mode:?}: {a} vs {b}");
             }
@@ -88,7 +87,7 @@ proptest! {
     ) {
         let (m_in, m_out, u) = memories(ns, ed, seed);
         let config = MnnFastConfig::new(chunk);
-        let seq = ColumnEngine::new(config).forward(&m_in, &m_out, &u).unwrap();
+        let seq = plan_forward(config, EngineKind::Column, &m_in, &m_out, &u);
         let auto = plan_forward(config.with_threads(2), EngineKind::Auto, &m_in, &m_out, &u);
         prop_assert_eq!(seq.o, auto.o);
     }
@@ -103,7 +102,7 @@ proptest! {
     ) {
         let (m_in, m_out, u) = memories(ns, ed, seed);
         let config = MnnFastConfig::new(chunk).with_threads(threads);
-        let seq = ColumnEngine::new(config.with_threads(1)).forward(&m_in, &m_out, &u).unwrap();
+        let seq = plan_forward(config.with_threads(1), EngineKind::Column, &m_in, &m_out, &u);
         let par = plan_forward(config, EngineKind::Parallel, &m_in, &m_out, &u);
         prop_assert_eq!(par.stats.rows_total, seq.stats.rows_total);
         // Bitwise, not approximate: all engines fold chunk partials in
@@ -120,11 +119,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (m_in, m_out, u) = memories(ns, ed, seed);
-        let out = ColumnEngine::new(
-            MnnFastConfig::new(chunk).with_skip(SkipPolicy::Probability(th)),
-        )
-        .forward(&m_in, &m_out, &u)
-        .unwrap();
+        let config = MnnFastConfig::new(chunk).with_skip(SkipPolicy::Probability(th));
+        let out = plan_forward(config, EngineKind::Column, &m_in, &m_out, &u);
         // Conservation: every row is either processed or skipped.
         prop_assert_eq!(out.stats.rows_total, ns as u64);
         prop_assert!(out.stats.rows_skipped <= out.stats.rows_total);
@@ -154,11 +150,8 @@ proptest! {
         let (m_in, m_out, u) = memories(ns, ed, seed);
         let mut prev_skipped = 0u64;
         for th in [0.0f32, 0.001, 0.01, 0.05, 0.2] {
-            let out = ColumnEngine::new(
-                MnnFastConfig::new(16).with_skip(SkipPolicy::Probability(th)),
-            )
-            .forward(&m_in, &m_out, &u)
-            .unwrap();
+            let config = MnnFastConfig::new(16).with_skip(SkipPolicy::Probability(th));
+            let out = plan_forward(config, EngineKind::Column, &m_in, &m_out, &u);
             prop_assert!(out.stats.rows_skipped >= prev_skipped,
                 "skipped count must grow with threshold");
             prev_skipped = out.stats.rows_skipped;

@@ -13,10 +13,13 @@
 
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    multi_hop, multi_hop_batch, Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor,
-    MemView, MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy,
-    SoftmaxMode, Trace,
+    multi_hop, multi_hop_batch, Budget, ColumnOutput, EngineKind, ExecPlan, MemView, MnnFastConfig,
+    PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
+
+mod lattice;
+
+use lattice::column;
 
 /// The plan-built executor pinned to the scale-out walk.
 fn parallel(config: MnnFastConfig) -> PlanExecutor {
@@ -69,7 +72,7 @@ fn assert_bitwise(a: &ColumnOutput, b: &ColumnOutput, what: &str) {
 }
 
 fn run_quant(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     q_in: &QuantMatrix,
     q_out: &QuantMatrix,
     plan: &SegmentPlan<'_>,
@@ -100,13 +103,13 @@ fn quant_engines_agree_bitwise_across_segments() {
             let plan_exec = ExecPlan::new(config.with_threads(3))
                 .with_kind(EngineKind::Auto)
                 .executor();
-            let executors: [(&str, &dyn Executor); 3] = [
-                ("column", &ColumnEngine::new(config)),
+            let executors: [(&str, &PlanExecutor); 3] = [
+                ("column", &column(config)),
                 ("parallel", &parallel(config.with_threads(4))),
                 ("plan", &plan_exec),
             ];
             let base_plan = SegmentPlan::unsegmented(q_in.rows());
-            let base = run_quant(&ColumnEngine::new(config), &q_in, &q_out, &base_plan, &u);
+            let base = run_quant(&column(config), &q_in, &q_out, &base_plan, &u);
             for (name, exec) in executors {
                 for n_segments in [1usize, 3, 8, 17] {
                     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), n_segments, chunk);
@@ -139,7 +142,7 @@ fn quant_tracks_f32_within_loose_bound() {
     let chunk = 16usize;
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
         let config = MnnFastConfig::new(chunk).with_softmax(mode);
-        let exec: &dyn Executor = &ColumnEngine::new(config);
+        let exec = &column(config);
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let f32_out = exec
@@ -179,7 +182,7 @@ fn quant_memory_traffic_is_a_fraction_of_f32() {
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out = QuantMatrix::from_matrix(&m_out);
     let config = MnnFastConfig::new(16).with_softmax(SoftmaxMode::Lazy);
-    let exec: &dyn Executor = &ColumnEngine::new(config);
+    let exec = &column(config);
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let f32_out = exec
@@ -211,8 +214,8 @@ fn quant_pruning_fires_on_skewed_memories_and_stays_bitwise() {
     let q_out = QuantMatrix::from_matrix(&m_out);
     let chunk = 16usize;
     let config = MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online);
-    let executors: [(&str, &dyn Executor); 2] = [
-        ("column", &ColumnEngine::new(config)),
+    let executors: [(&str, &PlanExecutor); 2] = [
+        ("column", &column(config)),
         ("parallel", &parallel(config.with_threads(4))),
     ];
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 8, chunk);
@@ -247,7 +250,7 @@ fn batch_quant_matches_single_question_quant_bitwise() {
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
         let config = MnnFastConfig::new(chunk).with_softmax(mode);
         let engine = ExecPlan::new(config).executor();
-        let column = ColumnEngine::new(config);
+        let column = column(config);
         for n_segments in [1usize, 4, 9] {
             let map = SegmentMap::from_matrix(&m_in, m_in.rows(), n_segments, chunk);
             for prune in [false, true] {
@@ -344,10 +347,10 @@ fn quant_multi_hop_agrees_across_engines_bitwise() {
     let config = MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online);
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 4, chunk);
     let plan = SegmentPlan::routed(&map, true);
-    let column = ColumnEngine::new(config);
+    let column = column(config);
     let parallel = parallel(config.with_threads(3));
     let mut hop_outs = Vec::new();
-    for exec in [&column as &dyn Executor, &parallel] {
+    for exec in [&column, &parallel] {
         let mut scratch = Scratch::new();
         let mut trace = Trace::enabled();
         let hops = multi_hop(
@@ -429,7 +432,7 @@ fn non_finite_query_is_a_numeric_fault_not_garbage() {
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out = QuantMatrix::from_matrix(&m_out);
     u[3] = f32::NAN;
-    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(16));
+    let exec = &column(MnnFastConfig::new(16));
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let plan = SegmentPlan::unsegmented(q_in.rows());
@@ -449,7 +452,7 @@ fn quant_shape_mismatches_are_config_errors() {
     let (m_in, m_out, u) = memories(64, 8);
     let q_in = QuantMatrix::from_matrix(&m_in);
     let q_out_short = QuantMatrix::from_matrix_prefix(&m_out, 32);
-    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(16));
+    let exec = &column(MnnFastConfig::new(16));
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let plan = SegmentPlan::unsegmented(q_in.rows());

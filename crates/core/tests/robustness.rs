@@ -5,8 +5,8 @@
 
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, CancelToken, EngineError, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig,
-    Route, Scratch, SegmentPlan, SoftmaxMode, Trace,
+    Budget, CancelToken, EngineError, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch,
+    SegmentPlan, SoftmaxMode, Trace,
 };
 use std::time::Duration;
 

@@ -8,10 +8,13 @@
 
 use mnn_tensor::Matrix;
 use mnnfast::{
-    segment, Budget, ColumnEngine, ColumnOutput, EngineKind, ExecPlan, Executor, MemView,
-    MnnFastConfig, PlanExecutor, Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy, SoftmaxMode,
-    Trace,
+    segment, Budget, ColumnOutput, EngineKind, ExecPlan, MemView, MnnFastConfig, PlanExecutor,
+    Route, Scratch, SegmentMap, SegmentPlan, SkipPolicy, SoftmaxMode, Trace,
 };
+
+mod lattice;
+
+use lattice::column;
 
 /// The plan-built executor pinned to the scale-out walk.
 fn parallel(config: MnnFastConfig) -> PlanExecutor {
@@ -65,7 +68,7 @@ fn assert_bitwise(a: &ColumnOutput, b: &ColumnOutput, what: &str) {
 }
 
 fn run_segmented(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     m_in: &Matrix,
     m_out: &Matrix,
     map: &SegmentMap,
@@ -86,7 +89,7 @@ fn run_segmented(
     .unwrap()
 }
 
-fn run_plain(exec: &dyn Executor, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
+fn run_plain(exec: &PlanExecutor, m_in: &Matrix, m_out: &Matrix, u: &[f32]) -> ColumnOutput {
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     exec.forward(
@@ -110,8 +113,8 @@ fn segmented_matches_unsegmented_bitwise_across_engines() {
             let plan_exec = ExecPlan::new(config.with_threads(3))
                 .with_kind(EngineKind::Auto)
                 .executor();
-            let executors: [(&str, &dyn Executor); 3] = [
-                ("column", &ColumnEngine::new(config)),
+            let executors: [(&str, &PlanExecutor); 3] = [
+                ("column", &column(config)),
                 ("parallel", &parallel(config.with_threads(4))),
                 ("plan", &plan_exec),
             ];
@@ -144,8 +147,8 @@ fn pruning_fires_on_skewed_memories_and_stays_bitwise() {
     let (m_in, m_out, u) = skewed_memories(170, 8);
     let chunk = 16usize;
     let config = MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online);
-    let executors: [(&str, &dyn Executor); 2] = [
-        ("column", &ColumnEngine::new(config)),
+    let executors: [(&str, &PlanExecutor); 2] = [
+        ("column", &column(config)),
         ("parallel", &parallel(config.with_threads(4))),
     ];
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 8, chunk);
@@ -183,7 +186,7 @@ fn lazy_mode_never_prunes() {
     let chunk = 16usize;
     let config = MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Lazy);
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 8, chunk);
-    let exec = ColumnEngine::new(config);
+    let exec = column(config);
     let seg = run_segmented(&exec, &m_in, &m_out, &map, true, &u);
     assert_eq!(
         seg.stats.segments_pruned, 0,
@@ -201,7 +204,7 @@ fn pruned_segments_carry_no_true_attention_mass() {
     let (m_in, m_out, u) = skewed_memories(170, 8);
     let chunk = 16usize;
     let map = SegmentMap::from_matrix(&m_in, m_in.rows(), 8, chunk);
-    let exec = ColumnEngine::new(MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online));
+    let exec = column(MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online));
     let seg = run_segmented(&exec, &m_in, &m_out, &map, true, &u);
     assert!(seg.stats.segments_pruned > 0);
 
@@ -344,7 +347,7 @@ fn hops_accept_routed_plans() {
     let (m_in, m_out, u) = memories(120, 8);
     let chunk = 16usize;
     let config = MnnFastConfig::new(chunk).with_softmax(SoftmaxMode::Online);
-    let exec = ColumnEngine::new(config);
+    let exec = column(config);
     let mut scratch = Scratch::new();
     let mut trace = Trace::enabled();
     let base = mnnfast::multi_hop(

@@ -16,10 +16,14 @@
 
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    multi_hop, Budget, ClusterIndex, ColumnEngine, ColumnOutput, EngineError, EngineKind, ExecPlan,
-    Executor, MemView, MnnFastConfig, Phase, Route, Scratch, SegmentPlan, SegmentedStore,
-    SkipPolicy, SoftmaxMode, Trace,
+    multi_hop, Budget, ClusterIndex, ColumnOutput, EngineError, EngineKind, ExecPlan, MemView,
+    MnnFastConfig, Phase, PlanExecutor, Route, Scratch, SegmentPlan, SegmentedStore, SkipPolicy,
+    SoftmaxMode, Trace,
 };
+
+mod lattice;
+
+use lattice::column;
 
 const CHUNK: usize = 16;
 
@@ -54,7 +58,7 @@ fn top(index: &ClusterIndex, topk: usize, nprobe: usize) -> Route<'_> {
 
 /// One untraced, unbudgeted pass.
 fn pass(
-    exec: &dyn Executor,
+    exec: &PlanExecutor,
     view: MemView<'_>,
     route: Route<'_>,
     u: &[f32],
@@ -70,15 +74,13 @@ fn pass(
     )
 }
 
-fn engines(config: MnnFastConfig) -> Vec<Box<dyn Executor>> {
-    vec![
-        Box::new(ColumnEngine::new(config)),
-        Box::new(
-            ExecPlan::new(config.with_threads(2))
-                .with_kind(EngineKind::Parallel)
-                .executor(),
-        ),
-        Box::new(ExecPlan::new(config).with_kind(EngineKind::Auto).executor()),
+fn engines(config: MnnFastConfig) -> [PlanExecutor; 3] {
+    [
+        column(config),
+        ExecPlan::new(config.with_threads(2))
+            .with_kind(EngineKind::Parallel)
+            .executor(),
+        ExecPlan::new(config).with_kind(EngineKind::Auto).executor(),
     ]
 }
 
@@ -123,7 +125,7 @@ fn sparse_is_bitwise_exact_on_rescored_rows_for_every_engine() {
         for exec in engines(config) {
             let mut scratch = Scratch::new();
             let sparse = pass(
-                &*exec,
+                &exec,
                 f32_view(&m_in, &m_out),
                 top(&index, 24, 2),
                 &u,
@@ -131,7 +133,7 @@ fn sparse_is_bitwise_exact_on_rescored_rows_for_every_engine() {
             )
             .unwrap();
             let exact = pass(
-                &*exec,
+                &exec,
                 f32_view(&staged_in, &staged_out),
                 Route::Plan(&SegmentPlan::unsegmented(rows.len())),
                 &u,
@@ -168,7 +170,7 @@ fn sparse_quant_is_bitwise_exact_on_rescored_rows() {
         for exec in engines(config) {
             let mut scratch = Scratch::new();
             let sparse = pass(
-                &*exec,
+                &exec,
                 MemView::from((&q_in, &q_out)),
                 top(&index, 24, 2),
                 &u,
@@ -177,7 +179,7 @@ fn sparse_quant_is_bitwise_exact_on_rescored_rows() {
             .unwrap();
             let plan = SegmentPlan::unsegmented(rows.len());
             let exact = pass(
-                &*exec,
+                &exec,
                 MemView::from((&staged_in, &staged_out)),
                 Route::Plan(&plan),
                 &u,
@@ -234,7 +236,7 @@ fn a_slid_window_probes_and_rescores_like_a_fresh_store() {
             let mut scratch = Scratch::new();
             let mut f32_pass = |s: &SegmentedStore, ix| {
                 pass(
-                    &*exec,
+                    &exec,
                     f32_view(s.m_in(), s.m_out()),
                     top(ix, 24, 2),
                     &u,
@@ -246,7 +248,7 @@ fn a_slid_window_probes_and_rescores_like_a_fresh_store() {
             answered += usize::from(out.is_ok());
             let mut int8_pass = |(q_in, q_out): (&QuantMatrix, &QuantMatrix), ix| {
                 pass(
-                    &*exec,
+                    &exec,
                     MemView::from((q_in, q_out)),
                     top(ix, 24, 2),
                     &u,
@@ -268,7 +270,7 @@ fn engines_agree_bitwise_on_the_sparse_path() {
     let mut answers = Vec::new();
     for exec in engines(config) {
         let out = pass(
-            &*exec,
+            &exec,
             f32_view(&m_in, &m_out),
             top(&index, 20, 2),
             &u,
@@ -351,7 +353,7 @@ fn stats_account_for_probes_and_skipped_rows() {
 fn empty_index_declines() {
     let (m_in, m_out) = memories(64, 4);
     let empty = ClusterIndex::build(&Matrix::zeros(0, 4), 0, 1);
-    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let exec = &column(MnnFastConfig::new(CHUNK));
     let err = pass(
         exec,
         f32_view(&m_in, &m_out),
@@ -367,7 +369,7 @@ fn empty_index_declines() {
 fn topk_covering_the_memory_declines() {
     let (m_in, m_out) = memories(64, 4);
     let index = ClusterIndex::build(&m_in, 64, 1);
-    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let exec = &column(MnnFastConfig::new(CHUNK));
     for topk in [64usize, 100] {
         let err = pass(
             exec,
@@ -390,7 +392,7 @@ fn duplicate_rows_collapse_the_margin_and_decline() {
     // is arbitrary, and the sparse path must refuse to answer.
     let m = Matrix::from_fn(96, 4, |_, c| (c as f32 + 1.0) * 0.25);
     let index = ClusterIndex::build(&m, 96, 1);
-    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let exec = &column(MnnFastConfig::new(CHUNK));
     let err = pass(
         exec,
         f32_view(&m, &m),
@@ -410,7 +412,7 @@ fn invalid_requests_are_config_errors() {
     let (m_in, m_out) = memories(64, 4);
     let index = ClusterIndex::build(&m_in, 64, 1);
     let u = query(4, 0);
-    let run = |exec: &dyn Executor, u: &[f32], topk: usize, nprobe: usize| {
+    let run = |exec: &PlanExecutor, u: &[f32], topk: usize, nprobe: usize| {
         pass(
             exec,
             f32_view(&m_in, &m_out),
@@ -419,7 +421,7 @@ fn invalid_requests_are_config_errors() {
             &mut Scratch::new(),
         )
     };
-    let exact = ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let exact = column(MnnFastConfig::new(CHUNK));
     assert!(matches!(run(&exact, &u, 0, 1), Err(EngineError::Config(_))));
     assert!(matches!(run(&exact, &u, 4, 0), Err(EngineError::Config(_))));
     // Query width must match the index.
@@ -429,11 +431,10 @@ fn invalid_requests_are_config_errors() {
     ));
     // Probability zero-skip sweeps the full memory; the sparse seam rejects
     // it outright rather than producing a threshold computed on a subset.
-    let prob =
-        ColumnEngine::new(MnnFastConfig::new(CHUNK).with_skip(SkipPolicy::Probability(0.01)));
+    let prob = column(MnnFastConfig::new(CHUNK).with_skip(SkipPolicy::Probability(0.01)));
     assert!(matches!(run(&prob, &u, 4, 1), Err(EngineError::Config(_))));
     // RawWeight skipping is per-row and stays legal on the sparse path.
-    let raw = ColumnEngine::new(MnnFastConfig::new(CHUNK).with_skip(SkipPolicy::RawWeight(1e-30)));
+    let raw = column(MnnFastConfig::new(CHUNK).with_skip(SkipPolicy::RawWeight(1e-30)));
     assert!(run(&raw, &u, 4, 1).is_ok());
 }
 
@@ -442,7 +443,7 @@ fn index_larger_than_memory_is_a_config_error() {
     let (m_in, m_out) = memories(128, 4);
     let index = ClusterIndex::build(&m_in, 128, 1);
     let (short_in, short_out) = memories(64, 4);
-    let exec: &dyn Executor = &ColumnEngine::new(MnnFastConfig::new(CHUNK));
+    let exec = &column(MnnFastConfig::new(CHUNK));
     let err = pass(
         exec,
         f32_view(&short_in, &short_out),

@@ -9,8 +9,7 @@
 
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
-    Trace,
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace,
 };
 use std::time::{Duration, Instant};
 

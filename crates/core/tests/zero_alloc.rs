@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    Budget, ClusterIndex, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch,
+    Budget, ClusterIndex, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch,
     SegmentPlan, SoftmaxMode, Trace,
 };
 
@@ -93,14 +93,17 @@ fn warm_forward_pass_is_allocation_free() {
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r + 2 * c) as f32 * 0.07).cos());
     let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.2).sin()).collect();
 
-    // Inline, and split by chunk range over two threads.
+    // Inline, and split by chunk range over two threads. A plan pinned to
+    // the Column walk stays inline whatever threads it is granted: its team
+    // starts no worker.
     let cells = [
-        (SoftmaxMode::Lazy, EngineKind::Column, 1),
-        (SoftmaxMode::Online, EngineKind::Column, 1),
-        (SoftmaxMode::Lazy, EngineKind::Parallel, 2),
-        (SoftmaxMode::Online, EngineKind::Parallel, 2),
+        (SoftmaxMode::Lazy, EngineKind::Column, 1, 1),
+        (SoftmaxMode::Online, EngineKind::Column, 1, 1),
+        (SoftmaxMode::Lazy, EngineKind::Column, 3, 1),
+        (SoftmaxMode::Lazy, EngineKind::Parallel, 2, 2),
+        (SoftmaxMode::Online, EngineKind::Parallel, 2, 2),
     ];
-    for (mode, kind, threads) in cells {
+    for (mode, kind, threads, held) in cells {
         let config = MnnFastConfig::new(64).with_softmax(mode);
         let exec = ExecPlan::new(config.with_threads(threads))
             .with_kind(kind)
@@ -141,16 +144,20 @@ fn warm_forward_pass_is_allocation_free() {
             assert_eq!(
                 out.o.as_ptr(),
                 expected_ptr,
-                "{mode:?} x{threads}: output buffer should round-trip through the pool"
+                "{mode:?} {kind:?} x{threads}: output buffer should round-trip through the pool"
             );
             scratch.recycle(out.o);
         }
         let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(scratch.team().threads(), threads, "{mode:?} x{threads}");
+        assert_eq!(
+            scratch.team().threads(),
+            held,
+            "{mode:?} {kind:?} x{threads}"
+        );
         assert_eq!(
             after - before,
             0,
-            "{mode:?} x{threads}: warm forward passes must not allocate"
+            "{mode:?} {kind:?} x{threads}: warm forward passes must not allocate"
         );
     }
 }
@@ -170,10 +177,12 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
     let budgets = vec![Budget::unlimited(); nq];
 
     // Inline, and split by question range over three threads: four
-    // questions in ranges of two, so the team holds two threads.
+    // questions in ranges of two, so the team holds two threads. The Column
+    // pin at three threads starts none.
     let cells = [
         (SoftmaxMode::Lazy, EngineKind::Column, 1, 1),
         (SoftmaxMode::Online, EngineKind::Column, 1, 1),
+        (SoftmaxMode::Lazy, EngineKind::Column, 3, 1),
         (SoftmaxMode::Lazy, EngineKind::Parallel, 3, 2),
         (SoftmaxMode::Online, EngineKind::Parallel, 3, 2),
     ];
@@ -221,13 +230,17 @@ fn warm_batched_pass_allocates_only_the_result_vec() {
             }
         }
         let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(scratch.team().threads(), held, "{mode:?} x{threads}");
+        assert_eq!(
+            scratch.team().threads(),
+            held,
+            "{mode:?} {kind:?} x{threads}"
+        );
         // The only heap touch per warm batched call is the returned result
         // Vec itself — no per-chunk or per-question buffer allocations.
         assert_eq!(
             after - before,
             calls,
-            "{mode:?} x{threads}: warm batched passes must allocate only the result vec"
+            "{mode:?} {kind:?} x{threads}: warm batched passes must allocate only the result vec"
         );
     }
 }

@@ -20,8 +20,8 @@ use crate::fault::{RpcFaultKind, RpcFaultState};
 use crate::frame::{read_frame, write_frame, ErrorCode, ForwardSpec, Frame, WireStats, HEADER_LEN};
 use mnnfast::store::SegmentedStore;
 use mnnfast::{
-    forward_chunk_partials, Budget, ColumnEngine, MemView, MnnFastConfig, Precision, Scratch,
-    SkipPolicy, SoftmaxMode, Trace,
+    forward_chunk_partials, Budget, MemView, MnnFastConfig, Precision, Scratch, SkipPolicy,
+    SoftmaxMode, Trace,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -375,7 +375,6 @@ fn forward(spec: &ForwardSpec, shared: &Shared, scratch: &mut Scratch) -> Frame 
     if let Some(th) = spec.skip_raw {
         engine_config = engine_config.with_skip(SkipPolicy::RawWeight(th));
     }
-    let engine = ColumnEngine::new(engine_config);
     let budget = if spec.deadline_ms == 0 {
         Budget::unlimited()
     } else {
@@ -403,7 +402,7 @@ fn forward(spec: &ForwardSpec, shared: &Shared, scratch: &mut Scratch) -> Frame 
         store.view(Precision::F32)
     };
     let result = forward_chunk_partials(
-        &engine,
+        &engine_config,
         view,
         store.len(),
         &spec.u,

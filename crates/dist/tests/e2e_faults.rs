@@ -17,8 +17,8 @@ use mnn_dist::{
 };
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    forward_chunk_partials, Budget, ColumnEngine, InferenceStats, MemView, MnnFastConfig,
-    PartialFold, Scratch, SoftmaxMode, Trace,
+    forward_chunk_partials, Budget, EngineKind, ExecPlan, InferenceStats, MemView, MnnFastConfig,
+    PartialFold, Route, Scratch, SegmentPlan, SoftmaxMode, Trace,
 };
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -67,8 +67,17 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 /// Single-node reference answer `(o, denominator)` for the same pass.
 fn single_node(m_in: &Matrix, m_out: &Matrix, u: &[f32], config: MnnFastConfig) -> (Vec<f32>, f32) {
-    let out = ColumnEngine::new(config)
-        .forward(m_in, m_out, u)
+    let out = ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor()
+        .forward(
+            MemView::from((m_in, m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(m_in.rows())),
+            u,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
         .expect("single-node reference");
     (out.o, out.denominator)
 }
@@ -159,11 +168,10 @@ fn killed_worker_without_replica_degrades_with_flag() {
     assert!(answer.degraded);
     assert_eq!(answer.skipped_shards, vec![1]);
 
-    let engine = ColumnEngine::new(engine_config);
     let mut scratch = Scratch::new();
     let mut partials = Vec::new();
     forward_chunk_partials(
-        &engine,
+        &engine_config,
         MemView::from((&m_in, &m_out)),
         ROWS,
         &u,
@@ -398,11 +406,10 @@ fn quant_fleet_matches_single_node_quant_bitwise() {
     }
     for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
         let engine_config = MnnFastConfig::new(CHUNK).with_softmax(mode);
-        let engine = ColumnEngine::new(engine_config);
         let mut scratch = Scratch::new();
         let mut partials = Vec::new();
         forward_chunk_partials(
-            &engine,
+            &engine_config,
             MemView::from((&q_in, &q_out)),
             ROWS,
             &u,

@@ -42,5 +42,7 @@ mod server;
 
 pub use client::{ClientAnswer, NetClient, Response};
 pub use error::{NetError, NetErrorCode};
-pub use proto::{read_frame, write_frame, NetFrame, NetStatsWire, MAGIC, NO_REQUEST, VERSION};
+pub use proto::{
+    read_frame, write_frame, NetFrame, NetStatsWire, MAGIC, MAX_CLIENT_PAYLOAD, NO_REQUEST, VERSION,
+};
 pub use server::{NetServer, ServerConfig, TenantAuth};

@@ -42,6 +42,15 @@ pub const VERSION: u8 = 1;
 /// answer no particular request (e.g. a malformed frame).
 pub const NO_REQUEST: u64 = u64::MAX;
 
+/// The largest payload a client frame may declare. Every client frame
+/// carries one sentence, one question, one token or nothing — a few
+/// hundred bytes — so 64 KiB is ample. The server rejects a header that
+/// declares more as soon as the header arrives, before it buffers any of
+/// the payload: the envelope's own limit, [`mnn_wire::MAX_PAYLOAD`]
+/// (256 MiB), would let one unauthenticated header make the server hold
+/// that much per connection.
+pub const MAX_CLIENT_PAYLOAD: usize = 64 * 1024;
+
 /// The aggregate statistics snapshot a [`NetFrame::StatsResp`] carries:
 /// the pool counters that matter to an operator watching the serving
 /// plane, plus the network-plane counters the server maintains itself.

@@ -34,7 +34,7 @@
 
 use crate::error::{NetError, NetErrorCode};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
-use crate::proto::{NetFrame, NetStatsWire, MAGIC, NO_REQUEST, VERSION};
+use crate::proto::{NetFrame, NetStatsWire, MAGIC, MAX_CLIENT_PAYLOAD, NO_REQUEST, VERSION};
 use mnn_dataset::text;
 use mnn_dataset::{Vocabulary, WordId};
 use mnn_memnn::MemNet;
@@ -639,7 +639,18 @@ impl NetThread {
     /// probe) and handles each.
     fn carve_frames(&self, conn: &mut Conn) {
         loop {
-            match mnn_wire::frame_len(&conn.inbuf, MAGIC, VERSION) {
+            let probe = mnn_wire::frame_len(&conn.inbuf, MAGIC, VERSION);
+            let declared = declared_payload(&conn.inbuf).unwrap_or(0);
+            match probe {
+                // A header declaring more than any client frame holds is
+                // refused before its payload is buffered.
+                Ok(_) if declared > MAX_CLIENT_PAYLOAD => {
+                    let why = format!(
+                        "frame declares a {declared}-byte payload; \
+                         a client frame holds at most {MAX_CLIENT_PAYLOAD}"
+                    );
+                    return Self::reject(conn, why);
+                }
                 Ok(Some(end)) => {
                     let decoded = NetFrame::decode(&conn.inbuf[..end]);
                     conn.inbuf.drain(..end);
@@ -648,35 +659,30 @@ impl NetThread {
                             self.counters.frames_in.fetch_add(1, Ordering::Relaxed);
                             self.handle_frame(conn, frame);
                         }
-                        Err(e) => {
-                            // The envelope was whole but rotten (CRC or
-                            // payload): answer typed, then drop the
-                            // connection — the stream may be desynced.
-                            conn.shared.push(&NetFrame::Error {
-                                id: NO_REQUEST,
-                                code: NetErrorCode::BadRequest,
-                                message: e.to_string(),
-                            });
-                            conn.draining = true;
-                            return;
-                        }
+                        // The envelope was whole but rotten (CRC or
+                        // payload): the stream may be desynced.
+                        Err(e) => return Self::reject(conn, e.to_string()),
                     }
                 }
                 Ok(None) => return,
-                Err(e) => {
-                    // Garbled header: there is no way to find the next
-                    // frame boundary. Answer typed and drain.
-                    conn.shared.push(&NetFrame::Error {
-                        id: NO_REQUEST,
-                        code: NetErrorCode::BadRequest,
-                        message: NetError::from(e).to_string(),
-                    });
-                    conn.inbuf.clear();
-                    conn.draining = true;
-                    return;
-                }
+                // Garbled header: there is no way to find the next frame
+                // boundary.
+                Err(e) => return Self::reject(conn, NetError::from(e).to_string()),
             }
         }
+    }
+
+    /// Answers a connection-level typed `BadRequest`, then drains the
+    /// connection: nothing more is read, and it closes once the reply is
+    /// written.
+    fn reject(conn: &mut Conn, message: String) {
+        conn.shared.push(&NetFrame::Error {
+            id: NO_REQUEST,
+            code: NetErrorCode::BadRequest,
+            message,
+        });
+        conn.inbuf.clear();
+        conn.draining = true;
     }
 
     fn handle_frame(&self, conn: &mut Conn, frame: NetFrame) {
@@ -1029,6 +1035,13 @@ fn retry_after_ms(needed: u64, available: u64, admission: Option<AdmissionConfig
         }
         _ => NO_REFILL_RETRY_MS,
     }
+}
+
+/// The payload length a buffered frame's header declares (envelope bytes
+/// 4..8, little-endian), once the whole header has arrived.
+fn declared_payload(buf: &[u8]) -> Option<usize> {
+    let len = buf.get(4..mnn_wire::HEADER_LEN)?;
+    Some(u32::from_le_bytes(len.try_into().ok()?) as usize)
 }
 
 #[cfg(test)]

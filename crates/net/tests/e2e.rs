@@ -9,12 +9,12 @@ use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
 use mnn_net::{
     read_frame, write_frame, NetClient, NetErrorCode, NetFrame, NetServer, Response, ServerConfig,
-    TenantAuth,
+    TenantAuth, MAGIC, MAX_CLIENT_PAYLOAD, VERSION,
 };
 use mnn_serve::{AdmissionConfig, BatchConfig, Session, SessionConfig};
 use mnnfast::Precision;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -678,6 +678,95 @@ fn a_client_that_never_reads_is_held_back_by_tcp() {
     assert!(
         accepted <= CAP,
         "{accepted} bytes accepted from a client that never reads"
+    );
+    server.shutdown();
+}
+
+/// A client frame header declaring a payload past
+/// [`MAX_CLIENT_PAYLOAD`] is refused as soon as it arrives: a typed
+/// `BadRequest`, then the connection closes, so none of the declared
+/// ~200 MiB is ever buffered. Streaming after such a header runs into the
+/// closed connection once the loopback socket buffers are full, while
+/// another tenant's lone ask is answered.
+#[test]
+fn an_oversized_client_frame_is_refused_at_its_header() {
+    // Past any socket buffering on loopback, and a fraction of the header's
+    // claim: a server that buffers the payload accepts all of it.
+    const STREAM: usize = 32 << 20;
+    let (model, vocab, stories) = trained_model();
+    let server = NetServer::spawn(
+        model,
+        vocab,
+        session_config(Precision::F32),
+        server_config(&[("alpha", "alice"), ("beta", "bob")]),
+    )
+    .expect("server spawns");
+    let story = &stories[0];
+    // An unauthenticated `AskTokens` (opcode 7) header declaring 200 MiB.
+    let declared = 200u32 << 20;
+    assert!(declared as usize > MAX_CLIENT_PAYLOAD);
+    let mut header = Vec::with_capacity(8);
+    header.extend_from_slice(&MAGIC.to_le_bytes());
+    header.extend_from_slice(&[VERSION, 7]);
+    header.extend_from_slice(&declared.to_le_bytes());
+
+    // The header alone: the typed answer, then the close.
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    raw.write_all(&header).expect("header");
+    match read_frame(&mut raw) {
+        Ok(NetFrame::Error { code, message, .. }) => {
+            assert_eq!(code, NetErrorCode::BadRequest, "{message}");
+        }
+        other => panic!("an oversized header must be refused: {other:?}"),
+    }
+    let mut rest = [0u8; 1];
+    assert!(
+        matches!(std::io::Read::read(&mut raw, &mut rest), Ok(0)),
+        "the server closes the connection"
+    );
+
+    // The header, then a stream: the writes fail once the server has
+    // closed, long before the claim is met.
+    let mut flooder = TcpStream::connect(server.addr()).expect("connect");
+    flooder
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    flooder.write_all(&header).expect("header");
+    let flood = std::thread::spawn(move || {
+        let chunk = [0u8; 16 * 1024];
+        let mut accepted = 0;
+        while accepted < STREAM {
+            match flooder.write(&chunk) {
+                Ok(n) => accepted += n,
+                Err(e) => return (accepted, Some(e.kind())),
+            }
+        }
+        (accepted, None)
+    });
+
+    // Meanwhile, another tenant's lone ask is answered.
+    let (mut client, _) = NetClient::connect(server.addr(), "beta").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    for sentence in &story.sentences {
+        client.observe_tokens(sentence).expect("observe");
+    }
+    match client.ask_tokens(&story.questions[0].tokens) {
+        Ok(Response::Answer(_)) => {}
+        other => panic!("a lone ask beside the refused stream: {other:?}"),
+    }
+
+    let (accepted, stopped) = flood.join().expect("flood thread");
+    assert!(
+        matches!(
+            stopped,
+            Some(ErrorKind::ConnectionReset | ErrorKind::BrokenPipe | ErrorKind::ConnectionAborted)
+        ),
+        "{accepted} bytes accepted after an oversized header, then {stopped:?}: \
+         the server must close the connection"
     );
     server.shutdown();
 }

@@ -297,7 +297,7 @@ pub struct Answer {
 /// Holds a trained [`MemNet`], a growable [`SegmentedStore`], and a
 /// [`PlanExecutor`]. Incoming story sentences are embedded immediately
 /// (`A` and `C` sides) and appended; questions are embedded through `B`
-/// and answered via the [`mnnfast::Executor`] seam over however many hops the model
+/// and answered through that executor over however many hops the model
 /// uses. One [`Scratch`] arena is reused across questions, so the engine
 /// forward pass allocates nothing once the buffers have grown to the
 /// store's capacity.

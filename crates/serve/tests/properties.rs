@@ -5,8 +5,8 @@
 use mnn_serve::SegmentedStore;
 use mnn_tensor::QuantMatrix;
 use mnnfast::{
-    Budget, ColumnEngine, EngineKind, ExecPlan, Executor, MnnFastConfig, Precision, Route, Scratch,
-    SegmentPlan, SoftmaxMode, Trace,
+    Budget, EngineKind, ExecPlan, MnnFastConfig, Precision, Route, Scratch, SegmentPlan,
+    SoftmaxMode, Trace,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -138,7 +138,7 @@ proptest! {
         let map = store.segment_map(n_segments, chunk);
         let plan = SegmentPlan::routed(&map, true);
 
-        let column: &dyn Executor = &ColumnEngine::new(config);
+        let column = ExecPlan::new(config).with_kind(EngineKind::Column).executor();
         let mut scratch = Scratch::new();
         let mut trace = Trace::disabled();
         let f32_out = column
@@ -155,7 +155,7 @@ proptest! {
             prop_assert!((a - b).abs() / norm <= tol, "quant {a} vs f32 {b}");
         }
         // Bitwise identity across engine variants on the quant plane.
-        let parallel: &dyn Executor = &ExecPlan::new(config.with_threads(3))
+        let parallel = ExecPlan::new(config.with_threads(3))
             .with_kind(EngineKind::Parallel)
             .executor();
         let q_par = parallel

@@ -8,8 +8,8 @@ use mnn_dataset::babi::{BabiGenerator, TaskKind};
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{eval, MemNet, ModelConfig};
 use mnnfast::{
-    Budget, ColumnEngine, InferenceStats, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
-    SkipPolicy, Trace,
+    Budget, EngineKind, ExecPlan, InferenceStats, MemView, MnnFastConfig, Route, Scratch,
+    SegmentPlan, SkipPolicy, Trace,
 };
 
 fn main() {
@@ -39,12 +39,14 @@ fn main() {
 
         // Zero-skipping sweep on the held-out set (hop-aware).
         for th in [0.01f32, 0.1] {
-            let engine =
-                ColumnEngine::new(MnnFastConfig::new(ns).with_skip(SkipPolicy::Probability(th)));
+            let config = MnnFastConfig::new(ns).with_skip(SkipPolicy::Probability(th));
+            let exec = ExecPlan::new(config)
+                .with_kind(EngineKind::Column)
+                .executor();
             let mut stats = InferenceStats::default();
             let acc = eval::accuracy_with(&model, &test_set, |emb, q| {
                 let out = mnnfast::multi_hop(
-                    &engine,
+                    &exec,
                     MemView::from((&emb.m_in, &emb.m_out)),
                     Route::Plan(&SegmentPlan::unsegmented(emb.m_in.rows())),
                     &emb.questions[q],

@@ -11,7 +11,9 @@ use mnn_memnn::inference::{baseline_forward, BaselineCounters};
 use mnn_memnn::timing::OpTimes;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
-use mnnfast::{ColumnEngine, MnnFastConfig};
+use mnnfast::{
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, Trace,
+};
 
 fn norm(v: &[f32]) -> f32 {
     v.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -79,9 +81,19 @@ fn main() {
     );
 
     println!("== inference: MnnFast column-based engine (Fig 5b) ==");
-    let engine = ColumnEngine::new(MnnFastConfig::new(2)); // 3 chunks of 2
-    let out = engine
-        .forward(&emb.m_in, &emb.m_out, u)
+    let config = MnnFastConfig::new(2); // 3 chunks of 2
+    let exec = ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor();
+    let out = exec
+        .forward(
+            MemView::from((&emb.m_in, &emb.m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(emb.m_in.rows())),
+            u,
+            &mut Scratch::new(),
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
         .expect("consistent shapes");
     println!(
         "  {} chunks, peak intermediates {} bytes, {} divisions (= ed)",

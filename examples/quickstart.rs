@@ -9,7 +9,10 @@ use mnn_memnn::inference::{baseline_forward, BaselineCounters};
 use mnn_memnn::timing::OpTimes;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{MemNet, ModelConfig};
-use mnnfast::{ColumnEngine, MnnFastConfig, SkipPolicy};
+use mnnfast::{
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, SkipPolicy,
+    Trace,
+};
 
 fn main() {
     // 1. Generate a toy world: stories about people moving between rooms.
@@ -50,9 +53,21 @@ fn main() {
     );
 
     // 4b. MnnFast: column-based + zero-skipping (Fig 5(b) dataflow).
-    let engine = ColumnEngine::new(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.05)));
-    let out = engine
-        .forward(&embedded.m_in, &embedded.m_out, &embedded.questions[0])
+    //     A serving loop would keep the scratch and reuse it per question.
+    let config = MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.05));
+    let exec = ExecPlan::new(config)
+        .with_kind(EngineKind::Column)
+        .executor();
+    let mut scratch = Scratch::new();
+    let out = exec
+        .forward(
+            MemView::from((&embedded.m_in, &embedded.m_out)),
+            Route::Plan(&SegmentPlan::unsegmented(embedded.m_in.rows())),
+            &embedded.questions[0],
+            &mut scratch,
+            &mut Trace::disabled(),
+            &Budget::unlimited(),
+        )
         .expect("embedded shapes are consistent");
     let logits = model.output_logits(&out.o, &embedded.questions[0]);
     let answer = mnn_tensor::reduce::argmax(&logits).expect("non-empty vocab") as u32;

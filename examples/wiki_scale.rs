@@ -9,8 +9,8 @@ use mnn_memsim::dataflow::{self, DataflowConfig};
 use mnn_memsim::{SetAssocCache, Variant};
 use mnn_tensor::Matrix;
 use mnnfast::{
-    Budget, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, Scratch, SegmentPlan,
-    SkipPolicy, Trace,
+    Budget, EngineKind, ExecPlan, MemView, MnnFastConfig, Route, Scratch, SegmentPlan, SkipPolicy,
+    Trace,
 };
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ fn main() {
         spill as f64 / (1 << 20) as f64
     );
 
-    // Every variant goes through the same Executor seam with one shared
+    // Every variant goes through the same PlanExecutor entry with one shared
     // scratch, exactly like the serving loop.
     let config = MnnFastConfig::new(1000);
     let engines = [

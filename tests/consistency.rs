@@ -8,7 +8,17 @@ use mnn_memnn::{MemNet, ModelConfig};
 use mnn_memsim::dataflow::{replay, DataflowConfig};
 use mnn_memsim::{SetAssocCache, Variant};
 use mnn_tensor::Matrix;
-use mnnfast::{ColumnEngine, MnnFastConfig};
+use mnnfast::{ColumnOutput, MnnFastConfig};
+
+#[path = "../crates/core/tests/lattice/mod.rs"]
+mod lattice;
+
+/// The Column walk of `config` over the story's whole memory, for its
+/// first question.
+fn column_pass(config: MnnFastConfig, story: &EmbeddedStory) -> ColumnOutput {
+    let exec = lattice::column(config);
+    lattice::whole(&exec, &story.m_in, &story.m_out, &story.questions[0])
+}
 
 fn synthetic(ns: usize, ed: usize) -> EmbeddedStory {
     EmbeddedStory {
@@ -42,10 +52,7 @@ fn column_intermediates_are_chunk_sized_not_ns_sized() {
     // Baseline spills 3 ns-length vectors.
     assert_eq!(counters.intermediate_bytes, (3 * ns * 4) as u64);
 
-    let engine = ColumnEngine::new(MnnFastConfig::new(1000));
-    let out = engine
-        .forward(&story.m_in, &story.m_out, &story.questions[0])
-        .unwrap();
+    let out = column_pass(MnnFastConfig::new(1000), &story);
     // The column-based engine keeps only a chunk buffer + accumulator.
     assert!(out.stats.intermediate_bytes <= (1000 * 4 + ed * 4) as u64);
     // That is a >30x reduction, the Section 3.1 claim.
@@ -76,9 +83,7 @@ fn division_counts_match_section_3_1() {
         "baseline divides per sentence"
     );
 
-    let out = ColumnEngine::new(MnnFastConfig::new(1000))
-        .forward(&story.m_in, &story.m_out, &story.questions[0])
-        .unwrap();
+    let out = column_pass(MnnFastConfig::new(1000), &story);
     assert_eq!(
         out.stats.divisions, ed as u64,
         "column divides per dimension"
@@ -93,9 +98,7 @@ fn engine_memory_bytes_match_simulator_traffic_scale() {
     let ns = 100_000;
     let ed = 48;
     let story = synthetic(ns, ed);
-    let out = ColumnEngine::new(MnnFastConfig::new(1000))
-        .forward(&story.m_in, &story.m_out, &story.questions[0])
-        .unwrap();
+    let out = column_pass(MnnFastConfig::new(1000), &story);
 
     let df = DataflowConfig {
         ns,
@@ -160,9 +163,7 @@ fn skip_counters_match_true_attention_sparsity() {
     mnn_tensor::softmax::softmax_in_place(&mut p);
     let below = p.iter().filter(|&&x| x < th).count() as u64;
 
-    let out =
-        ColumnEngine::new(MnnFastConfig::new(500).with_skip(mnnfast::SkipPolicy::Probability(th)))
-            .forward(&story.m_in, &story.m_out, &story.questions[0])
-            .unwrap();
+    let config = MnnFastConfig::new(500).with_skip(mnnfast::SkipPolicy::Probability(th));
+    let out = column_pass(config, &story);
     assert_eq!(out.stats.rows_skipped, below);
 }

@@ -8,13 +8,12 @@ use mnn_memnn::timing::OpTimes;
 use mnn_memnn::train::Trainer;
 use mnn_memnn::{eval, MemNet, ModelConfig};
 use mnn_tensor::reduce;
-use mnnfast::{
-    ColumnEngine, EngineKind, ExecPlan, Executor, MemView, MnnFastConfig, Route, SegmentPlan,
-    SkipPolicy, SoftmaxMode,
-};
+use mnnfast::{EngineKind, ExecPlan, MnnFastConfig, PlanExecutor, SkipPolicy, SoftmaxMode};
 
 #[path = "../crates/core/tests/lattice/mod.rs"]
 mod lattice;
+
+use lattice::whole;
 
 fn trained_model() -> (MemNet, Vec<Story>) {
     let mut generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 99);
@@ -30,8 +29,8 @@ fn trained_model() -> (MemNet, Vec<Story>) {
 fn every_engine_agrees_with_the_baseline_on_trained_model() {
     let (model, test_set) = trained_model();
     let config = MnnFastConfig::new(3);
-    let column = ColumnEngine::new(config);
-    let online = ColumnEngine::new(config.with_softmax(SoftmaxMode::Online));
+    let column = lattice::column(config);
+    let online = lattice::column(config.with_softmax(SoftmaxMode::Online));
     let threaded = ExecPlan::new(config.with_threads(3));
     let auto = threaded.executor();
     let parallel = threaded.with_kind(EngineKind::Parallel).executor();
@@ -45,18 +44,10 @@ fn every_engine_agrees_with_the_baseline_on_trained_model() {
             let baseline = baseline_forward(&model, &emb, q, &mut times, &mut counters);
 
             let u = &emb.questions[q];
-            let view = MemView::from((&emb.m_in, &emb.m_out));
-            let whole = SegmentPlan::unsegmented(emb.m_in.rows());
-            let planned = |exec: &dyn Executor| lattice::pass(exec, view, Route::Plan(&whole), u).o;
+            let planned = |exec: &PlanExecutor| whole(exec, &emb.m_in, &emb.m_out, u).o;
             for (name, o) in [
-                (
-                    "column",
-                    column.forward(&emb.m_in, &emb.m_out, u).unwrap().o,
-                ),
-                (
-                    "online",
-                    online.forward(&emb.m_in, &emb.m_out, u).unwrap().o,
-                ),
+                ("column", planned(&column)),
+                ("online", planned(&online)),
                 ("auto", planned(&auto)),
                 ("parallel", planned(&parallel)),
             ] {
@@ -80,11 +71,9 @@ fn mild_zero_skipping_preserves_accuracy() {
     let base_acc = eval::accuracy(&model, &test_set);
     assert!(base_acc > 0.4, "trained accuracy {base_acc}");
 
-    let engine = ColumnEngine::new(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.01)));
+    let exec = lattice::column(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(0.01)));
     let skip_acc = eval::accuracy_with(&model, &test_set, |emb, q| {
-        let out = engine
-            .forward(&emb.m_in, &emb.m_out, &emb.questions[q])
-            .unwrap();
+        let out = whole(&exec, &emb.m_in, &emb.m_out, &emb.questions[q]);
         model.output_logits(&out.o, &emb.questions[q])
     });
     assert!(
@@ -98,13 +87,10 @@ fn aggressive_skipping_trades_accuracy_for_computation() {
     let (model, test_set) = trained_model();
     let mut last_reduction = -1.0f64;
     for th in [0.01f32, 0.1, 0.3] {
-        let engine =
-            ColumnEngine::new(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(th)));
+        let exec = lattice::column(MnnFastConfig::new(4).with_skip(SkipPolicy::Probability(th)));
         let mut stats = mnnfast::InferenceStats::default();
         let _ = eval::accuracy_with(&model, &test_set, |emb, q| {
-            let out = engine
-                .forward(&emb.m_in, &emb.m_out, &emb.questions[q])
-                .unwrap();
+            let out = whole(&exec, &emb.m_in, &emb.m_out, &emb.questions[q]);
             stats.merge(&out.stats);
             model.output_logits(&out.o, &emb.questions[q])
         });
@@ -138,12 +124,12 @@ fn multi_hop_model_works_end_to_end() {
     let mut counters = BaselineCounters::default();
     let baseline = baseline_forward(&model, &emb, 0, &mut times, &mut counters);
 
-    let engine = ColumnEngine::new(MnnFastConfig::new(4));
+    let exec = lattice::column(MnnFastConfig::new(4));
     let mut u = emb.questions[0].clone();
     let mut o = vec![0.0f32; 16];
     let mut u_last = u.clone();
     for _ in 0..2 {
-        let out = engine.forward(&emb.m_in, &emb.m_out, &u).unwrap();
+        let out = whole(&exec, &emb.m_in, &emb.m_out, &u);
         o = out.o;
         u_last = u.clone();
         for (ui, oi) in u.iter_mut().zip(&o) {
@@ -173,9 +159,12 @@ fn all_task_kinds_train_above_chance() {
 }
 
 /// A sub-second cut of the engine parity lattice (`crates/core/tests/
-/// executor.rs` runs all of it), so tier-1 guards the execution seam: each
-/// walk, plane, route and entry point against the column-engine oracle.
+/// executor.rs` runs all of it), so tier-1 guards the execution entry: each
+/// walk, plane, route and entry point against the Column-walk oracle, and
+/// that oracle's f32 answers against the two-pass reference.
 #[test]
 fn lattice_cut_matches_the_column_oracle() {
-    assert!(lattice::run(&lattice::CUT) >= 28);
+    let (cells, referenced) = lattice::run(&lattice::CUT);
+    assert!(cells >= 28, "cut shrank to {cells} cells");
+    assert!(referenced >= 87, "{referenced} oracle answers referenced");
 }
